@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/topk"
 )
 
@@ -95,7 +96,7 @@ const DefaultDamping = 0.85
 
 // DefaultPartitionBytes is the paper's empirically chosen partition / bin
 // width (256 KB of 4-byte vertex values = 64K nodes).
-const DefaultPartitionBytes = 256 << 10
+const DefaultPartitionBytes = partition.DefaultBytes
 
 // Config controls engine construction. The zero value means "paper
 // defaults" (damping 0.85, 256 KB partitions, GOMAXPROCS workers,

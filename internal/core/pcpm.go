@@ -12,12 +12,12 @@ import (
 
 // PCPM is the paper's Partition-Centric Processing Methodology engine.
 //
-// Scatter follows Algorithm 3: for each source partition, updates stream to
-// one destination bin at a time through the PNG layout, sending a single
-// update per (node, destination-partition) pair. Gather follows Algorithm 4:
-// the MSB-tagged destination-ID stream is walked with the branch-avoiding
-// update pointer, accumulating into a cache-resident partial-sum buffer,
-// and ranks are applied per partition.
+// It is an adapter over png.Kernel, which owns both loops: scatter
+// (Algorithm 3) streams the scaled ranks through the PNG layout, one update
+// per (node, destination-partition) pair, and gather (Algorithm 4) walks the
+// MSB-tagged destination-ID stream into a cache-resident partial-sum buffer.
+// What stays here is PageRank's own: the rank state and its per-partition
+// apply, and the two ablations below.
 //
 // The CSRScatter variant (NewPCPMCSR) is Algorithm 2 — partition-centric
 // update deduplication over the raw CSR, without the PNG layout. It scans
@@ -25,20 +25,14 @@ import (
 // interleaves bin writes; the paper introduces PNG precisely to remove
 // those costs, and the ablation benchmark measures the difference.
 type PCPM struct {
-	state  *rankState
-	cfg    Config
-	layout partition.Layout
-	pn     *png.PNG
+	state *rankState
+	kern  *png.Kernel
 
 	csrScatter bool
 	branching  bool
-	// staticBounds holds the per-worker partition ranges used when the
-	// SchedStatic ablation is selected; nil under dynamic scheduling.
-	staticBounds []int
 
-	updates    [][]float32 // per destination bin, len = UpdateCount
-	workerSums [][]float32
-	workerCur  [][]int32 // per-worker bin cursors for the CSR scatter
+	updates   [][]float32 // the kernel's bins, which the CSR scatter fills itself
+	workerCur [][]int32   // per-worker bin cursors for the CSR scatter
 
 	preprocess time.Duration
 	stats      PhaseStats
@@ -122,48 +116,39 @@ func newPCPM(g *graph.Graph, cfg Config, csrScatter bool) (*PCPM, error) {
 	if err != nil {
 		return nil, err
 	}
+	kern := png.NewKernel(pn, cfg.Workers)
 	e := &PCPM{
 		state:      newRankState(g, cfg.Damping, cfg.Dangling),
-		cfg:        cfg,
-		layout:     layout,
-		pn:         pn,
+		kern:       kern,
 		csrScatter: csrScatter,
 		branching:  cfg.Gather == GatherBranching,
-		updates:    make([][]float32, pn.K),
-	}
-	for q := 0; q < pn.K; q++ {
-		e.updates[q] = make([]float32, pn.UpdateCount[q])
+		updates:    kern.Updates,
 	}
 	workers := par.Workers(cfg.Workers)
-	e.workerSums = make([][]float32, workers)
-	e.workerCur = make([][]int32, workers)
-	for w := 0; w < workers; w++ {
-		e.workerSums[w] = make([]float32, layout.Size())
-		e.workerCur[w] = make([]int32, pn.K)
+	if csrScatter {
+		e.workerCur = make([][]int32, workers)
+		for w := range e.workerCur {
+			e.workerCur[w] = make([]int32, pn.K)
+		}
 	}
 	if cfg.Sched == SchedStatic {
+		// The load-balancing ablation: contiguous per-worker partition
+		// ranges in place of the kernel's dynamic queue.
 		unit := make([]int64, pn.K)
 		for i := range unit {
 			unit[i] = 1
 		}
-		e.staticBounds = par.BalancedRanges(unit, workers)
+		bounds := par.BalancedRanges(unit, workers)
+		kern.Schedule = func(_ int, fn func(worker, p int)) {
+			par.ForRanges(bounds, func(w, lo, hi int) {
+				for p := lo; p < hi; p++ {
+					fn(w, p)
+				}
+			})
+		}
 	}
 	e.preprocess = time.Since(start)
 	return e, nil
-}
-
-// forPartitions runs fn over every partition under the configured
-// scheduling policy, providing the worker index for scratch access.
-func (e *PCPM) forPartitions(fn func(worker, p int)) {
-	if e.staticBounds != nil {
-		par.ForRanges(e.staticBounds, func(w, lo, hi int) {
-			for p := lo; p < hi; p++ {
-				fn(w, p)
-			}
-		})
-		return
-	}
-	par.ForDynamicWorker(e.pn.K, e.cfg.Workers, fn)
 }
 
 // Name implements Engine.
@@ -180,14 +165,8 @@ func (e *PCPM) Graph() *graph.Graph { return e.state.g }
 // PreprocessTime implements Engine.
 func (e *PCPM) PreprocessTime() time.Duration { return e.preprocess }
 
-// PNG exposes the layout for the traffic replayers and design-space tools.
-func (e *PCPM) PNG() *png.PNG { return e.pn }
-
-// Layout exposes the partitioning.
-func (e *PCPM) Layout() partition.Layout { return e.layout }
-
 // CompressionRatio returns r = |E| / |E'| for this engine's layout.
-func (e *PCPM) CompressionRatio() float64 { return e.pn.CompressionRatio(e.state.g) }
+func (e *PCPM) CompressionRatio() float64 { return e.kern.PNG.CompressionRatio(e.state.g) }
 
 // Step implements Engine: one scatter+gather iteration.
 func (e *PCPM) Step() float64 {
@@ -210,48 +189,27 @@ func (e *PCPM) Step() float64 {
 	return delta
 }
 
-// scatterPNG is Algorithm 3: stream one bin at a time per source partition.
-// Writes are branch-free and grouped by destination, the property that
-// removes random DRAM traffic (§3.3).
-func (e *PCPM) scatterPNG() {
-	pn := e.pn
-	spr := e.state.spr
-	k := pn.K
-	e.forPartitions(func(_, p int) {
-		off := pn.SubOff[p]
-		srcs := pn.SubSrc[p]
-		row := p * k
-		for q := 0; q < k; q++ {
-			group := srcs[off[q]:off[q+1]]
-			if len(group) == 0 {
-				continue
-			}
-			out := e.updates[q][pn.UpdateWriteOff[row+q]:]
-			for i, u := range group {
-				out[i] = spr[u]
-			}
-		}
-	})
-}
+// scatterPNG is Algorithm 3, run by the shared kernel.
+func (e *PCPM) scatterPNG() { e.kern.Scatter(e.state.spr) }
 
 // scatterCSR is Algorithm 2's scatter: scan every out-edge of the
 // partition's nodes, inserting one update per destination-partition run.
 // The bu/qc != prev_bin check is the data-dependent branch PNG eliminates.
 func (e *PCPM) scatterCSR() {
-	pn := e.pn
+	pn := e.kern.PNG
 	g := e.state.g
 	spr := e.state.spr
 	k := pn.K
-	shift := e.layout.Shift()
+	shift := pn.Layout.Shift()
 	outOff := g.OutOffsets()
 	outAdj := g.OutAdjacency()
-	e.forPartitions(func(w, p int) {
+	e.kern.Schedule(k, func(w, p int) {
 		cur := e.workerCur[w]
 		for q := range cur {
 			cur[q] = 0
 		}
 		row := p * k
-		lo, hi := e.layout.Bounds(p)
+		lo, hi := pn.Layout.Bounds(p)
 		for v := lo; v < hi; v++ {
 			sv := spr[v]
 			prev := -1
@@ -267,69 +225,15 @@ func (e *PCPM) scatterCSR() {
 	})
 }
 
-// gather drains every destination bin into cached partial sums and applies
-// the PageRank update per partition. The update pointer advances by the
-// destination ID's MSB (Algorithm 4) unless the branching ablation is
-// selected.
+// gather is Algorithm 4, run by the shared kernel, with the PageRank update
+// applied once per partition.
 func (e *PCPM) gather() float64 {
 	st := e.state
-	pn := e.pn
 	base := st.baseTerm()
 	dterm := st.danglingTerm()
-	workers := len(e.workerSums)
-	deltas := make([]float64, workers)
-	danglings := make([]float64, workers)
-	e.forPartitions(func(w, q int) {
-		lo, hi := e.layout.Bounds(q)
-		sums := e.workerSums[w][:int(hi-lo)]
-		for i := range sums {
-			sums[i] = 0
-		}
-		ups := e.updates[q]
-		switch {
-		case pn.DestIDs16 != nil && !e.branching:
-			// Compact branch-avoiding gather: 16-bit partition-local IDs.
-			uptr := -1
-			for _, id := range pn.DestIDs16[q] {
-				uptr += int(id >> 15)
-				sums[id&png.CompactIDMask] += ups[uptr]
-			}
-		case pn.DestIDs16 != nil:
-			uptr := 0
-			var cur float32
-			for _, id := range pn.DestIDs16[q] {
-				if id&png.CompactMSB != 0 {
-					cur = ups[uptr]
-					uptr++
-				}
-				sums[id&png.CompactIDMask] += cur
-			}
-		case e.branching:
-			uptr := 0
-			var cur float32
-			for _, id := range pn.DestIDs[q] {
-				if id&graph.MSBMask != 0 {
-					cur = ups[uptr]
-					uptr++
-				}
-				sums[(id&graph.IDMask)-lo] += cur
-			}
-		default:
-			uptr := -1
-			for _, id := range pn.DestIDs[q] {
-				uptr += int(id >> 31)
-				sums[(id&graph.IDMask)-lo] += ups[uptr]
-			}
-		}
-		d, dang := st.applyRange(int(lo), int(hi), sums, base, dterm)
-		deltas[w] += d
-		danglings[w] += dang
+	delta, dangling := e.kern.Gather(e.branching, func(lo, hi graph.NodeID, sums []float32) (float64, float64) {
+		return st.applyRange(int(lo), int(hi), sums, base, dterm)
 	})
-	var delta, dangling float64
-	for w := 0; w < workers; w++ {
-		delta += deltas[w]
-		dangling += danglings[w]
-	}
 	st.dangling = dangling
 	return delta
 }

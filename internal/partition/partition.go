@@ -18,6 +18,11 @@ import (
 // both at 4 bytes).
 const ValueBytes = 4
 
+// DefaultBytes is the paper's empirically chosen partition / bin width
+// (256 KB of 4-byte vertex values = 64K nodes). Every engine's
+// DefaultPartitionBytes is this constant.
+const DefaultBytes = 256 << 10
+
 // Layout describes an equisized index-range partitioning of n nodes.
 type Layout struct {
 	n     int

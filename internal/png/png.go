@@ -9,6 +9,11 @@
 // are written consecutively and the first carries a set MSB, signaling the
 // gather phase to consume the next update value. Destination IDs are
 // written once and reused across iterations.
+//
+// This package owns that layout and every walk over it: BuildCSR is the only
+// builder of MSB-tagged streams and Kernel holds the only scatter
+// (Algorithm 3) and gather (Algorithm 4) loops. core.PCPM, spmv.PCPMEngine
+// and shard.BlockSolver are adapters over them.
 package png
 
 import (
@@ -22,10 +27,15 @@ import (
 // PNG is the Partition-Node Graph of a partitioned graph. All slices are
 // read-only after Build.
 type PNG struct {
-	Layout partition.Layout
-	K      int // number of partitions
+	// Layout partitions the sources (columns) into K scatter partitions;
+	// RowLayout partitions the destinations (rows) into KRows bins. Build
+	// uses one layout for both; only BuildCSR can make them differ.
+	Layout    partition.Layout
+	K         int
+	RowLayout partition.Layout
+	KRows     int
 
-	// SubOff[p] has K+1 entries; the compressed in-edges of destination
+	// SubOff[p] has KRows+1 entries; the compressed in-edges of destination
 	// partition q within source partition p's bipartite graph are
 	// SubSrc[p][SubOff[p][q]:SubOff[p][q+1]] (global source-node IDs,
 	// ascending). This is the transposed per-partition CSR of §3.3.
@@ -37,6 +47,10 @@ type PNG struct {
 	// with the MSB set on the first ID of each update's run.
 	DestIDs [][]uint32
 
+	// DestWs, non-nil only for weighted input, holds each nonzero's weight
+	// at the position of its ID in DestIDs (§3.5).
+	DestWs [][]float32
+
 	// DestIDs16, when non-nil, is the compact encoding of the same streams
 	// (the G-Store-style "smallest number of bits" representation the
 	// paper's §6 proposes): because a gather only addresses nodes of one
@@ -46,7 +60,7 @@ type PNG struct {
 	// gather's dominant m·di read stream.
 	DestIDs16 [][]uint16
 
-	// UpdateWriteOff[p*K+q] is the index in bin q's update array where
+	// UpdateWriteOff[p*KRows+q] is the index in bin q's update array where
 	// source partition p begins writing — the statically precomputed,
 	// lock-free write offsets of §3.1.
 	UpdateWriteOff []int32
@@ -97,41 +111,62 @@ func BuildCompact(g *graph.Graph, layout partition.Layout, workers int) (*PNG, e
 	return p, nil
 }
 
-// Build constructs the PNG for g under the given layout, fusing the
-// compression and transposition steps into two scans as in §3.3. It is
-// parallel over source partitions. g's adjacency lists must be sorted
-// (graph.Builder guarantees this); Build panics on unsorted input only via
-// Validate in tests — construction itself tolerates it silently, so callers
-// loading untrusted graphs should Validate the graph first.
+// CSR is the builder's input: a sparse structure stored by source (column).
+// Off has one entry per source plus one; Adj[Off[c]:Off[c+1]] lists source
+// c's destination (row) IDs in ascending order; W is nil or holds one weight
+// per Adj entry.
+type CSR struct {
+	Off []int64
+	Adj []graph.NodeID
+	W   []float32
+}
+
+// Build constructs the PNG for g under the given layout: the square,
+// unweighted case of BuildCSR. g's adjacency lists must be sorted
+// (graph.Builder guarantees this); construction tolerates unsorted input
+// silently, so callers loading untrusted graphs should Validate the graph
+// first.
 func Build(g *graph.Graph, layout partition.Layout, workers int) (*PNG, error) {
-	if layout.NumNodes() != g.NumNodes() {
-		return nil, fmt.Errorf("png: layout covers %d nodes, graph has %d", layout.NumNodes(), g.NumNodes())
+	return BuildCSR(CSR{Off: g.OutOffsets(), Adj: g.OutAdjacency()}, layout, layout, workers)
+}
+
+// BuildCSR constructs the PNG of in with sources partitioned by cols and
+// destinations by rows, fusing the compression and transposition steps into
+// two scans as in §3.3. It is parallel over source partitions.
+func BuildCSR(in CSR, cols, rows partition.Layout, workers int) (*PNG, error) {
+	if cols.NumNodes() != len(in.Off)-1 {
+		return nil, fmt.Errorf("png: layout covers %d nodes, input has %d", cols.NumNodes(), len(in.Off)-1)
 	}
-	k := layout.K()
-	if int64(k)*int64(k) > (1 << 26) {
-		return nil, fmt.Errorf("png: K=%d partitions would need %d offset cells; choose a larger partition size", k, int64(k)*int64(k))
+	k, kr := cols.K(), rows.K()
+	if int64(k)*int64(kr) > (1 << 26) {
+		return nil, fmt.Errorf("png: %d×%d partitions would need %d offset cells; choose a larger partition size", k, kr, int64(k)*int64(kr))
 	}
 	p := &PNG{
-		Layout:         layout,
+		Layout:         cols,
 		K:              k,
+		RowLayout:      rows,
+		KRows:          kr,
 		SubOff:         make([][]int32, k),
 		SubSrc:         make([][]graph.NodeID, k),
-		DestIDs:        make([][]uint32, k),
-		UpdateWriteOff: make([]int32, k*k),
-		UpdateCount:    make([]int64, k),
+		DestIDs:        make([][]uint32, kr),
+		UpdateWriteOff: make([]int32, k*kr),
+		UpdateCount:    make([]int64, kr),
 	}
-	shift := layout.Shift()
+	if in.W != nil {
+		p.DestWs = make([][]float32, kr)
+	}
+	shift := rows.Shift()
 
 	// Pass 1 (parallel over source partitions): count, per (p, q), the
 	// compressed edges (updates) and raw edges (destination IDs).
-	updCnt := make([]int32, k*k) // updates from p into q
-	dstCnt := make([]int32, k*k) // destination IDs from p into q
+	updCnt := make([]int32, k*kr) // updates from p into q
+	dstCnt := make([]int32, k*kr) // destination IDs from p into q
 	par.ForDynamic(k, workers, func(pi int) {
-		lo, hi := layout.Bounds(pi)
-		row := pi * k
+		lo, hi := cols.Bounds(pi)
+		row := pi * kr
 		for v := lo; v < hi; v++ {
 			prev := -1
-			for _, u := range g.OutNeighbors(v) {
+			for _, u := range in.Adj[in.Off[v]:in.Off[v+1]] {
 				q := int(u >> shift)
 				if q != prev {
 					updCnt[row+q]++
@@ -142,20 +177,23 @@ func Build(g *graph.Graph, layout partition.Layout, workers int) (*PNG, error) {
 		}
 	})
 
-	// Pass 2 (serial, O(K^2)): column-wise prefix sums give each source
+	// Pass 2 (serial, O(K·KRows)): column-wise prefix sums give each source
 	// partition its disjoint write ranges in every bin — the offset
 	// computation of §3.1 that makes scatter lock-free.
-	dstWriteOff := make([]int32, k*k)
-	for q := 0; q < k; q++ {
+	dstWriteOff := make([]int32, k*kr)
+	for q := 0; q < kr; q++ {
 		var updAcc, dstAcc int32
 		for pi := 0; pi < k; pi++ {
-			p.UpdateWriteOff[pi*k+q] = updAcc
-			dstWriteOff[pi*k+q] = dstAcc
-			updAcc += updCnt[pi*k+q]
-			dstAcc += dstCnt[pi*k+q]
+			p.UpdateWriteOff[pi*kr+q] = updAcc
+			dstWriteOff[pi*kr+q] = dstAcc
+			updAcc += updCnt[pi*kr+q]
+			dstAcc += dstCnt[pi*kr+q]
 		}
 		p.UpdateCount[q] = int64(updAcc)
 		p.DestIDs[q] = make([]uint32, dstAcc)
+		if in.W != nil {
+			p.DestWs[q] = make([]float32, dstAcc)
+		}
 		p.EdgesCompressed += int64(updAcc)
 	}
 
@@ -165,17 +203,17 @@ func Build(g *graph.Graph, layout partition.Layout, workers int) (*PNG, error) {
 	// ascending order per source node, source nodes ascending — so the
 	// gather phase's sequential read pairs updates and IDs correctly.
 	par.ForDynamic(k, workers, func(pi int) {
-		row := pi * k
-		off := make([]int32, k+1)
-		for q := 0; q < k; q++ {
+		row := pi * kr
+		off := make([]int32, kr+1)
+		for q := 0; q < kr; q++ {
 			off[q+1] = off[q] + updCnt[row+q]
 		}
-		src := make([]graph.NodeID, off[k])
-		updCur := make([]int32, k)
-		dstCur := make([]int32, k)
-		lo, hi := layout.Bounds(pi)
+		src := make([]graph.NodeID, off[kr])
+		updCur := make([]int32, kr)
+		dstCur := make([]int32, kr)
+		lo, hi := cols.Bounds(pi)
 		for v := lo; v < hi; v++ {
-			adj := g.OutNeighbors(v)
+			adj := in.Adj[in.Off[v]:in.Off[v+1]]
 			i := 0
 			for i < len(adj) {
 				q := int(adj[i] >> shift)
@@ -184,7 +222,7 @@ func Build(g *graph.Graph, layout partition.Layout, workers int) (*PNG, error) {
 				updCur[q]++
 				bin := p.DestIDs[q]
 				base := dstWriteOff[row+q]
-				first := true
+				runAt, start, first := base+dstCur[q], i, true
 				for i < len(adj) && int(adj[i]>>shift) == q {
 					id := uint32(adj[i])
 					if first {
@@ -194,6 +232,9 @@ func Build(g *graph.Graph, layout partition.Layout, workers int) (*PNG, error) {
 					bin[base+dstCur[q]] = id
 					dstCur[q]++
 					i++
+				}
+				if in.W != nil { // the run's weights, beside its IDs
+					copy(p.DestWs[q][runAt:], in.W[in.Off[v]:][start:i])
 				}
 			}
 		}
@@ -221,32 +262,38 @@ func (p *PNG) DestTotal() int64 {
 	return t
 }
 
-// OffsetCells returns K*K, the PNG offset storage the paper's Eff2 bounds.
-func (p *PNG) OffsetCells() int64 { return int64(p.K) * int64(p.K) }
+// OffsetCells returns K*KRows, the PNG offset storage the paper's Eff2 bounds.
+func (p *PNG) OffsetCells() int64 { return int64(p.K) * int64(p.KRows) }
 
 // Validate checks the structural invariants of the PNG against its graph:
 // edge conservation, stream pairing, MSB counts, and ID ranges.
-func (p *PNG) Validate(g *graph.Graph) error {
-	if p.K != p.Layout.K() {
-		return fmt.Errorf("png: K=%d disagrees with layout K=%d", p.K, p.Layout.K())
+func (p *PNG) Validate(g *graph.Graph) error { return p.ValidateEdges(g.NumEdges()) }
+
+// ValidateEdges is Validate for a layout built from any CSR input holding
+// the given number of nonzeros: sources stay inside their column partition,
+// row IDs inside their row bin, and a weighted layout carries one weight per
+// destination ID.
+func (p *PNG) ValidateEdges(edges int64) error {
+	if p.K != p.Layout.K() || p.KRows != p.RowLayout.K() {
+		return fmt.Errorf("png: K=%d×%d disagrees with layouts K=%d×%d", p.K, p.KRows, p.Layout.K(), p.RowLayout.K())
 	}
-	if p.DestTotal() != g.NumEdges() {
-		return fmt.Errorf("png: destination streams hold %d IDs, want %d", p.DestTotal(), g.NumEdges())
+	if p.DestTotal() != edges {
+		return fmt.Errorf("png: destination streams hold %d IDs, want %d", p.DestTotal(), edges)
 	}
-	if p.EdgesCompressed > g.NumEdges() {
-		return fmt.Errorf("png: |E'|=%d exceeds |E|=%d", p.EdgesCompressed, g.NumEdges())
+	if p.EdgesCompressed > edges {
+		return fmt.Errorf("png: |E'|=%d exceeds |E|=%d", p.EdgesCompressed, edges)
 	}
 	var updTotal int64
 	for pi := 0; pi < p.K; pi++ {
 		off := p.SubOff[pi]
-		if len(off) != p.K+1 || off[0] != 0 {
+		if len(off) != p.KRows+1 || off[0] != 0 {
 			return fmt.Errorf("png: partition %d has malformed offsets", pi)
 		}
-		if int(off[p.K]) != len(p.SubSrc[pi]) {
-			return fmt.Errorf("png: partition %d offsets end at %d, want %d", pi, off[p.K], len(p.SubSrc[pi]))
+		if int(off[p.KRows]) != len(p.SubSrc[pi]) {
+			return fmt.Errorf("png: partition %d offsets end at %d, want %d", pi, off[p.KRows], len(p.SubSrc[pi]))
 		}
 		lo, hi := p.Layout.Bounds(pi)
-		for q := 0; q < p.K; q++ {
+		for q := 0; q < p.KRows; q++ {
 			if off[q+1] < off[q] {
 				return fmt.Errorf("png: partition %d offsets not monotone at %d", pi, q)
 			}
@@ -266,9 +313,12 @@ func (p *PNG) Validate(g *graph.Graph) error {
 	if updTotal != p.EdgesCompressed {
 		return fmt.Errorf("png: SubSrc holds %d entries, want |E'|=%d", updTotal, p.EdgesCompressed)
 	}
-	for q := 0; q < p.K; q++ {
+	if p.DestWs != nil && len(p.DestWs) != p.KRows {
+		return fmt.Errorf("png: weight streams cover %d bins, want %d", len(p.DestWs), p.KRows)
+	}
+	for q := 0; q < p.KRows; q++ {
 		var msb int64
-		qlo, qhi := p.Layout.Bounds(q)
+		qlo, qhi := p.RowLayout.Bounds(q)
 		for _, id := range p.DestIDs[q] {
 			if id&graph.MSBMask != 0 {
 				msb++
@@ -284,16 +334,19 @@ func (p *PNG) Validate(g *graph.Graph) error {
 		if len(p.DestIDs[q]) > 0 && p.DestIDs[q][0]&graph.MSBMask == 0 {
 			return fmt.Errorf("png: bin %d does not start with an MSB mark", q)
 		}
+		if p.DestWs != nil && len(p.DestWs[q]) != len(p.DestIDs[q]) {
+			return fmt.Errorf("png: bin %d holds %d weights for %d destination IDs", q, len(p.DestWs[q]), len(p.DestIDs[q]))
+		}
 	}
 	if p.DestIDs16 != nil {
-		if len(p.DestIDs16) != p.K {
-			return fmt.Errorf("png: compact streams cover %d bins, want %d", len(p.DestIDs16), p.K)
+		if len(p.DestIDs16) != p.KRows {
+			return fmt.Errorf("png: compact streams cover %d bins, want %d", len(p.DestIDs16), p.KRows)
 		}
-		for q := 0; q < p.K; q++ {
+		for q := 0; q < p.KRows; q++ {
 			if len(p.DestIDs16[q]) != len(p.DestIDs[q]) {
 				return fmt.Errorf("png: compact bin %d length %d, want %d", q, len(p.DestIDs16[q]), len(p.DestIDs[q]))
 			}
-			lo, _ := p.Layout.Bounds(q)
+			lo, _ := p.RowLayout.Bounds(q)
 			for i, c := range p.DestIDs16[q] {
 				full := p.DestIDs[q][i]
 				if uint32(c&CompactIDMask) != (full&graph.IDMask)-lo {

@@ -323,3 +323,55 @@ func TestCompressionImprovesWithPartitionSize(t *testing.T) {
 		t.Fatalf("large partitions should compress an RMAT graph; r = %v", prev)
 	}
 }
+
+// TestBuildCSRRectangularWeighted covers the §3.5 form no graph input
+// reaches: rows and columns partitioned separately, a weight beside each
+// destination ID.
+func TestBuildCSRRectangularWeighted(t *testing.T) {
+	// 5 sources × 11 rows; weights encode (source, row) so pairing is checkable.
+	adj := [][]graph.NodeID{{0, 1, 9}, {}, {4, 5, 6, 10}, {3}, {2, 8}}
+	in := CSR{Off: []int64{0}}
+	for c, rows := range adj {
+		for _, r := range rows {
+			in.Adj = append(in.Adj, r)
+			in.W = append(in.W, float32(100*c+int(r)))
+		}
+		in.Off = append(in.Off, int64(len(in.Adj)))
+	}
+	cols, err := partition.NewLayout(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := partition.NewLayout(11, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := BuildCSR(in, cols, rows, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.K != 3 || p.KRows != 3 || p.OffsetCells() != 9 {
+		t.Fatalf("grid = %d×%d (%d cells), want 3×3", p.K, p.KRows, p.OffsetCells())
+	}
+	if err := p.ValidateEdges(int64(len(in.Adj))); err != nil {
+		t.Fatal(err)
+	}
+	// Replaying scatter order recovers every (source, row, weight) triple.
+	for q := 0; q < p.KRows; q++ {
+		var srcs []graph.NodeID
+		for pi := 0; pi < p.K; pi++ {
+			srcs = append(srcs, p.SubSrc[pi][p.SubOff[pi][q]:p.SubOff[pi][q+1]]...)
+		}
+		u := -1
+		for j, id := range p.DestIDs[q] {
+			u += int(id >> 31)
+			if want := float32(100*int(srcs[u]) + int(id&graph.IDMask)); p.DestWs[q][j] != want {
+				t.Fatalf("bin %d entry %d: weight %v, want %v", q, j, p.DestWs[q][j], want)
+			}
+		}
+	}
+	p.DestWs[1] = p.DestWs[1][:len(p.DestWs[1])-1]
+	if err := p.ValidateEdges(int64(len(in.Adj))); err == nil {
+		t.Fatal("Validate accepted a weight stream shorter than its ID stream")
+	}
+}

@@ -53,9 +53,9 @@ const (
 	// DefaultEpsilon is the default L1 termination threshold: the engine
 	// stops once the residual mass it could still deliver is below this.
 	DefaultEpsilon = 1e-7
-	// DefaultPartitionBytes matches core.DefaultPartitionBytes (256 KB of
+	// DefaultPartitionBytes is the engines' shared default (256 KB of
 	// 4-byte values = 64K nodes per frontier bin).
-	DefaultPartitionBytes = 256 << 10
+	DefaultPartitionBytes = partition.DefaultBytes
 	// DefaultDenseFraction is the frontier share of |V| beyond which a round
 	// switches from sparse partition-centric push to the dense pull fallback.
 	DefaultDenseFraction = 0.125

@@ -46,12 +46,11 @@ func (s *Server) Sharded() bool { return s.coord != nil }
 // honors the same knobs as the monolithic one.
 func solveOptions(opts pcpm.Options) shard.SolveOptions {
 	so := shard.SolveOptions{
-		Damping:        opts.Damping,
-		Tolerance:      opts.Tolerance,
-		MaxRounds:      opts.MaxIterations,
-		Workers:        opts.Workers,
-		PartitionBytes: opts.PartitionBytes,
-		Redistribute:   opts.RedistributeDangling,
+		Damping:      opts.Damping,
+		Tolerance:    opts.Tolerance,
+		MaxRounds:    opts.MaxIterations,
+		Workers:      opts.Workers,
+		Redistribute: opts.RedistributeDangling,
 	}
 	if so.Damping == 0 {
 		so.Damping = 0.85

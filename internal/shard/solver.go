@@ -5,11 +5,13 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/partition"
+	"repro/internal/png"
 )
 
-// DefaultPartitionBytes mirrors the engine default: partitions are sized so
-// a destination block's rank slice fits in cache.
-const DefaultPartitionBytes = 256 << 10
+// DefaultPartitionBytes is the engine default: partitions are sized so a
+// destination partition's partial sums fit in cache.
+const DefaultPartitionBytes = partition.DefaultBytes
 
 // SolveOptions parameterizes a distributed solve. It travels to every worker
 // as the /v1/shard/solve request body, so all shards run identical math.
@@ -25,8 +27,6 @@ type SolveOptions struct {
 	MaxRounds int `json:"max_rounds,omitempty"`
 	// Workers bounds shard-local parallelism; zero means GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
-	// PartitionBytes sizes the conflict-free gather partitions.
-	PartitionBytes int `json:"partition_bytes,omitempty"`
 	// Redistribute selects the dangling-mass redistribution variant instead
 	// of the paper's default leak semantics.
 	Redistribute bool `json:"redistribute,omitempty"`
@@ -40,36 +40,27 @@ type SolveOptions struct {
 // monolithic engine's convergence cap.
 const DefaultMaxRounds = 1000
 
-// partition is a conflict-free gather unit: a contiguous slice of the
-// block's rows plus the in-edges targeting them, laid out source-major so a
-// round streams the scaled-rank vector once while all writes stay inside a
-// cache-sized accumulator (the paper's partition-centric update phase).
-type partition struct {
-	plo, phi graph.NodeID // global row range within the block
-	runSrc   []uint32     // global source ID per run
-	runOff   []int64      // len(runSrc)+1, offsets into dst
-	dst      []uint32     // partition-local destination (global - plo)
-	acc      []float32    // gather scratch, len phi-plo
-}
-
 // BlockSolver runs the owned block's side of each distributed round: given
 // the full rank vector gathered from all shards, it produces the block's
-// next rank slice and the block's L1 delta. Partition order is fixed, and
-// per-partition deltas are reduced in that order, so a block's delta is
-// bit-identical at any worker count.
+// next rank slice and the block's L1 delta. It is an adapter over the shared
+// png.Kernel built on the block's sub-graph; what is its own is that ranks
+// arrive from outside each round, divisors are the global degrees, and only
+// the block's rows are written. Per-partition deltas are reduced in
+// partition order, so a block's delta is bit-identical at any worker count.
 type BlockSolver struct {
 	n      int
 	lo, hi graph.NodeID
 	degs   []uint32 // global out-degrees
-	parts  []partition
+	kern   *png.Kernel
 	spr    []float32 // scaled ranks p[u]/deg[u], len n, rebuilt each round
-	deltas []float64 // per-partition reduction scratch
 }
 
 // NewBlockSolver builds the partition-centric layout for the block [lo, hi)
 // from its row-block sub-graph (same n-vertex ID space, only edges with
-// destination inside the block — see graph.RowBlock). degs are the FULL
-// graph's out-degrees, needed to scale every source's rank.
+// destination inside the block — see graph.RowBlock), so the bins of
+// partitions outside the block are simply empty. degs are the FULL graph's
+// out-degrees, needed to scale every source's rank. partitionBytes must be a
+// power of two; zero or less means DefaultPartitionBytes.
 func NewBlockSolver(sub *graph.Graph, degs []uint32, lo, hi graph.NodeID, partitionBytes int) (*BlockSolver, error) {
 	n := sub.NumNodes()
 	if len(degs) != n {
@@ -81,58 +72,20 @@ func NewBlockSolver(sub *graph.Graph, degs []uint32, lo, hi graph.NodeID, partit
 	if partitionBytes <= 0 {
 		partitionBytes = DefaultPartitionBytes
 	}
-	vpp := partitionBytes / 4 // 4 bytes of rank accumulator per row
-	if vpp < 1 {
-		vpp = 1
+	layout, err := partition.FromBytes(n, partitionBytes)
+	if err != nil {
+		return nil, err
 	}
-	blockLen := int(hi - lo)
-	numParts := 0
-	if blockLen > 0 {
-		numParts = (blockLen + vpp - 1) / vpp
+	pn, err := png.Build(sub, layout, 0)
+	if err != nil {
+		return nil, err
 	}
-	s := &BlockSolver{
+	return &BlockSolver{
 		n: n, lo: lo, hi: hi, degs: degs,
-		parts:  make([]partition, numParts),
-		spr:    make([]float32, n),
-		deltas: make([]float64, numParts),
-	}
-	partOf := func(v graph.NodeID) int { return int(v-lo) / vpp }
-	for i := range s.parts {
-		plo := lo + graph.NodeID(i*vpp)
-		phi := plo + graph.NodeID(vpp)
-		if phi > hi {
-			phi = hi
-		}
-		s.parts[i].plo, s.parts[i].phi = plo, phi
-		s.parts[i].acc = make([]float32, phi-plo)
-	}
-	// Count runs and edges per partition: a source's sorted adjacency splits
-	// into one run per partition it touches.
-	outOff, outAdj := sub.OutOffsets(), sub.OutAdjacency()
-	for v := 0; v < n; v++ {
-		adj := outAdj[outOff[v]:outOff[v+1]]
-		for len(adj) > 0 {
-			pt := &s.parts[partOf(adj[0])]
-			end := 0
-			for end < len(adj) && adj[end] < pt.phi {
-				end++
-			}
-			pt.runSrc = append(pt.runSrc, uint32(v))
-			pt.runOff = append(pt.runOff, int64(len(pt.dst)))
-			for _, u := range adj[:end] {
-				pt.dst = append(pt.dst, uint32(u-pt.plo))
-			}
-			adj = adj[end:]
-		}
-	}
-	for i := range s.parts {
-		s.parts[i].runOff = append(s.parts[i].runOff, int64(len(s.parts[i].dst)))
-	}
-	return s, nil
+		kern: png.NewKernel(pn, 0),
+		spr:  make([]float32, n),
+	}, nil
 }
-
-// Block returns the solver's owned row range.
-func (s *BlockSolver) Block() Range { return Range{Lo: s.lo, Hi: s.hi} }
 
 // Round computes the next rank slice for the owned block from the full
 // current vector p, writing into out (len hi-lo) and returning the block's
@@ -170,30 +123,19 @@ func (s *BlockSolver) Round(p, out []float32, opts SolveOptions) (float64, error
 			}
 		}
 	})
-	par.ForDynamic(len(s.parts), workers, func(i int) {
-		pt := &s.parts[i]
-		for j := range pt.acc {
-			pt.acc[j] = 0
-		}
-		for r := 0; r < len(pt.runSrc); r++ {
-			val := s.spr[pt.runSrc[r]]
-			for _, dl := range pt.dst[pt.runOff[r]:pt.runOff[r+1]] {
-				pt.acc[dl] += val
-			}
-		}
+	s.kern.SetWorkers(workers)
+	s.kern.Scatter(s.spr)
+	delta, _ := s.kern.Gather(false, func(plo, phi graph.NodeID, sums []float32) (float64, float64) {
+		// A partition straddling a block boundary applies only the owned rows.
 		var delta float64
-		for j, a := range pt.acc {
-			v := int(pt.plo) + j
-			nv := base + d32*(a+dterm)
+		lo, hi := max(plo, s.lo), min(phi, s.hi)
+		for v := lo; v < hi; v++ {
+			nv := base + d32*(sums[v-plo]+dterm)
 			delta += abs64(float64(nv) - float64(p[v]))
-			out[int(pt.plo-s.lo)+j] = nv
+			out[v-s.lo] = nv
 		}
-		s.deltas[i] = delta
+		return delta, 0
 	})
-	var delta float64
-	for _, dd := range s.deltas {
-		delta += dd
-	}
 	return delta, nil
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"testing"
 
 	pcpm "repro"
@@ -12,7 +13,11 @@ import (
 // one process: each BlockSolver computes its slice from the shared vector,
 // the slices are reassembled (the allgather), and the per-shard deltas sum
 // in shard order — exactly what the HTTP workers do, minus the wire.
-func solveInProcess(t *testing.T, g *graph.Graph, a Assignment, opts SolveOptions) ([]float32, int) {
+//
+// Fixed-round leak solves are additionally held bit-for-bit to core.PCPM at
+// the same partition bytes: both accumulate every destination's float32 sum
+// in ascending-source order, whatever the block boundaries.
+func solveInProcess(t *testing.T, g *graph.Graph, a Assignment, opts SolveOptions, partitionBytes int) ([]float32, int) {
 	t.Helper()
 	degs, err := DegreesOf(g)
 	if err != nil {
@@ -24,7 +29,7 @@ func solveInProcess(t *testing.T, g *graph.Graph, a Assignment, opts SolveOption
 		if err != nil {
 			t.Fatal(err)
 		}
-		if solvers[i], err = NewBlockSolver(sub, degs, r.Lo, r.Hi, opts.PartitionBytes); err != nil {
+		if solvers[i], err = NewBlockSolver(sub, degs, r.Lo, r.Hi, partitionBytes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +62,29 @@ func solveInProcess(t *testing.T, g *graph.Graph, a Assignment, opts SolveOption
 			break
 		}
 	}
+	if opts.Tolerance == 0 && opts.Rounds > 0 && !opts.Redistribute {
+		e, err := core.NewPCPM(g, core.Config{Damping: opts.Damping, Workers: opts.Workers, PartitionBytes: partitionBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		core.RunIterations(e, rounds)
+		for v, want := range e.Ranks() {
+			if p[v] != want {
+				t.Fatalf("%d blocks, %d rounds: rank of %d = %v, core.PCPM has %v", len(a), rounds, v, p[v], want)
+			}
+		}
+	}
 	return p, rounds
+}
+
+func TestBlockSolverBitIdenticalToPCPM(t *testing.T) {
+	for name, g := range goldenFamilies(t) {
+		for _, blocks := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/%d", name, blocks), func(t *testing.T) {
+				solveInProcess(t, g, Assign(g, blocks), SolveOptions{Damping: 0.85, Rounds: 12}, 1<<10)
+			})
+		}
+	}
 }
 
 func TestBlockSolverMatchesMonolithic(t *testing.T) {
@@ -68,8 +95,8 @@ func TestBlockSolverMatchesMonolithic(t *testing.T) {
 	}
 	for _, shards := range []int{1, 3} {
 		for _, redis := range []bool{false, true} {
-			opts := SolveOptions{Damping: 0.85, Tolerance: 1e-9, Redistribute: redis, PartitionBytes: 1 << 10}
-			ranks, _ := solveInProcess(t, g, Assign(g, shards), opts)
+			opts := SolveOptions{Damping: 0.85, Tolerance: 1e-9, Redistribute: redis}
+			ranks, _ := solveInProcess(t, g, Assign(g, shards), opts, 1<<10)
 			if redis {
 				monoR, err := pcpm.Run(g, pcpm.Options{Tolerance: 1e-9, RedistributeDangling: true})
 				if err != nil {
@@ -90,13 +117,13 @@ func TestBlockSolverMatchesMonolithic(t *testing.T) {
 func TestBlockSolverDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := testGraph(t, 800, 6000, 33)
 	a := Assign(g, 2)
-	base := SolveOptions{Damping: 0.85, Rounds: 25, PartitionBytes: 512}
+	base := SolveOptions{Damping: 0.85, Rounds: 25}
 	w1 := base
 	w1.Workers = 1
 	w4 := base
 	w4.Workers = 4
-	r1, _ := solveInProcess(t, g, a, w1)
-	r4, _ := solveInProcess(t, g, a, w4)
+	r1, _ := solveInProcess(t, g, a, w1, 512)
+	r4, _ := solveInProcess(t, g, a, w4, 512)
 	for v := range r1 {
 		if r1[v] != r4[v] {
 			t.Fatalf("rank of %d differs across worker counts: %v vs %v", v, r1[v], r4[v])
@@ -108,7 +135,7 @@ func TestBlockSolverEmptyBlock(t *testing.T) {
 	g := testGraph(t, 50, 200, 4)
 	a := Assignment{{0, 50}, {50, 50}}
 	opts := SolveOptions{Damping: 0.85, Tolerance: 1e-9}
-	ranks, _ := solveInProcess(t, g, a, opts)
+	ranks, _ := solveInProcess(t, g, a, opts, 0)
 	mono, err := pcpm.Run(g, pcpm.Options{Tolerance: 1e-9})
 	if err != nil {
 		t.Fatal(err)

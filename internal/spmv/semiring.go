@@ -84,39 +84,7 @@ func (e *PCPMEngine) MulSemiring(x, y []float32, sr Semiring) error {
 	if err := e.m.checkDims(x, y); err != nil {
 		return err
 	}
-	// Scatter (unchanged from Mul, minus parallel helpers to keep the
-	// closure-based gather simple and deterministic).
-	for p := 0; p < e.kc; p++ {
-		off := e.subOff[p]
-		cols := e.subCol[p]
-		row := p * e.kr
-		for q := 0; q < e.kr; q++ {
-			group := cols[off[q]:off[q+1]]
-			if len(group) == 0 {
-				continue
-			}
-			out := e.updates[q][e.writeOff[row+q]:]
-			for i, c := range group {
-				out[i] = x[c]
-			}
-		}
-	}
-	for q := 0; q < e.kr; q++ {
-		lo, hi := e.rowLayout.Bounds(q)
-		sums := e.sums[0][:int(hi-lo)]
-		for i := range sums {
-			sums[i] = sr.Zero
-		}
-		ids := e.destIDs[q]
-		ws := e.destWs[q]
-		ups := e.updates[q]
-		uptr := -1
-		for j, id := range ids {
-			uptr += int(id >> 31)
-			slot := id & 0x7FFFFFFF
-			sums[slot-lo] = sr.Plus(sums[slot-lo], sr.Times(ws[j], ups[uptr]))
-		}
-		copy(y[lo:hi], sums)
-	}
+	e.kern.Scatter(x)
+	e.kern.GatherEdges(sr.Zero, func(acc, w, x float32) float32 { return sr.Plus(acc, sr.Times(w, x)) }, e.store(y))
 	return nil
 }

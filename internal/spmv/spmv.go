@@ -13,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/partition"
+	"repro/internal/png"
 )
 
 // Entry is one nonzero of a sparse matrix.
@@ -179,25 +180,14 @@ func (e *CSREngine) Mul(x, y []float32) error {
 // ---------------------------------------------------------------------------
 // PCPM engine
 
-// PCPMEngine applies the partition-centric methodology to SpMV. Columns
-// (sources) and rows (destinations) are partitioned independently (§3.5).
-// One update per (column, row-partition) pair is scattered; the weight of
-// each nonzero is stored next to its MSB-tagged row ID in the destination
-// bins and applied during gather: y[row] += w · update.
+// PCPMEngine applies the partition-centric methodology to SpMV: an adapter
+// over png.Kernel. Columns (sources) and rows (destinations) are partitioned
+// independently (§3.5). One update per (column, row-partition) pair is
+// scattered; the weight of each nonzero is stored next to its MSB-tagged row
+// ID in the destination bins and applied during gather: y[row] += w · update.
 type PCPMEngine struct {
-	m         *Matrix
-	workers   int
-	colLayout partition.Layout
-	rowLayout partition.Layout
-	kc, kr    int
-
-	subOff   [][]int32   // per col-partition: kr+1 offsets
-	subCol   [][]uint32  // column index per compressed edge
-	destIDs  [][]uint32  // per row-bin: MSB-tagged row IDs
-	destWs   [][]float32 // per row-bin: weights parallel to destIDs
-	writeOff []int32     // [p*kr+q]: col-partition p's start in bin q
-	updates  [][]float32 // per row-bin update values
-	sums     [][]float32 // per-worker row-partition scratch
+	m    *Matrix
+	kern *png.Kernel
 }
 
 // NewPCPMEngine builds the partition-centric engine with the given
@@ -211,93 +201,11 @@ func NewPCPMEngine(m *Matrix, partBytes, workers int) (*PCPMEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &PCPMEngine{
-		m: m, workers: workers,
-		colLayout: colLayout, rowLayout: rowLayout,
-		kc: colLayout.K(), kr: rowLayout.K(),
+	pn, err := png.BuildCSR(png.CSR{Off: m.colOff, Adj: m.rowIdx, W: m.vals}, colLayout, rowLayout, workers)
+	if err != nil {
+		return nil, err
 	}
-	kc, kr := e.kc, e.kr
-	if int64(kc)*int64(kr) > (1 << 26) {
-		return nil, fmt.Errorf("spmv: %d×%d partition grid too large", kc, kr)
-	}
-	updCnt := make([]int32, kc*kr)
-	dstCnt := make([]int32, kc*kr)
-	rshift := rowLayout.Shift()
-	for p := 0; p < kc; p++ {
-		lo, hi := colLayout.Bounds(p)
-		row := p * kr
-		for c := lo; c < hi; c++ {
-			prev := -1
-			for j := m.colOff[c]; j < m.colOff[c+1]; j++ {
-				q := int(m.rowIdx[j] >> rshift)
-				if q != prev {
-					updCnt[row+q]++
-					prev = q
-				}
-				dstCnt[row+q]++
-			}
-		}
-	}
-	e.writeOff = make([]int32, kc*kr)
-	dstOff := make([]int32, kc*kr)
-	e.updates = make([][]float32, kr)
-	e.destIDs = make([][]uint32, kr)
-	e.destWs = make([][]float32, kr)
-	for q := 0; q < kr; q++ {
-		var ua, da int32
-		for p := 0; p < kc; p++ {
-			e.writeOff[p*kr+q] = ua
-			dstOff[p*kr+q] = da
-			ua += updCnt[p*kr+q]
-			da += dstCnt[p*kr+q]
-		}
-		e.updates[q] = make([]float32, ua)
-		e.destIDs[q] = make([]uint32, da)
-		e.destWs[q] = make([]float32, da)
-	}
-	e.subOff = make([][]int32, kc)
-	e.subCol = make([][]uint32, kc)
-	for p := 0; p < kc; p++ {
-		off := make([]int32, kr+1)
-		for q := 0; q < kr; q++ {
-			off[q+1] = off[q] + updCnt[p*kr+q]
-		}
-		cols := make([]uint32, off[kr])
-		uCur := make([]int32, kr)
-		dCur := make([]int32, kr)
-		lo, hi := colLayout.Bounds(p)
-		row := p * kr
-		for c := lo; c < hi; c++ {
-			j := m.colOff[c]
-			end := m.colOff[c+1]
-			for j < end {
-				q := int(m.rowIdx[j] >> rshift)
-				cols[off[q]+uCur[q]] = c
-				uCur[q]++
-				base := dstOff[row+q]
-				first := true
-				for j < end && int(m.rowIdx[j]>>rshift) == q {
-					id := m.rowIdx[j]
-					if first {
-						id |= graph.MSBMask
-						first = false
-					}
-					e.destIDs[q][base+dCur[q]] = id
-					e.destWs[q][base+dCur[q]] = m.vals[j]
-					dCur[q]++
-					j++
-				}
-			}
-		}
-		e.subOff[p] = off
-		e.subCol[p] = cols
-	}
-	w := par.Workers(workers)
-	e.sums = make([][]float32, w)
-	for i := 0; i < w; i++ {
-		e.sums[i] = make([]float32, rowLayout.Size())
-	}
-	return e, nil
+	return &PCPMEngine{m: m, kern: png.NewKernel(pn, workers)}, nil
 }
 
 // Name implements Engine.
@@ -308,48 +216,23 @@ func (e *PCPMEngine) Mul(x, y []float32) error {
 	if err := e.m.checkDims(x, y); err != nil {
 		return err
 	}
-	// Scatter: one update per (column, row-partition).
-	par.ForDynamic(e.kc, e.workers, func(p int) {
-		off := e.subOff[p]
-		cols := e.subCol[p]
-		row := p * e.kr
-		for q := 0; q < e.kr; q++ {
-			group := cols[off[q]:off[q+1]]
-			if len(group) == 0 {
-				continue
-			}
-			out := e.updates[q][e.writeOff[row+q]:]
-			for i, c := range group {
-				out[i] = x[c]
-			}
-		}
-	})
-	// Gather: branch-avoiding pointer walk; weights applied per nonzero.
-	par.ForDynamicWorker(e.kr, e.workers, func(w, q int) {
-		lo, hi := e.rowLayout.Bounds(q)
-		sums := e.sums[w][:int(hi-lo)]
-		for i := range sums {
-			sums[i] = 0
-		}
-		ids := e.destIDs[q]
-		ws := e.destWs[q]
-		ups := e.updates[q]
-		uptr := -1
-		for j, id := range ids {
-			uptr += int(id >> 31)
-			sums[(id&graph.IDMask)-lo] += ws[j] * ups[uptr]
-		}
-		copy(y[lo:hi], sums)
-	})
+	e.kern.Scatter(x)
+	e.kern.Gather(false, e.store(y))
 	return nil
+}
+
+// store returns the gather's per-partition apply: a row partition's sums are
+// its slice of y.
+func (e *PCPMEngine) store(y []float32) png.Apply {
+	return func(lo, hi graph.NodeID, sums []float32) (float64, float64) {
+		copy(y[lo:hi], sums)
+		return 0, 0
+	}
 }
 
 // CompressionRatio returns nnz / |compressed updates| for this layout.
 func (e *PCPMEngine) CompressionRatio() float64 {
-	var upd int64
-	for _, u := range e.updates {
-		upd += int64(len(u))
-	}
+	upd := e.kern.PNG.EdgesCompressed
 	if upd == 0 {
 		return 1
 	}

@@ -50,6 +50,19 @@ func maxErr(y []float32, ref []float64) float64 {
 	return mx
 }
 
+// validateLayout runs the PNG's structural checks on the engine's layout:
+// the spmv path builds the rectangular, weighted form core never does.
+func validateLayout(t *testing.T, e *PCPMEngine) {
+	t.Helper()
+	pn := e.kern.PNG
+	if pn.DestWs == nil {
+		t.Fatal("spmv layout carries no weight streams")
+	}
+	if err := pn.ValidateEdges(e.m.NNZ()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewMatrixValidation(t *testing.T) {
 	if _, err := NewMatrix(-1, 3, nil); err == nil {
 		t.Error("accepted negative rows")
@@ -92,6 +105,7 @@ func TestEnginesAgreeSquare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	validateLayout(t, pcpm)
 	bv, err := NewBVGASEngine(m, 256, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +138,7 @@ func TestEnginesAgreeNonSquare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	validateLayout(t, pcpm)
 	bv, err := NewBVGASEngine(m, 128, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +184,7 @@ func TestEmptyMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	validateLayout(t, pcpm)
 	y := []float32{9, 9, 9, 9}
 	if err := pcpm.Mul(make([]float32, 4), y); err != nil {
 		t.Fatal(err)
