@@ -111,6 +111,11 @@ func BenchmarkEngines(b *testing.B) {
 	for _, ds := range []string{"gplus", "pld", "web", "kron", "twitter", "sd1"} {
 		g := loadBenchDataset(b, ds)
 		for _, m := range Methods() {
+			if m == MethodComponentwise {
+				// No step-wise engine to time per iteration; see
+				// BenchmarkComponentwiseVsMonolithic in internal/comp.
+				continue
+			}
 			b.Run(fmt.Sprintf("%s/%s", ds, m), func(b *testing.B) {
 				benchEngine(b, g, m)
 			})

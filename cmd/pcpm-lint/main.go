@@ -1,7 +1,7 @@
 // Command pcpm-lint is the project's multichecker: it runs every
 // project-invariant analyzer (floatmaporder, snapshotalias, guardedby,
 // walorder, closecheck) together with the bundled general-purpose passes
-// (nilness, shadow, lostcancel, unusedwrite) over the packages matching its
+// (nilness, shadow, unusedwrite) over the packages matching its
 // arguments and exits nonzero on any finding. CI runs it as a gating step:
 //
 //	go run ./cmd/pcpm-lint ./...
@@ -34,7 +34,6 @@ var analyzers = []*lint.Analyzer{
 	closecheck.Analyzer,
 	stock.Nilness,
 	stock.Shadow,
-	stock.Lostcancel,
 	stock.Unusedwrite,
 }
 

@@ -1,7 +1,6 @@
 // Command pcpm-loadtest replays a deterministic mixed workload against a
-// rank-serving daemon and emits a JSON report whose "benchmarks" array uses
-// the same {name, iterations, ns_per_op} records CI folds into
-// BENCH_ci.json, so load-test runs append to the benchmark trajectory.
+// rank-serving daemon and emits a JSON report whose "benchmarks" array
+// holds `go test -bench`-shaped {name, iterations, ns_per_op} records.
 //
 // Two targets:
 //

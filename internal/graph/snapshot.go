@@ -36,13 +36,6 @@ var snapshotMagic = [8]byte{'P', 'C', 'P', 'M', 'S', 'N', 'P', '1'}
 // snapshotVersion is the current framing version written by WriteSnapshot.
 const snapshotVersion = 1
 
-// IsSnapshotHeader reports whether b starts with the snapshot framing
-// magic — a cheap sniff for callers (the WAL replay path) that must
-// distinguish a snapshot blob from a bare binary graph.
-func IsSnapshotHeader(b []byte) bool {
-	return len(b) >= len(snapshotMagic) && [8]byte(b[:8]) == snapshotMagic
-}
-
 // maxSnapshotMeta bounds the metadata section; real metadata is a small
 // JSON document, so anything past this is a lying header.
 const maxSnapshotMeta = 16 << 20

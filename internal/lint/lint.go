@@ -5,7 +5,7 @@
 // (guardedby), WAL-append-before-publish ordering (walorder), and checked
 // Close/Sync errors on the durability surfaces (closecheck). Package stock
 // carries lightweight reimplementations of the general-purpose vet-style
-// passes (nilness, shadow, lostcancel, unusedwrite).
+// passes (nilness, shadow, unusedwrite).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape —
 // Analyzer, Pass, Diagnostic — but is built entirely on the standard

@@ -15,10 +15,6 @@ func TestShadow(t *testing.T) {
 	linttest.Run(t, "testdata", stock.Shadow, "shadowed")
 }
 
-func TestLostcancel(t *testing.T) {
-	linttest.Run(t, "testdata", stock.Lostcancel, "cancel")
-}
-
 func TestUnusedwrite(t *testing.T) {
 	linttest.Run(t, "testdata", stock.Unusedwrite, "copywrite")
 }

@@ -396,9 +396,8 @@ type Report struct {
 	Endpoints   []EndpointStats `json:"endpoints"`
 }
 
-// BenchRecord is one benchmark-trajectory data point, shaped exactly like
-// the records CI folds into BENCH_ci.json ({name, iterations, ns_per_op}),
-// so loadtest output appends to the same trajectory.
+// BenchRecord is one endpoint's result in the shape of a `go test -bench`
+// line ({name, iterations, ns_per_op}).
 type BenchRecord struct {
 	Name      string  `json:"name"`
 	Iters     int     `json:"iterations"`

@@ -35,9 +35,8 @@ const maxDeltaRounds = 1000
 // consecutive incremental deltas — and the budget is still 40x below the
 // convergence error of the default 20-iteration engine run itself.
 // Config.MaxRepairDrift overrides it (negative disables the budget). The
-// drift rides in the published snapshot AND in the persisted snapshot
-// metadata, so a recovery replaying a long mutation stream re-accumulates
-// it and forces the same budgeted recompute the live daemon would have.
+// drift rides in the published snapshot, its persisted metadata and every
+// logged repair, so a recovered or promoted daemon resumes the budget.
 const maxRepairDrift = 1e-3
 
 func (s *Server) repairDriftBudget() float64 {
@@ -130,9 +129,7 @@ func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (DeltaStatus, er
 	if d.Size() == 0 {
 		return DeltaStatus{}, fmt.Errorf("%w: no insertions or deletions", ErrBadDelta)
 	}
-	// A replayed batch was already admitted by the live daemon; a smaller
-	// configured cap on restart must not turn recovery into corruption.
-	if limit := s.maxDeltaEdges(); !s.replaying && d.Size() > limit {
+	if limit := s.maxDeltaEdges(); d.Size() > limit {
 		return DeltaStatus{}, fmt.Errorf("%w: %d edge changes exceed the limit of %d",
 			ErrDeltaTooLarge, d.Size(), limit)
 	}
@@ -163,11 +160,7 @@ func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (DeltaStatus, er
 		e.lastErr = err.Error()
 	default:
 		e.lastErr = ""
-		// The structure changed: cached personalized answers and pooled
-		// engines describe a graph that no longer exists.
-		e.structVersion++
-		e.ppr = newPPRCache(s.cfg.PPRCacheSize)
-		e.pool.invalidate()
+		e.retireLocked(true)
 	}
 	e.mu.Unlock()
 	run.err = err
@@ -219,9 +212,6 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 	if budget := s.repairDriftBudget(); !fellBack && drift > budget {
 		fellBack = true
 		reason = fmt.Sprintf("accumulated repair drift %.3g exceeds budget %.3g", drift, budget)
-		if s.replaying {
-			s.replayDriftRecomputes++
-		}
 	}
 
 	var ns *Snapshot
@@ -256,24 +246,23 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 		ns.topk = pcpm.TopK(ns.Ranks, min(topKCacheSize, len(ns.Ranks)))
 	}
 	// Write-ahead: the batch becomes durable before its snapshot becomes
-	// visible. Parent links the record to the snapshot it mutated so
-	// replay can skip a delta that published into an orphaned entry. A
-	// fallback ran the engine, so its whole snapshot ships in the blob and
-	// is installed as-is; an incremental repair ships its repaired vector
-	// as a signed residual delta (or the full vector when the residual is
-	// not smaller) plus the drift accounting, so replay and followers
-	// rebuild the structure from the edge lists and install the leader's
-	// ranks bit-for-bit instead of re-draining the repair.
+	// visible. Parent links the record to the snapshot it mutated so an
+	// applier can skip a delta that published into an orphaned entry. A
+	// fallback ran the engine, so its whole snapshot ships in the blob; an
+	// incremental repair ships its repaired vector as a signed residual
+	// delta (or the full vector when the residual is not smaller) plus the
+	// drift accounting, and appliers rebuild the structure from the edge
+	// lists and install the leader's ranks bit-for-bit.
 	m := deltaMeta{Name: e.name, Parent: snap.WalLSN, Insert: d.Insert, Delete: d.Delete,
 		FellBack: fellBack, Reason: reason}
 	var blob []byte
-	if s.wal.Load() != nil && !s.replaying {
+	if s.wal.Load() != nil {
 		if fellBack {
 			if blob, err = snapshotBlob(e.name, ns); err != nil {
 				return DeltaStatus{}, err
 			}
 		} else {
-			m.RanksEnc, blob = s.shipRanks(snap.Ranks, ns.Ranks)
+			m.RanksEnc, blob = shipRanks(snap.Ranks, ns.Ranks)
 			m.Rounds, m.Residual, m.Drift = res.Rounds, res.ResidualL1, drift
 		}
 	}

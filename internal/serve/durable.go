@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"time"
 
 	pcpm "repro"
@@ -21,28 +19,25 @@ import (
 // ingest, edge delta, removal, recompute — is appended to the write-ahead
 // log in internal/wal before its snapshot is published, and Recover
 // warm-starts the registry by loading the newest persisted snapshots and
-// replaying only the log tail on top of them.
+// applying only the log tail on top of them.
 //
-// Replay routes each record through the same code paths the live daemon
-// used (addGraph, ApplyEdgeDelta, Remove, a synchronous recompute), so a
-// recovered registry follows the exact trajectory the live one did:
-// versions continue, repair drift re-accumulates, and the drift budget
-// forces the same full recomputes. While replaying, the append helpers
-// return the record's own LSN instead of writing, so the replayed
-// publishes carry the same WAL positions as the originals.
+// Records carry the state they published — a snapshot blob, or a rank
+// vector (sparse residual or full) beside the edge lists that rebuild the
+// structure — so applying one never runs an engine or a repair: applyRecord
+// installs what the writer computed, under the record's own LSN, for both
+// record sources (wal.Store.Replay in Recover, repl.Client.Tail in Follow).
+// The result is the writer's exact trajectory: versions continue and
+// repair drift is the logged drift. A record without shipped state fails
+// closed.
 //
-// Recovery state machine, per record: covered (LSN at or below the graph's
-// snapshot position → skip), orphaned (the record's parent snapshot was
-// superseded by a racing replace → skip, matching the live daemon where
-// that publish was invisible), or applied. Torn final records were already
-// truncated by wal.Open; any other damage failed the open before replay
-// started.
+// Per record: covered (LSN at or below the graph's snapshot position →
+// skip), orphaned (the record's parent snapshot was superseded by a racing
+// replace → skip, matching the live daemon where that publish was
+// invisible), or applied. Torn final records were already truncated by
+// wal.Open; any other damage failed the open before replay started.
 
 // addMeta is the RecAddGraph payload; the blob carries the published
-// snapshot (graph + ranks + snapMeta), so replay and followers install the
-// leader's computed state instead of re-running the engine. Records written
-// before this format carried a bare binary graph; replay sniffs the blob
-// and recomputes for those.
+// snapshot (graph + ranks + snapMeta), which appliers install as-is.
 type addMeta struct {
 	Name    string       `json:"name"`
 	Replace bool         `json:"replace"`
@@ -59,22 +54,18 @@ type deltaMeta struct {
 	Parent uint64       `json:"parent"`
 	Insert []graph.Edge `json:"insert,omitempty"`
 	Delete []graph.Edge `json:"delete,omitempty"`
-	// FellBack records the live daemon's repair-vs-recompute decision. An
-	// incremental repair is deterministic, so replay and followers re-apply
-	// it locally; a fallback ran the engine, so the resulting snapshot rides
-	// in the blob and is installed as-is — the engine runs once, on the
-	// leader. Reason explains the fallback (replay counts drift-budget
-	// fallbacks from it).
+	// FellBack records the live daemon's repair-vs-recompute decision. A
+	// fallback ran the engine, so the resulting snapshot rides in the blob
+	// and is installed as-is. Reason explains the fallback (recovery counts
+	// drift-budget fallbacks from it).
 	FellBack bool   `json:"fell_back,omitempty"`
 	Reason   string `json:"reason,omitempty"`
-	// RanksEnc, when set, says the record ships the repaired rank vector in
-	// its blob and how it is encoded: "residual" (sparse signed delta
-	// against the parent vector, see internal/delta's residual codec) or
-	// "full" (float32 LE, the size-guard fallback). Appliers then rebuild
-	// the structure from the edge lists and install the shipped ranks with
-	// the leader's drift accounting (Rounds/Residual/Drift) instead of
-	// re-running the repair. Empty on pre-residual records: those repairs
-	// are re-run locally from the edge lists alone.
+	// RanksEnc, set on every incremental repair, says how the blob encodes
+	// the repaired rank vector: "residual" (sparse signed delta against the
+	// parent vector, see internal/delta's residual codec) or "full" (float32
+	// LE, the size-guard fallback). Appliers rebuild the structure from the
+	// edge lists and install the shipped ranks with the leader's drift
+	// accounting (Rounds/Residual/Drift).
 	RanksEnc string  `json:"ranks_enc,omitempty"`
 	Rounds   int     `json:"rounds,omitempty"`
 	Residual float64 `json:"residual,omitempty"`
@@ -89,9 +80,8 @@ const (
 
 // recomputeMeta is the RecRecompute payload: the resolved options and
 // result shape of an engine re-run. The recomputed rank vector rides in
-// the record's blob (float32 little-endian), so replay and followers
-// republish the leader's vector instead of re-running the engine. Records
-// written before the blob existed are replayed with a local engine run.
+// the record's blob (float32 little-endian, or a sparse residual under
+// RecRankResidual), and appliers republish it.
 type recomputeMeta struct {
 	Name       string       `json:"name"`
 	Parent     uint64       `json:"parent"`
@@ -136,7 +126,7 @@ func snapMetaOf(name string, snap *Snapshot) snapMeta {
 }
 
 // snapshotBlob serializes snap (graph + ranks + snapMeta) with the
-// internal/graph snapshot framing: the payload of v2 RecAddGraph records,
+// internal/graph snapshot framing: the payload of RecAddGraph records,
 // fallback RecEdgeDelta records, and bootstrap frames.
 func snapshotBlob(name string, snap *Snapshot) ([]byte, error) {
 	mb, err := json.Marshal(snapMetaOf(name, snap))
@@ -150,21 +140,32 @@ func snapshotBlob(name string, snap *Snapshot) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeSnapshotBlob parses a snapshotBlob payload.
-func decodeSnapshotBlob(blob []byte) (*graph.Snapshot, snapMeta, error) {
+// decodeSnapMeta parses a persisted snapshot's metadata document and checks
+// that it describes the graph it was filed under: a snapshot of one graph
+// must never be installed under another's name.
+func decodeSnapMeta(meta []byte, name string) (snapMeta, error) {
+	var m snapMeta
+	if err := json.Unmarshal(meta, &m); err != nil {
+		return snapMeta{}, fmt.Errorf("snapshot metadata: %w", err)
+	}
+	if m.Name != name {
+		return snapMeta{}, fmt.Errorf("snapshot filed under %q names graph %q", name, m.Name)
+	}
+	return m, nil
+}
+
+// decodeSnapshotBlob parses a snapshotBlob payload expected to hold name.
+func decodeSnapshotBlob(blob []byte, name string) (*graph.Snapshot, snapMeta, error) {
 	gs, err := graph.ReadSnapshot(bytes.NewReader(blob))
 	if err != nil {
 		return nil, snapMeta{}, err
 	}
-	var m snapMeta
-	if err := json.Unmarshal(gs.Meta, &m); err != nil {
-		return nil, snapMeta{}, fmt.Errorf("snapshot blob metadata: %w", err)
-	}
-	return gs, m, nil
+	m, err := decodeSnapMeta(gs.Meta, name)
+	return gs, m, err
 }
 
 // encodeRanks serializes a rank vector as float32 little-endian: the blob
-// of v2 RecRecompute records.
+// of RecRecompute records.
 func encodeRanks(ranks []float32) []byte {
 	out := make([]byte, 0, 4*len(ranks))
 	for _, r := range ranks {
@@ -176,13 +177,11 @@ func encodeRanks(ranks []float32) []byte {
 // shipRanks picks the wire encoding for a published rank vector: the
 // sparse signed residual against the parent vector when it is strictly
 // smaller than the full float32 form (and exactly reconstructible), the
-// full vector otherwise. Config.ShipFullVectors forces the full form.
-func (s *Server) shipRanks(prev, next []float32) (enc string, blob []byte) {
+// full vector otherwise.
+func shipRanks(prev, next []float32) (enc string, blob []byte) {
 	full := encodeRanks(next)
-	if !s.cfg.ShipFullVectors {
-		if resid, ok := delta.EncodeResidual(prev, next); ok && len(resid) < len(full) {
-			return ranksEncResidual, resid
-		}
+	if resid, ok := delta.EncodeResidual(prev, next); ok && len(resid) < len(full) {
+		return ranksEncResidual, resid
 	}
 	return ranksEncFull, full
 }
@@ -198,14 +197,9 @@ func decodeRanks(blob []byte) ([]float32, error) {
 	return out, nil
 }
 
-// walAppend serializes meta and appends one record, unless durability is
-// off (no-op) or a replay is in progress (the record being replayed
-// already owns an LSN — return it so republished snapshots keep their
-// original WAL positions).
+// walAppend serializes meta and appends one record; a no-op returning LSN 0
+// when durability is off.
 func (s *Server) walAppend(typ wal.RecordType, meta any, blob []byte) (uint64, error) {
-	if s.replaying {
-		return s.replayLSN, nil
-	}
 	st := s.wal.Load()
 	if st == nil {
 		return 0, nil
@@ -227,31 +221,24 @@ func (s *Server) walAppend(typ wal.RecordType, meta any, blob []byte) (uint64, e
 // RecRecompute otherwise. Both record types decode to byte-identical
 // follower state.
 func (s *Server) walAppendRecompute(name string, old, snap *Snapshot, opts pcpm.Options) (uint64, error) {
-	if s.replaying {
-		return s.replayLSN, nil
-	}
 	if s.wal.Load() == nil {
 		return 0, nil
 	}
 	m := recomputeMeta{Name: name, Parent: old.WalLSN, Options: opts,
 		Method: snap.Method, Iterations: snap.Iterations, Delta: snap.Delta}
 	typ := wal.RecRecompute
-	enc, blob := s.shipRanks(old.Ranks, snap.Ranks)
+	enc, blob := shipRanks(old.Ranks, snap.Ranks)
 	if enc == ranksEncResidual {
 		typ = wal.RecRankResidual
 	}
 	return s.walAppend(typ, m, blob)
 }
 
-// walAppendAdd logs one ingest. The blob is the just-computed snapshot, so
-// replay and followers install the ranks instead of re-running the engine.
+// walAppendAdd logs one ingest; the blob is the just-computed snapshot.
 // The snapshot's final Version (a replace continues the old sequence) is
 // only known at publish time, after this append; installers re-derive it,
 // so the version inside the blob is advisory.
 func (s *Server) walAppendAdd(name string, snap *Snapshot, replace bool) (uint64, error) {
-	if s.replaying {
-		return s.replayLSN, nil
-	}
 	if s.wal.Load() == nil {
 		return 0, nil
 	}
@@ -262,9 +249,18 @@ func (s *Server) walAppendAdd(name string, snap *Snapshot, replace bool) (uint64
 	return s.walAppend(wal.RecAddGraph, addMeta{Name: name, Replace: replace, Options: snap.Options}, blob)
 }
 
-// buildSnapshot derives the full in-memory Snapshot (stats, condensation,
-// top-k cache) from a decoded snapshot blob and its log position.
-func buildSnapshot(gs *graph.Snapshot, m snapMeta, lsn uint64) *Snapshot {
+// stageSnapshot turns a decoded snapshot blob into everything short of its
+// publication: the full in-memory Snapshot (stats, condensation, top-k
+// cache) at log position lsn, and a fresh unregistered entry to publish it
+// in. The LSN comes from the caller (the record or snapshot position being
+// installed), not from m — the blob was written before its append was
+// assigned one. Versions never go backwards: over an entry already
+// registered under name, re-installing the log position it serves (a
+// follower re-bootstrapping into what it has) keeps its version, anything
+// else is a newer publish and takes the next one. The caller is the
+// registry's only writer, so that entry is still the registered one when
+// the staged entry replaces it.
+func (s *Server) stageSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn uint64) (*entry, *Snapshot) {
 	stats, dec := graphStats(gs.Graph)
 	snap := &Snapshot{
 		Graph:       gs.Graph,
@@ -281,59 +277,32 @@ func buildSnapshot(gs *graph.Snapshot, m snapMeta, lsn uint64) *Snapshot {
 		ComputedAt:  m.ComputedAt,
 	}
 	snap.topk = pcpm.TopK(snap.Ranks, min(topKCacheSize, len(snap.Ranks)))
-	return snap
+	if old, err := s.lookup(name); err == nil {
+		if v := old.version.Load(); snap.Version <= v {
+			if old.snap.Load().WalLSN == lsn {
+				snap.Version = v
+			} else {
+				snap.Version = v + 1
+			}
+		}
+	}
+	e := s.newEntry(name)
+	e.version.Store(snap.Version)
+	return e, snap
 }
 
-// installSnapshot publishes a deserialized snapshot into the registry:
-// recovery phase 1, replayed v2 ingests, fallback deltas, and follower
-// bootstrap all land here. The LSN comes from the caller (the record or
-// snapshot position being installed), not from m — the blob was written
-// before its append was assigned one. Versions never go backwards: an
-// install over an existing entry continues its sequence, matching what the
-// live replace published. Only the single-threaded recovery/follower apply
-// goroutine calls this, but readers may be live, so publication order
-// matters: a fresh entry gets its snapshot before it is visible in the map.
-func (s *Server) installSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn uint64) *Snapshot {
-	snap := buildSnapshot(gs, m, lsn)
-
-	s.mu.Lock()
-	e, ok := s.graphs[name]
-	if !ok {
-		e = &entry{
-			name:    name,
-			ppr:     newPPRCache(s.cfg.PPRCacheSize),
-			pprWait: make(map[string]*pprInflight),
-		}
-		e.version.Store(snap.Version)
-		//lint:ignore walorder recovery path: the snapshot was read back from disk, so its state is already durable at WalLSN
-		e.snap.Store(snap)
-		s.graphs[name] = e
-		s.mu.Unlock()
-		return snap
-	}
-	s.mu.Unlock()
-	if v := e.version.Load(); snap.Version <= v {
-		if old := e.snap.Load(); old != nil && old.WalLSN == lsn {
-			// Same log position, same deterministic state: a follower
-			// re-bootstrap re-installing what it already has must keep the
-			// leader's version sequence, not outrun it.
-			snap.Version = v
-		} else {
-			snap.Version = v + 1
-		}
-	}
-	e.version.Store(snap.Version)
-	//lint:ignore walorder recovery path: the snapshot was read back from disk, so its state is already durable at WalLSN
+// installSnapshot publishes a deserialized snapshot under name: recovery
+// phase 1, applied ingests and applied fallback deltas land here. Like a
+// live replace it swaps in a fresh entry, so nothing shaped on the old
+// structure survives; readers may be live, so the entry gets its snapshot
+// before it is visible in the map.
+func (s *Server) installSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn uint64) {
+	e, snap := s.stageSnapshot(name, gs, m, lsn)
+	//lint:ignore walorder apply path: the snapshot came out of the log or the snapshot store, so its state is already durable at lsn
 	e.snap.Store(snap)
-	e.mu.Lock()
-	// The structure was replaced wholesale: everything shaped on the old
-	// one is stale.
-	e.structVersion++
-	e.ppr = newPPRCache(s.cfg.PPRCacheSize)
-	e.pool.invalidate()
-	e.repairEng = nil
-	e.mu.Unlock()
-	return snap
+	s.mu.Lock()
+	s.graphs[name] = e
+	s.mu.Unlock()
 }
 
 // RecoveryReport summarizes one Recover call.
@@ -346,17 +315,16 @@ type RecoveryReport struct {
 	// (snapshot-covered, orphaned-parent, or checkpoint markers).
 	Replayed int `json:"replayed"`
 	Skipped  int `json:"skipped"`
-	// DriftRecomputes counts replayed deltas whose accumulated repair
-	// drift blew the budget and forced a full engine run — the proof that
-	// a long replayed mutation stream stays anchored to the fixed point.
+	// DriftRecomputes counts applied deltas whose record logs that the
+	// drift budget forced a full engine run in place of the repair.
 	DriftRecomputes int           `json:"drift_recomputes"`
 	Duration        time.Duration `json:"-"`
 	DurationMS      float64       `json:"duration_ms"`
 }
 
 // Recover opens the durable store under Config.DataDir, loads the newest
-// valid snapshot of every graph, replays the log tail through the live
-// mutation paths, and leaves the server appending to the log. It must be
+// valid snapshot of every graph, applies the log tail on top of them
+// (applyRecord), and leaves the server appending to the log. It must be
 // called before the server accepts traffic and is a no-op when DataDir is
 // empty. Corruption anywhere except a torn final record fails closed with
 // the offending file and offset.
@@ -389,12 +357,9 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	covered := make(map[string]uint64)
 	var maxLSN uint64
 	for _, gs := range st.Snapshots() {
-		var m snapMeta
-		if err := json.Unmarshal(gs.Snap.Meta, &m); err != nil {
-			return nil, errors.Join(fmt.Errorf("serve: snapshot %q metadata: %w", gs.Name, err), st.Close())
-		}
-		if m.Name != gs.Name {
-			return nil, errors.Join(fmt.Errorf("serve: snapshot file for %q names graph %q", gs.Name, m.Name), st.Close())
+		m, err := decodeSnapMeta(gs.Snap.Meta, gs.Name)
+		if err != nil {
+			return nil, errors.Join(fmt.Errorf("serve: snapshot file for %q: %w", gs.Name, err), st.Close())
 		}
 		s.installSnapshot(gs.Name, gs.Snap, m, m.LSN)
 		covered[gs.Name] = m.LSN
@@ -405,15 +370,24 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 		return nil, errors.Join(err, st.Close())
 	}
 
-	// Phase 2: replay the log tail through the live mutation paths.
-	s.replaying = true
-	s.replayDriftRecomputes = 0
+	// Phase 2: apply the log tail.
 	err = st.Replay(func(rec *wal.Record) error {
-		return s.replayRecord(rec, covered, rep)
+		applied, aerr := s.applyRecord(rec, covered)
+		switch {
+		case aerr != nil:
+			return aerr
+		case !applied:
+			rep.Skipped++
+		default:
+			rep.Replayed++
+			// A drift-forced fallback says so in its logged reason, the
+			// only free-text field of a delta's meta.
+			if rec.Type == wal.RecEdgeDelta && bytes.Contains(rec.Meta, []byte("repair drift")) {
+				rep.DriftRecomputes++
+			}
+		}
+		return nil
 	})
-	s.replaying = false
-	s.replayLSN = 0
-	rep.DriftRecomputes = s.replayDriftRecomputes
 	if err != nil {
 		return nil, errors.Join(err, st.Close())
 	}
@@ -427,16 +401,19 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// replayRecord applies one log record to the recovering registry.
-func (s *Server) replayRecord(rec *wal.Record, covered map[string]uint64, rep *RecoveryReport) error {
-	s.replayLSN = rec.LSN
-	skip := func() error { rep.Skipped++; return nil }
-	fail := func(err error) error {
-		return fmt.Errorf("serve: replaying record %d (type %d): %w", rec.LSN, rec.Type, err)
+// applyRecord applies one log record — replayed from the local WAL by
+// Recover or tailed from the leader by Follow — to the registry, and reports
+// whether it changed anything (false: a checkpoint marker, covered by the
+// graph's snapshot, or orphaned by a racing replace). It only ever installs
+// state the record ships; a record without any fails closed. The calling
+// goroutine is the registry's only writer, though readers may be live.
+func (s *Server) applyRecord(rec *wal.Record, covered map[string]uint64) (applied bool, err error) {
+	fail := func(err error) (bool, error) {
+		return false, fmt.Errorf("serve: applying record %d (type %d): %w", rec.LSN, rec.Type, err)
 	}
 	switch rec.Type {
 	case wal.RecCheckpoint:
-		return skip()
+		return false, nil
 
 	case wal.RecAddGraph:
 		var m addMeta
@@ -444,27 +421,15 @@ func (s *Server) replayRecord(rec *wal.Record, covered map[string]uint64, rep *R
 			return fail(err)
 		}
 		if rec.LSN <= covered[m.Name] {
-			return skip()
+			return false, nil
 		}
 		// Replace unconditionally: whatever state the name is in, the live
 		// daemon acknowledged this ingest, so it must win here too.
-		if graph.IsSnapshotHeader(rec.Blob) {
-			gs, sm, err := decodeSnapshotBlob(rec.Blob)
-			if err != nil {
-				return fail(err)
-			}
-			s.installSnapshot(m.Name, gs, sm, rec.LSN)
-		} else {
-			// Pre-v2 record: a bare binary graph, no shipped ranks — the
-			// engine has to run here.
-			g, err := graph.ReadBinary(bytes.NewReader(rec.Blob))
-			if err != nil {
-				return fail(err)
-			}
-			if _, err := s.addGraph(m.Name, g, m.Options, true); err != nil {
-				return fail(err)
-			}
+		gs, sm, err := decodeSnapshotBlob(rec.Blob, m.Name)
+		if err != nil {
+			return fail(err)
 		}
+		s.installSnapshot(m.Name, gs, sm, rec.LSN)
 
 	case wal.RecEdgeDelta:
 		var m deltaMeta
@@ -472,38 +437,26 @@ func (s *Server) replayRecord(rec *wal.Record, covered map[string]uint64, rep *R
 			return fail(err)
 		}
 		if rec.LSN <= covered[m.Name] {
-			return skip()
+			return false, nil
 		}
 		e, err := s.lookup(m.Name)
 		if err != nil || e.snap.Load().WalLSN != m.Parent {
-			return skip() // published into an entry a replace/remove orphaned
+			return false, nil // published into an entry a replace/remove orphaned
 		}
 		switch {
 		case m.FellBack && len(rec.Blob) > 0:
-			// The live daemon's repair fell back to an engine run; its result
-			// rides in the blob. Install it instead of re-running — the
-			// recompute happened once, on the (then-live) leader.
-			gs, sm, err := decodeSnapshotBlob(rec.Blob)
+			// The repair fell back to an engine run: the blob is its result.
+			gs, sm, err := decodeSnapshotBlob(rec.Blob, m.Name)
 			if err != nil {
 				return fail(err)
 			}
 			s.installSnapshot(m.Name, gs, sm, rec.LSN)
-			if strings.Contains(m.Reason, "repair drift") {
-				s.replayDriftRecomputes++
-			}
 		case m.RanksEnc != "":
-			// The repaired vector ships in the blob (residual or full): apply
-			// the structural change locally and install the leader's ranks
-			// with its drift accounting — no repair drain here.
-			if err := s.republishDelta(e, m, rec.Blob); err != nil {
+			if err := s.republishDelta(e, m, rec.Blob, rec.LSN); err != nil {
 				return fail(err)
 			}
 		default:
-			// Pre-residual record: redo the deterministic repair from the
-			// edge lists alone.
-			if _, err := s.ApplyEdgeDelta(m.Name, delta.EdgeDelta{Insert: m.Insert, Delete: m.Delete}); err != nil {
-				return fail(err)
-			}
+			return fail(errors.New("edge delta ships neither a snapshot nor a rank vector"))
 		}
 
 	case wal.RecRecompute, wal.RecRankResidual:
@@ -512,18 +465,17 @@ func (s *Server) replayRecord(rec *wal.Record, covered map[string]uint64, rep *R
 			return fail(err)
 		}
 		if rec.LSN <= covered[m.Name] {
-			return skip()
+			return false, nil
 		}
 		e, err := s.lookup(m.Name)
 		if err != nil || e.snap.Load().WalLSN != m.Parent {
-			return skip()
+			return false, nil
 		}
-		if rec.Type == wal.RecRankResidual || len(rec.Blob) > 0 {
-			if err := s.republishRanks(e, rec.Blob, rec.Type, m); err != nil {
-				return fail(err)
-			}
-		} else if err := s.replayRecompute(e, m.Options); err != nil {
-			// Pre-v2 record without a shipped vector: run the engine.
+		enc := ranksEncFull
+		if rec.Type == wal.RecRankResidual {
+			enc = ranksEncResidual
+		}
+		if err := s.republishRanks(e, m, enc, rec.Blob, rec.LSN); err != nil {
 			return fail(err)
 		}
 
@@ -533,37 +485,42 @@ func (s *Server) replayRecord(rec *wal.Record, covered map[string]uint64, rep *R
 			return fail(err)
 		}
 		if rec.LSN <= covered[m.Name] {
-			return skip()
+			return false, nil
 		}
-		if err := s.Remove(m.Name); err != nil && !errors.Is(err, ErrNotFound) {
-			return fail(err)
-		}
+		s.dropGraph(m.Name) // absent is fine: racing removals both log
 
 	default:
 		return fail(errors.New("unknown record type"))
 	}
-	rep.Replayed++
-	return nil
+	return true, nil
+}
+
+// shippedRanks reconstructs the n-entry rank vector a record ships in blob
+// under encoding enc; a residual applies against prev, the parent
+// snapshot's vector.
+func shippedRanks(enc string, prev []float32, blob []byte, n int) (ranks []float32, err error) {
+	switch enc {
+	case ranksEncResidual:
+		ranks, err = delta.ApplyResidual(prev, blob)
+	case ranksEncFull:
+		ranks, err = decodeRanks(blob)
+	default:
+		return nil, fmt.Errorf("unknown rank encoding %q", enc)
+	}
+	if err == nil && len(ranks) != n {
+		err = fmt.Errorf("shipped rank vector has %d entries, graph has %d", len(ranks), n)
+	}
+	return ranks, err
 }
 
 // republishRanks installs a shipped recompute result: same graph, the
-// leader's rank vector, no engine run. A RecRecompute blob carries the
-// full float32 vector; a RecRankResidual blob carries the sparse signed
-// delta applied against the parent snapshot's ranks.
-func (s *Server) republishRanks(e *entry, blob []byte, typ wal.RecordType, m recomputeMeta) error {
+// leader's rank vector (full under RecRecompute, residual under
+// RecRankResidual).
+func (s *Server) republishRanks(e *entry, m recomputeMeta, enc string, blob []byte, lsn uint64) error {
 	old := e.snap.Load()
-	var ranks []float32
-	var err error
-	if typ == wal.RecRankResidual {
-		ranks, err = delta.ApplyResidual(old.Ranks, blob)
-	} else {
-		ranks, err = decodeRanks(blob)
-	}
+	ranks, err := shippedRanks(enc, old.Ranks, blob, len(old.Ranks))
 	if err != nil {
 		return err
-	}
-	if len(ranks) != len(old.Ranks) {
-		return fmt.Errorf("shipped rank vector has %d entries, graph has %d", len(ranks), len(old.Ranks))
 	}
 	snap := &Snapshot{
 		Graph:      old.Graph,
@@ -575,43 +532,32 @@ func (s *Server) republishRanks(e *entry, blob []byte, typ wal.RecordType, m rec
 		Iterations: m.Iterations,
 		Delta:      m.Delta,
 		Version:    e.version.Add(1),
-		WalLSN:     s.replayLSN,
+		WalLSN:     lsn,
 		ComputedAt: time.Now(),
 	}
 	snap.topk = pcpm.TopK(snap.Ranks, min(topKCacheSize, len(snap.Ranks)))
-	//lint:ignore walorder replay path: this republishes a record already in the log (s.replayLSN), nothing new to append
+	//lint:ignore walorder apply path: this republishes a record already in the log (lsn), nothing new to append
 	e.snap.Store(snap)
 	e.mu.Lock()
-	e.pool.invalidate()
+	e.retireLocked(false)
 	e.mu.Unlock()
 	return nil
 }
 
-// republishDelta applies a residual-shipped edge delta: the structural
-// change is rebuilt locally from the record's edge lists (deterministic,
-// cheap), while the repaired rank vector and its drift accounting come
-// from the record — the repair drain ran once, on the leader, and both
-// sides publish bit-identical state.
-func (s *Server) republishDelta(e *entry, m deltaMeta, blob []byte) error {
+// republishDelta applies a rank-shipping edge delta: the structural change
+// is rebuilt locally from the record's edge lists (deterministic, cheap),
+// while the repaired rank vector and its drift accounting come from the
+// record — the repair drain ran once, on the leader, and both sides
+// publish bit-identical state.
+func (s *Server) republishDelta(e *entry, m deltaMeta, blob []byte, lsn uint64) error {
 	old := e.snap.Load()
 	ng, _, err := delta.Rebuild(old.Graph, delta.EdgeDelta{Insert: m.Insert, Delete: m.Delete})
 	if err != nil {
 		return err
 	}
-	var ranks []float32
-	switch m.RanksEnc {
-	case ranksEncResidual:
-		ranks, err = delta.ApplyResidual(old.Ranks, blob)
-	case ranksEncFull:
-		ranks, err = decodeRanks(blob)
-	default:
-		return fmt.Errorf("unknown rank encoding %q", m.RanksEnc)
-	}
+	ranks, err := shippedRanks(m.RanksEnc, old.Ranks, blob, ng.NumNodes())
 	if err != nil {
 		return err
-	}
-	if len(ranks) != ng.NumNodes() {
-		return fmt.Errorf("shipped rank vector has %d entries, rebuilt graph has %d", len(ranks), ng.NumNodes())
 	}
 	stats, dec := graphStats(ng)
 	snap := &Snapshot{
@@ -626,36 +572,14 @@ func (s *Server) republishDelta(e *entry, m deltaMeta, blob []byte) error {
 		Delta:       m.Residual,
 		RepairDrift: m.Drift,
 		Version:     e.version.Add(1),
-		WalLSN:      s.replayLSN,
+		WalLSN:      lsn,
 		ComputedAt:  time.Now(),
 	}
 	snap.topk = pcpm.TopK(snap.Ranks, min(topKCacheSize, len(snap.Ranks)))
-	//lint:ignore walorder replay path: this republishes a record already in the log (s.replayLSN), nothing new to append
+	//lint:ignore walorder apply path: this republishes a record already in the log (lsn), nothing new to append
 	e.snap.Store(snap)
 	e.mu.Lock()
-	// The structure changed: cached personalized answers, pooled engines,
-	// and the repair engine all describe the pre-delta graph.
-	e.structVersion++
-	e.ppr = newPPRCache(s.cfg.PPRCacheSize)
-	e.pool.invalidate()
-	e.repairEng = nil
-	e.mu.Unlock()
-	return nil
-}
-
-// replayRecompute is the synchronous replay form of runRecompute: same
-// compute, same publish, no inflight machinery (replay is single-threaded).
-func (s *Server) replayRecompute(e *entry, opts pcpm.Options) error {
-	old := e.snap.Load()
-	snap, err := s.compute(e, old.Graph, old.Stats, old.SCC, opts, false)
-	if err != nil {
-		return err
-	}
-	snap.WalLSN = s.replayLSN
-	//lint:ignore walorder replay path: recomputing a logged record (s.replayLSN); the append happened before the crash
-	e.snap.Store(snap)
-	e.mu.Lock()
-	e.pool.invalidate()
+	e.retireLocked(true)
 	e.mu.Unlock()
 	return nil
 }
@@ -669,14 +593,7 @@ func (s *Server) Checkpoint() error {
 	if st == nil {
 		return nil
 	}
-	s.mu.RLock()
-	entries := make([]*entry, 0, len(s.graphs))
-	for _, e := range s.graphs {
-		entries = append(entries, e)
-	}
-	s.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-
+	entries := s.sortedEntries()
 	ces := make([]wal.CheckpointEntry, 0, len(entries))
 	for _, e := range entries {
 		snap := e.snap.Load()

@@ -16,11 +16,12 @@ import (
 // A follower is continuous recovery: it bootstraps from the leader's
 // published snapshots exactly as Recover seeds itself from persisted ones,
 // then tails the leader's WAL stream and pushes every record through the
-// same replayRecord path — covered-LSN skips, parent-LSN orphan checks,
-// drift re-accumulation and all. The wire decoder keeps the WAL's crash
-// discipline: a torn stream resumes from the cursor, while corruption (or
-// a pruned cursor) throws the registry away and re-bootstraps — a follower
-// never serves from a state it cannot prove it reached record by record.
+// same applyRecord — covered-LSN skips, parent-LSN orphan checks, shipped
+// state installed under the leader's LSN. The wire decoder keeps the WAL's
+// crash discipline: a torn stream resumes from the cursor, while corruption
+// (or a pruned cursor) throws the registry away and re-bootstraps — a
+// follower never serves from a state it cannot prove it reached record by
+// record.
 //
 // Follower lifecycle: bootstrapping → catchup → steady. Steady is entered
 // the first time a tail round ends with the cursor at the leader's head;
@@ -47,7 +48,7 @@ const (
 	maxFollowBackoff      = 5 * time.Second
 )
 
-// errApplyFailed wraps a replayRecord failure on a tailed record. It is
+// errApplyFailed wraps an applyRecord failure on a tailed record. It is
 // corruption-class: retrying the same record would fail the same way, so
 // the follower re-bootstraps instead of spinning.
 var errApplyFailed = errors.New("serve: applying replicated record failed")
@@ -159,8 +160,6 @@ func (s *Server) Follow(ctx context.Context) error {
 	if !fs.loopRunning.CompareAndSwap(false, true) {
 		return errors.New("serve: Follow already running")
 	}
-	// Closed last (defers are LIFO): Promote waits on it, and by then the
-	// replay-mode fields below must already be reset.
 	defer close(fs.loopDone)
 
 	// A promotion request cancels the derived context so in-flight polls
@@ -175,12 +174,6 @@ func (s *Server) Follow(ctx context.Context) error {
 		case <-ctx.Done():
 		}
 	}()
-
-	// The apply paths run in replay mode for the loop's lifetime: applied
-	// records keep their leader-assigned LSNs, replayed deltas bypass the
-	// request-size cap, and nothing is written to a (nonexistent) local WAL.
-	s.replaying = true
-	defer func() { s.replaying = false; s.replayLSN = 0 }()
 
 	backoff := s.cfg.FollowBackoff
 	if backoff <= 0 {
@@ -219,7 +212,6 @@ func (s *Server) Follow(ctx context.Context) error {
 		s.log.Info("follower bootstrapped", "leader", fs.leaderAddr(),
 			"graphs", s.NumGraphs(), "from", cursor)
 
-		rep := &RecoveryReport{}
 	tail:
 		for ctx.Err() == nil {
 			if fs.pollGate != nil {
@@ -232,13 +224,13 @@ func (s *Server) Follow(ctx context.Context) error {
 						return fmt.Errorf("%w: %v", errApplyFailed, herr)
 					}
 				}
-				before := rep.Replayed
-				if aerr := s.replayRecord(rec, covered, rep); aerr != nil {
+				applied, aerr := s.applyRecord(rec, covered)
+				if aerr != nil {
 					return fmt.Errorf("%w: %v", errApplyFailed, aerr)
 				}
 				cursor = rec.LSN + 1
 				fs.applied.Store(rec.LSN)
-				if rep.Replayed > before {
+				if applied {
 					fs.records.Add(1)
 				} else {
 					fs.skipped.Add(1)
@@ -305,7 +297,7 @@ func (s *Server) Follow(ctx context.Context) error {
 // frame validates does one registry swap publish it. Readers therefore see
 // the complete old registry or the complete new one, never a mix, and a
 // bootstrap that fails mid-stream leaves the old state fully intact. It
-// returns the covered-LSN map (for replayRecord's skip check) and the tail
+// returns the covered-LSN map (for applyRecord's skip check) and the tail
 // cursor.
 func (s *Server) followBootstrap(ctx context.Context) (map[string]uint64, uint64, error) {
 	client := s.follower.client()
@@ -323,20 +315,11 @@ func (s *Server) followBootstrap(ctx context.Context) (map[string]uint64, uint64
 		if err := json.Unmarshal(rec.Meta, &m); err != nil {
 			return nil, 0, fmt.Errorf("serve: bootstrap record %d metadata: %w", rec.LSN, err)
 		}
-		gs, sm, err := decodeSnapshotBlob(rec.Blob)
+		gs, sm, err := decodeSnapshotBlob(rec.Blob, m.Name)
 		if err != nil {
 			return nil, 0, fmt.Errorf("serve: bootstrap snapshot %q: %w", m.Name, err)
 		}
-		if sm.Name != m.Name {
-			return nil, 0, fmt.Errorf("serve: bootstrap record for %q carries snapshot of %q", m.Name, sm.Name)
-		}
-		e := &entry{
-			name:    m.Name,
-			ppr:     newPPRCache(s.cfg.PPRCacheSize),
-			pprWait: make(map[string]*pprInflight),
-		}
-		snap := buildSnapshot(gs, sm, rec.LSN)
-		e.version.Store(snap.Version)
+		e, snap := s.stageSnapshot(m.Name, gs, sm, rec.LSN)
 		//lint:ignore walorder follower bootstrap: the record came from the leader's log, durability lives there until promotion copies it
 		e.snap.Store(snap)
 		staged[m.Name] = e
@@ -344,24 +327,6 @@ func (s *Server) followBootstrap(ctx context.Context) (map[string]uint64, uint64
 	}
 
 	s.mu.Lock()
-	for name, ne := range staged {
-		old, ok := s.graphs[name]
-		if !ok {
-			continue
-		}
-		// Versions never go backwards across the swap: re-installing the
-		// same log position keeps the leader's version sequence, anything
-		// else continues the local one (matching installSnapshot).
-		snap := ne.snap.Load()
-		if v := old.version.Load(); snap.Version <= v {
-			if osnap := old.snap.Load(); osnap != nil && osnap.WalLSN == snap.WalLSN {
-				snap.Version = v
-			} else {
-				snap.Version = v + 1
-			}
-			ne.version.Store(snap.Version)
-		}
-	}
 	s.graphs = staged
 	s.mu.Unlock()
 	return covered, b.From, nil

@@ -39,14 +39,7 @@ type leaderHarness struct {
 
 func startLeader(t *testing.T, dir string) *leaderHarness {
 	t.Helper()
-	return startLeaderWithConfig(t, durableConfig(dir))
-}
-
-// startLeaderWithConfig is startLeader with a caller-shaped Config (e.g.
-// residual shipping disabled).
-func startLeaderWithConfig(t *testing.T, cfg Config) *leaderHarness {
-	t.Helper()
-	s, _ := newDurableServer(t, cfg)
+	s, _ := newDurableServer(t, durableConfig(dir))
 	lh := &leaderHarness{srv: s}
 	lh.handler.Store(s.Handler())
 	lh.hs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

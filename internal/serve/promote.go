@@ -80,8 +80,7 @@ func (s *Server) Promote() (PromoteReport, error) {
 	}
 
 	// Stop the tail loop at its next record boundary and wait for it to
-	// drain; after loopDone the registry has a single quiesced owner and
-	// replay mode is off.
+	// drain; after loopDone the registry has a single quiesced owner.
 	fs := s.follower
 	fs.requestStop()
 	if fs.loopRunning.Load() {

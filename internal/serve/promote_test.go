@@ -555,13 +555,15 @@ func countShipping(t *testing.T, s *Server) walShippingCounts {
 	return c
 }
 
-// TestResidualShippingByteIdentical runs the same write stream through a
-// residual-shipping leader and a full-vector one: both followers must land
-// byte-identical — to their leaders and to each other — with identical
-// drift accounting, while the logs prove the residual leader actually
-// shipped residuals and the full-vector one never did.
+// TestResidualShippingByteIdentical runs one write stream that the size
+// rule itself splits across both rank encodings — small edge batches and a
+// recompute on converged ranks touch few entries and ship as residuals, a
+// recompute under a changed damping moves every entry and ships the full
+// vector — and requires the follower to land byte-identical to the leader
+// with identical drift accounting. (The codec's own round trip is pinned by
+// internal/delta/residual_test.go.)
 func TestResidualShippingByteIdentical(t *testing.T) {
-	// A bigger, sparser graph than testGraph: a 3-edge batch dirties a
+	// A bigger, sparser graph than testGraph: a 5-edge batch dirties a
 	// neighborhood far below n/3 vertices here, so the sparse residual
 	// encoding (12 bytes/entry vs 4 dense) actually wins and deltas ship
 	// as residuals rather than tripping the size-guard fallback.
@@ -571,73 +573,51 @@ func TestResidualShippingByteIdentical(t *testing.T) {
 	}
 	batches := mutationStream(t, g, 15, 211)
 
-	type outcome struct {
-		leader, follower *Snapshot
-		counts           walShippingCounts
+	lead := startLeader(t, t.TempDir())
+	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+		t.Fatal(err)
 	}
-	run := func(t *testing.T, shipFull bool) outcome {
-		cfg := durableConfig(t.TempDir())
-		cfg.ShipFullVectors = shipFull
-		lead := startLeaderWithConfig(t, cfg)
-		if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
-			t.Fatal(err)
+	f := New(followerConfig(lead.url))
+	startFollower(t, f)
+	for i, d := range batches {
+		if _, err := lead.srv.ApplyEdgeDelta("g", d); err != nil {
+			t.Fatalf("delta %d: %v", i, err)
 		}
-		f := New(followerConfig(lead.url))
-		startFollower(t, f)
-		for i, d := range batches {
-			if _, err := lead.srv.ApplyEdgeDelta("g", d); err != nil {
-				t.Fatalf("delta %d: %v", i, err)
-			}
+	}
+	// A recompute with unchanged options, then a second one landing on the
+	// first's result: bit-identical, so its residual is empty.
+	for i := 0; i < 2; i++ {
+		if _, err := lead.srv.Recompute("g", Overrides{}, true); err != nil {
+			t.Fatalf("recompute %d: %v", i, err)
 		}
-		// Two recomputes: the second lands on already-converged ranks, so
-		// its residual is near-empty — the case residual shipping wins big.
-		for i := 0; i < 2; i++ {
-			if _, err := lead.srv.Recompute("g", Overrides{}, true); err != nil {
-				t.Fatalf("recompute %d: %v", i, err)
-			}
+	}
+	damping := 0.6
+	if _, err := lead.srv.Recompute("g", Overrides{Damping: &damping}, true); err != nil {
+		t.Fatalf("recompute at damping %v: %v", damping, err)
+	}
+	// And more deltas on top of the fully-shipped vector.
+	for i, d := range mutationStream(t, publishedSnap(t, lead.srv, "g").Graph, 3, 223) {
+		if _, err := lead.srv.ApplyEdgeDelta("g", d); err != nil {
+			t.Fatalf("post-recompute delta %d: %v", i, err)
 		}
-		waitCaughtUp(t, lead.srv, f)
-		return outcome{
-			leader:   publishedSnap(t, lead.srv, "g"),
-			follower: publishedSnap(t, f, "g"),
-			counts:   countShipping(t, lead.srv),
-		}
+	}
+	waitCaughtUp(t, lead.srv, f)
+
+	assertConverged(t, lead.srv, f, "g")
+	want, got := publishedSnap(t, lead.srv, "g"), publishedSnap(t, f, "g")
+	if want.RepairDrift != got.RepairDrift {
+		t.Errorf("drift accounting diverged (%g vs %g)", want.RepairDrift, got.RepairDrift)
+	}
+	if got.Options.Damping != damping {
+		t.Errorf("follower serves damping %v, leader recomputed at %v", got.Options.Damping, damping)
 	}
 
-	resid := run(t, false)
-	full := run(t, true)
-
-	for _, o := range []struct {
-		name string
-		out  outcome
-	}{{"residual", resid}, {"full-vector", full}} {
-		if !ranksBitEqual(o.out.leader.Ranks, o.out.follower.Ranks) {
-			t.Errorf("%s shipping: follower not bit-equal to its leader", o.name)
-		}
-		if o.out.leader.RepairDrift != o.out.follower.RepairDrift {
-			t.Errorf("%s shipping: drift accounting diverged (%g vs %g)",
-				o.name, o.out.leader.RepairDrift, o.out.follower.RepairDrift)
-		}
+	c := countShipping(t, lead.srv)
+	if c.residDeltas == 0 || c.residRecs == 0 {
+		t.Errorf("size rule never picked the residual encoding (counts %+v)", c)
 	}
-	if !ranksBitEqual(resid.follower.Ranks, full.follower.Ranks) {
-		t.Error("residual- and full-shipped followers diverged: the codec is not byte-transparent")
-	}
-	if resid.follower.RepairDrift != full.follower.RepairDrift {
-		t.Errorf("shipping form changed drift accounting: %g vs %g",
-			resid.follower.RepairDrift, full.follower.RepairDrift)
-	}
-
-	if resid.counts.residRecs == 0 {
-		t.Errorf("residual leader shipped no residual recomputes (counts %+v)", resid.counts)
-	}
-	if resid.counts.residDeltas == 0 {
-		t.Errorf("residual leader shipped no residual deltas (counts %+v)", resid.counts)
-	}
-	if n := full.counts.residRecs + full.counts.residDeltas; n != 0 {
-		t.Errorf("ShipFullVectors leader still shipped %d residuals (counts %+v)", n, full.counts)
-	}
-	if full.counts.fullDeltas == 0 {
-		t.Errorf("full-vector leader shipped no full-vector deltas (counts %+v)", full.counts)
+	if c.fullRecs == 0 {
+		t.Errorf("size rule never picked the full vector: the damping change moved every rank (counts %+v)", c)
 	}
 }
 

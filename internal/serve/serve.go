@@ -147,6 +147,28 @@ type entry struct {
 	repairEngPart int
 }
 
+// newEntry returns an unpublished, unregistered entry for name.
+func (s *Server) newEntry(name string) *entry {
+	return &entry{
+		name:    name,
+		ppr:     newPPRCache(s.cfg.PPRCacheSize),
+		pprWait: make(map[string]*pprInflight),
+	}
+}
+
+// retireLocked drops the serving state shaped on the snapshot a publish
+// just replaced. Any publish may carry different engine-shaping options
+// (partition size, workers), so the pooled personalized engines always go;
+// a structural change also strands the cached personalized answers and
+// (via structVersion) those still being computed. The caller holds e.mu.
+func (e *entry) retireLocked(structChanged bool) {
+	e.pool.invalidate()
+	if structChanged {
+		e.structVersion++
+		e.ppr = newPPRCache(e.ppr.cap)
+	}
+}
+
 // inflightRun is a recompute or edge-delta mutation in progress; coalesced
 // recompute requests share it, and further mutations queue behind it.
 type inflightRun struct {
@@ -197,7 +219,7 @@ type Config struct {
 	// FollowAddr makes this server a read-only replication follower of the
 	// leader at this base URL (e.g. "http://10.0.0.1:8080"): Follow
 	// bootstraps from the leader's snapshots, tails its WAL stream, and
-	// applies records through the replay paths, while the HTTP layer
+	// applies each record the way recovery does, while the HTTP layer
 	// rejects writes with 503 plus a leader hint. A follower never opens
 	// DataDir while following — when both are set, the directory lies
 	// dormant until Promote adopts it as the new leader's log.
@@ -219,13 +241,6 @@ type Config struct {
 	// ShardSolveTimeout bounds one distributed solve, payload distribution
 	// included (default 10 minutes).
 	ShardSolveTimeout time.Duration
-	// ShipFullVectors disables residual shipping: replicated recomputes
-	// and repairs always log the full float32 rank vector (RecRecompute /
-	// ranks_enc "full") instead of the sparse signed residual delta. The
-	// default ships residuals whenever their encoding is smaller; both
-	// forms reconstruct byte-identical follower state, so this knob exists
-	// for comparison and debugging, not correctness.
-	ShipFullVectors bool
 }
 
 // Server owns the graph registry and serves rank queries. Create one with
@@ -259,16 +274,8 @@ type Server struct {
 	// given (or by Promote when a follower adopts its dormant data dir);
 	// nil keeps the server memory-only. It is an atomic pointer because
 	// promotion installs it at runtime while replication handlers read it
-	// per request. During recovery replay, replaying is set and the append
-	// helpers return replayLSN (the record being replayed) instead of
-	// writing, so replayed publishes carry their original log positions.
-	// Replay is single-threaded, so the replay fields need no lock.
-	wal       atomic.Pointer[wal.Store]
-	replaying bool
-	replayLSN uint64
-	// replayDriftRecomputes counts recomputes the drift budget forced
-	// during replay; Recover reports it.
-	replayDriftRecomputes int
+	// per request.
+	wal atomic.Pointer[wal.Store]
 
 	// gateFollower is the server's current write-gating role, read per
 	// request by leaderOnly: true rejects mutations with 503 plus a leader
@@ -281,8 +288,7 @@ type Server struct {
 
 	// follower holds the replication-follower machinery when
 	// Config.FollowAddr is set; see follower.go. The follower's apply
-	// goroutine is the only writer of the registry, reusing the replay
-	// fields above under the same single-writer discipline.
+	// goroutine is the only writer of the registry.
 	follower *followerState
 
 	// coord drives the shard-worker fleet when Config.ShardWorkers is set;
@@ -439,11 +445,7 @@ func (s *Server) addGraph(name string, g *graph.Graph, opts pcpm.Options, replac
 		close(ch)
 	}()
 
-	e := &entry{
-		name:    name,
-		ppr:     newPPRCache(s.cfg.PPRCacheSize),
-		pprWait: make(map[string]*pprInflight),
-	}
+	e := s.newEntry(name)
 	stats, dec := graphStats(g)
 	snap, err := s.compute(e, g, stats, dec, opts, true)
 	if err != nil {
@@ -451,8 +453,7 @@ func (s *Server) addGraph(name string, g *graph.Graph, opts pcpm.Options, replac
 	}
 	// Write-ahead: the ingest must be durable before any reader can see
 	// it. A failed append rejects the ingest rather than serving state a
-	// restart would silently lose. The record carries the computed snapshot,
-	// so replay and replication followers never re-run this engine run.
+	// restart would silently lose.
 	lsn, err := s.walAppendAdd(name, snap, replace)
 	if err != nil {
 		return GraphInfo{}, err
@@ -478,25 +479,18 @@ func (s *Server) addGraph(name string, g *graph.Graph, opts pcpm.Options, replac
 // Remove drops name from the registry. An in-flight recompute for it may
 // still finish, but its result becomes unreachable.
 func (s *Server) Remove(name string) error {
-	s.mu.RLock()
-	_, ok := s.graphs[name]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	if _, err := s.lookup(name); err != nil {
+		return err
 	}
 	// Write-ahead, without holding the registry lock across an fsync. Two
-	// racing removals may both log a record; replay tolerates the
-	// duplicate (removing an absent graph is skipped).
+	// racing removals may both log a record; appliers tolerate the
+	// duplicate.
 	if _, err := s.walAppend(wal.RecRemoveGraph, removeMeta{Name: name}, nil); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if _, ok := s.graphs[name]; !ok {
-		s.mu.Unlock()
+	if !s.dropGraph(name) {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	delete(s.graphs, name)
-	s.mu.Unlock()
 	if s.coord != nil {
 		// Best-effort, and after releasing the registry lock: the entry is
 		// already gone, so a worker that misses the delete only wastes memory
@@ -508,8 +502,18 @@ func (s *Server) Remove(name string) error {
 	return nil
 }
 
-// List returns every registered graph's info, sorted by name.
-func (s *Server) List() []GraphInfo {
+// dropGraph deletes name from the registry and reports whether it was
+// there: the registry half of Remove, and all an applied removal does.
+func (s *Server) dropGraph(name string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.graphs[name]
+	delete(s.graphs, name)
+	return ok
+}
+
+// sortedEntries returns every registered entry, sorted by name.
+func (s *Server) sortedEntries() []*entry {
 	s.mu.RLock()
 	entries := make([]*entry, 0, len(s.graphs))
 	for _, e := range s.graphs {
@@ -517,6 +521,12 @@ func (s *Server) List() []GraphInfo {
 	}
 	s.mu.RUnlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+	return entries
+}
+
+// List returns every registered graph's info, sorted by name.
+func (s *Server) List() []GraphInfo {
+	entries := s.sortedEntries()
 	infos := make([]GraphInfo, len(entries))
 	for i, e := range entries {
 		infos[i] = e.info()
@@ -737,9 +747,8 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 	snap, err := s.compute(e, old.Graph, old.Stats, old.SCC, opts, false)
 	if err == nil {
 		// Logged with the resulting rank vector (full, or as a signed
-		// residual delta against the parent when that is smaller), so
-		// replay and replication followers republish this result instead
-		// of re-running the engine — recomputes happen once, here.
+		// residual delta against the parent when that is smaller), which
+		// recovery and followers republish: recomputes happen once, here.
 		var lsn uint64
 		lsn, err = s.walAppendRecompute(e.name, old, snap, opts)
 		if err == nil {
@@ -759,10 +768,7 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 		e.lastErr = err.Error()
 	} else {
 		e.lastErr = ""
-		// The new snapshot may carry different engine-shaping options
-		// (partition size, workers), so retained PPR engines are stale;
-		// drop them and let the pool refill at the new version.
-		e.pool.invalidate()
+		e.retireLocked(false)
 	}
 	e.mu.Unlock()
 	run.err = err
