@@ -80,7 +80,6 @@ func main() {
 		batch   = flag.Int("batch", 4, "queries per ppr_batch operation")
 		epsilon = flag.Float64("epsilon", 0, "requested PPR epsilon (0 = server default)")
 		mixSpec = flag.String("mix", "", `operation mix, e.g. "topk=50,rank=15,ppr=25,batch=6,recompute=2,upload=2" (default: that profile); add mutate=N for edge-update traffic`)
-		compRec = flag.Bool("recompute-componentwise", false, "recompute ops request the componentwise (SCC-condensation) solver via overrides")
 		upload  = flag.String("upload-file", "", "graph file re-uploaded by upload ops (remote mode; -self uses the generated graph)")
 		dataDir = flag.String("data-dir", "",
 			"durable data directory for the -self server; required for restart=N mix traffic (each restart op recovers the server from it)")
@@ -119,9 +118,8 @@ func main() {
 		BatchSize:   *batch,
 		Epsilon:     *epsilon,
 
-		RecomputeComponentwise: *compRec,
-		FollowerURLs:           followers,
-		PromoteURL:             *promoteURL,
+		FollowerURLs: followers,
+		PromoteURL:   *promoteURL,
 	}
 	if *mixSpec != "" {
 		mix, err := loadgen.ParseMix(*mixSpec)

@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		in        = flag.String("in", "", "input graph (.txt edge list or binary)")
-		method    = flag.String("method", "pcpm", "engine: pdpr|push|bvgas|pcpm-csr|pcpm|componentwise")
+		method    = flag.String("method", "pcpm", "engine: pdpr|push|bvgas|pcpm-csr|pcpm")
 		iters     = flag.Int("iters", 20, "fixed iteration count (ignored when -tol is set)")
 		tol       = flag.Float64("tol", 0, "run to convergence below this L1 delta")
 		top       = flag.Int("top", 10, "how many top-ranked nodes to print")
@@ -78,14 +78,11 @@ func main() {
 		return
 	}
 
-	// One decomposition serves both the banner's component stats and — for
-	// -method componentwise — the solve itself.
-	dec := pcpm.DecomposeSCC(g, *workers)
-	s := pcpm.GraphStatsFromSCC(g, dec)
+	s := pcpm.GraphStatsFromSCC(g, pcpm.DecomposeSCC(g, *workers))
 	fmt.Printf("graph: %d nodes, %d edges, avg degree %.2f, %d dangling, %d components (largest %d)\n",
 		s.Nodes, s.Edges, s.AvgDegree, s.Dangling, s.Components, s.LargestComponent)
 
-	res, err := pcpm.RunWithSCC(g, pcpm.Options{
+	res, err := pcpm.Run(g, pcpm.Options{
 		Method:               pcpm.Method(*method),
 		Damping:              *damping,
 		PartitionBytes:       *partBytes,
@@ -93,7 +90,7 @@ func main() {
 		Iterations:           *iters,
 		Tolerance:            *tol,
 		RedistributeDangling: *redist,
-	}, dec)
+	})
 	if err != nil {
 		fail(err)
 	}
@@ -104,26 +101,15 @@ func main() {
 		fmt.Printf("compression ratio r = %.2f, preprocessing %v\n",
 			res.CompressionRatio, res.PreprocessTime.Round(1e3))
 	}
-	if bd := res.Componentwise; bd != nil {
-		fmt.Printf("condensation: %d components (largest %d), %d levels; kernels: %d closed-form, %d local, %d engine\n",
-			bd.Components, bd.LargestComponent, bd.Levels,
-			bd.ClosedForm, bd.LocalSolves, bd.EngineSolves)
-		fmt.Printf("phases: decompose %v, schedule %v, solve %v\n",
-			bd.Decompose.Round(1e3), bd.Schedule.Round(1e3), bd.Solve.Round(1e3))
+	per := res.Stats.PerIteration()
+	if per.Scatter > 0 || per.Gather > 0 {
+		fmt.Printf("per iteration: scatter %v, gather %v, total %v\n",
+			per.Scatter.Round(1e3), per.Gather.Round(1e3), per.Total.Round(1e3))
+	} else {
+		fmt.Printf("per iteration: %v\n", per.Total.Round(1e3))
 	}
-	if res.Componentwise == nil {
-		// Per-iteration figures only make sense for the step-wise engines;
-		// componentwise iterations cover a single component each.
-		per := res.Stats.PerIteration()
-		if per.Scatter > 0 || per.Gather > 0 {
-			fmt.Printf("per iteration: scatter %v, gather %v, total %v\n",
-				per.Scatter.Round(1e3), per.Gather.Round(1e3), per.Total.Round(1e3))
-		} else {
-			fmt.Printf("per iteration: %v\n", per.Total.Round(1e3))
-		}
-		gteps := float64(g.NumEdges()) / 1e9 / per.Total.Seconds()
-		fmt.Printf("throughput: %.3f GTEPS\n", gteps)
-	}
+	gteps := float64(g.NumEdges()) / 1e9 / per.Total.Seconds()
+	fmt.Printf("throughput: %.3f GTEPS\n", gteps)
 
 	fmt.Printf("top %d nodes:\n", *top)
 	for i, e := range pcpm.TopK(res.Ranks, *top) {

@@ -59,7 +59,6 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		method    = flag.String("method", "pcpm", "default engine: pdpr|push|bvgas|pcpm-csr|pcpm")
 		iters     = flag.Int("iters", 20, "default fixed iteration count")
 		tol       = flag.Float64("tol", 0, "default convergence tolerance (0 = fixed iterations)")
 		damping   = flag.Float64("damping", 0.85, "default damping factor")
@@ -121,7 +120,6 @@ func main() {
 
 	srv := serve.New(serve.Config{
 		Defaults: pcpm.Options{
-			Method:         pcpm.Method(*method),
 			Damping:        *damping,
 			Iterations:     *iters,
 			Tolerance:      *tol,

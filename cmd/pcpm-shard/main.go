@@ -49,7 +49,6 @@ func main() {
 		addr    = flag.String("addr", ":9000", "listen address")
 		workers = flag.String("workers", "",
 			"coordinator mode: comma-separated worker base URLs (e.g. http://h1:9001,http://h2:9001); empty runs as a worker")
-		method    = flag.String("method", "pcpm", "coordinator default engine for coordinator-local paths (personalized PageRank)")
 		iters     = flag.Int("iters", 20, "default fixed iteration count")
 		tol       = flag.Float64("tol", 0, "default convergence tolerance (0 = fixed iterations)")
 		damping   = flag.Float64("damping", 0.85, "default damping factor")
@@ -86,7 +85,6 @@ func main() {
 		}
 		srv := serve.New(serve.Config{
 			Defaults: pcpm.Options{
-				Method:         pcpm.Method(*method),
 				Damping:        *damping,
 				Iterations:     *iters,
 				Tolerance:      *tol,

@@ -8,10 +8,10 @@ import (
 	"repro/internal/graph"
 )
 
-// benchGraph is the DAG-of-communities instance the acceptance criterion
-// measures: a deep condensation (64 strongly connected communities chained
-// by forward bridges) where the monolithic engine pays whole-graph
-// iterations to push rank down the DAG one level per iteration, while the
+// benchGraph is the DAG-of-communities instance built for the componentwise
+// solver: a deep condensation (64 strongly connected communities chained by
+// forward bridges) where the monolithic engine pays whole-graph iterations
+// to push rank down the DAG one level per iteration, while the
 // componentwise solver solves each community locally.
 func benchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
@@ -24,9 +24,12 @@ func benchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-// BenchmarkComponentwiseVsMonolithic pins the tentpole speedup at matched
-// tolerance (1e-8 aggregate L1): componentwise must beat the monolithic
-// PCPM engine by >= 1.5x wall time on the DAG-of-communities family.
+// BenchmarkComponentwiseVsMonolithic times both solvers at matched
+// tolerance (1e-8 aggregate L1). It asserts nothing: measured, the
+// componentwise solver does not beat monolithic PCPM even on this family
+// (mono/compwise 0.25–0.94 across sizes; the table is in
+// docs/PAPER_MAPPING.md), which is why it is a checked reference and not a
+// serving method.
 func BenchmarkComponentwiseVsMonolithic(b *testing.B) {
 	g := benchGraph(b)
 	const tol = 1e-8

@@ -200,11 +200,6 @@ type Config struct {
 	// and Upload weights are ignored unless the target supports them
 	// (Upload additionally requires UploadBody).
 	Mix Mix
-	// RecomputeComponentwise makes recompute operations request the
-	// componentwise solver via the overrides body ({"componentwise":true}),
-	// so replays exercise the SCC-condensation path instead of the
-	// snapshot's inherited engine.
-	RecomputeComponentwise bool
 	// UploadBody is the graph payload re-uploaded (replace=true) by upload
 	// operations; nil disables them.
 	UploadBody []byte
@@ -621,12 +616,8 @@ func (c *client) do(op Op) error {
 		// Async on purpose: the point is to exercise snapshot swaps (and
 		// engine-pool invalidation) under read load, not to serialize on
 		// engine runs. Concurrent recomputes coalesce server-side.
-		var body []byte
-		if c.cfg.RecomputeComponentwise {
-			body = []byte(`{"componentwise":true}`)
-		}
 		return c.post(fmt.Sprintf("%s/v1/graphs/%s/recompute", c.cfg.BaseURL, g),
-			"application/json", body)
+			"application/json", nil)
 	case OpUpload:
 		return c.post(fmt.Sprintf("%s/v1/graphs?name=%s&replace=true", c.cfg.BaseURL, g),
 			"application/octet-stream", c.cfg.UploadBody)

@@ -131,25 +131,6 @@ func (k *Kernel) Gather(branching bool, apply Apply) (a, b float64) {
 	})
 }
 
-// GatherEdges is the semiring form of Gather over a weighted layout: sums
-// start at zero and every nonzero folds in through edge(acc, weight, update).
-func (k *Kernel) GatherEdges(zero float32, edge func(acc, w, x float32) float32, apply Apply) (a, b float64) {
-	pn := k.PNG
-	return k.gather(apply, func(q int, lo graph.NodeID, sums []float32) {
-		for i := range sums {
-			sums[i] = zero
-		}
-		ws := pn.DestWs[q]
-		ups := k.Updates[q]
-		uptr := -1
-		for j, id := range pn.DestIDs[q] {
-			uptr += int(id >> 31)
-			i := (id & graph.IDMask) - lo
-			sums[i] = edge(sums[i], ws[j], ups[uptr])
-		}
-	})
-}
-
 // gather runs walk then apply on every destination partition's scratch and
 // reduces the apply results in partition order.
 func (k *Kernel) gather(apply Apply, walk func(q int, lo graph.NodeID, sums []float32)) (a, b float64) {

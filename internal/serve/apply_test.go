@@ -12,7 +12,6 @@ import (
 
 	pcpm "repro"
 	"repro/internal/graph"
-	"repro/internal/scc"
 	"repro/internal/wal"
 )
 
@@ -23,7 +22,7 @@ import (
 // forbidEngine makes any engine run on s a test failure.
 func forbidEngine(t *testing.T, s *Server) {
 	t.Helper()
-	s.computeFn = func(*graph.Graph, pcpm.Options, *scc.Result) (*pcpm.Result, error) {
+	s.computeFn = func(*graph.Graph, pcpm.Options) (*pcpm.Result, error) {
 		t.Error("applying a record ran an engine")
 		return nil, errors.New("engine run forbidden")
 	}

@@ -12,7 +12,6 @@ import (
 	pcpm "repro"
 	"repro/internal/delta"
 	"repro/internal/graph"
-	"repro/internal/scc"
 )
 
 // edgesBody builds the JSON body of POST .../edges.
@@ -375,7 +374,7 @@ func TestDeltaSerializesWithRecompute(t *testing.T) {
 	}
 
 	release := make(chan struct{})
-	s.computeFn = func(g *graph.Graph, o pcpm.Options, _ *scc.Result) (*pcpm.Result, error) {
+	s.computeFn = func(g *graph.Graph, o pcpm.Options) (*pcpm.Result, error) {
 		res, err := pcpm.Run(g, o)
 		<-release
 		return res, err
@@ -423,7 +422,7 @@ func TestRecomputeCoalescesOntoDelta(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.computeFn = func(g *graph.Graph, o pcpm.Options, _ *scc.Result) (*pcpm.Result, error) {
+	s.computeFn = func(g *graph.Graph, o pcpm.Options) (*pcpm.Result, error) {
 		once.Do(func() { close(entered) })
 		res, err := pcpm.Run(g, o)
 		<-release

@@ -220,11 +220,11 @@ func (s *Server) walAppend(typ wal.RecordType, meta any, blob []byte) (uint64, e
 // snapshot's vector) when that encoding is smaller, or a full-vector
 // RecRecompute otherwise. Both record types decode to byte-identical
 // follower state.
-func (s *Server) walAppendRecompute(name string, old, snap *Snapshot, opts pcpm.Options) (uint64, error) {
+func (s *Server) walAppendRecompute(name string, old, snap *Snapshot) (uint64, error) {
 	if s.wal.Load() == nil {
 		return 0, nil
 	}
-	m := recomputeMeta{Name: name, Parent: old.WalLSN, Options: opts,
+	m := recomputeMeta{Name: name, Parent: old.WalLSN, Options: snap.Options,
 		Method: snap.Method, Iterations: snap.Iterations, Delta: snap.Delta}
 	typ := wal.RecRecompute
 	enc, blob := shipRanks(old.Ranks, snap.Ranks)

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
@@ -296,27 +298,14 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// recomputeRequest is the JSON body of POST .../recompute. Absent fields
-// inherit the option values that produced the graph's current snapshot.
-type recomputeRequest struct {
-	Method       *string  `json:"method,omitempty"`
-	Damping      *float64 `json:"damping,omitempty"`
-	Iterations   *int     `json:"iterations,omitempty"`
-	Tolerance    *float64 `json:"tolerance,omitempty"`
-	Partition    *int     `json:"partition,omitempty"`
-	Workers      *int     `json:"workers,omitempty"`
-	Redistribute *bool    `json:"redistribute,omitempty"`
-	Compact      *bool    `json:"compact,omitempty"`
-	Branching    *bool    `json:"branching,omitempty"`
-	// Componentwise selects (true) or deselects (false) the SCC-condensation
-	// solver without spelling out a method; absent inherits the snapshot's.
-	Componentwise *bool `json:"componentwise,omitempty"`
-	Wait          bool  `json:"wait,omitempty"`
-}
-
 func (s *Server) handleRecompute(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req recomputeRequest
+	// The body is the Overrides themselves (absent fields inherit the option
+	// values that produced the graph's current snapshot) plus "wait".
+	var req struct {
+		Overrides
+		Wait bool `json:"wait"`
+	}
 	if r.ContentLength != 0 {
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 		dec.DisallowUnknownFields()
@@ -328,22 +317,7 @@ func (s *Server) handleRecompute(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("wait") == "true" {
 		req.Wait = true
 	}
-	ov := Overrides{
-		Damping:              req.Damping,
-		Iterations:           req.Iterations,
-		Tolerance:            req.Tolerance,
-		PartitionBytes:       req.Partition,
-		Workers:              req.Workers,
-		RedistributeDangling: req.Redistribute,
-		CompactIDs:           req.Compact,
-		BranchingGather:      req.Branching,
-		Componentwise:        req.Componentwise,
-	}
-	if req.Method != nil {
-		m := pcpm.Method(*req.Method)
-		ov.Method = &m
-	}
-	st, err := s.Recompute(name, ov, req.Wait)
+	st, err := s.Recompute(name, req.Overrides, req.Wait)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrNotFound):
@@ -373,57 +347,56 @@ func (s *Server) handleRecompute(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// overridesFromQuery parses engine options from ingest query parameters
-// into tri-state Overrides: an absent key inherits the server default, a
-// present one overrides it either way (booleans included — ?compact=false
-// beats a server-wide default of true). The caller validates the result
-// with Overrides.Validate before any body is read.
+// overridesFromQuery parses the ingest query into tri-state Overrides: an
+// absent option key (or an empty number) inherits the server default, a
+// present one overrides it either way (?redistribute=false beats a
+// server-wide default of true). Besides name and replace, which the handler
+// reads itself, the accepted keys are exactly Overrides' JSON tags; any
+// other key is an error, as an unknown field is in every JSON body — a
+// misspelt or retired option must not be dropped without a word. The caller
+// validates the result with Overrides.Validate before any body is read.
 func overridesFromQuery(q url.Values) (Overrides, error) {
 	var ov Overrides
-	if v := q.Get("method"); v != "" {
-		m := pcpm.Method(v)
-		ov.Method = &m
+	parseFloat := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+	// Sorted, so a request with several bad keys gets a stable answer.
+	for _, key := range slices.Sorted(maps.Keys(q)) {
+		v := q.Get(key)
+		var err error
+		switch key {
+		case "name", "replace":
+		case "damping":
+			ov.Damping, err = parseOpt(v, parseFloat)
+		case "tolerance":
+			ov.Tolerance, err = parseOpt(v, parseFloat)
+		case "iterations":
+			ov.Iterations, err = parseOpt(v, strconv.Atoi)
+		case "partition":
+			ov.PartitionBytes, err = parseOpt(v, strconv.Atoi)
+		case "workers":
+			ov.Workers, err = parseOpt(v, strconv.Atoi)
+		case "redistribute":
+			b := v == "true"
+			ov.RedistributeDangling = &b
+		default:
+			return Overrides{}, fmt.Errorf("unknown query parameter %q", key)
+		}
+		if err != nil {
+			return Overrides{}, fmt.Errorf("bad ?%s=%q: %v", key, v, err)
+		}
 	}
-	var err error
-	parseF := func(key string) *float64 {
-		if err != nil || q.Get(key) == "" {
-			return nil
-		}
-		v, perr := strconv.ParseFloat(q.Get(key), 64)
-		if perr != nil {
-			err = fmt.Errorf("bad ?%s=%q: %v", key, q.Get(key), perr)
-			return nil
-		}
-		return &v
+	return ov, nil
+}
+
+// parseOpt parses one numeric query value; empty means unset.
+func parseOpt[T any](v string, parse func(string) (T, error)) (*T, error) {
+	if v == "" {
+		return nil, nil
 	}
-	parseI := func(key string) *int {
-		if err != nil || q.Get(key) == "" {
-			return nil
-		}
-		v, perr := strconv.Atoi(q.Get(key))
-		if perr != nil {
-			err = fmt.Errorf("bad ?%s=%q: %v", key, q.Get(key), perr)
-			return nil
-		}
-		return &v
+	x, err := parse(v)
+	if err != nil {
+		return nil, err
 	}
-	parseB := func(key string) *bool {
-		if !q.Has(key) {
-			return nil
-		}
-		v := q.Get(key) == "true"
-		return &v
-	}
-	ov.Damping = parseF("damping")
-	ov.Tolerance = parseF("tolerance")
-	ov.Iterations = parseI("iterations")
-	ov.PartitionBytes = parseI("partition")
-	ov.Workers = parseI("workers")
-	ov.RedistributeDangling = parseB("redistribute")
-	ov.CompactIDs = parseB("compact")
-	ov.BranchingGather = parseB("branching")
-	ov.Componentwise = parseB("componentwise")
-	return ov, err
+	return &x, nil
 }
 
 // edgesRequest is the JSON body of POST .../edges: batched structural

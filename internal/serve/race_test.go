@@ -11,7 +11,6 @@ import (
 	pcpm "repro"
 	"repro/internal/delta"
 	"repro/internal/graph"
-	"repro/internal/scc"
 )
 
 // TestConcurrentTopKWhileRecomputing is the serving-layer contract test:
@@ -53,7 +52,7 @@ func TestConcurrentTopKWhileRecomputing(t *testing.T) {
 	// the endpoint; the gate opens partway through the read storm, so reads
 	// observe the version-1 to version-2 swap live.
 	release := make(chan struct{})
-	s.computeFn = func(g *graph.Graph, o pcpm.Options, _ *scc.Result) (*pcpm.Result, error) {
+	s.computeFn = func(g *graph.Graph, o pcpm.Options) (*pcpm.Result, error) {
 		res, err := pcpm.Run(g, o)
 		<-release
 		return res, err

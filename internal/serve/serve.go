@@ -179,7 +179,10 @@ type inflightRun struct {
 // Config parameterizes a Server.
 type Config struct {
 	// Defaults are the pcpm options applied when an ingest or recompute
-	// request leaves a knob unset. The zero value means paper defaults.
+	// request leaves a knob unset. The zero value means paper defaults. The
+	// daemon runs one solver (PCPM, branch-avoiding gather, 32-bit IDs):
+	// Defaults naming another Method, CompactIDs or BranchingGather fail
+	// every ingest with ErrInvalidOptions.
 	Defaults pcpm.Options
 	// Logger receives request and recompute logs; nil discards them.
 	Logger *slog.Logger
@@ -260,11 +263,8 @@ type Server struct {
 	pending map[string]chan struct{} // guarded by mu
 
 	// computeFn runs one PageRank computation; tests substitute it to make
-	// in-flight recomputes observable and deterministic. The decomposition
-	// argument is the snapshot's SCC (always describing exactly the graph
-	// argument), which the componentwise method reuses instead of
-	// decomposing again.
-	computeFn func(*graph.Graph, pcpm.Options, *scc.Result) (*pcpm.Result, error)
+	// in-flight recomputes observable and deterministic.
+	computeFn func(*graph.Graph, pcpm.Options) (*pcpm.Result, error)
 	// pprRunFn computes the personalized answers for a set of cache-missed
 	// queries against one entry's graph (borrowing pooled engines); tests
 	// substitute it to observe coalescing.
@@ -311,7 +311,7 @@ func New(cfg Config) *Server {
 		started:   time.Now(),
 		graphs:    make(map[string]*entry),
 		pending:   make(map[string]chan struct{}),
-		computeFn: pcpm.RunWithSCC,
+		computeFn: pcpm.Run,
 	}
 	s.pprRunFn = s.runPersonalizedMisses
 	if cfg.FollowAddr != "" {
@@ -397,8 +397,8 @@ func (s *Server) AddGraph(name string, g *graph.Graph, opts pcpm.Options, replac
 
 // IngestGraph registers g with tri-state Overrides: nil fields inherit the
 // server defaults (boolean defaults included), non-nil fields win either
-// way — the HTTP ingest path, where ?compact=false must beat a server-wide
-// default of true.
+// way — the HTTP ingest path, where ?redistribute=false must beat a
+// server-wide default of true.
 func (s *Server) IngestGraph(name string, g *graph.Graph, ov Overrides, replace bool) (GraphInfo, error) {
 	if err := ov.Validate(); err != nil {
 		return GraphInfo{}, err
@@ -410,6 +410,9 @@ func (s *Server) IngestGraph(name string, g *graph.Graph, ov Overrides, replace 
 func (s *Server) addGraph(name string, g *graph.Graph, opts pcpm.Options, replace bool) (GraphInfo, error) {
 	if !ValidName(name) {
 		return GraphInfo{}, fmt.Errorf("serve: invalid graph name %q", name)
+	}
+	if err := errors.Join(checkOneSolver(s.cfg.Defaults), checkOneSolver(opts)); err != nil {
+		return GraphInfo{}, err
 	}
 	// Reserve the name before computing. A plain duplicate fails here
 	// without spending an engine run; a replace queues behind the in-flight
@@ -602,39 +605,23 @@ type RecomputeStatus struct {
 
 // Overrides selectively replace fields of a graph's current options for a
 // recompute. Nil fields inherit the value that produced the graph's latest
-// snapshot, so a recompute never silently reverts engine configuration the
-// graph was ingested with.
+// snapshot, so a recompute never silently reverts configuration the graph
+// was ingested with. The JSON tags are the option keys of both HTTP
+// surfaces: the recompute body decodes into this struct and the ingest
+// query parser fills it.
 type Overrides struct {
-	Method               *pcpm.Method
-	Damping              *float64
-	Iterations           *int
-	Tolerance            *float64
-	PartitionBytes       *int
-	Workers              *int
-	RedistributeDangling *bool
-	CompactIDs           *bool
-	BranchingGather      *bool
-	// Componentwise is sugar over Method: true selects the componentwise
-	// solver, false steers a graph currently on it back to the PCPM engine.
-	// Tri-state like every other knob — nil inherits whatever method the
-	// snapshot (or the server default) already uses. Setting it alongside a
-	// contradicting explicit Method is rejected by Validate.
-	Componentwise *bool
+	Damping              *float64 `json:"damping,omitempty"`
+	Iterations           *int     `json:"iterations,omitempty"`
+	Tolerance            *float64 `json:"tolerance,omitempty"`
+	PartitionBytes       *int     `json:"partition,omitempty"`
+	Workers              *int     `json:"workers,omitempty"`
+	RedistributeDangling *bool    `json:"redistribute,omitempty"`
 }
 
-// Validate rejects override values the engines would refuse, wrapping
+// Validate rejects override values the engine would refuse, wrapping
 // ErrInvalidOptions so callers can surface them as client errors before a
 // run is scheduled.
 func (o Overrides) Validate() error {
-	if o.Method != nil {
-		valid := false
-		for _, m := range pcpm.Methods() {
-			valid = valid || m == *o.Method
-		}
-		if !valid {
-			return fmt.Errorf("%w: unknown method %q", ErrInvalidOptions, *o.Method)
-		}
-	}
 	if o.Damping != nil && (*o.Damping <= 0 || *o.Damping >= 1) {
 		return fmt.Errorf("%w: damping %v outside (0,1)", ErrInvalidOptions, *o.Damping)
 	}
@@ -651,28 +638,10 @@ func (o Overrides) Validate() error {
 	if o.Workers != nil && *o.Workers < 0 {
 		return fmt.Errorf("%w: negative workers %d", ErrInvalidOptions, *o.Workers)
 	}
-	if o.Componentwise != nil && o.Method != nil {
-		if *o.Componentwise != (*o.Method == pcpm.MethodComponentwise) {
-			return fmt.Errorf("%w: componentwise=%v contradicts method %q",
-				ErrInvalidOptions, *o.Componentwise, *o.Method)
-		}
-	}
 	return nil
 }
 
 func (o Overrides) apply(base pcpm.Options) pcpm.Options {
-	if o.Method != nil {
-		base.Method = *o.Method
-	}
-	if o.Componentwise != nil {
-		if *o.Componentwise {
-			base.Method = pcpm.MethodComponentwise
-		} else if base.Method == pcpm.MethodComponentwise {
-			// Explicitly off: fall back to the paper's engine rather than
-			// whatever default the graph was ingested before the solver.
-			base.Method = pcpm.MethodPCPM
-		}
-	}
 	if o.Damping != nil {
 		base.Damping = *o.Damping
 	}
@@ -692,13 +661,22 @@ func (o Overrides) apply(base pcpm.Options) pcpm.Options {
 	if o.RedistributeDangling != nil {
 		base.RedistributeDangling = *o.RedistributeDangling
 	}
-	if o.CompactIDs != nil {
-		base.CompactIDs = *o.CompactIDs
-	}
-	if o.BranchingGather != nil {
-		base.BranchingGather = *o.BranchingGather
-	}
 	return base
+}
+
+// checkOneSolver rejects ingest options that select an engine or a kernel
+// ablation: those belong to the reproduction tooling (pcpm-pagerank,
+// pcpm-bench), and accepting one here would mean ignoring it.
+func checkOneSolver(o pcpm.Options) error {
+	switch {
+	case o.Method != "" && o.Method != pcpm.MethodPCPM:
+		return fmt.Errorf("%w: method %q: the server runs %q only", ErrInvalidOptions, o.Method, pcpm.MethodPCPM)
+	case o.CompactIDs:
+		return fmt.Errorf("%w: CompactIDs is not a serving option", ErrInvalidOptions)
+	case o.BranchingGather:
+		return fmt.Errorf("%w: BranchingGather is not a serving option", ErrInvalidOptions)
+	}
+	return nil
 }
 
 // Recompute re-runs PageRank for name with the graph's current options plus
@@ -750,7 +728,7 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 		// residual delta against the parent when that is smaller), which
 		// recovery and followers republish: recomputes happen once, here.
 		var lsn uint64
-		lsn, err = s.walAppendRecompute(e.name, old, snap, opts)
+		lsn, err = s.walAppendRecompute(e.name, old, snap)
 		if err == nil {
 			snap.WalLSN = lsn
 			e.snap.Store(snap)
@@ -781,12 +759,18 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 // an ingest-time computation from a re-run of a registered graph — in
 // coordinator mode the former deploys shard payloads, the latter only
 // re-solves on the already-distributed blocks.
+//
+// Every run is PCPM with the branch-avoiding gather and 32-bit IDs. opts
+// inherited from a snapshot an older data dir or leader shipped may name
+// another engine or an ablation; that is cleared here, unconsulted, so the
+// published options describe the run.
 func (s *Server) compute(e *entry, g *graph.Graph, stats graph.Stats, dec *scc.Result, opts pcpm.Options, fresh bool) (*Snapshot, error) {
+	opts.Method, opts.CompactIDs, opts.BranchingGather = "", false, false
 	if s.coord != nil {
 		return s.computeSharded(e, g, stats, dec, opts, fresh)
 	}
 	start := time.Now()
-	res, err := s.computeFn(g, opts, dec)
+	res, err := s.computeFn(g, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -810,9 +794,6 @@ func (s *Server) compute(e *entry, g *graph.Graph, stats graph.Stats, dec *scc.R
 // fillDefaults overlays the server-wide default options onto opts.
 func (s *Server) fillDefaults(opts pcpm.Options) pcpm.Options {
 	d := s.cfg.Defaults
-	if opts.Method == "" {
-		opts.Method = d.Method
-	}
 	if opts.Damping == 0 {
 		opts.Damping = d.Damping
 	}
@@ -839,8 +820,6 @@ func (s *Server) fillDefaults(opts pcpm.Options) pcpm.Options {
 	// other field: false inherits the server default. (Callers needing an
 	// explicit false against a true default use IngestGraph's Overrides.)
 	opts.RedistributeDangling = opts.RedistributeDangling || d.RedistributeDangling
-	opts.CompactIDs = opts.CompactIDs || d.CompactIDs
-	opts.BranchingGather = opts.BranchingGather || d.BranchingGather
 	return opts
 }
 

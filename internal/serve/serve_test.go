@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,6 @@ import (
 	pcpm "repro"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/scc"
 )
 
 // testGraph is a small deterministic random graph shared by the tests.
@@ -339,7 +339,9 @@ func TestRecomputeWaitChangesRanks(t *testing.T) {
 		t.Fatalf("unknown JSON field: status %d, want 400", code)
 	}
 	for _, bad := range []string{
-		`{"method":"bogus"}`,
+		`{"method":"bvgas"}`,
+		`{"compact":true}`,
+		`{"branching":true}`,
 		`{"damping":1.5}`,
 		`{"damping":0}`,
 		`{"iterations":-1}`,
@@ -353,15 +355,15 @@ func TestRecomputeWaitChangesRanks(t *testing.T) {
 }
 
 // TestRecomputeInheritsIngestOptions pins the override semantics: a
-// recompute that only overrides damping keeps the engine configuration the
-// graph was ingested with (here the §6 compact-ID variant and a custom
-// partition size), instead of reverting to server defaults.
+// recompute that only overrides damping keeps the configuration the graph
+// was ingested with (here dangling redistribution and a custom partition
+// size), instead of reverting to server defaults.
 func TestRecomputeInheritsIngestOptions(t *testing.T) {
 	_, ts := newTestServer(t)
 	g := testGraph(t)
 	body := edgeListBody(t, g)
 	var info GraphInfo
-	url := ts.URL + "/v1/graphs?name=er&partition=2048&compact=true"
+	url := ts.URL + "/v1/graphs?name=er&partition=2048&redistribute=true"
 	if code := doJSON(t, "POST", url, body, &info); code != http.StatusCreated {
 		t.Fatalf("ingest status %d", code)
 	}
@@ -373,7 +375,7 @@ func TestRecomputeInheritsIngestOptions(t *testing.T) {
 
 	opts := testOptions
 	opts.PartitionBytes = 2048
-	opts.CompactIDs = true
+	opts.RedistributeDangling = true
 	opts.Damping = 0.6
 	res, err := pcpm.Run(g, opts)
 	if err != nil {
@@ -414,7 +416,7 @@ func TestRecomputeAsyncAndCoalescing(t *testing.T) {
 
 	// Gate the engine so the recompute stays observably in flight.
 	release := make(chan struct{})
-	s.computeFn = func(g *graph.Graph, o pcpm.Options, _ *scc.Result) (*pcpm.Result, error) {
+	s.computeFn = func(g *graph.Graph, o pcpm.Options) (*pcpm.Result, error) {
 		res, err := pcpm.Run(g, o)
 		<-release
 		return res, err
@@ -473,7 +475,7 @@ func TestAddGraphConcurrentDuplicateBurnsOneCompute(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.computeFn = func(g *graph.Graph, o pcpm.Options, _ *scc.Result) (*pcpm.Result, error) {
+	s.computeFn = func(g *graph.Graph, o pcpm.Options) (*pcpm.Result, error) {
 		computes.Add(1)
 		once.Do(func() { close(entered) })
 		<-release
@@ -556,7 +558,9 @@ func TestIngestValidatesOptionsBeforeBody(t *testing.T) {
 		{"tolerance=-1", "tolerance"},
 		{"partition=1000", "partition"},
 		{"workers=-2", "workers"},
-		{"method=bogus", "method"},
+		{"method=bvgas", `"method"`},
+		{"compact=true", `"compact"`},
+		{"branching=true", `"branching"`},
 	} {
 		url := ts.URL + "/v1/graphs?name=g&" + bad.query
 		if code := doJSON(t, "POST", url, body, &e); code != http.StatusBadRequest {
@@ -581,14 +585,13 @@ func TestIngestValidatesOptionsBeforeBody(t *testing.T) {
 }
 
 // TestFillDefaultsBoolOverlay is the fillDefaults regression: programmatic
-// AddGraph callers must inherit server-configured bool defaults (including
-// BranchingGather, which used to be dropped entirely), while the HTTP path
-// keeps its tri-state semantics — an explicit =false beats a true default.
+// AddGraph callers must inherit server-configured defaults, the boolean one
+// included, while the HTTP path keeps its tri-state semantics — an explicit
+// =false beats a true default, an explicit partition a default one.
 func TestFillDefaultsBoolOverlay(t *testing.T) {
 	opts := testOptions
 	opts.RedistributeDangling = true
-	opts.CompactIDs = true
-	opts.BranchingGather = true
+	opts.PartitionBytes = 4096
 	s := New(Config{Defaults: opts})
 	g := testGraph(t)
 
@@ -599,14 +602,14 @@ func TestFillDefaultsBoolOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Options.RedistributeDangling || !snap.Options.CompactIDs || !snap.Options.BranchingGather {
-		t.Fatalf("programmatic AddGraph lost bool defaults: %+v", snap.Options)
+	if !snap.Options.RedistributeDangling || snap.Options.PartitionBytes != 4096 {
+		t.Fatalf("programmatic AddGraph lost defaults: %+v", snap.Options)
 	}
 
-	// HTTP ingest with explicit =false must override the true defaults.
+	// HTTP ingest with explicit values must override the defaults.
 	ts := newHTTPServer(t, s)
 	var info GraphInfo
-	url := ts + "/v1/graphs?name=explicit&redistribute=false&compact=false&branching=false"
+	url := ts + "/v1/graphs?name=explicit&redistribute=false&partition=2048"
 	if code := doJSON(t, "POST", url, edgeListBody(t, g), &info); code != http.StatusCreated {
 		t.Fatalf("ingest status %d", code)
 	}
@@ -614,8 +617,71 @@ func TestFillDefaultsBoolOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Options.RedistributeDangling || snap.Options.CompactIDs || snap.Options.BranchingGather {
-		t.Fatalf("explicit =false lost to server defaults: %+v", snap.Options)
+	if snap.Options.RedistributeDangling || snap.Options.PartitionBytes != 2048 {
+		t.Fatalf("explicit values lost to server defaults: %+v", snap.Options)
+	}
+}
+
+// TestOptionKeysAreOverridesTags pins the one option surface: the keys the
+// ingest query parser and the recompute body accept are exactly the JSON
+// tags of Overrides (plus name/replace, resp. wait), so a field cannot be
+// added to one parser and not the other, and a retired or misspelt key is
+// refused by both instead of dropped.
+func TestOptionKeysAreOverridesTags(t *testing.T) {
+	_, ts := newTestServer(t)
+	g := testGraph(t)
+	body := edgeListBody(t, g)
+	ingest(t, ts, "er", body)
+
+	// A valid value per field type; 4 is a legal iteration count, worker
+	// count and partition size alike.
+	values := map[reflect.Kind]string{reflect.Float64: "0.5", reflect.Int: "4", reflect.Bool: "true"}
+	rt := reflect.TypeOf(Overrides{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		val := values[f.Type.Elem().Kind()]
+		if key == "" || val == "" {
+			t.Fatalf("Overrides.%s: no JSON key or no sample value", f.Name)
+		}
+		url := fmt.Sprintf("%s/v1/graphs?name=q-%s&replace=false&%s=%s", ts.URL, key, key, val)
+		if code := doJSON(t, "POST", url, body, nil); code != http.StatusCreated {
+			t.Errorf("ingest ?%s=%s: status %d, want 201", key, val, code)
+		}
+		rec := fmt.Sprintf(`{"wait":true,%q:%s}`, key, val)
+		if code := doJSON(t, "POST", ts.URL+"/v1/graphs/er/recompute", []byte(rec), nil); code != http.StatusOK {
+			t.Errorf("recompute %s: status %d, want 200", rec, code)
+		}
+	}
+	// The Go field names are not keys, nor is a key of the other surface.
+	for _, key := range []string{"PartitionBytes", "Damping", "nope"} {
+		url := fmt.Sprintf("%s/v1/graphs?name=bad&%s=4", ts.URL, key)
+		if code := doJSON(t, "POST", url, body, nil); code != http.StatusBadRequest {
+			t.Errorf("ingest ?%s=4: status %d, want 400", key, code)
+		}
+	}
+	for _, rec := range []string{`{"name":"er"}`, `{"replace":true}`, `{"nope":4}`} {
+		if code := doJSON(t, "POST", ts.URL+"/v1/graphs/er/recompute", []byte(rec), nil); code != http.StatusBadRequest {
+			t.Errorf("recompute %s: status %d, want 400", rec, code)
+		}
+	}
+
+	// Server defaults that select another solver are refused, not ignored.
+	for _, d := range []pcpm.Options{
+		{Method: pcpm.MethodBVGAS},
+		{CompactIDs: true},
+		{BranchingGather: true},
+	} {
+		s := New(Config{Defaults: d})
+		if _, err := s.AddGraph("g", g, pcpm.Options{}, false); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("Defaults %+v: AddGraph err = %v, want ErrInvalidOptions", d, err)
+		}
+		if _, err := s.IngestGraph("g", g, Overrides{}, false); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("Defaults %+v: IngestGraph err = %v, want ErrInvalidOptions", d, err)
+		}
+		if _, err := New(Config{}).AddGraph("g", g, d, false); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("AddGraph(%+v) err = %v, want ErrInvalidOptions", d, err)
+		}
 	}
 }
 

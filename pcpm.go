@@ -28,7 +28,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/graph"
@@ -46,23 +45,11 @@ const (
 	MethodBVGAS   Method = "bvgas"
 	MethodPCPMCSR Method = "pcpm-csr"
 	MethodPCPM    Method = "pcpm"
-	// MethodComponentwise is the SCC-condensation solver (internal/comp):
-	// the graph decomposes into strongly connected components, the
-	// condensation DAG is walked level by level, and each component is
-	// solved against the frozen ranks of its upstream components — closed
-	// form for singletons, a local Gauss-Seidel kernel for small
-	// components, and the PCPM engine restricted to the component subgraph
-	// for large ones. Unlike the step-wise engines it always runs to
-	// convergence: Options.Iterations is ignored, Options.Tolerance (or its
-	// 1e-9 default) is the aggregate L1 target, and MaxIterations caps each
-	// component's solve. CompactIDs does not apply to the restricted
-	// engines and is ignored.
-	MethodComponentwise Method = "componentwise"
 )
 
 // Methods lists every engine in baseline-to-contribution order.
 func Methods() []Method {
-	return []Method{MethodPDPR, MethodPush, MethodBVGAS, MethodPCPMCSR, MethodPCPM, MethodComponentwise}
+	return []Method{MethodPDPR, MethodPush, MethodBVGAS, MethodPCPMCSR, MethodPCPM}
 }
 
 // Options configure a Run. Zero values select the paper's defaults:
@@ -107,27 +94,16 @@ type Result struct {
 	Iterations int
 	// Delta is the L1 change of the final iteration.
 	Delta float64
-	// Stats carries cumulative per-phase wall-clock times. For
-	// MethodComponentwise only Total (the solve phase) and Iterations are
-	// populated.
+	// Stats carries cumulative per-phase wall-clock times.
 	Stats core.PhaseStats
 	// PreprocessTime is the one-off setup cost (PNG construction for PCPM,
-	// bin sizing for BVGAS, SCC decomposition + condensation scheduling for
-	// the componentwise solver; zero for the pull/push baselines).
+	// bin sizing for BVGAS; zero for the pull/push baselines).
 	PreprocessTime time.Duration
 	// CompressionRatio is r = |E|/|E'| for the PCPM engines, 0 otherwise.
 	CompressionRatio float64
 	// Method that produced the result.
 	Method Method
-	// Componentwise carries the componentwise solver's breakdown — the
-	// condensation shape, kernel counts, and the decompose / schedule /
-	// solve phase split. Nil for every other method.
-	Componentwise *ComponentwiseBreakdown
 }
-
-// ComponentwiseBreakdown re-exports the componentwise solver's per-run
-// summary (components, levels, kernel counts, per-phase wall-clock times).
-type ComponentwiseBreakdown = comp.Breakdown
 
 func (o Options) coreConfig() core.Config {
 	cfg := core.Config{
@@ -146,14 +122,10 @@ func (o Options) coreConfig() core.Config {
 }
 
 // NewEngine constructs the engine selected by the options without running
-// it, for callers that want to drive iterations themselves. The
-// componentwise solver is not a step-wise engine — it schedules many
-// component solves — so MethodComponentwise is only reachable through Run.
+// it, for callers that want to drive iterations themselves.
 func NewEngine(g *graph.Graph, o Options) (core.Engine, error) {
 	cfg := o.coreConfig()
 	switch o.Method {
-	case MethodComponentwise:
-		return nil, fmt.Errorf("pcpm: method %q has no step-wise engine; use Run", o.Method)
 	case MethodPDPR:
 		return core.NewPDPR(g, cfg)
 	case MethodPush:
@@ -171,9 +143,6 @@ func NewEngine(g *graph.Graph, o Options) (core.Engine, error) {
 
 // Run executes PageRank on g with the given options.
 func Run(g *graph.Graph, o Options) (*Result, error) {
-	if o.Method == MethodComponentwise {
-		return runComponentwise(g, o, nil)
-	}
 	e, err := NewEngine(g, o)
 	if err != nil {
 		return nil, err
@@ -201,52 +170,6 @@ func Run(g *graph.Graph, o Options) (*Result, error) {
 	res.Ranks = e.Ranks()
 	res.Stats = e.Stats()
 	return res, nil
-}
-
-// RunWithSCC is Run with a precomputed decomposition of g, which the
-// componentwise method reuses instead of decomposing again — the serving
-// layer already holds one per snapshot for its component stats. dec must
-// describe exactly g; every other method ignores it.
-func RunWithSCC(g *Graph, o Options, dec *SCCResult) (*Result, error) {
-	if o.Method == MethodComponentwise {
-		return runComponentwise(g, o, dec)
-	}
-	return Run(g, o)
-}
-
-// runComponentwise maps the facade options onto the componentwise solver.
-// Iterations has no meaning for a convergence-only method and is ignored;
-// MaxIterations caps each component's solve.
-func runComponentwise(g *graph.Graph, o Options, dec *scc.Result) (*Result, error) {
-	co := comp.Options{
-		Damping:         o.Damping,
-		Tolerance:       o.Tolerance,
-		MaxIterations:   o.MaxIterations,
-		PartitionBytes:  o.PartitionBytes,
-		Workers:         o.Workers,
-		BranchingGather: o.BranchingGather,
-		SCC:             dec,
-	}
-	if o.RedistributeDangling {
-		co.Dangling = core.DanglingRedistribute
-	}
-	cr, err := comp.Run(g, co)
-	if err != nil {
-		return nil, err
-	}
-	bd := cr.Breakdown
-	return &Result{
-		Ranks:      cr.Ranks,
-		Iterations: cr.Iterations,
-		Delta:      cr.Delta,
-		Stats: core.PhaseStats{
-			Total:      bd.Solve,
-			Iterations: cr.Iterations,
-		},
-		PreprocessTime: bd.Decompose + bd.Schedule,
-		Method:         MethodComponentwise,
-		Componentwise:  &bd,
-	}, nil
 }
 
 // PPROptions is the combined engine + query configuration for the one-shot
@@ -345,17 +268,9 @@ type SCCResult = scc.Result
 // incremental repairs to the dirtied components' downstream closure.
 func DecomposeSCC(g *Graph, workers int) *SCCResult { return scc.Decompose(g, workers) }
 
-// GraphStatsWithComponents is ComputeStats plus the SCC summary fields
-// (Components, LargestComponent) — the extended paper Table 4 record the
-// serving layer publishes. It discards the decomposition; callers that
-// also need it use DecomposeSCC + GraphStatsFromSCC.
-func GraphStatsWithComponents(g *Graph, workers int) GraphStats {
-	return scc.ComputeStats(g, workers)
-}
-
 // GraphStatsFromSCC annotates ComputeStats with an existing decomposition
-// of g, so one DecomposeSCC serves both the stats record and a
-// componentwise RunWithSCC.
+// of g, so a caller holding one (for ApplyEdgeDelta) does not decompose
+// again for the stats record.
 func GraphStatsFromSCC(g *Graph, dec *SCCResult) GraphStats {
 	return scc.StatsFor(g, dec)
 }

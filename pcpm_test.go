@@ -23,9 +23,6 @@ func TestRunAllMethodsAgree(t *testing.T) {
 	g := facadeGraph(t)
 	var base []float32
 	for _, m := range Methods() {
-		if m == MethodComponentwise {
-			continue // convergence-only; covered by TestRunComponentwise
-		}
 		res, err := Run(g, Options{Method: m, Iterations: 8, PartitionBytes: 1024, Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
@@ -45,69 +42,6 @@ func TestRunAllMethodsAgree(t *testing.T) {
 				t.Fatalf("%s: rank[%d] diverges: %v vs %v", m, i, res.Ranks[i], base[i])
 			}
 		}
-	}
-}
-
-// TestRunComponentwise pins the facade mapping of the componentwise solver:
-// it agrees with a converged PCPM run under both dangling policies, carries
-// the phase breakdown, and is rejected by the step-wise NewEngine.
-func TestRunComponentwise(t *testing.T) {
-	g := facadeGraph(t)
-	for _, redist := range []bool{false, true} {
-		ref, err := Run(g, Options{Tolerance: 1e-9, MaxIterations: 100000,
-			PartitionBytes: 1024, RedistributeDangling: redist})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(g, Options{Method: MethodComponentwise, Tolerance: 1e-9,
-			RedistributeDangling: redist})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Method != MethodComponentwise {
-			t.Fatalf("method echo = %q", res.Method)
-		}
-		var l1 float64
-		for i := range res.Ranks {
-			l1 += math.Abs(float64(res.Ranks[i]) - float64(ref.Ranks[i]))
-		}
-		if l1 > 1e-6 {
-			t.Fatalf("redistribute=%v: componentwise vs pcpm L1 = %g", redist, l1)
-		}
-		bd := res.Componentwise
-		if bd == nil || bd.Components == 0 || bd.Levels == 0 {
-			t.Fatalf("missing componentwise breakdown: %+v", bd)
-		}
-		if res.PreprocessTime != bd.Decompose+bd.Schedule {
-			t.Fatal("preprocess time does not cover decompose+schedule")
-		}
-	}
-	if _, err := NewEngine(g, Options{Method: MethodComponentwise}); err == nil {
-		t.Fatal("NewEngine accepted the componentwise method")
-	}
-
-	// RunWithSCC reuses a caller-supplied decomposition bit-for-bit.
-	dec := DecomposeSCC(g, 2)
-	a, err := Run(g, Options{Method: MethodComponentwise, Tolerance: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunWithSCC(g, Options{Method: MethodComponentwise, Tolerance: 1e-9}, dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Ranks {
-		if a.Ranks[i] != b.Ranks[i] {
-			t.Fatalf("RunWithSCC diverges at rank[%d]", i)
-		}
-	}
-	st := GraphStatsFromSCC(g, dec)
-	if st.Components != b.Componentwise.Components {
-		t.Fatalf("stats components %d vs breakdown %d", st.Components, b.Componentwise.Components)
-	}
-	// For a non-componentwise method the decomposition is ignored.
-	if r, err := RunWithSCC(g, Options{Iterations: 2, PartitionBytes: 1024}, dec); err != nil || r.Method != MethodPCPM {
-		t.Fatalf("RunWithSCC(pcpm) = %v, %v", r, err)
 	}
 }
 
