@@ -108,11 +108,6 @@ type Config struct {
 	Dangling       DanglingPolicy
 	Gather         GatherKind
 	Sched          SchedKind
-	// CompactIDs stores destination IDs as 16-bit partition-local offsets
-	// (the G-Store-style compression of the paper's §6 future work),
-	// halving the gather phase's dominant ID stream. Requires partitions of
-	// at most 32K nodes (128 KB).
-	CompactIDs bool
 }
 
 func (c Config) withDefaults() Config {
@@ -176,8 +171,10 @@ type Engine interface {
 	Ranks() []float32
 	// Stats returns cumulative phase timings since the last Reset.
 	Stats() PhaseStats
-	// PreprocessTime reports one-off setup cost (bin sizing, write offsets,
-	// PNG construction) — the quantity of the paper's Table 8.
+	// PreprocessTime reports this engine's setup cost (bin sizing, write
+	// offsets, PNG construction) — the quantity of the paper's Table 8. A
+	// PCPM engine that found its graph's layout already built reports only
+	// the rest.
 	PreprocessTime() time.Duration
 	// Reset restores the initial uniform rank vector and clears stats.
 	Reset()
@@ -209,41 +206,48 @@ func RunToConvergence(e Engine, tol float64, maxIters int) (int, float64) {
 // unscaled ranks, the scaled ranks (SPR(v) = PR(v)/|No(v)|, eq. 2), and the
 // dangling correction for the upcoming iteration.
 //
-// base and degs support restricted subproblem solves (the componentwise
-// solver's frozen-inflow formulation, see NewPCPMRestricted): when set, the
-// per-vertex base replaces the uniform (1-d)/|V| teleport term and degs
-// replaces the subgraph out-degree as the SPR divisor. Both nil for the
-// whole-graph engines.
+// base supports restricted subproblem solves (the componentwise solver's
+// frozen-inflow formulation, see NewPCPMRestricted): when set, the per-vertex
+// base replaces the uniform (1-d)/|V| teleport term, and deg holds the
+// restriction's degrees rather than the subgraph's. Nil for the whole-graph
+// engines.
 type rankState struct {
 	g        *graph.Graph
 	damping  float64
 	policy   DanglingPolicy
 	pr       []float32
 	spr      []float32
+	deg      []float32 // SPR divisor per vertex: its out-degree, 0 marks dangling
 	dangling float64   // Σ PR over dangling nodes, for the next iteration
 	base     []float32 // optional per-vertex teleport-inflow term
-	degs     []int64   // optional per-vertex out-degree override
-}
-
-// outDeg returns the SPR divisor for v: the override when the state is
-// restricted, the graph's out-degree otherwise.
-func (s *rankState) outDeg(v int) int64 {
-	if s.degs != nil {
-		return s.degs[v]
-	}
-	return s.g.OutDegree(graph.NodeID(v))
 }
 
 func newRankState(g *graph.Graph, damping float64, policy DanglingPolicy) *rankState {
+	n := g.NumNodes()
 	s := &rankState{
 		g:       g,
 		damping: damping,
 		policy:  policy,
-		pr:      make([]float32, g.NumNodes()),
-		spr:     make([]float32, g.NumNodes()),
+		pr:      make([]float32, n),
+		spr:     make([]float32, n),
+		deg:     make([]float32, n),
+	}
+	off := g.OutOffsets()
+	for v := range s.deg {
+		s.deg[v] = float32(off[v+1] - off[v])
 	}
 	s.reset()
 	return s
+}
+
+// restrict turns the state into a restricted subproblem's: base replaces the
+// uniform teleport term and degrees the subgraph's out-degrees.
+func (s *rankState) restrict(base []float32, degrees []int64) {
+	s.base = base
+	for v, d := range degrees {
+		s.deg[v] = float32(d)
+	}
+	s.reset()
 }
 
 func (s *rankState) reset() {
@@ -253,7 +257,7 @@ func (s *rankState) reset() {
 	}
 	uniform := float32(1.0 / float64(n))
 	var dangling float64
-	for v := 0; v < n; v++ {
+	for v, d := range s.deg {
 		init := uniform
 		if s.base != nil {
 			// Restricted solves start at the teleport-inflow term — the
@@ -261,8 +265,8 @@ func (s *rankState) reset() {
 			init = s.base[v]
 		}
 		s.pr[v] = init
-		if d := s.outDeg(v); d > 0 {
-			s.spr[v] = init / float32(d)
+		if d > 0 {
+			s.spr[v] = init / d
 		} else {
 			s.spr[v] = 0
 			dangling += float64(init)
@@ -282,24 +286,33 @@ func (s *rankState) danglingTerm() float32 {
 
 // applyRange finalizes ranks for nodes [lo, hi) given their accumulated
 // in-sums, returning the partial L1 delta and partial dangling mass. sums
-// is indexed from lo (sums[0] is node lo's value).
+// is indexed from lo (sums[0] is node lo's value). The per-vertex work is a
+// multiply-add, an absolute difference and one division by the degree table;
+// whether the state is restricted is decided once, outside the loop.
 func (s *rankState) applyRange(lo, hi int, sums []float32, base, dterm float32) (delta, dangling float64) {
 	d := float32(s.damping)
-	for v := lo; v < hi; v++ {
-		b := base
-		if s.base != nil {
-			b = s.base[v]
+	pr, spr, deg := s.pr[lo:hi], s.spr[lo:hi], s.deg[lo:hi]
+	sums = sums[:len(pr)]
+	if s.base != nil {
+		bases := s.base[lo:hi]
+		for i, old := range pr {
+			nv := bases[i] + d*(sums[i]+dterm)
+			pr[i] = nv
+			delta += math.Abs(float64(nv - old))
+			if dg := deg[i]; dg > 0 {
+				spr[i] = nv / dg
+			} else {
+				dangling += float64(nv)
+			}
 		}
-		old := s.pr[v]
-		nv := b + d*(sums[v-lo]+dterm)
-		s.pr[v] = nv
-		diff := float64(nv - old)
-		if diff < 0 {
-			diff = -diff
-		}
-		delta += diff
-		if deg := s.outDeg(v); deg > 0 {
-			s.spr[v] = nv / float32(deg)
+		return delta, dangling
+	}
+	for i, old := range pr {
+		nv := base + d*(sums[i]+dterm)
+		pr[i] = nv
+		delta += math.Abs(float64(nv - old))
+		if dg := deg[i]; dg > 0 {
+			spr[i] = nv / dg
 		} else {
 			dangling += float64(nv)
 		}

@@ -38,10 +38,13 @@ func TestGoldenPaperFig4ScatterStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Bin 0 as the paper draws it, whatever width the layout stores it in.
+	stream, binSrcs := pn.DecodeBin(0)
+
 	// P1's compressed edges into bin 0: exactly sources {6, 7} — the
 	// non-redundant updates of Fig. 4b.
 	off := pn.SubOff[1]
-	srcs := pn.SubSrc[1][off[0]:off[1]]
+	srcs := binSrcs[pn.UpdateWriteOff[1*pn.K+0]:][:off[1]-off[0]]
 	if len(srcs) != 2 || srcs[0] != 6 || srcs[1] != 7 {
 		t.Fatalf("P1→bin0 compressed sources = %v, want [6 7]", srcs)
 	}
@@ -63,7 +66,6 @@ func TestGoldenPaperFig4ScatterStream(t *testing.T) {
 
 	// Destination stream for those updates: 6's run {0*, 1}, then 7's run
 	// {2*} — the decoupled destID bins of Fig. 4b.
-	stream := pn.DestIDs[0]
 	// P0 contributes its own runs first (sources 1 and 3); find P1's tail.
 	tail := stream[len(stream)-3:]
 	want := []uint32{0 | graph.MSBMask, 1, 2 | graph.MSBMask}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a vertex. The most significant bit is reserved for the
@@ -56,6 +57,41 @@ type Graph struct {
 	// Optional weights, parallel to outAdj / inAdj. Either both nil or both set.
 	outW []float32
 	inW  []float32
+
+	derived derivedSlot // see Derived
+}
+
+// derivedSlot holds at most one structure derived from the graph.
+type derivedSlot struct {
+	mu    sync.Mutex
+	key   int
+	value any
+}
+
+// Derived returns the read-only structure derived from g under key, calling
+// build for it when the graph holds none or holds one built under another key
+// (which it then replaces: the slot keeps one value, not a history). The
+// value lives and dies with g, and every constructor — builders, readers,
+// Patch, RowBlock, Reverse — returns a graph holding none. Concurrent callers
+// are safe: they wait for a build in flight and share its result, so build
+// must not call Derived on the same graph. A failed build stores nothing.
+//
+// This is how a solver keeps its per-graph layout (the PCPM engine's
+// Partition-Node Graph, keyed by partition bytes) without this package
+// knowing the layout's type.
+func (g *Graph) Derived(key int, build func() (any, error)) (any, error) {
+	s := &g.derived
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.value != nil && s.key == key {
+		return s.value, nil
+	}
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	s.key, s.value = key, v
+	return v, nil
 }
 
 // NumNodes returns |V|.

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand/v2"
 	"runtime"
 	"strings"
@@ -437,5 +438,50 @@ func TestPropertyDedupIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestDerivedKeepsOneValuePerGraph(t *testing.T) {
+	g, err := FromEdges(3, []Edge{{Src: 0, Dst: 1}}, false, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	get := func(key int, fail bool) (any, error) {
+		return g.Derived(key, func() (any, error) {
+			builds++
+			if fail {
+				return nil, errors.New("no")
+			}
+			return &builds, nil // any non-nil value
+		})
+	}
+	if _, err := get(1, true); err == nil || builds != 1 {
+		t.Fatalf("failed build: err=%v builds=%d", err, builds)
+	}
+	a, _ := get(1, false) // the failure stored nothing, so this builds
+	b, _ := get(1, false) // ... and this does not
+	if builds != 2 || a != b {
+		t.Fatalf("same key: %d builds, want 2", builds)
+	}
+	get(2, false) // another key replaces the value
+	get(1, false) // ... so the first key builds again
+	if builds != 4 {
+		t.Fatalf("alternating keys: %d builds, want 4 (one slot, not a map)", builds)
+	}
+	// Graphs made from g start empty.
+	patched, err := Patch(g, []Edge{{Src: 1, Dst: 2}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := g.RowBlock(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]*Graph{"Reverse": g.Reverse(), "Patch": patched, "RowBlock": block} {
+		before := builds
+		if _, err := h.Derived(1, func() (any, error) { builds++; return name, nil }); err != nil || builds != before+1 {
+			t.Fatalf("%s inherited the derived value (err=%v)", name, err)
+		}
 	}
 }

@@ -4,7 +4,7 @@
 // execution-time splits (Table 5, Figs. 7, 13–14), DRAM traffic and
 // locality studies via memsim (Tables 6–7, Figs. 1, 8–12), analytical
 // model sweeps via model (Fig. 6), and pre-processing cost (Table 8) —
-// plus runners for the §6 extensions (compact IDs, edge-balanced
+// plus runners for the §6 extensions (16-bit ID streams, edge-balanced
 // partitions) and design-choice ablations. Each runner returns a rendered
 // Table carrying the measured values next to the paper's published
 // numbers where they exist, so drift from the reproduction target is

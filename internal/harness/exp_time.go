@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/partition"
+	"repro/internal/png"
 )
 
 // paperTable5 holds the paper's per-iteration times in seconds:
@@ -177,11 +179,23 @@ func Table8(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A graph keeps its layout, and datasets are shared between
+		// runners, so the engine above may not have built one: time a
+		// build of its own, as the paper's one-off cost.
+		layout, err := partition.FromBytes(g.NumNodes(), TimingPartitionBytes)
+		if err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		if _, err := png.Build(g, layout, opt.Workers); err != nil {
+			return nil, err
+		}
+		build := time.Since(start)
 		iter := measure(pcpm, opt.Iterations)
 		pp := paperPre[spec.Name]
 		t.AddRow(spec.Name,
-			ms(secs(pcpm.PreprocessTime())), ms(secs(bvgas.PreprocessTime())), ms(secs(pdpr.PreprocessTime())),
-			f2(secs(pcpm.PreprocessTime())/secs(iter.Total)),
+			ms(secs(build)), ms(secs(bvgas.PreprocessTime())), ms(secs(pdpr.PreprocessTime())),
+			f2(secs(build)/secs(iter.Total)),
 			fmt.Sprintf("%.2fs", pp[0]), fmt.Sprintf("%.2fs", pp[1]))
 	}
 	return t, nil

@@ -194,7 +194,10 @@ func (r *BVGASReplay) Iterate() {
 // reads k² offsets plus |E'| source indices and vertex values (the latter
 // cache-resident per partition), streaming |E'| updates bin-by-bin; the
 // gather streams |E| destination IDs and |E'| updates into a reused
-// partition-sized scratch buffer, then writes ranks back.
+// partition-sized scratch buffer, then writes ranks back. Source indices and
+// destination IDs are accounted at the width the layout stores them in: 2
+// bytes (plus one 8-byte flag word per 64 destination IDs) when its
+// partitions are narrow, the paper's 4 bytes otherwise.
 type PCPMReplay struct {
 	g        *graph.Graph
 	sim      *Sim
@@ -204,24 +207,20 @@ type PCPMReplay struct {
 	val      uint64
 	upd      []uint64
 	did      []uint64
+	flg      []uint64 // per bin: run-flag words of a narrow destination stream
 	scratch  uint64
 	line     uint64
-	destElem uint64 // bytes per destination-ID entry (4, or 2 when compact)
+	srcElem  uint64 // bytes per source index
+	destElem uint64 // bytes per destination-ID entry
+
+	// The logical streams of every bin, decoded once: MSB-tagged global
+	// destination IDs and the global source of each update.
+	ids  [][]uint32
+	srcs [][]graph.NodeID
 }
 
-// NewPCPMReplay lays out the PCPM arrays with 4-byte destination IDs.
+// NewPCPMReplay lays out the PCPM arrays at the element widths of pn.
 func NewPCPMReplay(g *graph.Graph, pn *png.PNG, sim *Sim) *PCPMReplay {
-	return newPCPMReplay(g, pn, sim, elem)
-}
-
-// NewPCPMReplayCompact lays out the PCPM arrays with the 16-bit compact
-// destination encoding (§6's G-Store-style compression), halving the
-// gather's ID stream.
-func NewPCPMReplayCompact(g *graph.Graph, pn *png.PNG, sim *Sim) *PCPMReplay {
-	return newPCPMReplay(g, pn, sim, 2)
-}
-
-func newPCPMReplay(g *graph.Graph, pn *png.PNG, sim *Sim, destElem int64) *PCPMReplay {
 	as := NewAddressSpace(sim.Config().LineBytes)
 	n := int64(g.NumNodes())
 	k := int64(pn.K)
@@ -229,30 +228,38 @@ func newPCPMReplay(g *graph.Graph, pn *png.PNG, sim *Sim, destElem int64) *PCPMR
 		g:        g,
 		sim:      sim,
 		pn:       pn,
-		offs:     as.Alloc(k * k * elem),
-		src:      as.Alloc(pn.EdgesCompressed * elem),
-		val:      as.Alloc(n * elem),
 		upd:      make([]uint64, pn.K),
 		did:      make([]uint64, pn.K),
-		scratch:  0,
+		flg:      make([]uint64, pn.K),
 		line:     uint64(sim.Config().LineBytes),
-		destElem: uint64(destElem),
+		srcElem:  elem,
+		destElem: elem,
+		ids:      make([][]uint32, pn.K),
+		srcs:     make([][]graph.NodeID, pn.K),
 	}
+	if pn.SubSrc16 != nil {
+		r.srcElem = 2
+	}
+	if pn.DestOff != nil {
+		r.destElem = 2
+	}
+	r.offs = as.Alloc(k * k * elem)
+	r.src = as.Alloc(pn.EdgesCompressed * int64(r.srcElem))
+	r.val = as.Alloc(n * elem)
 	for q := 0; q < pn.K; q++ {
+		r.ids[q], r.srcs[q] = pn.DecodeBin(q)
 		r.upd[q] = as.Alloc(pn.UpdateCount[q] * elem)
-		r.did[q] = as.Alloc(int64(len(pn.DestIDs[q])) * destElem)
+		r.did[q] = as.Alloc(int64(len(r.ids[q])) * int64(r.destElem))
+		if pn.DestFlags != nil {
+			r.flg[q] = as.Alloc(int64(len(pn.DestFlags[q])) * 8)
+		}
 	}
 	r.scratch = as.Alloc(int64(pn.Layout.Size()) * elem)
 	return r
 }
 
 // Name implements Replay.
-func (r *PCPMReplay) Name() string {
-	if r.destElem == 2 {
-		return "pcpm-compact"
-	}
-	return "pcpm"
-}
+func (r *PCPMReplay) Name() string { return "pcpm" }
 
 // Iterate implements Replay.
 func (r *PCPMReplay) Iterate() {
@@ -265,11 +272,11 @@ func (r *PCPMReplay) Iterate() {
 	var srcIdx uint64
 	for p := 0; p < k; p++ {
 		off := pn.SubOff[p]
-		srcs := pn.SubSrc[p]
 		for q := 0; q < k; q++ {
 			sim.Read(r.offs+uint64(p*k+q)*elem, elem, StreamOffsets)
-			for _, u := range srcs[off[q]:off[q+1]] {
-				sim.Read(r.src+srcIdx*elem, elem, StreamEdges)
+			group := r.srcs[q][pn.UpdateWriteOff[p*k+q]:][:off[q+1]-off[q]]
+			for _, u := range group {
+				sim.Read(r.src+srcIdx*r.srcElem, int(r.srcElem), StreamEdges)
 				srcIdx++
 				sim.Read(r.val+uint64(u)*elem, elem, StreamValues)
 				if cursor[q]%r.line == 0 {
@@ -287,7 +294,10 @@ func (r *PCPMReplay) Iterate() {
 		lo, hi := pn.Layout.Bounds(q)
 		var uptr uint64
 		first := true
-		for j, id := range pn.DestIDs[q] {
+		for j, id := range r.ids[q] {
+			if pn.DestFlags != nil && j%64 == 0 {
+				sim.Read(r.flg[q]+uint64(j/64)*8, 8, StreamDestIDs)
+			}
 			sim.Read(r.did[q]+uint64(j)*r.destElem, int(r.destElem), StreamDestIDs)
 			if id&graph.MSBMask != 0 {
 				if !first {

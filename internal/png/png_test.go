@@ -2,6 +2,7 @@ package png
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -50,7 +51,7 @@ func TestBuildPaperExample(t *testing.T) {
 	}
 	// Partition 0 nodes {0,1,2,3}: edges 0→4(P1), 1→3(P0), 1→4(P1), 2→5(P1),
 	// 2→8(P2), 3→2(P0). Compressed: 1→P0, 3→P0, 0→P1, 1→P1, 2→P1, 2→P2 = 6.
-	if got := len(p.SubSrc[0]); got != 6 {
+	if got := p.SubOff[0][p.KRows]; got != 6 {
 		t.Fatalf("partition 0 compressed edges = %d, want 6", got)
 	}
 	// Bin 0 updates: from P0 {1,3}, from P1 {6,7}; |updates| = 4.
@@ -65,7 +66,7 @@ func TestBuildPaperExample(t *testing.T) {
 		0 | graph.MSBMask, 1,
 		2 | graph.MSBMask,
 	}
-	got := p.DestIDs[0]
+	got, srcs := p.DecodeBin(0)
 	if len(got) != len(want) {
 		t.Fatalf("bin 0 stream = %v, want %v", got, want)
 	}
@@ -73,6 +74,9 @@ func TestBuildPaperExample(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("bin 0 stream[%d] = %#x, want %#x", i, got[i], want[i])
 		}
+	}
+	if wantSrcs := []graph.NodeID{1, 3, 6, 7}; !slices.Equal(srcs, wantSrcs) {
+		t.Fatalf("bin 0 update sources = %v, want %v", srcs, wantSrcs)
 	}
 }
 
@@ -191,20 +195,13 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 		t.Fatal("parallel build changed |E'|")
 	}
 	for q := 0; q < a.K; q++ {
-		if len(a.DestIDs[q]) != len(b.DestIDs[q]) {
-			t.Fatalf("bin %d length differs", q)
+		aIDs, aSrcs := a.DecodeBin(q)
+		bIDs, bSrcs := b.DecodeBin(q)
+		if !slices.Equal(aIDs, bIDs) {
+			t.Fatalf("bin %d destination stream differs", q)
 		}
-		for i := range a.DestIDs[q] {
-			if a.DestIDs[q][i] != b.DestIDs[q][i] {
-				t.Fatalf("bin %d entry %d differs", q, i)
-			}
-		}
-	}
-	for pi := 0; pi < a.K; pi++ {
-		for i := range a.SubSrc[pi] {
-			if a.SubSrc[pi][i] != b.SubSrc[pi][i] {
-				t.Fatalf("partition %d SubSrc differs at %d", pi, i)
-			}
+		if !slices.Equal(aSrcs, bSrcs) {
+			t.Fatalf("bin %d update sources differ", q)
 		}
 	}
 }
@@ -358,12 +355,9 @@ func TestBuildCSRRectangularWeighted(t *testing.T) {
 	}
 	// Replaying scatter order recovers every (source, row, weight) triple.
 	for q := 0; q < p.KRows; q++ {
-		var srcs []graph.NodeID
-		for pi := 0; pi < p.K; pi++ {
-			srcs = append(srcs, p.SubSrc[pi][p.SubOff[pi][q]:p.SubOff[pi][q+1]]...)
-		}
+		ids, srcs := p.DecodeBin(q)
 		u := -1
-		for j, id := range p.DestIDs[q] {
+		for j, id := range ids {
 			u += int(id >> 31)
 			if want := float32(100*int(srcs[u]) + int(id&graph.IDMask)); p.DestWs[q][j] != want {
 				t.Fatalf("bin %d entry %d: weight %v, want %v", q, j, p.DestWs[q][j], want)

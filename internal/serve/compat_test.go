@@ -23,7 +23,8 @@ const (
 )
 
 // legacyRecompute is a full-vector RecRecompute of "g" against the snapshot
-// at parent, labelled bvgas with compact IDs.
+// at parent, labelled bvgas with the since-retired CompactIDs option set (a
+// key today's options struct no longer has, so the decoder skips it).
 func legacyRecompute(parent uint64, ranks []float32) rawRecord {
 	return rawRecord{wal.RecRecompute, json.RawMessage(fmt.Sprintf(legacyRecMeta, parent)), encodeRanks(ranks)}
 }
@@ -68,14 +69,14 @@ func TestLegacyMethodMetasInstallAsShipped(t *testing.T) {
 		}
 		return dir, lsn
 	}
-	assertInstalled := func(t *testing.T, s *Server, method pcpm.Method, compact bool, ranks []float32) {
+	assertInstalled := func(t *testing.T, s *Server, method pcpm.Method, ranks []float32) {
 		t.Helper()
 		info, err := s.Info("g")
 		if err != nil {
 			t.Fatal(err)
 		}
 		snap := publishedSnap(t, s, "g")
-		if info.Method != method || snap.Options.Method != method || snap.Options.CompactIDs != compact {
+		if info.Method != method || snap.Options.Method != method {
 			t.Errorf("installed as method %q with options %+v, want %q as shipped", info.Method, snap.Options, method)
 		}
 		if !ranksBitEqual(snap.Ranks, ranks) {
@@ -94,7 +95,7 @@ func TestLegacyMethodMetasInstallAsShipped(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := st.Snapshot
-		if got.Method != pcpm.MethodPCPM || got.Options.Method != "" || got.Options.CompactIDs {
+		if got.Method != pcpm.MethodPCPM || got.Options.Method != "" {
 			t.Errorf("recompute reports method %q with options %+v, want a plain pcpm run", got.Method, got.Options)
 		}
 		if !ranksBitEqual(got.Ranks, want.Ranks) {
@@ -109,13 +110,13 @@ func TestLegacyMethodMetasInstallAsShipped(t *testing.T) {
 		if rep, err := a.Recover(); err != nil || rep.Snapshots != 1 {
 			t.Fatalf("Recover: %+v, %v", rep, err)
 		}
-		assertInstalled(t, a, "componentwise", false, snapRanks)
+		assertInstalled(t, a, "componentwise", snapRanks)
 
 		b, rep, err, _ := recoverRaw(t, a, legacyRecompute(lsn, recRanks))
 		if err != nil || rep.Replayed != 1 {
 			t.Fatalf("Recover with the legacy record: %+v, %v", rep, err)
 		}
-		assertInstalled(t, b, "bvgas", true, recRanks)
+		assertInstalled(t, b, "bvgas", recRanks)
 
 		b.computeFn = pcpm.Run
 		assertRecomputesAsPCPM(t, b)
@@ -128,7 +129,7 @@ func TestLegacyMethodMetasInstallAsShipped(t *testing.T) {
 		forbidEngine(t, f)
 		startFollower(t, f)
 		waitCaughtUp(t, lead.srv, f)
-		assertInstalled(t, f, "componentwise", false, snapRanks)
+		assertInstalled(t, f, "componentwise", snapRanks)
 
 		assertRecomputesAsPCPM(t, lead.srv)
 		waitCaughtUp(t, lead.srv, f)
@@ -136,7 +137,7 @@ func TestLegacyMethodMetasInstallAsShipped(t *testing.T) {
 
 		legacyRecompute(publishedSnap(t, lead.srv, "g").WalLSN, recRanks).appendTo(t, lead.srv.wal.Load())
 		waitCaughtUp(t, lead.srv, f)
-		assertInstalled(t, f, "bvgas", true, recRanks)
+		assertInstalled(t, f, "bvgas", recRanks)
 		if st := f.ReplStatus(); st.Corruptions != 0 || st.Bootstraps != 1 {
 			t.Errorf("legacy state disturbed the follower: %+v", st)
 		}

@@ -180,9 +180,9 @@ type inflightRun struct {
 type Config struct {
 	// Defaults are the pcpm options applied when an ingest or recompute
 	// request leaves a knob unset. The zero value means paper defaults. The
-	// daemon runs one solver (PCPM, branch-avoiding gather, 32-bit IDs):
-	// Defaults naming another Method, CompactIDs or BranchingGather fail
-	// every ingest with ErrInvalidOptions.
+	// daemon runs one solver (PCPM, branch-avoiding gather): Defaults naming
+	// another Method or BranchingGather fail every ingest with
+	// ErrInvalidOptions.
 	Defaults pcpm.Options
 	// Logger receives request and recompute logs; nil discards them.
 	Logger *slog.Logger
@@ -671,8 +671,6 @@ func checkOneSolver(o pcpm.Options) error {
 	switch {
 	case o.Method != "" && o.Method != pcpm.MethodPCPM:
 		return fmt.Errorf("%w: method %q: the server runs %q only", ErrInvalidOptions, o.Method, pcpm.MethodPCPM)
-	case o.CompactIDs:
-		return fmt.Errorf("%w: CompactIDs is not a serving option", ErrInvalidOptions)
 	case o.BranchingGather:
 		return fmt.Errorf("%w: BranchingGather is not a serving option", ErrInvalidOptions)
 	}
@@ -760,12 +758,12 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 // coordinator mode the former deploys shard payloads, the latter only
 // re-solves on the already-distributed blocks.
 //
-// Every run is PCPM with the branch-avoiding gather and 32-bit IDs. opts
+// Every run is PCPM with the branch-avoiding gather. opts
 // inherited from a snapshot an older data dir or leader shipped may name
 // another engine or an ablation; that is cleared here, unconsulted, so the
 // published options describe the run.
 func (s *Server) compute(e *entry, g *graph.Graph, stats graph.Stats, dec *scc.Result, opts pcpm.Options, fresh bool) (*Snapshot, error) {
-	opts.Method, opts.CompactIDs, opts.BranchingGather = "", false, false
+	opts.Method, opts.BranchingGather = "", false
 	if s.coord != nil {
 		return s.computeSharded(e, g, stats, dec, opts, fresh)
 	}

@@ -669,7 +669,6 @@ func TestOptionKeysAreOverridesTags(t *testing.T) {
 	// Server defaults that select another solver are refused, not ignored.
 	for _, d := range []pcpm.Options{
 		{Method: pcpm.MethodBVGAS},
-		{CompactIDs: true},
 		{BranchingGather: true},
 	} {
 		s := New(Config{Defaults: d})

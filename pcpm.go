@@ -80,10 +80,6 @@ type Options struct {
 	// BranchingGather selects the Algorithm 2 gather ablation for the PCPM
 	// engines instead of the branch-avoiding Algorithm 4 gather.
 	BranchingGather bool
-	// CompactIDs enables the §6 extension: 16-bit partition-local
-	// destination IDs in the PCPM gather stream (partitions must be at
-	// most 128 KB).
-	CompactIDs bool
 }
 
 // Result reports a completed PageRank computation.
@@ -96,8 +92,11 @@ type Result struct {
 	Delta float64
 	// Stats carries cumulative per-phase wall-clock times.
 	Stats core.PhaseStats
-	// PreprocessTime is the one-off setup cost (PNG construction for PCPM,
-	// bin sizing for BVGAS; zero for the pull/push baselines).
+	// PreprocessTime is the engine's setup cost: bin sizing for BVGAS, zero
+	// for the pull/push baselines. For the PCPM engines it is the PNG build
+	// time (Table 8) only when this Run built the layout — a graph keeps the
+	// layout of its last partition size, so a later Run with the same
+	// PartitionBytes reports just bin and rank-state allocation.
 	PreprocessTime time.Duration
 	// CompressionRatio is r = |E|/|E'| for the PCPM engines, 0 otherwise.
 	CompressionRatio float64
@@ -117,7 +116,6 @@ func (o Options) coreConfig() core.Config {
 	if o.BranchingGather {
 		cfg.Gather = core.GatherBranching
 	}
-	cfg.CompactIDs = o.CompactIDs
 	return cfg
 }
 

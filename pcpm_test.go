@@ -198,27 +198,6 @@ func TestBranchingGatherOption(t *testing.T) {
 	}
 }
 
-func TestCompactIDsOption(t *testing.T) {
-	g := facadeGraph(t)
-	a, err := Run(g, Options{Iterations: 5, PartitionBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(g, Options{Iterations: 5, PartitionBytes: 1024, CompactIDs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Ranks {
-		if a.Ranks[i] != b.Ranks[i] {
-			t.Fatal("compact IDs changed facade results")
-		}
-	}
-	// Oversized partitions must be rejected when compact IDs are requested.
-	if _, err := Run(g, Options{Iterations: 1, PartitionBytes: 512 << 10, CompactIDs: true}); err == nil {
-		t.Skip("graph too small to exceed the compact limit") // n < 128K nodes
-	}
-}
-
 func TestRunPersonalizedThroughFacade(t *testing.T) {
 	g := facadeGraph(t)
 	res, err := RunPersonalized(g, []uint32{0, 7}, PPROptions{TopK: 5, Epsilon: 1e-8})
