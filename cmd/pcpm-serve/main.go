@@ -68,7 +68,7 @@ func main() {
 			"largest accepted graph upload in bytes; POST /v1/graphs bodies past this are rejected with 413 Request Entity Too Large")
 		pprCache = flag.Int("ppr-cache", 128, "personalized-PageRank answers cached per graph (LRU)")
 		pprPool  = flag.Int("ppr-pool", 4,
-			"idle personalized-PageRank engines retained per graph for cache misses (~25 bytes/node each; negative disables pooling)")
+			"idle personalized-PageRank engines retained per graph for cache misses (~17 bytes/node each; negative disables pooling)")
 		maxDelta = flag.Int("max-delta-edges", 100000,
 			"largest edge-update batch (insertions+deletions) accepted by POST /v1/graphs/{name}/edges; bigger batches get 413 (negative removes the limit)")
 		dataDir = flag.String("data-dir", "",

@@ -71,7 +71,8 @@ func (d EdgeDelta) Size() int { return len(d.Insert) + len(d.Delete) }
 
 // Options configure one Apply call. The zero value selects the defaults:
 // damping 0.85, epsilon DefaultEpsilon (1e-6), fallback threshold
-// DefaultFallbackL1 (0.1), single-worker repair.
+// DefaultFallbackL1 (0.1). The repair always runs on one worker: its dense
+// rounds are sequential sweeps and its sparse frontiers are small.
 type Options struct {
 	// Damping is the factor the input ranks were computed with; the repair
 	// must push with the same teleport probability or it converges to a
@@ -88,22 +89,16 @@ type Options struct {
 	// PartitionBytes shapes the push engine's frontier bins, exactly as in
 	// ppr.EngineOptions.
 	PartitionBytes int
-	// Workers bounds the repair's parallelism. The default (0) runs a
-	// single worker, which unlocks the engine's Gauss–Seidel dense sweep —
-	// deterministic and about half the total work of parallel Jacobi
-	// rounds; set Workers > 1 to trade that for intra-repair parallelism on
-	// very large graphs.
-	Workers int
 	// MaxRounds caps push rounds; a repair that hits it reports FellBack
 	// (a truncated repair is not a rank vector worth publishing). Default
 	// ppr.DefaultMaxRounds.
 	MaxRounds int
 	// Engine optionally supplies a prebuilt push engine to reuse across
 	// deltas: it is rebound to the rebuilt graph when compatible (same
-	// node count; the caller is responsible for matching PartitionBytes
-	// and worker width), saving the O(n) scratch allocation every Apply
-	// otherwise pays — the serving layer keeps one per graph. An
-	// incompatible engine falls back to a fresh build.
+	// node count; the caller is responsible for matching PartitionBytes),
+	// saving the O(n) scratch allocation every Apply otherwise pays — the
+	// serving layer keeps one per graph. An incompatible engine falls back
+	// to a fresh build.
 	Engine *ppr.Engine
 	// RedistributeDangling marks that the input ranks were computed with
 	// the dangling-redistribution correction. That formulation's transition
@@ -139,7 +134,7 @@ type Result struct {
 	// seeded vertices) — the quantity compared against FallbackL1.
 	SeedL1 float64
 	// ResidualL1, Rounds, and Pushes summarize the repair drain (zero when
-	// FellBack).
+	// FellBack); Pushes counts every vertex push, sparse or sweep.
 	ResidualL1 float64
 	Rounds     int
 	Pushes     int64
@@ -336,14 +331,10 @@ func Apply(g *graph.Graph, ranks []float32, d EdgeDelta, o Options) (*Result, er
 		}
 	}
 
-	workers := o.Workers
-	if workers == 0 {
-		workers = 1 // single worker selects the Gauss–Seidel dense sweep
-	}
 	t1 := time.Now()
 	eng := o.Engine
 	if eng == nil || eng.Rebind(ng) != nil {
-		eng, err = ppr.New(ng, ppr.EngineOptions{PartitionBytes: o.PartitionBytes, Workers: workers})
+		eng, err = ppr.New(ng, ppr.EngineOptions{PartitionBytes: o.PartitionBytes, Workers: 1})
 		if err != nil {
 			return nil, fmt.Errorf("delta: %w", err)
 		}
@@ -352,8 +343,8 @@ func Apply(g *graph.Graph, ranks []float32, d EdgeDelta, o Options) (*Result, er
 		Damping: damping,
 		Epsilon: epsilon,
 		// Explicit, not inherited: a reused Engine may have been built
-		// wider, and the default contract is a single-worker repair.
-		Workers:       workers,
+		// wider, and a repair is deterministic only on one worker.
+		Workers:       1,
 		MaxRounds:     o.MaxRounds,
 		DenseFraction: denseFraction,
 	})

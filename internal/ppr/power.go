@@ -12,10 +12,7 @@ import (
 // iterating until the L1 change drops below tol (or maxIters). This is the
 // exact fixed point the push engine approximates — dangling mass teleports
 // back to the seed distribution in both — so the two must agree to within
-// their respective tolerances; the golden tests hold them to 1e-6 L1. It is
-// also the reference semantics of the engine's dense-frontier fallback,
-// which performs the same pull over the residual vector instead of the
-// estimate.
+// their respective tolerances; the golden tests hold them to 1e-6 L1.
 func PowerIteration(g *graph.Graph, seeds []graph.NodeID, damping, tol float64, maxIters int) ([]float64, error) {
 	if damping == 0 {
 		damping = DefaultDamping

@@ -24,9 +24,11 @@
 // each destination partition's updates with exclusive ownership — no atomics,
 // and a partition's residual range stays cache-resident while it drains.
 // When the frontier grows past a configurable fraction of the vertices the
-// round falls back to a dense residual power iteration (a full pull over
-// CSC), which touches every edge once and is cheaper than sparse bookkeeping
-// on dense frontiers.
+// round becomes one sequential in-place push sweep over the vertices in ID
+// order (Engine.sweep): out-shares land straight in r, so mass pushed at v
+// is pushed on by every later vertex within the same pass — the asynchrony
+// Zhang et al. take their gains from — and no frontier is kept while rounds
+// stay dense.
 //
 // Estimates and residuals are accumulated in float64 — unlike the global
 // engines, which follow the paper's 4-byte values — because per-query PPR
@@ -36,6 +38,7 @@ package ppr
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -57,9 +60,9 @@ const (
 	// 4-byte values = 64K nodes per frontier bin).
 	DefaultPartitionBytes = partition.DefaultBytes
 	// DefaultDenseFraction is the frontier share of |V| beyond which a round
-	// switches from sparse partition-centric push to the dense pull fallback.
+	// switches from sparse partition-centric push to the dense push sweep.
 	DefaultDenseFraction = 0.125
-	// DefaultMaxRounds caps the scatter/gather rounds of one query.
+	// DefaultMaxRounds caps the rounds (sparse or sweep) of one query.
 	DefaultMaxRounds = 10000
 	// minActivePerWorker is the frontier size one extra worker must bring
 	// to a sparse round before it pays for its scheduling overhead: rounds
@@ -112,16 +115,17 @@ type RunOptions struct {
 	// for callers that consume only Result.Top — the serving layer does.
 	// Requires TopK > 0.
 	TopOnly bool
-	// Workers bounds this query's parallelism; 0 means the engine's full
-	// width, and larger requests are clamped to it. Batch schedulers set 1
-	// to trade intra-query for cross-query parallelism.
+	// Workers bounds the parallelism of this query's sparse rounds (dense
+	// sweeps are sequential); 0 means the engine's full width, and larger
+	// requests are clamped to it. Batch schedulers set 1 to trade
+	// intra-query for cross-query parallelism.
 	Workers int
-	// DenseFraction is the active-vertex share of |V| at which a round
-	// uses the dense power-iteration fallback instead of sparse push
-	// (default 0.125). Set >= 1 to force sparse rounds, or negative to
-	// force every round dense.
+	// DenseFraction is the active-vertex share of |V| above which a round
+	// is one in-place push sweep over all vertices instead of a sparse
+	// scatter/gather round (default 0.125). Set >= 1 to force sparse
+	// rounds, or negative to force every round dense.
 	DenseFraction float64
-	// MaxRounds caps scatter/gather rounds per query (default 10000); the
+	// MaxRounds caps rounds, sparse or sweep, per query (default 10000); the
 	// engine returns its current estimate with Truncated set when hit.
 	MaxRounds int
 }
@@ -214,10 +218,10 @@ type Result struct {
 	// Top holds the Options.TopK highest-scoring vertices in descending
 	// order (ties broken by node ID); nil when TopK was 0.
 	Top []Entry
-	// Rounds is the number of scatter/gather rounds executed; SparseRounds
-	// and DenseRounds split it by kind.
+	// Rounds is the number of rounds executed; SparseRounds (scatter/gather)
+	// and DenseRounds (sweeps) split it by kind.
 	Rounds, SparseRounds, DenseRounds int
-	// Pushes counts vertex pushes across sparse rounds.
+	// Pushes counts every vertex push, in sparse rounds and sweeps alike.
 	Pushes int64
 	// ResidualL1 is the undelivered residual mass at termination — an
 	// upper bound on the L1 distance to the exact answer.
@@ -238,7 +242,7 @@ type update struct {
 
 // Engine holds only the graph-shaped scratch state of the push computation
 // (score/residual arrays, frontier bins, per-worker scatter buffers) — about
-// 25 bytes per node plus the frontier structures. Nothing query-specific is
+// 17 bytes per node plus the frontier structures. Nothing query-specific is
 // baked in at construction, so one Engine serves queries with any mix of
 // RunOptions and a caller serving many queries over one graph (or a pool of
 // borrowed engines, like the serving layer) reuses its allocations. An
@@ -249,8 +253,7 @@ type Engine struct {
 	layout partition.Layout
 	width  int // worker capacity fixed at New; Run clamps to it
 
-	p, r   []float64 // estimate and residual, indexed by node
-	scaled []float64 // dense rounds: r[v]/outdeg(v) scratch
+	p, r []float64 // estimate and residual, indexed by node
 
 	frontier   [][]graph.NodeID // per-partition active-vertex bins
 	inFrontier []bool
@@ -259,13 +262,10 @@ type Engine struct {
 	bufs     [][][]update
 	dangling []float64 // per-worker dangling residual accumulators
 	pushes   []int64   // per-worker push counters
-	// Per-round accumulator scratch, sized by width. Keeping these on the
-	// engine (instead of allocating per round) matters because a query can
-	// run thousands of rounds: delivered collects per-worker pushed mass in
-	// sparse rounds and residual mass in dense ones; bounds is the static
-	// range split reused by every dense round of one Run.
+	// delivered collects per-worker pushed mass in sparse rounds. Kept on
+	// the engine (instead of allocated per round) because a query can run
+	// thousands of rounds.
 	delivered []float64
-	bounds    []int
 }
 
 // New builds an Engine for g. Only the scratch shape is fixed here; every
@@ -291,14 +291,12 @@ func New(g *graph.Graph, opts EngineOptions) (*Engine, error) {
 		width:      opts.Workers,
 		p:          make([]float64, n),
 		r:          make([]float64, n),
-		scaled:     make([]float64, n),
 		frontier:   make([][]graph.NodeID, layout.K()),
 		inFrontier: make([]bool, n),
 		bufs:       make([][][]update, opts.Workers),
 		dangling:   make([]float64, opts.Workers),
 		pushes:     make([]int64, opts.Workers),
 		delivered:  make([]float64, opts.Workers),
-		bounds:     make([]int, opts.Workers+1),
 	}
 	for w := range e.bufs {
 		e.bufs[w] = make([][]update, layout.K())
@@ -390,7 +388,7 @@ func (e *Engine) Run(seeds []graph.NodeID, ro RunOptions) (*Result, error) {
 	res := &Result{}
 	rs := &roundState{alpha: 1 - ro.Damping, thresh: thresh, seedW: seedW, seeds: seedSet}
 	e.drain(rs, ro, workers, 1, res)
-	e.finish(rs, res, ro, start)
+	e.finish(res, ro, start)
 	return res, nil
 }
 
@@ -462,13 +460,16 @@ func (e *Engine) Repair(estimate []float32, seeds []ResidualSeed, ro RunOptions)
 	res := &Result{}
 	rs := &roundState{alpha: 1 - ro.Damping, thresh: thresh, signed: true}
 	e.drain(rs, ro, workers, residual, res)
-	e.finish(rs, res, ro, start)
+	e.finish(res, ro, start)
 	return res, nil
 }
 
-// drain is the shared scatter/gather round loop of Run and Repair. residual
-// enters as an upper bound on the remaining |r| mass and is maintained as
-// one across rounds.
+// drain is the shared round loop of Run and Repair. residual enters as an
+// upper bound on the remaining |r| mass and is kept one without re-summing r:
+// every push removes at least the mass it delivers (exactly that when
+// unsigned, more when signed residuals cancel). Before the loop stops it
+// takes the exact figure into res.ResidualL1 and goes on if rounding left
+// that above Epsilon, so only a run that hit MaxRounds can end Truncated.
 func (e *Engine) drain(rs *roundState, ro RunOptions, workers int, residual float64, res *Result) {
 	// The phase closures are created once per drain and reused by every
 	// round: a query can run thousands of rounds, and closure construction
@@ -476,33 +477,38 @@ func (e *Engine) drain(rs *roundState, ro RunOptions, workers int, residual floa
 	// allocations.
 	scatter := func(w, sp int) { e.scatterPartition(rs, w, sp) }
 	gather := func(dp int) { e.gatherPartition(rs, dp) }
-	denseScale := func(w, lo, hi int) { e.denseScale(rs, w, lo, hi) }
-	densePullRebuild := func(w, pi int) { e.densePullRebuild(rs, w, pi) }
-	for res.Rounds < ro.MaxRounds {
-		active := 0
-		for _, f := range e.frontier {
-			active += len(f)
-		}
-		if active == 0 || residual <= ro.Epsilon {
-			break
+	denseAbove := ro.DenseFraction * float64(e.g.NumNodes())
+	active := e.frontierSize()
+	for {
+		stop := active == 0 || res.Rounds >= ro.MaxRounds
+		if stop || residual <= ro.Epsilon {
+			res.ResidualL1 = residualMass(e.r, rs.signed)
+			if stop || res.ResidualL1 <= ro.Epsilon {
+				return
+			}
+			residual = res.ResidualL1
 		}
 		res.Rounds++
-		if float64(active) > ro.DenseFraction*float64(e.g.NumNodes()) {
-			// Dense rounds touch every vertex, so they always justify the
-			// full worker set.
+		if float64(active) > denseAbove {
+			// While rounds stay dense nothing reads the frontier: the bins
+			// stay empty and the last sweep's push count stands in for the
+			// active count. Only when it falls to the dense bar does one
+			// pass re-bin the vertices for the sparse rounds.
 			res.DenseRounds++
-			rs.workers = workers
-			if rs.signed && workers == 1 {
-				// Single-worker Repair rounds use a Gauss–Seidel push sweep:
-				// updates apply immediately, so mass pushed at vertex v
-				// propagates through later vertices within the same sweep —
-				// same invariant, roughly half the sweeps of the Jacobi pull.
-				// Kept out of the (unsigned) query path so a cached PPR
-				// answer never depends on which worker width computed it
-				// beyond float ordering.
-				residual = e.gaussSeidelRound(rs)
+			e.clearFrontier()
+			delivered, pushed := e.sweep(rs)
+			if rs.signed {
+				// Shares of opposite sign cancel inside r, which the running
+				// bound cannot see and a repair's stopping round depends on:
+				// a repair pays the O(n) re-sum per sweep, a query does not.
+				residual = residualMass(e.r, true)
 			} else {
-				residual = e.denseRound(rs, denseScale, densePullRebuild)
+				residual -= delivered
+			}
+			e.pushes[0] += int64(pushed)
+			active = pushed
+			if float64(active) <= denseAbove {
+				active = e.rebuildFrontier(rs)
 			}
 		} else {
 			res.SparseRounds++
@@ -511,17 +517,17 @@ func (e *Engine) drain(rs *roundState, ro RunOptions, workers int, residual floa
 				rs.workers = lim
 			}
 			residual -= e.sparseRound(rs, scatter, gather)
+			active = e.frontierSize()
 		}
 	}
 }
 
 // finish materializes the Result fields shared by Run and Repair.
-func (e *Engine) finish(rs *roundState, res *Result, ro RunOptions, start time.Time) {
+func (e *Engine) finish(res *Result, ro RunOptions, start time.Time) {
 	if !ro.TopOnly {
 		res.Scores = make([]float64, len(e.p))
 		copy(res.Scores, e.p)
 	}
-	res.ResidualL1 = residualMass(e.r, rs.signed)
 	res.Truncated = res.ResidualL1 > ro.Epsilon
 	for _, c := range e.pushes {
 		res.Pushes += c
@@ -570,10 +576,7 @@ func (e *Engine) addResidual(v graph.NodeID, mass, thresh float64) {
 type roundState struct {
 	alpha, thresh, seedW float64
 	seeds                []graph.NodeID
-	workers              int // worker count of the current round
-	// tele is the per-seed dangling teleport of the dense round in flight,
-	// precomputed between the scale and pull phases.
-	tele float64
+	workers              int // worker count of the sparse round in flight
 	// signed selects Repair semantics: residuals may be negative (activation
 	// and accounting use |r|), and dangling residual mass leaks instead of
 	// teleporting to the seed distribution (seeds is nil).
@@ -684,190 +687,91 @@ func (e *Engine) gatherPartition(rs *roundState, dp int) {
 	}
 }
 
-// denseRound performs one residual power iteration — push every vertex at
-// once via a pull over CSC — and returns the remaining residual mass. It is
-// the fallback for frontiers too dense for sparse bookkeeping to pay off.
-// scale and pullRebuild are the Run-hoisted wrappers around the two phase
-// bodies below.
-func (e *Engine) denseRound(rs *roundState, scale func(w, lo, hi int), pullRebuild func(w, pi int)) float64 {
-	n, workers := e.g.NumNodes(), rs.workers
-	bounds := staticBounds(e.bounds, n, workers)
-
-	// Deliver α·r into the estimate and scale residuals by out-degree for
-	// the pull; collect dangling residual on the side. dangling doubles as
-	// this phase's per-worker accumulator: sparse rounds leave it zeroed.
-	par.ForRanges(bounds, scale)
-	var dmass float64
-	for w := 0; w < workers; w++ {
-		dmass += e.dangling[w]
-		e.dangling[w] = 0
-	}
-	// In signed (Repair) mode dangling mass leaks: dmass is simply dropped
-	// instead of teleporting to the seeds.
-	rs.tele = 0
-	if !rs.signed && dmass > 0 {
-		rs.tele = (1 - rs.alpha) * dmass * rs.seedW
-	}
-
-	// Pull the next residual and rebuild the frontier bins in one pass:
-	// the pull reads only scaled, so each partition owner writes r in place
-	// — no second residual array, no swap, no separate rebuild sweep.
-	residW := e.delivered[:workers]
-	clear(residW)
-	par.ForDynamicWorker(e.layout.K(), workers, pullRebuild)
-	var resid float64
-	for _, rr := range residW {
-		resid += rr
-	}
-	return resid
-}
-
-// denseScale is the first dense phase over one static vertex range.
-func (e *Engine) denseScale(rs *roundState, w, lo, hi int) {
-	outOff := e.g.OutOffsets()
-	alpha := rs.alpha
-	var dmass float64
-	for v := lo; v < hi; v++ {
-		rv := e.r[v]
-		e.p[v] += alpha * rv
-		if deg := outOff[v+1] - outOff[v]; deg > 0 {
-			e.scaled[v] = rv / float64(deg)
-		} else {
-			e.scaled[v] = 0
-			dmass += rv
-		}
-	}
-	e.dangling[w] += dmass
-}
-
-// densePullRebuild computes partition pi's next residuals via the CSC pull,
-// applies the dangling teleport to its seeds, and reconstitutes its
-// frontier bin — all as the partition's exclusive owner, worker w.
-func (e *Engine) densePullRebuild(rs *roundState, w, pi int) {
-	lo, hi := e.layout.Bounds(pi)
-	inOff, inAdj := e.g.InOffsets(), e.g.InAdjacency()
-	f := e.frontier[pi][:0]
-	var seeds []graph.NodeID
-	if rs.tele > 0 {
-		s := rs.seeds
-		i := sort.Search(len(s), func(i int) bool { return s[i] >= lo })
-		j := sort.Search(len(s), func(i int) bool { return s[i] >= hi })
-		seeds = s[i:j]
-	}
-	si := 0
-	var resid float64
-	for v := lo; v < hi; v++ {
-		var sum float64
-		for _, u := range inAdj[inOff[v]:inOff[v+1]] {
-			sum += e.scaled[u]
-		}
-		nr := (1 - rs.alpha) * sum
-		if si < len(seeds) && v == seeds[si] {
-			nr += rs.tele
-			si++
-		}
-		e.r[v] = nr
-		mag := nr
-		if rs.signed && mag < 0 {
-			mag = -mag
-		}
-		resid += mag
-		if mag > rs.thresh {
-			e.inFrontier[v] = true
-			f = append(f, v)
-		} else {
-			e.inFrontier[v] = false
-		}
-	}
-	e.frontier[pi] = f
-	e.delivered[w] += resid
-}
-
-// gaussSeidelRound performs one dense round as a sequential in-place push
-// sweep: every active vertex is pushed once in ID order with its updates
-// applied immediately, so residual mass entering a later vertex still gets
-// pushed within the same sweep. The push invariant is order-agnostic, so
-// this computes the same fixed point as the Jacobi pull — it just drains
-// faster per O(m) sweep. Sequential by construction: only used when the
-// round runs a single worker.
-func (e *Engine) gaussSeidelRound(rs *roundState) float64 {
+// sweep performs one dense round as a single in-place push pass: every
+// vertex whose |residual| is above the threshold when the pass reaches it, in
+// ID order, moves α·r into the estimate and adds its out-shares straight into
+// r, so mass entering a later vertex is pushed on within the same pass. The
+// push invariant is order-agnostic, so the sweep lands on the same fixed point
+// as a synchronous round in fewer passes. Dangling mass is folded into the
+// seeds once after the pass (unsigned) or leaks (signed). It returns the mass
+// that left the residual system and the number of pushes. Sequential at every
+// worker count: the answer does not depend on the width that computed it.
+func (e *Engine) sweep(rs *roundState) (delivered float64, pushed int) {
 	outOff, outAdj := e.g.OutOffsets(), e.g.OutAdjacency()
 	alpha, thresh := rs.alpha, rs.thresh
-	n := e.g.NumNodes()
+	p, r := e.p, e.r
 	var dmass float64
-	var pushed int64
-	for v := 0; v < n; v++ {
-		rv := e.r[v]
-		mag := rv
-		if rs.signed && mag < 0 {
-			mag = -mag
-		}
+	for v := range r {
+		rv := r[v]
+		mag := math.Abs(rv)
 		if mag <= thresh {
 			continue
 		}
-		e.r[v] = 0
-		e.p[v] += alpha * rv
+		r[v] = 0
+		p[v] += alpha * rv
+		delivered += alpha * mag
 		pushed++
 		lo, hi := outOff[v], outOff[v+1]
 		if lo == hi {
-			// Collected in full here; the α-delivery already happened and the
-			// teleport below applies the (1−α) factor. Signed mode leaks.
-			if !rs.signed {
+			if rs.signed {
+				delivered += (1 - alpha) * mag
+			} else {
 				dmass += rv
 			}
 			continue
 		}
 		share := (1 - alpha) * rv / float64(hi-lo)
 		for _, u := range outAdj[lo:hi] {
-			e.r[u] += share
+			r[u] += share
 		}
 	}
-	e.pushes[0] += pushed
-	if !rs.signed && dmass > 0 {
+	if dmass > 0 {
 		tele := (1 - alpha) * dmass * rs.seedW
 		for _, s := range rs.seeds {
-			e.r[s] += tele
+			r[s] += tele
 		}
 	}
-	// Rebuild the frontier bins and the exact remaining residual.
-	var resid float64
-	for pi := 0; pi < e.layout.K(); pi++ {
+	return delivered, pushed
+}
+
+// frontierSize counts the binned active vertices.
+func (e *Engine) frontierSize() int {
+	active := 0
+	for _, f := range e.frontier {
+		active += len(f)
+	}
+	return active
+}
+
+// clearFrontier empties the bins on the way into a dense round; free while
+// rounds stay dense, because the bins then stay empty.
+func (e *Engine) clearFrontier() {
+	for pi, f := range e.frontier {
+		for _, v := range f {
+			e.inFrontier[v] = false
+		}
+		e.frontier[pi] = f[:0]
+	}
+}
+
+// rebuildFrontier re-bins every vertex above the threshold after the last
+// dense round, handing back to the sparse rounds; the bins must be empty. It
+// returns the active count.
+func (e *Engine) rebuildFrontier(rs *roundState) int {
+	active := 0
+	for pi := range e.frontier {
 		lo, hi := e.layout.Bounds(pi)
-		f := e.frontier[pi][:0]
+		f := e.frontier[pi]
 		for v := lo; v < hi; v++ {
-			rv := e.r[v]
-			if rs.signed && rv < 0 {
-				rv = -rv
-			}
-			resid += rv
-			if rv > thresh {
+			if math.Abs(e.r[v]) > rs.thresh {
 				e.inFrontier[v] = true
 				f = append(f, v)
-			} else {
-				e.inFrontier[v] = false
 			}
 		}
 		e.frontier[pi] = f
+		active += len(f)
 	}
-	return resid
-}
-
-// staticBounds splits [0, n) into one contiguous range per worker, writing
-// into the engine-owned scratch in the []int bounds form par.ForRanges
-// consumes.
-func staticBounds(scratch []int, n, workers int) []int {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	b := scratch[:workers+1]
-	b[0] = 0
-	for w := 1; w <= workers; w++ {
-		b[w] = w * n / workers
-	}
-	return b
+	return active
 }
 
 func residualMass(r []float64, signed bool) float64 {
@@ -932,7 +836,7 @@ func RunBatch(g *graph.Graph, seedSets [][]graph.NodeID, opts Options) ([]*Resul
 	results := make([]*Result, len(seedSets))
 	errs := make([]error, len(seedSets))
 	// One lazily-built engine per worker: each worker reuses its scratch
-	// state (five O(n) slices plus frontier bins) across all the queries it
+	// state (three O(n) slices plus frontier bins) across all the queries it
 	// drains, instead of reallocating per query.
 	engines := make([]*Engine, par.Workers(workers))
 	par.ForDynamicWorker(len(seedSets), workers, func(w, i int) {

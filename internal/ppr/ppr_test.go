@@ -113,18 +113,31 @@ func TestGoldenSparseAndDenseAgree(t *testing.T) {
 	}
 }
 
+// TestScoresSumToOneMinusResidual is the mass invariant of the unsigned
+// drain on every generator family, under the default schedule and with every
+// round a sweep: pushes and the dangling fold only move mass, so Σp + Σr
+// stays 1, and a run that was not round-capped ends with its residual under
+// the requested epsilon.
 func TestScoresSumToOneMinusResidual(t *testing.T) {
-	g := testGraphs(t)["er"]
-	res, err := Run(g, []graph.NodeID{1}, Options{Epsilon: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, s := range res.Scores {
-		sum += s
-	}
-	if math.Abs(sum+res.ResidualL1-1) > 1e-9 {
-		t.Fatalf("scores sum %g + residual %g != 1", sum, res.ResidualL1)
+	for name, g := range testGraphs(t) {
+		for _, denseFraction := range []float64{0, -1} {
+			res, err := Run(g, []graph.NodeID{1}, Options{
+				Epsilon: 1e-8, PartitionBytes: 1 << 10, DenseFraction: denseFraction,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			for _, s := range res.Scores {
+				sum += s
+			}
+			if math.Abs(sum+res.ResidualL1-1) > 1e-12 {
+				t.Fatalf("%s dense %v: scores sum %g + residual %g != 1", name, denseFraction, sum, res.ResidualL1)
+			}
+			if res.ResidualL1 > 1e-8 {
+				t.Fatalf("%s dense %v: residual %g above epsilon after %d rounds", name, denseFraction, res.ResidualL1, res.Rounds)
+			}
+		}
 	}
 }
 
@@ -325,21 +338,37 @@ func TestTruncatedFlag(t *testing.T) {
 	}
 }
 
+// BenchmarkPushSingleSeed runs default-epsilon single-seed queries on the
+// serving family at its benchmark size (bench's serve_read graph), where a
+// query is a handful of sparse rounds and then sweeps: rounds/op and ns/edge
+// are the kernel's numbers. Edges traversed are taken as pushes × mean
+// out-degree, which is exact to a few percent because almost all pushes
+// happen in sweeps that push almost every vertex.
 func BenchmarkPushSingleSeed(b *testing.B) {
-	g, err := gen.RMAT(gen.Graph500RMAT(12, 8, 3), graph.BuildOptions{})
+	g, err := gen.PreferentialAttachmentMix(1<<17, 8, 0.2, 11, graph.BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := New(g, EngineOptions{})
+	e, err := New(g, EngineOptions{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	var rounds, pushes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run([]graph.NodeID{graph.NodeID(i % g.NumNodes())}, RunOptions{Epsilon: 1e-6}); err != nil {
+		// Counting down from the newest vertex: the family's oldest few
+		// reach nothing, and a -benchtime=1x smoke must run sweeps.
+		seed := graph.NodeID(g.NumNodes() - 1 - i*7919%g.NumNodes())
+		res, err := e.Run([]graph.NodeID{seed}, RunOptions{TopK: 10})
+		if err != nil {
 			b.Fatal(err)
 		}
+		rounds += int64(res.Rounds)
+		pushes += res.Pushes
 	}
+	edges := float64(pushes) * float64(g.NumEdges()) / float64(g.NumNodes())
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/edges, "ns/edge")
 }
 
 func BenchmarkBatch16(b *testing.B) {

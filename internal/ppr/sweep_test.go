@@ -1,0 +1,247 @@
+package ppr
+
+import (
+	"math"
+	"math/rand/v2"
+	"testing"
+
+	"repro/internal/graph"
+)
+
+// starIntoChain builds a graph whose frontier saturates and then drains: the
+// hub (vertex 0) fans out to leaves, every leaf points at the head of a chain
+// and the chain runs towards LOWER IDs, so an ascending sweep cannot carry
+// mass down it within one pass. The chain's tail is dangling, which sends the
+// mass back to a hub seed and starts the cycle again.
+func starIntoChain(t testing.TB, leaves, chain int) *graph.Graph {
+	t.Helper()
+	n := 1 + chain + leaves
+	head := graph.NodeID(chain) // chain occupies IDs chain, chain-1, …, 1
+	var edges []graph.Edge
+	for i := 0; i < leaves; i++ {
+		leaf := graph.NodeID(1 + chain + i)
+		edges = append(edges, graph.Edge{Src: 0, Dst: leaf}, graph.Edge{Src: leaf, Dst: head})
+	}
+	for v := head; v > 1; v-- {
+		edges = append(edges, graph.Edge{Src: v, Dst: v - 1})
+	}
+	g, err := graph.FromEdges(n, edges, false, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestDenseRoundsHandBackToSparse drives the return path: hub (sparse), the
+// leaves (sweep), the chain head alone (sweep, push count under the dense bar
+// → rebuildFrontier), then the chain one vertex per sparse round.
+func TestDenseRoundsHandBackToSparse(t *testing.T) {
+	g := starIntoChain(t, 64, 8)
+	seeds := []graph.NodeID{0}
+	opts := Options{Epsilon: 1e-9, PartitionBytes: 1 << 7, Workers: 2}
+
+	opts.MaxRounds = 4
+	capped, err := Run(g, seeds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.SparseRounds != 2 || capped.DenseRounds != 2 {
+		t.Fatalf("first four rounds: %d sparse, %d dense; want hub, two sweeps, then a sparse round off the rebuilt bins",
+			capped.SparseRounds, capped.DenseRounds)
+	}
+	if capped.Pushes != 1+64+1+1 {
+		t.Fatalf("pushes = %d, want hub + 64 leaves + chain head + its successor", capped.Pushes)
+	}
+
+	opts.MaxRounds = 0
+	full, err := Run(g, seeds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Truncated || full.ResidualL1 > opts.Epsilon {
+		t.Fatalf("full run: truncated %v, residual %g", full.Truncated, full.ResidualL1)
+	}
+	if full.DenseRounds <= 2 || full.SparseRounds <= full.DenseRounds {
+		t.Fatalf("full run: %d sparse, %d dense; want the cycle to repeat with the chain sparse", full.SparseRounds, full.DenseRounds)
+	}
+	want, err := PowerIteration(g, seeds, 0, 1e-13, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := l1(full.Scores, want); d > 1e-6 {
+		t.Fatalf("push vs power L1 = %g", d)
+	}
+}
+
+// TestTruncatedMeansResidualAboveEpsilon is the termination property: over
+// families × seeds × epsilons, capped and uncapped, Truncated says exactly
+// that the residual is above epsilon, and only a run that used up its rounds
+// can say it — the loop's running bound never ends a run early by rounding.
+func TestTruncatedMeansResidualAboveEpsilon(t *testing.T) {
+	for name, g := range testGraphs(t) {
+		r := rand.New(rand.NewPCG(5, uint64(g.NumNodes())))
+		for trial := 0; trial < 4; trial++ {
+			seeds := []graph.NodeID{graph.NodeID(r.IntN(g.NumNodes())), graph.NodeID(r.IntN(g.NumNodes()))}
+			for _, eps := range []float64{1e-4, 1e-7, 1e-9} {
+				for _, maxRounds := range []int{0, 3, 40} {
+					res, err := Run(g, seeds, Options{Epsilon: eps, MaxRounds: maxRounds, PartitionBytes: 1 << 10, Workers: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if maxRounds == 0 {
+						maxRounds = DefaultMaxRounds
+					}
+					if res.Truncated != (res.ResidualL1 > eps) {
+						t.Fatalf("%s seeds %v eps %g: truncated %v with residual %g", name, seeds, eps, res.Truncated, res.ResidualL1)
+					}
+					if res.Truncated && res.Rounds < maxRounds {
+						t.Fatalf("%s seeds %v eps %g: truncated after %d of %d rounds", name, seeds, eps, res.Rounds, maxRounds)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDanglingHeavySweepMatchesPowerIteration: half the vertices have no
+// out-edges, so every sweep collects a large dangling mass and folds it into
+// the seeds once, after the pass — not per push as a sparse round's gather
+// would see it. The fixed point is the same.
+func TestDanglingHeavySweepMatchesPowerIteration(t *testing.T) {
+	const n = 600
+	r := rand.New(rand.NewPCG(31, 7))
+	edges := make([]graph.Edge, 0, 4*n)
+	for i := 0; i < 4*n; i++ {
+		edges = append(edges, graph.Edge{Src: graph.NodeID(r.IntN(n / 2)), Dst: graph.NodeID(r.IntN(n))})
+	}
+	g, err := graph.FromEdges(n, edges, false, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []graph.NodeID{3, 250, 599} // 599 is itself dangling
+	want, err := PowerIteration(g, seeds, 0, 1e-13, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, denseFraction := range []float64{0, -1} {
+		res, err := Run(g, seeds, Options{Epsilon: 1e-9, DenseFraction: denseFraction, PartitionBytes: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DenseRounds == 0 {
+			t.Fatalf("dense fraction %v: no sweep ran", denseFraction)
+		}
+		if d := l1(res.Scores, want); d > 1e-6 {
+			t.Fatalf("dense fraction %v: push vs power L1 = %g", denseFraction, d)
+		}
+	}
+}
+
+// leakySolve is the from-scratch reference for Repair: the response of the
+// leaky (dangling mass vanishes) PageRank system to a signed seeding,
+// π(r) = α · Σ_k ((1−α)·M)^k · r, summed until the tail is below 1e-15.
+func leakySolve(g *graph.Graph, seeds []ResidualSeed, damping float64) []float64 {
+	n := g.NumNodes()
+	alpha := 1 - damping
+	cur, next, x := make([]float64, n), make([]float64, n), make([]float64, n)
+	for _, s := range seeds {
+		cur[s.Node] += s.Mass
+	}
+	for {
+		var mass float64
+		clear(next)
+		for v := 0; v < n; v++ {
+			x[v] += alpha * cur[v]
+			mass += math.Abs(cur[v])
+			out := g.OutNeighbors(graph.NodeID(v))
+			for _, u := range out {
+				next[u] += (1 - alpha) * cur[v] / float64(len(out))
+			}
+		}
+		if mass < 1e-15 {
+			return x
+		}
+		cur, next = next, cur
+	}
+}
+
+// TestRepairCancellingSeeds seeds what an insert and a delete of the same
+// mass leave behind — equal and opposite residuals that partly cancel as they
+// spread — on top of a non-zero estimate. The repaired vector must sit within
+// the reported residual of estimate + π(r), and the running bound (which
+// ignores cancellation) must not cost rounds: the counts pinned here are the
+// parent commit's on the same inputs, where single-worker Repair already
+// swept in place.
+func TestRepairCancellingSeeds(t *testing.T) {
+	parentRounds := map[string]int{"er": 44, "rmat": 45, "pa": 10, "copying": 61, "dag-communities": 45}
+	for name, g := range testGraphs(t) {
+		n := g.NumNodes()
+		estimate := make([]float32, n)
+		for i := range estimate {
+			estimate[i] = 1 / float32(n)
+		}
+		seeds := []ResidualSeed{
+			{Node: graph.NodeID(n - 1), Mass: 0.05}, {Node: graph.NodeID(n - 2), Mass: -0.05},
+			{Node: graph.NodeID(n / 2), Mass: 0.02}, {Node: graph.NodeID(n / 3), Mass: -0.02},
+		}
+		e, err := New(g, EngineOptions{PartitionBytes: 1 << 10, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Repair(estimate, seeds, RunOptions{Epsilon: 1e-9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Truncated || res.ResidualL1 > 1e-9 {
+			t.Fatalf("%s: truncated %v, residual %g", name, res.Truncated, res.ResidualL1)
+		}
+		want := leakySolve(g, seeds, DefaultDamping)
+		for i := range want {
+			want[i] += float64(estimate[i])
+		}
+		if d := l1(res.Scores, want); d > res.ResidualL1+1e-12 {
+			t.Fatalf("%s: repair vs from-scratch L1 = %g, above its residual %g", name, d, res.ResidualL1)
+		}
+		if res.Rounds > parentRounds[name] {
+			t.Fatalf("%s: %d rounds, parent took %d", name, res.Rounds, parentRounds[name])
+		}
+	}
+}
+
+// TestWidthIndependentAnswers: sweeps are sequential, so only the sparse
+// rounds' float ordering may differ between a width-1 and a width-2 engine —
+// for Run and for Repair. Run under -race, it also exercises the sparse
+// rounds on both sides of a rebuildFrontier hand-back with two workers.
+func TestWidthIndependentAnswers(t *testing.T) {
+	graphs := testGraphs(t)
+	graphs["star-into-chain"] = starIntoChain(t, 300, 8)
+	for name, g := range graphs {
+		n := g.NumNodes()
+		estimate := make([]float32, n)
+		repairSeeds := []ResidualSeed{{Node: graph.NodeID(n - 1), Mass: 0.03}, {Node: 0, Mass: -0.03}, {Node: graph.NodeID(n / 2), Mass: 0.01}}
+		var runs, repairs [2]*Result
+		for i, width := range []int{1, 2} {
+			e, err := New(g, EngineOptions{PartitionBytes: 1 << 8, Workers: width})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runs[i], err = e.Run([]graph.NodeID{0, graph.NodeID(n - 1)}, RunOptions{Epsilon: 1e-9, TopK: 10}); err != nil {
+				t.Fatal(err)
+			}
+			if repairs[i], err = e.Repair(estimate, repairSeeds, RunOptions{Epsilon: 1e-9}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := l1(runs[0].Scores, runs[1].Scores); d > 1e-9 {
+			t.Fatalf("%s: Run at width 1 vs 2: L1 = %g", name, d)
+		}
+		for j := range runs[0].Top {
+			if runs[0].Top[j].Node != runs[1].Top[j].Node {
+				t.Fatalf("%s: top-10 entry %d is vertex %d at width 1, %d at width 2", name, j, runs[0].Top[j].Node, runs[1].Top[j].Node)
+			}
+		}
+		if d := l1(repairs[0].Scores, repairs[1].Scores); d > 1e-9 {
+			t.Fatalf("%s: Repair at width 1 vs 2: L1 = %g", name, d)
+		}
+	}
+}

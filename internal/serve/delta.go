@@ -295,7 +295,7 @@ func (s *Server) repairEngine(e *entry, snap *Snapshot) *pcpm.PPREngine {
 	}
 	eng, err := pcpm.NewPPREngine(snap.Graph, pcpm.PPREngineOptions{
 		PartitionBytes: part,
-		Workers:        1, // single worker: the Gauss–Seidel repair path
+		Workers:        1, // delta.Apply repairs on one worker
 	})
 	if err != nil {
 		return nil // delta.Apply builds (and reports) its own

@@ -65,7 +65,8 @@ type PPRAnswer struct {
 	K int `json:"k"`
 	// Top holds the K highest personalized scores, descending.
 	Top []PPRScore `json:"scores"`
-	// Rounds and Pushes summarize the push computation (zero cost on hits).
+	// Rounds and Pushes summarize the push computation (zero cost on hits):
+	// Pushes counts every vertex push, in sparse rounds and sweeps alike.
 	Rounds int   `json:"rounds"`
 	Pushes int64 `json:"pushes"`
 	// ResidualL1 bounds the L1 error of the underlying score vector.
@@ -92,9 +93,11 @@ type pprInflight struct {
 // pprCache is a small mutex-guarded LRU of personalized answers, one per
 // registered graph. Keys canonicalize the whole query (damping, epsilon, k,
 // sorted seed set), and only answers that converged to their keyed epsilon
-// are inserted, so a hit always satisfies the precision it claims — and
-// because a graph's structure is immutable after ingest, entries never go
-// stale; a damping change via recompute simply keys new entries.
+// are inserted, so a hit always satisfies the precision it claims. Edge
+// deltas do change a graph's structure: each one replaces the cache
+// (retireLocked), and the structVersion check in Personalized keeps a run
+// that raced a delta from inserting an answer for the graph that is gone.
+// A damping change via recompute simply keys new entries.
 type pprCache struct {
 	cap   int
 	order *list.List // front = most recent; values are *pprCacheEntry
@@ -194,7 +197,7 @@ func normalizePPRLimits(k int, epsilon float64) (int, float64, error) {
 }
 
 // enginePool retains idle personalized-PageRank engines for one graph so a
-// cache-missed query borrows warm scratch (~25 bytes/node) instead of
+// cache-missed query borrows warm scratch (~17 bytes/node) instead of
 // allocating it. Engines are shaped by the snapshot options that were
 // current when they were built, so the pool is keyed by snapshot version:
 // a recompute or re-upload publishes a new version and the retained

@@ -195,8 +195,8 @@ type Config struct {
 	// PPREnginePoolSize caps how many idle personalized-PageRank engines
 	// each graph retains for reuse across cache-missed queries (default 4;
 	// negative disables pooling, so every miss allocates fresh scratch).
-	// Engine scratch is ~25 bytes/node, so the worst-case pinned memory per
-	// graph is PPREnginePoolSize × 25 × nodes.
+	// Engine scratch is ~17 bytes/node, so the worst-case pinned memory per
+	// graph is PPREnginePoolSize × 17 × nodes.
 	PPREnginePoolSize int
 	// MaxDeltaEdges caps the edge changes (insertions plus deletions) one
 	// POST /v1/graphs/{name}/edges batch may carry (default 100000;

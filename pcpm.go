@@ -173,7 +173,7 @@ func Run(g *graph.Graph, o Options) (*Result, error) {
 // PPROptions is the combined engine + query configuration for the one-shot
 // personalized entry points (see internal/ppr): damping, the epsilon
 // L1-termination knob, TopK, partition size for the frontier bins, worker
-// count, and the dense-fallback threshold. Engine-reusing callers split the
+// count, and the dense-sweep threshold. Engine-reusing callers split the
 // two halves: PPREngineOptions fix the scratch shape at NewPPREngine,
 // PPRRunOptions carry everything query-specific per Run call.
 type PPROptions = ppr.Options
@@ -185,11 +185,11 @@ type PPREngineOptions = ppr.EngineOptions
 
 // PPRRunOptions carry the query-specific parameters of one personalized
 // PageRank run: damping, epsilon, top-k, per-run worker clamp, the
-// dense-fallback threshold, and the round cap.
+// dense-sweep threshold, and the round cap.
 type PPRRunOptions = ppr.RunOptions
 
 // PPREngine is reusable personalized PageRank scratch for one graph
-// (~25 bytes/node). One engine is NOT safe for concurrent Run calls; pool
+// (~17 bytes/node). One engine is NOT safe for concurrent Run calls; pool
 // several for concurrent serving, as internal/serve does.
 type PPREngine = ppr.Engine
 
@@ -210,8 +210,8 @@ type PPREntry = ppr.Entry
 
 // RunPersonalized computes the Personalized PageRank vector for a uniform
 // distribution over the given seed vertices, using residual forward push
-// with a partition-centric frontier (and a dense power-iteration fallback
-// when the frontier saturates). The result's ResidualL1 bounds the L1
+// with a partition-centric frontier (and in-place push sweeps over all
+// vertices while the frontier is saturated). The result's ResidualL1 bounds the L1
 // distance to the exact answer by o.Epsilon.
 func RunPersonalized(g *graph.Graph, seeds []uint32, o PPROptions) (*PPRResult, error) {
 	return ppr.Run(g, seeds, o)
