@@ -1,8 +1,7 @@
 // Command pcpm-lint is the project's multichecker: it runs every
 // project-invariant analyzer (floatmaporder, snapshotalias, guardedby,
-// walorder, closecheck) together with the bundled general-purpose passes
-// (nilness, shadow, unusedwrite) over the packages matching its
-// arguments and exits nonzero on any finding. CI runs it as a gating step:
+// walorder, closecheck) over the packages matching its arguments and exits
+// nonzero on any finding. CI runs it as a gating step, after go vet:
 //
 //	go run ./cmd/pcpm-lint ./...
 //
@@ -22,7 +21,6 @@ import (
 	"repro/internal/lint/floatmaporder"
 	"repro/internal/lint/guardedby"
 	"repro/internal/lint/snapshotalias"
-	"repro/internal/lint/stock"
 	"repro/internal/lint/walorder"
 )
 
@@ -32,9 +30,6 @@ var analyzers = []*lint.Analyzer{
 	guardedby.Analyzer,
 	walorder.Analyzer,
 	closecheck.Analyzer,
-	stock.Nilness,
-	stock.Shadow,
-	stock.Unusedwrite,
 }
 
 func main() {

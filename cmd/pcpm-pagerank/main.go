@@ -1,7 +1,7 @@
 // Command pcpm-pagerank computes PageRank on a graph file with a chosen
 // engine and prints the top-ranked nodes plus phase timings. With -seeds it
-// computes Personalized PageRank for those seed vertices (partition-centric
-// forward push) instead of the global ranking.
+// computes Personalized PageRank for those seed vertices (forward push)
+// instead of the global ranking.
 //
 // Usage:
 //
@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		in        = flag.String("in", "", "input graph (.txt edge list or binary)")
-		method    = flag.String("method", "pcpm", "engine: pdpr|push|bvgas|pcpm-csr|pcpm")
+		method    = flag.String("method", "pcpm", "engine: pdpr|bvgas|pcpm-csr|pcpm")
 		iters     = flag.Int("iters", 20, "fixed iteration count (ignored when -tol is set)")
 		tol       = flag.Float64("tol", 0, "run to convergence below this L1 delta")
 		top       = flag.Int("top", 10, "how many top-ranked nodes to print")
@@ -63,22 +63,22 @@ func main() {
 		var conflicting []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "method", "iters", "tol", "redistribute":
+			case "method", "iters", "tol", "redistribute", "partition", "workers":
 				conflicting = append(conflicting, "-"+f.Name)
 			}
 		})
 		if len(conflicting) > 0 {
-			fail(fmt.Errorf("%s not used in -seeds (personalized) mode; its knobs are -epsilon, -damping, -partition, -workers, -top",
+			fail(fmt.Errorf("%s not used in -seeds (personalized) mode; its knobs are -epsilon, -damping, -top",
 				strings.Join(conflicting, ", ")))
 		}
 		s := g.ComputeStats()
 		fmt.Printf("graph: %d nodes, %d edges, avg degree %.2f, %d dangling\n",
 			s.Nodes, s.Edges, s.AvgDegree, s.Dangling)
-		runPersonalized(g, *seeds, *damping, *epsilon, *partBytes, *workers, *top, fail)
+		runPersonalized(g, *seeds, *damping, *epsilon, *top, fail)
 		return
 	}
 
-	s := pcpm.GraphStatsFromSCC(g, pcpm.DecomposeSCC(g, *workers))
+	s := pcpm.ComputeGraphStats(g, *workers)
 	fmt.Printf("graph: %d nodes, %d edges, avg degree %.2f, %d dangling, %d components (largest %d)\n",
 		s.Nodes, s.Edges, s.AvgDegree, s.Dangling, s.Components, s.LargestComponent)
 
@@ -117,11 +117,8 @@ func main() {
 	}
 }
 
-// runPersonalized answers one Personalized PageRank query from -seeds,
-// through the same engine + per-run options split the serving layer pools:
-// graph-shaped scratch fixed at construction, query parameters per call.
-func runPersonalized(g *pcpm.Graph, seedSpec string, damping, epsilon float64,
-	partBytes, workers, top int, fail func(error)) {
+// runPersonalized answers one Personalized PageRank query from -seeds.
+func runPersonalized(g *pcpm.Graph, seedSpec string, damping, epsilon float64, top int, fail func(error)) {
 	var seedIDs []uint32
 	for _, field := range strings.Split(seedSpec, ",") {
 		v, err := strconv.ParseUint(strings.TrimSpace(field), 10, 32)
@@ -130,14 +127,7 @@ func runPersonalized(g *pcpm.Graph, seedSpec string, damping, epsilon float64,
 		}
 		seedIDs = append(seedIDs, uint32(v))
 	}
-	eng, err := pcpm.NewPPREngine(g, pcpm.PPREngineOptions{
-		PartitionBytes: partBytes,
-		Workers:        workers,
-	})
-	if err != nil {
-		fail(err)
-	}
-	res, err := eng.Run(seedIDs, pcpm.PPRRunOptions{
+	res, err := pcpm.RunPersonalized(g, seedIDs, pcpm.PPRRunOptions{
 		Damping: damping,
 		Epsilon: epsilon,
 		TopK:    top,
@@ -146,7 +136,7 @@ func runPersonalized(g *pcpm.Graph, seedSpec string, damping, epsilon float64,
 		fail(err)
 	}
 	fmt.Printf("personalized pagerank: seeds %v\n", seedIDs)
-	fmt.Printf("rounds: %d (%d sparse, %d dense), pushes: %d, residual L1 <= %.3g\n",
+	fmt.Printf("rounds: %d (%d worklist, %d sweeps), pushes: %d, residual L1 <= %.3g\n",
 		res.Rounds, res.SparseRounds, res.DenseRounds, res.Pushes, res.ResidualL1)
 	if res.Truncated {
 		fmt.Printf("WARNING: round cap reached with residual L1 %.3g still above the requested precision; scores are a partial answer\n",

@@ -16,11 +16,11 @@
 //
 // Graph uploads are capped by -max-upload (default 1 GiB); larger bodies
 // get 413 Request Entity Too Large. Personalized PageRank answers are
-// cached per graph in an LRU sized by -ppr-cache; cache misses borrow
-// engine scratch from a per-graph pool sized by -ppr-pool. Batched edge
-// updates repair the published ranks incrementally (falling back to a full
-// engine run when a batch dirties too much rank mass) and are capped at
-// -max-delta-edges changes per request.
+// cached per graph in an LRU sized by -ppr-cache; cache misses and edge
+// repairs borrow engine scratch from a per-graph pool sized by -ppr-pool.
+// Batched edge updates repair the published ranks incrementally (falling
+// back to a full engine run when a batch dirties too much rank mass) and
+// are capped at -max-delta-edges changes per request.
 //
 // With -follow the daemon runs as a read-only replica: it bootstraps from
 // the leader's snapshots, tails its WAL stream, serves every read endpoint
@@ -68,7 +68,7 @@ func main() {
 			"largest accepted graph upload in bytes; POST /v1/graphs bodies past this are rejected with 413 Request Entity Too Large")
 		pprCache = flag.Int("ppr-cache", 128, "personalized-PageRank answers cached per graph (LRU)")
 		pprPool  = flag.Int("ppr-pool", 4,
-			"idle personalized-PageRank engines retained per graph for cache misses (~17 bytes/node each; negative disables pooling)")
+			"idle personalized-PageRank engines retained per graph for cache misses and edge-delta repairs (~17 bytes/node each; negative disables pooling)")
 		maxDelta = flag.Int("max-delta-edges", 100000,
 			"largest edge-update batch (insertions+deletions) accepted by POST /v1/graphs/{name}/edges; bigger batches get 413 (negative removes the limit)")
 		dataDir = flag.String("data-dir", "",

@@ -1,8 +1,8 @@
 // Personalized: every user gets their own ranking. This example builds one
 // scale-free graph, then contrasts the single global PageRank vector with
-// per-user Personalized PageRank vectors computed by the partition-centric
-// forward-push engine — first one interactive-style query, then a batch of
-// "users" evaluated together the way the serving layer does it.
+// per-user Personalized PageRank vectors computed by the forward-push engine
+// — first one interactive-style query, then a batch of "users" answered by
+// looping over one engine, the way the serving layer's workers do.
 package main
 
 import (
@@ -35,7 +35,7 @@ func main() {
 
 	// One user's personalized view: ranks concentrate around their seeds.
 	seeds := []uint32{4321}
-	res, err := pcpm.RunPersonalized(g, seeds, pcpm.PPROptions{TopK: 5})
+	res, err := pcpm.RunPersonalized(g, seeds, pcpm.PPRRunOptions{TopK: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,15 +43,15 @@ func main() {
 	for i, e := range res.Top {
 		fmt.Printf("  %d. node %-6d score %.5f\n", i+1, e.Node, e.Score)
 	}
-	fmt.Printf("(%d rounds: %d sparse push, %d dense fallback; residual L1 <= %.2g)\n",
+	fmt.Printf("(%d rounds: %d worklist, %d sweeps; residual L1 <= %.2g)\n",
 		res.Rounds, res.SparseRounds, res.DenseRounds, res.ResidualL1)
 
-	// Serving-style reuse: one engine holds the graph-shaped scratch
-	// (~25 bytes/node), and every query brings its own parameters — a
+	// Serving-style reuse: one engine holds the scratch, sized by the node
+	// count alone (~17 bytes/node), and every query brings its own parameters — a
 	// quick coarse answer and a high-precision one run on the same scratch
 	// with nothing carried over between calls. This per-call split is what
 	// lets pcpm-serve pool engines across cache-missed queries.
-	eng, err := pcpm.NewPPREngine(g, pcpm.PPREngineOptions{})
+	eng, err := pcpm.NewPPREngine(g)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,17 +66,15 @@ func main() {
 	fmt.Printf("\nsame engine, per-call precision: eps 1e-4 -> %d rounds, eps 1e-10 -> %d rounds (top node %d either way)\n",
 		coarse.Rounds, precise.Rounds, precise.Top[0].Node)
 
-	// Batch mode: many users answered together. Cross-query dynamic
-	// scheduling (each query single-threaded) is how the /v1/graphs/{name}/ppr
-	// endpoint evaluates cache misses.
-	users := [][]uint32{{10}, {999, 1001}, {2500}, {4999}}
-	batch, err := pcpm.RunPersonalizedBatch(g, users, pcpm.PPROptions{TopK: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Batch mode: many users, one engine, one loop. The /v1/graphs/{name}/ppr
+	// endpoint evaluates cache misses the same way, one such loop per worker.
 	fmt.Println("\nbatch of users, top recommendation each:")
-	for i, r := range batch {
+	for _, user := range [][]uint32{{10}, {999, 1001}, {2500}, {4999}} {
+		r, err := eng.Run(user, pcpm.PPRRunOptions{TopK: 1, TopOnly: true})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  user %v -> node %-6d score %.5f (%d pushes)\n",
-			users[i], r.Top[0].Node, r.Top[0].Score, r.Pushes)
+			user, r.Top[0].Node, r.Top[0].Score, r.Pushes)
 	}
 }

@@ -2,8 +2,6 @@
 //
 //   - PDPR — Pull Direction PageRank (Algorithm 1), the conventional
 //     baseline: every vertex pulls its in-neighbors' scaled values.
-//   - Push — push-direction baseline with atomic partial sums (discussed in
-//     §2.1 as requiring synchronization; included for completeness).
 //   - BVGAS — Binning with Vertex-centric GAS (Algorithm 5), the
 //     state-of-the-art baseline the paper compares against.
 //   - PCPMCSR — Partition-Centric processing over the raw CSR layout
@@ -136,7 +134,7 @@ func (c Config) validate() error {
 // PhaseStats accumulates per-phase wall-clock time across iterations.
 // For the GAS engines Total ≈ Scatter + Gather (apply is fused into
 // gather, as in the paper's Table 5 where the two phases sum to the
-// total); for PDPR and Push only Total is populated.
+// total); for PDPR only Total is populated.
 type PhaseStats struct {
 	Scatter    time.Duration
 	Gather     time.Duration

@@ -65,10 +65,6 @@ func allEngines(t testing.TB, g *graph.Graph, cfg Config) []Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push, err := NewPush(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bvgas, err := NewBVGAS(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +77,7 @@ func allEngines(t testing.TB, g *graph.Graph, cfg Config) []Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Engine{pdpr, push, bvgas, pcpmCSR, pcpm}
+	return []Engine{pdpr, bvgas, pcpmCSR, pcpm}
 }
 
 func maxDiffVsRef(ranks []float32, ref []float64) float64 {
@@ -127,9 +123,6 @@ func TestDeterministicEnginesBitwiseIdentical(t *testing.T) {
 	engines := allEngines(t, g, cfg)
 	var baseline []float32
 	for _, e := range engines {
-		if e.Name() == "push" {
-			continue // CAS accumulation order is nondeterministic
-		}
 		RunIterations(e, 8)
 		r := e.Ranks()
 		if baseline == nil {
@@ -141,27 +134,6 @@ func TestDeterministicEnginesBitwiseIdentical(t *testing.T) {
 				t.Fatalf("%s: rank[%d] = %v, baseline %v", e.Name(), i, r[i], baseline[i])
 			}
 		}
-	}
-}
-
-func TestPushCloseToPDPR(t *testing.T) {
-	g, err := gen.ErdosRenyi(500, 4000, 7, graph.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{PartitionBytes: 256, Workers: 4}
-	pdpr, err := NewPDPR(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	push, err := NewPush(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	RunIterations(pdpr, 10)
-	RunIterations(push, 10)
-	if d := MaxAbsDiff(pdpr.Ranks(), push.Ranks()); d > 1e-5 {
-		t.Fatalf("push diverges from pdpr by %g", d)
 	}
 }
 

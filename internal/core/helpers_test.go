@@ -65,7 +65,7 @@ func TestEngineNames(t *testing.T) {
 	for _, e := range allEngines(t, g, smallCfg) {
 		names[e.Name()] = true
 	}
-	for _, want := range []string{"pdpr", "push", "bvgas", "pcpm-csr", "pcpm"} {
+	for _, want := range []string{"pdpr", "bvgas", "pcpm-csr", "pcpm"} {
 		if !names[want] {
 			t.Fatalf("missing engine %q (have %v)", want, names)
 		}

@@ -15,13 +15,13 @@
 //
 // which is sparse: M' − M has non-zero columns only for vertices whose
 // out-neighborhood changed. Seeding those residuals (positive along new
-// out-lists, negative along old ones) and draining them with the
-// partition-centric push loop of internal/ppr yields p' = p + π'(r), the
-// fixed point of the new graph — up to the convergence error the input
-// ranks already carried, which the repair preserves rather than amplifies.
+// out-lists, negative along old ones) and draining them with the signed
+// push loop of internal/ppr yields p' = p + π'(r), the fixed point of the
+// new graph — up to the convergence error the input ranks already carried,
+// which the repair preserves rather than amplifies.
 // This is the locality argument of Engström & Silvestrov's componentwise
 // view: a small structural delta perturbs ranks near the changed vertices,
-// so only the frontier the delta dirties ever gets touched.
+// so while the dirtied residual stays on few vertices only they are touched.
 //
 // When the delta dirties too much residual mass (hub rewirings, huge
 // batches) the sparse repair would approach full-recompute cost while
@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/ppr"
-	"repro/internal/scc"
 )
 
 // DefaultFallbackL1 is the seeded-residual L1 mass above which Apply
@@ -71,8 +70,7 @@ func (d EdgeDelta) Size() int { return len(d.Insert) + len(d.Delete) }
 
 // Options configure one Apply call. The zero value selects the defaults:
 // damping 0.85, epsilon DefaultEpsilon (1e-6), fallback threshold
-// DefaultFallbackL1 (0.1). The repair always runs on one worker: its dense
-// rounds are sequential sweeps and its sparse frontiers are small.
+// DefaultFallbackL1 (0.1).
 type Options struct {
 	// Damping is the factor the input ranks were computed with; the repair
 	// must push with the same teleport probability or it converges to a
@@ -86,35 +84,20 @@ type Options struct {
 	// FellBack instead of repairing (default DefaultFallbackL1; negative
 	// disables the fallback entirely).
 	FallbackL1 float64
-	// PartitionBytes shapes the push engine's frontier bins, exactly as in
-	// ppr.EngineOptions.
-	PartitionBytes int
 	// MaxRounds caps push rounds; a repair that hits it reports FellBack
 	// (a truncated repair is not a rank vector worth publishing). Default
 	// ppr.DefaultMaxRounds.
 	MaxRounds int
 	// Engine optionally supplies a prebuilt push engine to reuse across
 	// deltas: it is rebound to the rebuilt graph when compatible (same
-	// node count; the caller is responsible for matching PartitionBytes),
-	// saving the O(n) scratch allocation every Apply otherwise pays — the
-	// serving layer keeps one per graph. An incompatible engine falls back
-	// to a fresh build.
+	// node count), saving the O(n) scratch allocation every Apply otherwise
+	// pays — the serving layer lends one from the graph's pool. An
+	// incompatible engine falls back to a fresh build.
 	Engine *ppr.Engine
 	// RedistributeDangling marks that the input ranks were computed with
 	// the dangling-redistribution correction. That formulation's transition
 	// matrix has dense dangling columns, so Apply always falls back.
 	RedistributeDangling bool
-	// Components optionally supplies the PRE-delta graph's SCC
-	// decomposition (internal/scc). The repair then bounds its reach: the
-	// dirtied residual can only flow through components downstream of the
-	// seeded ones in the condensation — computed over the old DAG plus the
-	// inserted edges' component arcs, a sound over-approximation since
-	// deletions only shrink reachability — and when that closure covers a
-	// small fraction of the graph the drain pins itself to sparse rounds,
-	// so a localized delta never pays a dense sweep over the untouched
-	// components. Result.AffectedComponents / AffectedVertices report the
-	// closure. A decomposition that does not match g is ignored.
-	Components *scc.Result
 }
 
 // Result reports one applied delta. Graph is always the rebuilt graph;
@@ -134,15 +117,10 @@ type Result struct {
 	// seeded vertices) — the quantity compared against FallbackL1.
 	SeedL1 float64
 	// ResidualL1, Rounds, and Pushes summarize the repair drain (zero when
-	// FellBack); Pushes counts every vertex push, sparse or sweep.
+	// FellBack); Pushes counts every vertex push, worklist or sweep.
 	ResidualL1 float64
 	Rounds     int
 	Pushes     int64
-	// AffectedComponents and AffectedVertices report the downstream closure
-	// of the seeded components when Options.Components was supplied (zero
-	// otherwise): the structural upper bound on the repair's reach.
-	AffectedComponents int
-	AffectedVertices   int
 	// RebuildTime and RepairTime split the wall clock between the CSR/CSC
 	// rebuild and the residual drain.
 	RebuildTime time.Duration
@@ -170,54 +148,6 @@ func Rebuild(g *graph.Graph, d EdgeDelta) (*graph.Graph, map[graph.NodeID]struct
 		changed[e.Src] = struct{}{}
 	}
 	return ng, changed, nil
-}
-
-// denseSkipFraction is the affected-vertex share of |V| below which a
-// component-scoped repair pins itself to sparse rounds: a dense round costs
-// a full-graph sweep, so it only pays when the delta's downstream closure
-// covers a substantial part of the graph.
-const denseSkipFraction = 0.25
-
-// componentScope computes the downstream closure of the seeded components
-// over the pre-delta condensation DAG plus the inserted edges' component
-// arcs (deletions only remove paths, so the old DAG over-approximates
-// them). Returns the closure's component and vertex counts.
-func componentScope(dec *scc.Result, seeds []ppr.ResidualSeed, inserted []graph.Edge) (int, int) {
-	affected := make([]bool, dec.NumComps)
-	var queue []int32
-	push := func(c int32) {
-		if !affected[c] {
-			affected[c] = true
-			queue = append(queue, c)
-		}
-	}
-	for _, s := range seeds {
-		push(dec.Comp[s.Node])
-	}
-	// Inserted edges add condensation arcs the old DAG does not know; a
-	// cycle-creating insertion becomes a pair of arcs, which the closure
-	// handles like any other reachability.
-	extra := make(map[int32][]int32, len(inserted))
-	for _, e := range inserted {
-		cu, cv := dec.Comp[e.Src], dec.Comp[e.Dst]
-		if cu != cv {
-			extra[cu] = append(extra[cu], cv)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		c := queue[head]
-		for _, s := range dec.Succ(c) {
-			push(s)
-		}
-		for _, s := range extra[c] {
-			push(s)
-		}
-	}
-	comps, verts := len(queue), 0
-	for _, c := range queue {
-		verts += dec.Size(c)
-	}
-	return comps, verts
 }
 
 // Apply rebuilds g with d and repairs ranks incrementally. ranks must be
@@ -317,37 +247,15 @@ func Apply(g *graph.Graph, ranks []float32, d EdgeDelta, o Options) (*Result, er
 		return res, nil
 	}
 
-	// With a component map, bound the repair's structural reach: residual
-	// flows only downstream of the seeded components, so when that closure
-	// is small the dense fallback — a full-graph sweep that would touch
-	// every untouched component — cannot pay off, and the drain stays on
-	// sparse partition-centric rounds.
-	var denseFraction float64
-	if o.Components != nil && len(o.Components.Comp) == g.NumNodes() {
-		res.AffectedComponents, res.AffectedVertices =
-			componentScope(o.Components, seeds, d.Insert)
-		if float64(res.AffectedVertices) < denseSkipFraction*float64(g.NumNodes()) {
-			denseFraction = 1 // force sparse rounds
-		}
-	}
-
 	t1 := time.Now()
 	eng := o.Engine
 	if eng == nil || eng.Rebind(ng) != nil {
-		eng, err = ppr.New(ng, ppr.EngineOptions{PartitionBytes: o.PartitionBytes, Workers: 1})
+		eng, err = ppr.New(ng, ppr.EngineOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("delta: %w", err)
 		}
 	}
-	rr, err := eng.Repair(ranks, seeds, ppr.RunOptions{
-		Damping: damping,
-		Epsilon: epsilon,
-		// Explicit, not inherited: a reused Engine may have been built
-		// wider, and a repair is deterministic only on one worker.
-		Workers:       1,
-		MaxRounds:     o.MaxRounds,
-		DenseFraction: denseFraction,
-	})
+	rr, err := eng.Repair(ranks, seeds, ppr.RunOptions{Damping: damping, Epsilon: epsilon, MaxRounds: o.MaxRounds})
 	if err != nil {
 		return nil, fmt.Errorf("delta: repair: %w", err)
 	}

@@ -3,9 +3,7 @@
 // determinism of float reductions (floatmaporder), immutability of published
 // snapshots (snapshotalias), mutex discipline on annotated fields
 // (guardedby), WAL-append-before-publish ordering (walorder), and checked
-// Close/Sync errors on the durability surfaces (closecheck). Package stock
-// carries lightweight reimplementations of the general-purpose vet-style
-// passes (nilness, shadow, unusedwrite).
+// Close/Sync errors on the durability surfaces (closecheck).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape —
 // Analyzer, Pass, Diagnostic — but is built entirely on the standard

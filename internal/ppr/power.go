@@ -17,7 +17,7 @@ func PowerIteration(g *graph.Graph, seeds []graph.NodeID, damping, tol float64, 
 	if damping == 0 {
 		damping = DefaultDamping
 	}
-	seedSet, err := normalizeSeeds(g.NumNodes(), seeds)
+	seedSet, err := CanonicalSeeds(g.NumNodes(), seeds)
 	if err != nil {
 		return nil, err
 	}

@@ -55,75 +55,116 @@ func l1(a, b []float64) float64 {
 	return total
 }
 
+// kernels pins the round kernel through the engine's dense bar: the default
+// schedule, every round a worklist round, every round a sweep.
+var kernels = []struct {
+	name string
+	bar  func(n int) int
+}{
+	{"default", func(n int) int { return n / 8 }},
+	{"worklist-only", func(n int) int { return n + 1 }},
+	{"sweep-only", func(int) int { return 0 }},
+}
+
+func newPinned(t testing.TB, g *graph.Graph, bar func(n int) int) *Engine {
+	t.Helper()
+	e, err := New(g, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.denseBar = bar(g.NumNodes())
+	return e
+}
+
 // TestGoldenPushMatchesPowerIteration is the acceptance golden: on every
-// generator test graph, for single- and multi-seed queries, forward push
-// must agree with the dense personalized power iteration within 1e-6 L1.
+// generator family, under each kernel, Run and Repair agree with the dense
+// personalized power iteration within 1e-6 L1. Repair leaks dangling mass
+// where Run and the reference send it back to the seeds, which only rescales
+// the vector — p = c·s + (1−α)·M·p for a scalar c either way — so a Repair of
+// the seed distribution from a zero estimate, normalised to sum 1, is the
+// same fixed point.
 func TestGoldenPushMatchesPowerIteration(t *testing.T) {
 	seedSets := [][]graph.NodeID{
 		{0},
 		{3, 17, 42},
 		{1, 1, 2, 250}, // duplicate seeds must canonicalize
 	}
+	ro := RunOptions{Epsilon: 1e-8}
 	for name, g := range testGraphs(t) {
 		for _, seeds := range seedSets {
-			res, err := Run(g, seeds, Options{
-				Epsilon:        1e-8,
-				PartitionBytes: 1 << 10, // many partitions even on small graphs
-				Workers:        4,
-			})
-			if err != nil {
-				t.Fatalf("%s: push: %v", name, err)
-			}
 			want, err := PowerIteration(g, seeds, 0, 1e-12, 5000)
 			if err != nil {
 				t.Fatalf("%s: power iteration: %v", name, err)
 			}
-			if d := l1(res.Scores, want); d > 1e-6 {
-				t.Fatalf("%s seeds %v: push vs power L1 = %g, want <= 1e-6", name, seeds, d)
+			canon, _ := CanonicalSeeds(g.NumNodes(), seeds)
+			repairSeeds := make([]ResidualSeed, len(canon))
+			for i, s := range canon {
+				repairSeeds[i] = ResidualSeed{Node: s, Mass: 1 / float64(len(canon))}
 			}
-			if res.ResidualL1 > 1e-6 {
-				t.Fatalf("%s: residual %g exceeds 1e-6", name, res.ResidualL1)
+			for _, k := range kernels {
+				e := newPinned(t, g, k.bar)
+				res, err := e.Run(seeds, ro)
+				if err != nil {
+					t.Fatalf("%s %s: push: %v", name, k.name, err)
+				}
+				if d := l1(res.Scores, want); d > 1e-6 {
+					t.Fatalf("%s %s seeds %v: push vs power L1 = %g, want <= 1e-6", name, k.name, seeds, d)
+				}
+				if res.ResidualL1 > 1e-6 {
+					t.Fatalf("%s %s: residual %g exceeds 1e-6", name, k.name, res.ResidualL1)
+				}
+				rep, err := e.Repair(make([]float32, g.NumNodes()), repairSeeds, ro)
+				if err != nil {
+					t.Fatalf("%s %s: repair: %v", name, k.name, err)
+				}
+				var sum float64
+				for _, v := range rep.Scores {
+					sum += v
+				}
+				for i := range rep.Scores {
+					rep.Scores[i] /= sum
+				}
+				if d := l1(rep.Scores, want); d > 1e-6 {
+					t.Fatalf("%s %s seeds %v: normalised repair vs power L1 = %g, want <= 1e-6", name, k.name, seeds, d)
+				}
 			}
 		}
 	}
 }
 
-// TestGoldenSparseAndDenseAgree forces each scheduling mode and checks they
-// land on the same vector: DenseFraction > 1 can never trigger the dense
-// fallback, DenseFraction < 0 makes every round dense.
+// TestGoldenSparseAndDenseAgree checks that the pins pin — a bar of n+1 can
+// never trigger a sweep, a bar of 0 makes every round one — and that the two
+// kernels land on the same vector.
 func TestGoldenSparseAndDenseAgree(t *testing.T) {
 	g := testGraphs(t)["rmat"]
 	seeds := []graph.NodeID{5, 9}
-	sparse, err := Run(g, seeds, Options{Epsilon: 1e-9, DenseFraction: 2, Workers: 3})
+	sparse, err := newPinned(t, g, kernels[1].bar).Run(seeds, RunOptions{Epsilon: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sparse.DenseRounds != 0 || sparse.SparseRounds == 0 {
-		t.Fatalf("forced-sparse rounds: %d dense, %d sparse", sparse.DenseRounds, sparse.SparseRounds)
+		t.Fatalf("worklist-only rounds: %d dense, %d sparse", sparse.DenseRounds, sparse.SparseRounds)
 	}
-	dense, err := Run(g, seeds, Options{Epsilon: 1e-9, DenseFraction: -1, Workers: 3})
+	dense, err := newPinned(t, g, kernels[2].bar).Run(seeds, RunOptions{Epsilon: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dense.SparseRounds != 0 || dense.DenseRounds == 0 {
-		t.Fatalf("forced-dense rounds: %d dense, %d sparse", dense.DenseRounds, dense.SparseRounds)
+		t.Fatalf("sweep-only rounds: %d dense, %d sparse", dense.DenseRounds, dense.SparseRounds)
 	}
 	if d := l1(sparse.Scores, dense.Scores); d > 1e-6 {
-		t.Fatalf("sparse vs dense L1 = %g", d)
+		t.Fatalf("worklist vs sweep L1 = %g", d)
 	}
 }
 
 // TestScoresSumToOneMinusResidual is the mass invariant of the unsigned
-// drain on every generator family, under the default schedule and with every
-// round a sweep: pushes and the dangling fold only move mass, so Σp + Σr
-// stays 1, and a run that was not round-capped ends with its residual under
-// the requested epsilon.
+// drain on every generator family under each kernel: pushes and the dangling
+// fold only move mass, so Σp + Σr stays 1, and a run that was not round-capped
+// ends with its residual under the requested epsilon.
 func TestScoresSumToOneMinusResidual(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		for _, denseFraction := range []float64{0, -1} {
-			res, err := Run(g, []graph.NodeID{1}, Options{
-				Epsilon: 1e-8, PartitionBytes: 1 << 10, DenseFraction: denseFraction,
-			})
+		for _, k := range kernels {
+			res, err := newPinned(t, g, k.bar).Run([]graph.NodeID{1}, RunOptions{Epsilon: 1e-8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,10 +173,10 @@ func TestScoresSumToOneMinusResidual(t *testing.T) {
 				sum += s
 			}
 			if math.Abs(sum+res.ResidualL1-1) > 1e-12 {
-				t.Fatalf("%s dense %v: scores sum %g + residual %g != 1", name, denseFraction, sum, res.ResidualL1)
+				t.Fatalf("%s %s: scores sum %g + residual %g != 1", name, k.name, sum, res.ResidualL1)
 			}
 			if res.ResidualL1 > 1e-8 {
-				t.Fatalf("%s dense %v: residual %g above epsilon after %d rounds", name, denseFraction, res.ResidualL1, res.Rounds)
+				t.Fatalf("%s %s: residual %g above epsilon after %d rounds", name, k.name, res.ResidualL1, res.Rounds)
 			}
 		}
 	}
@@ -143,7 +184,7 @@ func TestScoresSumToOneMinusResidual(t *testing.T) {
 
 func TestTopKKnob(t *testing.T) {
 	g := testGraphs(t)["pa"]
-	res, err := Run(g, []graph.NodeID{2}, Options{TopK: 7})
+	res, err := Run(g, []graph.NodeID{2}, RunOptions{TopK: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,48 +202,62 @@ func TestTopKKnob(t *testing.T) {
 	}
 }
 
+// TestBatchMatchesSingle: a batch is a loop over one engine. An engine that
+// last served another graph of the same node count and was rebound answers
+// every seed set of the batch bit-identically to a fresh engine.
 func TestBatchMatchesSingle(t *testing.T) {
 	g := testGraphs(t)["er"]
-	sets := [][]graph.NodeID{{0}, {10, 20}, {499}}
-	batch, err := RunBatch(g, sets, Options{Epsilon: 1e-8, Workers: 3})
+	other, err := gen.ErdosRenyi(g.NumNodes(), 3000, 9, graph.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != len(sets) {
-		t.Fatalf("batch returned %d results, want %d", len(batch), len(sets))
+	e, err := New(other, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, seeds := range sets {
-		single, err := Run(g, seeds, Options{Epsilon: 1e-8})
+	ro := RunOptions{Epsilon: 1e-8}
+	if _, err := e.Run([]graph.NodeID{7}, ro); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Rebind(g); err != nil {
+		t.Fatal(err)
+	}
+	for i, seeds := range [][]graph.NodeID{{0}, {10, 20}, {499}} {
+		got, err := e.Run(seeds, ro)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := l1(batch[i].Scores, single.Scores); d > 1e-7 {
-			t.Fatalf("batch[%d] diverges from single run: L1 = %g", i, d)
+		single, err := Run(g, seeds, ro)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if d := l1(got.Scores, single.Scores); d != 0 {
+			t.Fatalf("batch[%d] diverges from a fresh single run: L1 = %g", i, d)
+		}
+	}
+	if err := e.Rebind(testGraphs(t)["pa"]); err == nil {
+		t.Fatal("rebind to a graph of another node count should fail")
 	}
 }
 
 func TestSeedValidation(t *testing.T) {
 	g := testGraphs(t)["er"]
-	if _, err := Run(g, nil, Options{}); err == nil {
+	if _, err := Run(g, nil, RunOptions{}); err == nil {
 		t.Fatal("empty seed set should fail")
 	}
-	if _, err := Run(g, []graph.NodeID{500}, Options{}); err == nil {
+	if _, err := Run(g, []graph.NodeID{500}, RunOptions{}); err == nil {
 		t.Fatal("out-of-range seed should fail")
-	}
-	if _, err := RunBatch(g, [][]graph.NodeID{{1}, {9999}}, Options{}); err == nil {
-		t.Fatal("batch with out-of-range seed should fail")
 	}
 }
 
 func TestOptionValidation(t *testing.T) {
 	g := testGraphs(t)["er"]
-	for _, opts := range []Options{
+	for _, opts := range []RunOptions{
 		{Damping: 1.5},
 		{Damping: -0.1},
 		{Epsilon: -1},
 		{TopK: -1},
-		{PartitionBytes: 3},
+		{MaxRounds: -1},
 	} {
 		if _, err := Run(g, []graph.NodeID{0}, opts); err == nil {
 			t.Fatalf("options %+v should be rejected", opts)
@@ -235,21 +290,20 @@ func TestEngineReuseAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestPerRunOptionsOnOneEngine is the API contract of the pooling redesign:
+// TestPerRunOptionsOnOneEngine is the API contract of the pooling seam:
 // one engine answers queries with entirely different per-call parameters,
-// and each answer matches a fresh stateless run with the same combined
+// and each answer is bit-identical to a fresh stateless run with the same
 // options.
 func TestPerRunOptionsOnOneEngine(t *testing.T) {
 	g := testGraphs(t)["rmat"]
-	e, err := New(g, EngineOptions{PartitionBytes: 1 << 10, Workers: 1})
+	e, err := New(g, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []RunOptions{
 		{Epsilon: 1e-6, TopK: 3},
 		{Epsilon: 1e-9, Damping: 0.6, TopK: 10},
-		{Epsilon: 1e-7, DenseFraction: -1}, // all-dense
-		{Epsilon: 1e-7, DenseFraction: 2},  // all-sparse
+		{Epsilon: 1e-7, MaxRounds: 5},
 		{Epsilon: 1e-8, TopK: 5, TopOnly: true},
 	}
 	seeds := []graph.NodeID{2, 77}
@@ -258,11 +312,7 @@ func TestPerRunOptionsOnOneEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		want, err := Run(g, seeds, Options{
-			Damping: ro.Damping, Epsilon: ro.Epsilon, TopK: ro.TopK,
-			TopOnly: ro.TopOnly, DenseFraction: ro.DenseFraction,
-			PartitionBytes: 1 << 10, Workers: 1,
-		})
+		want, err := Run(g, seeds, ro)
 		if err != nil {
 			t.Fatalf("case %d reference: %v", i, err)
 		}
@@ -284,42 +334,11 @@ func TestPerRunOptionsOnOneEngine(t *testing.T) {
 	}
 }
 
-// TestRunWorkersClamp pins the per-run parallelism contract: requests above
-// the engine's width are clamped, zero means full width, negative is an
-// error.
-func TestRunWorkersClamp(t *testing.T) {
-	g := testGraphs(t)["er"]
-	e, err := New(g, EngineOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Width() != 2 {
-		t.Fatalf("Width() = %d, want 2", e.Width())
-	}
-	wide, err := e.Run([]graph.NodeID{1}, RunOptions{Epsilon: 1e-8, Workers: 64})
-	if err != nil {
-		t.Fatalf("over-wide run: %v", err)
-	}
-	narrow, err := e.Run([]graph.NodeID{1}, RunOptions{Epsilon: 1e-8, Workers: 1})
-	if err != nil {
-		t.Fatalf("narrow run: %v", err)
-	}
-	if d := l1(wide.Scores, narrow.Scores); d > 1e-9 {
-		t.Fatalf("worker clamp changed the answer: L1 = %g", d)
-	}
-	if _, err := e.Run([]graph.NodeID{1}, RunOptions{Workers: -1}); err == nil {
-		t.Fatal("negative per-run workers should be rejected")
-	}
-	if _, err := New(g, EngineOptions{Workers: -1}); err == nil {
-		t.Fatal("negative engine workers should be rejected, not coerced to full width")
-	}
-}
-
 // TestTruncatedFlag pins Result.Truncated: a round-capped run that could
 // not reach its epsilon reports it, a converged run does not.
 func TestTruncatedFlag(t *testing.T) {
 	g := testGraphs(t)["er"]
-	capped, err := Run(g, []graph.NodeID{0}, Options{Epsilon: 1e-9, MaxRounds: 1})
+	capped, err := Run(g, []graph.NodeID{0}, RunOptions{Epsilon: 1e-9, MaxRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +348,7 @@ func TestTruncatedFlag(t *testing.T) {
 	if capped.Rounds != 1 {
 		t.Fatalf("rounds = %d, want 1", capped.Rounds)
 	}
-	full, err := Run(g, []graph.NodeID{0}, Options{Epsilon: 1e-9})
+	full, err := Run(g, []graph.NodeID{0}, RunOptions{Epsilon: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +359,7 @@ func TestTruncatedFlag(t *testing.T) {
 
 // BenchmarkPushSingleSeed runs default-epsilon single-seed queries on the
 // serving family at its benchmark size (bench's serve_read graph), where a
-// query is a handful of sparse rounds and then sweeps: rounds/op and ns/edge
+// query is a handful of worklist rounds and then sweeps: rounds/op and ns/edge
 // are the kernel's numbers. Edges traversed are taken as pushes × mean
 // out-degree, which is exact to a few percent because almost all pushes
 // happen in sweeps that push almost every vertex.
@@ -349,7 +368,7 @@ func BenchmarkPushSingleSeed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := New(g, EngineOptions{Workers: 1})
+	e, err := New(g, EngineOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -371,33 +390,16 @@ func BenchmarkPushSingleSeed(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/edges, "ns/edge")
 }
 
-func BenchmarkBatch16(b *testing.B) {
-	g, err := gen.RMAT(gen.Graph500RMAT(11, 8, 5), graph.BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sets := make([][]graph.NodeID, 16)
-	for i := range sets {
-		sets[i] = []graph.NodeID{graph.NodeID(i * 37 % g.NumNodes())}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunBatch(g, sets, Options{Epsilon: 1e-6}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestTopOnlySkipsScores(t *testing.T) {
 	g := testGraphs(t)["er"]
-	res, err := Run(g, []graph.NodeID{3}, Options{TopK: 5, TopOnly: true})
+	res, err := Run(g, []graph.NodeID{3}, RunOptions{TopK: 5, TopOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Scores != nil {
 		t.Fatal("TopOnly result still carries Scores")
 	}
-	full, err := Run(g, []graph.NodeID{3}, Options{TopK: 5})
+	full, err := Run(g, []graph.NodeID{3}, RunOptions{TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +408,7 @@ func TestTopOnlySkipsScores(t *testing.T) {
 			t.Fatalf("TopOnly Top[%d] = %+v, want %+v", i, res.Top[i], full.Top[i])
 		}
 	}
-	if _, err := Run(g, []graph.NodeID{3}, Options{TopOnly: true}); err == nil {
+	if _, err := Run(g, []graph.NodeID{3}, RunOptions{TopOnly: true}); err == nil {
 		t.Fatal("TopOnly without TopK should be rejected")
 	}
 }

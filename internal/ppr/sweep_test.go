@@ -32,13 +32,13 @@ func starIntoChain(t testing.TB, leaves, chain int) *graph.Graph {
 	return g
 }
 
-// TestDenseRoundsHandBackToSparse drives the return path: hub (sparse), the
+// TestDenseRoundsHandBackToSparse drives the return path: hub (worklist), the
 // leaves (sweep), the chain head alone (sweep, push count under the dense bar
-// → rebuildFrontier), then the chain one vertex per sparse round.
+// → the worklist is rebuilt), then the chain one vertex per worklist round.
 func TestDenseRoundsHandBackToSparse(t *testing.T) {
 	g := starIntoChain(t, 64, 8)
 	seeds := []graph.NodeID{0}
-	opts := Options{Epsilon: 1e-9, PartitionBytes: 1 << 7, Workers: 2}
+	opts := RunOptions{Epsilon: 1e-9}
 
 	opts.MaxRounds = 4
 	capped, err := Run(g, seeds, opts)
@@ -46,7 +46,7 @@ func TestDenseRoundsHandBackToSparse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if capped.SparseRounds != 2 || capped.DenseRounds != 2 {
-		t.Fatalf("first four rounds: %d sparse, %d dense; want hub, two sweeps, then a sparse round off the rebuilt bins",
+		t.Fatalf("first four rounds: %d sparse, %d dense; want hub, two sweeps, then a worklist round off the rebuilt list",
 			capped.SparseRounds, capped.DenseRounds)
 	}
 	if capped.Pushes != 1+64+1+1 {
@@ -84,7 +84,7 @@ func TestTruncatedMeansResidualAboveEpsilon(t *testing.T) {
 			seeds := []graph.NodeID{graph.NodeID(r.IntN(g.NumNodes())), graph.NodeID(r.IntN(g.NumNodes()))}
 			for _, eps := range []float64{1e-4, 1e-7, 1e-9} {
 				for _, maxRounds := range []int{0, 3, 40} {
-					res, err := Run(g, seeds, Options{Epsilon: eps, MaxRounds: maxRounds, PartitionBytes: 1 << 10, Workers: 2})
+					res, err := Run(g, seeds, RunOptions{Epsilon: eps, MaxRounds: maxRounds})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -104,9 +104,9 @@ func TestTruncatedMeansResidualAboveEpsilon(t *testing.T) {
 }
 
 // TestDanglingHeavySweepMatchesPowerIteration: half the vertices have no
-// out-edges, so every sweep collects a large dangling mass and folds it into
-// the seeds once, after the pass — not per push as a sparse round's gather
-// would see it. The fixed point is the same.
+// out-edges, so every round, sweep or worklist, collects a large dangling
+// mass and folds it into the seeds once, after the pass. The fixed point is
+// the power iteration's.
 func TestDanglingHeavySweepMatchesPowerIteration(t *testing.T) {
 	const n = 600
 	r := rand.New(rand.NewPCG(31, 7))
@@ -123,16 +123,16 @@ func TestDanglingHeavySweepMatchesPowerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, denseFraction := range []float64{0, -1} {
-		res, err := Run(g, seeds, Options{Epsilon: 1e-9, DenseFraction: denseFraction, PartitionBytes: 1 << 10})
+	for _, k := range kernels {
+		res, err := newPinned(t, g, k.bar).Run(seeds, RunOptions{Epsilon: 1e-9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.DenseRounds == 0 {
-			t.Fatalf("dense fraction %v: no sweep ran", denseFraction)
+		if (res.DenseRounds == 0) != (k.name == "worklist-only") {
+			t.Fatalf("%s: %d sweeps, %d worklist rounds", k.name, res.DenseRounds, res.SparseRounds)
 		}
 		if d := l1(res.Scores, want); d > 1e-6 {
-			t.Fatalf("dense fraction %v: push vs power L1 = %g", denseFraction, d)
+			t.Fatalf("%s: push vs power L1 = %g", k.name, d)
 		}
 	}
 }
@@ -169,9 +169,9 @@ func leakySolve(g *graph.Graph, seeds []ResidualSeed, damping float64) []float64
 // mass leave behind — equal and opposite residuals that partly cancel as they
 // spread — on top of a non-zero estimate. The repaired vector must sit within
 // the reported residual of estimate + π(r), and the running bound (which
-// ignores cancellation) must not cost rounds: the counts pinned here are the
-// parent commit's on the same inputs, where single-worker Repair already
-// swept in place.
+// ignores cancellation) must not cost rounds: the counts pinned here are
+// those of PR 21's engine on the same inputs, whose single-worker Repair
+// already swept in place.
 func TestRepairCancellingSeeds(t *testing.T) {
 	parentRounds := map[string]int{"er": 44, "rmat": 45, "pa": 10, "copying": 61, "dag-communities": 45}
 	for name, g := range testGraphs(t) {
@@ -184,7 +184,7 @@ func TestRepairCancellingSeeds(t *testing.T) {
 			{Node: graph.NodeID(n - 1), Mass: 0.05}, {Node: graph.NodeID(n - 2), Mass: -0.05},
 			{Node: graph.NodeID(n / 2), Mass: 0.02}, {Node: graph.NodeID(n / 3), Mass: -0.02},
 		}
-		e, err := New(g, EngineOptions{PartitionBytes: 1 << 10, Workers: 1})
+		e, err := New(g, EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,44 +204,6 @@ func TestRepairCancellingSeeds(t *testing.T) {
 		}
 		if res.Rounds > parentRounds[name] {
 			t.Fatalf("%s: %d rounds, parent took %d", name, res.Rounds, parentRounds[name])
-		}
-	}
-}
-
-// TestWidthIndependentAnswers: sweeps are sequential, so only the sparse
-// rounds' float ordering may differ between a width-1 and a width-2 engine —
-// for Run and for Repair. Run under -race, it also exercises the sparse
-// rounds on both sides of a rebuildFrontier hand-back with two workers.
-func TestWidthIndependentAnswers(t *testing.T) {
-	graphs := testGraphs(t)
-	graphs["star-into-chain"] = starIntoChain(t, 300, 8)
-	for name, g := range graphs {
-		n := g.NumNodes()
-		estimate := make([]float32, n)
-		repairSeeds := []ResidualSeed{{Node: graph.NodeID(n - 1), Mass: 0.03}, {Node: 0, Mass: -0.03}, {Node: graph.NodeID(n / 2), Mass: 0.01}}
-		var runs, repairs [2]*Result
-		for i, width := range []int{1, 2} {
-			e, err := New(g, EngineOptions{PartitionBytes: 1 << 8, Workers: width})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if runs[i], err = e.Run([]graph.NodeID{0, graph.NodeID(n - 1)}, RunOptions{Epsilon: 1e-9, TopK: 10}); err != nil {
-				t.Fatal(err)
-			}
-			if repairs[i], err = e.Repair(estimate, repairSeeds, RunOptions{Epsilon: 1e-9}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if d := l1(runs[0].Scores, runs[1].Scores); d > 1e-9 {
-			t.Fatalf("%s: Run at width 1 vs 2: L1 = %g", name, d)
-		}
-		for j := range runs[0].Top {
-			if runs[0].Top[j].Node != runs[1].Top[j].Node {
-				t.Fatalf("%s: top-10 entry %d is vertex %d at width 1, %d at width 2", name, j, runs[0].Top[j].Node, runs[1].Top[j].Node)
-			}
-		}
-		if d := l1(repairs[0].Scores, repairs[1].Scores); d > 1e-9 {
-			t.Fatalf("%s: Repair at width 1 vs 2: L1 = %g", name, d)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	pcpm "repro"
 	"repro/internal/delta"
-	"repro/internal/ppr"
 	"repro/internal/wal"
 )
 
@@ -103,8 +102,8 @@ func (s *Server) maxDeltaEdges() int {
 // arriving while a recompute (or another delta) runs waits for it, and
 // recompute requests arriving while a delta runs coalesce onto it — they
 // wanted fresh ranks, and the delta publishes exactly that. Applying a
-// delta invalidates the graph's personalized-answer cache and engine pool:
-// both are built on the pre-delta structure.
+// delta empties the graph's personalized-answer cache, which describes the
+// pre-delta structure, and rebinds its pooled engines to the new one.
 //
 // Like a recompute, a delta racing a replace re-upload (or Remove) of the
 // same name may publish into the orphaned entry: the acknowledged change
@@ -160,7 +159,7 @@ func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (DeltaStatus, er
 		e.lastErr = err.Error()
 	default:
 		e.lastErr = ""
-		e.retireLocked(true)
+		e.retireLocked()
 	}
 	e.mu.Unlock()
 	run.err = err
@@ -182,15 +181,18 @@ func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (DeltaStatus, er
 func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 	snap := e.snap.Load()
 	opts := snap.Options
+	eng, err := s.borrowEngine(e, snap)
+	if err != nil {
+		return DeltaStatus{}, err
+	}
+	// Apply rebinds the engine to the rebuilt graph; it goes back to the pool
+	// once whatever this call publishes is current.
+	defer s.returnEngine(e, eng)
 	res, err := delta.Apply(snap.Graph, snap.Ranks, d, delta.Options{
 		Damping:              opts.Damping,
-		PartitionBytes:       opts.PartitionBytes,
 		MaxRounds:            maxDeltaRounds,
 		RedistributeDangling: opts.RedistributeDangling,
-		Engine:               s.repairEngine(e, snap),
-		// The pre-delta decomposition scopes the repair to the dirtied
-		// components' downstream closure.
-		Components: snap.SCC,
+		Engine:               eng,
 	})
 	if err != nil {
 		// Everything Apply rejects (out-of-range endpoints, deleting an
@@ -277,29 +279,4 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 	st.Nodes = ns.Stats.Nodes
 	st.Edges = ns.Stats.Edges
 	return st, nil
-}
-
-// repairEngine returns the entry's reusable repair engine, (re)building it
-// when absent or shaped for a different partition size. delta.Apply
-// rebinds it to each delta's rebuilt graph, so mutations skip the O(n)
-// scratch allocation a fresh engine would cost. Callers hold the entry's
-// mutation slot, which serializes every access to the field.
-func (s *Server) repairEngine(e *entry, snap *Snapshot) *pcpm.PPREngine {
-	part := snap.Options.PartitionBytes
-	if part == 0 {
-		part = ppr.DefaultPartitionBytes
-	}
-	if e.repairEng != nil && e.repairEngPart == part &&
-		e.repairEng.Graph().NumNodes() == snap.Stats.Nodes {
-		return e.repairEng
-	}
-	eng, err := pcpm.NewPPREngine(snap.Graph, pcpm.PPREngineOptions{
-		PartitionBytes: part,
-		Workers:        1, // delta.Apply repairs on one worker
-	})
-	if err != nil {
-		return nil // delta.Apply builds (and reports) its own
-	}
-	e.repairEng, e.repairEngPart = eng, part
-	return eng
 }

@@ -96,9 +96,7 @@ func TestEdgesEndpointIncrementalRepair(t *testing.T) {
 	for _, p := range del {
 		d.Delete = append(d.Delete, pcpm.Edge{Src: p[0], Dst: p[1], W: 1})
 	}
-	want, err := pcpm.ApplyEdgeDelta(g, base.Ranks, d, pcpm.DeltaOptions{
-		PartitionBytes: testOptions.PartitionBytes,
-	})
+	want, err := pcpm.ApplyEdgeDelta(g, base.Ranks, d, pcpm.DeltaOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +200,9 @@ func TestEdgesBatchLimit(t *testing.T) {
 }
 
 // TestEdgesInvalidatesPPRStateAndVersions pins the cache-coherence contract:
-// applying a delta clears the personalized-answer LRU and the engine pool,
-// and subsequent queries answer against the new structure.
+// applying a delta clears the personalized-answer LRU, keeps the pooled
+// engine (rebound; TestPoolSurvivesPublish), and subsequent queries answer
+// against the new structure.
 func TestEdgesInvalidatesPPRStateAndVersions(t *testing.T) {
 	s, ts := newTestServer(t)
 	g := testGraph(t)
@@ -227,8 +226,8 @@ func TestEdgesInvalidatesPPRStateAndVersions(t *testing.T) {
 	if n, _ := s.PPRCacheLen("er"); n != 0 {
 		t.Fatalf("cache after delta has %d entries, want 0 (stale structure)", n)
 	}
-	if n, _ := s.PPREnginePoolLen("er"); n != 0 {
-		t.Fatalf("engine pool after delta has %d entries, want 0", n)
+	if n, _ := s.PPREnginePoolLen("er"); n != 1 {
+		t.Fatalf("engine pool after delta has %d entries, want the query's engine, reused by the repair", n)
 	}
 
 	// A fresh personalized query must compute against the new structure and
@@ -333,7 +332,7 @@ func TestDriftBudgetForcesRecompute(t *testing.T) {
 	}
 }
 
-// TestRepairEngineReused pins that consecutive deltas share one repair
+// TestRepairEngineReused pins that consecutive deltas share one pooled
 // engine instead of allocating O(n) scratch per mutation.
 func TestRepairEngineReused(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
@@ -348,18 +347,18 @@ func TestRepairEngineReused(t *testing.T) {
 	if _, err := s.ApplyEdgeDelta("er", delta.EdgeDelta{Insert: []graph.Edge{{Src: 0, Dst: 9}}}); err != nil {
 		t.Fatal(err)
 	}
-	first := e.repairEng
-	if first == nil {
-		t.Fatal("no repair engine retained after a delta")
+	if e.pool.len() != 1 {
+		t.Fatalf("pool holds %d engines after a delta, want the repair's", e.pool.len())
 	}
+	first := e.pool.free[0]
 	if _, err := s.ApplyEdgeDelta("er", delta.EdgeDelta{Delete: []graph.Edge{{Src: 0, Dst: 9}}}); err != nil {
 		t.Fatal(err)
 	}
-	if e.repairEng != first {
-		t.Fatal("second delta rebuilt the repair engine instead of rebinding it")
+	if e.pool.len() != 1 || e.pool.free[0] != first {
+		t.Fatal("second delta built a repair engine instead of rebinding the pooled one")
 	}
-	if e.repairEng.Graph() != e.snap.Load().Graph {
-		t.Fatal("repair engine not rebound to the latest published graph")
+	if first.Graph() != e.snap.Load().Graph {
+		t.Fatal("pooled engine not rebound to the latest published graph")
 	}
 }
 

@@ -538,9 +538,6 @@ func (s *Server) republishRanks(e *entry, m recomputeMeta, enc string, blob []by
 	snap.topk = pcpm.TopK(snap.Ranks, min(topKCacheSize, len(snap.Ranks)))
 	//lint:ignore walorder apply path: this republishes a record already in the log (lsn), nothing new to append
 	e.snap.Store(snap)
-	e.mu.Lock()
-	e.retireLocked(false)
-	e.mu.Unlock()
 	return nil
 }
 
@@ -579,7 +576,7 @@ func (s *Server) republishDelta(e *entry, m deltaMeta, blob []byte, lsn uint64) 
 	//lint:ignore walorder apply path: this republishes a record already in the log (lsn), nothing new to append
 	e.snap.Store(snap)
 	e.mu.Lock()
-	e.retireLocked(true)
+	e.retireLocked()
 	e.mu.Unlock()
 	return nil
 }

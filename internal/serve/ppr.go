@@ -66,7 +66,7 @@ type PPRAnswer struct {
 	// Top holds the K highest personalized scores, descending.
 	Top []PPRScore `json:"scores"`
 	// Rounds and Pushes summarize the push computation (zero cost on hits):
-	// Pushes counts every vertex push, in sparse rounds and sweeps alike.
+	// Pushes counts every vertex push, in worklist rounds and sweeps alike.
 	Rounds int   `json:"rounds"`
 	Pushes int64 `json:"pushes"`
 	// ResidualL1 bounds the L1 error of the underlying score vector.
@@ -196,29 +196,22 @@ func normalizePPRLimits(k int, epsilon float64) (int, float64, error) {
 	return k, epsilon, nil
 }
 
-// enginePool retains idle personalized-PageRank engines for one graph so a
-// cache-missed query borrows warm scratch (~17 bytes/node) instead of
-// allocating it. Engines are shaped by the snapshot options that were
-// current when they were built, so the pool is keyed by snapshot version:
-// a recompute or re-upload publishes a new version and the retained
-// engines are invalidated (eagerly on recompute, lazily on version
-// mismatch). The cap bounds how much scratch a burst can pin — borrowers
-// past it still get fresh engines, which are simply dropped on return.
-// All methods require the owning entry's mu.
+// enginePool retains idle personalized-PageRank engines for one entry so a
+// cache-missed query or an edge-delta repair borrows warm scratch
+// (~17 bytes/node) instead of allocating it. An engine is sized by the node
+// count alone, and that is fixed within an entry (a replace upload builds a
+// new entry), so every retained engine fits every snapshot the entry will
+// publish: the borrower rebinds it to its snapshot's graph. The cap bounds
+// how much scratch a burst can pin — borrowers past it still get fresh
+// engines, which are simply dropped on return. All methods require the
+// owning entry's mu.
 type enginePool struct {
-	version uint64 // snapshot version the retained engines were built for
-	free    []*pcpm.PPREngine
+	free []*pcpm.PPREngine
 }
 
-// take returns a retained engine built for snapshot version v, or nil on a
-// version mismatch. Mismatches never mutate the pool: v comes from a
-// snapshot the requester loaded earlier, so a request racing a recompute
-// may present an OLD version — discarding here would let one straggler
-// evict every warm engine pooled for the current version. Stale retentions
-// are dropped by invalidate (on recompute) and give (which verifies v is
-// current before rebinding).
-func (p *enginePool) take(v uint64) *pcpm.PPREngine {
-	if p.version != v || len(p.free) == 0 {
+// take pops a retained engine, or returns nil when there is none.
+func (p *enginePool) take() *pcpm.PPREngine {
+	if len(p.free) == 0 {
 		return nil
 	}
 	e := p.free[len(p.free)-1]
@@ -227,21 +220,20 @@ func (p *enginePool) take(v uint64) *pcpm.PPREngine {
 	return e
 }
 
-// give retains an engine built for snapshot version v (the caller verified
-// v is still current), dropping stale retentions and anything past the cap.
-func (p *enginePool) give(v uint64, e *pcpm.PPREngine, capacity int) {
-	if p.version != v {
-		p.free = nil
-		p.version = v
-	}
-	if len(p.free) < capacity {
+// give retains e bound to g, the entry's current graph, so an idle engine
+// never keeps a retired graph alive; anything past the cap is dropped.
+func (p *enginePool) give(e *pcpm.PPREngine, g *pcpm.Graph, capacity int) {
+	if len(p.free) < capacity && e.Rebind(g) == nil {
 		p.free = append(p.free, e)
 	}
 }
 
-// invalidate drops every retained engine.
-func (p *enginePool) invalidate() {
-	p.free = nil
+// rebind points every retained engine at g, the graph a structural publish
+// just made current.
+func (p *enginePool) rebind(g *pcpm.Graph) {
+	for _, e := range p.free {
+		_ = e.Rebind(g) // cannot fail: the node count is fixed within an entry
+	}
 }
 
 func (p *enginePool) len() int { return len(p.free) }
@@ -258,84 +250,47 @@ func (s *Server) pprPoolCap() int {
 	return s.cfg.PPREnginePoolSize
 }
 
-// borrowEngine hands out a PPR engine for e's current snapshot: a pooled
-// one when available, otherwise freshly built with the snapshot's
-// partition size and worker count.
+// borrowEngine hands out a PPR engine bound to snap's graph: a pooled one
+// when available, otherwise freshly built.
 func (s *Server) borrowEngine(e *entry, snap *Snapshot) (*pcpm.PPREngine, error) {
-	if s.pprPoolCap() > 0 {
-		e.mu.Lock()
-		eng := e.pool.take(snap.Version)
-		e.mu.Unlock()
-		if eng != nil {
-			return eng, nil
-		}
+	e.mu.Lock()
+	eng := e.pool.take()
+	e.mu.Unlock()
+	if eng != nil && eng.Rebind(snap.Graph) == nil {
+		return eng, nil
 	}
-	return pcpm.NewPPREngine(snap.Graph, pcpm.PPREngineOptions{
-		PartitionBytes: snap.Options.PartitionBytes,
-		Workers:        snap.Options.Workers,
-	})
+	return pcpm.NewPPREngine(snap.Graph)
 }
 
-// returnEngine gives an engine back to e's pool. Engines built for a
-// snapshot that is no longer current are dropped: their shape may not
-// match the published options anymore.
-func (s *Server) returnEngine(e *entry, snap *Snapshot, eng *pcpm.PPREngine) {
-	capacity := s.pprPoolCap()
-	if capacity <= 0 || e.snap.Load().Version != snap.Version {
-		return
-	}
+// returnEngine gives an engine back to e's pool. Run and Repair clear all
+// per-query state on entry, so an engine is safe to repool even after a
+// failed call.
+func (s *Server) returnEngine(e *entry, eng *pcpm.PPREngine) {
 	e.mu.Lock()
-	e.pool.give(snap.Version, eng, capacity)
+	e.pool.give(eng, e.snap.Load().Graph, s.pprPoolCap())
 	e.mu.Unlock()
 }
 
 // runPersonalizedMisses is the default pprRunFn: it answers the distinct
-// cache-missed queries of one request using pooled engines. A lone miss
-// gets the engine's full intra-query parallelism; several misses are
-// scheduled dynamically across workers with each query single-threaded on
-// its own borrowed engine (cross-query beats intra-query parallelism for
-// batches, exactly as in ppr.RunBatch).
+// cache-missed queries of one request, scheduled dynamically across workers,
+// each worker looping over one borrowed engine.
 func (s *Server) runPersonalizedMisses(e *entry, seedSets [][]uint32, ro pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error) {
 	snap := e.snap.Load()
+	workers := min(par.Workers(snap.Options.Workers), len(seedSets))
 	results := make([]*pcpm.PPRResult, len(seedSets))
-	if len(seedSets) == 1 {
-		eng, err := s.borrowEngine(e, snap)
-		if err != nil {
-			return nil, err
-		}
-		res, err := eng.Run(seedSets[0], ro)
-		// Run clears all per-query state on entry, so the engine is safe to
-		// repool even after a failed run.
-		s.returnEngine(e, snap, eng)
-		if err != nil {
-			return nil, err
-		}
-		results[0] = res
-		return results, nil
-	}
-
-	workers := par.Workers(snap.Options.Workers)
-	if workers > len(seedSets) {
-		workers = len(seedSets)
-	}
-	qro := ro
-	qro.Workers = 1
 	engines := make([]*pcpm.PPREngine, workers)
 	errs := make([]error, len(seedSets))
 	par.ForDynamicWorker(len(seedSets), workers, func(w, i int) {
 		if engines[w] == nil {
-			eng, err := s.borrowEngine(e, snap)
-			if err != nil {
-				errs[i] = err
+			if engines[w], errs[i] = s.borrowEngine(e, snap); errs[i] != nil {
 				return
 			}
-			engines[w] = eng
 		}
-		results[i], errs[i] = engines[w].Run(seedSets[i], qro)
+		results[i], errs[i] = engines[w].Run(seedSets[i], ro)
 	})
 	for _, eng := range engines {
 		if eng != nil {
-			s.returnEngine(e, snap, eng)
+			s.returnEngine(e, eng)
 		}
 	}
 	for _, err := range errs {
@@ -352,12 +307,11 @@ func (s *Server) runPersonalizedMisses(e *entry, seedSets [][]uint32, ro pcpm.PP
 // engine default; both are subject to the abuse limits above, and epsilon
 // is clamped to minPPREpsilon). The damping factor is inherited from the options that
 // produced the graph's current snapshot, so personalized and global ranks
-// stay comparable; partition size and worker count are inherited the same
-// way, so operator tuning applies to PPR too. Repeat queries hit the
-// per-graph LRU; identical queries already being computed by another
-// request are coalesced onto that run (like recomputes); remaining misses
-// are computed together — one engine-parallel run for a single miss,
-// cross-query dynamic scheduling for many.
+// stay comparable, and so is the worker count a batch of misses is spread
+// over. Repeat queries hit the per-graph LRU; identical queries already
+// being computed by another request are coalesced onto that run (like
+// recomputes); remaining misses are computed together, each query
+// sequential on an engine borrowed from the entry's pool.
 func (s *Server) Personalized(name string, seedSets [][]uint32, k int, epsilon float64) ([]PPRAnswer, error) {
 	e, err := s.lookup(name)
 	if err != nil {
@@ -456,8 +410,6 @@ func (s *Server) Personalized(name string, seedSets [][]uint32, k int, epsilon f
 	}()
 
 	if len(missSets) > 0 {
-		// Engine shape (partition size, workers) comes from the snapshot
-		// options via the per-graph pool; only query parameters travel here.
 		runOpts := pcpm.PPRRunOptions{
 			Damping:   damping,
 			Epsilon:   epsilon,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	pcpm "repro"
+	"repro/internal/delta"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -53,59 +54,112 @@ func TestPPRPoolReuseAndCap(t *testing.T) {
 }
 
 // TestEnginePoolStaleTakeDoesNotEvict: a request that loaded its snapshot
-// before a recompute presents an old version to take; that must return nil
-// without evicting the warm engines pooled for the current version.
+// before an edge delta still holds an engine bound to the old graph when the
+// delta publishes. That must not disturb the idle engines, and on return the
+// straggler's engine is rebound to the current graph rather than pooled with
+// the retired one.
 func TestEnginePoolStaleTakeDoesNotEvict(t *testing.T) {
-	var p enginePool
-	cur, old := &pcpm.PPREngine{}, &pcpm.PPREngine{}
-	p.give(2, cur, 4)
-	if got := p.take(1); got != nil {
-		t.Fatalf("stale take returned an engine built for another version")
+	s := New(Config{Defaults: testOptions})
+	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
+		t.Fatal(err)
 	}
-	if p.len() != 1 {
-		t.Fatalf("stale take evicted the current version's engines (len %d)", p.len())
+	e, err := s.lookup("g")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := p.take(2); got != cur {
-		t.Fatal("current-version take did not return the retained engine")
+	old := e.snap.Load()
+	idle, err := s.borrowEngine(e, old)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// give with a newer current version drops older retentions.
-	p.give(2, cur, 4)
-	p.give(3, old, 4)
-	if p.len() != 1 || p.take(2) != nil {
-		t.Fatal("rebinding give kept stale engines")
+	straggler, err := s.borrowEngine(e, old)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.take(3) != old {
-		t.Fatal("rebound pool lost the new engine")
+	s.returnEngine(e, idle)
+	if _, err := s.ApplyEdgeDelta("g", delta.EdgeDelta{Insert: []graph.Edge{{Src: 0, Dst: 9, W: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	cur := e.snap.Load().Graph
+	if straggler.Graph() != old.Graph {
+		t.Fatal("a publish rebound an engine that was out on loan")
+	}
+	if e.pool.len() != 1 || e.pool.free[0] != idle || idle.Graph() != cur {
+		t.Fatalf("after the delta the pool holds %d engines; want the idle one, on the current graph", e.pool.len())
+	}
+	s.returnEngine(e, straggler)
+	if e.pool.len() != 2 || straggler.Graph() != cur {
+		t.Fatal("the straggler's engine was not pooled on the current graph")
 	}
 }
 
-// TestPPRPoolInvalidatedOnRecompute: publishing a new snapshot (whose
-// options may reshape engines) drops the retained engines, and the pool
-// refills at the new version.
-func TestPPRPoolInvalidatedOnRecompute(t *testing.T) {
+// TestPoolSurvivesPublish: an entry's pooled engines outlive every publish.
+// A recompute (ranks only) leaves them as they are; an edge delta rebinds
+// them, so none keeps a retired snapshot's graph alive, and an engine
+// borrowed afterwards answers bit-identically to a fresh one on the new
+// graph.
+func TestPoolSurvivesPublish(t *testing.T) {
 	s := New(Config{Defaults: testOptions, PPRCacheSize: 1})
 	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
 		t.Fatal(err)
 	}
+	e, err := s.lookup("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two idle engines: one left by a query, one handed in directly.
 	if _, err := s.Personalized("g", [][]uint32{{1}}, 3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.PPREnginePoolLen("g"); n != 1 {
-		t.Fatalf("pool len = %d before recompute, want 1", n)
-	}
-	part := 4096
-	if _, err := s.Recompute("g", Overrides{PartitionBytes: &part}, true); err != nil {
+	extra, err := pcpm.NewPPREngine(e.snap.Load().Graph)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.PPREnginePoolLen("g"); n != 0 {
-		t.Fatalf("pool len = %d after recompute, want 0 (invalidated)", n)
+	s.returnEngine(e, extra)
+	pooled := append([]*pcpm.PPREngine(nil), e.pool.free...)
+	if len(pooled) != 2 {
+		t.Fatalf("pool holds %d engines, want 2", len(pooled))
 	}
-	// Queries against the new snapshot repool engines shaped by it.
-	if _, err := s.Personalized("g", [][]uint32{{2}}, 3, 0); err != nil {
+
+	damping := 0.8
+	if _, err := s.Recompute("g", Overrides{Damping: &damping}, true); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.PPREnginePoolLen("g"); n != 1 {
-		t.Fatalf("pool len = %d after post-recompute query, want 1", n)
+	if e.pool.len() != 2 || e.pool.free[0] != pooled[0] || e.pool.free[1] != pooled[1] {
+		t.Fatal("a rank-only publish disturbed the pool")
+	}
+
+	retired := map[*graph.Graph]bool{}
+	for i := uint32(0); i < 5; i++ {
+		retired[e.snap.Load().Graph] = true
+		d := delta.EdgeDelta{Insert: []graph.Edge{{Src: i, Dst: 100 + i, W: 1}}}
+		if _, err := s.ApplyEdgeDelta("g", d); err != nil {
+			t.Fatal(err)
+		}
+		if e.pool.len() != 2 {
+			t.Fatalf("delta %d: pool holds %d engines, want 2", i, e.pool.len())
+		}
+		for _, eng := range e.pool.free {
+			if retired[eng.Graph()] {
+				t.Fatalf("delta %d: a pooled engine still holds a retired snapshot's graph", i)
+			}
+		}
+
+		ans, err := s.Personalized("g", [][]uint32{{i, 7}}, 5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := pcpm.RunPersonalized(e.snap.Load().Graph, []uint32{i, 7},
+			pcpm.PPRRunOptions{Damping: damping, TopK: 5, TopOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, want := range fresh.Top {
+			if got := ans[0].Top[j]; got.Node != want.Node || got.Score != want.Score {
+				t.Fatalf("delta %d top[%d]: pooled engine answered {%d %g}, fresh engine {%d %g}",
+					i, j, got.Node, got.Score, want.Node, want.Score)
+			}
+		}
 	}
 }
 
@@ -127,18 +181,11 @@ func TestPPRPoolSoakNoLeakage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fresh-engine reference for every seed, computed with the same
-	// parameters the serving path uses (snapshot damping/partition/workers;
-	// testOptions pins Workers to 1 so float summation order is identical
-	// and the comparison can be exact).
+	// Fresh-engine reference for every seed; a query is sequential, so the
+	// comparison can be exact.
 	refs := make([][]pcpm.PPREntry, goroutines*perG)
 	for u := range refs {
-		res, err := pcpm.RunPersonalized(g, []uint32{uint32(u)}, pcpm.PPROptions{
-			TopK:           k,
-			TopOnly:        true,
-			PartitionBytes: testOptions.PartitionBytes,
-			Workers:        1,
-		})
+		res, err := pcpm.RunPersonalized(g, []uint32{uint32(u)}, pcpm.PPRRunOptions{TopK: k, TopOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,17 +459,14 @@ func newTestServerFor(t *testing.T, s *Server) string {
 // BenchmarkPPRServeMiss measures the serving layer's cache-miss path with
 // pooled engines against the fresh-engine baseline (pooling disabled).
 // Every iteration is a cache miss (distinct seed), so the difference is
-// exactly the per-miss engine scratch: pooled borrows ~25 bytes/node of
-// warm arrays plus grown scatter buffers, fresh allocates and regrows them.
+// exactly the per-miss engine scratch: pooled borrows ~17 bytes/node of
+// warm arrays plus grown worklists, fresh allocates and regrows them.
 func BenchmarkPPRServeMiss(b *testing.B) {
 	g, err := gen.RMAT(gen.Graph500RMAT(14, 8, 3), graph.BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	// 4 KB partitions give this 16K-node graph a real multi-bin frontier
-	// (K=16); the default 256 KB bins would degenerate to one partition and
-	// hide the per-partition scatter buffers that pooling keeps warm.
-	opts := pcpm.Options{Iterations: 2, PartitionBytes: 4096}
+	opts := pcpm.Options{Iterations: 2}
 	for _, mode := range []struct {
 		name string
 		pool int

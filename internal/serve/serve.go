@@ -131,20 +131,13 @@ type entry struct {
 	// pprWait holds personalized computations in flight, keyed like ppr;
 	// identical concurrent queries attach instead of recomputing.
 	pprWait map[string]*pprInflight // guarded by mu
-	// pool holds idle personalized-PageRank engines for this graph, keyed
-	// by the snapshot version whose options shaped them; see enginePool.
+	// pool holds idle personalized-PageRank engines for this graph, lent to
+	// queries and edge-delta repairs alike; see enginePool.
 	pool enginePool // guarded by mu
 	// structVersion counts structural mutations (edge deltas). A
 	// personalized answer computed against an older structure must not
 	// enter the cache after a mutation landed.
 	structVersion uint64 // guarded by mu
-	// repairEng is the reusable edge-delta repair engine (rebound to each
-	// delta's rebuilt graph instead of reallocating O(n) scratch per
-	// mutation); repairEngPart records the partition size it was built
-	// with. Only touched while holding the entry's mutation (inflight)
-	// slot, which serializes all writers.
-	repairEng     *pcpm.PPREngine
-	repairEngPart int
 }
 
 // newEntry returns an unpublished, unregistered entry for name.
@@ -156,17 +149,16 @@ func (s *Server) newEntry(name string) *entry {
 	}
 }
 
-// retireLocked drops the serving state shaped on the snapshot a publish
-// just replaced. Any publish may carry different engine-shaping options
-// (partition size, workers), so the pooled personalized engines always go;
-// a structural change also strands the cached personalized answers and
-// (via structVersion) those still being computed. The caller holds e.mu.
-func (e *entry) retireLocked(structChanged bool) {
-	e.pool.invalidate()
-	if structChanged {
-		e.structVersion++
-		e.ppr = newPPRCache(e.ppr.cap)
-	}
+// retireLocked drops the serving state shaped on the structure a publish
+// just replaced, after the caller has stored the new snapshot: the cached
+// personalized answers and (via structVersion) those still being computed
+// are stranded, and the pooled engines move to the new graph so the old one
+// can be collected. A rank-only publish (recompute) strands nothing and does
+// not call it. The caller holds e.mu.
+func (e *entry) retireLocked() {
+	e.structVersion++
+	e.ppr = newPPRCache(e.ppr.cap)
+	e.pool.rebind(e.snap.Load().Graph)
 }
 
 // inflightRun is a recompute or edge-delta mutation in progress; coalesced
@@ -193,8 +185,9 @@ type Config struct {
 	// (default 128 queries per graph).
 	PPRCacheSize int
 	// PPREnginePoolSize caps how many idle personalized-PageRank engines
-	// each graph retains for reuse across cache-missed queries (default 4;
-	// negative disables pooling, so every miss allocates fresh scratch).
+	// each graph retains for reuse across cache-missed queries and edge-delta
+	// repairs (default 4; negative disables pooling, so every miss and every
+	// repair allocates fresh scratch).
 	// Engine scratch is ~17 bytes/node, so the worst-case pinned memory per
 	// graph is PPREnginePoolSize × 17 × nodes.
 	PPREnginePoolSize int
@@ -744,7 +737,6 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 		e.lastErr = err.Error()
 	} else {
 		e.lastErr = ""
-		e.retireLocked(false)
 	}
 	e.mu.Unlock()
 	run.err = err

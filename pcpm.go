@@ -11,15 +11,14 @@
 //	res, _ := pcpm.Run(g, pcpm.Options{Method: pcpm.MethodPCPM, Iterations: 20})
 //	for _, e := range pcpm.TopK(res.Ranks, 10) { ... }
 //
-// Engines: MethodPDPR (pull baseline, Algorithm 1), MethodPush (push with
-// atomics), MethodBVGAS (binning vertex-centric GAS, Algorithm 5),
-// MethodPCPMCSR (partition-centric without the PNG layout, Algorithm 2),
+// Engines: MethodPDPR (pull baseline, Algorithm 1), MethodBVGAS (binning
+// vertex-centric GAS, Algorithm 5), MethodPCPMCSR (partition-centric without the PNG layout, Algorithm 2),
 // and MethodPCPM (the paper's contribution: PNG scatter, Algorithm 3, plus
 // branch-avoiding gather, Algorithm 4).
 //
-// Beyond the paper's global PageRank, RunPersonalized / RunPersonalizedBatch
-// answer Personalized PageRank queries (per-seed-set rank vectors) with the
-// partition-centric forward-push engine in internal/ppr.
+// Beyond the paper's global PageRank, RunPersonalized and PPREngine answer
+// Personalized PageRank queries (per-seed-set rank vectors) with the
+// forward-push engine in internal/ppr.
 package pcpm
 
 import (
@@ -41,7 +40,6 @@ type Method string
 // The available engines.
 const (
 	MethodPDPR    Method = "pdpr"
-	MethodPush    Method = "push"
 	MethodBVGAS   Method = "bvgas"
 	MethodPCPMCSR Method = "pcpm-csr"
 	MethodPCPM    Method = "pcpm"
@@ -49,7 +47,7 @@ const (
 
 // Methods lists every engine in baseline-to-contribution order.
 func Methods() []Method {
-	return []Method{MethodPDPR, MethodPush, MethodBVGAS, MethodPCPMCSR, MethodPCPM}
+	return []Method{MethodPDPR, MethodBVGAS, MethodPCPMCSR, MethodPCPM}
 }
 
 // Options configure a Run. Zero values select the paper's defaults:
@@ -93,7 +91,7 @@ type Result struct {
 	// Stats carries cumulative per-phase wall-clock times.
 	Stats core.PhaseStats
 	// PreprocessTime is the engine's setup cost: bin sizing for BVGAS, zero
-	// for the pull/push baselines. For the PCPM engines it is the PNG build
+	// for the pull baseline. For the PCPM engines it is the PNG build
 	// time (Table 8) only when this Run built the layout — a graph keeps the
 	// layout of its last partition size, so a later Run with the same
 	// PartitionBytes reports just bin and rank-state allocation.
@@ -126,8 +124,6 @@ func NewEngine(g *graph.Graph, o Options) (core.Engine, error) {
 	switch o.Method {
 	case MethodPDPR:
 		return core.NewPDPR(g, cfg)
-	case MethodPush:
-		return core.NewPush(g, cfg)
 	case MethodBVGAS:
 		return core.NewBVGAS(g, cfg)
 	case MethodPCPMCSR:
@@ -170,22 +166,9 @@ func Run(g *graph.Graph, o Options) (*Result, error) {
 	return res, nil
 }
 
-// PPROptions is the combined engine + query configuration for the one-shot
-// personalized entry points (see internal/ppr): damping, the epsilon
-// L1-termination knob, TopK, partition size for the frontier bins, worker
-// count, and the dense-sweep threshold. Engine-reusing callers split the
-// two halves: PPREngineOptions fix the scratch shape at NewPPREngine,
-// PPRRunOptions carry everything query-specific per Run call.
-type PPROptions = ppr.Options
-
-// PPREngineOptions fix a PPREngine's graph-shaped scratch (partition size
-// for the frontier bins, worker capacity). Nothing query-specific lives
-// here, which is what makes engines poolable.
-type PPREngineOptions = ppr.EngineOptions
-
-// PPRRunOptions carry the query-specific parameters of one personalized
-// PageRank run: damping, epsilon, top-k, per-run worker clamp, the
-// dense-sweep threshold, and the round cap.
+// PPRRunOptions carry the parameters of one personalized PageRank run:
+// damping, epsilon, top-k and the round cap. There are no others — an engine
+// is sized by its graph's node count alone.
 type PPRRunOptions = ppr.RunOptions
 
 // PPREngine is reusable personalized PageRank scratch for one graph
@@ -196,8 +179,8 @@ type PPREngine = ppr.Engine
 // NewPPREngine builds a reusable personalized PageRank engine for g. Query
 // parameters are supplied per Engine.Run call, so one engine (or a pool)
 // serves queries with arbitrary per-call epsilon, top-k, and damping.
-func NewPPREngine(g *Graph, o PPREngineOptions) (*PPREngine, error) {
-	return ppr.New(g, o)
+func NewPPREngine(g *Graph) (*PPREngine, error) {
+	return ppr.New(g, ppr.EngineOptions{})
 }
 
 // PPRResult is one completed personalized PageRank query: the full score
@@ -209,20 +192,13 @@ type PPRResult = ppr.Result
 type PPREntry = ppr.Entry
 
 // RunPersonalized computes the Personalized PageRank vector for a uniform
-// distribution over the given seed vertices, using residual forward push
-// with a partition-centric frontier (and in-place push sweeps over all
-// vertices while the frontier is saturated). The result's ResidualL1 bounds the L1
-// distance to the exact answer by o.Epsilon.
-func RunPersonalized(g *graph.Graph, seeds []uint32, o PPROptions) (*PPRResult, error) {
+// distribution over the given seed vertices by residual forward push: a
+// worklist of waiting vertices while few wait, in-place push sweeps over all
+// vertices while many do. The result's ResidualL1 bounds the L1 distance to
+// the exact answer by o.Epsilon. To answer many seed sets, build one
+// PPREngine and loop.
+func RunPersonalized(g *graph.Graph, seeds []uint32, o PPRRunOptions) (*PPRResult, error) {
 	return ppr.Run(g, seeds, o)
-}
-
-// RunPersonalizedBatch evaluates many seed sets over one graph, scheduling
-// queries dynamically across workers with each query single-threaded —
-// the right trade for batch traffic, where cross-query parallelism beats
-// intra-query parallelism. Results align positionally with seedSets.
-func RunPersonalizedBatch(g *graph.Graph, seedSets [][]uint32, o PPROptions) ([]*PPRResult, error) {
-	return ppr.RunBatch(g, seedSets, o)
 }
 
 // Edge re-exports the graph substrate's directed edge, the element type of
@@ -236,7 +212,7 @@ type EdgeDelta = delta.EdgeDelta
 
 // DeltaOptions configure ApplyEdgeDelta: the damping the input ranks were
 // computed with, the repair's epsilon (its own L1 error bound), the
-// fallback threshold on dirtied residual mass, and engine shape knobs.
+// fallback threshold on dirtied residual mass, and an engine to reuse.
 type DeltaOptions = delta.Options
 
 // DeltaResult reports one applied edge delta: the rebuilt graph, the
@@ -247,30 +223,12 @@ type DeltaResult = delta.Result
 // ApplyEdgeDelta applies a batch of edge insertions/deletions to g and
 // repairs ranks incrementally: residuals are seeded at the vertices whose
 // out-neighborhoods changed (the sparse perturbation ((1−α)/α)(M′−M)p) and
-// drained with the partition-centric forward-push engine, so small deltas
+// drained with the signed forward-push engine, so small deltas
 // cost far less than a from-scratch engine run. When the dirtied mass
 // exceeds DeltaOptions.FallbackL1 the result reports FellBack and carries
 // only the rebuilt graph — run the engine on it instead.
 func ApplyEdgeDelta(g *Graph, ranks []float32, d EdgeDelta, o DeltaOptions) (*DeltaResult, error) {
 	return delta.Apply(g, ranks, d, o)
-}
-
-// SCCResult re-exports the strongly-connected-component decomposition
-// record (vertex→component map, condensation DAG, topological levels)
-// produced by DecomposeSCC and consumed by DeltaOptions.Components.
-type SCCResult = scc.Result
-
-// DecomposeSCC computes g's SCC decomposition plus its condensation DAG
-// grouped into topological levels, using up to workers goroutines (0 means
-// GOMAXPROCS). Reuse the result across ApplyEdgeDelta calls to scope
-// incremental repairs to the dirtied components' downstream closure.
-func DecomposeSCC(g *Graph, workers int) *SCCResult { return scc.Decompose(g, workers) }
-
-// GraphStatsFromSCC annotates ComputeStats with an existing decomposition
-// of g, so a caller holding one (for ApplyEdgeDelta) does not decompose
-// again for the stats record.
-func GraphStatsFromSCC(g *Graph, dec *SCCResult) GraphStats {
-	return scc.StatsFor(g, dec)
 }
 
 // RankEntry re-exports core.RankEntry for TopK consumers.
@@ -284,8 +242,13 @@ func TopK(ranks []float32, k int) []RankEntry { return core.TopK(ranks, k) }
 type Graph = graph.Graph
 
 // GraphStats re-exports the graph summary record (nodes, edges, degree
-// extremes, dangling count).
+// extremes, dangling count, component summary).
 type GraphStats = graph.Stats
+
+// ComputeGraphStats summarizes g and fills the component fields (count and
+// largest component) from an SCC decomposition run on up to workers
+// goroutines (0 means GOMAXPROCS).
+func ComputeGraphStats(g *Graph, workers int) GraphStats { return scc.ComputeStats(g, workers) }
 
 // NewGraphBuilder returns a builder for assembling a graph edge by edge.
 func NewGraphBuilder(n int) *graph.Builder { return graph.NewBuilder(n) }

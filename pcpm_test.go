@@ -200,7 +200,7 @@ func TestBranchingGatherOption(t *testing.T) {
 
 func TestRunPersonalizedThroughFacade(t *testing.T) {
 	g := facadeGraph(t)
-	res, err := RunPersonalized(g, []uint32{0, 7}, PPROptions{TopK: 5, Epsilon: 1e-8})
+	res, err := RunPersonalized(g, []uint32{0, 7}, PPRRunOptions{TopK: 5, Epsilon: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,21 +210,20 @@ func TestRunPersonalizedThroughFacade(t *testing.T) {
 	if res.ResidualL1 > 1e-8 {
 		t.Fatalf("residual %g exceeds epsilon", res.ResidualL1)
 	}
-	batch, err := RunPersonalizedBatch(g, [][]uint32{{0, 7}, {3}}, PPROptions{Epsilon: 1e-8})
+	eng, err := NewPPREngine(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != 2 {
-		t.Fatalf("batch results = %d, want 2", len(batch))
+	again, err := eng.Run([]uint32{7, 0}, PPRRunOptions{Epsilon: 1e-8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var diff float64
 	for i := range res.Scores {
-		diff += math.Abs(res.Scores[i] - batch[0].Scores[i])
+		if res.Scores[i] != again.Scores[i] {
+			t.Fatalf("engine answer diverges from the one-shot run at vertex %d", i)
+		}
 	}
-	if diff > 1e-7 {
-		t.Fatalf("batch[0] diverges from single run: L1 = %g", diff)
-	}
-	if _, err := RunPersonalized(g, nil, PPROptions{}); err == nil {
+	if _, err := RunPersonalized(g, nil, PPRRunOptions{}); err == nil {
 		t.Fatal("empty seed set should fail")
 	}
 }
