@@ -145,8 +145,8 @@ func main() {
 		os.Exit(1)
 	}
 	recovered := make(map[string]bool)
-	for _, info := range srv.List() {
-		recovered[info.Name] = true
+	for _, name := range srv.Names() {
+		recovered[name] = true
 	}
 
 	for _, spec := range preload {

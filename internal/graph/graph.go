@@ -322,7 +322,8 @@ func (g *Graph) Reverse() *Graph {
 // Components and LargestComponent describe the strongly-connected-component
 // structure. ComputeStats leaves them zero — the decomposition lives in
 // internal/scc, which graph cannot import — and scc.ComputeStats fills
-// them; the serving layer and CLIs use that entry point.
+// them: the CLIs call it through the facade, the serving layer the first
+// time someone asks about a structure, never when it publishes one.
 type Stats struct {
 	Nodes        int
 	Edges        int64

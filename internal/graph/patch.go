@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Patch returns a new Graph with the given edges inserted and deleted,
@@ -35,162 +35,126 @@ func Patch(g *Graph, insert, del []Edge) (*Graph, error) {
 	}
 	weighted := g.outW != nil
 
-	// Group the changes per source vertex and patch each changed out-list,
-	// recording the weight of every removed instance so the CSC side drops
-	// the same one.
-	srcIns := make(map[NodeID][]Edge)
-	for _, e := range insert {
-		if weighted && e.W == 0 {
-			e.W = 1
-		}
-		srcIns[e.Src] = append(srcIns[e.Src], e)
-	}
-	srcDel := make(map[NodeID][]NodeID, len(del))
-	for _, e := range del {
-		srcDel[e.Src] = append(srcDel[e.Src], e.Dst)
-	}
+	m2 := g.m + int64(len(insert)) - int64(len(del))
 	type list struct {
 		adj []NodeID
 		w   []float32
 	}
-	outPatched := make(map[NodeID]list, len(srcIns)+len(srcDel))
 	removedW := make(map[uint64][]float32, len(del)) // (src,dst) key -> removed instance weights
-	for src := range srcIns {
-		outPatched[src] = list{}
-	}
-	for src := range srcDel {
-		outPatched[src] = list{}
-	}
-	for src := range outPatched {
-		adj := append([]NodeID(nil), g.OutNeighbors(src)...)
-		var w []float32
-		if weighted {
-			w = append([]float32(nil), g.OutWeights(src)...)
-		}
-		for _, dst := range srcDel[src] {
-			i := sort.Search(len(adj), func(i int) bool { return adj[i] >= dst })
-			if i >= len(adj) || adj[i] != dst {
-				return nil, fmt.Errorf("graph: patch delete of absent edge (%d,%d)", src, dst)
+	// side builds one direction of the new graph — out-lists (keyed by source,
+	// holding destinations) or in-lists (the reverse) — from the old one. The
+	// out side goes first and records the weight of every instance it removes,
+	// so the in side drops the same one.
+	side := func(out bool, oldOff []int64, oldAdj []NodeID, oldW []float32) ([]int64, []NodeID, []float32, error) {
+		ends := func(e Edge) (at, nbr NodeID) {
+			if out {
+				return e.Src, e.Dst
 			}
-			adj = append(adj[:i], adj[i+1:]...)
+			return e.Dst, e.Src
+		}
+		// Rebuild the list of every vertex the batch touches.
+		ins, dels := make(map[NodeID][]Edge), make(map[NodeID][]Edge)
+		patched := make(map[NodeID]list, len(insert)+len(del))
+		for _, e := range insert {
+			if weighted && e.W == 0 {
+				e.W = 1
+			}
+			at, _ := ends(e)
+			ins[at], patched[at] = append(ins[at], e), list{}
+		}
+		for _, e := range del {
+			at, _ := ends(e)
+			dels[at], patched[at] = append(dels[at], e), list{}
+		}
+		changed := make([]NodeID, 0, len(patched))
+		for v := range patched {
+			changed = append(changed, v)
+			adj := append([]NodeID(nil), oldAdj[oldOff[v]:oldOff[v+1]]...)
+			var w []float32
 			if weighted {
-				key := uint64(src)<<32 | uint64(dst)
-				removedW[key] = append(removedW[key], w[i])
-				w = append(w[:i], w[i+1:]...)
+				w = append([]float32(nil), oldW[oldOff[v]:oldOff[v+1]]...)
 			}
-		}
-		for _, e := range srcIns[src] {
-			i := sort.Search(len(adj), func(i int) bool { return adj[i] >= e.Dst })
-			adj = append(adj, 0)
-			copy(adj[i+1:], adj[i:])
-			adj[i] = e.Dst
-			if weighted {
-				w = append(w, 0)
-				copy(w[i+1:], w[i:])
-				w[i] = e.W
-			}
-		}
-		outPatched[src] = list{adj: adj, w: w}
-	}
-
-	// Mirror the changes on the in-lists of changed destinations.
-	dstIns := make(map[NodeID][]Edge)
-	for _, e := range insert {
-		if weighted && e.W == 0 {
-			e.W = 1
-		}
-		dstIns[e.Dst] = append(dstIns[e.Dst], e)
-	}
-	dstDel := make(map[NodeID][]NodeID, len(del))
-	for _, e := range del {
-		dstDel[e.Dst] = append(dstDel[e.Dst], e.Src)
-	}
-	inPatched := make(map[NodeID]list, len(dstIns)+len(dstDel))
-	for dst := range dstIns {
-		inPatched[dst] = list{}
-	}
-	for dst := range dstDel {
-		inPatched[dst] = list{}
-	}
-	for dst := range inPatched {
-		adj := append([]NodeID(nil), g.InNeighbors(dst)...)
-		var w []float32
-		if weighted {
-			w = append([]float32(nil), g.InWeights(dst)...)
-		}
-		for _, src := range dstDel[dst] {
-			i := sort.Search(len(adj), func(i int) bool { return adj[i] >= src })
-			if i >= len(adj) || adj[i] != src {
-				// The out-side delete succeeded, so CSR/CSC disagree.
-				return nil, fmt.Errorf("graph: CSC missing edge (%d,%d) present in CSR", src, dst)
-			}
-			if weighted {
-				// Drop the instance whose weight the out side removed, so the
-				// two layouts keep identical per-pair weight multisets.
-				key := uint64(src)<<32 | uint64(dst)
-				wants := removedW[key]
-				want := wants[0]
-				removedW[key] = wants[1:]
-				j := i
-				for j < len(adj) && adj[j] == src && w[j] != want {
-					j++
+			for _, e := range dels[v] {
+				_, nbr := ends(e)
+				i, found := slices.BinarySearch(adj, nbr) // the first instance
+				if !found {
+					if out {
+						return nil, nil, nil, fmt.Errorf("graph: patch delete of absent edge (%d,%d)", e.Src, e.Dst)
+					}
+					// The out-side delete succeeded, so CSR/CSC disagree.
+					return nil, nil, nil, fmt.Errorf("graph: CSC missing edge (%d,%d) present in CSR", e.Src, e.Dst)
 				}
-				if j >= len(adj) || adj[j] != src {
-					j = i // weight drift between sides; drop the first instance
+				if weighted {
+					key := uint64(e.Src)<<32 | uint64(e.Dst)
+					if out {
+						removedW[key] = append(removedW[key], w[i])
+					} else {
+						// Drop the instance whose weight the out side removed (the
+						// first one if weights drifted between the sides), so the two
+						// layouts keep identical per-pair weight multisets.
+						want := removedW[key][0]
+						removedW[key] = removedW[key][1:]
+						for j := i; j < len(adj) && adj[j] == nbr; j++ {
+							if w[j] == want {
+								i = j
+								break
+							}
+						}
+					}
+					w = slices.Delete(w, i, i+1)
 				}
-				i = j
-				w = append(w[:i], w[i+1:]...)
+				adj = slices.Delete(adj, i, i+1)
 			}
-			adj = append(adj[:i], adj[i+1:]...)
-		}
-		for _, e := range dstIns[dst] {
-			i := sort.Search(len(adj), func(i int) bool { return adj[i] >= e.Src })
-			adj = append(adj, 0)
-			copy(adj[i+1:], adj[i:])
-			adj[i] = e.Src
-			if weighted {
-				w = append(w, 0)
-				copy(w[i+1:], w[i:])
-				w[i] = e.W
+			for _, e := range ins[v] {
+				_, nbr := ends(e)
+				i, _ := slices.BinarySearch(adj, nbr)
+				adj = slices.Insert(adj, i, nbr)
+				if weighted {
+					w = slices.Insert(w, i, e.W)
+				}
 			}
+			patched[v] = list{adj: adj, w: w}
 		}
-		inPatched[dst] = list{adj: adj, w: w}
-	}
 
-	m2 := g.m + int64(len(insert)) - int64(len(del))
-	ng := &Graph{
-		n: n, m: m2,
-		outOff: make([]int64, n+1),
-		inOff:  make([]int64, n+1),
-	}
-	// assemble splices the per-vertex ranges. Arrays are built with append
-	// into preallocated capacity so the runtime never zero-fills memory the
-	// copies immediately overwrite.
-	assemble := func(off []int64, oldOff []int64, oldAdj []NodeID, oldW []float32, patched map[NodeID]list) ([]NodeID, []float32) {
-		adj := make([]NodeID, 0, m2)
+		// Splice the rebuilt lists between the untouched spans of the old
+		// arrays: one bulk copy per run of unchanged vertices, whose offsets are
+		// the old ones plus the length change accumulated so far.
+		slices.Sort(changed)
+		off, adj := make([]int64, n+1), make([]NodeID, 0, m2)
 		var w []float32
 		if weighted {
 			w = make([]float32, 0, m2)
 		}
-		for v := 0; v < n; v++ {
-			off[v] = int64(len(adj))
-			if lst, ok := patched[NodeID(v)]; ok {
-				adj = append(adj, lst.adj...)
-				if weighted {
-					w = append(w, lst.w...)
-				}
-				continue
-			}
-			lo, hi := oldOff[v], oldOff[v+1]
-			adj = append(adj, oldAdj[lo:hi]...)
+		var shift int64
+		span := func(from, to int) { // unchanged vertices [from, to), and offset to
+			adj = append(adj, oldAdj[oldOff[from]:oldOff[to]]...)
 			if weighted {
-				w = append(w, oldW[lo:hi]...)
+				w = append(w, oldW[oldOff[from]:oldOff[to]]...)
+			}
+			for v := from; v <= to; v++ {
+				off[v] = oldOff[v] + shift
 			}
 		}
-		off[n] = int64(len(adj))
-		return adj, w
+		next := 0
+		for _, v := range changed {
+			span(next, int(v))
+			adj = append(adj, patched[v].adj...)
+			if weighted {
+				w = append(w, patched[v].w...)
+			}
+			shift += int64(len(patched[v].adj)) - (oldOff[v+1] - oldOff[v])
+			next = int(v) + 1
+		}
+		span(next, n)
+		return off, adj, w, nil
 	}
-	ng.outAdj, ng.outW = assemble(ng.outOff, g.outOff, g.outAdj, g.outW, outPatched)
-	ng.inAdj, ng.inW = assemble(ng.inOff, g.inOff, g.inAdj, g.inW, inPatched)
+	ng := &Graph{n: n, m: m2}
+	var err error
+	if ng.outOff, ng.outAdj, ng.outW, err = side(true, g.outOff, g.outAdj, g.outW); err != nil {
+		return nil, err
+	}
+	if ng.inOff, ng.inAdj, ng.inW, err = side(false, g.inOff, g.inAdj, g.inW); err != nil {
+		return nil, err
+	}
 	return ng, nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -139,5 +140,123 @@ func TestPatchWeighted(t *testing.T) {
 	}
 	if w := ng.OutWeights(1); len(w) != 1 || w[0] != 5.0 {
 		t.Fatalf("untouched out-weights(1) = %v, want [5]", w)
+	}
+}
+
+// checkPatchAgainstRebuild patches g and holds the result to FromEdges over
+// the edited edge list: offsets, both adjacency arrays and, on a weighted
+// graph, both weight arrays.
+func checkPatchAgainstRebuild(t *testing.T, g *Graph, weighted bool, ins, del []Edge) *Graph {
+	t.Helper()
+	got, err := Patch(g, ins, del)
+	if err != nil {
+		t.Fatalf("Patch(ins %v, del %v): %v", ins, del, err)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("patched graph invalid: %v", err)
+	}
+	remove := map[uint64]int{}
+	for _, e := range del {
+		remove[uint64(e.Src)<<32|uint64(e.Dst)]++
+	}
+	var kept []Edge
+	for _, e := range g.Edges() {
+		if k := uint64(e.Src)<<32 | uint64(e.Dst); remove[k] > 0 {
+			remove[k]--
+			continue
+		}
+		kept = append(kept, e)
+	}
+	want, err := FromEdges(g.NumNodes(), append(kept, ins...), weighted, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("Patch(ins %v, del %v) differs from the rebuilt graph", ins, del)
+	}
+	for v := 0; weighted && v < g.NumNodes(); v++ {
+		if !slices.Equal(got.InWeights(NodeID(v)), want.InWeights(NodeID(v))) {
+			t.Fatalf("Patch(ins %v, del %v): in-weights of %d = %v, rebuilt %v",
+				ins, del, v, got.InWeights(NodeID(v)), want.InWeights(NodeID(v)))
+		}
+	}
+	return got
+}
+
+// TestPatchSpans aims at the seams of the span copy in Patch: changed
+// vertices next to each other and at both ends of the ID range, lists that
+// become or stop being empty, parallel edges, then random batches, each on
+// an unweighted and a weighted graph.
+func TestPatchSpans(t *testing.T) {
+	const n = 48
+	for _, weighted := range []bool{false, true} {
+		// A weight is a function of the pair, so parallel instances are
+		// interchangeable and instance order cannot make two graphs differ.
+		edge := func(src, dst int) Edge {
+			e := Edge{Src: NodeID(src), Dst: NodeID(dst), W: 1}
+			if weighted {
+				e.W = float32(1 + (src*31+dst)%7)
+			}
+			return e
+		}
+		r := rand.New(rand.NewPCG(24, 1))
+		var edges []Edge
+		for v := 0; v < n; v++ {
+			if v == 5 || v == 6 || v == 20 { // 5, 6 and 20 start with empty out-lists
+				continue
+			}
+			for range 1 + r.IntN(5) {
+				dst := r.IntN(n)
+				for dst == 9 { // nothing points at 9: an empty in-list
+					dst = r.IntN(n)
+				}
+				edges = append(edges, edge(v, dst))
+			}
+		}
+		edges = append(edges, edge(30, 31), edge(30, 31)) // a parallel pair
+		g, err := FromEdges(n, edges, weighted, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outOf := func(g *Graph, v int) []Edge {
+			var es []Edge
+			for _, e := range g.Edges() {
+				if int(e.Src) == v {
+					es = append(es, e)
+				}
+			}
+			return es
+		}
+		cases := []struct {
+			name     string
+			ins, del []Edge
+		}{
+			{"adjacent changed vertices", []Edge{edge(11, 3), edge(12, 3), edge(13, 40)}, outOf(g, 12)[:1]},
+			{"vertex 0 and n-1", []Edge{edge(0, n-1), edge(n-1, 0)}, append(outOf(g, 0)[:1], outOf(g, n-1)[:1]...)},
+			{"list becomes empty", nil, outOf(g, 17)},
+			{"adjacent lists become empty", []Edge{edge(20, 20)}, append(outOf(g, 18), outOf(g, 19)...)},
+			{"previously empty lists", []Edge{edge(5, 9), edge(6, 9), edge(6, 9)}, nil},
+			{"parallel edges", []Edge{edge(30, 31), edge(2, 2)}, []Edge{edge(30, 31)}},
+			{"every out-list of a run", []Edge{edge(40, 1), edge(41, 1), edge(42, 1), edge(43, 1)}, nil},
+		}
+		for _, c := range cases {
+			checkPatchAgainstRebuild(t, g, weighted, c.ins, c.del)
+		}
+		// Random batches, chained so later ones patch a patched graph.
+		cur := g
+		for trial := 0; trial < 60; trial++ {
+			var ins, del []Edge
+			have := cur.Edges()
+			for _, i := range r.Perm(len(have))[:r.IntN(4)] {
+				del = append(del, have[i])
+			}
+			for range r.IntN(4) {
+				ins = append(ins, edge(r.IntN(n), r.IntN(n)))
+			}
+			if len(ins)+len(del) == 0 {
+				ins = append(ins, edge(trial%n, (trial+1)%n))
+			}
+			cur = checkPatchAgainstRebuild(t, cur, weighted, ins, del)
+		}
 	}
 }

@@ -94,8 +94,8 @@ func (r *Result) LargestComponent() int {
 // StatsFor is graph.ComputeStats plus the component summary fields
 // (Components, LargestComponent) filled from an existing decomposition of
 // g — the graph package cannot fill them itself without importing this
-// one. Callers that still need the decomposition keep it; ComputeStats is
-// the throwaway convenience form.
+// one. For a caller that holds a Result anyway; ComputeStats is the cheaper
+// form for one that does not.
 func StatsFor(g *graph.Graph, r *Result) graph.Stats {
 	s := g.ComputeStats()
 	s.Components = r.NumComps
@@ -103,12 +103,20 @@ func StatsFor(g *graph.Graph, r *Result) graph.Stats {
 	return s
 }
 
-// ComputeStats decomposes g and returns the annotated stats, discarding
-// the decomposition. Prefer Decompose + StatsFor when the decomposition
-// itself is also needed (the serving layer and the componentwise solver
-// reuse it).
+// ComputeStats returns what StatsFor(g, Decompose(g, workers)) would without
+// building a Result: the partition step plus a size tally, skipping condense
+// (about half of Decompose's time). The serving layer (once per graph
+// structure, at one worker) and the facade's ComputeGraphStats use it.
 func ComputeStats(g *graph.Graph, workers int) graph.Stats {
-	return StatsFor(g, Decompose(g, workers))
+	s := g.ComputeStats()
+	d := partition(g, workers)
+	sizes := make([]int, d.nextComp.Load())
+	for _, c := range d.comp {
+		sizes[c]++
+		s.LargestComponent = max(s.LargestComponent, sizes[c])
+	}
+	s.Components = len(sizes)
+	return s
 }
 
 // task is one FW-BW subproblem: a set of vertices owned exclusively by the
@@ -118,7 +126,7 @@ type task struct {
 	verts []graph.NodeID
 }
 
-// decomposer carries the shared state of one Decompose call. All vertex-
+// decomposer carries the shared state of one partition call. All vertex-
 // indexed scratch (sub, mark, indeg, outdeg, comp) is only ever written by
 // the task that currently owns the vertex, and tasks own disjoint sets, so
 // workers need no locks — only the task counter and component counter are
@@ -146,13 +154,26 @@ type decomposer struct {
 }
 
 // Decompose computes the SCC decomposition of g using up to the given
-// number of workers (0 means GOMAXPROCS).
+// number of workers (0 means GOMAXPROCS): the partition step, then condense.
 func Decompose(g *graph.Graph, workers int) *Result {
-	n := g.NumNodes()
 	start := time.Now()
-	if n == 0 {
+	if g.NumNodes() == 0 {
 		return &Result{Comp: []int32{}, CompOff: []int64{0}, AdjOff: []int64{0}}
 	}
+	d := partition(g, workers)
+	partTime := time.Since(start)
+
+	res := d.condense(int(d.nextComp.Load()))
+	res.PartitionTime = partTime
+	res.CondenseTime = time.Since(start) - partTime
+	return res
+}
+
+// partition assigns every vertex of g a provisional component id in d.comp,
+// dense in [0, d.nextComp) but in scheduling order; Decompose and
+// ComputeStats finish from there.
+func partition(g *graph.Graph, workers int) *decomposer {
+	n := g.NumNodes()
 	d := &decomposer{
 		g:      g,
 		comp:   make([]int32, n),
@@ -181,12 +202,7 @@ func Decompose(g *graph.Graph, workers int) *Result {
 		d.spawn(root)
 		d.wg.Wait()
 	}
-	partition := time.Since(start)
-
-	res := d.condense(int(d.nextComp.Load()))
-	res.PartitionTime = partition
-	res.CondenseTime = time.Since(start) - partition
-	return res
+	return d
 }
 
 // spawn hands t to a fresh worker goroutine if a slot is free, otherwise

@@ -342,3 +342,39 @@ func TestComputeStats(t *testing.T) {
 		t.Fatalf("base stats missing: nodes=%d", s.Nodes)
 	}
 }
+
+// TestComputeStatsMatchesDecompose holds the count-only finish to the full
+// one: same stats as StatsFor over a Decompose, on every family and the
+// degenerate shapes, through both partition paths (Tarjan at one worker,
+// FW-BW at two).
+func TestComputeStatsMatchesDecompose(t *testing.T) {
+	graphs := testGraphs(t)
+	mk := func(n int, edges []graph.Edge) *graph.Graph {
+		g, err := graph.FromEdges(n, edges, false, graph.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	graphs["empty"] = mk(0, nil)
+	graphs["all-singletons"] = mk(100, nil)
+	cycle := make([]graph.Edge, 3000)
+	for v := range cycle {
+		cycle[v] = graph.Edge{Src: graph.NodeID(v), Dst: graph.NodeID((v + 1) % len(cycle))}
+	}
+	graphs["giant-cycle"] = mk(len(cycle), cycle)
+	for name, g := range graphs {
+		for _, workers := range []int{1, 2} {
+			want := StatsFor(g, Decompose(g, workers))
+			if got := ComputeStats(g, workers); got != want {
+				t.Errorf("%s, %d workers: ComputeStats = %+v, StatsFor(Decompose) = %+v", name, workers, got, want)
+			}
+		}
+	}
+	if s := ComputeStats(graphs["giant-cycle"], 1); s.Components != 1 || s.LargestComponent != len(cycle) {
+		t.Errorf("giant cycle: %d components, largest %d", s.Components, s.LargestComponent)
+	}
+	if s := ComputeStats(graphs["all-singletons"], 2); s.Components != 100 || s.LargestComponent != 1 {
+		t.Errorf("singletons: %d components, largest %d", s.Components, s.LargestComponent)
+	}
+}

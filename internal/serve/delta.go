@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	pcpm "repro"
 	"repro/internal/delta"
 	"repro/internal/wal"
 )
@@ -217,11 +216,10 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 	}
 
 	var ns *Snapshot
-	stats, dec := graphStats(res.Graph)
 	if fellBack {
 		st.Mode = "recompute"
 		st.Reason = reason
-		ns, err = s.compute(e, res.Graph, stats, dec, opts, false)
+		ns, err = s.compute(e, res.Graph, opts, false)
 		if err != nil {
 			return DeltaStatus{}, err
 		}
@@ -229,10 +227,8 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 		st.Mode = "incremental"
 		st.ResidualL1 = res.ResidualL1
 		st.Rounds = res.Rounds
-		ns = &Snapshot{
+		ns = e.seal(&Snapshot{
 			Graph:   res.Graph,
-			Stats:   stats,
-			SCC:     dec,
 			Ranks:   res.Ranks,
 			Options: opts,
 			Method:  snap.Method,
@@ -244,8 +240,7 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 			Version:     e.version.Add(1),
 			ComputedAt:  time.Now(),
 			ComputeTime: res.RebuildTime + res.RepairTime,
-		}
-		ns.topk = pcpm.TopK(ns.Ranks, min(topKCacheSize, len(ns.Ranks)))
+		})
 	}
 	// Write-ahead: the batch becomes durable before its snapshot becomes
 	// visible. Parent links the record to the snapshot it mutated so an

@@ -250,22 +250,20 @@ func (s *Server) walAppendAdd(name string, snap *Snapshot, replace bool) (uint64
 }
 
 // stageSnapshot turns a decoded snapshot blob into everything short of its
-// publication: the full in-memory Snapshot (stats, condensation, top-k
-// cache) at log position lsn, and a fresh unregistered entry to publish it
-// in. The LSN comes from the caller (the record or snapshot position being
-// installed), not from m — the blob was written before its append was
-// assigned one. Versions never go backwards: over an entry already
+// publication: the full in-memory Snapshot (O(n) stats, an empty component
+// memo, top-k cache) at log position lsn, and a fresh unregistered entry to
+// publish it in. The LSN comes from the caller (the record or snapshot
+// position being installed), not from m — the blob was written before its
+// append was assigned one. Versions never go backwards: over an entry already
 // registered under name, re-installing the log position it serves (a
 // follower re-bootstrapping into what it has) keeps its version, anything
 // else is a newer publish and takes the next one. The caller is the
 // registry's only writer, so that entry is still the registered one when
 // the staged entry replaces it.
 func (s *Server) stageSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn uint64) (*entry, *Snapshot) {
-	stats, dec := graphStats(gs.Graph)
-	snap := &Snapshot{
+	e := s.newEntry(name)
+	snap := e.seal(&Snapshot{
 		Graph:       gs.Graph,
-		Stats:       stats,
-		SCC:         dec,
 		Ranks:       gs.Ranks,
 		Options:     m.Options,
 		Method:      m.Method,
@@ -275,8 +273,7 @@ func (s *Server) stageSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn 
 		RepairDrift: m.Drift,
 		WalLSN:      lsn,
 		ComputedAt:  m.ComputedAt,
-	}
-	snap.topk = pcpm.TopK(snap.Ranks, min(topKCacheSize, len(snap.Ranks)))
+	})
 	if old, err := s.lookup(name); err == nil {
 		if v := old.version.Load(); snap.Version <= v {
 			if old.snap.Load().WalLSN == lsn {
@@ -286,7 +283,6 @@ func (s *Server) stageSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn 
 			}
 		}
 	}
-	e := s.newEntry(name)
 	e.version.Store(snap.Version)
 	return e, snap
 }
@@ -522,10 +518,8 @@ func (s *Server) republishRanks(e *entry, m recomputeMeta, enc string, blob []by
 	if err != nil {
 		return err
 	}
-	snap := &Snapshot{
+	snap := e.seal(&Snapshot{
 		Graph:      old.Graph,
-		Stats:      old.Stats,
-		SCC:        old.SCC,
 		Ranks:      ranks,
 		Options:    m.Options,
 		Method:     m.Method,
@@ -534,8 +528,7 @@ func (s *Server) republishRanks(e *entry, m recomputeMeta, enc string, blob []by
 		Version:    e.version.Add(1),
 		WalLSN:     lsn,
 		ComputedAt: time.Now(),
-	}
-	snap.topk = pcpm.TopK(snap.Ranks, min(topKCacheSize, len(snap.Ranks)))
+	})
 	//lint:ignore walorder apply path: this republishes a record already in the log (lsn), nothing new to append
 	e.snap.Store(snap)
 	return nil
@@ -556,11 +549,8 @@ func (s *Server) republishDelta(e *entry, m deltaMeta, blob []byte, lsn uint64) 
 	if err != nil {
 		return err
 	}
-	stats, dec := graphStats(ng)
-	snap := &Snapshot{
+	snap := e.seal(&Snapshot{
 		Graph:   ng,
-		Stats:   stats,
-		SCC:     dec,
 		Ranks:   ranks,
 		Options: old.Options,
 		Method:  old.Method,
@@ -571,8 +561,7 @@ func (s *Server) republishDelta(e *entry, m deltaMeta, blob []byte, lsn uint64) 
 		Version:     e.version.Add(1),
 		WalLSN:      lsn,
 		ComputedAt:  time.Now(),
-	}
-	snap.topk = pcpm.TopK(snap.Ranks, min(topKCacheSize, len(snap.Ranks)))
+	})
 	//lint:ignore walorder apply path: this republishes a record already in the log (lsn), nothing new to append
 	e.snap.Store(snap)
 	e.mu.Lock()

@@ -57,12 +57,9 @@ func ValidName(name string) bool { return nameRE.MatchString(name) }
 type Snapshot struct {
 	// Graph is the structure the ranks were computed on.
 	Graph *graph.Graph
-	// Stats summarizes Graph (precomputed once per publication).
+	// Stats is Graph.ComputeStats(), taken once per structure. Its component
+	// fields stay zero: no publish decomposes the graph, GraphInfo reads comps.
 	Stats graph.Stats
-	// SCC is the decomposition backing Stats' component fields; the
-	// edge-delta path hands it to delta.Apply so incremental repairs can
-	// skip components with no dirtied residual mass.
-	SCC *scc.Result
 	// Ranks is the full (unscaled) rank vector, indexed by node ID.
 	Ranks []float32
 	// Options that produced this snapshot.
@@ -98,7 +95,17 @@ type Snapshot struct {
 	// serving from the snapshot.
 	Shard *ShardInfo
 
-	topk []pcpm.RankEntry // first topKCacheSize entries, precomputed
+	topk  []pcpm.RankEntry // first topKCacheSize entries, precomputed
+	comps *compMemo        // Graph's component summary, shared with every snapshot of Graph
+}
+
+// compMemo is the component summary (count, largest) of one graph structure,
+// filled at most once and only when a reader asks (Server.info). Every
+// snapshot of the same *graph.Graph points at the same memo (a recompute
+// changes ranks, not structure), and it is collected with the last of them.
+type compMemo struct {
+	once                sync.Once
+	components, largest int
 }
 
 // TopK returns the k highest-ranked nodes of this snapshot in descending
@@ -147,6 +154,19 @@ func (s *Server) newEntry(name string) *entry {
 		ppr:     newPPRCache(s.cfg.PPRCacheSize),
 		pprWait: make(map[string]*pprInflight),
 	}
+}
+
+// seal fills in what an unpublished snapshot of e derives from its Graph and
+// Ranks: the top-k prefix, and the stats and component memo — the current
+// snapshot's when it serves the same graph (a rank-only publish), else new.
+func (e *entry) seal(snap *Snapshot) *Snapshot {
+	if cur := e.snap.Load(); cur != nil && cur.Graph == snap.Graph {
+		snap.Stats, snap.comps = cur.Stats, cur.comps
+	} else {
+		snap.Stats, snap.comps = snap.Graph.ComputeStats(), new(compMemo)
+	}
+	snap.topk = pcpm.TopK(snap.Ranks, min(topKCacheSize, len(snap.Ranks)))
+	return snap
 }
 
 // retireLocked drops the serving state shaped on the structure a publish
@@ -287,6 +307,8 @@ type Server struct {
 	// coord drives the shard-worker fleet when Config.ShardWorkers is set;
 	// nil runs every engine in-process. See shard.go.
 	coord *shard.Coordinator
+	// sccFills counts compMemo fills: the decompositions this server ran.
+	sccFills atomic.Int64
 }
 
 // New builds a Server from cfg.
@@ -344,8 +366,17 @@ type GraphInfo struct {
 	LastError   string      `json:"last_error,omitempty"`
 }
 
-func (e *entry) info() GraphInfo {
+// info summarizes e's current snapshot. The first info of a structure fills
+// its component memo: a count-only decomposition on the reader's goroutine,
+// holding neither e.mu nor the inflight slot, at one worker — a read must not
+// take both cores from the writer or a solve. Concurrent readers wait for it.
+func (s *Server) info(e *entry) GraphInfo {
 	snap := e.snap.Load()
+	snap.comps.once.Do(func() {
+		st := scc.ComputeStats(snap.Graph, 1)
+		snap.comps.components, snap.comps.largest = st.Components, st.LargestComponent
+		s.sccFills.Add(1)
+	})
 	e.mu.Lock()
 	recomputing := e.inflight != nil
 	lastErr := e.lastErr
@@ -356,8 +387,8 @@ func (e *entry) info() GraphInfo {
 		Edges:       snap.Stats.Edges,
 		AvgDegree:   snap.Stats.AvgDegree,
 		Dangling:    snap.Stats.Dangling,
-		Components:  snap.Stats.Components,
-		LargestComp: snap.Stats.LargestComponent,
+		Components:  snap.comps.components,
+		LargestComp: snap.comps.largest,
 		Method:      snap.Method,
 		Iterations:  snap.Iterations,
 		Delta:       snap.Delta,
@@ -442,8 +473,7 @@ func (s *Server) addGraph(name string, g *graph.Graph, opts pcpm.Options, replac
 	}()
 
 	e := s.newEntry(name)
-	stats, dec := graphStats(g)
-	snap, err := s.compute(e, g, stats, dec, opts, true)
+	snap, err := s.compute(e, g, opts, true)
 	if err != nil {
 		return GraphInfo{}, err
 	}
@@ -469,7 +499,7 @@ func (s *Server) addGraph(name string, g *graph.Graph, opts pcpm.Options, replac
 
 	s.log.Info("graph loaded", "graph", name, "nodes", snap.Stats.Nodes,
 		"edges", snap.Stats.Edges, "method", snap.Method, "compute", snap.ComputeTime)
-	return e.info(), nil
+	return s.info(e), nil
 }
 
 // Remove drops name from the registry. An in-flight recompute for it may
@@ -525,7 +555,7 @@ func (s *Server) List() []GraphInfo {
 	entries := s.sortedEntries()
 	infos := make([]GraphInfo, len(entries))
 	for i, e := range entries {
-		infos[i] = e.info()
+		infos[i] = s.info(e)
 	}
 	return infos
 }
@@ -536,7 +566,18 @@ func (s *Server) Info(name string) (GraphInfo, error) {
 	if err != nil {
 		return GraphInfo{}, err
 	}
-	return e.info(), nil
+	return s.info(e), nil
+}
+
+// Names returns the registered graph names, sorted, without summarizing the
+// graphs (List builds a GraphInfo each, which may decompose).
+func (s *Server) Names() []string {
+	entries := s.sortedEntries()
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.name
+	}
+	return names
 }
 
 // NumGraphs returns the registry size.
@@ -713,7 +754,7 @@ func (s *Server) Recompute(name string, ov Overrides, wait bool) (RecomputeStatu
 // the graph here cannot race a delta mutation.
 func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 	old := e.snap.Load()
-	snap, err := s.compute(e, old.Graph, old.Stats, old.SCC, opts, false)
+	snap, err := s.compute(e, old.Graph, opts, false)
 	if err == nil {
 		// Logged with the resulting rank vector (full, or as a signed
 		// residual delta against the parent when that is smaller), which
@@ -743,31 +784,29 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 	close(run.done)
 }
 
-// compute runs the engine and wraps the result in an unpublished Snapshot.
-// stats and dec must describe g; recomputes pass the prior snapshot's so an
-// unchanged graph is not re-summarized or re-decomposed. fresh distinguishes
-// an ingest-time computation from a re-run of a registered graph — in
-// coordinator mode the former deploys shard payloads, the latter only
-// re-solves on the already-distributed blocks.
+// compute runs the engine and wraps the result in an unpublished Snapshot of
+// g for e; a re-run of the graph e already serves keeps its stats and
+// component memo (entry.seal). fresh distinguishes an ingest-time
+// computation from a re-run of a registered graph — in coordinator mode the
+// former deploys shard payloads, the latter only re-solves on the
+// already-distributed blocks.
 //
 // Every run is PCPM with the branch-avoiding gather. opts
 // inherited from a snapshot an older data dir or leader shipped may name
 // another engine or an ablation; that is cleared here, unconsulted, so the
 // published options describe the run.
-func (s *Server) compute(e *entry, g *graph.Graph, stats graph.Stats, dec *scc.Result, opts pcpm.Options, fresh bool) (*Snapshot, error) {
+func (s *Server) compute(e *entry, g *graph.Graph, opts pcpm.Options, fresh bool) (*Snapshot, error) {
 	opts.Method, opts.BranchingGather = "", false
 	if s.coord != nil {
-		return s.computeSharded(e, g, stats, dec, opts, fresh)
+		return s.computeSharded(e, g, opts, fresh)
 	}
 	start := time.Now()
 	res, err := s.computeFn(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	snap := &Snapshot{
+	return e.seal(&Snapshot{
 		Graph:       g,
-		Stats:       stats,
-		SCC:         dec,
 		Ranks:       res.Ranks,
 		Options:     opts,
 		Method:      res.Method,
@@ -776,9 +815,7 @@ func (s *Server) compute(e *entry, g *graph.Graph, stats graph.Stats, dec *scc.R
 		Version:     e.version.Add(1),
 		ComputedAt:  time.Now(),
 		ComputeTime: time.Since(start),
-	}
-	snap.topk = pcpm.TopK(snap.Ranks, min(topKCacheSize, len(snap.Ranks)))
-	return snap, nil
+	}), nil
 }
 
 // fillDefaults overlays the server-wide default options onto opts.
@@ -811,15 +848,6 @@ func (s *Server) fillDefaults(opts pcpm.Options) pcpm.Options {
 	// explicit false against a true default use IngestGraph's Overrides.)
 	opts.RedistributeDangling = opts.RedistributeDangling || d.RedistributeDangling
 	return opts
-}
-
-// graphStats summarizes g for a snapshot, including the SCC structure
-// (component count and largest component, paper Table 4 extended) that
-// graph.ComputeStats cannot fill itself. The decomposition rides along on
-// the snapshot for the edge-delta path.
-func graphStats(g *graph.Graph) (graph.Stats, *scc.Result) {
-	dec := scc.Decompose(g, 0)
-	return scc.StatsFor(g, dec), dec
 }
 
 func (s *Server) lookup(name string) (*entry, error) {

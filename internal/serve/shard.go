@@ -67,12 +67,16 @@ func solveOptions(opts pcpm.Options) shard.SolveOptions {
 // computeSharded is compute's coordinator-mode twin: instead of running an
 // engine in-process it deploys (fresh ingest) or re-solves (recompute) on
 // the worker fleet and wraps the deployment info in a snapshot with no
-// resident rank vector.
-func (s *Server) computeSharded(e *entry, g *graph.Graph, stats graph.Stats, dec *scc.Result, opts pcpm.Options, fresh bool) (*Snapshot, error) {
+// resident rank vector. A deploy is the one consumer of a full decomposition
+// in this package (the condensation-aware row-block cut), so it decomposes
+// here and leaves the component summary in the new structure's memo.
+func (s *Server) computeSharded(e *entry, g *graph.Graph, opts pcpm.Options, fresh bool) (*Snapshot, error) {
 	so := solveOptions(opts)
 	start := time.Now()
 	var info shard.DeployInfo
+	var dec *scc.Result
 	if fresh {
+		dec = scc.Decompose(g, 0)
 		di, err := s.coord.Deploy(e.name, g, dec, so)
 		if err != nil {
 			return nil, err
@@ -88,10 +92,8 @@ func (s *Server) computeSharded(e *entry, g *graph.Graph, stats graph.Stats, dec
 		}
 		info = di
 	}
-	return &Snapshot{
+	snap := e.seal(&Snapshot{
 		Graph:       g,
-		Stats:       stats,
-		SCC:         dec,
 		Options:     opts,
 		Method:      MethodSharded,
 		Iterations:  info.Rounds,
@@ -105,7 +107,11 @@ func (s *Server) computeSharded(e *entry, g *graph.Graph, stats graph.Stats, dec
 			Rounds:     info.Rounds,
 			Delta:      info.Delta,
 		},
-	}, nil
+	})
+	if dec != nil {
+		snap.comps.once.Do(func() { snap.comps.components, snap.comps.largest = dec.NumComps, dec.LargestComponent() })
+	}
+	return snap, nil
 }
 
 // shardTopK answers a top-k query by fanning out to the workers and k-way
