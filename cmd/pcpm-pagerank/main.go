@@ -78,7 +78,7 @@ func main() {
 		return
 	}
 
-	s := pcpm.ComputeGraphStats(g, *workers)
+	s := pcpm.ComputeGraphStats(g)
 	fmt.Printf("graph: %d nodes, %d edges, avg degree %.2f, %d dangling, %d components (largest %d)\n",
 		s.Nodes, s.Edges, s.AvgDegree, s.Dangling, s.Components, s.LargestComponent)
 

@@ -1,480 +1,39 @@
-// Package comp is the componentwise PageRank solver: it decomposes the
-// graph into strongly connected components (internal/scc), walks the
-// condensation DAG level by level, and solves each component against the
-// frozen ranks of its upstream components — Engström & Silvestrov's
-// componentwise PageRank ("Graph partitioning and a componentwise PageRank
-// algorithm"), layered over the paper's partition-centric engine.
-//
-// The mathematics: under the leak formulation (eq. 1 of the PCPM paper),
-// the rank of a vertex v in component C satisfies
-//
-//	PR(v) = (1-d)/|V| + d·Σ_{u ∈ Ni(v)∩C} PR(u)/|No(u)| + d·inflow(v)
-//
-// where inflow(v) = Σ_{u ∈ Ni(v)\C} PR(u)/|No(u)| ranges over upstream
-// components only (the condensation is a DAG, so every cross-component
-// in-edge comes from a strictly lower topological level). Once upstream
-// components are solved, inflow(v) is a constant — a per-vertex
-// teleport-like term — and C's ranks solve a PageRank system restricted to
-// C's subgraph, with the full-graph out-degree as the divisor (mass leaving
-// C still dilutes in-component shares; it reappears downstream as inflow).
-//
-// Per component the solver picks the cheapest adequate kernel: single-
-// vertex components are solved in closed form (PR = b/(1 - d·s/deg) with s
-// self-loops), small components run a float64 Gauss-Seidel sweep over a
-// local adjacency copy, and large components (the giant SCC of web/social
-// graphs) build a component subgraph via graph.Builder and run the paper's
-// PCPM engine restricted to it (core.NewPCPMRestricted: per-vertex base
-// terms and full-graph degrees). Components within one topological level
-// have no edges between them and solve in parallel.
-//
-// The redistribute-dangling formulation couples every component to every
-// dangling vertex, which would break the DAG ordering. The solver uses the
-// system's linearity instead: the fixed point is p = pA + D·pB where pA is
-// the leak solution, pB the solution with uniform base d/n (the response to
-// one unit of redistributed dangling mass), and the scalar D solves
-// D = SA + D·SB with SA, SB the dangling-vertex sums of pA and pB — so both
-// dangling policies come out of the same componentwise machinery, two
-// solves instead of one.
+// Package comp is a shim kept only for the benchmark's scc probe, which
+// calls comp.Run with a decomposition it has just timed. The componentwise
+// solver that once lived here (PageRank scheduled over the SCC condensation)
+// never beat the monolithic engine and is retired; Run now solves with the
+// monolithic PCPM engine and ignores Options.SCC, so the benchmark's
+// comp.solve_s times a monolithic solve. Nothing else may import this package.
 package comp
 
 import (
-	"fmt"
-	"sort"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/scc"
 )
 
-// Defaults of the componentwise solver.
-const (
-	// DefaultTolerance is the convergence target when Options.Tolerance is
-	// unset: the solver budget for the total L1 change at termination,
-	// apportioned to components by their vertex share.
-	DefaultTolerance = 1e-9
-	// DefaultMaxIterations caps the iterations of any single component's
-	// iterative solve.
-	DefaultMaxIterations = 2000
-	// DefaultEngineMinNodes is the component size from which the restricted
-	// PCPM engine is used; smaller components run the local float64
-	// Gauss-Seidel kernel, whose setup cost is a handful of slices instead
-	// of a PNG layout.
-	DefaultEngineMinNodes = 1024
-)
+// maxIterations caps a solve that never reaches Tolerance.
+const maxIterations = 2000
 
-// Options configure one componentwise solve. The zero value selects the
-// defaults: damping 0.85, tolerance 1e-9, leak dangling policy, GOMAXPROCS
-// workers, 256 KB partitions for the restricted engines.
+// Options configure Run. SCC is accepted and ignored.
 type Options struct {
-	// Damping is the PageRank damping factor d (default 0.85).
-	Damping float64
-	// Tolerance is the aggregate L1 convergence target (default 1e-9).
-	// Component c is solved until its L1 sweep change drops below
-	// Tolerance·|c|/|V|, so the per-component budgets sum to Tolerance.
 	Tolerance float64
-	// MaxIterations caps any single component's iterative solve (default
-	// 2000). A component hitting the cap stops there, exactly like the
-	// monolithic engines' convergence mode.
-	MaxIterations int
-	// PartitionBytes shapes the restricted PCPM engines (default 256 KB);
-	// must be a power of two.
-	PartitionBytes int
-	// Workers bounds parallelism, both across independent components of one
-	// level and within a dominant component's engine (default GOMAXPROCS).
-	Workers int
-	// Dangling selects the dangling-mass semantics, matching the monolithic
-	// engines' policies (default DanglingLeak, the paper's formulation).
-	Dangling core.DanglingPolicy
-	// BranchingGather selects the Algorithm 2 gather ablation for the
-	// restricted engines, mirroring the facade knob.
-	BranchingGather bool
-	// EngineMinNodes is the component size from which the restricted PCPM
-	// engine replaces the local Gauss-Seidel kernel (default 1024; values
-	// below 2 force the engine for every multi-vertex component, which the
-	// goldens use to exercise the restricted engine broadly).
-	EngineMinNodes int
-	// SCC optionally supplies a precomputed decomposition of the same graph
-	// (callers that already ran internal/scc — the serving layer's stats
-	// path — skip the repeated decompose). Must describe exactly g.
-	SCC *scc.Result
+	SCC       *scc.Result
 }
 
-func (o Options) withDefaults() Options {
-	if o.Damping == 0 {
-		o.Damping = core.DefaultDamping
-	}
-	if o.Tolerance == 0 {
-		o.Tolerance = DefaultTolerance
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = DefaultMaxIterations
-	}
-	if o.EngineMinNodes == 0 {
-		o.EngineMinNodes = DefaultEngineMinNodes
-	}
-	return o
-}
-
-func (o Options) validate() error {
-	if o.Damping <= 0 || o.Damping >= 1 {
-		return fmt.Errorf("comp: damping %v outside (0,1)", o.Damping)
-	}
-	if o.Tolerance <= 0 {
-		return fmt.Errorf("comp: tolerance %v must be positive", o.Tolerance)
-	}
-	if o.MaxIterations < 1 {
-		return fmt.Errorf("comp: max iterations %d below 1", o.MaxIterations)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("comp: negative workers %d", o.Workers)
-	}
-	return nil
-}
-
-// Breakdown summarizes one componentwise solve: the condensation shape,
-// which kernel solved how many components, and the per-phase wall-clock
-// split (decompose = SCC partition, schedule = condensation DAG + levels,
-// solve = the level walk). Under the redistribute policy the kernel counts
-// cover both linear-system solves.
-type Breakdown struct {
-	Components       int
-	LargestComponent int
-	Levels           int
-	// ClosedForm, LocalSolves, and EngineSolves count components by kernel:
-	// closed-form singletons, local Gauss-Seidel, restricted PCPM engine.
-	ClosedForm   int
-	LocalSolves  int
-	EngineSolves int
-	// Decompose, Schedule, and Solve split the wall clock by phase.
-	Decompose time.Duration
-	Schedule  time.Duration
-	Solve     time.Duration
-}
-
-// Result is one completed componentwise solve.
+// Result is one completed solve.
 type Result struct {
-	// Ranks is the final (unscaled) PageRank vector, indexed by node.
-	Ranks []float32
-	// Iterations is the total iteration count summed over all component
-	// solves — the work proxy comparable against a monolithic engine's
-	// iteration count times one (whole-graph) iteration cost.
+	Ranks      []float32
 	Iterations int
-	// Delta is the summed final L1 sweep change over all components, the
-	// componentwise analog of the monolithic engines' final delta; at most
-	// Options.Tolerance when every component converged.
-	Delta float64
-	// Breakdown carries the condensation shape, kernel counts, and phase
-	// times.
-	Breakdown Breakdown
+	Delta      float64
 }
 
-// Run solves PageRank on g componentwise.
+// Run solves PageRank on g with the default PCPM engine to o.Tolerance.
 func Run(g *graph.Graph, o Options) (*Result, error) {
-	o = o.withDefaults()
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	n := g.NumNodes()
-	if n == 0 {
-		return &Result{Ranks: []float32{}}, nil
-	}
-	dec := o.SCC
-	if dec == nil {
-		dec = scc.Decompose(g, o.Workers)
-	} else if len(dec.Comp) != n {
-		return nil, fmt.Errorf("comp: supplied SCC describes %d vertices, graph has %d", len(dec.Comp), n)
-	}
-
-	s := &solver{g: g, dec: dec, o: o, local: make([]int32, n)}
-	res := &Result{
-		Breakdown: Breakdown{
-			Components:       dec.NumComps,
-			LargestComponent: dec.LargestComponent(),
-			Levels:           len(dec.Levels),
-			Decompose:        dec.PartitionTime,
-			Schedule:         dec.CondenseTime,
-		},
-	}
-
-	solveStart := time.Now()
-	pA, err := s.solveAll((1-o.Damping)/float64(n), res)
+	e, err := core.NewPCPM(g, core.Config{})
 	if err != nil {
 		return nil, err
 	}
-	final := pA
-	if o.Dangling == core.DanglingRedistribute {
-		if dangCount := g.DanglingCount(); dangCount > 0 {
-			// Linearity in the redistributed mass: p = pA + D·pB with pB the
-			// response to a unit of dangling mass spread as d/n per vertex,
-			// and D = SA/(1-SB) the self-consistent dangling total (SB ≤ d
-			// < 1, so the denominator never vanishes).
-			pB, err := s.solveAll(o.Damping/float64(n), res)
-			if err != nil {
-				return nil, err
-			}
-			var sa, sb float64
-			for v := 0; v < n; v++ {
-				if g.OutDegree(graph.NodeID(v)) == 0 {
-					sa += pA[v]
-					sb += pB[v]
-				}
-			}
-			d := sa / (1 - sb)
-			for v := range final {
-				final[v] = pA[v] + d*pB[v]
-			}
-		}
-	}
-	res.Breakdown.Solve = time.Since(solveStart)
-
-	res.Ranks = make([]float32, n)
-	for v, p := range final {
-		res.Ranks[v] = float32(p)
-	}
-	return res, nil
-}
-
-// solver carries the state shared by every component solve of one Run.
-type solver struct {
-	g   *graph.Graph
-	dec *scc.Result
-	o   Options
-	// local maps a global vertex to its index within the component being
-	// solved. Components own disjoint vertex sets and every slot is written
-	// before it is read, so concurrent component solves share the array.
-	local []int32
-}
-
-// compOutcome reports one component solve for aggregation.
-type compOutcome struct {
-	iters  int
-	delta  float64
-	kernel int // 0 closed form, 1 local Gauss-Seidel, 2 restricted engine
-	err    error
-}
-
-// solveAll walks the condensation level by level with the given uniform
-// base constant, returning the float64 rank vector. Components within a
-// level are independent; a level's dominant large component gets the full
-// worker width, the rest run one component per worker.
-func (s *solver) solveAll(baseConst float64, res *Result) ([]float64, error) {
-	p := make([]float64, s.g.NumNodes())
-	outcomes := make([]compOutcome, s.dec.NumComps)
-	for _, level := range s.dec.Levels {
-		comps := level
-		// A component big enough for the engine and bigger than the rest of
-		// its level combined dominates the level's critical path: give it
-		// the full worker width instead of a single lane.
-		if len(comps) > 1 {
-			ordered := make([]int32, len(comps))
-			copy(ordered, comps)
-			sort.Slice(ordered, func(i, j int) bool {
-				return s.dec.Size(ordered[i]) > s.dec.Size(ordered[j])
-			})
-			rest := 0
-			for _, c := range ordered[1:] {
-				rest += s.dec.Size(c)
-			}
-			if s.dec.Size(ordered[0]) >= s.o.EngineMinNodes && s.dec.Size(ordered[0]) > rest {
-				outcomes[ordered[0]] = s.solveComp(ordered[0], s.o.Workers, baseConst, p)
-				comps = ordered[1:]
-			} else {
-				comps = ordered
-			}
-		} else if len(comps) == 1 {
-			outcomes[comps[0]] = s.solveComp(comps[0], s.o.Workers, baseConst, p)
-			comps = nil
-		}
-		par.ForDynamicWorker(len(comps), s.o.Workers, func(_, i int) {
-			outcomes[comps[i]] = s.solveComp(comps[i], 1, baseConst, p)
-		})
-		for _, c := range level {
-			if outcomes[c].err != nil {
-				return nil, outcomes[c].err
-			}
-		}
-	}
-	for _, oc := range outcomes {
-		res.Iterations += oc.iters
-		res.Delta += oc.delta
-		switch oc.kernel {
-		case 0:
-			res.Breakdown.ClosedForm++
-		case 1:
-			res.Breakdown.LocalSolves++
-		case 2:
-			res.Breakdown.EngineSolves++
-		}
-	}
-	return p, nil
-}
-
-// inflow computes v's damped-out constant term: baseConst plus d times the
-// frozen contribution of in-neighbors outside v's component.
-func (s *solver) inflow(v graph.NodeID, c int32, baseConst float64, p []float64) float64 {
-	g := s.g
-	var sum float64
-	for _, u := range g.InNeighbors(v) {
-		if s.dec.Comp[u] != c {
-			sum += p[u] / float64(g.OutDegree(u))
-		}
-	}
-	return baseConst + s.o.Damping*sum
-}
-
-// solveComp solves one component against the already-frozen upstream ranks
-// in p, writing its members' ranks into p.
-func (s *solver) solveComp(c int32, workers int, baseConst float64, p []float64) compOutcome {
-	g, d := s.g, s.o.Damping
-	verts := s.dec.Members(c)
-
-	if len(verts) == 1 {
-		// Closed form: PR = b + d·s·PR/deg with s parallel self-loops out of
-		// deg total out-edges, so PR = b / (1 - d·s/deg).
-		v := verts[0]
-		b := s.inflow(v, c, baseConst, p)
-		selfLoops := 0
-		for _, u := range g.OutNeighbors(v) {
-			if u == v {
-				selfLoops++
-			}
-		}
-		if selfLoops > 0 {
-			b /= 1 - d*float64(selfLoops)/float64(g.OutDegree(v))
-		}
-		p[v] = b
-		return compOutcome{kernel: 0}
-	}
-
-	// The component's share of the global tolerance budget.
-	tolC := s.o.Tolerance * float64(len(verts)) / float64(s.g.NumNodes())
-
-	if s.o.EngineMinNodes < 2 || len(verts) >= s.o.EngineMinNodes {
-		return s.solveEngine(c, verts, workers, baseConst, tolC, p)
-	}
-	return s.solveLocal(c, verts, baseConst, tolC, p)
-}
-
-// solveLocal runs the small-component kernel: a float64 Gauss-Seidel sweep
-// over a local copy of the in-component in-edges. Gauss-Seidel applies
-// updates in place, so mass entering an earlier-swept vertex reaches
-// later-swept ones within the same sweep — same fixed point as the
-// monolithic Jacobi iteration, roughly half the sweeps.
-func (s *solver) solveLocal(c int32, verts []graph.NodeID, baseConst, tolC float64, p []float64) compOutcome {
-	g, d := s.g, s.o.Damping
-	for i, v := range verts {
-		s.local[v] = int32(i)
-	}
-	// Local CSC: in-edges within the component as local indices. Instead of
-	// a per-edge weight, the sweep reads the source's pre-divided value
-	// (scaled[j] = pl[j]/deg_j, updated in place as the sweep advances — the
-	// Gauss-Seidel discipline), which keeps the inner loop at one load and
-	// one add per edge.
-	inOff := make([]int32, len(verts)+1)
-	for _, v := range verts {
-		for _, u := range g.InNeighbors(v) {
-			if s.dec.Comp[u] == c {
-				inOff[s.local[v]+1]++
-			}
-		}
-	}
-	for i := 0; i < len(verts); i++ {
-		inOff[i+1] += inOff[i]
-	}
-	inSrc := make([]int32, inOff[len(verts)])
-	cur := make([]int32, len(verts))
-	b := make([]float64, len(verts))
-	pl := make([]float64, len(verts))
-	invDeg := make([]float64, len(verts))
-	scaled := make([]float64, len(verts))
-	for i, v := range verts {
-		b[i] = s.inflow(v, c, baseConst, p)
-		pl[i] = b[i]
-		invDeg[i] = 1 / float64(g.OutDegree(v)) // strongly connected: deg > 0
-		scaled[i] = b[i] * invDeg[i]
-		li := s.local[v]
-		for _, u := range g.InNeighbors(v) {
-			if s.dec.Comp[u] == c {
-				inSrc[inOff[li]+cur[li]] = s.local[u]
-				cur[li]++
-			}
-		}
-	}
-
-	oc := compOutcome{kernel: 1}
-	for oc.iters = 1; oc.iters <= s.o.MaxIterations; oc.iters++ {
-		var delta float64
-		for i := range pl {
-			var sum float64
-			for _, j := range inSrc[inOff[i]:inOff[i+1]] {
-				sum += scaled[j]
-			}
-			nv := b[i] + d*sum
-			diff := nv - pl[i]
-			if diff < 0 {
-				diff = -diff
-			}
-			delta += diff
-			pl[i] = nv
-			scaled[i] = nv * invDeg[i]
-		}
-		oc.delta = delta
-		if delta < tolC {
-			break
-		}
-	}
-	if oc.iters > s.o.MaxIterations {
-		oc.iters = s.o.MaxIterations
-	}
-	for i, v := range verts {
-		p[v] = pl[i]
-	}
-	return oc
-}
-
-// solveEngine runs the large-component kernel: the component subgraph is
-// materialized through graph.Builder and solved by the paper's PCPM engine
-// restricted to it (per-vertex base, full-graph degrees).
-func (s *solver) solveEngine(c int32, verts []graph.NodeID, workers int, baseConst, tolC float64, p []float64) compOutcome {
-	g := s.g
-	for i, v := range verts {
-		s.local[v] = int32(i)
-	}
-	builder := graph.NewBuilder(len(verts))
-	base := make([]float32, len(verts))
-	degs := make([]int64, len(verts))
-	for i, v := range verts {
-		base[i] = float32(s.inflow(v, c, baseConst, p))
-		degs[i] = g.OutDegree(v)
-		for _, u := range g.OutNeighbors(v) {
-			if s.dec.Comp[u] == c {
-				builder.AddEdge(uint32(i), uint32(s.local[u]))
-			}
-		}
-	}
-	sub, err := builder.Build(graph.BuildOptions{})
-	if err != nil {
-		return compOutcome{err: fmt.Errorf("comp: component %d subgraph: %w", c, err)}
-	}
-	cfg := core.Config{
-		Damping:        s.o.Damping,
-		Workers:        workers,
-		PartitionBytes: s.o.PartitionBytes,
-	}
-	if s.o.BranchingGather {
-		cfg.Gather = core.GatherBranching
-	}
-	eng, err := core.NewPCPMRestricted(sub, cfg, core.Restriction{Base: base, Degrees: degs})
-	if err != nil {
-		return compOutcome{err: fmt.Errorf("comp: component %d engine: %w", c, err)}
-	}
-	oc := compOutcome{kernel: 2}
-	oc.iters, oc.delta = core.RunToConvergence(eng, tolC, s.o.MaxIterations)
-	ranks := eng.Ranks()
-	for i, v := range verts {
-		p[v] = float64(ranks[i])
-	}
-	return oc
+	iters, delta := core.RunToConvergence(e, o.Tolerance, maxIterations)
+	return &Result{Ranks: e.Ranks(), Iterations: iters, Delta: delta}, nil
 }

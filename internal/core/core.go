@@ -203,12 +203,6 @@ func RunToConvergence(e Engine, tol float64, maxIters int) (int, float64) {
 // rankState is the shared vertex-value state every engine maintains: the
 // unscaled ranks, the scaled ranks (SPR(v) = PR(v)/|No(v)|, eq. 2), and the
 // dangling correction for the upcoming iteration.
-//
-// base supports restricted subproblem solves (the componentwise solver's
-// frozen-inflow formulation, see NewPCPMRestricted): when set, the per-vertex
-// base replaces the uniform (1-d)/|V| teleport term, and deg holds the
-// restriction's degrees rather than the subgraph's. Nil for the whole-graph
-// engines.
 type rankState struct {
 	g        *graph.Graph
 	damping  float64
@@ -217,7 +211,6 @@ type rankState struct {
 	spr      []float32
 	deg      []float32 // SPR divisor per vertex: its out-degree, 0 marks dangling
 	dangling float64   // Σ PR over dangling nodes, for the next iteration
-	base     []float32 // optional per-vertex teleport-inflow term
 }
 
 func newRankState(g *graph.Graph, damping float64, policy DanglingPolicy) *rankState {
@@ -238,16 +231,6 @@ func newRankState(g *graph.Graph, damping float64, policy DanglingPolicy) *rankS
 	return s
 }
 
-// restrict turns the state into a restricted subproblem's: base replaces the
-// uniform teleport term and degrees the subgraph's out-degrees.
-func (s *rankState) restrict(base []float32, degrees []int64) {
-	s.base = base
-	for v, d := range degrees {
-		s.deg[v] = float32(d)
-	}
-	s.reset()
-}
-
 func (s *rankState) reset() {
 	n := s.g.NumNodes()
 	if n == 0 {
@@ -256,18 +239,12 @@ func (s *rankState) reset() {
 	uniform := float32(1.0 / float64(n))
 	var dangling float64
 	for v, d := range s.deg {
-		init := uniform
-		if s.base != nil {
-			// Restricted solves start at the teleport-inflow term — the
-			// exact fixed point for vertices with no in-component edges.
-			init = s.base[v]
-		}
-		s.pr[v] = init
+		s.pr[v] = uniform
 		if d > 0 {
-			s.spr[v] = init / d
+			s.spr[v] = uniform / d
 		} else {
 			s.spr[v] = 0
-			dangling += float64(init)
+			dangling += float64(uniform)
 		}
 	}
 	s.dangling = dangling
@@ -285,26 +262,11 @@ func (s *rankState) danglingTerm() float32 {
 // applyRange finalizes ranks for nodes [lo, hi) given their accumulated
 // in-sums, returning the partial L1 delta and partial dangling mass. sums
 // is indexed from lo (sums[0] is node lo's value). The per-vertex work is a
-// multiply-add, an absolute difference and one division by the degree table;
-// whether the state is restricted is decided once, outside the loop.
+// multiply-add, an absolute difference and one division by the degree table.
 func (s *rankState) applyRange(lo, hi int, sums []float32, base, dterm float32) (delta, dangling float64) {
 	d := float32(s.damping)
 	pr, spr, deg := s.pr[lo:hi], s.spr[lo:hi], s.deg[lo:hi]
 	sums = sums[:len(pr)]
-	if s.base != nil {
-		bases := s.base[lo:hi]
-		for i, old := range pr {
-			nv := bases[i] + d*(sums[i]+dterm)
-			pr[i] = nv
-			delta += math.Abs(float64(nv - old))
-			if dg := deg[i]; dg > 0 {
-				spr[i] = nv / dg
-			} else {
-				dangling += float64(nv)
-			}
-		}
-		return delta, dangling
-	}
 	for i, old := range pr {
 		nv := base + d*(sums[i]+dterm)
 		pr[i] = nv

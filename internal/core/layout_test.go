@@ -236,52 +236,3 @@ func TestLayoutBuiltOnceUnderConcurrency(t *testing.T) {
 		}
 	}
 }
-
-// TestApplyFastPathMatchesRestricted: the unrestricted apply — uniform
-// teleport and the graph's own degrees, decided outside the loop — is the
-// restricted apply handed exactly those as Base and Degrees: same ranks,
-// same scaled ranks, same L1 delta and dangling mass, bit for bit.
-func TestApplyFastPathMatchesRestricted(t *testing.T) {
-	g, err := gen.PreferentialAttachmentMix(5000, 4, 0.3, 9, graph.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.DanglingCount() == 0 {
-		t.Fatal("fixture has no dangling vertices")
-	}
-	n := g.NumNodes()
-	plain := newRankState(g, 0.85, DanglingLeak)
-	restricted := newRankState(g, 0.85, DanglingLeak)
-	base := make([]float32, n)
-	degs := make([]int64, n)
-	for v := range base {
-		base[v] = plain.baseTerm()
-		degs[v] = g.OutDegree(graph.NodeID(v))
-	}
-	restricted.restrict(base, degs)
-	// restrict starts ranks at Base; start both states from the same vector.
-	copy(restricted.pr, plain.pr)
-	copy(restricted.spr, plain.spr)
-	restricted.dangling = plain.dangling
-
-	sums := make([]float32, n)
-	for round := 0; round < 3; round++ {
-		for v := range sums {
-			sums[v] = float32((v*7+round*13)%101) / float32(50*n)
-		}
-		// Ranges that do not start at zero exercise the re-slicing.
-		for _, r := range [][2]int{{0, 1700}, {1700, 1701}, {1701, n}} {
-			d1, g1 := plain.applyRange(r[0], r[1], sums[r[0]:r[1]], plain.baseTerm(), 0)
-			d2, g2 := restricted.applyRange(r[0], r[1], sums[r[0]:r[1]], 12345, 0)
-			if d1 != d2 || g1 != g2 {
-				t.Fatalf("round %d range %v: delta %v/%v, dangling %v/%v", round, r, d1, d2, g1, g2)
-			}
-		}
-		for v := range plain.pr {
-			if plain.pr[v] != restricted.pr[v] || plain.spr[v] != restricted.spr[v] {
-				t.Fatalf("round %d vertex %d: pr %v/%v, spr %v/%v", round, v,
-					plain.pr[v], restricted.pr[v], plain.spr[v], restricted.spr[v])
-			}
-		}
-	}
-}

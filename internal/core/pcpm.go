@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/graph"
@@ -49,51 +48,6 @@ func NewPCPM(g *graph.Graph, cfg Config) (*PCPM, error) {
 // directly over CSR, no PNG. Its gather honors cfg.Gather like NewPCPM.
 func NewPCPMCSR(g *graph.Graph, cfg Config) (*PCPM, error) {
 	return newPCPM(g, cfg, true)
-}
-
-// Restriction configures a restricted subproblem solve — the componentwise
-// solver's frozen-inflow formulation (Engström & Silvestrov): g is one
-// strongly connected component's subgraph, Base carries each vertex's
-// constant term (the global teleport share plus the damped inflow from
-// already-solved upstream components), and Degrees carries each vertex's
-// out-degree in the FULL graph, so rank flowing out of the component still
-// dilutes the in-component shares.
-type Restriction struct {
-	// Base is the per-vertex constant replacing the uniform (1-d)/|V| term:
-	// PR(v) = Base[v] + d·Σ_{u ∈ Ni(v)} PR(u)/Degrees[u].
-	Base []float32
-	// Degrees is the per-vertex SPR divisor; Degrees[v] must be at least
-	// v's out-degree in the subgraph (edges leaving the component account
-	// for the difference).
-	Degrees []int64
-}
-
-// NewPCPMRestricted builds a PCPM engine iterating the restricted
-// recurrence of r over the component subgraph g. Only the leak dangling
-// policy is meaningful here: mass leaving the component (including the
-// subgraph-dangling share) is delivered to downstream components by the
-// componentwise scheduler, not by this engine.
-func NewPCPMRestricted(g *graph.Graph, cfg Config, r Restriction) (*PCPM, error) {
-	n := g.NumNodes()
-	if len(r.Base) != n || len(r.Degrees) != n {
-		return nil, fmt.Errorf("core: restriction arrays (%d base, %d degrees) do not match %d nodes",
-			len(r.Base), len(r.Degrees), n)
-	}
-	for v := 0; v < n; v++ {
-		if local := g.OutDegree(graph.NodeID(v)); r.Degrees[v] < local {
-			return nil, fmt.Errorf("core: restricted degree %d of vertex %d below subgraph degree %d",
-				r.Degrees[v], v, local)
-		}
-	}
-	if cfg.Dangling != DanglingLeak {
-		return nil, fmt.Errorf("core: restricted solves support only the leak dangling policy")
-	}
-	e, err := newPCPM(g, cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	e.state.restrict(r.Base, r.Degrees)
-	return e, nil
 }
 
 // buildLayout is png.Build; tests replace it to count builds.

@@ -19,9 +19,8 @@
 // push loop of internal/ppr yields p' = p + π'(r), the fixed point of the
 // new graph — up to the convergence error the input ranks already carried,
 // which the repair preserves rather than amplifies.
-// This is the locality argument of Engström & Silvestrov's componentwise
-// view: a small structural delta perturbs ranks near the changed vertices,
-// so while the dirtied residual stays on few vertices only they are touched.
+// A small structural delta perturbs ranks near the changed vertices, so
+// while the dirtied residual stays on few vertices only they are touched.
 //
 // When the delta dirties too much residual mass (hub rewirings, huge
 // batches) the sparse repair would approach full-recompute cost while

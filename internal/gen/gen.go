@@ -288,13 +288,13 @@ type DAGCommunitiesConfig struct {
 }
 
 // DAGCommunities generates K strongly connected clusters wired by
-// forward-only bridge edges — the component-rich family the SCC and
-// componentwise-solver tests and benchmarks sweep. Every community is one
+// forward-only bridge edges — the component-rich member of the golden
+// family sweeps, and the family whose contiguous components give the
+// SCC-aware shard cut something to snap to. Every community is one
 // nontrivial SCC (a directed ring plus IntraDegree random chords per
 // vertex), bridges only point from lower- to higher-indexed communities,
 // and the last community receives no outgoing bridges, so the condensation
-// has K components stacked into a deep DAG — the structure Engström &
-// Silvestrov's componentwise PageRank exploits.
+// has K components stacked into a deep DAG.
 func DAGCommunities(cfg DAGCommunitiesConfig, opts graph.BuildOptions) (*graph.Graph, error) {
 	if cfg.Clusters <= 0 || cfg.ClusterSize <= 0 {
 		return nil, fmt.Errorf("gen: DAGCommunities(clusters=%d, size=%d) invalid", cfg.Clusters, cfg.ClusterSize)

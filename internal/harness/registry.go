@@ -31,7 +31,6 @@ func Registry() []Experiment {
 		{"fig13", "execution time vs partition size (paper Fig. 13)", Fig13},
 		{"fig14", "phase times vs partition size, sd1 (paper Fig. 14)", Fig14},
 		{"ablations", "PCPM design-choice ablations (DESIGN.md §5)", Ablations},
-		{"componentwise", "SCC-condensation solver vs monolithic PCPM (Engström-Silvestrov)", Componentwise},
 		{"compact", "16-bit partition-local ID streams vs the 32-bit encoding (paper §6 extension)", Compact},
 		{"edgebalance", "uniform vs edge-balanced partitions (paper §6 extension)", EdgeBalance},
 	}

@@ -3,7 +3,9 @@ package serve
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	pcpm "repro"
@@ -253,6 +255,7 @@ func TestInfoPollersBesideDeltas(t *testing.T) {
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 	seen := make([][]triple, 2)
+	var reads [2]atomic.Int64
 	for p := range seen {
 		wg.Add(1)
 		go func() {
@@ -270,17 +273,26 @@ func TestInfoPollersBesideDeltas(t *testing.T) {
 					info = s.List()[0]
 				}
 				seen[p] = append(seen[p], triple{info.Version, info.Components, info.LargestComp})
+				reads[p].Add(1)
 			}
 		}()
 	}
 	// The writer is the only publisher, so what it reads back after each
-	// delta is that delta's version.
+	// delta is that delta's version. Before the next delta each poller
+	// finishes two more reads, the second begun after the publish: the
+	// writer never blocks, so without the wait a loaded scheduler can run
+	// the whole stream before a poller gets a turn.
 	for i, d := range mutationStream(t, g, 30, 5) {
 		if _, err := s.ApplyEdgeDelta("g", d); err != nil {
 			t.Fatalf("delta %d: %v", i, err)
 		}
 		tr := record()
 		want[tr.version] = tr
+		for p := range reads {
+			for start := reads[p].Load(); reads[p].Load() < start+2; {
+				runtime.Gosched()
+			}
+		}
 	}
 	close(done)
 	wg.Wait()

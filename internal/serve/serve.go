@@ -100,7 +100,8 @@ type Snapshot struct {
 }
 
 // compMemo is the component summary (count, largest) of one graph structure,
-// filled at most once and only when a reader asks (Server.info). Every
+// filled at most once, by one sequential Tarjan pass, and only when a reader
+// asks (Server.info) or a sharded deploy has decomposed the graph anyway. Every
 // snapshot of the same *graph.Graph points at the same memo (a recompute
 // changes ranks, not structure), and it is collected with the last of them.
 type compMemo struct {
@@ -367,13 +368,13 @@ type GraphInfo struct {
 }
 
 // info summarizes e's current snapshot. The first info of a structure fills
-// its component memo: a count-only decomposition on the reader's goroutine,
-// holding neither e.mu nor the inflight slot, at one worker — a read must not
-// take both cores from the writer or a solve. Concurrent readers wait for it.
+// its component memo: a count-only decomposition (sequential Tarjan) on the
+// reader's goroutine, holding neither e.mu nor the inflight slot. Concurrent
+// readers wait for it.
 func (s *Server) info(e *entry) GraphInfo {
 	snap := e.snap.Load()
 	snap.comps.once.Do(func() {
-		st := scc.ComputeStats(snap.Graph, 1)
+		st := scc.ComputeStats(snap.Graph)
 		snap.comps.components, snap.comps.largest = st.Components, st.LargestComponent
 		s.sccFills.Add(1)
 	})

@@ -98,18 +98,22 @@ func AssignSCC(g *graph.Graph, r *scc.Result, shards int) Assignment {
 	if r == nil || n == 0 || shards < 2 {
 		return Assign(g, shards)
 	}
+	// span[c] is component c's (minID, maxID+1), read off Comp in ascending
+	// vertex order, so a zero end means "not seen yet".
+	span := make([][2]int32, r.NumComps)
+	for v, c := range r.Comp {
+		if span[c][1] == 0 {
+			span[c][0] = int32(v)
+		}
+		span[c][1] = int32(v) + 1
+	}
 	// dirty[b] == true when some component has members both below and at-or-
 	// above position b, i.e. cutting at b splits it. Mark each component's
-	// (minID, maxID] span via a difference array.
+	// (minID, maxID] span via a difference array; a singleton's is empty.
 	diff := make([]int32, n+2)
-	for c := int32(0); c < int32(r.NumComps); c++ {
-		mem := r.Members(c)
-		if len(mem) < 2 {
-			continue
-		}
-		mn, mx := mem[0], mem[len(mem)-1] // members are ascending
-		diff[mn+1]++
-		diff[mx+1]--
+	for _, s := range span {
+		diff[s[0]+1]++
+		diff[s[1]]--
 	}
 	dirty := make([]bool, n+1)
 	var open int32

@@ -96,18 +96,112 @@ func TestAssignSCCKeepsComponentsTogether(t *testing.T) {
 	}
 }
 
+// straddles counts the components of r with members on two shards of a.
 func straddles(r *scc.Result, a Assignment) int {
+	home := make([]int, r.NumComps) // 1 + first member's shard; 0 unseen, -1 counted
 	count := 0
-	for c := int32(0); c < int32(r.NumComps); c++ {
-		mem := r.Members(c)
-		if len(mem) < 2 {
-			continue
-		}
-		if a.ShardOf(mem[0]) != a.ShardOf(mem[len(mem)-1]) {
+	for v, c := range r.Comp {
+		switch s := a.ShardOf(graph.NodeID(v)) + 1; home[c] {
+		case 0:
+			home[c] = s
+		case s, -1:
+		default:
+			home[c] = -1
 			count++
 		}
 	}
 	return count
+}
+
+// reachLabels labels every vertex of g with the smallest vertex of its
+// strongly connected component, by brute force: u and v share a component
+// iff each reaches the other by forward BFS.
+func reachLabels(g *graph.Graph) []int {
+	n := g.NumNodes()
+	reach := make([][]bool, n)
+	for s := range reach {
+		reach[s] = make([]bool, n)
+		reach[s][s] = true
+		queue := []graph.NodeID{graph.NodeID(s)}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, u := range g.OutNeighbors(v) {
+				if !reach[s][u] {
+					reach[s][u] = true
+					queue = append(queue, u)
+				}
+			}
+		}
+	}
+	label := make([]int, n)
+	for v := range label {
+		for u := 0; u <= v; u++ {
+			if reach[u][v] && reach[v][u] {
+				label[v] = u
+				break
+			}
+		}
+	}
+	return label
+}
+
+// TestAssignSCCMatchesReachabilitySpans holds AssignSCC over Decompose to a
+// cut built here from brute-force components: a position splits a component
+// when its smallest member lies below it and its largest at or above, and a
+// balanced cut that splits one moves to the nearest position within
+// n/(2·shards) that splits none, the lower side first on a tie.
+func TestAssignSCCMatchesReachabilitySpans(t *testing.T) {
+	moved := 0
+	for name, g := range goldenFamilies(t) {
+		n := g.NumNodes()
+		label := reachLabels(g)
+		largest := make([]int, n) // indexed by a component's smallest member
+		for v, c := range label {
+			largest[c] = v
+		}
+		split := make([]bool, n+1)
+		for c := range label {
+			if label[c] == c {
+				for b := c + 1; b <= largest[c]; b++ {
+					split[b] = true
+				}
+			}
+		}
+		dec := scc.Decompose(g, 0)
+		for _, shards := range []int{2, 3, 4} {
+			want := Assign(g, shards)
+			window := max(n/(2*shards), 1)
+			prev := 0
+			for i := 0; i < shards-1; i++ {
+				cut := int(want[i].Hi)
+			snap:
+				for d := 1; split[cut] && d <= window; d++ {
+					for _, p := range []int{cut - d, cut + d} {
+						if p > prev && p <= n && !split[p] {
+							cut = p
+							moved++
+							break snap
+						}
+					}
+				}
+				cut = max(cut, prev)
+				want[i] = Range{Lo: graph.NodeID(prev), Hi: graph.NodeID(cut)}
+				prev = cut
+			}
+			want[shards-1] = Range{Lo: graph.NodeID(prev), Hi: graph.NodeID(n)}
+			got := AssignSCC(g, dec, shards)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s, %d shards: AssignSCC = %v, reachability cut = %v", name, shards, got, want)
+					break
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Error("no balanced cut was snapped: the families exercise nothing")
+	}
 }
 
 func TestAssignSCCNilFallsBack(t *testing.T) {

@@ -246,9 +246,8 @@ type Graph = graph.Graph
 type GraphStats = graph.Stats
 
 // ComputeGraphStats summarizes g and fills the component fields (count and
-// largest component) from an SCC decomposition run on up to workers
-// goroutines (0 means GOMAXPROCS).
-func ComputeGraphStats(g *Graph, workers int) GraphStats { return scc.ComputeStats(g, workers) }
+// largest component) from a sequential SCC decomposition.
+func ComputeGraphStats(g *Graph) GraphStats { return scc.ComputeStats(g) }
 
 // NewGraphBuilder returns a builder for assembling a graph edge by edge.
 func NewGraphBuilder(n int) *graph.Builder { return graph.NewBuilder(n) }
