@@ -21,8 +21,9 @@ type PDPR struct {
 	scratch [][]float32 // per-worker apply buffers
 }
 
-// NewPDPR builds the pull-direction engine. The paper assumes CSR and CSC
-// are given, so PDPR has zero preprocessing time.
+// NewPDPR builds the pull-direction engine. Its edge-balancing pass reads
+// in-degrees, which builds the graph's transpose if nothing has yet, so Step
+// never pays for it.
 func NewPDPR(g *graph.Graph, cfg Config) (*PDPR, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -54,7 +55,10 @@ func (e *PDPR) Name() string { return "pdpr" }
 // Graph implements Engine.
 func (e *PDPR) Graph() *graph.Graph { return e.state.g }
 
-// PreprocessTime implements Engine; PDPR needs no preprocessing.
+// PreprocessTime implements Engine. It is zero: like the paper, which takes
+// CSR and CSC as given, PDPR counts the transpose as a property of the
+// graph (built on first use, see graph.Graph.InNeighbors), not as the
+// engine's preprocessing.
 func (e *PDPR) PreprocessTime() time.Duration { return 0 }
 
 // Step implements Engine: one pull iteration.

@@ -1,6 +1,6 @@
 // Package delta makes registered graphs dynamic: it applies batched edge
-// insertions and deletions to an immutable CSR/CSC graph (splicing only
-// the changed adjacency ranges via graph.Patch) and repairs an existing
+// insertions and deletions to an immutable CSR graph (splicing only the
+// changed adjacency ranges via graph.Patch) and repairs an existing
 // PageRank vector incrementally instead of rerunning the engine from
 // scratch.
 //
@@ -103,7 +103,7 @@ type Options struct {
 // Ranks is nil when FellBack is set, in which case the caller must rerun
 // its engine on Graph (Reason says why).
 type Result struct {
-	// Graph is the post-delta graph, rebuilt in both CSR and CSC.
+	// Graph is the post-delta graph.
 	Graph *graph.Graph
 	// Ranks is the repaired rank vector, nil when FellBack.
 	Ranks []float32
@@ -120,7 +120,7 @@ type Result struct {
 	ResidualL1 float64
 	Rounds     int
 	Pushes     int64
-	// RebuildTime and RepairTime split the wall clock between the CSR/CSC
+	// RebuildTime and RepairTime split the wall clock between the CSR
 	// rebuild and the residual drain.
 	RebuildTime time.Duration
 	RepairTime  time.Duration

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -52,7 +53,7 @@ func (b *Builder) AddEdges(edges []Edge, markWeighted bool) {
 func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Build materializes the Graph, consuming the Builder's edge buffer.
-// Adjacency lists come out sorted by neighbor ID in both CSR and CSC.
+// Adjacency lists come out sorted by neighbor ID.
 func (b *Builder) Build(opts BuildOptions) (*Graph, error) {
 	if b.n < 0 || int64(b.n) > MaxNodes {
 		return nil, fmt.Errorf("graph: node count %d out of range [0, %d]", b.n, int64(MaxNodes))
@@ -105,46 +106,35 @@ func FromEdges(n int, edges []Edge, weighted bool, opts BuildOptions) (*Graph, e
 	return b.Build(opts)
 }
 
-// fromEdges constructs CSR and CSC via counting sort. O(n + m).
+// fromEdges constructs CSR via counting sort, then sorts each out-list.
 func fromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 	m := int64(len(edges))
 	g := &Graph{
 		n:      n,
 		m:      m,
 		outOff: make([]int64, n+1),
-		inOff:  make([]int64, n+1),
 		outAdj: make([]NodeID, m),
-		inAdj:  make([]NodeID, m),
 	}
 	if weighted {
 		g.outW = make([]float32, m)
-		g.inW = make([]float32, m)
 	}
 	for _, e := range edges {
 		g.outOff[e.Src+1]++
-		g.inOff[e.Dst+1]++
 	}
 	for v := 0; v < n; v++ {
 		g.outOff[v+1] += g.outOff[v]
-		g.inOff[v+1] += g.inOff[v]
 	}
-	outCur := make([]int64, n)
-	inCur := make([]int64, n)
+	cur := slices.Clone(g.outOff[:n])
 	for _, e := range edges {
-		oi := g.outOff[e.Src] + outCur[e.Src]
-		outCur[e.Src]++
-		g.outAdj[oi] = e.Dst
-		ii := g.inOff[e.Dst] + inCur[e.Dst]
-		inCur[e.Dst]++
-		g.inAdj[ii] = e.Src
+		i := cur[e.Src]
+		cur[e.Src]++
+		g.outAdj[i] = e.Dst
 		if weighted {
-			g.outW[oi] = e.W
-			g.inW[ii] = e.W
+			g.outW[i] = e.W
 		}
 	}
 	for v := 0; v < n; v++ {
 		sortAdjRange(g.outAdj, g.outW, g.outOff[v], g.outOff[v+1])
-		sortAdjRange(g.inAdj, g.inW, g.inOff[v], g.inOff[v+1])
 	}
 	return g, nil
 }

@@ -1,7 +1,9 @@
 // Package graph provides the in-memory directed-graph substrate used by the
-// PCPM PageRank reproduction: Compressed Sparse Row (out-edges) and
-// Compressed Sparse Column (in-edges) adjacency, 32-bit node identifiers,
-// optional edge weights, builders, and edge-list I/O.
+// PCPM PageRank reproduction: Compressed Sparse Row (out-edge) adjacency,
+// 32-bit node identifiers, optional edge weights, builders, and edge-list
+// I/O. The partition-centric engine builds its whole layout from out-edges;
+// the in-adjacency (the transpose) is derived on first use, for the code
+// that pulls — the PDPR baseline and a few offline tools.
 //
 // Node identifiers are uint32 with the most significant bit reserved, as in
 // the paper (§3.2): PCPM uses the MSB of destination IDs to demarcate update
@@ -12,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -37,10 +40,12 @@ type Edge struct {
 	W   float32
 }
 
-// Graph is an immutable directed graph stored in both CSR (out-edges) and
-// CSC (in-edges) form. Adjacency lists are sorted by neighbor ID; the PNG
-// construction (internal/png) relies on that ordering to find partition
-// runs without extra sorting.
+// Graph is an immutable directed graph stored in CSR (out-edge) form.
+// Adjacency lists are sorted by neighbor ID; the PNG construction
+// (internal/png) relies on that ordering to find partition runs without
+// extra sorting. The in-adjacency is not stored: InNeighbors and the other
+// In* accessors build the unweighted transpose once, on first use, and every
+// constructor returns a graph without it.
 //
 // Offsets use int64 so the implementation is safe for any edge count the ID
 // space allows; the analytical and simulated communication models still
@@ -49,16 +54,45 @@ type Graph struct {
 	n int   // number of nodes
 	m int64 // number of edges
 
-	outOff []int64  // len n+1
-	outAdj []NodeID // len m, sorted per source
-	inOff  []int64  // len n+1
-	inAdj  []NodeID // len m, sorted per destination
+	outOff []int64   // len n+1
+	outAdj []NodeID  // len m, sorted per source
+	outW   []float32 // optional weights parallel to outAdj
 
-	// Optional weights, parallel to outAdj / inAdj. Either both nil or both set.
-	outW []float32
-	inW  []float32
-
+	inOnce  sync.Once
+	in      transpose   // built by inOnce; see transposed
 	derived derivedSlot // see Derived
+}
+
+// transpose is the in-adjacency: off has length n+1 and adj[off[v]:off[v+1]]
+// lists the sources of v's in-edges, ascending, parallel edges kept.
+type transpose struct {
+	off []int64
+	adj []NodeID
+}
+
+// transposed returns the in-adjacency, building it on the first call.
+// Concurrent first callers wait for one build and share it.
+func (g *Graph) transposed() *transpose {
+	g.inOnce.Do(func() {
+		t := transpose{off: make([]int64, g.n+1), adj: make([]NodeID, g.m)}
+		for _, u := range g.outAdj {
+			t.off[u+1]++
+		}
+		for v := 0; v < g.n; v++ {
+			t.off[v+1] += t.off[v]
+		}
+		// A source-ascending scan appends to each in-list in order, so every
+		// list arrives sorted.
+		cur := slices.Clone(t.off[:g.n])
+		for v := 0; v < g.n; v++ {
+			for _, u := range g.outAdj[g.outOff[v]:g.outOff[v+1]] {
+				t.adj[cur[u]] = NodeID(v)
+				cur[u]++
+			}
+		}
+		g.in = t
+	})
+	return &g.in
 }
 
 // derivedSlot holds at most one structure derived from the graph.
@@ -72,7 +106,7 @@ type derivedSlot struct {
 // build for it when the graph holds none or holds one built under another key
 // (which it then replaces: the slot keeps one value, not a history). The
 // value lives and dies with g, and every constructor — builders, readers,
-// Patch, RowBlock, Reverse — returns a graph holding none. Concurrent callers
+// Patch, RowBlock — returns a graph holding none. Concurrent callers
 // are safe: they wait for a build in flight and share its result, so build
 // must not call Derived on the same graph. A failed build stores nothing.
 //
@@ -106,8 +140,12 @@ func (g *Graph) Weighted() bool { return g.outW != nil }
 // OutDegree returns |No(v)|, the number of out-neighbors of v.
 func (g *Graph) OutDegree(v NodeID) int64 { return g.outOff[v+1] - g.outOff[v] }
 
-// InDegree returns |Ni(v)|, the number of in-neighbors of v.
-func (g *Graph) InDegree(v NodeID) int64 { return g.inOff[v+1] - g.inOff[v] }
+// InDegree returns |Ni(v)|, the number of in-neighbors of v. The first
+// In* call on a graph builds its transpose.
+func (g *Graph) InDegree(v NodeID) int64 {
+	t := g.transposed()
+	return t.off[v+1] - t.off[v]
+}
 
 // OutNeighbors returns the sorted out-adjacency list of v. The returned
 // slice aliases internal storage and must not be modified.
@@ -115,10 +153,11 @@ func (g *Graph) OutNeighbors(v NodeID) []NodeID {
 	return g.outAdj[g.outOff[v]:g.outOff[v+1]]
 }
 
-// InNeighbors returns the sorted in-adjacency list of v. The returned slice
-// aliases internal storage and must not be modified.
+// InNeighbors returns the sorted in-adjacency list of v, parallel edges
+// kept. The returned slice aliases internal storage and must not be modified.
 func (g *Graph) InNeighbors(v NodeID) []NodeID {
-	return g.inAdj[g.inOff[v]:g.inOff[v+1]]
+	t := g.transposed()
+	return t.adj[t.off[v]:t.off[v+1]]
 }
 
 // OutWeights returns the weights parallel to OutNeighbors(v), or nil for an
@@ -130,26 +169,17 @@ func (g *Graph) OutWeights(v NodeID) []float32 {
 	return g.outW[g.outOff[v]:g.outOff[v+1]]
 }
 
-// InWeights returns the weights parallel to InNeighbors(v), or nil for an
-// unweighted graph.
-func (g *Graph) InWeights(v NodeID) []float32 {
-	if g.inW == nil {
-		return nil
-	}
-	return g.inW[g.inOff[v]:g.inOff[v+1]]
-}
-
 // OutOffsets exposes the raw CSR offset array (len NumNodes+1). Read-only.
 func (g *Graph) OutOffsets() []int64 { return g.outOff }
 
 // OutAdjacency exposes the raw CSR edge array (len NumEdges). Read-only.
 func (g *Graph) OutAdjacency() []NodeID { return g.outAdj }
 
-// InOffsets exposes the raw CSC offset array (len NumNodes+1). Read-only.
-func (g *Graph) InOffsets() []int64 { return g.inOff }
+// InOffsets exposes the transpose's offset array (len NumNodes+1). Read-only.
+func (g *Graph) InOffsets() []int64 { return g.transposed().off }
 
-// InAdjacency exposes the raw CSC edge array (len NumEdges). Read-only.
-func (g *Graph) InAdjacency() []NodeID { return g.inAdj }
+// InAdjacency exposes the transpose's edge array (len NumEdges). Read-only.
+func (g *Graph) InAdjacency() []NodeID { return g.transposed().adj }
 
 // Edges materializes the edge list in source-major, then destination, order.
 // Intended for tests and I/O, not hot paths.
@@ -193,13 +223,14 @@ func (g *Graph) MaxOutDegree() int64 {
 	return mx
 }
 
-// MaxInDegree returns the largest in-degree in the graph.
+// MaxInDegree returns the largest in-degree in the graph, counted over the
+// out-edges without building the transpose.
 func (g *Graph) MaxInDegree() int64 {
+	deg := make([]int64, g.n)
 	var mx int64
-	for v := 0; v < g.n; v++ {
-		if d := g.inOff[v+1] - g.inOff[v]; d > mx {
-			mx = d
-		}
+	for _, u := range g.outAdj {
+		deg[u]++
+		mx = max(mx, deg[u])
 	}
 	return mx
 }
@@ -212,73 +243,56 @@ func (g *Graph) AvgDegree() float64 {
 	return float64(g.m) / float64(g.n)
 }
 
-// Validate checks the structural invariants of the graph: offset arrays are
-// monotone and bounded, adjacency entries are valid node IDs with the MSB
-// clear, per-node adjacency lists are sorted, and CSR/CSC agree on every
-// degree. It returns nil when the graph is well-formed.
+// Validate checks the structural invariants of the graph: the offset array
+// is monotone and bounded, adjacency entries are valid node IDs with the MSB
+// clear, per-node adjacency lists are sorted, and weights (if any) cover
+// every edge. It returns nil when the graph is well-formed.
 func (g *Graph) Validate() error {
 	if g.n < 0 || int64(g.n) > MaxNodes {
 		return fmt.Errorf("graph: node count %d out of range", g.n)
 	}
-	if len(g.outOff) != g.n+1 || len(g.inOff) != g.n+1 {
+	if len(g.outOff) != g.n+1 {
 		return errors.New("graph: offset array has wrong length")
 	}
-	if err := validateCSR("out", g.outOff, g.outAdj, g.n, g.m); err != nil {
-		return err
-	}
-	if err := validateCSR("in", g.inOff, g.inAdj, g.n, g.m); err != nil {
-		return err
-	}
-	if (g.outW == nil) != (g.inW == nil) {
-		return errors.New("graph: weight arrays inconsistent between CSR and CSC")
-	}
-	if g.outW != nil && (int64(len(g.outW)) != g.m || int64(len(g.inW)) != g.m) {
+	if g.outW != nil && int64(len(g.outW)) != g.m {
 		return errors.New("graph: weight array has wrong length")
 	}
-	// Degree agreement: total in-degree must equal total out-degree per edge
-	// endpoint. Spot-check by recomputing in-degrees from CSR.
-	indeg := make([]int64, g.n)
-	for _, u := range g.outAdj {
-		indeg[u]++
-	}
-	for v := 0; v < g.n; v++ {
-		if indeg[v] != g.inOff[v+1]-g.inOff[v] {
-			return fmt.Errorf("graph: CSR/CSC in-degree mismatch at node %d", v)
-		}
-	}
-	return nil
+	return g.validateCSR()
 }
 
-func validateCSR(kind string, off []int64, adj []NodeID, n int, m int64) error {
+// validateCSR checks outOff and outAdj; Validate adds the length checks a
+// graph built by this package passes by construction.
+func (g *Graph) validateCSR() error {
+	off, adj, n, m := g.outOff, g.outAdj, g.n, g.m
 	if off[0] != 0 {
-		return fmt.Errorf("graph: %s offsets do not start at 0", kind)
+		return errors.New("graph: offsets do not start at 0")
 	}
 	if off[n] != m {
-		return fmt.Errorf("graph: %s offsets end at %d, want %d", kind, off[n], m)
+		return fmt.Errorf("graph: offsets end at %d, want %d", off[n], m)
 	}
 	if int64(len(adj)) != m {
-		return fmt.Errorf("graph: %s adjacency length %d, want %d", kind, len(adj), m)
+		return fmt.Errorf("graph: adjacency length %d, want %d", len(adj), m)
 	}
 	for v := 0; v < n; v++ {
 		if off[v+1] < off[v] {
-			return fmt.Errorf("graph: %s offsets not monotone at node %d", kind, v)
+			return fmt.Errorf("graph: offsets not monotone at node %d", v)
 		}
 		// Bound before slicing: monotonicity of the prefix alone does not
 		// keep off[v+1] within adj when later offsets are garbage (the
 		// offsets may be untrusted upload bytes).
 		if off[v+1] > m {
-			return fmt.Errorf("graph: %s offset of node %d exceeds edge count %d", kind, v+1, m)
+			return fmt.Errorf("graph: offset of node %d exceeds edge count %d", v+1, m)
 		}
 		prev := int64(-1)
 		for _, u := range adj[off[v]:off[v+1]] {
 			if u&MSBMask != 0 {
-				return fmt.Errorf("graph: %s adjacency of %d has MSB set: %#x", kind, v, u)
+				return fmt.Errorf("graph: adjacency of %d has MSB set: %#x", v, u)
 			}
 			if int(u) >= n {
-				return fmt.Errorf("graph: %s adjacency of %d out of range: %d", kind, v, u)
+				return fmt.Errorf("graph: adjacency of %d out of range: %d", v, u)
 			}
 			if int64(u) < prev {
-				return fmt.Errorf("graph: %s adjacency of %d not sorted", kind, v)
+				return fmt.Errorf("graph: adjacency of %d not sorted", v)
 			}
 			prev = int64(u)
 		}
@@ -292,12 +306,12 @@ func (g *Graph) Equal(h *Graph) bool {
 		return false
 	}
 	for v := 0; v <= g.n; v++ {
-		if g.outOff[v] != h.outOff[v] || g.inOff[v] != h.inOff[v] {
+		if g.outOff[v] != h.outOff[v] {
 			return false
 		}
 	}
 	for i := int64(0); i < g.m; i++ {
-		if g.outAdj[i] != h.outAdj[i] || g.inAdj[i] != h.inAdj[i] {
+		if g.outAdj[i] != h.outAdj[i] {
 			return false
 		}
 		if g.outW != nil && (math.Abs(float64(g.outW[i]-h.outW[i])) > 1e-6) {
@@ -305,16 +319,6 @@ func (g *Graph) Equal(h *Graph) bool {
 		}
 	}
 	return true
-}
-
-// Reverse returns a new graph with every edge direction flipped. CSR and
-// CSC arrays swap roles, so this is O(1) apart from struct copying.
-func (g *Graph) Reverse() *Graph {
-	return &Graph{
-		n: g.n, m: g.m,
-		outOff: g.inOff, outAdj: g.inAdj, outW: g.inW,
-		inOff: g.outOff, inAdj: g.outAdj, inW: g.outW,
-	}
 }
 
 // Stats summarizes a graph for dataset tables (paper Table 4).

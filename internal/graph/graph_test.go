@@ -123,21 +123,6 @@ func TestDanglingCount(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	g := paperExample(t)
-	r := g.Reverse()
-	if err := r.Validate(); err != nil {
-		t.Fatalf("reverse Validate: %v", err)
-	}
-	if r.OutDegree(4) != g.InDegree(4) {
-		t.Fatal("reverse degree mismatch")
-	}
-	rr := r.Reverse()
-	if !g.Equal(rr) {
-		t.Fatal("double reverse is not identity")
-	}
-}
-
 func TestEdgesRoundTrip(t *testing.T) {
 	g := paperExample(t)
 	edges := g.Edges()
@@ -350,18 +335,6 @@ func TestPropertyCSRCSCConsistent(t *testing.T) {
 	}
 }
 
-func TestPropertyReverseInvolution(t *testing.T) {
-	f := func(seed uint64, nRaw uint8, mRaw uint16) bool {
-		n := int(nRaw)%100 + 1
-		m := int(mRaw) % 1000
-		g := randomGraph(seed, n, m)
-		return g.Reverse().Reverse().Equal(g)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	g := paperExample(t)
 	s := g.ComputeStats()
@@ -478,7 +451,7 @@ func TestDerivedKeepsOneValuePerGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, h := range map[string]*Graph{"Reverse": g.Reverse(), "Patch": patched, "RowBlock": block} {
+	for name, h := range map[string]*Graph{"Patch": patched, "RowBlock": block} {
 		before := builds
 		if _, err := h.Derived(1, func() (any, error) { builds++; return name, nil }); err != nil || builds != before+1 {
 			t.Fatalf("%s inherited the derived value (err=%v)", name, err)

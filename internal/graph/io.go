@@ -111,9 +111,6 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 //	outOff  (n+1) × uint64
 //	outAdj  m × uint32
 //	outW    m × float32 (only if weighted)
-//
-// CSC is rebuilt on load rather than stored, trading load CPU for half the
-// file size.
 var binaryMagic = [8]byte{'P', 'C', 'P', 'M', 'G', 'R', 'F', '1'}
 
 // SniffBinary reports whether head (the first bytes of a stream, at least 8)
@@ -197,16 +194,12 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
 	}
-	// The CSR arrays are untrusted input (uploads reach this reader), and
-	// rebuildCSC indexes by them — validate them BEFORE deriving CSC, or a
-	// crafted offset/adjacency entry panics the daemon instead of 400ing.
-	// The CSC side needs no second pass: rebuildCSC counting-sorts it from
-	// the just-validated CSR, so it is well-formed by construction (the
-	// fuzz target asserts full Validate on every accepted input).
-	if err := validateCSR("out", g.outOff, g.outAdj, g.n, g.m); err != nil {
+	// The arrays are untrusted input (uploads reach this reader), and every
+	// consumer indexes by them: a crafted offset or adjacency entry must be
+	// a 400 here, not a panic later.
+	if err := g.validateCSR(); err != nil {
 		return nil, fmt.Errorf("graph: loaded graph invalid: %w", err)
 	}
-	g.rebuildCSC()
 	return g, nil
 }
 
@@ -282,33 +275,4 @@ func readF32Grow(r io.Reader, count int64) ([]float32, error) {
 		remaining -= c
 	}
 	return out, nil
-}
-
-// rebuildCSC recomputes the in-edge arrays from CSR.
-func (g *Graph) rebuildCSC() {
-	g.inOff = make([]int64, g.n+1)
-	g.inAdj = make([]NodeID, g.m)
-	if g.outW != nil {
-		g.inW = make([]float32, g.m)
-	}
-	for _, u := range g.outAdj {
-		g.inOff[u+1]++
-	}
-	for v := 0; v < g.n; v++ {
-		g.inOff[v+1] += g.inOff[v]
-	}
-	cur := make([]int64, g.n)
-	for v := 0; v < g.n; v++ {
-		lo, hi := g.outOff[v], g.outOff[v+1]
-		for i := lo; i < hi; i++ {
-			u := g.outAdj[i]
-			j := g.inOff[u] + cur[u]
-			cur[u]++
-			g.inAdj[j] = NodeID(v)
-			if g.inW != nil {
-				g.inW[j] = g.outW[i]
-			}
-		}
-	}
-	// CSR scan order is source-ascending, so each in-list arrives sorted.
 }

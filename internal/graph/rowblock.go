@@ -8,9 +8,8 @@ import (
 // RowBlock returns the sub-graph over the same n-node ID space containing
 // exactly the edges whose destination lies in [lo, hi). In the row-block
 // distributed formulation (pprank-style allgather PageRank), the worker that
-// owns rows [lo, hi) of A^T needs precisely these edges: its CSC columns for
-// the owned rows, which this method derives by filtering the CSR and
-// rebuilding CSC.
+// owns rows [lo, hi) of A^T needs precisely these edges, which this method
+// takes from the CSR by filtering each out-list.
 //
 // Because per-source adjacency is sorted, each source's contribution is a
 // contiguous run found by binary search, so extraction is O(n log d + m_blk)
@@ -43,6 +42,5 @@ func (g *Graph) RowBlock(lo, hi NodeID) (*Graph, error) {
 			copy(sub.outW[sub.outOff[v]:sub.outOff[v+1]], g.outW[starts[v]:starts[v]+cnt])
 		}
 	}
-	sub.rebuildCSC()
 	return sub, nil
 }

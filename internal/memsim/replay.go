@@ -34,7 +34,8 @@ const elem = 4 // di = dv = 4 bytes, as fixed in the paper
 // PDPR
 
 // PDPRReplay replays Algorithm 1: a CSC scan with random reads into the
-// scaled-rank vector and sequential writes of new ranks.
+// scaled-rank vector and sequential writes of new ranks. The CSC it walks
+// is the graph's transpose, built by the first replay that reads it.
 type PDPRReplay struct {
 	g    *graph.Graph
 	sim  *Sim

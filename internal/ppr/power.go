@@ -31,29 +31,29 @@ func PowerIteration(g *graph.Graph, seeds []graph.NodeID, damping, tol float64, 
 
 	p := make([]float64, n)
 	next := make([]float64, n)
-	scaled := make([]float64, n)
 	for _, s := range seedSet {
 		p[s] = seedW
 	}
-	inOff, inAdj := g.InOffsets(), g.InAdjacency()
-	outOff := g.OutOffsets()
+	outOff, outAdj := g.OutOffsets(), g.OutAdjacency()
 
 	for it := 0; it < maxIters; it++ {
+		// Push over CSR. Sources are visited in ascending order, so each
+		// next[v] sums its in-neighbors' shares in the order a pull would.
+		clear(next)
 		var dmass float64
-		for v := 0; v < n; v++ {
-			if deg := outOff[v+1] - outOff[v]; deg > 0 {
-				scaled[v] = p[v] / float64(deg)
-			} else {
-				scaled[v] = 0
-				dmass += p[v]
+		for u := 0; u < n; u++ {
+			deg := outOff[u+1] - outOff[u]
+			if deg == 0 {
+				dmass += p[u]
+				continue
+			}
+			share := p[u] / float64(deg)
+			for _, v := range outAdj[outOff[u]:outOff[u+1]] {
+				next[v] += share
 			}
 		}
 		for v := 0; v < n; v++ {
-			var sum float64
-			for _, u := range inAdj[inOff[v]:inOff[v+1]] {
-				sum += scaled[u]
-			}
-			nv := (1 - alpha) * sum
+			nv := (1 - alpha) * next[v]
 			if isSeed[graph.NodeID(v)] {
 				nv += alpha*seedW + (1-alpha)*dmass*seedW
 			}

@@ -247,8 +247,8 @@ func TestApplyRecordRejectsMisnamedSnapshot(t *testing.T) {
 	}
 	unharmed := func(t *testing.T, s *Server) {
 		t.Helper()
-		if got := publishedSnap(t, s, "a"); got.Stats.Nodes != ga.NumNodes() {
-			t.Errorf("graph a now has %d nodes: b's snapshot was installed under its name", got.Stats.Nodes)
+		if got := publishedSnap(t, s, "a"); got.Graph.NumNodes() != ga.NumNodes() {
+			t.Errorf("graph a now has %d nodes: b's snapshot was installed under its name", got.Graph.NumNodes())
 		}
 	}
 

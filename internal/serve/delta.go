@@ -271,7 +271,7 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 	e.snap.Store(ns)
 	st.Version = ns.Version
 	st.Drift = ns.RepairDrift
-	st.Nodes = ns.Stats.Nodes
-	st.Edges = ns.Stats.Edges
+	st.Nodes = ns.Graph.NumNodes()
+	st.Edges = ns.Graph.NumEdges()
 	return st, nil
 }

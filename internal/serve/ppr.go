@@ -343,7 +343,7 @@ func (s *Server) Personalized(name string, seedSets [][]uint32, k int, epsilon f
 			return nil, fmt.Errorf("%w: query %d has %d seeds, limit %d",
 				ErrInvalidOptions, i, len(seeds), maxPPRSeedsPerQuery)
 		}
-		cs, err := canonicalSeeds(snap.Stats.Nodes, seeds)
+		cs, err := canonicalSeeds(snap.Graph.NumNodes(), seeds)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}

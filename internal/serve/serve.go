@@ -57,9 +57,6 @@ func ValidName(name string) bool { return nameRE.MatchString(name) }
 type Snapshot struct {
 	// Graph is the structure the ranks were computed on.
 	Graph *graph.Graph
-	// Stats is Graph.ComputeStats(), taken once per structure. Its component
-	// fields stay zero: no publish decomposes the graph, GraphInfo reads comps.
-	Stats graph.Stats
 	// Ranks is the full (unscaled) rank vector, indexed by node ID.
 	Ranks []float32
 	// Options that produced this snapshot.
@@ -96,17 +93,28 @@ type Snapshot struct {
 	Shard *ShardInfo
 
 	topk  []pcpm.RankEntry // first topKCacheSize entries, precomputed
-	comps *compMemo        // Graph's component summary, shared with every snapshot of Graph
+	comps *compMemo        // Graph's structure summary, shared with every snapshot of Graph
 }
 
-// compMemo is the component summary (count, largest) of one graph structure,
-// filled at most once, by one sequential Tarjan pass, and only when a reader
-// asks (Server.info) or a sharded deploy has decomposed the graph anyway. Every
-// snapshot of the same *graph.Graph points at the same memo (a recompute
-// changes ranks, not structure), and it is collected with the last of them.
+// compMemo is the part of one graph structure's summary that costs a pass
+// over it — the component count and largest component (one sequential
+// Tarjan pass) and the dangling count — filled at most once, and only when a
+// reader asks (Server.info) or a sharded deploy has decomposed the graph
+// anyway, so no publish pays for it. Every snapshot of the same *graph.Graph
+// points at the same memo (a recompute changes ranks, not structure), and it
+// is collected with the last of them.
 type compMemo struct {
-	once                sync.Once
-	components, largest int
+	once                          sync.Once
+	components, largest, dangling int
+}
+
+// fill sets the memo on its first call, taking the component counts from
+// components; later calls wait for the first and return.
+func (c *compMemo) fill(g *graph.Graph, components func() (count, largest int)) {
+	c.once.Do(func() {
+		c.components, c.largest = components()
+		c.dangling = g.DanglingCount()
+	})
 }
 
 // TopK returns the k highest-ranked nodes of this snapshot in descending
@@ -158,13 +166,13 @@ func (s *Server) newEntry(name string) *entry {
 }
 
 // seal fills in what an unpublished snapshot of e derives from its Graph and
-// Ranks: the top-k prefix, and the stats and component memo — the current
-// snapshot's when it serves the same graph (a rank-only publish), else new.
+// Ranks: the top-k prefix, and the structure memo — the current snapshot's
+// when it serves the same graph (a rank-only publish), else a new, empty one.
 func (e *entry) seal(snap *Snapshot) *Snapshot {
 	if cur := e.snap.Load(); cur != nil && cur.Graph == snap.Graph {
-		snap.Stats, snap.comps = cur.Stats, cur.comps
+		snap.comps = cur.comps
 	} else {
-		snap.Stats, snap.comps = snap.Graph.ComputeStats(), new(compMemo)
+		snap.comps = new(compMemo)
 	}
 	snap.topk = pcpm.TopK(snap.Ranks, min(topKCacheSize, len(snap.Ranks)))
 	return snap
@@ -373,10 +381,10 @@ type GraphInfo struct {
 // readers wait for it.
 func (s *Server) info(e *entry) GraphInfo {
 	snap := e.snap.Load()
-	snap.comps.once.Do(func() {
+	snap.comps.fill(snap.Graph, func() (int, int) {
 		st := scc.ComputeStats(snap.Graph)
-		snap.comps.components, snap.comps.largest = st.Components, st.LargestComponent
 		s.sccFills.Add(1)
+		return st.Components, st.LargestComponent
 	})
 	e.mu.Lock()
 	recomputing := e.inflight != nil
@@ -384,10 +392,10 @@ func (s *Server) info(e *entry) GraphInfo {
 	e.mu.Unlock()
 	return GraphInfo{
 		Name:        e.name,
-		Nodes:       snap.Stats.Nodes,
-		Edges:       snap.Stats.Edges,
-		AvgDegree:   snap.Stats.AvgDegree,
-		Dangling:    snap.Stats.Dangling,
+		Nodes:       snap.Graph.NumNodes(),
+		Edges:       snap.Graph.NumEdges(),
+		AvgDegree:   snap.Graph.AvgDegree(),
+		Dangling:    snap.comps.dangling,
 		Components:  snap.comps.components,
 		LargestComp: snap.comps.largest,
 		Method:      snap.Method,
@@ -498,8 +506,8 @@ func (s *Server) addGraph(name string, g *graph.Graph, opts pcpm.Options, replac
 	s.graphs[name] = e
 	s.mu.Unlock()
 
-	s.log.Info("graph loaded", "graph", name, "nodes", snap.Stats.Nodes,
-		"edges", snap.Stats.Edges, "method", snap.Method, "compute", snap.ComputeTime)
+	s.log.Info("graph loaded", "graph", name, "nodes", snap.Graph.NumNodes(),
+		"edges", snap.Graph.NumEdges(), "method", snap.Method, "compute", snap.ComputeTime)
 	return s.info(e), nil
 }
 

@@ -109,7 +109,7 @@ func (s *Server) computeSharded(e *entry, g *graph.Graph, opts pcpm.Options, fre
 		},
 	})
 	if dec != nil {
-		snap.comps.once.Do(func() { snap.comps.components, snap.comps.largest = dec.NumComps, dec.LargestComponent() })
+		snap.comps.fill(g, func() (int, int) { return dec.NumComps, dec.LargestComponent() })
 	}
 	return snap, nil
 }
@@ -131,8 +131,8 @@ func (s *Server) shardTopK(name string, k int) ([]pcpm.RankEntry, error) {
 
 // shardRank routes a single-vertex query to the owning worker.
 func (s *Server) shardRank(name string, snap *Snapshot, vertex uint32) (float32, error) {
-	if int64(vertex) >= int64(snap.Stats.Nodes) {
-		return 0, fmt.Errorf("serve: vertex %d out of range [0,%d)", vertex, snap.Stats.Nodes)
+	if n := snap.Graph.NumNodes(); int64(vertex) >= int64(n) {
+		return 0, fmt.Errorf("serve: vertex %d out of range [0,%d)", vertex, n)
 	}
 	e, err := s.coord.Rank(name, vertex)
 	if err != nil {

@@ -149,10 +149,9 @@ func ReadPayload(r io.Reader) (*Payload, error) {
 		return nil, fmt.Errorf("shard: %d peers for %d ranges", len(meta.Peers), len(meta.Ranges))
 	}
 	own := meta.Ranges[meta.Shard]
-	inOff := sub.InOffsets()
-	for v := 0; v < meta.N; v++ {
-		if (graph.NodeID(v) < own.Lo || graph.NodeID(v) >= own.Hi) && inOff[v+1] != inOff[v] {
-			return nil, fmt.Errorf("shard: sub-graph has in-edges at node %d outside owned block [%d, %d)", v, own.Lo, own.Hi)
+	for _, u := range sub.OutAdjacency() {
+		if u < own.Lo || u >= own.Hi {
+			return nil, fmt.Errorf("shard: sub-graph has in-edges at node %d outside owned block [%d, %d)", u, own.Lo, own.Hi)
 		}
 	}
 	degs, err := readU32Count(br, int64(meta.N))

@@ -237,7 +237,7 @@ type RankEntry = core.RankEntry
 // TopK returns the k highest-ranked nodes in descending order.
 func TopK(ranks []float32, k int) []RankEntry { return core.TopK(ranks, k) }
 
-// Graph re-exports the graph substrate's immutable CSR/CSC graph so facade
+// Graph re-exports the graph substrate's immutable CSR graph so facade
 // consumers (and the serving layer) need not import internal packages.
 type Graph = graph.Graph
 
