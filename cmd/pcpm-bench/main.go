@@ -8,8 +8,9 @@
 //	pcpm-bench -list
 //	pcpm-bench -run fig8 -format csv -out fig8.csv
 //
-// See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured results.
+// There is one experiment per table and figure of the paper's evaluation;
+// docs/PAPER_MAPPING.md maps each to its runner and records the tables of
+// runners since retired.
 package main
 
 import (
@@ -34,6 +35,13 @@ func main() {
 		out     = flag.String("out", "", "write output to file instead of stdout")
 	)
 	flag.Parse()
+
+	switch *format {
+	case "text", "csv", "markdown":
+	default:
+		fmt.Fprintf(os.Stderr, "pcpm-bench: unknown -format %q (want text, csv, or markdown)\n", *format)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range harness.Registry() {
@@ -76,7 +84,7 @@ func main() {
 			b.WriteString(table.CSV())
 		case "markdown":
 			b.WriteString(table.Markdown())
-		default:
+		case "text":
 			b.WriteString(table.Render())
 			fmt.Fprintf(&b, "(%s in %v)\n\n", exp.ID, time.Since(start).Round(time.Millisecond))
 		}

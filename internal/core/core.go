@@ -70,25 +70,6 @@ func (k GatherKind) String() string {
 	return "branch-avoiding"
 }
 
-// SchedKind selects how PCPM phases are load balanced across workers.
-type SchedKind int
-
-const (
-	// SchedDynamic hands partitions to workers from a shared queue (the
-	// paper's OpenMP dynamic scheduling; the default).
-	SchedDynamic SchedKind = iota
-	// SchedStatic splits partitions into contiguous per-worker ranges;
-	// kept as an ablation of the paper's load-balancing choice.
-	SchedStatic
-)
-
-func (k SchedKind) String() string {
-	if k == SchedStatic {
-		return "static"
-	}
-	return "dynamic"
-}
-
 // DefaultDamping is the PageRank damping factor used throughout the paper.
 const DefaultDamping = 0.85
 
@@ -105,7 +86,6 @@ type Config struct {
 	PartitionBytes int
 	Dangling       DanglingPolicy
 	Gather         GatherKind
-	Sched          SchedKind
 }
 
 func (c Config) withDefaults() Config {

@@ -51,9 +51,6 @@ func TestStringers(t *testing.T) {
 	if GatherBranching.String() != "branching" || GatherBranchAvoiding.String() != "branch-avoiding" {
 		t.Fatal("gather kind strings wrong")
 	}
-	if SchedDynamic.String() != "dynamic" || SchedStatic.String() != "static" {
-		t.Fatal("sched kind strings wrong")
-	}
 	if DanglingPolicy(42).String() == "" {
 		t.Fatal("unknown policy should render")
 	}

@@ -94,29 +94,6 @@ func TestOversizedPartitionsUseWideStream(t *testing.T) {
 	}
 }
 
-func TestSchedStaticBitwiseIdentical(t *testing.T) {
-	g, err := gen.RMAT(gen.Graph500RMAT(10, 8, 17), graph.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn, err := NewPCPM(g, Config{PartitionBytes: 512, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewPCPM(g, Config{PartitionBytes: 512, Workers: 3, Sched: SchedStatic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	RunIterations(dyn, 5)
-	RunIterations(st, 5)
-	rd, rs := dyn.Ranks(), st.Ranks()
-	for i := range rd {
-		if rd[i] != rs[i] {
-			t.Fatalf("static scheduling changed rank[%d]", i)
-		}
-	}
-}
-
 // countBuilds replaces the layout builder with one that counts its calls.
 func countBuilds(t *testing.T) *atomic.Int64 {
 	t.Helper()

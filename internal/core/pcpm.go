@@ -79,27 +79,10 @@ func newPCPM(g *graph.Graph, cfg Config, csrScatter bool) (*PCPM, error) {
 		branching:  cfg.Gather == GatherBranching,
 		updates:    kern.Updates,
 	}
-	workers := par.Workers(cfg.Workers)
 	if csrScatter {
-		e.workerCur = make([][]int32, workers)
+		e.workerCur = make([][]int32, par.Workers(cfg.Workers))
 		for w := range e.workerCur {
 			e.workerCur[w] = make([]int32, pn.K)
-		}
-	}
-	if cfg.Sched == SchedStatic {
-		// The load-balancing ablation: contiguous per-worker partition
-		// ranges in place of the kernel's dynamic queue.
-		unit := make([]int64, pn.K)
-		for i := range unit {
-			unit[i] = 1
-		}
-		bounds := par.BalancedRanges(unit, workers)
-		kern.Schedule = func(_ int, fn func(worker, p int)) {
-			par.ForRanges(bounds, func(w, lo, hi int) {
-				for p := lo; p < hi; p++ {
-					fn(w, p)
-				}
-			})
 		}
 	}
 	e.preprocess = time.Since(start)

@@ -4,9 +4,10 @@
 // redistributable here.
 //
 // Each generator is seeded and reproducible. The substitution rationale
-// (DESIGN.md §3): PCPM's behavior is governed by (a) degree distribution,
-// (b) average degree, and (c) node-label locality — each generator matches
-// those properties for its dataset class:
+// (docs/PAPER_MAPPING.md, "Six evaluation datasets"): PCPM's behavior is
+// governed by (a) degree distribution, (b) average degree, and (c)
+// node-label locality — each generator matches those properties for its
+// dataset class:
 //
 //   - Kronecker/R-MAT (Graph500 parameters) reproduces the paper's `kron`.
 //   - Preferential attachment reproduces follower networks (gplus, twitter):

@@ -116,9 +116,10 @@ func (d DatasetSpec) Generate(divisor int, seed uint64) (*graph.Graph, error) {
 // genCopying builds a copying-model analog with *latent* community
 // structure: the graph is generated with strong locality over a hidden
 // ordering, then a fraction of node labels is displaced at random. The
-// parameters are calibrated (see DESIGN.md §3) so that, at the paper's
-// n/q ≈ 440–1800 geometry, the displaced ("original") labeling matches the
-// paper's Table 6 r and the hidden ordering approximates its GOrder r —
+// parameters are calibrated (TestTable6GOrderImprovesCompression checks
+// the direction) so that, at the paper's n/q ≈ 440–1800 geometry, the
+// displaced ("original") labeling matches the paper's Table 6 r and the
+// hidden ordering approximates its GOrder r —
 // mirroring real graphs, whose IDs only partially capture community
 // structure and where GOrder rediscovers the remainder.
 //

@@ -12,7 +12,9 @@ type Experiment struct {
 	Run         func(Options) (*Table, error)
 }
 
-// Registry returns every experiment, keyed by the paper's table/figure ID.
+// Registry returns every experiment, keyed by the paper's table/figure ID:
+// one runner per table and figure of the paper's evaluation, and nothing
+// else.
 func Registry() []Experiment {
 	return []Experiment{
 		{"table4", "dataset summary (paper Table 4)", Table4},
@@ -30,9 +32,6 @@ func Registry() []Experiment {
 		{"fig12", "traffic vs partition size (paper Fig. 12)", Fig12},
 		{"fig13", "execution time vs partition size (paper Fig. 13)", Fig13},
 		{"fig14", "phase times vs partition size, sd1 (paper Fig. 14)", Fig14},
-		{"ablations", "PCPM design-choice ablations (DESIGN.md §5)", Ablations},
-		{"compact", "16-bit partition-local ID streams vs the 32-bit encoding (paper §6 extension)", Compact},
-		{"edgebalance", "uniform vs edge-balanced partitions (paper §6 extension)", EdgeBalance},
 	}
 }
 

@@ -81,8 +81,8 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Markdown returns a GitHub-flavored markdown rendering, used to generate
-// EXPERIMENTS.md.
+// Markdown returns a GitHub-flavored markdown rendering (pcpm-bench
+// -format markdown), the form tables are recorded in under docs/.
 func (t *Table) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s — %s\n\n", t.ID, t.Title)

@@ -4,11 +4,9 @@
 // single and batch personalized PageRank queries with Zipf-skewed seed
 // sets, batched edge mutations (each insert batch paired with a delete of
 // the same batch, so the graph's edge count is conserved over the replay),
-// periodic recomputes, graph re-uploads, and (against a durable target)
-// whole-server restarts — replays it against a live
-// server over HTTP with bounded concurrency, and reports per-endpoint
-// latency percentiles, error counts, and (in-process targets only)
-// allocations per operation.
+// periodic recomputes, graph re-uploads, follower reads and promotions —
+// replays it against a live server over HTTP with bounded concurrency, and
+// reports per-endpoint latency percentiles and error counts.
 //
 // Replays are deterministic in the sense that matters for trajectory
 // comparisons: the same Config produces byte-for-byte the same request
@@ -28,10 +26,8 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -49,13 +45,12 @@ const (
 	OpMutate       OpKind = "mutate"
 	OpRecompute    OpKind = "recompute"
 	OpUpload       OpKind = "upload"
-	OpRestart      OpKind = "restart"
 	OpFollowerRead OpKind = "follower_read"
 	OpPromote      OpKind = "promote"
 )
 
 // opKinds is the fixed aggregation order of reports.
-var opKinds = []OpKind{OpTopK, OpRank, OpPPR, OpPPRBatch, OpMutate, OpRecompute, OpUpload, OpRestart, OpFollowerRead, OpPromote}
+var opKinds = []OpKind{OpTopK, OpRank, OpPPR, OpPPRBatch, OpMutate, OpRecompute, OpUpload, OpFollowerRead, OpPromote}
 
 // Mix holds the relative weights of each operation kind in the schedule.
 // Weights are proportions, not percentages; the zero value of a field
@@ -66,14 +61,6 @@ var opKinds = []OpKind{OpTopK, OpRank, OpPPR, OpPPRBatch, OpMutate, OpRecompute,
 // (replace) resets the graph between the two, making the delete fail. Use
 // one or the other per replay.
 //
-// Restart ops exercise the crash-recovery path of a durable daemon: each
-// one calls Config.RestartFn while every other in-flight operation is held
-// back, so the replay measures recovery time as a latency sample and then
-// resumes the mixed traffic against the recovered server. Restart requires
-// RestartFn and composes with Mutate — a restart between a mutate op's
-// insert and delete halves recovers the inserted batch from the log, so
-// the delete stays valid.
-//
 // FollowerRead ops exercise a replicated deployment's read fan-out: each
 // draws a replica from Config.FollowerURLs (Zipf vertex, alternating
 // topk/rank) and issues the read there instead of at BaseURL, measuring
@@ -82,9 +69,9 @@ var opKinds = []OpKind{OpTopK, OpRank, OpPPR, OpPPRBatch, OpMutate, OpRecompute,
 // Promote ops exercise the failover control path: each POSTs to the
 // promote endpoint of the follower at Config.PromoteURL. The first one in
 // a replay performs the actual promotion (its latency is the failover-cut
-// sample); the rest measure the idempotent already-leader answer. Promote
-// runs under the shared gate — concurrent reads and writes keep flowing,
-// which is exactly the regime a real failover happens in.
+// sample); the rest measure the idempotent already-leader answer.
+// Concurrent reads and writes keep flowing meanwhile, which is exactly the
+// regime a real failover happens in.
 type Mix struct {
 	TopK         int `json:"topk"`
 	Rank         int `json:"rank"`
@@ -93,7 +80,6 @@ type Mix struct {
 	Mutate       int `json:"mutate"`
 	Recompute    int `json:"recompute"`
 	Upload       int `json:"upload"`
-	Restart      int `json:"restart"`
 	FollowerRead int `json:"follower_read"`
 	Promote      int `json:"promote"`
 }
@@ -119,7 +105,6 @@ func ParseMix(spec string) (Mix, error) {
 		string(OpMutate):       &m.Mutate,
 		string(OpRecompute):    &m.Recompute,
 		string(OpUpload):       &m.Upload,
-		string(OpRestart):      &m.Restart,
 		string(OpFollowerRead): &m.FollowerRead,
 		"follower":             &m.FollowerRead, // shorthand
 		string(OpPromote):      &m.Promote,
@@ -162,8 +147,6 @@ func (m Mix) weight(k OpKind) int {
 		return m.Recompute
 	case OpUpload:
 		return m.Upload
-	case OpRestart:
-		return m.Restart
 	case OpFollowerRead:
 		return m.FollowerRead
 	case OpPromote:
@@ -209,24 +192,8 @@ type Config struct {
 	// PromoteURL is the base URL of the follower promote operations target;
 	// empty disables them. See the Promote paragraph on Mix.
 	PromoteURL string
-	// RestartFn restarts the target server for restart operations and
-	// returns once it serves again (e.g. kill the process, relaunch it with
-	// the same -data-dir, poll /healthz). Restarts run exclusively: the
-	// replay drains in-flight requests first and holds new ones until the
-	// function returns, so its duration is the recovery-latency sample.
-	// nil disables restart operations.
-	RestartFn func() error
-	// Deployment labels the target topology in the report ("monolithic",
-	// "sharded-2", ...); empty means unlabeled. Purely descriptive — the
-	// replay itself is identical, which is the point: the same schedule
-	// compares deployment shapes on equal traffic.
-	Deployment string
 	// Client overrides the HTTP client (default: 30 s timeout).
 	Client *http.Client
-	// MeasureAllocs samples allocations per operation per endpoint after
-	// the replay. Only meaningful when the server runs in this process —
-	// the runtime counters cannot see across an HTTP boundary.
-	MeasureAllocs bool
 }
 
 func (cfg Config) withDefaults() (Config, error) {
@@ -262,9 +229,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.UploadBody == nil {
 		cfg.Mix.Upload = 0
-	}
-	if cfg.RestartFn == nil {
-		cfg.Mix.Restart = 0
 	}
 	if len(cfg.FollowerURLs) == 0 {
 		cfg.Mix.FollowerRead = 0
@@ -368,20 +332,18 @@ func Schedule(cfg Config) ([]Op, error) {
 
 // EndpointStats aggregates one endpoint's replay outcomes.
 type EndpointStats struct {
-	Endpoint    string  `json:"endpoint"`
-	Count       int     `json:"count"`
-	Errors      int     `json:"errors"`
-	MeanMS      float64 `json:"mean_ms"`
-	P50MS       float64 `json:"p50_ms"`
-	P99MS       float64 `json:"p99_ms"`
-	MaxMS       float64 `json:"max_ms"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	Endpoint string  `json:"endpoint"`
+	Count    int     `json:"count"`
+	Errors   int     `json:"errors"`
+	MeanMS   float64 `json:"mean_ms"`
+	P50MS    float64 `json:"p50_ms"`
+	P99MS    float64 `json:"p99_ms"`
+	MaxMS    float64 `json:"max_ms"`
 }
 
 // Report is one completed replay.
 type Report struct {
 	Graph       string          `json:"graph"`
-	Deployment  string          `json:"deployment,omitempty"`
 	Seed        uint64          `json:"seed"`
 	Ops         int             `json:"ops"`
 	Concurrency int             `json:"concurrency"`
@@ -397,7 +359,6 @@ type BenchRecord struct {
 	Name      string  `json:"name"`
 	Iters     int     `json:"iterations"`
 	NsPerOp   float64 `json:"ns_per_op"`
-	AllocsOp  float64 `json:"allocs_per_op,omitempty"`
 	ErrorRate float64 `json:"error_rate,omitempty"`
 }
 
@@ -415,7 +376,6 @@ func (r *Report) BenchRecords() []BenchRecord {
 				Name:      "LoadTest/" + ep.Endpoint + "/p50",
 				Iters:     ep.Count,
 				NsPerOp:   ep.P50MS * 1e6,
-				AllocsOp:  ep.AllocsPerOp,
 				ErrorRate: errRate,
 			},
 			BenchRecord{
@@ -444,11 +404,7 @@ func Run(cfg Config) (*Report, error) {
 	failed := make([]bool, len(ops))
 	start := time.Now()
 	// A shared channel of indices keeps op order stable while letting the
-	// configured number of workers drain it. The gate gives restart ops
-	// exclusivity: normal traffic holds it shared, a restart holds it
-	// exclusively, so no request is in flight while the server is down and
-	// held-back requests resume against the recovered server.
-	var gate sync.RWMutex
+	// configured number of workers drain it.
 	idx := make(chan int)
 	done := make(chan struct{})
 	workers := cfg.Concurrency
@@ -460,15 +416,7 @@ func Run(cfg Config) (*Report, error) {
 			defer func() { done <- struct{}{} }()
 			for i := range idx {
 				t0 := time.Now()
-				if ops[i].Kind == OpRestart {
-					gate.Lock()
-					failed[i] = cfg.RestartFn() != nil
-					gate.Unlock()
-				} else {
-					gate.RLock()
-					failed[i] = c.do(ops[i]) != nil
-					gate.RUnlock()
-				}
+				failed[i] = c.do(ops[i]) != nil
 				latencies[i] = time.Since(t0)
 			}
 		}()
@@ -484,7 +432,6 @@ func Run(cfg Config) (*Report, error) {
 
 	rep := &Report{
 		Graph:       cfg.Graph,
-		Deployment:  cfg.Deployment,
 		Seed:        cfg.Seed,
 		Ops:         len(ops),
 		Concurrency: workers,
@@ -508,9 +455,6 @@ func Run(cfg Config) (*Report, error) {
 		}
 		rep.Errors += errs
 		rep.Endpoints = append(rep.Endpoints, summarize(string(kind), lat, errs))
-	}
-	if cfg.MeasureAllocs {
-		probeAllocs(c, ops, rep)
 	}
 	return rep, nil
 }
@@ -538,45 +482,6 @@ func summarize(name string, lat []time.Duration, errs int) EndpointStats {
 		P50MS:    ms(pct(0.50)),
 		P99MS:    ms(pct(0.99)),
 		MaxMS:    ms(lat[len(lat)-1]),
-	}
-}
-
-// allocProbeOps bounds how many operations the per-endpoint allocation
-// probe replays serially.
-const allocProbeOps = 16
-
-// probeAllocs reruns a small serial sample of each endpoint's operations
-// with the runtime's allocation counter around them. Meaningful only for
-// in-process servers; over a real network hop it measures just the client.
-// The sample reruns schedule entries, so cacheable queries are measured at
-// their steady (warm) state.
-func probeAllocs(c *client, ops []Op, rep *Report) {
-	for ei := range rep.Endpoints {
-		kind := OpKind(rep.Endpoints[ei].Endpoint)
-		if kind == OpRestart {
-			// A restart is not an allocation-bounded request; rerunning one
-			// here would tear the server down mid-probe.
-			continue
-		}
-		var sample []Op
-		for _, op := range ops {
-			if op.Kind == kind {
-				sample = append(sample, op)
-				if len(sample) == allocProbeOps {
-					break
-				}
-			}
-		}
-		if len(sample) == 0 {
-			continue
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for _, op := range sample {
-			c.do(op) //nolint:errcheck // errors already counted in the replay
-		}
-		runtime.ReadMemStats(&after)
-		rep.Endpoints[ei].AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(len(sample))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	pcpm "repro"
@@ -133,11 +132,11 @@ func TestScheduleShape(t *testing.T) {
 }
 
 func TestParseMix(t *testing.T) {
-	m, err := ParseMix("topk=10, ppr=5,batch=2,mutate=3,upload=1,restart=2")
+	m, err := ParseMix("topk=10, ppr=5,batch=2,mutate=3,upload=1,follower=2,promote=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Mix{TopK: 10, PPR: 5, PPRBatch: 2, Mutate: 3, Upload: 1, Restart: 2}
+	want := Mix{TopK: 10, PPR: 5, PPRBatch: 2, Mutate: 3, Upload: 1, FollowerRead: 2, Promote: 1}
 	if m != want {
 		t.Fatalf("ParseMix = %+v, want %+v", m, want)
 	}
@@ -149,13 +148,11 @@ func TestParseMix(t *testing.T) {
 }
 
 // TestReplayAgainstServe drives the full mixed workload against a live
-// serving daemon: every request must succeed, every scheduled op must be
-// accounted to an endpoint, and the in-process alloc probe must see the
-// serving layer's work.
+// serving daemon: every request must succeed and every scheduled op must be
+// accounted to an endpoint.
 func TestReplayAgainstServe(t *testing.T) {
 	cfg := testTarget(t)
 	cfg.Concurrency = 4
-	cfg.MeasureAllocs = true
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -178,11 +175,6 @@ func TestReplayAgainstServe(t *testing.T) {
 	}
 	if rep.OpsPerSec <= 0 || rep.DurationMS <= 0 {
 		t.Fatalf("throughput not reported: %+v", rep)
-	}
-	for _, ep := range rep.Endpoints {
-		if ep.Endpoint == string(OpPPR) && ep.AllocsPerOp <= 0 {
-			t.Fatalf("in-process alloc probe reported nothing for ppr: %+v", ep)
-		}
 	}
 }
 
@@ -261,106 +253,6 @@ func TestMutationMixReplay(t *testing.T) {
 	}
 }
 
-// TestRestartRequiresRestartFn: without a RestartFn the restart weight is
-// dropped instead of scheduling ops that cannot run.
-func TestRestartRequiresRestartFn(t *testing.T) {
-	cfg := Config{
-		BaseURL: "http://x", Graph: "g", Seed: 3, Ops: 500, Nodes: 100,
-		Mix: Mix{TopK: 1, Restart: 5},
-	}
-	ops, err := Schedule(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range ops {
-		if op.Kind == OpRestart {
-			t.Fatal("restart op scheduled without a RestartFn")
-		}
-	}
-}
-
-// TestRestartMixReplay drives the restart traffic class against a durable
-// in-process daemon: each restart op tears the server down and recovers it
-// from the data directory while the replay's other traffic is held back,
-// and all traffic — including mutate ops whose insert/delete halves may
-// straddle a restart — must succeed against the recovered server.
-func TestRestartMixReplay(t *testing.T) {
-	g, err := gen.ErdosRenyi(500, 4000, 7, graph.BuildOptions{Dedup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := pcpm.Options{Iterations: 3, Workers: 1, PartitionBytes: 1 << 10}
-	dir := t.TempDir()
-	s := serve.New(serve.Config{Defaults: opts, DataDir: dir})
-	if _, err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddGraph("load", g, opts, false); err != nil {
-		t.Fatal(err)
-	}
-
-	// The frontend outlives the server: restarts swap the handler under it,
-	// the in-process analogue of relaunching pcpm-serve on the same port.
-	var handler atomic.Value
-	handler.Store(s.Handler())
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().(http.Handler).ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-
-	restarts := 0
-	cur := s
-	restartFn := func() error {
-		if err := cur.CloseDurable(); err != nil {
-			return err
-		}
-		next := serve.New(serve.Config{Defaults: opts, DataDir: dir})
-		if _, err := next.Recover(); err != nil {
-			return err
-		}
-		handler.Store(next.Handler())
-		cur = next
-		restarts++
-		return nil
-	}
-
-	cfg := Config{
-		BaseURL: ts.URL, Graph: "load", Seed: 11, Ops: 80, Concurrency: 4,
-		Nodes: 500, Mix: Mix{TopK: 6, Rank: 2, Mutate: 3, Restart: 2},
-		RestartFn: restartFn,
-	}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("restart replay saw %d errors: %+v", rep.Errors, rep.Endpoints)
-	}
-	if restarts == 0 {
-		t.Fatal("no restart op executed")
-	}
-	for _, ep := range rep.Endpoints {
-		if ep.Endpoint == string(OpRestart) && ep.Count != restarts {
-			t.Fatalf("report counts %d restarts, RestartFn ran %d times", ep.Count, restarts)
-		}
-	}
-	// The recovered graph still serves and the mutate pairs conserved edges.
-	resp, err := http.Get(ts.URL + "/v1/graphs/load")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var info struct {
-		Edges int64 `json:"edges"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	if info.Edges != g.NumEdges() {
-		t.Fatalf("post-replay edge count = %d, want %d (conserved across restarts)", info.Edges, g.NumEdges())
-	}
-}
-
 // TestReplayCountsErrors: a replay against a graph that does not exist must
 // complete and report the failures rather than aborting. Reads only —
 // upload ops would legitimately create the graph mid-replay.
@@ -384,7 +276,7 @@ func TestReplayCountsErrors(t *testing.T) {
 func TestBenchRecordsTrajectoryShape(t *testing.T) {
 	rep := &Report{Endpoints: []EndpointStats{
 		{Endpoint: "topk", Count: 10, P50MS: 1.5, P99MS: 4.0},
-		{Endpoint: "ppr", Count: 5, Errors: 1, P50MS: 3.0, P99MS: 9.0, AllocsPerOp: 12},
+		{Endpoint: "ppr", Count: 5, Errors: 1, P50MS: 3.0, P99MS: 9.0},
 	}}
 	recs := rep.BenchRecords()
 	if len(recs) != 4 {

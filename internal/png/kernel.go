@@ -14,10 +14,6 @@ type Kernel struct {
 	// Updates[q] is destination bin q's update array (len UpdateCount[q]),
 	// rewritten by every Scatter.
 	Updates [][]float32
-	// Schedule runs fn(worker, i) for every i in [0, n), with worker below
-	// the count given to SetWorkers. NewKernel installs the paper's dynamic
-	// schedule; the PageRank engine's static-schedule ablation replaces it.
-	Schedule func(n int, fn func(worker, i int))
 
 	workers int
 	sums    [][]float32  // per worker: partial sums of one row partition
@@ -36,10 +32,14 @@ func NewKernel(p *PNG, workers int) *Kernel {
 	for q := range k.Updates {
 		k.Updates[q] = make([]float32, p.UpdateCount[q])
 	}
-	k.Schedule = func(n int, fn func(worker, i int)) { par.ForDynamicWorker(n, k.workers, fn) }
 	k.SetWorkers(workers)
 	return k
 }
+
+// Schedule runs fn(worker, i) for every i in [0, n), with worker below the
+// count given to SetWorkers: the paper's dynamic schedule, partitions handed
+// out from a shared queue.
+func (k *Kernel) Schedule(n int, fn func(worker, i int)) { par.ForDynamicWorker(n, k.workers, fn) }
 
 // SetWorkers sets the parallelism of the following phases (below 1 means
 // GOMAXPROCS), growing the per-worker scratch as needed.

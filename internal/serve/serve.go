@@ -202,8 +202,7 @@ type Config struct {
 	// Defaults are the pcpm options applied when an ingest or recompute
 	// request leaves a knob unset. The zero value means paper defaults. The
 	// daemon runs one solver (PCPM, branch-avoiding gather): Defaults naming
-	// another Method or BranchingGather fail every ingest with
-	// ErrInvalidOptions.
+	// another Method fail every ingest with ErrInvalidOptions.
 	Defaults pcpm.Options
 	// Logger receives request and recompute logs; nil discards them.
 	Logger *slog.Logger
@@ -707,15 +706,12 @@ func (o Overrides) apply(base pcpm.Options) pcpm.Options {
 	return base
 }
 
-// checkOneSolver rejects ingest options that select an engine or a kernel
-// ablation: those belong to the reproduction tooling (pcpm-pagerank,
-// pcpm-bench), and accepting one here would mean ignoring it.
+// checkOneSolver rejects ingest options that select another engine: the
+// baselines belong to the reproduction tooling (pcpm-pagerank, pcpm-bench),
+// and accepting one here would mean ignoring it.
 func checkOneSolver(o pcpm.Options) error {
-	switch {
-	case o.Method != "" && o.Method != pcpm.MethodPCPM:
+	if o.Method != "" && o.Method != pcpm.MethodPCPM {
 		return fmt.Errorf("%w: method %q: the server runs %q only", ErrInvalidOptions, o.Method, pcpm.MethodPCPM)
-	case o.BranchingGather:
-		return fmt.Errorf("%w: BranchingGather is not a serving option", ErrInvalidOptions)
 	}
 	return nil
 }
@@ -800,12 +796,11 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 // former deploys shard payloads, the latter only re-solves on the
 // already-distributed blocks.
 //
-// Every run is PCPM with the branch-avoiding gather. opts
-// inherited from a snapshot an older data dir or leader shipped may name
-// another engine or an ablation; that is cleared here, unconsulted, so the
-// published options describe the run.
+// Every run is PCPM with the branch-avoiding gather. opts inherited from a
+// snapshot an older data dir or leader shipped may name another engine; that
+// is cleared here, unconsulted, so the published options describe the run.
 func (s *Server) compute(e *entry, g *graph.Graph, opts pcpm.Options, fresh bool) (*Snapshot, error) {
-	opts.Method, opts.BranchingGather = "", false
+	opts.Method = ""
 	if s.coord != nil {
 		return s.computeSharded(e, g, opts, fresh)
 	}

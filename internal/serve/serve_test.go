@@ -669,7 +669,7 @@ func TestOptionKeysAreOverridesTags(t *testing.T) {
 	// Server defaults that select another solver are refused, not ignored.
 	for _, d := range []pcpm.Options{
 		{Method: pcpm.MethodBVGAS},
-		{BranchingGather: true},
+		{Method: pcpm.MethodPCPMCSR},
 	} {
 		s := New(Config{Defaults: d})
 		if _, err := s.AddGraph("g", g, pcpm.Options{}, false); !errors.Is(err, ErrInvalidOptions) {

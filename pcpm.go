@@ -75,9 +75,6 @@ type Options struct {
 	// iteration so ranks sum to 1; the default (false) reproduces the
 	// paper's formulation, which lets that mass leak.
 	RedistributeDangling bool
-	// BranchingGather selects the Algorithm 2 gather ablation for the PCPM
-	// engines instead of the branch-avoiding Algorithm 4 gather.
-	BranchingGather bool
 }
 
 // Result reports a completed PageRank computation.
@@ -110,9 +107,6 @@ func (o Options) coreConfig() core.Config {
 	}
 	if o.RedistributeDangling {
 		cfg.Dangling = core.DanglingRedistribute
-	}
-	if o.BranchingGather {
-		cfg.Gather = core.GatherBranching
 	}
 	return cfg
 }

@@ -181,23 +181,6 @@ func TestBuilderThroughFacade(t *testing.T) {
 	}
 }
 
-func TestBranchingGatherOption(t *testing.T) {
-	g := facadeGraph(t)
-	a, err := Run(g, Options{Iterations: 5, PartitionBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(g, Options{Iterations: 5, PartitionBytes: 1024, BranchingGather: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Ranks {
-		if a.Ranks[i] != b.Ranks[i] {
-			t.Fatal("gather ablation changed results")
-		}
-	}
-}
-
 func TestRunPersonalizedThroughFacade(t *testing.T) {
 	g := facadeGraph(t)
 	res, err := RunPersonalized(g, []uint32{0, 7}, PPRRunOptions{TopK: 5, Epsilon: 1e-8})
