@@ -12,19 +12,20 @@
 // Coordinator mode (-workers) ingests graphs, splits them into contiguous
 // row blocks balanced by in-degree (component-aware when the graph has SCC
 // structure), ships one block payload per worker, drives distributed solves
-// to convergence, and answers the ordinary serving endpoints by
-// scatter-gather — clients cannot tell it from a monolithic pcpm-serve:
+// to convergence, and gathers the blocks into one rank vector that it
+// serves like a monolithic pcpm-serve — clients cannot tell the two apart:
 //
 //	pcpm-shard -addr :8080 -workers http://localhost:9001,http://localhost:9002
 //	curl -XPOST --data-binary @edges.txt 'localhost:8080/v1/graphs?name=mine'
 //	curl 'localhost:8080/v1/graphs/mine/topk?k=5'
-//	curl 'localhost:8080/v1/graphs/mine/rank/42'
+//	curl -XPOST 'localhost:8080/v1/graphs/mine/edges' -d '{"insert":[[3,9]]}'
 //	curl -XPOST 'localhost:8080/v1/graphs/mine/recompute?wait=true' -d '{"damping":0.9}'
 //
-// Sharded deployments are memory-only: -data-dir durability and -follow
-// replication belong to pcpm-serve, and edge deltas answer 501 (re-upload
-// the graph to mutate it). GET /healthz reports readiness on both modes so
-// orchestration can poll instead of sleeping.
+// Reads never touch the workers, so they keep answering while one is down;
+// an ingest, recompute or delta fallback that needs the fleet answers 503
+// naming the missing worker. The coordinator is memory-only: -data-dir and
+// -follow are pcpm-serve's flags. GET /healthz reports readiness on both
+// modes so orchestration can poll instead of sleeping.
 package main
 
 import (

@@ -31,21 +31,10 @@ const maxDeltaRounds = 1000
 // engine run crosses it, the next delta forces a recompute instead of
 // repairing. At the default repair epsilon (1e-6) that is ~1000
 // consecutive incremental deltas — and the budget is still 40x below the
-// convergence error of the default 20-iteration engine run itself.
-// Config.MaxRepairDrift overrides it (negative disables the budget). The
+// convergence error of the default 20-iteration engine run itself. The
 // drift rides in the published snapshot, its persisted metadata and every
 // logged repair, so a recovered or promoted daemon resumes the budget.
 const maxRepairDrift = 1e-3
-
-func (s *Server) repairDriftBudget() float64 {
-	switch {
-	case s.cfg.MaxRepairDrift == 0:
-		return maxRepairDrift
-	case s.cfg.MaxRepairDrift < 0:
-		return math.Inf(1)
-	}
-	return s.cfg.MaxRepairDrift
-}
 
 // DeltaStatus reports one applied edge-delta batch.
 type DeltaStatus struct {
@@ -118,11 +107,6 @@ func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (DeltaStatus, er
 	e, err := s.lookup(name)
 	if err != nil {
 		return DeltaStatus{}, err
-	}
-	if snap := e.snap.Load(); snap != nil && snap.Shard != nil {
-		// The structure is row-blocked across worker processes; there is no
-		// resident rank vector to repair incrementally. Re-upload to mutate.
-		return DeltaStatus{}, fmt.Errorf("%w: edge deltas (re-upload the graph)", ErrShardUnsupported)
 	}
 	if d.Size() == 0 {
 		return DeltaStatus{}, fmt.Errorf("%w: no insertions or deletions", ErrBadDelta)
@@ -210,16 +194,16 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 	// accumulated repair-error budget is spent: drift bounds only sum.
 	fellBack, reason := res.FellBack, res.Reason
 	drift := snap.RepairDrift + res.ResidualL1
-	if budget := s.repairDriftBudget(); !fellBack && drift > budget {
+	if !fellBack && drift > s.repairDrift {
 		fellBack = true
-		reason = fmt.Sprintf("accumulated repair drift %.3g exceeds budget %.3g", drift, budget)
+		reason = fmt.Sprintf("accumulated repair drift %.3g exceeds budget %.3g", drift, s.repairDrift)
 	}
 
 	var ns *Snapshot
 	if fellBack {
 		st.Mode = "recompute"
 		st.Reason = reason
-		ns, err = s.compute(e, res.Graph, opts, false)
+		ns, err = s.compute(e, res.Graph, opts)
 		if err != nil {
 			return DeltaStatus{}, err
 		}

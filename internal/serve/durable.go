@@ -329,12 +329,6 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	if s.cfg.DataDir == "" {
 		return rep, nil
 	}
-	if s.coord != nil {
-		// Sharded deployments are memory-only: the rank vectors live on the
-		// workers, so a replayed log could not restore them without the fleet
-		// re-solving anyway. Refuse the combination rather than half-persist.
-		return nil, errors.New("serve: durability (DataDir) is not supported with ShardWorkers")
-	}
 	if s.wal.Load() != nil {
 		return nil, errors.New("serve: Recover called twice")
 	}

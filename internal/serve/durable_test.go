@@ -375,8 +375,8 @@ func TestReplayedDriftForcesRecompute(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	cfg.MaxRepairDrift = budget
 	a, _ := newDurableServer(t, cfg)
+	a.repairDrift = budget
 	if _, err := a.AddGraph("g", g, pcpm.Options{}, false); err != nil {
 		t.Fatal(err)
 	}

@@ -150,9 +150,6 @@ func (s *Server) Follow(ctx context.Context) error {
 	if s.cfg.FollowAddr == "" {
 		return errors.New("serve: Follow requires Config.FollowAddr")
 	}
-	if s.coord != nil {
-		return errors.New("serve: a shard coordinator cannot also be a replication follower")
-	}
 	if s.wal.Load() != nil {
 		return errors.New("serve: a follower cannot be durable itself (the data dir is adopted on promotion)")
 	}
@@ -175,10 +172,7 @@ func (s *Server) Follow(ctx context.Context) error {
 		}
 	}()
 
-	backoff := s.cfg.FollowBackoff
-	if backoff <= 0 {
-		backoff = defaultFollowBackoff
-	}
+	backoff := s.followBackoff
 	delay := backoff
 	// sleep waits out the current backoff (doubling it for next time) and
 	// reports whether the loop should continue.

@@ -54,19 +54,20 @@ func startLeader(t *testing.T, dir string) *leaderHarness {
 func (lh *leaderHarness) swap(h http.Handler) { lh.handler.Store(h) }
 
 // followerConfig keeps test follower loops fast: short polls so steady-state
-// rounds turn over quickly, short backoff so injected failures retry fast.
+// rounds turn over quickly (startFollower shortens the backoff).
 func followerConfig(leaderURL string) Config {
 	return Config{
 		Defaults:       testOptions,
 		FollowAddr:     leaderURL,
 		FollowPollWait: 100 * time.Millisecond,
-		FollowBackoff:  5 * time.Millisecond,
 	}
 }
 
-// startFollower runs f's Follow loop until the test ends.
+// startFollower runs f's Follow loop, with a short reconnect backoff so
+// injected failures retry fast, until the test ends.
 func startFollower(t *testing.T, f *Server) context.CancelFunc {
 	t.Helper()
+	f.followBackoff = 5 * time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

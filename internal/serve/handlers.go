@@ -188,10 +188,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	entries, snap, err := s.TopK(name, k)
 	if err != nil {
-		if errors.Is(err, shard.ErrUnavailable) {
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
@@ -216,8 +212,6 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, ErrNotFound):
 			writeError(w, http.StatusNotFound, err.Error())
-		case errors.Is(err, shard.ErrUnavailable):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
 		default:
 			writeError(w, http.StatusBadRequest, err.Error())
 		}
@@ -446,12 +440,13 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, ErrNotFound):
 			writeError(w, http.StatusNotFound, err.Error())
-		case errors.Is(err, ErrShardUnsupported):
-			writeError(w, http.StatusNotImplemented, err.Error())
 		case errors.Is(err, ErrDeltaTooLarge):
 			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
 		case errors.Is(err, ErrBadDelta):
 			writeError(w, http.StatusBadRequest, err.Error())
+		case errors.Is(err, shard.ErrUnavailable):
+			// A fallback solve needs the whole fleet.
+			writeError(w, http.StatusServiceUnavailable, err.Error())
 		default:
 			writeError(w, http.StatusInternalServerError, err.Error())
 		}

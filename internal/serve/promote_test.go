@@ -277,7 +277,6 @@ func TestPromotionChaos(t *testing.T) {
 	obCfg := durableConfig(dirA)
 	obCfg.FollowAddr = f1srv.URL
 	obCfg.FollowPollWait = 100 * time.Millisecond
-	obCfg.FollowBackoff = 5 * time.Millisecond
 	ob, _ := newDurableServer(t, obCfg)
 	startFollower(t, ob)
 	waitCaughtUp(t, f1, ob)

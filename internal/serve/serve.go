@@ -86,11 +86,6 @@ type Snapshot struct {
 	// snapshot persisted at WalLSN L reflects every log record for this
 	// graph up to and including L, and recovery replay skips those.
 	WalLSN uint64
-	// Shard is non-nil when a worker fleet computed this snapshot. Ranks is
-	// then nil — the vector lives row-blocked on the workers — and top-k and
-	// single-vertex reads scatter-gather through the coordinator instead of
-	// serving from the snapshot.
-	Shard *ShardInfo
 
 	topk  []pcpm.RankEntry // first topKCacheSize entries, precomputed
 	comps *compMemo        // Graph's structure summary, shared with every snapshot of Graph
@@ -99,10 +94,9 @@ type Snapshot struct {
 // compMemo is the part of one graph structure's summary that costs a pass
 // over it — the component count and largest component (one sequential
 // Tarjan pass) and the dangling count — filled at most once, and only when a
-// reader asks (Server.info) or a sharded deploy has decomposed the graph
-// anyway, so no publish pays for it. Every snapshot of the same *graph.Graph
-// points at the same memo (a recompute changes ranks, not structure), and it
-// is collected with the last of them.
+// reader asks (Server.info), so no publish pays for it. Every snapshot of
+// the same *graph.Graph points at the same memo (a recompute changes ranks,
+// not structure), and it is collected with the last of them.
 type compMemo struct {
 	once                          sync.Once
 	components, largest, dangling int
@@ -235,11 +229,6 @@ type Config struct {
 	// never fsyncs explicitly, positive fsyncs at that interval from a
 	// background goroutine.
 	FsyncEvery time.Duration
-	// MaxRepairDrift overrides the cumulative incremental-repair error
-	// budget that forces a full recompute once crossed (see
-	// maxRepairDrift; zero keeps the 1e-3 default, negative disables the
-	// budget entirely).
-	MaxRepairDrift float64
 	// FollowAddr makes this server a read-only replication follower of the
 	// leader at this base URL (e.g. "http://10.0.0.1:8080"): Follow
 	// bootstraps from the leader's snapshots, tails its WAL stream, and
@@ -251,16 +240,11 @@ type Config struct {
 	// FollowPollWait is the long-poll window a follower requests per tail
 	// round (default 25s).
 	FollowPollWait time.Duration
-	// FollowBackoff is the initial reconnect backoff after a failed
-	// bootstrap or tail round, doubling up to 5s (default 200ms).
-	FollowBackoff time.Duration
-	// ShardWorkers lists shard-worker base URLs. When non-empty the server
-	// runs in coordinator mode: ingests cut the graph into row blocks
-	// deployed across the workers, solves run as distributed PCPM rounds,
-	// and topk/rank queries scatter-gather worker-local slices. The serving
-	// API is unchanged for clients. Coordinator mode is memory-only — it
-	// composes with neither DataDir durability nor FollowAddr replication —
-	// and sharded graphs reject edge deltas (re-upload to mutate).
+	// ShardWorkers lists shard-worker base URLs. When non-empty every engine
+	// run (ingest, recompute, a delta's fallback) is a distributed PCPM
+	// solve on the worker fleet, whose gathered vector the snapshot holds
+	// like an in-process run's. Everything else — reads, incremental deltas,
+	// the WAL, recovery, following — is unchanged.
 	ShardWorkers []string
 	// ShardSolveTimeout bounds one distributed solve, payload distribution
 	// included (default 10 minutes).
@@ -315,6 +299,11 @@ type Server struct {
 	// coord drives the shard-worker fleet when Config.ShardWorkers is set;
 	// nil runs every engine in-process. See shard.go.
 	coord *shard.Coordinator
+	// repairDrift is the incremental-repair error budget (maxRepairDrift)
+	// and followBackoff the follower's first reconnect backoff
+	// (defaultFollowBackoff); tests shrink them after New.
+	repairDrift   float64
+	followBackoff time.Duration
 	// sccFills counts compMemo fills: the decompositions this server ran.
 	sccFills atomic.Int64
 }
@@ -329,12 +318,14 @@ func New(cfg Config) *Server {
 		log = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{
-		cfg:       cfg,
-		log:       log,
-		started:   time.Now(),
-		graphs:    make(map[string]*entry),
-		pending:   make(map[string]chan struct{}),
-		computeFn: pcpm.Run,
+		cfg:           cfg,
+		log:           log,
+		started:       time.Now(),
+		graphs:        make(map[string]*entry),
+		pending:       make(map[string]chan struct{}),
+		computeFn:     pcpm.Run,
+		repairDrift:   maxRepairDrift,
+		followBackoff: defaultFollowBackoff,
 	}
 	s.pprRunFn = s.runPersonalizedMisses
 	if cfg.FollowAddr != "" {
@@ -481,7 +472,7 @@ func (s *Server) addGraph(name string, g *graph.Graph, opts pcpm.Options, replac
 	}()
 
 	e := s.newEntry(name)
-	snap, err := s.compute(e, g, opts, true)
+	snap, err := s.compute(e, g, opts)
 	if err != nil {
 		return GraphInfo{}, err
 	}
@@ -606,13 +597,6 @@ func (s *Server) TopK(name string, k int) ([]pcpm.RankEntry, *Snapshot, error) {
 		return nil, nil, err
 	}
 	snap := e.snap.Load()
-	if snap.Shard != nil {
-		entries, err := s.shardTopK(name, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		return entries, snap, nil
-	}
 	return snap.TopK(k), snap, nil
 }
 
@@ -623,13 +607,6 @@ func (s *Server) Rank(name string, vertex uint32) (float32, *Snapshot, error) {
 		return 0, nil, err
 	}
 	snap := e.snap.Load()
-	if snap.Shard != nil {
-		r, err := s.shardRank(name, snap, vertex)
-		if err != nil {
-			return 0, nil, err
-		}
-		return r, snap, nil
-	}
 	if int64(vertex) >= int64(len(snap.Ranks)) {
 		return 0, nil, fmt.Errorf("serve: vertex %d out of range [0,%d)", vertex, len(snap.Ranks))
 	}
@@ -759,7 +736,7 @@ func (s *Server) Recompute(name string, ov Overrides, wait bool) (RecomputeStatu
 // the graph here cannot race a delta mutation.
 func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 	old := e.snap.Load()
-	snap, err := s.compute(e, old.Graph, opts, false)
+	snap, err := s.compute(e, old.Graph, opts)
 	if err == nil {
 		// Logged with the resulting rank vector (full, or as a signed
 		// residual delta against the parent when that is smaller), which
@@ -789,23 +766,24 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 	close(run.done)
 }
 
-// compute runs the engine and wraps the result in an unpublished Snapshot of
-// g for e; a re-run of the graph e already serves keeps its stats and
-// component memo (entry.seal). fresh distinguishes an ingest-time
-// computation from a re-run of a registered graph — in coordinator mode the
-// former deploys shard payloads, the latter only re-solves on the
-// already-distributed blocks.
+// compute runs the engine — in-process, or on the shard fleet in
+// coordinator mode — and wraps the result in an unpublished Snapshot of g
+// for e; a re-run of the graph e already serves keeps its component memo
+// (entry.seal).
 //
 // Every run is PCPM with the branch-avoiding gather. opts inherited from a
 // snapshot an older data dir or leader shipped may name another engine; that
 // is cleared here, unconsulted, so the published options describe the run.
-func (s *Server) compute(e *entry, g *graph.Graph, opts pcpm.Options, fresh bool) (*Snapshot, error) {
+func (s *Server) compute(e *entry, g *graph.Graph, opts pcpm.Options) (*Snapshot, error) {
 	opts.Method = ""
-	if s.coord != nil {
-		return s.computeSharded(e, g, opts, fresh)
-	}
 	start := time.Now()
-	res, err := s.computeFn(g, opts)
+	var res *pcpm.Result
+	var err error
+	if s.coord != nil {
+		res, err = s.solveSharded(e.name, g, opts)
+	} else {
+		res, err = s.computeFn(g, opts)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,8 @@
 package serve
 
 import (
-	"errors"
-	"fmt"
-	"time"
-
 	pcpm "repro"
 	"repro/internal/graph"
-	"repro/internal/scc"
 	"repro/internal/shard"
 )
 
@@ -16,29 +11,6 @@ import (
 // entry because the distributed rounds run inside worker processes, not in
 // this one.
 const MethodSharded pcpm.Method = "pcpm-sharded"
-
-// ErrShardUnsupported marks operations the coordinator cannot honor on a
-// sharded deployment (currently edge deltas; re-upload to mutate).
-var ErrShardUnsupported = errors.New("serve: not supported on sharded graphs")
-
-// ShardInfo rides on sharded snapshots: the deployment the ranks live in.
-// Ranks stay resident only on the workers — the snapshot's Ranks slice is
-// nil and queries scatter-gather per request — but the snapshot keeps the
-// graph structure, so coordinator-local paths that need it (personalized
-// PageRank, stats, PPR bounds checks) are unchanged.
-type ShardInfo struct {
-	// Assignment maps shard index to its owned row block.
-	Assignment shard.Assignment `json:"assignment"`
-	// Workers is the fleet size.
-	Workers int `json:"workers"`
-	// Rounds and Delta describe the distributed solve that produced this
-	// snapshot (mirrors Snapshot.Iterations / Snapshot.Delta).
-	Rounds int     `json:"rounds"`
-	Delta  float64 `json:"delta"`
-}
-
-// Sharded reports whether the server fronts a shard-worker fleet.
-func (s *Server) Sharded() bool { return s.coord != nil }
 
 // solveOptions lowers resolved pcpm options to the shard wire options,
 // applying the facade's documented defaults (damping 0.85, 20 fixed
@@ -64,81 +36,16 @@ func solveOptions(opts pcpm.Options) shard.SolveOptions {
 	return so
 }
 
-// computeSharded is compute's coordinator-mode twin: instead of running an
-// engine in-process it deploys (fresh ingest) or re-solves (recompute) on
-// the worker fleet and wraps the deployment info in a snapshot with no
-// resident rank vector. A deploy is the one consumer of a full decomposition
-// in this package (the condensation-aware row-block cut), so it decomposes
-// here and leaves the component summary in the new structure's memo.
-func (s *Server) computeSharded(e *entry, g *graph.Graph, opts pcpm.Options, fresh bool) (*Snapshot, error) {
-	so := solveOptions(opts)
-	start := time.Now()
-	var info shard.DeployInfo
-	var dec *scc.Result
-	if fresh {
-		dec = scc.Decompose(g, 0)
-		di, err := s.coord.Deploy(e.name, g, dec, so)
-		if err != nil {
-			return nil, err
-		}
-		info = *di
-	} else {
-		if err := s.coord.Solve(e.name, so); err != nil {
-			return nil, err
-		}
-		di, ok := s.coord.Info(e.name)
-		if !ok {
-			return nil, fmt.Errorf("serve: sharded graph %q vanished mid-recompute", e.name)
-		}
-		info = di
-	}
-	snap := e.seal(&Snapshot{
-		Graph:       g,
-		Options:     opts,
-		Method:      MethodSharded,
-		Iterations:  info.Rounds,
-		Delta:       info.Delta,
-		Version:     e.version.Add(1),
-		ComputedAt:  time.Now(),
-		ComputeTime: time.Since(start),
-		Shard: &ShardInfo{
-			Assignment: info.Assignment,
-			Workers:    len(s.coord.Workers()),
-			Rounds:     info.Rounds,
-			Delta:      info.Delta,
-		},
-	})
-	if dec != nil {
-		snap.comps.fill(g, func() (int, int) { return dec.NumComps, dec.LargestComponent() })
-	}
-	return snap, nil
-}
-
-// shardTopK answers a top-k query by fanning out to the workers and k-way
-// merging their slices; the result is identical to selecting over the
-// gathered vector.
-func (s *Server) shardTopK(name string, k int) ([]pcpm.RankEntry, error) {
-	entries, err := s.coord.TopK(name, k)
+// solveSharded runs one solve of g on the worker fleet. The coordinator
+// ships g's row blocks first when its workers hold another graph under name
+// (an ingest, a replace, a delta's fallback, the first recompute after a
+// restart), and the gathered vector comes back like an in-process run's.
+func (s *Server) solveSharded(name string, g *graph.Graph, opts pcpm.Options) (*pcpm.Result, error) {
+	ranks, rounds, delta, err := s.coord.Solve(name, g, solveOptions(opts))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]pcpm.RankEntry, len(entries))
-	for i, e := range entries {
-		out[i] = pcpm.RankEntry{Node: e.Node, Rank: e.Rank}
-	}
-	return out, nil
-}
-
-// shardRank routes a single-vertex query to the owning worker.
-func (s *Server) shardRank(name string, snap *Snapshot, vertex uint32) (float32, error) {
-	if n := snap.Graph.NumNodes(); int64(vertex) >= int64(n) {
-		return 0, fmt.Errorf("serve: vertex %d out of range [0,%d)", vertex, n)
-	}
-	e, err := s.coord.Rank(name, vertex)
-	if err != nil {
-		return 0, err
-	}
-	return e.Rank, nil
+	return &pcpm.Result{Ranks: ranks, Iterations: rounds, Delta: delta, Method: MethodSharded}, nil
 }
 
 // Ready reports whether the server can answer queries: a follower must have

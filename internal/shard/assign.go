@@ -3,8 +3,8 @@
 // partition-centric gather rounds over its block's in-edges and exchanges
 // rank slices with its peers between rounds (the row-block CSR / allgather
 // shape of MPI PageRank), while a coordinator distributes payloads, drives
-// rounds to convergence, and scatter-gathers query results so the serving
-// API is unchanged for clients.
+// rounds to convergence, and gathers the converged blocks into the full
+// rank vector its caller serves.
 package shard
 
 import (

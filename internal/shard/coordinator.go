@@ -13,10 +13,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"repro/internal/graph"
 	"repro/internal/scc"
-	"repro/internal/topk"
 )
 
 // ErrUnavailable marks coordinator errors caused by an unreachable or
@@ -24,30 +24,27 @@ import (
 // to 503 so clients can tell "a shard is down" from "no such graph".
 var ErrUnavailable = errors.New("shard worker unavailable")
 
+// replyLimit bounds the JSON replies of load, solve and every error body;
+// rank gathers are bounded by their block's exact size instead.
+const replyLimit = 1 << 20
+
 // CoordinatorConfig tunes a Coordinator.
 type CoordinatorConfig struct {
 	// Logger receives deployment lifecycle lines; nil discards them.
 	Logger *log.Logger
-	// Client performs query fan-outs; nil uses a 30s-timeout client.
+	// Client performs rank gathers and removals; nil uses a 30s-timeout
+	// client.
 	Client *http.Client
 	// SolveTimeout bounds one distributed solve (payload posts use it too,
 	// since payloads can be large). Zero means 10 minutes.
 	SolveTimeout time.Duration
 }
 
-// DeployInfo describes one sharded deployment as the coordinator sees it.
-type DeployInfo struct {
-	Assignment Assignment `json:"assignment"`
-	N          int        `json:"n"`
-	M          int64      `json:"m"`
-	Rounds     int        `json:"rounds"`
-	Delta      float64    `json:"delta"`
-}
-
-// Coordinator drives a fixed fleet of shard workers: it cuts an ingested
-// graph into row blocks, distributes payloads, runs distributed solves, and
-// scatter-gathers block-local query results into the same answers the
-// monolithic server gives.
+// Coordinator drives a fixed fleet of shard workers as a compute backend:
+// it cuts a graph into row blocks, ships one payload per worker, runs
+// distributed solves, and gathers the converged block slices into the full
+// rank vector for its caller. Workers keep no state a reader needs — only
+// what the next solve of the same graph reuses.
 type Coordinator struct {
 	workers []string
 	logger  *log.Logger
@@ -55,10 +52,24 @@ type Coordinator struct {
 	solveCl *http.Client
 
 	mu     sync.Mutex
-	graphs map[string]*DeployInfo // guarded by mu
-	solves map[string]*sync.Mutex // guarded by mu — per-graph fleet-mutation locks
+	graphs map[string]*deployment // guarded by mu
 
 	seq atomic.Uint64
+}
+
+// deployment is what the fleet holds under one graph name. Its lock spans
+// every fleet mutation of the name (load, solve, gather, remove): a payload
+// reload landing on a worker mid-solve would orphan that solve's inbox, so
+// they must serialize. Records are never dropped — names are few and a
+// re-ingest reuses the lock.
+type deployment struct {
+	mu sync.Mutex
+	// graph is the graph whose payloads the workers hold, zero when none
+	// (never shipped, removed, or forgotten by a failed solve). It is weak so
+	// the record pins nothing: once the caller drops the graph, Value is nil
+	// and the next solve re-ships.
+	graph  weak.Pointer[graph.Graph] // guarded by mu
+	assign Assignment                // guarded by mu
 }
 
 // NewCoordinator constructs a coordinator over the given worker base URLs.
@@ -83,137 +94,93 @@ func NewCoordinator(workers []string, cfg CoordinatorConfig) (*Coordinator, erro
 		logger:  logger,
 		client:  client,
 		solveCl: &http.Client{Timeout: st},
-		graphs:  make(map[string]*DeployInfo),
-		solves:  make(map[string]*sync.Mutex),
+		graphs:  make(map[string]*deployment),
 	}, nil
 }
 
-// solveLock returns name's fleet-mutation lock, creating it on first use.
-// Deploy and Solve hold it for their whole load-and-solve span: a payload
-// reload landing on a worker mid-solve would orphan that solve's inbox (its
-// peers' slices go to the new state), so per-graph mutations must serialize.
-// Queries never take it — they read whatever the workers currently publish.
-func (c *Coordinator) solveLock(name string) *sync.Mutex {
+// record returns name's deployment record, creating it on first use.
+func (c *Coordinator) record(name string) *deployment {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	l := c.solves[name]
-	if l == nil {
-		l = &sync.Mutex{}
-		c.solves[name] = l
+	d := c.graphs[name]
+	if d == nil {
+		d = &deployment{}
+		c.graphs[name] = d
 	}
-	return l
+	return d
 }
 
-// Workers returns the fleet's base URLs.
-func (c *Coordinator) Workers() []string { return c.workers }
-
-// Info returns the deployment record for a graph, if one exists.
-func (c *Coordinator) Info(name string) (DeployInfo, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.graphs[name]
-	if !ok {
-		return DeployInfo{}, false
-	}
-	return *d, true
-}
-
-// Deploy cuts g into one row block per worker (condensation-aware when an
-// SCC decomposition is supplied), ships each block's payload, and runs the
-// first distributed solve. On success the graph answers queries through the
-// coordinator.
-func (c *Coordinator) Deploy(name string, g *graph.Graph, r *scc.Result, opts SolveOptions) (*DeployInfo, error) {
+// Solve runs one distributed solve of g under name and returns the gathered
+// rank vector with the agreed round count and final delta. When the workers
+// hold another graph under name — or none — it first cuts g into one row
+// block per worker (condensation-aware) and ships the payloads. A failed
+// solve forgets what the workers hold, so the next one re-ships.
+func (c *Coordinator) Solve(name string, g *graph.Graph, opts SolveOptions) ([]float32, int, float64, error) {
 	n := g.NumNodes()
 	if n == 0 {
-		return nil, errors.New("shard: cannot deploy an empty graph")
+		return nil, 0, 0, errors.New("shard: cannot solve an empty graph")
 	}
-	a := AssignSCC(g, r, len(c.workers))
+	d := c.record(name)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	held := d.graph.Value() == g
+	d.graph = weak.Pointer[graph.Graph]{} // restored only if this solve succeeds
+	if !held {
+		a, err := c.load(name, g)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		d.assign = a
+		c.logger.Printf("shard-coordinator: shipped %q to %d workers (n=%d m=%d)",
+			name, len(c.workers), n, g.NumEdges())
+	}
+	rounds, delta, err := c.solveFleet(name, opts)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	ranks, err := c.gather(name, d.assign, n)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	d.graph = weak.Make(g)
+	c.logger.Printf("shard-coordinator: solved %q in %d rounds (delta %g)", name, rounds, delta)
+	return ranks, rounds, delta, nil
+}
+
+// load cuts g into one row block per worker and ships each block's payload,
+// returning the assignment.
+func (c *Coordinator) load(name string, g *graph.Graph) (Assignment, error) {
+	a := AssignSCC(g, scc.Decompose(g, 0), len(c.workers))
 	degs, err := DegreesOf(g)
 	if err != nil {
 		return nil, err
 	}
-	l := c.solveLock(name)
-	l.Lock()
-	defer l.Unlock()
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.workers))
-	for i := range c.workers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub, err := g.RowBlock(a[i].Lo, a[i].Hi)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			meta := PayloadMeta{
-				Graph: name, Shard: i, Ranges: a, Peers: c.workers,
-				N: n, M: g.NumEdges(),
-			}
-			var buf bytes.Buffer
-			if err := WritePayload(&buf, meta, sub, degs); err != nil {
-				errs[i] = err
-				return
-			}
-			_, err = c.post(c.solveCl, i, "/v1/shard/load", "application/octet-stream", buf.Bytes())
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err = c.fanOut(func(i int) error {
+		sub, err := g.RowBlock(a[i].Lo, a[i].Hi)
 		if err != nil {
-			return nil, err
+			return err
 		}
-	}
-	// Solve before registering: a replace re-deploy keeps answering from the
-	// previous assignment (and the workers from their previous publications)
-	// until the new blocks have converged ranks. Registering first would
-	// route queries to blocks that cannot answer yet.
-	rounds, delta, err := c.solveFleet(name, opts)
+		meta := PayloadMeta{
+			Graph: name, Shard: i, Ranges: a, Peers: c.workers,
+			N: g.NumNodes(), M: g.NumEdges(),
+		}
+		var buf bytes.Buffer
+		if err := WritePayload(&buf, meta, sub, degs); err != nil {
+			return err
+		}
+		_, err = c.post(c.solveCl, i, "/v1/shard/load", "application/octet-stream", buf.Bytes())
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	info := &DeployInfo{Assignment: a, N: n, M: g.NumEdges(), Rounds: rounds, Delta: delta}
-	c.mu.Lock()
-	c.graphs[name] = info
-	c.mu.Unlock()
-	c.logger.Printf("shard-coordinator: deployed %q across %d workers (n=%d m=%d, %d rounds, delta %g)",
-		name, len(c.workers), n, g.NumEdges(), rounds, delta)
-	final := *info
-	return &final, nil
+	return a, nil
 }
 
-// infoLocked returns the mutable registry record for a graph.
-func (c *Coordinator) infoLocked(name string) *DeployInfo { return c.graphs[name] }
-
-// Solve re-runs the distributed rounds on an already-deployed graph (the
-// recompute path). Every worker gets identical options and the same
-// sequence number, so all agree on the stop round.
-func (c *Coordinator) Solve(name string, opts SolveOptions) error {
-	l := c.solveLock(name)
-	l.Lock()
-	defer l.Unlock()
-	if _, ok := c.Info(name); !ok {
-		return fmt.Errorf("shard: graph %q is not deployed", name)
-	}
-	rounds, delta, err := c.solveFleet(name, opts)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	if d := c.infoLocked(name); d != nil {
-		d.Rounds = rounds
-		d.Delta = delta
-	}
-	c.mu.Unlock()
-	c.logger.Printf("shard-coordinator: solved %q in %d rounds (delta %g)", name, rounds, delta)
-	return nil
-}
-
-// solveFleet runs one distributed solve against every worker's newest-loaded
-// block of name and returns the agreed round count and final delta. It does
-// not touch the registry — Deploy and Solve each publish the outcome at the
-// point their consistency story allows.
+// solveFleet runs one distributed solve against every worker's loaded block
+// of name and returns the agreed round count and final delta. Every worker
+// gets identical options and the same sequence number, so all agree on the
+// stop round.
 func (c *Coordinator) solveFleet(name string, opts SolveOptions) (int, float64, error) {
 	opts.Seq = c.seq.Add(1)
 	body, err := json.Marshal(opts)
@@ -225,25 +192,15 @@ func (c *Coordinator) solveFleet(name string, opts SolveOptions) (int, float64, 
 		Delta  float64 `json:"delta"`
 	}
 	results := make([]solveResp, len(c.workers))
-	errs := make([]error, len(c.workers))
-	var wg sync.WaitGroup
-	for i := range c.workers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := c.post(c.solveCl, i, "/v1/shard/solve?graph="+name, "application/json", body)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = json.Unmarshal(resp, &results[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err = c.fanOut(func(i int) error {
+		resp, err := c.post(c.solveCl, i, "/v1/shard/solve?graph="+name, "application/json", body)
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
+		return json.Unmarshal(resp, &results[i])
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	for i := 1; i < len(results); i++ {
 		if results[i].Rounds != results[0].Rounds {
@@ -254,162 +211,92 @@ func (c *Coordinator) solveFleet(name string, opts SolveOptions) (int, float64, 
 	return results[0].Rounds, results[0].Delta, nil
 }
 
-// TopK fans the query to every worker and k-way merges the k-sized slices.
-// The merge uses the same ordering as worker-local selection, so the result
-// is exactly what selecting over the gathered full vector would produce.
-func (c *Coordinator) TopK(name string, k int) ([]RankEntry, error) {
-	if _, ok := c.Info(name); !ok {
-		return nil, fmt.Errorf("shard: graph %q is not deployed", name)
-	}
-	lists := make([][]RankEntry, len(c.workers))
-	errs := make([]error, len(c.workers))
-	var wg sync.WaitGroup
-	for i := range c.workers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body, err := c.get(i, fmt.Sprintf("/v1/shard/topk?graph=%s&k=%d", name, k))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var resp struct {
-				TopK []RankEntry `json:"topk"`
-			}
-			if err := json.Unmarshal(body, &resp); err != nil {
-				errs[i] = err
-				return
-			}
-			lists[i] = resp.TopK
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+// gather reads every worker's solved block into one n-vector. Each read is
+// bounded by its block's exact wire size — two uint32 bounds plus four bytes
+// per vertex — and a body of any other length is rejected.
+func (c *Coordinator) gather(name string, a Assignment, n int) ([]float32, error) {
+	out := make([]float32, n)
+	err := c.fanOut(func(i int) error {
+		r := a[i]
+		want := 8 + 4*int64(r.Len())
+		body, err := c.get(i, "/v1/shard/ranks?graph="+name, want+1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-	}
-	return topk.MergeDesc(lists, k, WorseEntry), nil
-}
-
-// Rank routes a single-vertex lookup to the owning worker.
-func (c *Coordinator) Rank(name string, v graph.NodeID) (RankEntry, error) {
-	info, ok := c.Info(name)
-	if !ok {
-		return RankEntry{}, fmt.Errorf("shard: graph %q is not deployed", name)
-	}
-	if int64(v) >= int64(info.N) {
-		return RankEntry{}, fmt.Errorf("shard: vertex %d out of range for n=%d", v, info.N)
-	}
-	i := info.Assignment.ShardOf(v)
-	body, err := c.get(i, fmt.Sprintf("/v1/shard/rank?graph=%s&node=%d", name, v))
+		if int64(len(body)) != want {
+			return fmt.Errorf("shard: worker %d returned %d rank bytes for block [%d,%d), want %d",
+				i, len(body), r.Lo, r.Hi, want)
+		}
+		lo := binary.LittleEndian.Uint32(body)
+		hi := binary.LittleEndian.Uint32(body[4:])
+		if lo != r.Lo || hi != r.Hi {
+			return fmt.Errorf("shard: worker %d returned block [%d,%d), want [%d,%d)", i, lo, hi, r.Lo, r.Hi)
+		}
+		for j := range r.Len() {
+			out[int(r.Lo)+j] = math.Float32frombits(binary.LittleEndian.Uint32(body[8+4*j:]))
+		}
+		return nil
+	})
 	if err != nil {
-		return RankEntry{}, err
-	}
-	var e RankEntry
-	if err := json.Unmarshal(body, &e); err != nil {
-		return RankEntry{}, err
-	}
-	return e, nil
-}
-
-// Ranks gathers the full rank vector from all workers — the golden-test and
-// diagnostics path, O(n) on the coordinator like any worker's round state.
-func (c *Coordinator) Ranks(name string) ([]float32, error) {
-	info, ok := c.Info(name)
-	if !ok {
-		return nil, fmt.Errorf("shard: graph %q is not deployed", name)
-	}
-	out := make([]float32, info.N)
-	errs := make([]error, len(c.workers))
-	var wg sync.WaitGroup
-	for i := range c.workers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body, err := c.get(i, "/v1/shard/ranks?graph="+name)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if len(body) < 8 {
-				errs[i] = fmt.Errorf("shard: worker %d returned truncated ranks", i)
-				return
-			}
-			lo := binary.LittleEndian.Uint32(body)
-			hi := binary.LittleEndian.Uint32(body[4:])
-			want := info.Assignment[i]
-			if lo != want.Lo || hi != want.Hi || len(body) != 8+4*want.Len() {
-				errs[i] = fmt.Errorf("shard: worker %d returned block [%d,%d) (%d bytes), want [%d,%d)",
-					i, lo, hi, len(body), want.Lo, want.Hi)
-				return
-			}
-			for j := 0; j < want.Len(); j++ {
-				out[int(lo)+j] = math.Float32frombits(binary.LittleEndian.Uint32(body[8+4*j:]))
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	return out, nil
 }
 
-// Remove deletes the graph from every worker and the registry. Unreachable
-// workers are reported but do not keep the graph registered.
+// Remove deletes the graph from every worker and forgets it. It fails for a
+// name this coordinator never solved; workers that miss the delete are
+// reported but leave nothing behind that a later solve would reuse.
 func (c *Coordinator) Remove(name string) error {
-	// Hold the fleet-mutation lock so a delete cannot land on a worker in
-	// the middle of a deploy or solve of the same name. The per-name lock
-	// stays in the map after removal — names are few and redeploys reuse it.
-	l := c.solveLock(name)
-	l.Lock()
-	defer l.Unlock()
 	c.mu.Lock()
-	_, deployed := c.graphs[name]
-	delete(c.graphs, name)
+	d := c.graphs[name]
 	c.mu.Unlock()
-	if !deployed {
+	if d == nil {
 		return fmt.Errorf("shard: graph %q is not deployed", name)
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.graph = weak.Pointer[graph.Graph]{}
+	return c.fanOut(func(i int) error {
+		req, err := http.NewRequest(http.MethodDelete, c.workers[i]+"/v1/shard/graph?graph="+name, nil)
+		if err != nil {
+			return err
+		}
+		resp, err := c.client.Do(req)
+		if err != nil {
+			return fmt.Errorf("%w: worker %d (%s): %v", ErrUnavailable, i, c.workers[i], err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusNotFound {
+			return fmt.Errorf("shard: worker %d returned %s removing %q", i, resp.Status, name)
+		}
+		return nil
+	})
+}
+
+// fanOut calls f once per worker index, concurrently, and joins the errors.
+func (c *Coordinator) fanOut(f func(i int) error) error {
 	errs := make([]error, len(c.workers))
 	var wg sync.WaitGroup
 	for i := range c.workers {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			req, err := http.NewRequest(http.MethodDelete, c.workers[i]+"/v1/shard/graph?graph="+name, nil)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resp, err := c.client.Do(req)
-			if err != nil {
-				errs[i] = fmt.Errorf("%w: worker %d (%s): %v", ErrUnavailable, i, c.workers[i], err)
-				return
-			}
-			defer resp.Body.Close()
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusNotFound {
-				errs[i] = fmt.Errorf("shard: worker %d returned %s removing %q", i, resp.Status, name)
-			}
-		}(i)
+			errs[i] = f(i)
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// get performs a query GET against worker i, returning the response body or
-// an error carrying the worker's JSON detail; network and 5xx failures wrap
-// ErrUnavailable.
-func (c *Coordinator) get(i int, path string) ([]byte, error) {
+// get performs a GET against worker i, reading at most limit bytes of a
+// successful body; network and 5xx failures wrap ErrUnavailable.
+func (c *Coordinator) get(i int, path string, limit int64) ([]byte, error) {
 	resp, err := c.client.Get(c.workers[i] + path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: worker %d (%s): %v", ErrUnavailable, i, c.workers[i], err)
 	}
-	return c.finish(i, resp)
+	return c.finish(i, resp, limit)
 }
 
 func (c *Coordinator) post(client *http.Client, i int, path, contentType string, body []byte) ([]byte, error) {
@@ -417,16 +304,23 @@ func (c *Coordinator) post(client *http.Client, i int, path, contentType string,
 	if err != nil {
 		return nil, fmt.Errorf("%w: worker %d (%s): %v", ErrUnavailable, i, c.workers[i], err)
 	}
-	return c.finish(i, resp)
+	return c.finish(i, resp, replyLimit)
 }
 
-func (c *Coordinator) finish(i int, resp *http.Response) ([]byte, error) {
+// finish reads worker i's response — at most limit bytes of a successful
+// body, at most replyLimit of an error — and turns a failure status into an
+// error carrying the worker's JSON detail.
+func (c *Coordinator) finish(i int, resp *http.Response, limit int64) ([]byte, error) {
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	ok := resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent
+	if !ok {
+		limit = replyLimit
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if err != nil {
 		return nil, fmt.Errorf("%w: worker %d (%s): reading response: %v", ErrUnavailable, i, c.workers[i], err)
 	}
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent {
+	if ok {
 		return body, nil
 	}
 	detail := resp.Status
@@ -437,8 +331,8 @@ func (c *Coordinator) finish(i int, resp *http.Response) ([]byte, error) {
 		detail = fmt.Sprintf("%s: %s", resp.Status, e.Error)
 	}
 	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusConflict {
-		// 5xx is a failing worker; 409 means a solve raced or never finished
-		// — either way the deployment cannot answer right now.
+		// 5xx is a failing worker; 409 means a solve raced, failed or never
+		// finished — either way the fleet cannot serve this solve.
 		return nil, fmt.Errorf("%w: worker %d (%s): %s", ErrUnavailable, i, c.workers[i], detail)
 	}
 	return nil, fmt.Errorf("shard: worker %d (%s): %s", i, c.workers[i], detail)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/scc"
 )
 
 // goldenFamilies mirrors the family sweep shared by the comp, ppr, and
@@ -48,61 +47,38 @@ func goldenFamilies(t testing.TB) map[string]*graph.Graph {
 
 // TestGoldenShardedVsMonolithic drives real worker processes' worth of HTTP
 // machinery (httptest servers, allgather swaps) at 2 and 4 shards across the
-// five generator families and holds the gathered vector to 1e-6 L1 of the
-// monolithic solver, with merged top-k bit-equal to selection over the
-// gathered vector at Workers:1 per shard.
+// five generator families and holds the vector Solve gathers to 1e-6 L1 of
+// the monolithic solver, with the same top-k node set, at Workers:1 per
+// shard.
 func TestGoldenShardedVsMonolithic(t *testing.T) {
 	for name, g := range goldenFamilies(t) {
 		mono, err := pcpm.Run(g, pcpm.Options{Tolerance: 1e-9})
 		if err != nil {
 			t.Fatalf("%s: monolithic run: %v", name, err)
 		}
-		var dec *scc.Result
-		if name == "dag-communities" {
-			// Exercise the condensation-aware assignment on the family built
-			// to have component structure.
-			dec = scc.Decompose(g, 0)
-		}
 		for _, shards := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				c, _ := startFleet(t, shards)
 				opts := SolveOptions{Damping: 0.85, Tolerance: 1e-9, Workers: 1}
-				if _, err := c.Deploy(name, g, dec, opts); err != nil {
-					t.Fatal(err)
-				}
-				gathered, err := c.Ranks(name)
+				ranks, _, _, err := c.Solve(name, g, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if l1 := core.L1Diff(gathered, mono.Ranks); l1 > 1e-6 {
+				if l1 := core.L1Diff(ranks, mono.Ranks); l1 > 1e-6 {
 					t.Errorf("L1 vs monolithic = %g, want <= 1e-6", l1)
 				}
+				// The top-k NODE SET must match the monolithic server's answer
+				// (values may differ in final bits, the set must not).
 				const k = 100
-				merged, err := c.TopK(name, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := core.TopK(gathered, k)
-				if len(merged) != len(want) {
-					t.Fatalf("merged topk has %d entries, want %d", len(merged), len(want))
-				}
-				for i := range merged {
-					if merged[i].Node != want[i].Node || merged[i].Rank != want[i].Rank {
-						t.Fatalf("topk[%d] = %+v, want %+v (merge not bit-equal)", i, merged[i], want[i])
-					}
-				}
-				// The top-k NODE SET must also match the monolithic server's
-				// answer (values may differ in final bits, the set must not).
-				monoTop := core.TopK(mono.Ranks, k)
-				if !sameNodeSet(merged, monoTop) {
-					t.Errorf("merged top-%d node set differs from monolithic", k)
+				if !sameNodeSet(core.TopK(ranks, k), core.TopK(mono.Ranks, k)) {
+					t.Errorf("top-%d node set differs from monolithic", k)
 				}
 			})
 		}
 	}
 }
 
-func sameNodeSet(a []RankEntry, b []core.RankEntry) bool {
+func sameNodeSet(a, b []core.RankEntry) bool {
 	if len(a) != len(b) {
 		return false
 	}

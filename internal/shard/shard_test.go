@@ -1,10 +1,12 @@
 package shard
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	pcpm "repro"
@@ -35,136 +37,35 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	g := testGraph(t, 600, 4800, 77)
 	c, _ := startFleet(t, 3)
 	opts := SolveOptions{Damping: 0.85, Tolerance: 1e-9}
-	info, err := c.Deploy("web", g, nil, opts)
+	ranks, rounds, delta, err := c.Solve("web", g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := info.Assignment.Validate(g.NumNodes()); err != nil {
-		t.Fatal(err)
-	}
-	if info.Rounds == 0 || info.Delta >= 1e-9 {
-		t.Fatalf("solve did not converge: %+v", info)
+	if rounds == 0 || delta >= 1e-9 {
+		t.Fatalf("solve did not converge: %d rounds, delta %g", rounds, delta)
 	}
 
 	mono, err := pcpm.Run(g, pcpm.Options{Tolerance: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gathered, err := c.Ranks("web")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l1 := core.L1Diff(gathered, mono.Ranks); l1 > 1e-6 {
+	if l1 := core.L1Diff(ranks, mono.Ranks); l1 > 1e-6 {
 		t.Fatalf("gathered ranks L1 vs monolithic = %g", l1)
 	}
 
-	// Merged top-k must be bit-equal to selecting over the gathered vector.
-	merged, err := c.TopK("web", 25)
+	// Re-solving the graph the workers hold (the recompute path) gives the
+	// same vector bit for bit.
+	again, _, _, err := c.Solve("web", g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.TopK(gathered, 25)
-	if len(merged) != len(want) {
-		t.Fatalf("merged topk has %d entries, want %d", len(merged), len(want))
-	}
-	for i := range merged {
-		if merged[i].Node != want[i].Node || merged[i].Rank != want[i].Rank {
-			t.Fatalf("topk[%d] = %+v, want %+v", i, merged[i], want[i])
+	for v := range ranks {
+		if math.Float32bits(ranks[v]) != math.Float32bits(again[v]) {
+			t.Fatalf("re-solve rank[%d] = %v, first solve %v", v, again[v], ranks[v])
 		}
-	}
-
-	// Single-vertex lookups route to the owning worker.
-	for _, v := range []graph.NodeID{0, 299, 599} {
-		e, err := c.Rank("web", v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Node != v || e.Rank != gathered[v] {
-			t.Fatalf("Rank(%d) = %+v, want rank %v", v, e, gathered[v])
-		}
-	}
-	if _, err := c.Rank("web", 600); err == nil {
-		t.Fatal("out-of-range rank lookup succeeded")
-	}
-
-	// Re-solve (recompute path) keeps answering.
-	if err := c.Solve("web", opts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.TopK("web", 5); err != nil {
-		t.Fatal(err)
 	}
 
 	if err := c.Remove("web"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.TopK("web", 5); err == nil {
-		t.Fatal("query on removed graph succeeded")
-	}
-}
-
-// TestWorkerReplaceServesOldPublication pins the replace-continuity
-// contract: reloading a payload for an already-deployed graph (same vertex
-// space) must not blank the worker's answers — queries serve the outgoing
-// publication until the new deployment's first solve swaps it out, the
-// sharded analogue of the monolithic server answering from the old snapshot
-// during a recompute.
-func TestWorkerReplaceServesOldPublication(t *testing.T) {
-	g := testGraph(t, 400, 3000, 9)
-	c, servers := startFleet(t, 2)
-	if _, err := c.Deploy("web", g, nil, SolveOptions{Damping: 0.85, Tolerance: 1e-9}); err != nil {
-		t.Fatal(err)
-	}
-	before, err := c.TopK("web", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Hand-load a fresh payload for shard 0 without solving it — the state a
-	// replace deployment is in between payload distribution and convergence.
-	info, _ := c.Info("web")
-	a := info.Assignment
-	sub, err := g.RowBlock(a[0].Lo, a[0].Hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degs, err := DegreesOf(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	urls := make([]string, len(servers))
-	for i, s := range servers {
-		urls[i] = s.URL
-	}
-	var buf bytes.Buffer
-	meta := PayloadMeta{Graph: "web", Shard: 0, Ranges: a, Peers: urls, N: g.NumNodes(), M: g.NumEdges()}
-	if err := WritePayload(&buf, meta, sub, degs); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(servers[0].URL+"/v1/shard/load", "application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reload returned %s", resp.Status)
-	}
-
-	// The unsolved reload keeps answering with the previous publication.
-	after, err := c.TopK("web", 10)
-	if err != nil {
-		t.Fatalf("topk mid-replace: %v", err)
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("topk changed mid-replace: %+v vs %+v", before[i], after[i])
-		}
-	}
-	// And a re-solve through the coordinator swaps in the new state cleanly.
-	if err := c.Solve("web", SolveOptions{Damping: 0.85, Tolerance: 1e-9}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.TopK("web", 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -172,44 +73,102 @@ func TestWorkerReplaceServesOldPublication(t *testing.T) {
 func TestCoordinatorFixedRounds(t *testing.T) {
 	g := testGraph(t, 300, 2000, 5)
 	c, _ := startFleet(t, 2)
-	info, err := c.Deploy("fixed", g, nil, SolveOptions{Damping: 0.85, Rounds: 7})
+	_, rounds, _, err := c.Solve("fixed", g, SolveOptions{Damping: 0.85, Rounds: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Rounds != 7 {
-		t.Fatalf("fixed solve ran %d rounds, want 7", info.Rounds)
+	if rounds != 7 {
+		t.Fatalf("fixed solve ran %d rounds, want 7", rounds)
 	}
 }
 
 func TestCoordinatorWorkerDownIsUnavailable(t *testing.T) {
 	g := testGraph(t, 400, 3000, 13)
 	c, servers := startFleet(t, 2)
-	if _, err := c.Deploy("web", g, nil, SolveOptions{Damping: 0.85, Tolerance: 1e-9}); err != nil {
+	opts := SolveOptions{Damping: 0.85, Tolerance: 1e-9}
+	if _, _, _, err := c.Solve("web", g, opts); err != nil {
 		t.Fatal(err)
 	}
 	servers[1].Close()
-	_, err := c.TopK("web", 10)
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("topk with dead worker: err = %v, want ErrUnavailable", err)
-	}
-	// The surviving worker's block still answers direct lookups.
-	info, _ := c.Info("web")
-	v := info.Assignment[0].Lo
-	if _, err := c.Rank("web", v); err != nil {
-		t.Fatalf("rank on surviving shard: %v", err)
-	}
-	dead := info.Assignment[1].Lo
-	if _, err := c.Rank("web", dead); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("rank on dead shard: err = %v, want ErrUnavailable", err)
+	if _, _, _, err := c.Solve("web", g, opts); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("solve with dead worker: err = %v, want ErrUnavailable", err)
 	}
 }
 
 func TestCoordinatorQueriesUnknownGraph(t *testing.T) {
 	c, _ := startFleet(t, 2)
-	if _, err := c.TopK("nope", 5); err == nil || errors.Is(err, ErrUnavailable) {
-		t.Fatalf("unknown graph: err = %v, want non-unavailable error", err)
+	if err := c.Remove("nope"); err == nil || errors.Is(err, ErrUnavailable) {
+		t.Fatalf("remove of unknown graph: err = %v, want non-unavailable error", err)
 	}
-	if err := c.Remove("nope"); err == nil {
-		t.Fatal("remove of unknown graph succeeded")
+	empty, err := graph.FromEdges(0, nil, false, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := c.Solve("empty", empty, SolveOptions{Damping: 0.85, Rounds: 1}); err == nil ||
+		errors.Is(err, ErrUnavailable) {
+		t.Fatalf("solve of an empty graph: err = %v, want non-unavailable error", err)
+	}
+}
+
+// TestCoordinatorGatherBoundsBody runs a one-worker coordinator against a
+// stub worker whose /v1/shard/ranks body is crafted: the gather accepts
+// exactly the block's wire size (8 + 4·len bytes) with the right bounds, and
+// rejects anything shorter or longer.
+func TestCoordinatorGatherBoundsBody(t *testing.T) {
+	g := testGraph(t, 50, 200, 3)
+	n := g.NumNodes()
+	exact := make([]byte, 8+4*n)
+	binary.LittleEndian.PutUint32(exact[4:], uint32(n))
+	for v := 0; v < n; v++ {
+		binary.LittleEndian.PutUint32(exact[8+4*v:], math.Float32bits(float32(v)))
+	}
+	wrongHi := append([]byte(nil), exact...)
+	binary.LittleEndian.PutUint32(wrongHi[4:], uint32(n-1))
+	cases := []struct {
+		name string
+		body []byte
+		want string // "" for success
+	}{
+		{"exact", exact, ""},
+		{"short", exact[:len(exact)-4], "rank bytes"},
+		{"header only", exact[:8], "rank bytes"},
+		{"long", append(append([]byte(nil), exact...), 0, 0, 0, 0), "rank bytes"},
+		{"far too long", append(append([]byte(nil), exact...), make([]byte, 1<<20)...), "rank bytes"},
+		{"wrong bounds", wrongHi, "returned block"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mux := http.NewServeMux()
+			mux.HandleFunc("POST /v1/shard/load", func(rw http.ResponseWriter, r *http.Request) {
+				shardWriteJSON(rw, http.StatusOK, map[string]any{})
+			})
+			mux.HandleFunc("POST /v1/shard/solve", func(rw http.ResponseWriter, r *http.Request) {
+				shardWriteJSON(rw, http.StatusOK, map[string]any{"rounds": 1, "delta": 0})
+			})
+			mux.HandleFunc("GET /v1/shard/ranks", func(rw http.ResponseWriter, r *http.Request) {
+				rw.Write(tc.body)
+			})
+			stub := httptest.NewServer(mux)
+			t.Cleanup(stub.Close)
+			c, err := NewCoordinator([]string{stub.URL}, CoordinatorConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranks, _, _, err := c.Solve("g", g, SolveOptions{Damping: 0.85, Rounds: 1})
+			if tc.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v, r := range ranks {
+					if r != float32(v) {
+						t.Fatalf("rank[%d] = %v, want %v", v, r, float32(v))
+					}
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -11,30 +11,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/graph"
-	"repro/internal/topk"
 )
-
-// RankEntry is the worker/coordinator wire form of one scored vertex. The
-// ordering convention matches core.TopK — rank descending, node ascending on
-// ties — so a merge of worker slices is bit-identical to selecting over the
-// gathered vector.
-type RankEntry struct {
-	Node graph.NodeID `json:"node"`
-	Rank float32      `json:"rank"`
-}
-
-// WorseEntry is the strict weak ordering shared by worker-local selection
-// and the coordinator's k-way merge.
-func WorseEntry(a, b RankEntry) bool {
-	if a.Rank != b.Rank {
-		return a.Rank < b.Rank
-	}
-	return a.Node > b.Node
-}
 
 // DefaultSwapWait bounds how long a worker waits for one round's peer
 // slices before declaring the deployment broken.
@@ -53,7 +31,7 @@ type WorkerConfig struct {
 
 // Worker owns row blocks for any number of deployed graphs and serves the
 // shard-internal HTTP API: payload installation, distributed solves with the
-// allgather swap, and block-local query primitives the coordinator merges.
+// allgather swap, and the solved block the coordinator gathers.
 type Worker struct {
 	mu     sync.Mutex
 	graphs map[string]*blockState // guarded by mu
@@ -87,28 +65,13 @@ type blockState struct {
 	inbox   map[swapKey]swapMsg // guarded by mu
 	rounds  int                 // guarded by mu — rounds of the last finished solve
 	delta   float64             // guarded by mu — final global delta
-	solved  bool                // guarded by mu
+	// ranks is the owned block of the last finished solve (nil before the
+	// first); the coordinator gathers it through /v1/shard/ranks.
+	ranks []float32 // guarded by mu
 
 	// notify wakes the solve loop when a swap arrives; buffered so a signal
 	// sent between the waiter's state check and its select is not lost.
 	notify chan struct{}
-
-	// pub is the published block, swapped atomically at solve end so queries
-	// keep answering from the previous vector during a re-solve. A reload of
-	// the same graph carries the old publication into the new state, so a
-	// replace deployment serves the outgoing ranks until its first solve
-	// lands — the sharded analogue of the monolithic server answering from
-	// the old snapshot while a recompute runs.
-	pub atomic.Pointer[publishedBlock]
-}
-
-// publishedBlock is one atomically-published query answer: the rank slice
-// and the row range it covers. The range rides with the slice (rather than
-// being read from meta) because a replace deployment may cut the graph
-// differently — queries must describe the block they actually answer from.
-type publishedBlock struct {
-	lo, hi graph.NodeID
-	ranks  []float32
 }
 
 // NewWorker constructs an empty worker.
@@ -140,8 +103,6 @@ func (w *Worker) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/shard/load", w.handleLoad)
 	mux.HandleFunc("POST /v1/shard/solve", w.handleSolve)
 	mux.HandleFunc("POST /v1/shard/swap", w.handleSwap)
-	mux.HandleFunc("GET /v1/shard/topk", w.handleTopK)
-	mux.HandleFunc("GET /v1/shard/rank", w.handleRank)
 	mux.HandleFunc("GET /v1/shard/ranks", w.handleRanks)
 	mux.HandleFunc("GET /v1/shard/status", w.handleStatus)
 	mux.HandleFunc("DELETE /v1/shard/graph", w.handleDelete)
@@ -175,16 +136,6 @@ func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
 		notify: make(chan struct{}, 1),
 	}
 	w.mu.Lock()
-	if old := w.graphs[p.Meta.Graph]; old != nil && old.meta.N == p.Meta.N {
-		// Same graph, same vertex space: keep serving the outgoing
-		// publication until the new deployment's first solve swaps it out.
-		// A resized replace cannot carry over — its old slice indexes a
-		// different ID space — and degrades to "no solved ranks yet".
-		bs.pub.Store(old.pub.Load())
-		old.mu.Lock()
-		bs.rounds, bs.delta, bs.solved = old.rounds, old.delta, old.solved
-		old.mu.Unlock()
-	}
 	w.graphs[p.Meta.Graph] = bs
 	w.mu.Unlock()
 	w.logger.Printf("shard-worker: loaded graph %q shard %d block [%d,%d) (%d block edges)",
@@ -305,11 +256,10 @@ func (w *Worker) solve(bs *blockState, opts SolveOptions) (int, float64, error) 
 	}
 	ranks := make([]float32, own.Len())
 	copy(ranks, p[own.Lo:own.Hi])
-	bs.pub.Store(&publishedBlock{lo: own.Lo, hi: own.Hi, ranks: ranks})
 	bs.mu.Lock()
 	bs.rounds = round
 	bs.delta = finalDelta
-	bs.solved = true
+	bs.ranks = ranks
 	bs.mu.Unlock()
 	w.logger.Printf("shard-worker: graph %q shard %d solved in %d rounds (delta %g)",
 		meta.Graph, meta.Shard, round, finalDelta)
@@ -456,74 +406,31 @@ func (w *Worker) handleSwap(rw http.ResponseWriter, r *http.Request) {
 
 func meta64(r Range) int64 { return int64(r.Hi) - int64(r.Lo) }
 
-// published returns the graph's current publication, writing the HTTP error
-// itself when the graph is missing or has never solved.
-func (w *Worker) published(rw http.ResponseWriter, name string) (*publishedBlock, bool) {
+// handleRanks streams the last solve's block in binary: two uint32 bounds
+// then the block's float32 ranks, all little endian — what the coordinator
+// gathers into the full vector.
+func (w *Worker) handleRanks(rw http.ResponseWriter, r *http.Request) {
+	name := r.URL.Query().Get("graph")
 	bs := w.lookup(name)
 	if bs == nil {
 		shardWriteError(rw, http.StatusNotFound, fmt.Sprintf("graph %q not loaded", name))
-		return nil, false
+		return
 	}
-	pub := bs.pub.Load()
-	if pub == nil {
+	bs.mu.Lock()
+	ranks := bs.ranks
+	bs.mu.Unlock()
+	if ranks == nil {
 		shardWriteError(rw, http.StatusConflict, fmt.Sprintf("graph %q has no solved ranks yet", name))
-		return nil, false
-	}
-	return pub, true
-}
-
-func (w *Worker) handleTopK(rw http.ResponseWriter, r *http.Request) {
-	pub, ok := w.published(rw, r.URL.Query().Get("graph"))
-	if !ok {
 		return
 	}
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
-	if err != nil || k < 0 {
-		shardWriteError(rw, http.StatusBadRequest, "bad k")
-		return
-	}
-	entries := topk.Select(len(pub.ranks), k, func(i int) RankEntry {
-		return RankEntry{Node: pub.lo + graph.NodeID(i), Rank: pub.ranks[i]}
-	}, WorseEntry)
-	shardWriteJSON(rw, http.StatusOK, map[string]any{"topk": entries})
-}
-
-func (w *Worker) handleRank(rw http.ResponseWriter, r *http.Request) {
-	pub, ok := w.published(rw, r.URL.Query().Get("graph"))
-	if !ok {
-		return
-	}
-	node, err := strconv.ParseUint(r.URL.Query().Get("node"), 10, 32)
-	if err != nil {
-		shardWriteError(rw, http.StatusBadRequest, "bad node")
-		return
-	}
-	v := graph.NodeID(node)
-	if v < pub.lo || v >= pub.hi {
-		shardWriteError(rw, http.StatusNotFound,
-			fmt.Sprintf("node %d outside published block [%d, %d)", v, pub.lo, pub.hi))
-		return
-	}
-	shardWriteJSON(rw, http.StatusOK, RankEntry{Node: v, Rank: pub.ranks[v-pub.lo]})
-}
-
-// handleRanks streams the published slice in binary: two uint32 bounds then
-// the block's float32 ranks, all little endian. The coordinator's gather
-// path and the golden harness use it to reassemble the full vector.
-func (w *Worker) handleRanks(rw http.ResponseWriter, r *http.Request) {
-	pub, ok := w.published(rw, r.URL.Query().Get("graph"))
-	if !ok {
-		return
+	own := bs.meta.Ranges[bs.meta.Shard]
+	buf := make([]byte, 8+4*len(ranks))
+	binary.LittleEndian.PutUint32(buf, own.Lo)
+	binary.LittleEndian.PutUint32(buf[4:], own.Hi)
+	for i, f := range ranks {
+		binary.LittleEndian.PutUint32(buf[8+4*i:], math.Float32bits(f))
 	}
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr, uint32(pub.lo))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(pub.hi))
-	rw.Write(hdr)
-	buf := make([]byte, 4*len(pub.ranks))
-	for i, f := range pub.ranks {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
-	}
 	rw.Write(buf)
 }
 
@@ -539,7 +446,7 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 	st := map[string]any{
 		"graph": name, "shard": bs.meta.Shard, "lo": own.Lo, "hi": own.Hi,
 		"n": bs.meta.N, "m": bs.meta.M, "peers": len(bs.meta.Peers),
-		"solving": bs.solving, "solved": bs.solved, "rounds": bs.rounds, "delta": bs.delta,
+		"solving": bs.solving, "solved": bs.ranks != nil, "rounds": bs.rounds, "delta": bs.delta,
 	}
 	bs.mu.Unlock()
 	shardWriteJSON(rw, http.StatusOK, st)
