@@ -136,8 +136,7 @@ func runPersonalized(g *pcpm.Graph, seedSpec string, damping, epsilon float64, t
 		fail(err)
 	}
 	fmt.Printf("personalized pagerank: seeds %v\n", seedIDs)
-	fmt.Printf("rounds: %d (%d worklist, %d sweeps), pushes: %d, residual L1 <= %.3g\n",
-		res.Rounds, res.SparseRounds, res.DenseRounds, res.Pushes, res.ResidualL1)
+	fmt.Printf("rounds: %d, pushes: %d, residual L1 <= %.3g\n", res.Rounds, res.Pushes, res.ResidualL1)
 	if res.Truncated {
 		fmt.Printf("WARNING: round cap reached with residual L1 %.3g still above the requested precision; scores are a partial answer\n",
 			res.ResidualL1)

@@ -36,6 +36,13 @@
 //	pcpm-serve -promote http://localhost:8081
 //	# re-aim the other follower:
 //	curl -XPOST 'localhost:8082/v1/repl/reaim' -d '{"leader":"http://localhost:8081"}'
+//
+// With -shard-workers the daemon coordinates a fleet of pcpm-shard workers:
+// every engine run (ingest, recompute, a delta's fallback) is a distributed
+// solve whose gathered vector it serves like its own, and every other flag
+// — -data-dir and -follow included — works as without it:
+//
+//	pcpm-serve -addr :8080 -shard-workers http://h1:9001,http://h2:9001
 package main
 
 import (
@@ -68,7 +75,7 @@ func main() {
 			"largest accepted graph upload in bytes; POST /v1/graphs bodies past this are rejected with 413 Request Entity Too Large")
 		pprCache = flag.Int("ppr-cache", 128, "personalized-PageRank answers cached per graph (LRU)")
 		pprPool  = flag.Int("ppr-pool", 4,
-			"idle personalized-PageRank engines retained per graph for cache misses and edge-delta repairs (~17 bytes/node each; negative disables pooling)")
+			"idle personalized-PageRank engines retained per graph for cache misses and edge-delta repairs (16 bytes/node each; negative disables pooling)")
 		maxDelta = flag.Int("max-delta-edges", 100000,
 			"largest edge-update batch (insertions+deletions) accepted by POST /v1/graphs/{name}/edges; bigger batches get 413 (negative removes the limit)")
 		dataDir = flag.String("data-dir", "",
@@ -81,6 +88,8 @@ func main() {
 			"run as a read-only follower of the leader at this base URL (e.g. http://leader:8080); incompatible with -graph. With -data-dir the directory lies dormant as the promotion target")
 		followPoll = flag.Duration("follow-poll", 25*time.Second,
 			"long-poll window per WAL tail request in follower mode")
+		shardWorkers = flag.String("shard-workers", "",
+			"comma-separated pcpm-shard worker base URLs (e.g. http://h1:9001,http://h2:9001); every engine run becomes a distributed solve on that fleet")
 		promoteURL = flag.String("promote", "",
 			"client mode: ask the follower at this base URL to promote itself to leader, print the report, and exit")
 		verbose = flag.Bool("v", false, "debug logging")
@@ -118,6 +127,14 @@ func main() {
 		os.Exit(2)
 	}
 
+	var fleet []string
+	if *shardWorkers != "" {
+		fleet = strings.Split(*shardWorkers, ",")
+		for i := range fleet {
+			fleet[i] = strings.TrimSpace(fleet[i])
+		}
+	}
+
 	srv := serve.New(serve.Config{
 		Defaults: pcpm.Options{
 			Damping:        *damping,
@@ -135,6 +152,7 @@ func main() {
 		FsyncEvery:        fsyncEvery,
 		FollowAddr:        *follow,
 		FollowPollWait:    *followPoll,
+		ShardWorkers:      fleet,
 	})
 
 	// Warm recovery before preload and before accepting traffic: load the

@@ -43,11 +43,10 @@ func main() {
 	for i, e := range res.Top {
 		fmt.Printf("  %d. node %-6d score %.5f\n", i+1, e.Node, e.Score)
 	}
-	fmt.Printf("(%d rounds: %d worklist, %d sweeps; residual L1 <= %.2g)\n",
-		res.Rounds, res.SparseRounds, res.DenseRounds, res.ResidualL1)
+	fmt.Printf("(%d sweeps; residual L1 <= %.2g)\n", res.Rounds, res.ResidualL1)
 
 	// Serving-style reuse: one engine holds the scratch, sized by the node
-	// count alone (~17 bytes/node), and every query brings its own parameters — a
+	// count alone (16 bytes/node), and every query brings its own parameters — a
 	// quick coarse answer and a high-precision one run on the same scratch
 	// with nothing carried over between calls. This per-call split is what
 	// lets pcpm-serve pool engines across cache-missed queries.

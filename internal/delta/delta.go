@@ -19,8 +19,10 @@
 // push loop of internal/ppr yields p' = p + π'(r), the fixed point of the
 // new graph — up to the convergence error the input ranks already carried,
 // which the repair preserves rather than amplifies.
-// A small structural delta perturbs ranks near the changed vertices, so
-// while the dirtied residual stays on few vertices only they are touched.
+// Every round of that loop is one sweep: it reads every residual but pushes
+// only those above the threshold, so a small structural delta, which
+// perturbs ranks near the changed vertices, pushes few vertices while each
+// round still costs an O(n) pass.
 //
 // When the delta dirties too much residual mass (hub rewirings, huge
 // batches) the sparse repair would approach full-recompute cost while
@@ -116,7 +118,7 @@ type Result struct {
 	// seeded vertices) — the quantity compared against FallbackL1.
 	SeedL1 float64
 	// ResidualL1, Rounds, and Pushes summarize the repair drain (zero when
-	// FellBack); Pushes counts every vertex push, worklist or sweep.
+	// FellBack); Rounds counts sweeps, Pushes every vertex push.
 	ResidualL1 float64
 	Rounds     int
 	Pushes     int64

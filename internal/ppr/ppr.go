@@ -16,19 +16,15 @@
 //
 //	p = α·s + (1−α)·(Aᵀ D⁻¹ + dangling·sᵀ) p.
 //
-// The engine is sequential and has no shape but the node count. A round is
-// one of two kernels, chosen from how many vertices are waiting: while few
-// are, a FIFO worklist round pushes exactly the queued vertices, and every
-// share lands straight in r and queues its target for the next round; once
-// more than an eighth of the vertices wait, the round is one in-place push
-// sweep over all vertices in ID order (Engine.sweep) and no worklist is kept
-// until the push count falls back under the bar. In both, mass pushed at v is
-// pushed on by every vertex the same pass reaches later — the asynchrony
-// Zhang et al. take their gains from. The paper's partition-centric binning
-// lives in the global solver (internal/core, internal/png), where random DRAM
-// traffic dominates; a query spends about 6 of its 68 rounds on a short
-// worklist and the rest sweeping, so binning the frontier bought nothing
-// here.
+// The engine is sequential and has no shape but the node count. Every round
+// is one in-place push sweep over all vertices in ID order (Engine.sweep):
+// each share lands straight in r, so mass pushed at v is pushed on by every
+// vertex the same pass reaches later — the asynchrony Zhang et al. take their
+// gains from. A sweep reads every residual and pushes only those above the
+// threshold. The paper's partition-centric binning lives in the global solver
+// (internal/core, internal/png), where random DRAM traffic dominates; a query
+// on the serving graph sweeps about 67 times and pushes almost every vertex
+// in most of them, so binning the frontier buys nothing here.
 //
 // Estimates and residuals are accumulated in float64 — unlike the global
 // engines, which follow the paper's 4-byte values — because per-query PPR
@@ -54,7 +50,7 @@ const (
 	// DefaultEpsilon is the default L1 termination threshold: the engine
 	// stops once the residual mass it could still deliver is below this.
 	DefaultEpsilon = 1e-7
-	// DefaultMaxRounds caps the rounds (worklist or sweep) of one query.
+	// DefaultMaxRounds caps the sweeps of one query.
 	DefaultMaxRounds = 10000
 )
 
@@ -82,7 +78,7 @@ type RunOptions struct {
 	// for callers that consume only Result.Top — the serving layer does.
 	// Requires TopK > 0.
 	TopOnly bool
-	// MaxRounds caps rounds, worklist or sweep, per query (default 10000);
+	// MaxRounds caps the sweeps of one query (default 10000);
 	// the engine returns its current estimate with Truncated set when hit.
 	MaxRounds int
 }
@@ -133,10 +129,9 @@ type Result struct {
 	// Top holds the RunOptions.TopK highest-scoring vertices in descending
 	// order (ties broken by node ID); nil when TopK was 0.
 	Top []Entry
-	// Rounds is the number of rounds executed; SparseRounds (worklist) and
-	// DenseRounds (sweeps) split it by kind.
-	Rounds, SparseRounds, DenseRounds int
-	// Pushes counts every vertex push, in worklist rounds and sweeps alike.
+	// Rounds is the number of sweeps executed.
+	Rounds int
+	// Pushes counts every vertex push over all sweeps.
 	Pushes int64
 	// ResidualL1 is the undelivered residual mass at termination — an
 	// upper bound on the L1 distance to the exact answer.
@@ -149,27 +144,17 @@ type Result struct {
 	Duration time.Duration
 }
 
-// Engine holds the scratch state of the push computation — estimate,
-// residual and queue marks, 17 bytes per node, plus the two worklists. It is
-// sized by the node count alone and nothing query-specific is baked in at
-// construction, so one Engine serves queries with any mix of RunOptions,
-// and a pool of them (like the serving layer's) serves every graph of that
-// node count through Rebind. An Engine is NOT safe for concurrent calls; use
-// one per goroutine or the stateless package-level Run.
+// Engine holds the scratch state of the push computation — estimate and
+// residual, 16 bytes per node. It is sized by the node count alone and
+// nothing query-specific is baked in at construction, so one Engine serves
+// queries with any mix of RunOptions, and a pool of them (like the serving
+// layer's) serves every graph of that node count through Rebind. An Engine
+// is NOT safe for concurrent calls; use one per goroutine or the stateless
+// package-level Run.
 type Engine struct {
 	g *graph.Graph
 
 	p, r []float64 // estimate and residual, indexed by node
-
-	// work lists the vertices the next worklist round pushes, in the order
-	// they crossed the threshold; next is the list that round fills. queued
-	// marks the members of either.
-	work, next []graph.NodeID
-	queued     []bool
-	// denseBar is the number of waiting vertices above which a round is a
-	// sweep: n/8 (flat between n/200 and n/4 on the serving graph). In-package
-	// tests pin a kernel with 0 (always sweep) or n+1 (always worklist).
-	denseBar int
 }
 
 // New builds an Engine for g; every query parameter is supplied per Run call.
@@ -178,13 +163,7 @@ func New(g *graph.Graph, _ EngineOptions) (*Engine, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("ppr: empty graph")
 	}
-	return &Engine{
-		g:        g,
-		p:        make([]float64, n),
-		r:        make([]float64, n),
-		queued:   make([]bool, n),
-		denseBar: n / 8,
-	}, nil
+	return &Engine{g: g, p: make([]float64, n), r: make([]float64, n)}, nil
 }
 
 // Graph returns the engine's graph.
@@ -254,7 +233,6 @@ func (e *Engine) Run(seeds []graph.NodeID, ro RunOptions) (*Result, error) {
 	}
 	for _, s := range seedSet {
 		e.r[s] = q.seedW
-		e.work = e.enqueue(e.work, s, q.thresh)
 	}
 
 	res := &Result{}
@@ -313,7 +291,6 @@ func (e *Engine) Repair(estimate []float32, seeds []ResidualSeed, ro RunOptions)
 	var residual float64
 	for _, s := range seeds {
 		residual += math.Abs(e.r[s.Node])
-		e.work = e.enqueue(e.work, s.Node, q.thresh)
 	}
 
 	res := &Result{}
@@ -332,16 +309,17 @@ type query struct {
 	signed bool
 }
 
-// drain is the shared round loop of Run and Repair. residual enters as an
-// upper bound on the remaining |r| mass and is kept one without re-summing r:
-// every push removes at least the mass it delivers (exactly that when
-// unsigned, more when signed residuals cancel). Before the loop stops it
-// takes the exact figure into res.ResidualL1 and goes on if rounding left
-// that above Epsilon, so only a run that hit MaxRounds can end Truncated.
+// drain is the shared sweep loop of Run and Repair: it sweeps until a sweep
+// pushes nothing, the residual is at most Epsilon, or MaxRounds is hit.
+// residual enters as an upper bound on the remaining |r| mass and is kept one
+// without re-summing r: every push removes at least the mass it delivers
+// (exactly that when unsigned, more when signed residuals cancel). Before the
+// loop stops it takes the exact figure into res.ResidualL1 and goes on if
+// rounding left that above Epsilon, so only a run that hit MaxRounds can end
+// Truncated.
 func (e *Engine) drain(q *query, ro RunOptions, residual float64, res *Result) {
-	waiting := len(e.work)
-	for {
-		stop := waiting == 0 || res.Rounds >= ro.MaxRounds
+	for idle := false; ; {
+		stop := idle || res.Rounds >= ro.MaxRounds
 		if stop || residual <= ro.Epsilon {
 			res.ResidualL1 = residualMass(e.r)
 			if stop || res.ResidualL1 <= ro.Epsilon {
@@ -350,23 +328,6 @@ func (e *Engine) drain(q *query, ro RunOptions, residual float64, res *Result) {
 			residual = res.ResidualL1
 		}
 		res.Rounds++
-		if waiting <= e.denseBar {
-			res.SparseRounds++
-			delivered, pushed := e.worklistRound(q)
-			residual -= delivered
-			res.Pushes += int64(pushed)
-			waiting = len(e.work)
-			continue
-		}
-		// While rounds stay sweeps nothing reads the worklist: it stays empty
-		// and the last sweep's push count stands in for the number waiting.
-		// Only when that falls to the bar does one pass queue the vertices
-		// above the threshold for the worklist rounds.
-		res.DenseRounds++
-		for _, v := range e.work {
-			e.queued[v] = false
-		}
-		e.work = e.work[:0]
 		delivered, pushed := e.sweep(q)
 		if q.signed {
 			// Shares of opposite sign cancel inside r, which the running
@@ -377,12 +338,7 @@ func (e *Engine) drain(q *query, ro RunOptions, residual float64, res *Result) {
 			residual -= delivered
 		}
 		res.Pushes += int64(pushed)
-		if waiting = pushed; waiting <= e.denseBar {
-			for v := range e.r {
-				e.work = e.enqueue(e.work, graph.NodeID(v), q.thresh)
-			}
-			waiting = len(e.work)
-		}
+		idle = pushed == 0
 	}
 }
 
@@ -403,70 +359,9 @@ func (e *Engine) finish(res *Result, ro RunOptions, start time.Time) {
 func (e *Engine) reset() {
 	clear(e.p)
 	clear(e.r)
-	clear(e.queued)
-	e.work, e.next = e.work[:0], e.next[:0]
 }
 
-// enqueue appends v to list if its |residual| is above thresh and it is not
-// queued already.
-func (e *Engine) enqueue(list []graph.NodeID, v graph.NodeID, thresh float64) []graph.NodeID {
-	if !e.queued[v] && math.Abs(e.r[v]) > thresh {
-		e.queued[v] = true
-		list = append(list, v)
-	}
-	return list
-}
-
-// worklistRound performs one sparse round: it pushes the vertices of e.work
-// in FIFO order, each as sweep pushes it, and queues every vertex a share
-// lifts above the threshold for the next round — or leaves it to this one,
-// if it is still waiting its turn. Dangling mass is folded into the seeds
-// once after the pass (unsigned) or leaks (signed). It returns the mass that
-// left the residual system and the number of pushes.
-func (e *Engine) worklistRound(q *query) (delivered float64, pushed int) {
-	outOff, outAdj := e.g.OutOffsets(), e.g.OutAdjacency()
-	alpha, thresh := q.alpha, q.thresh
-	p, r := e.p, e.r
-	next := e.next[:0]
-	var dmass float64
-	for _, v := range e.work {
-		e.queued[v] = false
-		rv := r[v]
-		mag := math.Abs(rv)
-		if mag <= thresh {
-			continue
-		}
-		r[v] = 0
-		p[v] += alpha * rv
-		delivered += alpha * mag
-		pushed++
-		lo, hi := outOff[v], outOff[v+1]
-		if lo == hi {
-			if q.signed {
-				delivered += (1 - alpha) * mag
-			} else {
-				dmass += rv
-			}
-			continue
-		}
-		share := (1 - alpha) * rv / float64(hi-lo)
-		for _, u := range outAdj[lo:hi] {
-			r[u] += share
-			next = e.enqueue(next, u, thresh)
-		}
-	}
-	if dmass > 0 {
-		tele := (1 - alpha) * dmass * q.seedW
-		for _, s := range q.seeds {
-			r[s] += tele
-			next = e.enqueue(next, s, thresh)
-		}
-	}
-	e.work, e.next = next, e.work
-	return delivered, pushed
-}
-
-// sweep performs one dense round as a single in-place push pass: every
+// sweep performs one round as a single in-place push pass: every
 // vertex whose |residual| is above the threshold when the pass reaches it, in
 // ID order, moves α·r into the estimate and adds its out-shares straight into
 // r, so mass entering a later vertex is pushed on within the same pass. The

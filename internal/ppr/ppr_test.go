@@ -55,34 +55,13 @@ func l1(a, b []float64) float64 {
 	return total
 }
 
-// kernels pins the round kernel through the engine's dense bar: the default
-// schedule, every round a worklist round, every round a sweep.
-var kernels = []struct {
-	name string
-	bar  func(n int) int
-}{
-	{"default", func(n int) int { return n / 8 }},
-	{"worklist-only", func(n int) int { return n + 1 }},
-	{"sweep-only", func(int) int { return 0 }},
-}
-
-func newPinned(t testing.TB, g *graph.Graph, bar func(n int) int) *Engine {
-	t.Helper()
-	e, err := New(g, EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.denseBar = bar(g.NumNodes())
-	return e
-}
-
 // TestGoldenPushMatchesPowerIteration is the acceptance golden: on every
-// generator family, under each kernel, Run and Repair agree with the dense
-// personalized power iteration within 1e-6 L1. Repair leaks dangling mass
-// where Run and the reference send it back to the seeds, which only rescales
-// the vector — p = c·s + (1−α)·M·p for a scalar c either way — so a Repair of
-// the seed distribution from a zero estimate, normalised to sum 1, is the
-// same fixed point.
+// generator family, Run and Repair agree with the dense personalized power
+// iteration within 1e-6 L1. Repair leaks dangling mass where Run and the
+// reference send it back to the seeds, which only rescales the vector —
+// p = c·s + (1−α)·M·p for a scalar c either way — so a Repair of the seed
+// distribution from a zero estimate, normalised to sum 1, is the same fixed
+// point.
 func TestGoldenPushMatchesPowerIteration(t *testing.T) {
 	seedSets := [][]graph.NodeID{
 		{0},
@@ -91,6 +70,10 @@ func TestGoldenPushMatchesPowerIteration(t *testing.T) {
 	}
 	ro := RunOptions{Epsilon: 1e-8}
 	for name, g := range testGraphs(t) {
+		e, err := New(g, EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, seeds := range seedSets {
 			want, err := PowerIteration(g, seeds, 0, 1e-12, 5000)
 			if err != nil {
@@ -101,83 +84,53 @@ func TestGoldenPushMatchesPowerIteration(t *testing.T) {
 			for i, s := range canon {
 				repairSeeds[i] = ResidualSeed{Node: s, Mass: 1 / float64(len(canon))}
 			}
-			for _, k := range kernels {
-				e := newPinned(t, g, k.bar)
-				res, err := e.Run(seeds, ro)
-				if err != nil {
-					t.Fatalf("%s %s: push: %v", name, k.name, err)
-				}
-				if d := l1(res.Scores, want); d > 1e-6 {
-					t.Fatalf("%s %s seeds %v: push vs power L1 = %g, want <= 1e-6", name, k.name, seeds, d)
-				}
-				if res.ResidualL1 > 1e-6 {
-					t.Fatalf("%s %s: residual %g exceeds 1e-6", name, k.name, res.ResidualL1)
-				}
-				rep, err := e.Repair(make([]float32, g.NumNodes()), repairSeeds, ro)
-				if err != nil {
-					t.Fatalf("%s %s: repair: %v", name, k.name, err)
-				}
-				var sum float64
-				for _, v := range rep.Scores {
-					sum += v
-				}
-				for i := range rep.Scores {
-					rep.Scores[i] /= sum
-				}
-				if d := l1(rep.Scores, want); d > 1e-6 {
-					t.Fatalf("%s %s seeds %v: normalised repair vs power L1 = %g, want <= 1e-6", name, k.name, seeds, d)
-				}
+			res, err := e.Run(seeds, ro)
+			if err != nil {
+				t.Fatalf("%s: push: %v", name, err)
+			}
+			if d := l1(res.Scores, want); d > 1e-6 {
+				t.Fatalf("%s seeds %v: push vs power L1 = %g, want <= 1e-6", name, seeds, d)
+			}
+			if res.ResidualL1 > 1e-6 {
+				t.Fatalf("%s: residual %g exceeds 1e-6", name, res.ResidualL1)
+			}
+			rep, err := e.Repair(make([]float32, g.NumNodes()), repairSeeds, ro)
+			if err != nil {
+				t.Fatalf("%s: repair: %v", name, err)
+			}
+			var sum float64
+			for _, v := range rep.Scores {
+				sum += v
+			}
+			for i := range rep.Scores {
+				rep.Scores[i] /= sum
+			}
+			if d := l1(rep.Scores, want); d > 1e-6 {
+				t.Fatalf("%s seeds %v: normalised repair vs power L1 = %g, want <= 1e-6", name, seeds, d)
 			}
 		}
 	}
 }
 
-// TestGoldenSparseAndDenseAgree checks that the pins pin — a bar of n+1 can
-// never trigger a sweep, a bar of 0 makes every round one — and that the two
-// kernels land on the same vector.
-func TestGoldenSparseAndDenseAgree(t *testing.T) {
-	g := testGraphs(t)["rmat"]
-	seeds := []graph.NodeID{5, 9}
-	sparse, err := newPinned(t, g, kernels[1].bar).Run(seeds, RunOptions{Epsilon: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sparse.DenseRounds != 0 || sparse.SparseRounds == 0 {
-		t.Fatalf("worklist-only rounds: %d dense, %d sparse", sparse.DenseRounds, sparse.SparseRounds)
-	}
-	dense, err := newPinned(t, g, kernels[2].bar).Run(seeds, RunOptions{Epsilon: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.SparseRounds != 0 || dense.DenseRounds == 0 {
-		t.Fatalf("sweep-only rounds: %d dense, %d sparse", dense.DenseRounds, dense.SparseRounds)
-	}
-	if d := l1(sparse.Scores, dense.Scores); d > 1e-6 {
-		t.Fatalf("worklist vs sweep L1 = %g", d)
-	}
-}
-
 // TestScoresSumToOneMinusResidual is the mass invariant of the unsigned
-// drain on every generator family under each kernel: pushes and the dangling
-// fold only move mass, so Σp + Σr stays 1, and a run that was not round-capped
-// ends with its residual under the requested epsilon.
+// drain on every generator family: pushes and the dangling fold only move
+// mass, so Σp + Σr stays 1, and a run that was not round-capped ends with its
+// residual under the requested epsilon.
 func TestScoresSumToOneMinusResidual(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		for _, k := range kernels {
-			res, err := newPinned(t, g, k.bar).Run([]graph.NodeID{1}, RunOptions{Epsilon: 1e-8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sum float64
-			for _, s := range res.Scores {
-				sum += s
-			}
-			if math.Abs(sum+res.ResidualL1-1) > 1e-12 {
-				t.Fatalf("%s %s: scores sum %g + residual %g != 1", name, k.name, sum, res.ResidualL1)
-			}
-			if res.ResidualL1 > 1e-8 {
-				t.Fatalf("%s %s: residual %g above epsilon after %d rounds", name, k.name, res.ResidualL1, res.Rounds)
-			}
+		res, err := Run(g, []graph.NodeID{1}, RunOptions{Epsilon: 1e-8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for _, s := range res.Scores {
+			sum += s
+		}
+		if math.Abs(sum+res.ResidualL1-1) > 1e-12 {
+			t.Fatalf("%s: scores sum %g + residual %g != 1", name, sum, res.ResidualL1)
+		}
+		if res.ResidualL1 > 1e-8 {
+			t.Fatalf("%s: residual %g above epsilon after %d rounds", name, res.ResidualL1, res.Rounds)
 		}
 	}
 }
@@ -359,10 +312,10 @@ func TestTruncatedFlag(t *testing.T) {
 
 // BenchmarkPushSingleSeed runs default-epsilon single-seed queries on the
 // serving family at its benchmark size (bench's serve_read graph), where a
-// query is a handful of worklist rounds and then sweeps: rounds/op and ns/edge
-// are the kernel's numbers. Edges traversed are taken as pushes × mean
-// out-degree, which is exact to a few percent because almost all pushes
-// happen in sweeps that push almost every vertex.
+// query is a few dozen sweeps: rounds/op and ns/edge are the kernel's
+// numbers. Edges traversed are taken as pushes × mean out-degree, which is
+// exact to a few percent because almost all pushes happen in sweeps that
+// push almost every vertex.
 func BenchmarkPushSingleSeed(b *testing.B) {
 	g, err := gen.PreferentialAttachmentMix(1<<17, 8, 0.2, 11, graph.BuildOptions{})
 	if err != nil {
@@ -376,7 +329,7 @@ func BenchmarkPushSingleSeed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Counting down from the newest vertex: the family's oldest few
-		// reach nothing, and a -benchtime=1x smoke must run sweeps.
+		// reach nothing, and a -benchtime=1x smoke must push past its seed.
 		seed := graph.NodeID(g.NumNodes() - 1 - i*7919%g.NumNodes())
 		res, err := e.Run([]graph.NodeID{seed}, RunOptions{TopK: 10})
 		if err != nil {

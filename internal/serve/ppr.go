@@ -66,7 +66,7 @@ type PPRAnswer struct {
 	// Top holds the K highest personalized scores, descending.
 	Top []PPRScore `json:"scores"`
 	// Rounds and Pushes summarize the push computation (zero cost on hits):
-	// Pushes counts every vertex push, in worklist rounds and sweeps alike.
+	// Rounds counts sweeps, and Pushes every vertex push over all of them.
 	Rounds int   `json:"rounds"`
 	Pushes int64 `json:"pushes"`
 	// ResidualL1 bounds the L1 error of the underlying score vector.
@@ -198,7 +198,7 @@ func normalizePPRLimits(k int, epsilon float64) (int, float64, error) {
 
 // enginePool retains idle personalized-PageRank engines for one entry so a
 // cache-missed query or an edge-delta repair borrows warm scratch
-// (~17 bytes/node) instead of allocating it. An engine is sized by the node
+// (16 bytes/node) instead of allocating it. An engine is sized by the node
 // count alone, and that is fixed within an entry (a replace upload builds a
 // new entry), so every retained engine fits every snapshot the entry will
 // publish: the borrower rebinds it to its snapshot's graph. The cap bounds

@@ -459,8 +459,8 @@ func newTestServerFor(t *testing.T, s *Server) string {
 // BenchmarkPPRServeMiss measures the serving layer's cache-miss path with
 // pooled engines against the fresh-engine baseline (pooling disabled).
 // Every iteration is a cache miss (distinct seed), so the difference is
-// exactly the per-miss engine scratch: pooled borrows ~17 bytes/node of
-// warm arrays plus grown worklists, fresh allocates and regrows them.
+// exactly the per-miss engine scratch: pooled borrows 16 bytes/node of
+// warm arrays, fresh allocates them.
 func BenchmarkPPRServeMiss(b *testing.B) {
 	g, err := gen.RMAT(gen.Graph500RMAT(14, 8, 3), graph.BuildOptions{})
 	if err != nil {

@@ -210,8 +210,8 @@ type Config struct {
 	// each graph retains for reuse across cache-missed queries and edge-delta
 	// repairs (default 4; negative disables pooling, so every miss and every
 	// repair allocates fresh scratch).
-	// Engine scratch is ~17 bytes/node, so the worst-case pinned memory per
-	// graph is PPREnginePoolSize × 17 × nodes.
+	// Engine scratch is 16 bytes/node, so the worst-case pinned memory per
+	// graph is PPREnginePoolSize × 16 × nodes.
 	PPREnginePoolSize int
 	// MaxDeltaEdges caps the edge changes (insertions plus deletions) one
 	// POST /v1/graphs/{name}/edges batch may carry (default 100000;
@@ -246,9 +246,6 @@ type Config struct {
 	// like an in-process run's. Everything else — reads, incremental deltas,
 	// the WAL, recovery, following — is unchanged.
 	ShardWorkers []string
-	// ShardSolveTimeout bounds one distributed solve, payload distribution
-	// included (default 10 minutes).
-	ShardSolveTimeout time.Duration
 }
 
 // Server owns the graph registry and serves rank queries. Create one with
@@ -335,9 +332,7 @@ func New(cfg Config) *Server {
 	if len(cfg.ShardWorkers) > 0 {
 		// NewCoordinator only fails on an empty worker list, which the guard
 		// above excludes.
-		coord, err := shard.NewCoordinator(cfg.ShardWorkers, shard.CoordinatorConfig{
-			SolveTimeout: cfg.ShardSolveTimeout,
-		})
+		coord, err := shard.NewCoordinator(cfg.ShardWorkers, shard.CoordinatorConfig{})
 		if err != nil {
 			panic(err)
 		}

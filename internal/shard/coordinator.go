@@ -35,10 +35,11 @@ type CoordinatorConfig struct {
 	// Client performs rank gathers and removals; nil uses a 30s-timeout
 	// client.
 	Client *http.Client
-	// SolveTimeout bounds one distributed solve (payload posts use it too,
-	// since payloads can be large). Zero means 10 minutes.
-	SolveTimeout time.Duration
 }
+
+// solveTimeout bounds one distributed solve; payload posts use it too, since
+// payloads can be large.
+const solveTimeout = 10 * time.Minute
 
 // Coordinator drives a fixed fleet of shard workers as a compute backend:
 // it cuts a graph into row blocks, ships one payload per worker, runs
@@ -85,15 +86,11 @@ func NewCoordinator(workers []string, cfg CoordinatorConfig) (*Coordinator, erro
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	st := cfg.SolveTimeout
-	if st <= 0 {
-		st = 10 * time.Minute
-	}
 	return &Coordinator{
 		workers: workers,
 		logger:  logger,
 		client:  client,
-		solveCl: &http.Client{Timeout: st},
+		solveCl: &http.Client{Timeout: solveTimeout},
 		graphs:  make(map[string]*deployment),
 	}, nil
 }

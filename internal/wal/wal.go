@@ -149,7 +149,9 @@ func DecodePayload(payload []byte, wantCRC uint32) (*Record, error) {
 	return parsePayload(payload)
 }
 
-// parsePayload decodes an already-checksummed frame payload.
+// parsePayload decodes an already-checksummed frame payload. Every error it
+// returns is a *CorruptionError without Path or Offset: only the caller
+// knows where the frame sits.
 func parsePayload(payload []byte) (*Record, error) {
 	if len(payload) < payloadMin {
 		return nil, &CorruptionError{Reason: fmt.Sprintf("payload of %d bytes, want at least %d", len(payload), payloadMin)}
@@ -261,27 +263,16 @@ func Scan(r io.Reader, size int64, firstLSN uint64, fn func(*Record) error) (Sca
 			}
 			return corrupt("checksum mismatch")
 		}
-		rec := Record{
-			LSN:    binary.LittleEndian.Uint64(payload[0:]),
-			Type:   RecordType(payload[8]),
-			Offset: off,
+		rec, err := parsePayload(payload)
+		if err != nil {
+			return corrupt(err.(*CorruptionError).Reason)
 		}
-		metaLen := int64(binary.LittleEndian.Uint32(payload[9:]))
-		if !rec.Type.valid() {
-			return corrupt(fmt.Sprintf("unknown record type %d", rec.Type))
-		}
-		if metaLen > plen-payloadMin {
-			return corrupt(fmt.Sprintf("metadata length %d exceeds payload", metaLen))
-		}
+		rec.Offset = off
 		if wantLSN != 0 && rec.LSN != wantLSN {
 			return corrupt(fmt.Sprintf("LSN %d, want %d", rec.LSN, wantLSN))
 		}
-		rec.Meta = payload[payloadMin : payloadMin+metaLen]
-		if rest := payload[payloadMin+metaLen:]; len(rest) > 0 {
-			rec.Blob = rest
-		}
 		if fn != nil {
-			if err := fn(&rec); err != nil {
+			if err := fn(rec); err != nil {
 				if errors.Is(err, ErrStop) {
 					res.ValidBytes = end
 					return res, nil

@@ -166,7 +166,7 @@ func Run(g *graph.Graph, o Options) (*Result, error) {
 type PPRRunOptions = ppr.RunOptions
 
 // PPREngine is reusable personalized PageRank scratch for one graph
-// (~17 bytes/node). One engine is NOT safe for concurrent Run calls; pool
+// (16 bytes/node). One engine is NOT safe for concurrent Run calls; pool
 // several for concurrent serving, as internal/serve does.
 type PPREngine = ppr.Engine
 
@@ -186,11 +186,10 @@ type PPRResult = ppr.Result
 type PPREntry = ppr.Entry
 
 // RunPersonalized computes the Personalized PageRank vector for a uniform
-// distribution over the given seed vertices by residual forward push: a
-// worklist of waiting vertices while few wait, in-place push sweeps over all
-// vertices while many do. The result's ResidualL1 bounds the L1 distance to
-// the exact answer by o.Epsilon. To answer many seed sets, build one
-// PPREngine and loop.
+// distribution over the given seed vertices by residual forward push: every
+// round is one in-place push sweep over all vertices in ID order. The
+// result's ResidualL1 bounds the L1 distance to the exact answer by
+// o.Epsilon. To answer many seed sets, build one PPREngine and loop.
 func RunPersonalized(g *graph.Graph, seeds []uint32, o PPRRunOptions) (*PPRResult, error) {
 	return ppr.Run(g, seeds, o)
 }
