@@ -2,8 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"slices"
-	"sort"
+
+	"repro/internal/par"
 )
 
 // BuildOptions control how a Builder materializes a Graph.
@@ -53,88 +53,42 @@ func (b *Builder) AddEdges(edges []Edge, markWeighted bool) {
 func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Build materializes the Graph, consuming the Builder's edge buffer.
-// Adjacency lists come out sorted by neighbor ID.
+// Adjacency lists come out sorted by neighbor ID; a weighted graph's
+// parallel edges keep the order they were added in.
 func (b *Builder) Build(opts BuildOptions) (*Graph, error) {
-	if b.n < 0 || int64(b.n) > MaxNodes {
-		return nil, fmt.Errorf("graph: node count %d out of range [0, %d]", b.n, int64(MaxNodes))
-	}
-	for _, e := range b.edges {
-		if int(e.Src) >= b.n || int(e.Dst) >= b.n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d nodes", e.Src, e.Dst, b.n)
-		}
-	}
 	edges := b.edges
 	b.edges = nil
-
-	if opts.DropSelfLoops {
-		kept := edges[:0]
-		for _, e := range edges {
-			if e.Src != e.Dst {
-				kept = append(kept, e)
-			}
-		}
-		edges = kept
-	}
-	if opts.Dedup && len(edges) > 0 {
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].Src != edges[j].Src {
-				return edges[i].Src < edges[j].Src
-			}
-			return edges[i].Dst < edges[j].Dst
-		})
-		kept := edges[:1]
-		for _, e := range edges[1:] {
-			last := &kept[len(kept)-1]
-			if e.Src == last.Src && e.Dst == last.Dst {
-				if b.weighted {
-					last.W += e.W
-				}
-				continue
-			}
-			kept = append(kept, e)
-		}
-		edges = kept
-	}
-	return fromEdges(b.n, edges, b.weighted)
+	return FromEdges(b.n, edges, b.weighted, opts)
 }
 
 // FromEdges builds a Graph directly from an edge slice with the given
-// options applied. The input slice is not retained.
+// options applied. The input slice is read, never written, and not
+// retained.
+//
+// The CSR comes from one binSort keyed by source, cut into one chunk of the
+// input per worker: each edge is range-checked (the first bad one in input
+// order is reported) and, under DropSelfLoops, skipped if it is a loop;
+// every out-list is sorted, and collapsed under Dedup.
 func FromEdges(n int, edges []Edge, weighted bool, opts BuildOptions) (*Graph, error) {
-	b := NewBuilder(n)
-	b.AddEdges(append([]Edge(nil), edges...), weighted)
-	return b.Build(opts)
-}
-
-// fromEdges constructs CSR via counting sort, then sorts each out-list.
-func fromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
-	m := int64(len(edges))
-	g := &Graph{
-		n:      n,
-		m:      m,
-		outOff: make([]int64, n+1),
-		outAdj: make([]NodeID, m),
+	if n < 0 || int64(n) > MaxNodes {
+		return nil, fmt.Errorf("graph: node count %d out of range [0, %d]", n, int64(MaxNodes))
 	}
-	if weighted {
-		g.outW = make([]float32, m)
-	}
-	for _, e := range edges {
-		g.outOff[e.Src+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.outOff[v+1] += g.outOff[v]
-	}
-	cur := slices.Clone(g.outOff[:n])
-	for _, e := range edges {
-		i := cur[e.Src]
-		cur[e.Src]++
-		g.outAdj[i] = e.Dst
-		if weighted {
-			g.outW[i] = e.W
+	chunks := par.Workers(0)
+	bs := binSort{n: n, weighted: weighted, sortLists: true, dedup: opts.Dedup}
+	off, adj, w, err := bs.run(chunks, func(s *binScan, c int) error {
+		for _, e := range edges[c*len(edges)/chunks : (c+1)*len(edges)/chunks] {
+			if int(e.Src) >= n || int(e.Dst) >= n {
+				return fmt.Errorf("graph: edge (%d,%d) out of range for %d nodes", e.Src, e.Dst, n)
+			}
+			if opts.DropSelfLoops && e.Src == e.Dst {
+				continue
+			}
+			s.add(e.Src, e.Dst, e.W)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for v := 0; v < n; v++ {
-		sortAdjRange(g.outAdj, g.outW, g.outOff[v], g.outOff[v+1])
-	}
-	return g, nil
+	return &Graph{n: n, m: int64(len(adj)), outOff: off, outAdj: adj, outW: w}, nil
 }

@@ -14,9 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 	"sync"
+
+	"repro/internal/par"
 )
 
 // NodeID identifies a vertex. The most significant bit is reserved for the
@@ -70,27 +70,23 @@ type transpose struct {
 	adj []NodeID
 }
 
-// transposed returns the in-adjacency, building it on the first call.
-// Concurrent first callers wait for one build and share it.
+// transposed returns the in-adjacency, building it on the first call with
+// the builder's binSort keyed by destination. The edges are fed in source
+// order, so every in-list arrives sorted without a sort. Concurrent first
+// callers wait for one build and share it.
 func (g *Graph) transposed() *transpose {
 	g.inOnce.Do(func() {
-		t := transpose{off: make([]int64, g.n+1), adj: make([]NodeID, g.m)}
-		for _, u := range g.outAdj {
-			t.off[u+1]++
-		}
-		for v := 0; v < g.n; v++ {
-			t.off[v+1] += t.off[v]
-		}
-		// A source-ascending scan appends to each in-list in order, so every
-		// list arrives sorted.
-		cur := slices.Clone(t.off[:g.n])
-		for v := 0; v < g.n; v++ {
-			for _, u := range g.outAdj[g.outOff[v]:g.outOff[v+1]] {
-				t.adj[cur[u]] = NodeID(v)
-				cur[u]++
+		chunks := par.Workers(0)
+		bounds := edgeSplit(g.outOff, chunks)
+		off, adj, _, _ := binSort{n: g.n}.run(chunks, func(s *binScan, c int) error {
+			for v := bounds[c]; v < bounds[c+1]; v++ {
+				for _, u := range g.outAdj[g.outOff[v]:g.outOff[v+1]] {
+					s.add(u, NodeID(v), 0)
+				}
 			}
-		}
-		g.in = t
+			return nil
+		})
+		g.in = transpose{off: off, adj: adj}
 	})
 	return &g.in
 }
@@ -182,20 +178,25 @@ func (g *Graph) InOffsets() []int64 { return g.transposed().off }
 func (g *Graph) InAdjacency() []NodeID { return g.transposed().adj }
 
 // Edges materializes the edge list in source-major, then destination, order.
-// Intended for tests and I/O, not hot paths.
+// It fills its output by offset, in parallel over edge-balanced vertex
+// ranges: relabelling tools (reorder, the harness, the benchmark's scattered
+// family) call it on whole graphs before rebuilding them.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.m)
-	for v := 0; v < g.n; v++ {
-		adj := g.OutNeighbors(NodeID(v))
-		ws := g.OutWeights(NodeID(v))
-		for i, u := range adj {
-			e := Edge{Src: NodeID(v), Dst: u, W: 1}
-			if ws != nil {
-				e.W = ws[i]
+	out := make([]Edge, g.m)
+	chunks := par.Workers(0)
+	bounds := edgeSplit(g.outOff, chunks)
+	par.ForDynamic(chunks, chunks, func(c int) {
+		for v := bounds[c]; v < bounds[c+1]; v++ {
+			lo := g.outOff[v]
+			for i, u := range g.outAdj[lo:g.outOff[v+1]] {
+				e := Edge{Src: NodeID(v), Dst: u, W: 1}
+				if g.outW != nil {
+					e.W = g.outW[lo+int64(i)]
+				}
+				out[lo+int64(i)] = e
 			}
-			out = append(out, e)
 		}
-	}
+	})
 	return out
 }
 
@@ -353,26 +354,4 @@ func (g *Graph) ComputeStats() Stats {
 		MaxInDegree:  g.MaxInDegree(),
 		Dangling:     g.DanglingCount(),
 	}
-}
-
-// sortAdjRange sorts adj[lo:hi] (and weights if present) by neighbor ID.
-func sortAdjRange(adj []NodeID, w []float32, lo, hi int64) {
-	if w == nil {
-		s := adj[lo:hi]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		return
-	}
-	a, ws := adj[lo:hi], w[lo:hi]
-	idx := make([]int, len(a))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return a[idx[i]] < a[idx[j]] })
-	ta := make([]NodeID, len(a))
-	tw := make([]float32, len(a))
-	for i, k := range idx {
-		ta[i], tw[i] = a[k], ws[k]
-	}
-	copy(a, ta)
-	copy(ws, tw)
 }

@@ -32,7 +32,7 @@ func TestConstructorsLeaveTransposeUnbuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := fromEdges(5, []Edge{{Src: 0, Dst: 4}, {Src: 3, Dst: 4}}, false)
+	built, err := FromEdges(5, []Edge{{Src: 0, Dst: 4}, {Src: 3, Dst: 4}}, false, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestConstructorsLeaveTransposeUnbuilt(t *testing.T) {
 	g.Validate()
 	g.Edges()
 	for name, h := range map[string]*Graph{
-		"fromEdges": built, "ReadBinary": read, "ReadSnapshot": snap.Graph,
+		"FromEdges": built, "ReadBinary": read, "ReadSnapshot": snap.Graph,
 		"Patch": patched, "RowBlock": block, "stats of a built graph": g,
 	} {
 		if h.in.off != nil || h.in.adj != nil {
