@@ -1,8 +1,8 @@
 // Command pcpm-loadtest replays a deterministic mixed workload against a
-// running rank-serving daemon (pcpm-serve, sharded or not) over HTTP and emits a JSON report whose "benchmarks" array holds
-// `go test -bench`-shaped {name, iterations, ns_per_op} records. Latencies
-// and error counts are end-to-end; the target is launched, and its readiness
-// awaited on /healthz, by whoever runs the replay.
+// running rank-serving daemon (pcpm-serve) over HTTP and emits a JSON report
+// whose "benchmarks" array holds `go test -bench`-shaped {name, iterations,
+// ns_per_op} records. Latencies and error counts are end-to-end; the target is
+// launched, and its readiness awaited on /healthz, by whoever runs the replay.
 //
 // Usage:
 //

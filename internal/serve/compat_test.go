@@ -20,6 +20,9 @@ import (
 const (
 	legacySnapMeta = `{"name":"g","lsn":%d,"version":1,"options":{"Method":"componentwise","Damping":0.85,"PartitionBytes":1024,"Workers":1,"Iterations":15,"Tolerance":1e-09,"MaxIterations":0,"RedistributeDangling":false,"BranchingGather":false,"CompactIDs":false},"method":"componentwise","iterations":37,"delta":4e-10,"drift":0,"computed_at":"2026-01-02T03:04:05Z"}`
 	legacyRecMeta  = `{"name":"g","parent":%d,"options":{"Method":"bvgas","Damping":0.85,"PartitionBytes":1024,"Workers":1,"Iterations":15,"Tolerance":1e-09,"MaxIterations":0,"RedistributeDangling":false,"BranchingGather":false,"CompactIDs":true},"method":"bvgas","iterations":15,"delta":0.001}`
+	// A retired shard-fleet coordinator cleared options.Method and labelled
+	// the snapshot it published pcpm-sharded.
+	shardedRecMeta = `{"name":"g","parent":%d,"options":{"Method":"","Damping":0.85,"PartitionBytes":1024,"Workers":1,"Iterations":15,"Tolerance":1e-09,"MaxIterations":0,"RedistributeDangling":false},"method":"pcpm-sharded","iterations":41,"delta":8e-10}`
 )
 
 // legacyRecompute is a full-vector RecRecompute of "g" against the snapshot
@@ -29,6 +32,12 @@ func legacyRecompute(parent uint64, ranks []float32) rawRecord {
 	return rawRecord{wal.RecRecompute, json.RawMessage(fmt.Sprintf(legacyRecMeta, parent)), encodeRanks(ranks)}
 }
 
+// shardedRecompute is a full-vector RecRecompute of "g" against the snapshot
+// at parent, as a sharded coordinator logged it.
+func shardedRecompute(parent uint64, ranks []float32) rawRecord {
+	return rawRecord{wal.RecRecompute, json.RawMessage(fmt.Sprintf(shardedRecMeta, parent)), encodeRanks(ranks)}
+}
+
 // TestLegacyMethodMetasInstallAsShipped: such state is installed as shipped
 // — bit-identical ranks, the label it came with — by recovery and by a
 // follower, without running anything; the method it names is never
@@ -36,11 +45,12 @@ func legacyRecompute(parent uint64, ranks []float32) rawRecord {
 func TestLegacyMethodMetasInstallAsShipped(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumNodes()
-	// Two recognisable vectors no engine here would produce.
-	snapRanks, recRanks := make([]float32, n), make([]float32, n)
+	// Three recognisable vectors no engine here would produce.
+	snapRanks, recRanks, shardRanks := make([]float32, n), make([]float32, n), make([]float32, n)
 	for i := range snapRanks {
 		snapRanks[i] = float32(i+1) / float32(n*n)
 		recRanks[i] = float32(n-i) / float32(n*n)
+		shardRanks[i] = float32(i%7+1) / float32(n*n)
 	}
 	// legacyDir returns a data dir whose only content is a checkpoint
 	// snapshot of "g" labelled componentwise, and the LSN it covers.
@@ -69,15 +79,18 @@ func TestLegacyMethodMetasInstallAsShipped(t *testing.T) {
 		}
 		return dir, lsn
 	}
-	assertInstalled := func(t *testing.T, s *Server, method pcpm.Method, ranks []float32) {
+	// assertInstalled checks the label and options.method "g" was shipped
+	// with (optMethod), and its ranks.
+	assertInstalled := func(t *testing.T, s *Server, method, optMethod pcpm.Method, ranks []float32) {
 		t.Helper()
 		info, err := s.Info("g")
 		if err != nil {
 			t.Fatal(err)
 		}
 		snap := publishedSnap(t, s, "g")
-		if info.Method != method || snap.Options.Method != method {
-			t.Errorf("installed as method %q with options %+v, want %q as shipped", info.Method, snap.Options, method)
+		if info.Method != method || snap.Options.Method != optMethod {
+			t.Errorf("installed as method %q with options %+v, want %q (options %q) as shipped",
+				info.Method, snap.Options, method, optMethod)
 		}
 		if !ranksBitEqual(snap.Ranks, ranks) {
 			t.Errorf("installed ranks are not the shipped vector")
@@ -110,16 +123,26 @@ func TestLegacyMethodMetasInstallAsShipped(t *testing.T) {
 		if rep, err := a.Recover(); err != nil || rep.Snapshots != 1 {
 			t.Fatalf("Recover: %+v, %v", rep, err)
 		}
-		assertInstalled(t, a, "componentwise", snapRanks)
+		assertInstalled(t, a, "componentwise", "componentwise", snapRanks)
 
 		b, rep, err, _ := recoverRaw(t, a, legacyRecompute(lsn, recRanks))
 		if err != nil || rep.Replayed != 1 {
 			t.Fatalf("Recover with the legacy record: %+v, %v", rep, err)
 		}
-		assertInstalled(t, b, "bvgas", recRanks)
+		assertInstalled(t, b, "bvgas", "bvgas", recRanks)
 
 		b.computeFn = pcpm.Run
 		assertRecomputesAsPCPM(t, b)
+
+		c, rep, err, _ := recoverRaw(t, b, shardedRecompute(publishedSnap(t, b, "g").WalLSN, shardRanks))
+		// The tail is now the bvgas record, b's recompute and the sharded record.
+		if err != nil || rep.Replayed != 3 {
+			t.Fatalf("Recover with the sharded record: %+v, %v", rep, err)
+		}
+		assertInstalled(t, c, "pcpm-sharded", "", shardRanks)
+
+		c.computeFn = pcpm.Run
+		assertRecomputesAsPCPM(t, c)
 	})
 
 	t.Run("follower", func(t *testing.T) {
@@ -129,15 +152,19 @@ func TestLegacyMethodMetasInstallAsShipped(t *testing.T) {
 		forbidEngine(t, f)
 		startFollower(t, f)
 		waitCaughtUp(t, lead.srv, f)
-		assertInstalled(t, f, "componentwise", snapRanks)
+		assertInstalled(t, f, "componentwise", "componentwise", snapRanks)
 
 		assertRecomputesAsPCPM(t, lead.srv)
 		waitCaughtUp(t, lead.srv, f)
 		assertConverged(t, lead.srv, f, "g")
 
-		legacyRecompute(publishedSnap(t, lead.srv, "g").WalLSN, recRanks).appendTo(t, lead.srv.wal.Load())
+		lsn := legacyRecompute(publishedSnap(t, lead.srv, "g").WalLSN, recRanks).appendTo(t, lead.srv.wal.Load())
 		waitCaughtUp(t, lead.srv, f)
-		assertInstalled(t, f, "bvgas", recRanks)
+		assertInstalled(t, f, "bvgas", "bvgas", recRanks)
+
+		shardedRecompute(lsn, shardRanks).appendTo(t, lead.srv.wal.Load())
+		waitCaughtUp(t, lead.srv, f)
+		assertInstalled(t, f, "pcpm-sharded", "", shardRanks)
 		if st := f.ReplStatus(); st.Corruptions != 0 || st.Bootstraps != 1 {
 			t.Errorf("legacy state disturbed the follower: %+v", st)
 		}

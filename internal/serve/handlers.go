@@ -14,7 +14,6 @@ import (
 	pcpm "repro"
 	"repro/internal/delta"
 	"repro/internal/graph"
-	"repro/internal/shard"
 )
 
 // Handler returns the server's HTTP API:
@@ -134,8 +133,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, ErrExists):
 			writeError(w, http.StatusConflict, err.Error())
-		case errors.Is(err, shard.ErrUnavailable):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
 		default:
 			writeError(w, http.StatusBadRequest, err.Error())
 		}
@@ -155,7 +152,13 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if err := s.Remove(r.PathValue("name")); err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		switch {
+		case errors.Is(err, ErrNotFound):
+			writeError(w, http.StatusNotFound, err.Error())
+		default:
+			// A failed write-ahead append: the graph is still registered.
+			writeError(w, http.StatusInternalServerError, err.Error())
+		}
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -318,8 +321,6 @@ func (s *Server) handleRecompute(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, err.Error())
 		case errors.Is(err, ErrInvalidOptions):
 			writeError(w, http.StatusBadRequest, err.Error())
-		case errors.Is(err, shard.ErrUnavailable):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
 		default:
 			writeError(w, http.StatusInternalServerError, err.Error())
 		}
@@ -444,9 +445,6 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
 		case errors.Is(err, ErrBadDelta):
 			writeError(w, http.StatusBadRequest, err.Error())
-		case errors.Is(err, shard.ErrUnavailable):
-			// A fallback solve needs the whole fleet.
-			writeError(w, http.StatusServiceUnavailable, err.Error())
 		default:
 			writeError(w, http.StatusInternalServerError, err.Error())
 		}

@@ -26,7 +26,6 @@ import (
 	pcpm "repro"
 	"repro/internal/graph"
 	"repro/internal/scc"
-	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -240,12 +239,6 @@ type Config struct {
 	// FollowPollWait is the long-poll window a follower requests per tail
 	// round (default 25s).
 	FollowPollWait time.Duration
-	// ShardWorkers lists shard-worker base URLs. When non-empty every engine
-	// run (ingest, recompute, a delta's fallback) is a distributed PCPM
-	// solve on the worker fleet, whose gathered vector the snapshot holds
-	// like an in-process run's. Everything else — reads, incremental deltas,
-	// the WAL, recovery, following — is unchanged.
-	ShardWorkers []string
 }
 
 // Server owns the graph registry and serves rank queries. Create one with
@@ -293,9 +286,6 @@ type Server struct {
 	// goroutine is the only writer of the registry.
 	follower *followerState
 
-	// coord drives the shard-worker fleet when Config.ShardWorkers is set;
-	// nil runs every engine in-process. See shard.go.
-	coord *shard.Coordinator
 	// repairDrift is the incremental-repair error budget (maxRepairDrift)
 	// and followBackoff the follower's first reconnect backoff
 	// (defaultFollowBackoff); tests shrink them after New.
@@ -329,16 +319,24 @@ func New(cfg Config) *Server {
 		s.follower = newFollowerState(cfg)
 		s.gateFollower.Store(true)
 	}
-	if len(cfg.ShardWorkers) > 0 {
-		// NewCoordinator only fails on an empty worker list, which the guard
-		// above excludes.
-		coord, err := shard.NewCoordinator(cfg.ShardWorkers, shard.CoordinatorConfig{})
-		if err != nil {
-			panic(err)
-		}
-		s.coord = coord
-	}
 	return s
+}
+
+// Ready reports whether the server can answer queries: a follower must have
+// bootstrapped its registry from the leader, and a durable leader must have
+// recovered its WAL. The health endpoint turns false into a 503 so
+// coordinators and CI wait loops can poll without sleep heuristics.
+func (s *Server) Ready() (bool, string) {
+	if s.follower != nil && !s.promoted.Load() {
+		if s.follower.bootstraps.Load() == 0 {
+			return false, "follower has not bootstrapped from its leader yet"
+		}
+		return true, ""
+	}
+	if s.cfg.DataDir != "" && s.wal.Load() == nil {
+		return false, "write-ahead log not recovered yet"
+	}
+	return true, ""
 }
 
 // GraphInfo is the JSON-facing summary of one registered graph.
@@ -510,14 +508,6 @@ func (s *Server) Remove(name string) error {
 	}
 	if !s.dropGraph(name) {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if s.coord != nil {
-		// Best-effort, and after releasing the registry lock: the entry is
-		// already gone, so a worker that misses the delete only wastes memory
-		// until it restarts. Don't fail the removal over it.
-		if err := s.coord.Remove(name); err != nil {
-			s.log.Warn("shard fleet remove failed", "graph", name, "err", err)
-		}
 	}
 	return nil
 }
@@ -761,8 +751,7 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 	close(run.done)
 }
 
-// compute runs the engine — in-process, or on the shard fleet in
-// coordinator mode — and wraps the result in an unpublished Snapshot of g
+// compute runs the engine and wraps the result in an unpublished Snapshot of g
 // for e; a re-run of the graph e already serves keeps its component memo
 // (entry.seal).
 //
@@ -772,13 +761,7 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 func (s *Server) compute(e *entry, g *graph.Graph, opts pcpm.Options) (*Snapshot, error) {
 	opts.Method = ""
 	start := time.Now()
-	var res *pcpm.Result
-	var err error
-	if s.coord != nil {
-		res, err = s.solveSharded(e.name, g, opts)
-	} else {
-		res, err = s.computeFn(g, opts)
-	}
+	res, err := s.computeFn(g, opts)
 	if err != nil {
 		return nil, err
 	}

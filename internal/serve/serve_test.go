@@ -261,6 +261,25 @@ func TestListInfoAndDelete(t *testing.T) {
 	}
 }
 
+// TestDeleteWALFailureIs500 pins that a removal whose write-ahead append
+// fails answers 500, not 404: the graph is still registered and served.
+func TestDeleteWALFailureIs500(t *testing.T) {
+	s, _ := newDurableServer(t, durableConfig(t.TempDir()))
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	ingest(t, ts, "web", edgeListBody(t, testGraph(t)))
+
+	if err := s.wal.Load().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code := doJSON(t, "DELETE", ts.URL+"/v1/graphs/web", nil, nil); code != http.StatusInternalServerError {
+		t.Fatalf("delete with a closed store: status %d, want 500", code)
+	}
+	if code := doJSON(t, "GET", ts.URL+"/v1/graphs/web", nil, nil); code != http.StatusOK {
+		t.Fatalf("graph after a failed delete: status %d, want 200", code)
+	}
+}
+
 func TestRankEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	g := testGraph(t)
@@ -700,5 +719,42 @@ func TestSnapshotTopKCacheConsistency(t *testing.T) {
 		if cached[i] != full[i] {
 			t.Fatalf("cached topk[%d] = %+v, full sort gives %+v", i, cached[i], full[i])
 		}
+	}
+}
+
+func TestHealthzReadiness(t *testing.T) {
+	// A plain memory-only server is ready immediately.
+	_, ts := newTestServer(t)
+	var health struct {
+		Ready  bool   `json:"ready"`
+		Reason string `json:"reason"`
+	}
+	if code := doJSON(t, "GET", ts.URL+"/healthz", nil, &health); code != http.StatusOK || !health.Ready {
+		t.Fatalf("memory server health: code %d ready %v", code, health.Ready)
+	}
+
+	// A durable server is not ready until Recover has run.
+	s := New(Config{DataDir: t.TempDir()})
+	tsd := httptest.NewServer(s.Handler())
+	t.Cleanup(tsd.Close)
+	if code := doJSON(t, "GET", tsd.URL+"/healthz", nil, &health); code != http.StatusServiceUnavailable || health.Ready {
+		t.Fatalf("unrecovered health: code %d ready %v", code, health.Ready)
+	}
+	if health.Reason == "" {
+		t.Fatal("unready health response carries no reason")
+	}
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if code := doJSON(t, "GET", tsd.URL+"/healthz", nil, &health); code != http.StatusOK || !health.Ready {
+		t.Fatalf("recovered health: code %d ready %v", code, health.Ready)
+	}
+
+	// A follower is not ready until its first bootstrap completes.
+	f := New(Config{FollowAddr: "http://localhost:1"})
+	tsf := httptest.NewServer(f.Handler())
+	t.Cleanup(tsf.Close)
+	if code := doJSON(t, "GET", tsf.URL+"/healthz", nil, &health); code != http.StatusServiceUnavailable || health.Ready {
+		t.Fatalf("unbootstrapped follower health: code %d ready %v", code, health.Ready)
 	}
 }

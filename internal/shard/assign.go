@@ -1,10 +1,15 @@
-// Package shard implements multi-process PageRank: the vertex space is cut
-// into contiguous row blocks, each owned by a worker process that runs
-// partition-centric gather rounds over its block's in-edges and exchanges
-// rank slices with its peers between rounds (the row-block CSR / allgather
-// shape of MPI PageRank), while a coordinator distributes payloads, drives
-// rounds to convergence, and gathers the converged blocks into the full
-// rank vector its caller serves.
+// Package shard is the benchmark's probe surface for row-block PageRank: the
+// vertex space is cut into contiguous row blocks (Assign, AssignSCC), each
+// block's in-edges travel as one payload (WritePayload, ReadPayload), and a
+// BlockSolver runs one partition-centric round over a block given the full
+// rank vector (the row-block CSR / allgather shape of MPI PageRank).
+//
+// The serving fleet built from these pieces is retired: on the same cores it
+// solved 2.2–3.0× slower than one in-process PCPM solve, and its coordinator
+// held the whole graph and vector anyway (docs/PAPER_MAPPING.md, "the shard
+// fleet, retired"). No package but the benchmark's layer probe imports this
+// one; the probe keeps reporting assignment, payload and per-round block
+// costs until it is dropped, and the package goes with it.
 package shard
 
 import (
@@ -16,7 +21,7 @@ import (
 )
 
 // Range is a half-open block of vertex IDs [Lo, Hi) owned by one shard.
-// Empty ranges (Lo == Hi) are legal — a deployment may have more workers
+// Empty ranges (Lo == Hi) are legal — an assignment may have more blocks
 // than the graph can usefully cut.
 type Range struct {
 	Lo graph.NodeID `json:"lo"`
@@ -47,13 +52,6 @@ func (a Assignment) Validate(n int) error {
 		return fmt.Errorf("shard: assignment covers [0, %d), graph has %d nodes", prev, n)
 	}
 	return nil
-}
-
-// ShardOf returns the index of the shard owning vertex v, assuming a valid
-// assignment. Empty ranges never own anything, so the result always has
-// Lo <= v < Hi.
-func (a Assignment) ShardOf(v graph.NodeID) int {
-	return sort.Search(len(a), func(i int) bool { return a[i].Hi > v })
 }
 
 // Assign cuts [0, n) into shards contiguous row blocks balanced by gather

@@ -57,19 +57,6 @@ func TestAssignMoreShardsThanNodes(t *testing.T) {
 	}
 }
 
-func TestShardOf(t *testing.T) {
-	a := Assignment{{0, 10}, {10, 10}, {10, 25}, {25, 30}}
-	cases := []struct {
-		v    graph.NodeID
-		want int
-	}{{0, 0}, {9, 0}, {10, 2}, {24, 2}, {25, 3}, {29, 3}}
-	for _, c := range cases {
-		if got := a.ShardOf(c.v); got != c.want {
-			t.Errorf("ShardOf(%d) = %d, want %d", c.v, got, c.want)
-		}
-	}
-}
-
 func TestAssignSCCKeepsComponentsTogether(t *testing.T) {
 	// DAG-communities graphs have many moderate components; after scc
 	// decomposition a snapped cut should not straddle a component unless no
@@ -100,14 +87,16 @@ func TestAssignSCCKeepsComponentsTogether(t *testing.T) {
 func straddles(r *scc.Result, a Assignment) int {
 	home := make([]int, r.NumComps) // 1 + first member's shard; 0 unseen, -1 counted
 	count := 0
-	for v, c := range r.Comp {
-		switch s := a.ShardOf(graph.NodeID(v)) + 1; home[c] {
-		case 0:
-			home[c] = s
-		case s, -1:
-		default:
-			home[c] = -1
-			count++
+	for i, rg := range a {
+		for _, c := range r.Comp[rg.Lo:rg.Hi] {
+			switch s := i + 1; home[c] {
+			case 0:
+				home[c] = s
+			case s, -1:
+			default:
+				home[c] = -1
+				count++
+			}
 		}
 	}
 	return count

@@ -37,8 +37,7 @@ func payloadSeed(f *testing.F, i int, weighted bool) []byte {
 	return buf.Bytes()
 }
 
-// FuzzReadPayload hammers the PCPMSHD1 decoder a worker runs on every
-// /v1/shard/load body. Any input may be rejected, but none may panic or
+// FuzzReadPayload hammers the PCPMSHD1 decoder, ReadPayload. Any input may be rejected, but none may panic or
 // allocate more than fixed buffers plus a multiple of its own length (a
 // lying header must not size an allocation); an accepted payload keeps
 // every sub-graph edge inside the owned block and survives a re-encode.

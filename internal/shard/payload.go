@@ -11,7 +11,7 @@ import (
 	"repro/internal/graph"
 )
 
-// Shard payload wire format (the /v1/shard/load request body):
+// Shard payload wire format (one row block and what its solver needs):
 //
 //	magic   [8]byte  "PCPMSHD1"
 //	metaLen uint32   little endian, capped at maxMetaBytes
@@ -26,15 +26,15 @@ var payloadMagic = [8]byte{'P', 'C', 'P', 'M', 'S', 'H', 'D', '1'}
 
 const maxMetaBytes = 1 << 20
 
-// PayloadMeta describes one worker's place in a deployment.
+// PayloadMeta describes one block's place in an assignment.
 type PayloadMeta struct {
-	// Graph is the deployment's graph name (the serving-API name).
+	// Graph names the graph the block was cut from.
 	Graph string `json:"graph"`
-	// Shard is this worker's index into Ranges and Peers.
+	// Shard is this block's index into Ranges and Peers.
 	Shard int `json:"shard"`
 	// Ranges is the full assignment, shard index → owned row block.
 	Ranges Assignment `json:"ranges"`
-	// Peers holds every worker's base URL, indexed by shard (self included).
+	// Peers holds one address per block, indexed by shard (self included).
 	Peers []string `json:"peers"`
 	// N and M describe the FULL graph (M is the total edge count across all
 	// blocks, reported in stats; the payload's sub-graph carries only the

@@ -13,32 +13,16 @@ import (
 // destination partition's partial sums fit in cache.
 const DefaultPartitionBytes = partition.DefaultBytes
 
-// SolveOptions parameterizes a distributed solve. It travels to every worker
-// as the /v1/shard/solve request body, so all shards run identical math.
+// SolveOptions parameterizes one BlockSolver round.
 type SolveOptions struct {
 	// Damping is the PageRank damping factor d.
-	Damping float64 `json:"damping"`
-	// Tolerance stops the rounds when the global L1 delta drops below it.
-	Tolerance float64 `json:"tolerance"`
-	// Rounds, when positive with Tolerance zero, runs exactly this many
-	// rounds regardless of delta.
-	Rounds int `json:"rounds,omitempty"`
-	// MaxRounds caps tolerance-driven solves. Zero means the default cap.
-	MaxRounds int `json:"max_rounds,omitempty"`
-	// Workers bounds shard-local parallelism; zero means GOMAXPROCS.
-	Workers int `json:"workers,omitempty"`
+	Damping float64
+	// Workers bounds block-local parallelism; zero means GOMAXPROCS.
+	Workers int
 	// Redistribute selects the dangling-mass redistribution variant instead
 	// of the paper's default leak semantics.
-	Redistribute bool `json:"redistribute,omitempty"`
-	// Seq is the coordinator-assigned solve sequence number. Swap messages
-	// carry it so slices from an abandoned earlier solve can never leak into
-	// a later one.
-	Seq uint64 `json:"seq,omitempty"`
+	Redistribute bool
 }
-
-// DefaultMaxRounds caps tolerance-driven distributed solves, matching the
-// monolithic engine's convergence cap.
-const DefaultMaxRounds = 1000
 
 // BlockSolver runs the owned block's side of each distributed round: given
 // the full rank vector gathered from all shards, it produces the block's
@@ -101,9 +85,9 @@ func (s *BlockSolver) Round(p, out []float32, opts SolveOptions) (float64, error
 	d := opts.Damping
 	base := float32((1 - d) / float64(s.n))
 	d32 := float32(d)
-	// Every worker derives the dangling term from the same gathered vector in
-	// the same ascending-node order, so no cross-shard mass exchange is
-	// needed and all shards agree bit-for-bit.
+	// Every block derives the dangling term from the same gathered vector in
+	// the same ascending-node order, so no cross-block mass exchange is
+	// needed and all blocks agree bit-for-bit.
 	var dterm float32
 	if opts.Redistribute {
 		var dangling float64

@@ -9,15 +9,23 @@ import (
 	"repro/internal/graph"
 )
 
-// solveInProcess runs the distributed round protocol with every shard in
-// one process: each BlockSolver computes its slice from the shared vector,
-// the slices are reassembled (the allgather), and the per-shard deltas sum
-// in shard order — exactly what the HTTP workers do, minus the wire.
+// stop ends an in-process solve: after exactly Rounds rounds when Tolerance
+// is zero, else once the summed block delta drops below Tolerance (capped at
+// 1000 rounds, the monolithic engine's cap).
+type stop struct {
+	Tolerance float64
+	Rounds    int
+}
+
+// solveInProcess runs the row-block round protocol with every block in one
+// process: each BlockSolver computes its slice from the shared vector, the
+// slices are reassembled (the allgather), and the per-block deltas sum in
+// block order.
 //
 // Fixed-round leak solves are additionally held bit-for-bit to core.PCPM at
 // the same partition bytes: both accumulate every destination's float32 sum
 // in ascending-source order, whatever the block boundaries.
-func solveInProcess(t *testing.T, g *graph.Graph, a Assignment, opts SolveOptions, partitionBytes int) ([]float32, int) {
+func solveInProcess(t *testing.T, g *graph.Graph, a Assignment, opts SolveOptions, until stop, partitionBytes int) ([]float32, int) {
 	t.Helper()
 	degs, err := DegreesOf(g)
 	if err != nil {
@@ -39,9 +47,9 @@ func solveInProcess(t *testing.T, g *graph.Graph, a Assignment, opts SolveOption
 	for v := range p {
 		p[v] = 1 / float32(n)
 	}
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = DefaultMaxRounds
+	maxRounds := 1000
+	if until.Tolerance == 0 {
+		maxRounds = until.Rounds
 	}
 	rounds := 0
 	for rounds < maxRounds {
@@ -55,14 +63,11 @@ func solveInProcess(t *testing.T, g *graph.Graph, a Assignment, opts SolveOption
 		}
 		p, next = next, p
 		rounds++
-		if opts.Tolerance > 0 && delta < opts.Tolerance {
-			break
-		}
-		if opts.Tolerance == 0 && opts.Rounds > 0 && rounds >= opts.Rounds {
+		if until.Tolerance > 0 && delta < until.Tolerance {
 			break
 		}
 	}
-	if opts.Tolerance == 0 && opts.Rounds > 0 && !opts.Redistribute {
+	if until.Tolerance == 0 && !opts.Redistribute {
 		e, err := core.NewPCPM(g, core.Config{Damping: opts.Damping, Workers: opts.Workers, PartitionBytes: partitionBytes})
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +86,7 @@ func TestBlockSolverBitIdenticalToPCPM(t *testing.T) {
 	for name, g := range goldenFamilies(t) {
 		for _, blocks := range []int{1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/%d", name, blocks), func(t *testing.T) {
-				solveInProcess(t, g, Assign(g, blocks), SolveOptions{Damping: 0.85, Rounds: 12}, 1<<10)
+				solveInProcess(t, g, Assign(g, blocks), SolveOptions{Damping: 0.85}, stop{Rounds: 12}, 1<<10)
 			})
 		}
 	}
@@ -95,8 +100,8 @@ func TestBlockSolverMatchesMonolithic(t *testing.T) {
 	}
 	for _, shards := range []int{1, 3} {
 		for _, redis := range []bool{false, true} {
-			opts := SolveOptions{Damping: 0.85, Tolerance: 1e-9, Redistribute: redis}
-			ranks, _ := solveInProcess(t, g, Assign(g, shards), opts, 1<<10)
+			opts := SolveOptions{Damping: 0.85, Redistribute: redis}
+			ranks, _ := solveInProcess(t, g, Assign(g, shards), opts, stop{Tolerance: 1e-9}, 1<<10)
 			if redis {
 				monoR, err := pcpm.Run(g, pcpm.Options{Tolerance: 1e-9, RedistributeDangling: true})
 				if err != nil {
@@ -117,13 +122,9 @@ func TestBlockSolverMatchesMonolithic(t *testing.T) {
 func TestBlockSolverDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := testGraph(t, 800, 6000, 33)
 	a := Assign(g, 2)
-	base := SolveOptions{Damping: 0.85, Rounds: 25}
-	w1 := base
-	w1.Workers = 1
-	w4 := base
-	w4.Workers = 4
-	r1, _ := solveInProcess(t, g, a, w1, 512)
-	r4, _ := solveInProcess(t, g, a, w4, 512)
+	until := stop{Rounds: 25}
+	r1, _ := solveInProcess(t, g, a, SolveOptions{Damping: 0.85, Workers: 1}, until, 512)
+	r4, _ := solveInProcess(t, g, a, SolveOptions{Damping: 0.85, Workers: 4}, until, 512)
 	for v := range r1 {
 		if r1[v] != r4[v] {
 			t.Fatalf("rank of %d differs across worker counts: %v vs %v", v, r1[v], r4[v])
@@ -134,8 +135,7 @@ func TestBlockSolverDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestBlockSolverEmptyBlock(t *testing.T) {
 	g := testGraph(t, 50, 200, 4)
 	a := Assignment{{0, 50}, {50, 50}}
-	opts := SolveOptions{Damping: 0.85, Tolerance: 1e-9}
-	ranks, _ := solveInProcess(t, g, a, opts, 0)
+	ranks, _ := solveInProcess(t, g, a, SolveOptions{Damping: 0.85}, stop{Tolerance: 1e-9}, 0)
 	mono, err := pcpm.Run(g, pcpm.Options{Tolerance: 1e-9})
 	if err != nil {
 		t.Fatal(err)
