@@ -16,8 +16,7 @@
 //
 // Graph uploads are capped by -max-upload (default 1 GiB); larger bodies
 // get 413 Request Entity Too Large. Personalized PageRank answers are
-// cached per graph in an LRU sized by -ppr-cache; cache misses and edge
-// repairs borrow engine scratch from a per-graph pool sized by -ppr-pool.
+// cached per graph in an LRU sized by -ppr-cache.
 // Batched edge updates repair the published ranks incrementally (falling
 // back to a full engine run when a batch dirties too much rank mass) and
 // are capped at -max-delta-edges changes per request.
@@ -67,8 +66,6 @@ func main() {
 		maxUpload = flag.Int64("max-upload", 1<<30,
 			"largest accepted graph upload in bytes; POST /v1/graphs bodies past this are rejected with 413 Request Entity Too Large")
 		pprCache = flag.Int("ppr-cache", 128, "personalized-PageRank answers cached per graph (LRU)")
-		pprPool  = flag.Int("ppr-pool", 4,
-			"idle personalized-PageRank engines retained per graph for cache misses and edge-delta repairs (16 bytes/node each; negative disables pooling)")
 		maxDelta = flag.Int("max-delta-edges", 100000,
 			"largest edge-update batch (insertions+deletions) accepted by POST /v1/graphs/{name}/edges; bigger batches get 413 (negative removes the limit)")
 		dataDir = flag.String("data-dir", "",
@@ -126,15 +123,14 @@ func main() {
 			PartitionBytes: *partBytes,
 			Workers:        *workers,
 		},
-		Logger:            logger,
-		MaxUploadBytes:    *maxUpload,
-		PPRCacheSize:      *pprCache,
-		PPREnginePoolSize: *pprPool,
-		MaxDeltaEdges:     *maxDelta,
-		DataDir:           *dataDir,
-		FsyncEvery:        fsyncEvery,
-		FollowAddr:        *follow,
-		FollowPollWait:    *followPoll,
+		Logger:         logger,
+		MaxUploadBytes: *maxUpload,
+		PPRCacheSize:   *pprCache,
+		MaxDeltaEdges:  *maxDelta,
+		DataDir:        *dataDir,
+		FsyncEvery:     fsyncEvery,
+		FollowAddr:     *follow,
+		FollowPollWait: *followPoll,
 	})
 
 	// Warm recovery before preload and before accepting traffic: load the

@@ -2,7 +2,7 @@
 // scale-free graph, then contrasts the single global PageRank vector with
 // per-user Personalized PageRank vectors computed by the forward-push engine
 // — first one interactive-style query, then a batch of "users" answered by
-// looping over one engine, the way the serving layer's workers do.
+// looping over one engine.
 package main
 
 import (
@@ -45,11 +45,10 @@ func main() {
 	}
 	fmt.Printf("(%d sweeps; residual L1 <= %.2g)\n", res.Rounds, res.ResidualL1)
 
-	// Serving-style reuse: one engine holds the scratch, sized by the node
-	// count alone (16 bytes/node), and every query brings its own parameters — a
-	// quick coarse answer and a high-precision one run on the same scratch
-	// with nothing carried over between calls. This per-call split is what
-	// lets pcpm-serve pool engines across cache-missed queries.
+	// One engine holds only the graph, and every query brings its own
+	// parameters — a quick coarse answer and a high-precision one, with
+	// nothing carried over between calls (the 16 bytes/node of push scratch
+	// is recycled inside the library).
 	eng, err := pcpm.NewPPREngine(g)
 	if err != nil {
 		log.Fatal(err)

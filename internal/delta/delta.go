@@ -89,12 +89,6 @@ type Options struct {
 	// (a truncated repair is not a rank vector worth publishing). Default
 	// ppr.DefaultMaxRounds.
 	MaxRounds int
-	// Engine optionally supplies a prebuilt push engine to reuse across
-	// deltas: it is rebound to the rebuilt graph when compatible (same
-	// node count), saving the O(n) scratch allocation every Apply otherwise
-	// pays — the serving layer lends one from the graph's pool. An
-	// incompatible engine falls back to a fresh build.
-	Engine *ppr.Engine
 	// RedistributeDangling marks that the input ranks were computed with
 	// the dangling-redistribution correction. That formulation's transition
 	// matrix has dense dangling columns, so Apply always falls back.
@@ -249,12 +243,9 @@ func Apply(g *graph.Graph, ranks []float32, d EdgeDelta, o Options) (*Result, er
 	}
 
 	t1 := time.Now()
-	eng := o.Engine
-	if eng == nil || eng.Rebind(ng) != nil {
-		eng, err = ppr.New(ng, ppr.EngineOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("delta: %w", err)
-		}
+	eng, err := ppr.New(ng, ppr.EngineOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("delta: %w", err)
 	}
 	rr, err := eng.Repair(ranks, seeds, ppr.RunOptions{Damping: damping, Epsilon: epsilon, MaxRounds: o.MaxRounds})
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/ppr"
 )
 
 // globalPR is the float64 reference: the paper's eq. 1 fixed point (dangling
@@ -428,10 +427,9 @@ func TestDanglingTransitions(t *testing.T) {
 	}
 }
 
-// TestEngineReuse pins the serving-path optimization: a prebuilt engine
-// passed through Options.Engine is rebound to each rebuilt graph and
-// produces exactly the ranks a fresh engine would, while an incompatible
-// engine (different node count) silently falls back to a fresh build.
+// TestEngineReuse: consecutive applies recycle the push scratch inside
+// internal/ppr, including after a repair on a graph of another node count,
+// and every one produces exactly the ranks of the first.
 func TestEngineReuse(t *testing.T) {
 	g, err := gen.PreferentialAttachmentMix(800, 6, 0.3, 31, graph.BuildOptions{})
 	if err != nil {
@@ -439,50 +437,31 @@ func TestEngineReuse(t *testing.T) {
 	}
 	ranks := toFloat32(globalPR(g, 0.85, 1e-12, 5000))
 	d := randomDelta(g, 3, 55)
-
-	fresh, err := Apply(g, ranks, d, Options{Epsilon: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := ppr.New(g, ppr.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ { // reuse across several applies
-		reused, err := Apply(g, ranks, d, Options{Epsilon: 1e-9, Engine: eng})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reused.FellBack {
-			t.Fatalf("reused-engine apply fell back: %s", reused.Reason)
-		}
-		for i := range fresh.Ranks {
-			if fresh.Ranks[i] != reused.Ranks[i] {
-				t.Fatalf("round %d rank[%d]: fresh %v, reused engine %v", round, i, fresh.Ranks[i], reused.Ranks[i])
-			}
-		}
-	}
-
-	// Wrong node count: Rebind must refuse and Apply must fall back to a
-	// fresh engine rather than corrupting state.
 	small, err := gen.ErdosRenyi(100, 400, 2, graph.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallEng, err := ppr.New(small, ppr.EngineOptions{})
+	smallRanks := toFloat32(globalPR(small, 0.85, 1e-12, 5000))
+
+	first, err := Apply(g, ranks, d, Options{Epsilon: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := smallEng.Rebind(g); err == nil {
-		t.Fatal("Rebind across node counts: want error")
-	}
-	mismatch, err := Apply(g, ranks, d, Options{Epsilon: 1e-9, Engine: smallEng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fresh.Ranks {
-		if fresh.Ranks[i] != mismatch.Ranks[i] {
-			t.Fatalf("incompatible engine changed the result at %d", i)
+	for round := 0; round < 3; round++ {
+		if _, err := Apply(small, smallRanks, randomDelta(small, 2, uint64(round)), Options{Epsilon: 1e-9}); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Apply(g, ranks, d, Options{Epsilon: 1e-9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.FellBack {
+			t.Fatalf("round %d fell back: %s", round, again.Reason)
+		}
+		for i := range first.Ranks {
+			if first.Ranks[i] != again.Ranks[i] {
+				t.Fatalf("round %d rank[%d]: first apply %v, repeat %v", round, i, first.Ranks[i], again.Ranks[i])
+			}
 		}
 	}
 }

@@ -49,9 +49,6 @@ func (b *Builder) AddEdges(edges []Edge, markWeighted bool) {
 	b.edges = append(b.edges, edges...)
 }
 
-// NumPendingEdges reports how many edges have been added so far.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build materializes the Graph, consuming the Builder's edge buffer.
 // Adjacency lists come out sorted by neighbor ID; a weighted graph's
 // parallel edges keep the order they were added in.

@@ -6,6 +6,33 @@ import (
 	"testing"
 )
 
+// FuzzReadEdgeList hammers the text edge-list reader, the other format a
+// graph upload may carry. Any input may be rejected, but none may panic, and
+// an accepted graph must be structurally valid with no more nodes than the
+// input has bytes (the bound that keeps a tiny upload from demanding a huge
+// allocation).
+func FuzzReadEdgeList(f *testing.F) {
+	f.Add([]byte("1 2"))
+	f.Add([]byte("0 1 0.5\n1 2 1.5\n# comment\n2 0 2\n"))
+	f.Add([]byte("% header\n0 0\n3 1\n"))
+	f.Add([]byte("0 10000000"))
+	f.Add([]byte("2147483648 0"))
+	f.Add([]byte("0 1 nope\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadEdgeList(bytes.NewReader(data), BuildOptions{})
+		if err != nil {
+			return
+		}
+		if verr := g.Validate(); verr != nil {
+			t.Fatalf("ReadEdgeList accepted an invalid graph: %v", verr)
+		}
+		if g.NumNodes() > len(data) {
+			t.Fatalf("ReadEdgeList built %d nodes from %d bytes", g.NumNodes(), len(data))
+		}
+	})
+}
+
 // fuzzSeedGraph serializes a small deterministic graph (optionally
 // weighted) for the seed corpus.
 func fuzzSeedGraph(t testing.TB, weighted bool) []byte {

@@ -197,6 +197,28 @@ func TestTextIOExplicitNTooSmall(t *testing.T) {
 	}
 }
 
+// TestTextIOInferredNodesBounded: an inferred node count may not exceed the
+// bytes read, so a few bytes cannot demand millions of nodes; an explicit
+// count is the caller's and stays unbounded.
+func TestTextIOInferredNodesBounded(t *testing.T) {
+	for _, c := range []string{"0 3", "0 1000\n", "0 10000000"} {
+		if g, err := ReadEdgeList(strings.NewReader(c), BuildOptions{}); err == nil {
+			t.Errorf("ReadEdgeList(%q) built %d nodes from %d bytes, want error", c, g.NumNodes(), len(c))
+		}
+	}
+	for _, c := range []string{"1 2", "0 2", "# c\n0 7\n"} {
+		g, err := ReadEdgeList(strings.NewReader(c), BuildOptions{})
+		if err != nil {
+			t.Errorf("ReadEdgeList(%q): %v", c, err)
+		} else if g.NumNodes() > len(c) {
+			t.Errorf("ReadEdgeList(%q) built %d nodes from %d bytes", c, g.NumNodes(), len(c))
+		}
+	}
+	if g, err := ReadEdgeListN(strings.NewReader("0 5\n"), 1000, BuildOptions{}); err != nil || g.NumNodes() != 1000 {
+		t.Fatalf("ReadEdgeListN with explicit n=1000: %v", err)
+	}
+}
+
 func TestBinaryIORoundTrip(t *testing.T) {
 	g := paperExample(t)
 	var buf bytes.Buffer

@@ -16,7 +16,9 @@ import (
 // is given explicitly via ReadEdgeListN.
 
 // ReadEdgeList parses a text edge list and builds a graph whose node count
-// is one more than the largest ID seen.
+// is one more than the largest ID seen. That count may not exceed the number
+// of bytes read: the input is untrusted (graph uploads), and without the
+// bound the ten bytes "0 10000000" would allocate ten million nodes.
 func ReadEdgeList(r io.Reader, opts BuildOptions) (*Graph, error) {
 	return ReadEdgeListN(r, -1, opts)
 }
@@ -24,7 +26,8 @@ func ReadEdgeList(r io.Reader, opts BuildOptions) (*Graph, error) {
 // ReadEdgeListN parses a text edge list with an explicit node count n.
 // Pass n < 0 to infer the count from the largest node ID.
 func ReadEdgeListN(r io.Reader, n int, opts BuildOptions) (*Graph, error) {
-	sc := bufio.NewScanner(r)
+	cr := &countingReader{r: r}
+	sc := bufio.NewScanner(cr)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []Edge
 	weighted := false
@@ -72,11 +75,26 @@ func ReadEdgeListN(r io.Reader, n int, opts BuildOptions) (*Graph, error) {
 		return nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
 	if n < 0 {
+		if maxID+1 > cr.n {
+			return nil, fmt.Errorf("graph: node ID %d implies %d nodes, more than the %d input bytes", maxID, maxID+1, cr.n)
+		}
 		n = int(maxID + 1)
 	} else if maxID >= int64(n) {
 		return nil, fmt.Errorf("graph: edge references node %d but n=%d", maxID, n)
 	}
 	return FromEdges(n, edges, weighted, opts)
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	c.n += int64(k)
+	return k, err
 }
 
 // WriteEdgeList writes the graph as a text edge list, including weights for

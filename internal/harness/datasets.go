@@ -37,11 +37,6 @@ type Options struct {
 	Seed uint64
 }
 
-// DefaultOptions mirrors the paper's methodology at 1/256 scale.
-func DefaultOptions() Options {
-	return Options{Divisor: 256, Workers: 0, Iterations: 20, Seed: 42}
-}
-
 func (o Options) normalized() Options {
 	if o.Divisor <= 0 {
 		o.Divisor = 256

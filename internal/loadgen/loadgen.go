@@ -16,8 +16,8 @@
 //
 // The Zipf skew mirrors real personalized-query traffic: a few hub users
 // dominate, which is exactly the regime the serving layer's answer LRU and
-// engine pool are built for (cache hits for the head, cheap pooled misses
-// for the tail).
+// ppr's scratch pool are built for (cache hits for the head, misses on
+// recycled scratch for the tail).
 package loadgen
 
 import (
@@ -518,9 +518,9 @@ func (c *client) do(op Op) error {
 		}
 		return c.post(url, "application/json", edgesOpBody("delete", op.Edges))
 	case OpRecompute:
-		// Async on purpose: the point is to exercise snapshot swaps (and
-		// engine-pool invalidation) under read load, not to serialize on
-		// engine runs. Concurrent recomputes coalesce server-side.
+		// Async on purpose: the point is to exercise snapshot swaps under
+		// read load, not to serialize on engine runs. Concurrent
+		// recomputes coalesce server-side.
 		return c.post(fmt.Sprintf("%s/v1/graphs/%s/recompute", c.cfg.BaseURL, g),
 			"application/json", nil)
 	case OpUpload:

@@ -16,8 +16,8 @@
 //
 //	p = α·s + (1−α)·(Aᵀ D⁻¹ + dangling·sᵀ) p.
 //
-// The engine is sequential and has no shape but the node count. Every round
-// is one in-place push sweep over all vertices in ID order (Engine.sweep):
+// A query is sequential and has no shape but the node count. Every round
+// is one in-place push sweep over all vertices in ID order (query.sweep):
 // each share lands straight in r, so mass pushed at v is pushed on by every
 // vertex the same pass reaches later — the asynchrony Zhang et al. take their
 // gains from. A sweep reads every residual and pushes only those above the
@@ -29,13 +29,17 @@
 // Estimates and residuals are accumulated in float64 — unlike the global
 // engines, which follow the paper's 4-byte values — because per-query PPR
 // scores span many orders of magnitude and the golden tests hold push and
-// power iteration to 1e-6 L1 agreement.
+// power iteration to 1e-6 L1 agreement. That estimate-and-residual pair,
+// 16 bytes per node, is the only per-query memory, and this package recycles
+// it across calls (scratchPool) so that a serving process does not allocate
+// it per cache miss or per edge-delta repair.
 package ppr
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -61,8 +65,8 @@ const (
 type EngineOptions struct{}
 
 // RunOptions configure one personalized PageRank query. The zero value
-// selects the defaults above. All fields are per-call: none of them affect
-// the engine's allocations, so a pooled Engine serves any mix of them.
+// selects the defaults above. All fields are per-call, so one Engine serves
+// any mix of them.
 type RunOptions struct {
 	// Damping is the PageRank damping factor d (default 0.85); the push
 	// teleport probability is α = 1 − d.
@@ -144,42 +148,44 @@ type Result struct {
 	Duration time.Duration
 }
 
-// Engine holds the scratch state of the push computation — estimate and
-// residual, 16 bytes per node. It is sized by the node count alone and
-// nothing query-specific is baked in at construction, so one Engine serves
-// queries with any mix of RunOptions, and a pool of them (like the serving
-// layer's) serves every graph of that node count through Rebind. An Engine
-// is NOT safe for concurrent calls; use one per goroutine or the stateless
-// package-level Run.
+// Engine runs personalized PageRank queries and repairs on one graph. It
+// holds nothing but the graph: each Run or Repair takes its estimate and
+// residual from scratchPool and returns them when it ends, so an Engine is
+// safe for concurrent use.
 type Engine struct {
 	g *graph.Graph
-
-	p, r []float64 // estimate and residual, indexed by node
 }
 
 // New builds an Engine for g; every query parameter is supplied per Run call.
 func New(g *graph.Graph, _ EngineOptions) (*Engine, error) {
-	n := g.NumNodes()
-	if n == 0 {
+	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("ppr: empty graph")
 	}
-	return &Engine{g: g, p: make([]float64, n), r: make([]float64, n)}, nil
+	return &Engine{g: g}, nil
 }
 
-// Graph returns the engine's graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
+// scratch is one call's estimate p and residual r, indexed by node.
+type scratch struct {
+	p, r []float64
+}
 
-// Rebind points the engine at a different graph with the same node count,
-// reusing all scratch allocations. This is the dynamic-graph case: every
-// applied edge delta publishes a new structure over a fixed node set, and
-// neither a repair nor a pooled query engine should pay an O(n) reallocation
-// per mutation.
-func (e *Engine) Rebind(g *graph.Graph) error {
-	if g.NumNodes() != e.g.NumNodes() {
-		return fmt.Errorf("ppr: rebind to %d nodes, engine built for %d", g.NumNodes(), e.g.NumNodes())
+// scratchPool recycles scratch across every Run and Repair in the process,
+// whatever the graph: a pair is reused when its capacity covers the node
+// count, so queries and repairs on one serving graph stop allocating
+// 16 bytes/node each.
+var scratchPool sync.Pool
+
+// getScratch returns a zeroed pair of length n, recycled when the pool holds
+// one large enough.
+func getScratch(n int) *scratch {
+	sc, _ := scratchPool.Get().(*scratch)
+	if sc == nil || cap(sc.p) < n {
+		return &scratch{p: make([]float64, n), r: make([]float64, n)}
 	}
-	e.g = g
-	return nil
+	sc.p, sc.r = sc.p[:n], sc.r[:n]
+	clear(sc.p)
+	clear(sc.r)
+	return sc
 }
 
 // CanonicalSeeds validates and canonicalizes a seed set — sorted, unique,
@@ -209,9 +215,7 @@ func CanonicalSeeds(n int, seeds []graph.NodeID) ([]graph.NodeID, error) {
 
 // Run computes the personalized PageRank vector for a uniform distribution
 // over seeds, with every query parameter supplied per call. Zero-valued
-// RunOptions fields select the package defaults. Run begins by clearing all
-// per-query state, so an engine borrowed from a pool carries nothing over
-// from its previous borrower.
+// RunOptions fields select the package defaults.
 func (e *Engine) Run(seeds []graph.NodeID, ro RunOptions) (*Result, error) {
 	start := time.Now()
 	ro = ro.withDefaults()
@@ -222,22 +226,24 @@ func (e *Engine) Run(seeds []graph.NodeID, ro RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.reset()
 	// thresh is the per-vertex activation bar: with no vertex above it, the
 	// total leftover residual is below Epsilon, which is the L1 guarantee.
 	q := &query{
-		alpha:  1 - ro.Damping,
-		thresh: ro.Epsilon / float64(e.g.NumNodes()),
-		seedW:  1 / float64(len(seedSet)),
-		seeds:  seedSet,
+		g:       e.g,
+		scratch: getScratch(e.g.NumNodes()),
+		alpha:   1 - ro.Damping,
+		thresh:  ro.Epsilon / float64(e.g.NumNodes()),
+		seedW:   1 / float64(len(seedSet)),
+		seeds:   seedSet,
 	}
+	defer scratchPool.Put(q.scratch)
 	for _, s := range seedSet {
-		e.r[s] = q.seedW
+		q.r[s] = q.seedW
 	}
 
 	res := &Result{}
-	e.drain(q, ro, 1, res)
-	e.finish(res, ro, start)
+	q.drain(ro, 1, res)
+	q.finish(res, ro, start)
 	return res, nil
 }
 
@@ -260,8 +266,7 @@ type ResidualSeed struct {
 // estimate must have exactly one entry per node; it is widened to float64
 // internally and Result.Scores carries the repaired vector (unless TopOnly).
 // Seed nodes should be distinct — duplicates stay correct but overcount the
-// internal residual bound, delaying the early exit. Like Run, Repair clears
-// all per-query state on entry, so pooled engines carry nothing over.
+// internal residual bound, delaying the early exit.
 func (e *Engine) Repair(estimate []float32, seeds []ResidualSeed, ro RunOptions) (*Result, error) {
 	start := time.Now()
 	ro = ro.withDefaults()
@@ -277,30 +282,33 @@ func (e *Engine) Repair(estimate []float32, seeds []ResidualSeed, ro RunOptions)
 			return nil, fmt.Errorf("ppr: repair seed vertex %d out of range [0,%d)", s.Node, n)
 		}
 	}
-	e.reset()
+	q := &query{g: e.g, scratch: getScratch(n), alpha: 1 - ro.Damping, thresh: ro.Epsilon / float64(n), signed: true}
+	defer scratchPool.Put(q.scratch)
 	for i, v := range estimate {
-		e.p[i] = float64(v)
+		q.p[i] = float64(v)
 	}
-	q := &query{alpha: 1 - ro.Damping, thresh: ro.Epsilon / float64(n), signed: true}
 	for _, s := range seeds {
-		e.r[s.Node] += s.Mass
+		q.r[s.Node] += s.Mass
 	}
 	// residual is an upper bound on the signed system's total |r| mass; it
 	// only shrinks as pushes deliver or leak mass, so it is a valid early
 	// exit alongside the per-vertex threshold.
 	var residual float64
 	for _, s := range seeds {
-		residual += math.Abs(e.r[s.Node])
+		residual += math.Abs(q.r[s.Node])
 	}
 
 	res := &Result{}
-	e.drain(q, ro, residual, res)
-	e.finish(res, ro, start)
+	q.drain(ro, residual, res)
+	q.finish(res, ro, start)
 	return res, nil
 }
 
-// query carries one Run's or Repair's loop-invariant parameters.
+// query is one Run or Repair in progress: its graph, its scratch and its
+// loop-invariant parameters.
 type query struct {
+	g *graph.Graph
+	*scratch
 	alpha, thresh, seedW float64
 	seeds                []graph.NodeID
 	// signed selects Repair semantics: residuals may be negative (activation
@@ -317,23 +325,23 @@ type query struct {
 // loop stops it takes the exact figure into res.ResidualL1 and goes on if
 // rounding left that above Epsilon, so only a run that hit MaxRounds can end
 // Truncated.
-func (e *Engine) drain(q *query, ro RunOptions, residual float64, res *Result) {
+func (q *query) drain(ro RunOptions, residual float64, res *Result) {
 	for idle := false; ; {
 		stop := idle || res.Rounds >= ro.MaxRounds
 		if stop || residual <= ro.Epsilon {
-			res.ResidualL1 = residualMass(e.r)
+			res.ResidualL1 = residualMass(q.r)
 			if stop || res.ResidualL1 <= ro.Epsilon {
 				return
 			}
 			residual = res.ResidualL1
 		}
 		res.Rounds++
-		delivered, pushed := e.sweep(q)
+		delivered, pushed := q.sweep()
 		if q.signed {
 			// Shares of opposite sign cancel inside r, which the running
 			// bound cannot see and a repair's stopping round depends on:
 			// a repair pays the O(n) re-sum per sweep, a query does not.
-			residual = residualMass(e.r)
+			residual = residualMass(q.r)
 		} else {
 			residual -= delivered
 		}
@@ -343,22 +351,17 @@ func (e *Engine) drain(q *query, ro RunOptions, residual float64, res *Result) {
 }
 
 // finish materializes the Result fields shared by Run and Repair.
-func (e *Engine) finish(res *Result, ro RunOptions, start time.Time) {
+// The Result holds copies only, so the scratch can go back to the pool.
+func (q *query) finish(res *Result, ro RunOptions, start time.Time) {
 	if !ro.TopOnly {
-		res.Scores = make([]float64, len(e.p))
-		copy(res.Scores, e.p)
+		res.Scores = make([]float64, len(q.p))
+		copy(res.Scores, q.p)
 	}
 	res.Truncated = res.ResidualL1 > ro.Epsilon
 	if ro.TopK > 0 {
-		res.Top = TopK(e.p, ro.TopK)
+		res.Top = TopK(q.p, ro.TopK)
 	}
 	res.Duration = time.Since(start)
-}
-
-// reset clears per-query state, keeping allocations.
-func (e *Engine) reset() {
-	clear(e.p)
-	clear(e.r)
 }
 
 // sweep performs one round as a single in-place push pass: every
@@ -369,10 +372,10 @@ func (e *Engine) reset() {
 // as a synchronous round in fewer passes. Dangling mass is folded into the
 // seeds once after the pass (unsigned) or leaks (signed). It returns the mass
 // that left the residual system and the number of pushes.
-func (e *Engine) sweep(q *query) (delivered float64, pushed int) {
-	outOff, outAdj := e.g.OutOffsets(), e.g.OutAdjacency()
+func (q *query) sweep() (delivered float64, pushed int) {
+	outOff, outAdj := q.g.OutOffsets(), q.g.OutAdjacency()
 	alpha, thresh := q.alpha, q.thresh
-	p, r := e.p, e.r
+	p, r := q.p, q.r
 	var dmass float64
 	for v := range r {
 		rv := r[v]
@@ -430,10 +433,9 @@ func TopK(scores []float64, k int) []Entry {
 		})
 }
 
-// Run is the stateless single-query entry point: it builds an Engine,
-// runs one seed set, and discards the scratch state. Callers serving many
-// queries should build one Engine (or pool several) and call Engine.Run
-// instead.
+// Run is the single-query entry point: it builds an Engine for g and runs one
+// seed set. Its scratch is recycled like Engine.Run's, so a loop of Run calls
+// costs no more than a loop over one Engine.
 func Run(g *graph.Graph, seeds []graph.NodeID, ro RunOptions) (*Result, error) {
 	e, err := New(g, EngineOptions{})
 	if err != nil {

@@ -3,7 +3,9 @@ package ppr
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -155,24 +157,21 @@ func TestTopKKnob(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSingle: a batch is a loop over one engine. An engine that
-// last served another graph of the same node count and was rebound answers
-// every seed set of the batch bit-identically to a fresh engine.
+// TestBatchMatchesSingle: a batch is a loop over one engine. After a query
+// on a larger graph has left its scratch in the pool, the engine answers
+// every seed set of the batch bit-identically to a single Run.
 func TestBatchMatchesSingle(t *testing.T) {
 	g := testGraphs(t)["er"]
-	other, err := gen.ErdosRenyi(g.NumNodes(), 3000, 9, graph.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(other, EngineOptions{})
+	other, err := gen.ErdosRenyi(2*g.NumNodes(), 6000, 9, graph.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ro := RunOptions{Epsilon: 1e-8}
-	if _, err := e.Run([]graph.NodeID{7}, ro); err != nil {
+	if _, err := Run(other, []graph.NodeID{7, 900}, ro); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Rebind(g); err != nil {
+	e, err := New(g, EngineOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, seeds := range [][]graph.NodeID{{0}, {10, 20}, {499}} {
@@ -185,12 +184,72 @@ func TestBatchMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if d := l1(got.Scores, single.Scores); d != 0 {
-			t.Fatalf("batch[%d] diverges from a fresh single run: L1 = %g", i, d)
+			t.Fatalf("batch[%d] diverges from a single run: L1 = %g", i, d)
 		}
 	}
-	if err := e.Rebind(testGraphs(t)["pa"]); err == nil {
-		t.Fatal("rebind to a graph of another node count should fail")
+}
+
+// TestConcurrentScratchAcrossSizes: goroutines interleave Run and Repair on
+// two graphs of different node counts, so recycled scratch crosses sizes in
+// both directions and one Engine serves several goroutines at once. Every
+// answer must be bit-identical to the same call made sequentially
+// beforehand. Run with -race (CI does).
+func TestConcurrentScratchAcrossSizes(t *testing.T) {
+	graphs := testGraphs(t)
+	ro := RunOptions{Epsilon: 1e-8}
+	type call func() (*Result, error)
+	var calls []call
+	for _, name := range []string{"pa", "copying"} { // 400 and 600 nodes
+		g := graphs[name]
+		e, err := New(g, EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.NumNodes()
+		estimate := make([]float32, n)
+		for i := range estimate {
+			estimate[i] = 1 / float32(n)
+		}
+		repair := []ResidualSeed{{Node: 3, Mass: 0.04}, {Node: graph.NodeID(n - 1), Mass: -0.03}}
+		for _, seeds := range [][]graph.NodeID{{0}, {5, graph.NodeID(n - 1)}, {graph.NodeID(n / 2)}} {
+			calls = append(calls,
+				func() (*Result, error) { return e.Run(seeds, ro) },
+				func() (*Result, error) { return Run(g, seeds, ro) })
+		}
+		calls = append(calls, func() (*Result, error) { return e.Repair(estimate, repair, ro) })
 	}
+	want := make([]*Result, len(calls))
+	for i, c := range calls {
+		res, err := c()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+
+	const goroutines, rounds = 4, 3
+	var wg sync.WaitGroup
+	for gi := 0; gi < goroutines; gi++ {
+		wg.Add(1)
+		go func(gi int) {
+			defer wg.Done()
+			for k := 0; k < rounds*len(calls); k++ {
+				i := (gi*5 + k) % len(calls) // each goroutine starts elsewhere
+				got, err := calls[i]()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Rounds != want[i].Rounds || got.Pushes != want[i].Pushes ||
+					got.ResidualL1 != want[i].ResidualL1 || !slices.Equal(got.Scores, want[i].Scores) {
+					t.Errorf("call %d answered differently under concurrency (rounds %d vs %d, residual %g vs %g)",
+						i, got.Rounds, want[i].Rounds, got.ResidualL1, want[i].ResidualL1)
+					return
+				}
+			}
+		}(gi)
+	}
+	wg.Wait()
 }
 
 func TestSeedValidation(t *testing.T) {
@@ -243,8 +302,7 @@ func TestEngineReuseAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestPerRunOptionsOnOneEngine is the API contract of the pooling seam:
-// one engine answers queries with entirely different per-call parameters,
+// TestPerRunOptionsOnOneEngine: one engine answers queries with entirely different per-call parameters,
 // and each answer is bit-identical to a fresh stateless run with the same
 // options.
 func TestPerRunOptionsOnOneEngine(t *testing.T) {
@@ -274,7 +332,7 @@ func TestPerRunOptionsOnOneEngine(t *testing.T) {
 				t.Fatalf("case %d: TopOnly run materialized Scores", i)
 			}
 		} else if d := l1(got.Scores, want.Scores); d != 0 {
-			t.Fatalf("case %d: pooled-engine answer diverges from fresh engine: L1 = %g", i, d)
+			t.Fatalf("case %d: one engine's answer diverges from a single Run: L1 = %g", i, d)
 		}
 		if len(got.Top) != len(want.Top) {
 			t.Fatalf("case %d: %d top entries, want %d", i, len(got.Top), len(want.Top))

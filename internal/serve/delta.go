@@ -91,7 +91,7 @@ func (s *Server) maxDeltaEdges() int {
 // recompute requests arriving while a delta runs coalesce onto it — they
 // wanted fresh ranks, and the delta publishes exactly that. Applying a
 // delta empties the graph's personalized-answer cache, which describes the
-// pre-delta structure, and rebinds its pooled engines to the new one.
+// pre-delta structure.
 //
 // Like a recompute, a delta racing a replace re-upload (or Remove) of the
 // same name may publish into the orphaned entry: the acknowledged change
@@ -164,18 +164,10 @@ func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (DeltaStatus, er
 func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 	snap := e.snap.Load()
 	opts := snap.Options
-	eng, err := s.borrowEngine(e, snap)
-	if err != nil {
-		return DeltaStatus{}, err
-	}
-	// Apply rebinds the engine to the rebuilt graph; it goes back to the pool
-	// once whatever this call publishes is current.
-	defer s.returnEngine(e, eng)
 	res, err := delta.Apply(snap.Graph, snap.Ranks, d, delta.Options{
 		Damping:              opts.Damping,
 		MaxRounds:            maxDeltaRounds,
 		RedistributeDangling: opts.RedistributeDangling,
-		Engine:               eng,
 	})
 	if err != nil {
 		// Everything Apply rejects (out-of-range endpoints, deleting an

@@ -200,9 +200,9 @@ func TestEdgesBatchLimit(t *testing.T) {
 }
 
 // TestEdgesInvalidatesPPRStateAndVersions pins the cache-coherence contract:
-// applying a delta clears the personalized-answer LRU, keeps the pooled
-// engine (rebound; TestPoolSurvivesPublish), and subsequent queries answer
-// against the new structure.
+// applying a delta clears the personalized-answer LRU, and subsequent
+// queries answer against the new structure, bit-identically to a fresh run
+// on the published graph.
 func TestEdgesInvalidatesPPRStateAndVersions(t *testing.T) {
 	s, ts := newTestServer(t)
 	g := testGraph(t)
@@ -214,9 +214,6 @@ func TestEdgesInvalidatesPPRStateAndVersions(t *testing.T) {
 	if n, _ := s.PPRCacheLen("er"); n != 1 {
 		t.Fatalf("primed cache has %d entries, want 1", n)
 	}
-	if n, _ := s.PPREnginePoolLen("er"); n == 0 {
-		t.Fatal("expected a pooled engine after a personalized miss")
-	}
 
 	if _, err := s.ApplyEdgeDelta("er", delta.EdgeDelta{
 		Insert: []graph.Edge{{Src: 5, Dst: 9}},
@@ -225,9 +222,6 @@ func TestEdgesInvalidatesPPRStateAndVersions(t *testing.T) {
 	}
 	if n, _ := s.PPRCacheLen("er"); n != 0 {
 		t.Fatalf("cache after delta has %d entries, want 0 (stale structure)", n)
-	}
-	if n, _ := s.PPREnginePoolLen("er"); n != 1 {
-		t.Fatalf("engine pool after delta has %d entries, want the query's engine, reused by the repair", n)
 	}
 
 	// A fresh personalized query must compute against the new structure and
@@ -241,6 +235,20 @@ func TestEdgesInvalidatesPPRStateAndVersions(t *testing.T) {
 	}
 	if n, _ := s.PPRCacheLen("er"); n != 1 {
 		t.Fatalf("cache after fresh query has %d entries, want 1", n)
+	}
+	e, err := s.lookup("er")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := pcpm.RunPersonalized(e.snap.Load().Graph, []uint32{5}, pcpm.PPRRunOptions{TopK: 5, TopOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, want := range fresh.Top {
+		if got := ans[0].Top[j]; got.Node != want.Node || got.Score != want.Score {
+			t.Fatalf("post-delta top[%d] = {%d %g}, a fresh run on the new graph gives {%d %g}",
+				j, got.Node, got.Score, want.Node, want.Score)
+		}
 	}
 }
 
@@ -329,36 +337,6 @@ func TestDriftBudgetForcesRecompute(t *testing.T) {
 	}
 	if st.Mode != "incremental" {
 		t.Fatalf("post-recompute delta: %+v, want incremental", st)
-	}
-}
-
-// TestRepairEngineReused pins that consecutive deltas share one pooled
-// engine instead of allocating O(n) scratch per mutation.
-func TestRepairEngineReused(t *testing.T) {
-	s := New(Config{Defaults: testOptions})
-	g := testGraph(t)
-	if _, err := s.AddGraph("er", g, pcpm.Options{}, false); err != nil {
-		t.Fatal(err)
-	}
-	e, err := s.lookup("er")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ApplyEdgeDelta("er", delta.EdgeDelta{Insert: []graph.Edge{{Src: 0, Dst: 9}}}); err != nil {
-		t.Fatal(err)
-	}
-	if e.pool.len() != 1 {
-		t.Fatalf("pool holds %d engines after a delta, want the repair's", e.pool.len())
-	}
-	first := e.pool.free[0]
-	if _, err := s.ApplyEdgeDelta("er", delta.EdgeDelta{Delete: []graph.Edge{{Src: 0, Dst: 9}}}); err != nil {
-		t.Fatal(err)
-	}
-	if e.pool.len() != 1 || e.pool.free[0] != first {
-		t.Fatal("second delta built a repair engine instead of rebinding the pooled one")
-	}
-	if first.Graph() != e.snap.Load().Graph {
-		t.Fatal("pooled engine not rebound to the latest published graph")
 	}
 }
 

@@ -22,10 +22,6 @@ var ErrBadSeeds = errors.New("serve: invalid seed set")
 // answers when Config.PPRCacheSize is unset.
 const defaultPPRCacheSize = 128
 
-// defaultPPREnginePoolSize is the per-graph idle-engine retention cap when
-// Config.PPREnginePoolSize is unset.
-const defaultPPREnginePoolSize = 4
-
 // defaultPPRTopK is the top-K payload size when a query leaves k unset.
 const defaultPPRTopK = 10
 
@@ -196,103 +192,15 @@ func normalizePPRLimits(k int, epsilon float64) (int, float64, error) {
 	return k, epsilon, nil
 }
 
-// enginePool retains idle personalized-PageRank engines for one entry so a
-// cache-missed query or an edge-delta repair borrows warm scratch
-// (16 bytes/node) instead of allocating it. An engine is sized by the node
-// count alone, and that is fixed within an entry (a replace upload builds a
-// new entry), so every retained engine fits every snapshot the entry will
-// publish: the borrower rebinds it to its snapshot's graph. The cap bounds
-// how much scratch a burst can pin — borrowers past it still get fresh
-// engines, which are simply dropped on return. All methods require the
-// owning entry's mu.
-type enginePool struct {
-	free []*pcpm.PPREngine
-}
-
-// take pops a retained engine, or returns nil when there is none.
-func (p *enginePool) take() *pcpm.PPREngine {
-	if len(p.free) == 0 {
-		return nil
-	}
-	e := p.free[len(p.free)-1]
-	p.free[len(p.free)-1] = nil
-	p.free = p.free[:len(p.free)-1]
-	return e
-}
-
-// give retains e bound to g, the entry's current graph, so an idle engine
-// never keeps a retired graph alive; anything past the cap is dropped.
-func (p *enginePool) give(e *pcpm.PPREngine, g *pcpm.Graph, capacity int) {
-	if len(p.free) < capacity && e.Rebind(g) == nil {
-		p.free = append(p.free, e)
-	}
-}
-
-// rebind points every retained engine at g, the graph a structural publish
-// just made current.
-func (p *enginePool) rebind(g *pcpm.Graph) {
-	for _, e := range p.free {
-		_ = e.Rebind(g) // cannot fail: the node count is fixed within an entry
-	}
-}
-
-func (p *enginePool) len() int { return len(p.free) }
-
-// pprPoolCap resolves the configured engine-pool capacity: 0 means the
-// default, negative disables pooling.
-func (s *Server) pprPoolCap() int {
-	if s.cfg.PPREnginePoolSize == 0 {
-		return defaultPPREnginePoolSize
-	}
-	if s.cfg.PPREnginePoolSize < 0 {
-		return 0
-	}
-	return s.cfg.PPREnginePoolSize
-}
-
-// borrowEngine hands out a PPR engine bound to snap's graph: a pooled one
-// when available, otherwise freshly built.
-func (s *Server) borrowEngine(e *entry, snap *Snapshot) (*pcpm.PPREngine, error) {
-	e.mu.Lock()
-	eng := e.pool.take()
-	e.mu.Unlock()
-	if eng != nil && eng.Rebind(snap.Graph) == nil {
-		return eng, nil
-	}
-	return pcpm.NewPPREngine(snap.Graph)
-}
-
-// returnEngine gives an engine back to e's pool. Run and Repair clear all
-// per-query state on entry, so an engine is safe to repool even after a
-// failed call.
-func (s *Server) returnEngine(e *entry, eng *pcpm.PPREngine) {
-	e.mu.Lock()
-	e.pool.give(eng, e.snap.Load().Graph, s.pprPoolCap())
-	e.mu.Unlock()
-}
-
 // runPersonalizedMisses is the default pprRunFn: it answers the distinct
-// cache-missed queries of one request, scheduled dynamically across workers,
-// each worker looping over one borrowed engine.
+// cache-missed queries of one request, scheduled dynamically across workers.
 func (s *Server) runPersonalizedMisses(e *entry, seedSets [][]uint32, ro pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error) {
 	snap := e.snap.Load()
-	workers := min(par.Workers(snap.Options.Workers), len(seedSets))
 	results := make([]*pcpm.PPRResult, len(seedSets))
-	engines := make([]*pcpm.PPREngine, workers)
 	errs := make([]error, len(seedSets))
-	par.ForDynamicWorker(len(seedSets), workers, func(w, i int) {
-		if engines[w] == nil {
-			if engines[w], errs[i] = s.borrowEngine(e, snap); errs[i] != nil {
-				return
-			}
-		}
-		results[i], errs[i] = engines[w].Run(seedSets[i], ro)
+	par.ForDynamic(len(seedSets), min(par.Workers(snap.Options.Workers), len(seedSets)), func(i int) {
+		results[i], errs[i] = pcpm.RunPersonalized(snap.Graph, seedSets[i], ro)
 	})
-	for _, eng := range engines {
-		if eng != nil {
-			s.returnEngine(e, eng)
-		}
-	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -311,7 +219,7 @@ func (s *Server) runPersonalizedMisses(e *entry, seedSets [][]uint32, ro pcpm.PP
 // over. Repeat queries hit the per-graph LRU; identical queries already
 // being computed by another request are coalesced onto that run (like
 // recomputes); remaining misses are computed together, each query
-// sequential on an engine borrowed from the entry's pool.
+// sequential.
 func (s *Server) Personalized(name string, seedSets [][]uint32, k int, epsilon float64) ([]PPRAnswer, error) {
 	e, err := s.lookup(name)
 	if err != nil {
@@ -493,16 +401,4 @@ func (s *Server) PPRCacheLen(name string) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.ppr.len(), nil
-}
-
-// PPREnginePoolLen reports how many idle personalized-PageRank engines
-// name's pool currently retains (testing and observability).
-func (s *Server) PPREnginePoolLen(name string) (int, error) {
-	e, err := s.lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pool.len(), nil
 }

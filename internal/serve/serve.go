@@ -140,9 +140,6 @@ type entry struct {
 	// pprWait holds personalized computations in flight, keyed like ppr;
 	// identical concurrent queries attach instead of recomputing.
 	pprWait map[string]*pprInflight // guarded by mu
-	// pool holds idle personalized-PageRank engines for this graph, lent to
-	// queries and edge-delta repairs alike; see enginePool.
-	pool enginePool // guarded by mu
 	// structVersion counts structural mutations (edge deltas). A
 	// personalized answer computed against an older structure must not
 	// enter the cache after a mutation landed.
@@ -174,13 +171,11 @@ func (e *entry) seal(snap *Snapshot) *Snapshot {
 // retireLocked drops the serving state shaped on the structure a publish
 // just replaced, after the caller has stored the new snapshot: the cached
 // personalized answers and (via structVersion) those still being computed
-// are stranded, and the pooled engines move to the new graph so the old one
-// can be collected. A rank-only publish (recompute) strands nothing and does
-// not call it. The caller holds e.mu.
+// are stranded. A rank-only publish (recompute) strands nothing and does not
+// call it. The caller holds e.mu.
 func (e *entry) retireLocked() {
 	e.structVersion++
 	e.ppr = newPPRCache(e.ppr.cap)
-	e.pool.rebind(e.snap.Load().Graph)
 }
 
 // inflightRun is a recompute or edge-delta mutation in progress; coalesced
@@ -205,13 +200,6 @@ type Config struct {
 	// PPRCacheSize caps each graph's LRU of personalized PageRank answers
 	// (default 128 queries per graph).
 	PPRCacheSize int
-	// PPREnginePoolSize caps how many idle personalized-PageRank engines
-	// each graph retains for reuse across cache-missed queries and edge-delta
-	// repairs (default 4; negative disables pooling, so every miss and every
-	// repair allocates fresh scratch).
-	// Engine scratch is 16 bytes/node, so the worst-case pinned memory per
-	// graph is PPREnginePoolSize × 16 × nodes.
-	PPREnginePoolSize int
 	// MaxDeltaEdges caps the edge changes (insertions plus deletions) one
 	// POST /v1/graphs/{name}/edges batch may carry (default 100000;
 	// negative removes the limit). Oversized batches are rejected before
@@ -261,7 +249,7 @@ type Server struct {
 	// in-flight recomputes observable and deterministic.
 	computeFn func(*graph.Graph, pcpm.Options) (*pcpm.Result, error)
 	// pprRunFn computes the personalized answers for a set of cache-missed
-	// queries against one entry's graph (borrowing pooled engines); tests
+	// queries against one entry's graph; tests
 	// substitute it to observe coalescing.
 	pprRunFn func(*entry, [][]uint32, pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error)
 

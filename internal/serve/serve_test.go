@@ -189,6 +189,11 @@ func TestIngestErrors(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/v1/graphs?name=g", []byte("not a graph"), &e); code != http.StatusBadRequest {
 		t.Fatalf("unparseable body: status %d", code)
 	}
+	// Six bytes may not name 1001 nodes: the text reader bounds the inferred
+	// node count by the body's size.
+	if code := doJSON(t, "POST", ts.URL+"/v1/graphs?name=g", []byte("0 1000"), &e); code != http.StatusBadRequest {
+		t.Fatalf("node count past the body size: status %d, want 400", code)
+	}
 
 	if code := doJSON(t, "POST", ts.URL+"/v1/graphs?name=empty", []byte{}, &e); code != http.StatusBadRequest {
 		t.Fatalf("empty body: status %d, want 400", code)

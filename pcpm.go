@@ -165,14 +165,14 @@ func Run(g *graph.Graph, o Options) (*Result, error) {
 // is sized by its graph's node count alone.
 type PPRRunOptions = ppr.RunOptions
 
-// PPREngine is reusable personalized PageRank scratch for one graph
-// (16 bytes/node). One engine is NOT safe for concurrent Run calls; pool
-// several for concurrent serving, as internal/serve does.
+// PPREngine answers personalized PageRank queries on one graph and is safe
+// for concurrent use. It holds only the graph: each Run takes its 16 bytes/node
+// of push scratch from a process-wide pool and returns it when it ends.
 type PPREngine = ppr.Engine
 
-// NewPPREngine builds a reusable personalized PageRank engine for g. Query
-// parameters are supplied per Engine.Run call, so one engine (or a pool)
-// serves queries with arbitrary per-call epsilon, top-k, and damping.
+// NewPPREngine builds a personalized PageRank engine for g. Query parameters
+// are supplied per Engine.Run call, so one engine serves queries with
+// arbitrary per-call epsilon, top-k, and damping.
 func NewPPREngine(g *Graph) (*PPREngine, error) {
 	return ppr.New(g, ppr.EngineOptions{})
 }
@@ -189,7 +189,8 @@ type PPREntry = ppr.Entry
 // distribution over the given seed vertices by residual forward push: every
 // round is one in-place push sweep over all vertices in ID order. The
 // result's ResidualL1 bounds the L1 distance to the exact answer by
-// o.Epsilon. To answer many seed sets, build one PPREngine and loop.
+// o.Epsilon. Push scratch is recycled across calls, so a loop of
+// RunPersonalized calls costs the same as a loop over one PPREngine.
 func RunPersonalized(g *graph.Graph, seeds []uint32, o PPRRunOptions) (*PPRResult, error) {
 	return ppr.Run(g, seeds, o)
 }
