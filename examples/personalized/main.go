@@ -43,11 +43,11 @@ func main() {
 	for i, e := range res.Top {
 		fmt.Printf("  %d. node %-6d score %.5f\n", i+1, e.Node, e.Score)
 	}
-	fmt.Printf("(%d sweeps; residual L1 <= %.2g)\n", res.Rounds, res.ResidualL1)
+	fmt.Printf("(%d passes; residual L1 <= %.2g)\n", res.Rounds, res.ResidualL1)
 
 	// One engine holds only the graph, and every query brings its own
 	// parameters — a quick coarse answer and a high-precision one, with
-	// nothing carried over between calls (the 16 bytes/node of push scratch
+	// nothing carried over between calls (the 20 bytes/node of push scratch
 	// is recycled inside the library).
 	eng, err := pcpm.NewPPREngine(g)
 	if err != nil {

@@ -19,10 +19,11 @@
 // push loop of internal/ppr yields p' = p + π'(r), the fixed point of the
 // new graph — up to the convergence error the input ranks already carried,
 // which the repair preserves rather than amplifies.
-// Every round of that loop is one sweep: it reads every residual but pushes
-// only those above the threshold, so a small structural delta, which
-// perturbs ranks near the changed vertices, pushes few vertices while each
-// round still costs an O(n) pass.
+// Every round of that loop is one push pass (a sweep, or an Aitken step once
+// the residual settles into one geometric mode): a sweep reads every residual
+// but pushes only those above the threshold, so a small structural delta,
+// which perturbs ranks near the changed vertices, pushes few vertices while
+// each round still costs an O(n) pass.
 //
 // When the delta dirties too much residual mass (hub rewirings, huge
 // batches) the sparse repair would approach full-recompute cost while
@@ -112,7 +113,7 @@ type Result struct {
 	// seeded vertices) — the quantity compared against FallbackL1.
 	SeedL1 float64
 	// ResidualL1, Rounds, and Pushes summarize the repair drain (zero when
-	// FellBack); Rounds counts sweeps, Pushes every vertex push.
+	// FellBack); Rounds counts push passes, Pushes every vertex push.
 	ResidualL1 float64
 	Rounds     int
 	Pushes     int64

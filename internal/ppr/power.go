@@ -10,9 +10,10 @@ import (
 //	p ← α·s + (1−α)·(Aᵀ D⁻¹ p + (Σ_{dangling v} p[v])·s)
 //
 // iterating until the L1 change drops below tol (or maxIters). This is the
-// exact fixed point the push engine approximates — dangling mass teleports
-// back to the seed distribution in both — so the two must agree to within
-// their respective tolerances; the golden tests hold them to 1e-6 L1.
+// exact fixed point the push engine approximates — it leaks dangling mass
+// and normalises once, which lands on the same vector — so the two must
+// agree to within their respective tolerances; the golden tests hold them
+// to 1e-6 L1.
 func PowerIteration(g *graph.Graph, seeds []graph.NodeID, damping, tol float64, maxIters int) ([]float64, error) {
 	if damping == 0 {
 		damping = DefaultDamping

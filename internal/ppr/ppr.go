@@ -6,33 +6,42 @@
 // al. 2023, "Two Parallel PageRank Algorithms via Improving Forward Push")
 // maintains an estimate p and a residual r with the invariant
 //
-//	ppr(s) = p + Σ_v r[v] · ppr(e_v)
+//	x(s) = p + Σ_v r[v] · x(e_v)
 //
-// so the L1 error of p is bounded by the remaining residual mass. Each push
-// of vertex v moves α·r[v] into p[v] and spreads (1−α)·r[v] across v's
-// out-neighbors, where α = 1−damping is the teleport probability. Dangling
-// residual mass teleports back to the seed distribution, matching the dense
-// power-iteration fixed point
+// where x(s) = α·s + (1−α)·Aᵀ D⁻¹ x(s) is the leaky system: dangling mass
+// vanishes. Each push of vertex v moves α·a into p[v] and (1−α)·a across v's
+// out-neighbors, for an amount a taken out of r[v], where α = 1−damping is
+// the teleport probability. The personalized PageRank vector, whose dangling
+// mass teleports back to the seed distribution like its teleport mass, is
 //
-//	p = α·s + (1−α)·(Aᵀ D⁻¹ + dangling·sᵀ) p.
+//	ppr(s) = α·s + (1−α)·(Aᵀ D⁻¹ + dangling·sᵀ)·ppr(s) = x(s) / Σ x(s),
 //
-// A query is sequential and has no shape but the node count. Every round
-// is one in-place push sweep over all vertices in ID order (query.sweep):
-// each share lands straight in r, so mass pushed at v is pushed on by every
-// vertex the same pass reaches later — the asynchrony Zhang et al. take their
-// gains from. A sweep reads every residual and pushes only those above the
-// threshold. The paper's partition-centric binning lives in the global solver
-// (internal/core, internal/png), where random DRAM traffic dominates; a query
-// on the serving graph sweeps about 67 times and pushes almost every vertex
-// in most of them, so binning the frontier buys nothing here.
+// because both returns land on s: ppr(s) = c·s + (1−α)·Aᵀ D⁻¹·ppr(s) for a
+// scalar c. So Run drains the leaky system and divides by Σp once at the end,
+// and Repair drains it on top of a prior estimate without normalising.
+//
+// A query is sequential and has no shape but the node count. Every round is
+// one pass of the push kernel (query.pass) over all vertices in ID order.
+// Most passes are in-place sweeps: a vertex whose |residual| is above the bar
+// pushes all of it, and each share lands straight in r, so mass pushed at v is
+// pushed on by every vertex the same pass reaches later — the asynchrony Zhang
+// et al. take their gains from. Once the amounts pushed by consecutive sweeps
+// stay in one geometric ratio ρ at every vertex, the remaining sweeps would
+// push about ρ/(1−ρ) times the last sweep's amounts; one pass pushes exactly
+// that (the geometric-tail step of Kamvar et al.'s Aitken extrapolation). Any
+// amount pushed keeps the invariant exact, so a wrong guess costs passes, never
+// accuracy. On the serving graph a query takes 16–21 passes. The paper's
+// partition-centric binning lives in the global solver (internal/core,
+// internal/png), where random DRAM traffic dominates; a sweep here pushes
+// almost every vertex, so binning the frontier buys nothing.
 //
 // Estimates and residuals are accumulated in float64 — unlike the global
 // engines, which follow the paper's 4-byte values — because per-query PPR
 // scores span many orders of magnitude and the golden tests hold push and
-// power iteration to 1e-6 L1 agreement. That estimate-and-residual pair,
-// 16 bytes per node, is the only per-query memory, and this package recycles
-// it across calls (scratchPool) so that a serving process does not allocate
-// it per cache miss or per edge-delta repair.
+// power iteration to 1e-6 L1 agreement. That pair plus the float32 amounts of
+// the last sweep, 20 bytes per node, is the only per-query memory, and this
+// package recycles it across calls (scratchPool) so that a serving process
+// does not allocate it per cache miss or per edge-delta repair.
 package ppr
 
 import (
@@ -52,9 +61,9 @@ const (
 	// probability is α = 1 − d.
 	DefaultDamping = 0.85
 	// DefaultEpsilon is the default L1 termination threshold: the engine
-	// stops once the residual mass it could still deliver is below this.
+	// stops once its bound on the L1 error of the answer is below this.
 	DefaultEpsilon = 1e-7
-	// DefaultMaxRounds caps the sweeps of one query.
+	// DefaultMaxRounds caps the push passes of one query.
 	DefaultMaxRounds = 10000
 )
 
@@ -71,9 +80,8 @@ type RunOptions struct {
 	// Damping is the PageRank damping factor d (default 0.85); the push
 	// teleport probability is α = 1 − d.
 	Damping float64
-	// Epsilon terminates the computation once the total residual mass —
-	// an upper bound on the L1 error of the returned scores — drops below
-	// it (default 1e-7).
+	// Epsilon terminates the computation once the bound on the L1 error of
+	// the returned scores (Result.ResidualL1) drops below it (default 1e-7).
 	Epsilon float64
 	// TopK, when positive, fills Result.Top with the K highest-scoring
 	// vertices.
@@ -82,7 +90,7 @@ type RunOptions struct {
 	// for callers that consume only Result.Top — the serving layer does.
 	// Requires TopK > 0.
 	TopOnly bool
-	// MaxRounds caps the sweeps of one query (default 10000);
+	// MaxRounds caps the push passes of one query (default 10000);
 	// the engine returns its current estimate with Truncated set when hit.
 	MaxRounds int
 }
@@ -127,18 +135,21 @@ type Entry struct {
 
 // Result is one completed personalized PageRank query.
 type Result struct {
-	// Scores is the full personalized rank vector, indexed by node. Scores
-	// sum to 1 − ResidualL1. Nil when RunOptions.TopOnly was set.
+	// Scores is the full rank vector, indexed by node: for Run the
+	// personalized vector, which sums to 1 up to rounding; for Repair the
+	// repaired estimate. Nil when RunOptions.TopOnly was set.
 	Scores []float64
 	// Top holds the RunOptions.TopK highest-scoring vertices in descending
 	// order (ties broken by node ID); nil when TopK was 0.
 	Top []Entry
-	// Rounds is the number of sweeps executed.
+	// Rounds is the number of push passes executed: sweeps and Aitken
+	// steps alike.
 	Rounds int
-	// Pushes counts every vertex push over all sweeps.
+	// Pushes counts every vertex push over all passes.
 	Pushes int64
-	// ResidualL1 is the undelivered residual mass at termination — an
-	// upper bound on the L1 distance to the exact answer.
+	// ResidualL1 is an upper bound on the L1 distance of Scores to the exact
+	// answer. For Repair it is the undelivered residual mass R = Σ|r|; for
+	// Run it also covers the normalisation, (‖p‖₁/Σp + 1)·R/(Σp − R).
 	ResidualL1 float64
 	// Truncated is true when the run stopped at RunOptions.MaxRounds with
 	// ResidualL1 still above the requested epsilon: the scores are an
@@ -149,9 +160,9 @@ type Result struct {
 }
 
 // Engine runs personalized PageRank queries and repairs on one graph. It
-// holds nothing but the graph: each Run or Repair takes its estimate and
-// residual from scratchPool and returns them when it ends, so an Engine is
-// safe for concurrent use.
+// holds nothing but the graph: each Run or Repair takes its scratch from
+// scratchPool and returns it when it ends, so an Engine is safe for
+// concurrent use.
 type Engine struct {
 	g *graph.Graph
 }
@@ -164,25 +175,28 @@ func New(g *graph.Graph, _ EngineOptions) (*Engine, error) {
 	return &Engine{g: g}, nil
 }
 
-// scratch is one call's estimate p and residual r, indexed by node.
+// scratch is one call's estimate p, residual r and the amounts u the last
+// sweep pushed, indexed by node.
 type scratch struct {
 	p, r []float64
+	u    []float32
 }
 
 // scratchPool recycles scratch across every Run and Repair in the process,
-// whatever the graph: a pair is reused when its capacity covers the node
+// whatever the graph: a set is reused when its capacity covers the node
 // count, so queries and repairs on one serving graph stop allocating
-// 16 bytes/node each.
+// 20 bytes/node each.
 var scratchPool sync.Pool
 
-// getScratch returns a zeroed pair of length n, recycled when the pool holds
-// one large enough.
+// getScratch returns scratch of length n, recycled when the pool holds one
+// large enough. p and r are zeroed; u is not, because the first sweep writes
+// every entry and weighs the old ones by a ratio of 0.
 func getScratch(n int) *scratch {
 	sc, _ := scratchPool.Get().(*scratch)
 	if sc == nil || cap(sc.p) < n {
-		return &scratch{p: make([]float64, n), r: make([]float64, n)}
+		return &scratch{p: make([]float64, n), r: make([]float64, n), u: make([]float32, n)}
 	}
-	sc.p, sc.r = sc.p[:n], sc.r[:n]
+	sc.p, sc.r, sc.u = sc.p[:n], sc.r[:n], sc.u[:n]
 	clear(sc.p)
 	clear(sc.r)
 	return sc
@@ -226,25 +240,12 @@ func (e *Engine) Run(seeds []graph.NodeID, ro RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// thresh is the per-vertex activation bar: with no vertex above it, the
-	// total leftover residual is below Epsilon, which is the L1 guarantee.
-	q := &query{
-		g:       e.g,
-		scratch: getScratch(e.g.NumNodes()),
-		alpha:   1 - ro.Damping,
-		thresh:  ro.Epsilon / float64(e.g.NumNodes()),
-		seedW:   1 / float64(len(seedSet)),
-		seeds:   seedSet,
-	}
+	q := &query{g: e.g, scratch: getScratch(e.g.NumNodes()), alpha: 1 - ro.Damping, normalise: true}
 	defer scratchPool.Put(q.scratch)
 	for _, s := range seedSet {
-		q.r[s] = q.seedW
+		q.r[s] = 1 / float64(len(seedSet))
 	}
-
-	res := &Result{}
-	q.drain(ro, 1, res)
-	q.finish(res, ro, start)
-	return res, nil
+	return q.drain(ro, start), nil
 }
 
 // ResidualSeed is one signed residual contribution for Repair: positive mass
@@ -258,15 +259,13 @@ type ResidualSeed struct {
 // Repair drains an arbitrary signed residual seeding on top of a prior rank
 // estimate — the incremental-update primitive behind internal/delta. The
 // push invariant is linear in the residual, so it holds for signed mass
-// unchanged; activation and termination use |r| instead of r. Unlike Run,
-// dangling residual mass leaks (vanishes) rather than teleporting to seeds,
-// matching the global engines' default dangling formulation (eq. 1 of the
-// paper has no correction term), and there is no seed distribution at all.
+// unchanged; activation and termination use |r| instead of r. Dangling
+// residual mass leaks, matching the global engines' default dangling
+// formulation (eq. 1 of the paper has no correction term), and the result
+// is not normalised.
 //
 // estimate must have exactly one entry per node; it is widened to float64
 // internally and Result.Scores carries the repaired vector (unless TopOnly).
-// Seed nodes should be distinct — duplicates stay correct but overcount the
-// internal residual bound, delaying the early exit.
 func (e *Engine) Repair(estimate []float32, seeds []ResidualSeed, ro RunOptions) (*Result, error) {
 	start := time.Now()
 	ro = ro.withDefaults()
@@ -282,7 +281,7 @@ func (e *Engine) Repair(estimate []float32, seeds []ResidualSeed, ro RunOptions)
 			return nil, fmt.Errorf("ppr: repair seed vertex %d out of range [0,%d)", s.Node, n)
 		}
 	}
-	q := &query{g: e.g, scratch: getScratch(n), alpha: 1 - ro.Damping, thresh: ro.Epsilon / float64(n), signed: true}
+	q := &query{g: e.g, scratch: getScratch(n), alpha: 1 - ro.Damping}
 	defer scratchPool.Put(q.scratch)
 	for i, v := range estimate {
 		q.p[i] = float64(v)
@@ -290,133 +289,162 @@ func (e *Engine) Repair(estimate []float32, seeds []ResidualSeed, ro RunOptions)
 	for _, s := range seeds {
 		q.r[s.Node] += s.Mass
 	}
-	// residual is an upper bound on the signed system's total |r| mass; it
-	// only shrinks as pushes deliver or leak mass, so it is a valid early
-	// exit alongside the per-vertex threshold.
-	var residual float64
-	for _, s := range seeds {
-		residual += math.Abs(q.r[s.Node])
-	}
-
-	res := &Result{}
-	q.drain(ro, residual, res)
-	q.finish(res, ro, start)
-	return res, nil
+	return q.drain(ro, start), nil
 }
+
+// aitkenMisfit is the largest misfit ‖u_k − ρ·u_{k−1}‖₁ / ‖u_k‖₁ between two
+// consecutive sweeps' amounts at which the residual counts as one geometric
+// mode, so that the next pass extrapolates its tail.
+const aitkenMisfit = 0.01
 
 // query is one Run or Repair in progress: its graph, its scratch and its
 // loop-invariant parameters.
 type query struct {
 	g *graph.Graph
 	*scratch
-	alpha, thresh, seedW float64
-	seeds                []graph.NodeID
-	// signed selects Repair semantics: residuals may be negative (activation
-	// and accounting use |r|), and dangling residual mass leaks instead of
-	// teleporting to the seed distribution (seeds is nil).
-	signed bool
+	alpha float64
+	// normalise selects Run semantics: the answer is p/Σp, and the error
+	// bound covers that division.
+	normalise bool
+	// sum is Σp as of the last certify, and unorm is ‖u‖₁ as of the last
+	// sweep (0 after an Aitken step, whose successor weighs u by 0).
+	sum, unorm float64
 }
 
-// drain is the shared sweep loop of Run and Repair: it sweeps until a sweep
-// pushes nothing, the residual is at most Epsilon, or MaxRounds is hit.
-// residual enters as an upper bound on the remaining |r| mass and is kept one
-// without re-summing r: every push removes at least the mass it delivers
-// (exactly that when unsigned, more when signed residuals cancel). Before the
-// loop stops it takes the exact figure into res.ResidualL1 and goes on if
-// rounding left that above Epsilon, so only a run that hit MaxRounds can end
-// Truncated.
-func (q *query) drain(ro RunOptions, residual float64, res *Result) {
-	for idle := false; ; {
-		stop := idle || res.Rounds >= ro.MaxRounds
-		if stop || residual <= ro.Epsilon {
-			res.ResidualL1 = residualMass(q.r)
-			if stop || res.ResidualL1 <= ro.Epsilon {
-				return
-			}
-			residual = res.ResidualL1
-		}
+// drain is the pass loop shared by Run and Repair: it runs passes until the
+// error bound is at most Epsilon, a sweep pushes nothing or MaxRounds is
+// hit, and it materializes the Result. After every pass it re-sums the
+// residual exactly (certify). A sweep whose amounts fit ρ times the previous
+// sweep's, within aitkenMisfit, is followed by one Aitken step pushing
+// ρ/(1−ρ) times them, where ρ is the newest residual ratio; the misfit itself
+// is measured against the previous ratio, because the sweep only learns its
+// own once it has ended.
+func (q *query) drain(ro RunOptions, start time.Time) *Result {
+	res := &Result{}
+	resid, bound, bar := q.certify(ro.Epsilon)
+	var rho float64 // the last sweep's residual ratio; 0 after an Aitken step
+	step := false
+	for bound > ro.Epsilon && res.Rounds < ro.MaxRounds {
 		res.Rounds++
-		delivered, pushed := q.sweep()
-		if q.signed {
-			// Shares of opposite sign cancel inside r, which the running
-			// bound cannot see and a repair's stopping round depends on:
-			// a repair pays the O(n) re-sum per sweep, a query does not.
-			residual = residualMass(q.r)
-		} else {
-			residual -= delivered
+		var c float64
+		if step {
+			c = rho / (1 - rho)
 		}
+		pushed, misfit := q.pass(c, bar, rho)
 		res.Pushes += int64(pushed)
-		idle = pushed == 0
+		prev := resid
+		resid, bound, bar = q.certify(ro.Epsilon)
+		if pushed == 0 {
+			break
+		}
+		if step {
+			rho, step = 0, false
+			continue
+		}
+		step = misfit < aitkenMisfit && resid < prev
+		rho = resid / prev
 	}
-}
-
-// finish materializes the Result fields shared by Run and Repair.
-// The Result holds copies only, so the scratch can go back to the pool.
-func (q *query) finish(res *Result, ro RunOptions, start time.Time) {
+	res.ResidualL1 = bound
+	res.Truncated = bound > ro.Epsilon
+	if q.normalise {
+		for v := range q.p {
+			q.p[v] /= q.sum
+		}
+	}
 	if !ro.TopOnly {
 		res.Scores = make([]float64, len(q.p))
 		copy(res.Scores, q.p)
 	}
-	res.Truncated = res.ResidualL1 > ro.Epsilon
 	if ro.TopK > 0 {
 		res.Top = TopK(q.p, ro.TopK)
 	}
 	res.Duration = time.Since(start)
+	return res
 }
 
-// sweep performs one round as a single in-place push pass: every
-// vertex whose |residual| is above the threshold when the pass reaches it, in
-// ID order, moves α·r into the estimate and adds its out-shares straight into
-// r, so mass entering a later vertex is pushed on within the same pass. The
-// push invariant is order-agnostic, so the sweep lands on the same fixed point
-// as a synchronous round in fewer passes. Dangling mass is folded into the
-// seeds once after the pass (unsigned) or leaks (signed). It returns the mass
-// that left the residual system and the number of pushes.
-func (q *query) sweep() (delivered float64, pushed int) {
+// certify re-sums the residual and returns R = Σ|r|, the L1 error bound of
+// the answer as it stands, and the per-vertex bar for the next sweep: the
+// largest bar at which a sweep that pushes nothing leaves the bound at most
+// epsilon. A repair's answer is p itself, so its bound is R. A query's answer
+// is p/σ with σ = Σp; the exact leaky solution x = p + e has ‖e‖₁ ≤ R and
+// |Σx − σ| ≤ R, so
+//
+//	‖p/σ − x/Σx‖₁ ≤ ‖p‖₁·|1/σ − 1/Σx| + ‖e‖₁/Σx ≤ (‖p‖₁/σ + 1)·R/(σ − R),
+//
+// and never more than ‖p/σ‖₁ + ‖x/Σx‖₁ = ‖p‖₁/σ + 1, which is the bound
+// while R ≥ σ.
+func (q *query) certify(eps float64) (resid, bound, bar float64) {
+	for _, v := range q.r {
+		resid += math.Abs(v)
+	}
+	n := float64(len(q.r))
+	if !q.normalise {
+		return resid, resid, eps / n
+	}
+	var sum, abs float64
+	for _, v := range q.p {
+		sum += v
+		abs += math.Abs(v)
+	}
+	q.sum = sum
+	if sum <= 0 {
+		return resid, math.Inf(1), 0
+	}
+	k := abs/sum + 1
+	bound = k
+	if resid < sum {
+		bound = min(k, k*resid/(sum-resid))
+	}
+	return resid, bound, eps * sum / (k + eps) / n
+}
+
+// pass is the one push kernel: one in-place pass over the vertices in ID
+// order, each vertex pushing an amount a of its residual — α·a into p[v],
+// (1−α)·a split across its out-neighbors, and nothing from a dangling
+// vertex, whose share leaks. With c == 0 it is a sweep: a vertex whose
+// |r[v]| is above bar when the pass reaches it pushes all of it, the amount
+// (0 if none) is recorded in u, and misfit is ‖u_new − rho·u_old‖₁/‖u_new‖₁.
+// With c > 0 it is the Aitken step: every vertex pushes c·u[v], whatever its
+// residual, which may turn residuals negative but keeps the invariant exact.
+// It returns the number of pushes.
+func (q *query) pass(c, bar, rho float64) (pushed int, misfit float64) {
 	outOff, outAdj := q.g.OutOffsets(), q.g.OutAdjacency()
-	alpha, thresh := q.alpha, q.thresh
-	p, r := q.p, q.r
-	var dmass float64
+	alpha := q.alpha
+	p, r, u := q.p, q.r, q.u
+	var dev, norm float64
 	for v := range r {
-		rv := r[v]
-		mag := math.Abs(rv)
-		if mag <= thresh {
+		a := r[v]
+		switch {
+		case c != 0:
+			if a = c * float64(u[v]); a == 0 {
+				continue
+			}
+		case math.Abs(a) <= bar:
+			u[v] = 0
 			continue
+		default:
+			// dev counts rho·|old| for every vertex at first, through
+			// q.unorm, and corrects it here for the vertices that push.
+			old := float64(u[v])
+			dev += math.Abs(a-rho*old) - rho*math.Abs(old)
+			norm += math.Abs(a)
+			u[v] = float32(a)
 		}
-		r[v] = 0
-		p[v] += alpha * rv
-		delivered += alpha * mag
+		r[v] -= a
+		p[v] += alpha * a
 		pushed++
 		lo, hi := outOff[v], outOff[v+1]
 		if lo == hi {
-			if q.signed {
-				delivered += (1 - alpha) * mag
-			} else {
-				dmass += rv
-			}
 			continue
 		}
-		share := (1 - alpha) * rv / float64(hi-lo)
-		for _, u := range outAdj[lo:hi] {
-			r[u] += share
+		share := (1 - alpha) * a / float64(hi-lo)
+		for _, w := range outAdj[lo:hi] {
+			r[w] += share
 		}
 	}
-	if dmass > 0 {
-		tele := (1 - alpha) * dmass * q.seedW
-		for _, s := range q.seeds {
-			r[s] += tele
-		}
-	}
-	return delivered, pushed
-}
-
-// residualMass is Σ|r|, the exact undelivered mass.
-func residualMass(r []float64) float64 {
-	var total float64
-	for _, v := range r {
-		total += math.Abs(v)
-	}
-	return total
+	dev += rho * q.unorm
+	q.unorm = norm
+	return pushed, dev / norm
 }
 
 // TopK returns the k highest-scoring vertices in descending score order

@@ -60,7 +60,7 @@ func TestSweepDrainsChainAgainstItsOrder(t *testing.T) {
 // TestTruncatedMeansResidualAboveEpsilon is the termination property: over
 // families × seeds × epsilons, capped and uncapped, Truncated says exactly
 // that the residual is above epsilon, and only a run that used up its rounds
-// can say it — the loop's running bound never ends a run early by rounding.
+// can say it — a sweep that pushes nothing leaves the bound within epsilon.
 func TestTruncatedMeansResidualAboveEpsilon(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		r := rand.New(rand.NewPCG(5, uint64(g.NumNodes())))
@@ -88,8 +88,8 @@ func TestTruncatedMeansResidualAboveEpsilon(t *testing.T) {
 }
 
 // TestDanglingHeavySweepMatchesPowerIteration: half the vertices have no
-// out-edges, so every sweep collects a large dangling mass and folds it into
-// the seeds once, after the pass. The fixed point is the power iteration's.
+// out-edges, so every sweep leaks a large dangling mass, and the estimate
+// normalised once at the end still lands on the power iteration's fixed point.
 func TestDanglingHeavySweepMatchesPowerIteration(t *testing.T) {
 	const n = 600
 	r := rand.New(rand.NewPCG(31, 7))
@@ -146,10 +146,9 @@ func leakySolve(g *graph.Graph, seeds []ResidualSeed, damping float64) []float64
 // TestRepairCancellingSeeds seeds what an insert and a delete of the same
 // mass leave behind — equal and opposite residuals that partly cancel as they
 // spread — on top of a non-zero estimate. The repaired vector must sit within
-// the reported residual of estimate + π(r), and the running bound (which
-// ignores cancellation) must not cost rounds: the counts pinned here are the
-// sweep engine's own on the same inputs, which re-sums |r| after every
-// signed sweep.
+// the reported residual of estimate + π(r), and the counts pinned here are
+// those of plain sweeps that re-sum |r| after every pass: an Aitken step must
+// never cost a repair a pass.
 func TestRepairCancellingSeeds(t *testing.T) {
 	sweepRounds := map[string]int{"er": 42, "rmat": 49, "pa": 10, "copying": 64, "dag-communities": 43}
 	for name, g := range testGraphs(t) {

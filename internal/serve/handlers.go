@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"net/http"
 	"net/url"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	pcpm "repro"
@@ -455,12 +457,34 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// jsonEncoder is an indenting encoder kept across responses. Encode indents
+// into a buffer the encoder owns; an encoder made per response grew that
+// buffer from nothing every time, so every answer cost its indented size
+// again in garbage.
+type jsonEncoder struct {
+	w   io.Writer
+	enc *json.Encoder
+}
+
+func (e *jsonEncoder) Write(b []byte) (int, error) { return e.w.Write(b) }
+
+var jsonEncoders = sync.Pool{New: func() any {
+	e := &jsonEncoder{}
+	e.enc = json.NewEncoder(e)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing useful to do
+	e := jsonEncoders.Get().(*jsonEncoder)
+	e.w = w
+	err := e.enc.Encode(v) // on error the client is gone; nothing useful to do
+	e.w = nil
+	if err == nil { // a failed write leaves the encoder's error sticky
+		jsonEncoders.Put(e)
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

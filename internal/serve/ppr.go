@@ -62,7 +62,8 @@ type PPRAnswer struct {
 	// Top holds the K highest personalized scores, descending.
 	Top []PPRScore `json:"scores"`
 	// Rounds and Pushes summarize the push computation (zero cost on hits):
-	// Rounds counts sweeps, and Pushes every vertex push over all of them.
+	// Rounds counts push passes (sweeps and Aitken steps), and Pushes every
+	// vertex push over all of them.
 	Rounds int   `json:"rounds"`
 	Pushes int64 `json:"pushes"`
 	// ResidualL1 bounds the L1 error of the underlying score vector.

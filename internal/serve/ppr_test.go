@@ -367,23 +367,31 @@ func TestPPRCoalescesConcurrentIdenticalQueries(t *testing.T) {
 	}
 }
 
+// capPPRRounds makes every miss on s a one-pass run, which cannot reach an
+// epsilon of 1e-9 on any graph here: truncation without relying on a slow
+// damping.
+func capPPRRounds(s *Server) {
+	run := s.pprRunFn
+	s.pprRunFn = func(e *entry, sets [][]uint32, ro pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error) {
+		ro.MaxRounds = 1
+		return run(e, sets, ro)
+	}
+}
+
 // TestPPRTruncatedRunsAreNotCached: a run stopped by the round cap (residual
 // above the requested epsilon) must be served honestly but never cached.
 func TestPPRTruncatedRunsAreNotCached(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
-	// Damping this close to 1 needs ~20k rounds to reach the epsilon floor;
-	// the serving cap is 1000, so the run is truncated.
-	opts := testOptions
-	opts.Damping = 0.999
-	if _, err := s.AddGraph("g", testGraph(t), opts, false); err != nil {
+	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
 		t.Fatal(err)
 	}
+	capPPRRounds(s)
 	ans, err := s.Personalized("g", [][]uint32{{1}}, 3, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ans[0].ResidualL1 <= 1e-9 {
-		t.Skipf("run converged (residual %g); cannot exercise truncation here", ans[0].ResidualL1)
+	if ans[0].ResidualL1 <= 1e-9 || !ans[0].Truncated {
+		t.Fatalf("one-pass run converged (residual %g, truncated %v)", ans[0].ResidualL1, ans[0].Truncated)
 	}
 	if n, _ := s.PPRCacheLen("g"); n != 0 {
 		t.Fatalf("truncated answer was cached (len %d)", n)
@@ -394,6 +402,34 @@ func TestPPRTruncatedRunsAreNotCached(t *testing.T) {
 	}
 	if again[0].Cached {
 		t.Fatal("repeat of truncated query reported cached")
+	}
+}
+
+// TestPPRSlowDampingConvergesUnderTheCap: at damping 0.99 residual mass
+// decays by ~1 % per plain sweep, so epsilon 1e-9 needs ~2,000 of them, past
+// the serving cap. Leaking dangling mass and the Aitken step bring a query on
+// the serving family well under it, and the converged answer is cached.
+func TestPPRSlowDampingConvergesUnderTheCap(t *testing.T) {
+	g, err := gen.PreferentialAttachmentMix(4096, 8, 0.2, 11, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := testOptions
+	opts.Damping = 0.99
+	s := New(Config{Defaults: opts})
+	if _, err := s.AddGraph("g", g, opts, false); err != nil {
+		t.Fatal(err)
+	}
+	ans, err := s.Personalized("g", [][]uint32{{4095}}, 10, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ans[0]
+	if a.Truncated || a.ResidualL1 > 1e-9 || a.Rounds >= maxPPRRounds {
+		t.Fatalf("truncated %v after %d of %d rounds, residual %g", a.Truncated, a.Rounds, maxPPRRounds, a.ResidualL1)
+	}
+	if n, _ := s.PPRCacheLen("g"); n != 1 {
+		t.Fatalf("converged answer not cached (len %d)", n)
 	}
 }
 
@@ -672,47 +708,39 @@ func mustLimitEps(t *testing.T, eps float64) float64 {
 func TestPPRTruncatedSurfacedInJSON(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
 	ts := newTestServerFor(t, s)
-	// Damping this close to 1 decays residual mass by ~0.1% per round; the
-	// serving cap of 1000 rounds cannot reach epsilon 1e-9, so the run is
-	// truncated.
-	opts := testOptions
-	opts.Damping = 0.999
-	if _, err := s.AddGraph("g", testGraph(t), opts, false); err != nil {
+	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
 		t.Fatal(err)
 	}
+	run := s.pprRunFn
+	capPPRRounds(s)
 
-	var resp struct {
+	type answer struct {
 		Result struct {
 			pprResultJSON
 			Truncated bool `json:"truncated"`
 		} `json:"result"`
 	}
+	var resp answer
 	body := []byte(`{"seeds":[1],"k":3,"epsilon":1e-9}`)
 	if code := doJSON(t, "POST", ts+"/v1/graphs/g/ppr", body, &resp); code != http.StatusOK {
 		t.Fatalf("ppr status %d", code)
 	}
 	if resp.Result.ResidualL1 <= 1e-9 {
-		t.Skipf("run converged (residual %g); cannot exercise truncation here", resp.Result.ResidualL1)
+		t.Fatalf("one-pass run converged (residual %g)", resp.Result.ResidualL1)
 	}
 	if !resp.Result.Truncated {
 		t.Fatalf("round-capped answer (residual %g after %d rounds) not flagged truncated",
 			resp.Result.ResidualL1, resp.Result.Rounds)
 	}
 
-	// A converged query on the same graph must not be flagged. At damping
-	// 0.999 residual mass decays ~0.1% per round, so after the 1000-round
-	// cap about 0.999^1000 ≈ 0.37 remains — epsilon 0.6 is reachable.
-	var ok struct {
-		Result struct {
-			pprResultJSON
-			Truncated bool `json:"truncated"`
-		} `json:"result"`
+	// The same query without the cap converges and must not be flagged.
+	s.pprRunFn = run
+	var ok answer
+	if code := doJSON(t, "POST", ts+"/v1/graphs/g/ppr", body, &ok); code != http.StatusOK {
+		t.Fatalf("uncapped ppr status %d", code)
 	}
-	if code := doJSON(t, "POST", ts+"/v1/graphs/g/ppr", []byte(`{"seeds":[2],"k":3,"epsilon":0.6}`), &ok); code != http.StatusOK {
-		t.Fatalf("loose-epsilon ppr status %d", code)
-	}
-	if ok.Result.Truncated {
-		t.Fatalf("converged answer (residual %g) flagged truncated", ok.Result.ResidualL1)
+	if ok.Result.Truncated || ok.Result.ResidualL1 > 1e-9 {
+		t.Fatalf("converged answer (residual %g) flagged truncated %v", ok.Result.ResidualL1, ok.Result.Truncated)
 	}
 }
 
@@ -726,7 +754,7 @@ func newTestServerFor(t *testing.T, s *Server) string {
 }
 
 // BenchmarkPPRServeMiss measures the serving layer's cache-miss path. Every
-// iteration is a cache miss (distinct seed); the 16 bytes/node of push
+// iteration is a cache miss (distinct seed); the 20 bytes/node of push
 // scratch a miss needs comes from internal/ppr's pool, so allocs/op counts
 // what a miss costs beyond it.
 func BenchmarkPPRServeMiss(b *testing.B) {

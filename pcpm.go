@@ -166,7 +166,7 @@ func Run(g *graph.Graph, o Options) (*Result, error) {
 type PPRRunOptions = ppr.RunOptions
 
 // PPREngine answers personalized PageRank queries on one graph and is safe
-// for concurrent use. It holds only the graph: each Run takes its 16 bytes/node
+// for concurrent use. It holds only the graph: each Run takes its 20 bytes/node
 // of push scratch from a process-wide pool and returns it when it ends.
 type PPREngine = ppr.Engine
 
@@ -187,10 +187,12 @@ type PPREntry = ppr.Entry
 
 // RunPersonalized computes the Personalized PageRank vector for a uniform
 // distribution over the given seed vertices by residual forward push: every
-// round is one in-place push sweep over all vertices in ID order. The
-// result's ResidualL1 bounds the L1 distance to the exact answer by
-// o.Epsilon. Push scratch is recycled across calls, so a loop of
-// RunPersonalized calls costs the same as a loop over one PPREngine.
+// round is one push pass over all vertices, mostly in-place sweeps with an
+// Aitken step whenever the residual settles into one geometric mode, and the
+// estimate is normalised once at the end. The result's ResidualL1 bounds the
+// L1 distance to the exact answer by o.Epsilon. Push scratch is recycled
+// across calls, so a loop of RunPersonalized calls costs the same as a loop
+// over one PPREngine.
 func RunPersonalized(g *graph.Graph, seeds []uint32, o PPRRunOptions) (*PPRResult, error) {
 	return ppr.Run(g, seeds, o)
 }
