@@ -61,8 +61,8 @@ func main() {
 		iters     = flag.Int("iters", 20, "default fixed iteration count")
 		tol       = flag.Float64("tol", 0, "default convergence tolerance (0 = fixed iterations)")
 		damping   = flag.Float64("damping", 0.85, "default damping factor")
-		partBytes = flag.Int("partition", 256<<10, "default partition/bin size in bytes")
-		workers   = flag.Int("workers", 0, "default worker count (0 = GOMAXPROCS)")
+		partBytes = flag.Int("partition", 256<<10, "partition/bin size in bytes of every engine run")
+		workers   = flag.Int("workers", 0, "worker count of every engine run and personalized batch (0 = GOMAXPROCS)")
 		maxUpload = flag.Int64("max-upload", 1<<30,
 			"largest accepted graph upload in bytes; POST /v1/graphs bodies past this are rejected with 413 Request Entity Too Large")
 		pprCache = flag.Int("ppr-cache", 128, "personalized-PageRank answers cached per graph (LRU)")
@@ -303,6 +303,6 @@ func loadFile(srv *serve.Server, name, path string) error {
 	if err != nil {
 		return fmt.Errorf("parsing %s: %w", path, err)
 	}
-	_, err = srv.AddGraph(name, g, pcpm.Options{}, false)
+	_, err = srv.AddGraph(name, g, serve.Overrides{}, false)
 	return err
 }

@@ -25,7 +25,7 @@ func testTarget(t *testing.T) Config {
 	}
 	opts := pcpm.Options{Iterations: 3, Workers: 1, PartitionBytes: 1 << 10}
 	s := serve.New(serve.Config{Defaults: opts})
-	if _, err := s.AddGraph("load", g, opts, false); err != nil {
+	if _, err := s.AddGraph("load", g, serve.Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())

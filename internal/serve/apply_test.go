@@ -122,7 +122,7 @@ func TestApplyRecordRejectsStatelessRecords(t *testing.T) {
 		wantErr bool
 	}{
 		{"add-graph carrying a bare binary graph", "g", func(*Snapshot) rawRecord {
-			return rawRecord{wal.RecAddGraph, addMeta{Name: "g", Replace: true, Options: testOptions}, bare.Bytes()}
+			return rawRecord{wal.RecAddGraph, addMeta{Name: "g"}, bare.Bytes()}
 		}, true},
 		{"edge delta with neither a snapshot nor a rank vector", "g", func(cur *Snapshot) rawRecord {
 			return rawRecord{wal.RecEdgeDelta, deltaMeta{Name: "g", Parent: cur.WalLSN, Insert: d.Insert, Delete: d.Delete}, nil}
@@ -141,10 +141,10 @@ func TestApplyRecordRejectsStatelessRecords(t *testing.T) {
 	// writer returns a durable server holding "g" and the 0-node "z".
 	writer := func(t *testing.T) *leaderHarness {
 		lead := startLeader(t, t.TempDir())
-		if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+		if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := lead.srv.AddGraph("z", empty, pcpm.Options{}, false); err != nil {
+		if _, err := lead.srv.AddGraph("z", empty, Overrides{}, false); err != nil {
 			t.Fatal(err)
 		}
 		return lead
@@ -230,10 +230,10 @@ func TestApplyRecordRejectsMisnamedSnapshot(t *testing.T) {
 	}
 	writer := func(t *testing.T) *leaderHarness {
 		lead := startLeader(t, t.TempDir())
-		if _, err := lead.srv.AddGraph("a", ga, pcpm.Options{}, false); err != nil {
+		if _, err := lead.srv.AddGraph("a", ga, Overrides{}, false); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := lead.srv.AddGraph("b", gb, pcpm.Options{}, false); err != nil {
+		if _, err := lead.srv.AddGraph("b", gb, Overrides{}, false); err != nil {
 			t.Fatal(err)
 		}
 		return lead
@@ -243,7 +243,7 @@ func TestApplyRecordRejectsMisnamedSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rawRecord{wal.RecAddGraph, addMeta{Name: "a", Replace: true, Options: testOptions}, blob}
+		return rawRecord{wal.RecAddGraph, addMeta{Name: "a"}, blob}
 	}
 	unharmed := func(t *testing.T, s *Server) {
 		t.Helper()

@@ -60,7 +60,7 @@ func TestLegacyMethodMetasInstallAsShipped(t *testing.T) {
 		if _, err := a.Recover(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+		if _, err := a.AddGraph("g", g, Overrides{}, false); err != nil {
 			t.Fatal(err)
 		}
 		lsn := publishedSnap(t, a, "g").WalLSN

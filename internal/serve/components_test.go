@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	pcpm "repro"
 	"repro/internal/delta"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -86,7 +85,7 @@ func TestInfoComponentsTrackStructure(t *testing.T) {
 		lead := startLeader(t, dir)
 		f := New(followerConfig(lead.url))
 		startFollower(t, f)
-		info, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false)
+		info, err := lead.srv.AddGraph("g", g, Overrides{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +136,7 @@ func TestInfoComponentsTrackStructure(t *testing.T) {
 			lead := startLeader(t, dir)
 			f := New(followerConfig(lead.url))
 			startFollower(t, f)
-			if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+			if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 				t.Fatal(err)
 			}
 			assertComponentsEverywhere(t, "ingest", lead, dir, f)
@@ -157,7 +156,7 @@ func TestPublishPathsDoNotDecompose(t *testing.T) {
 	lead := startLeader(t, dir)
 	f := New(followerConfig(lead.url))
 	startFollower(t, f)
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	// The ingest answered with a GraphInfo: that is this structure's one fill.
@@ -237,7 +236,7 @@ func TestInfoPollersBesideDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := s.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	type triple struct {
@@ -326,7 +325,7 @@ func BenchmarkApplyEdgeDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.CloseDurable()
-	if _, err := s.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := s.AddGraph("g", g, Overrides{}, false); err != nil {
 		b.Fatal(err)
 	}
 	fills := s.sccFills.Load()

@@ -180,7 +180,7 @@ func TestEdgesEndpointErrors(t *testing.T) {
 func TestEdgesBatchLimit(t *testing.T) {
 	s := New(Config{Defaults: testOptions, MaxDeltaEdges: 2})
 	g := testGraph(t)
-	if _, err := s.AddGraph("er", g, pcpm.Options{}, false); err != nil {
+	if _, err := s.AddGraph("er", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	d := delta.EdgeDelta{Insert: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}}
@@ -260,7 +260,7 @@ func TestDeltaFallsBackToRecompute(t *testing.T) {
 	opts.RedistributeDangling = true
 	s := New(Config{Defaults: opts})
 	g := testGraph(t)
-	if _, err := s.AddGraph("er", g, pcpm.Options{}, false); err != nil {
+	if _, err := s.AddGraph("er", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	st, err := s.ApplyEdgeDelta("er", delta.EdgeDelta{Insert: []graph.Edge{{Src: 0, Dst: 9}}})
@@ -294,6 +294,72 @@ func TestDeltaFallsBackToRecompute(t *testing.T) {
 	}
 }
 
+// TestRunsUseConfiguredSizing pins where partition size and worker count
+// come from: the server's Config.Defaults, on every run. Snapshots whose
+// logged options name others (written here by a server configured
+// differently on the same data dir) are recomputed, and their delta
+// fallback rerun, at the configured values; the rest of the logged options
+// are inherited as before.
+func TestRunsUseConfiguredSizing(t *testing.T) {
+	dir := t.TempDir()
+	g := testGraph(t)
+	logged := testOptions
+	logged.PartitionBytes, logged.Workers = 4096, 3
+	a, _ := newDurableServer(t, Config{Defaults: logged, DataDir: dir})
+	redistribute := true // the dense dangling columns force every delta to fall back
+	for _, name := range []string{"recompute", "fallback"} {
+		if _, err := a.AddGraph(name, g, Overrides{RedistributeDangling: &redistribute}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, _ := newDurableServer(t, durableConfig(dir))
+	var ran []pcpm.Options
+	b.computeFn = func(g *graph.Graph, o pcpm.Options) (*pcpm.Result, error) {
+		ran = append(ran, o)
+		return pcpm.Run(g, o)
+	}
+	for _, name := range []string{"recompute", "fallback"} {
+		if o := publishedSnap(t, b, name).Options; o.PartitionBytes != 4096 || o.Workers != 3 {
+			t.Fatalf("%s: recovered options %+v, want the logged sizing", name, o)
+		}
+	}
+	damping := 0.6
+	if _, err := b.Recompute("recompute", Overrides{Damping: &damping}, true); err != nil {
+		t.Fatal(err)
+	}
+	st, err := b.ApplyEdgeDelta("fallback", delta.EdgeDelta{Insert: []graph.Edge{{Src: 0, Dst: 9}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode != "recompute" {
+		t.Fatalf("delta status = %+v, want a recompute fallback", st)
+	}
+
+	want := testOptions
+	want.RedistributeDangling = true
+	wantRecompute := want
+	wantRecompute.Damping = damping
+	if len(ran) != 2 || ran[0] != wantRecompute || ran[1] != want {
+		t.Fatalf("engine runs %+v, want [%+v %+v]", ran, wantRecompute, want)
+	}
+	for i, name := range []string{"recompute", "fallback"} {
+		if o := publishedSnap(t, b, name).Options; o != ran[i] {
+			t.Errorf("%s: published options %+v, want the run's %+v", name, o, ran[i])
+		}
+	}
+	res, err := pcpm.Run(g, wantRecompute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ranksBitEqual(publishedSnap(t, b, "recompute").Ranks, res.Ranks) {
+		t.Error("recompute ranks differ from a run at the configured sizing")
+	}
+}
+
 // TestDriftBudgetForcesRecompute pins the accumulated-error contract:
 // incremental repairs sum their residual bounds into Snapshot.RepairDrift,
 // and a delta that would push the sum past the budget takes the full
@@ -301,7 +367,7 @@ func TestDeltaFallsBackToRecompute(t *testing.T) {
 func TestDriftBudgetForcesRecompute(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
 	g := testGraph(t)
-	if _, err := s.AddGraph("er", g, pcpm.Options{}, false); err != nil {
+	if _, err := s.AddGraph("er", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -346,7 +412,7 @@ func TestDriftBudgetForcesRecompute(t *testing.T) {
 func TestDeltaSerializesWithRecompute(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
 	g := testGraph(t)
-	if _, err := s.AddGraph("er", g, pcpm.Options{}, false); err != nil {
+	if _, err := s.AddGraph("er", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -392,7 +458,7 @@ func TestRecomputeCoalescesOntoDelta(t *testing.T) {
 	opts.RedistributeDangling = true // forces the delta onto the computeFn path
 	s := New(Config{Defaults: opts})
 	g := testGraph(t)
-	if _, err := s.AddGraph("er", g, pcpm.Options{}, false); err != nil {
+	if _, err := s.AddGraph("er", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 

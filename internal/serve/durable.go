@@ -37,11 +37,11 @@ import (
 // wal.Open; any other damage failed the open before replay started.
 
 // addMeta is the RecAddGraph payload; the blob carries the published
-// snapshot (graph + ranks + snapMeta), which appliers install as-is.
+// snapshot (graph + ranks + snapMeta, options included), which appliers
+// install as-is. Records an older binary wrote also carry "replace" and
+// "options" keys, which nothing reads.
 type addMeta struct {
-	Name    string       `json:"name"`
-	Replace bool         `json:"replace"`
-	Options pcpm.Options `json:"options"`
+	Name string `json:"name"`
 }
 
 // deltaMeta is the RecEdgeDelta payload.
@@ -238,7 +238,7 @@ func (s *Server) walAppendRecompute(name string, old, snap *Snapshot) (uint64, e
 // The snapshot's final Version (a replace continues the old sequence) is
 // only known at publish time, after this append; installers re-derive it,
 // so the version inside the blob is advisory.
-func (s *Server) walAppendAdd(name string, snap *Snapshot, replace bool) (uint64, error) {
+func (s *Server) walAppendAdd(name string, snap *Snapshot) (uint64, error) {
 	if s.wal.Load() == nil {
 		return 0, nil
 	}
@@ -246,7 +246,7 @@ func (s *Server) walAppendAdd(name string, snap *Snapshot, replace bool) (uint64
 	if err != nil {
 		return 0, err
 	}
-	return s.walAppend(wal.RecAddGraph, addMeta{Name: name, Replace: replace, Options: snap.Options}, blob)
+	return s.walAppend(wal.RecAddGraph, addMeta{Name: name}, blob)
 }
 
 // stageSnapshot turns a decoded snapshot blob into everything short of its

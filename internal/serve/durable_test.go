@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	pcpm "repro"
 	"repro/internal/delta"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -141,7 +140,7 @@ func TestDurableRecoverBasic(t *testing.T) {
 	batches := mutationStream(t, g, 3, 1)
 
 	a, _ := newDurableServer(t, durableConfig(dir))
-	if _, err := a.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := a.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	for i, d := range batches {
@@ -223,7 +222,7 @@ func TestGoldenRecoveryAllFamilies(t *testing.T) {
 
 			// The never-restarted daemon, durability off.
 			live := New(Config{Defaults: testOptions})
-			if _, err := live.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+			if _, err := live.AddGraph("g", g, Overrides{}, false); err != nil {
 				t.Fatal(err)
 			}
 			for i, d := range batches {
@@ -236,7 +235,7 @@ func TestGoldenRecoveryAllFamilies(t *testing.T) {
 			// The durable daemon follows the same trajectory, then crashes.
 			dir := t.TempDir()
 			a, _ := newDurableServer(t, durableConfig(dir))
-			if _, err := a.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+			if _, err := a.AddGraph("g", g, Overrides{}, false); err != nil {
 				t.Fatal(err)
 			}
 			for i, d := range batches {
@@ -283,7 +282,7 @@ func TestServeCrashPointSweep(t *testing.T) {
 	batches := mutationStream(t, g, 4, 5)
 
 	a, _ := newDurableServer(t, durableConfig(dir))
-	if _, err := a.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := a.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range batches[:3] {
@@ -353,7 +352,7 @@ func TestReplayedDriftForcesRecompute(t *testing.T) {
 
 	// Probe run (durability off, default budget) measures the residuals.
 	probe := New(Config{Defaults: testOptions})
-	if _, err := probe.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := probe.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	var total, maxSingle float64
@@ -377,7 +376,7 @@ func TestReplayedDriftForcesRecompute(t *testing.T) {
 	cfg := durableConfig(dir)
 	a, _ := newDurableServer(t, cfg)
 	a.repairDrift = budget
-	if _, err := a.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := a.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	liveRecomputes := 0
@@ -421,7 +420,7 @@ func TestCheckpointCoversPrefixAndPrunes(t *testing.T) {
 	batches := mutationStream(t, g, 10, 29)
 
 	a, _ := newDurableServer(t, durableConfig(dir))
-	if _, err := a.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := a.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range batches[:5] {
@@ -465,10 +464,10 @@ func TestRecoverReplaysRemoveAndReplace(t *testing.T) {
 	}
 
 	a, _ := newDurableServer(t, durableConfig(dir))
-	if _, err := a.AddGraph("keep", g1, pcpm.Options{}, false); err != nil {
+	if _, err := a.AddGraph("keep", g1, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.AddGraph("drop", g2, pcpm.Options{}, false); err != nil {
+	if _, err := a.AddGraph("drop", g2, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.ApplyEdgeDelta("keep", mutationStream(t, g1, 1, 7)[0]); err != nil {
@@ -477,7 +476,7 @@ func TestRecoverReplaysRemoveAndReplace(t *testing.T) {
 	if err := a.Remove("drop"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.AddGraph("keep", g2, pcpm.Options{}, true); err != nil {
+	if _, err := a.AddGraph("keep", g2, Overrides{}, true); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
 	if _, err := a.ApplyEdgeDelta("keep", mutationStream(t, g2, 1, 9)[0]); err != nil {

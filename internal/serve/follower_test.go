@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	pcpm "repro"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/wal"
@@ -160,7 +159,7 @@ func TestFollowerConvergenceAllFamilies(t *testing.T) {
 			f := New(followerConfig(lead.url))
 			startFollower(t, f)
 
-			if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+			if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 				t.Fatal(err)
 			}
 			for i, d := range mutationStream(t, g, 50, 97) {
@@ -188,7 +187,7 @@ func TestFollowerConvergenceAllFamilies(t *testing.T) {
 func TestFollowerBootstrapMidStream(t *testing.T) {
 	g := testGraph(t)
 	lead := startLeader(t, t.TempDir())
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	batches := mutationStream(t, g, 10, 31)
@@ -218,7 +217,7 @@ func TestFollowerBootstrapMidStream(t *testing.T) {
 func TestFollowerKillMidCatchup(t *testing.T) {
 	g := testGraph(t)
 	lead := startLeader(t, t.TempDir())
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range mutationStream(t, g, 20, 53) {
@@ -271,7 +270,7 @@ func TestFollowerLeaderRestartMidStream(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t)
 	lead := startLeader(t, dir)
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	batches := mutationStream(t, g, 12, 71)
@@ -360,7 +359,7 @@ func bufferingRewriter(inner http.Handler, rewrite func([]byte) []byte) http.Han
 func TestFollowerTornStream(t *testing.T) {
 	g := testGraph(t)
 	lead := startLeader(t, t.TempDir())
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range mutationStream(t, g, 15, 83) {
@@ -404,7 +403,7 @@ func TestFollowerTornStream(t *testing.T) {
 func TestFollowerCorruptStream(t *testing.T) {
 	g := testGraph(t)
 	lead := startLeader(t, t.TempDir())
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range mutationStream(t, g, 15, 89) {
@@ -447,7 +446,7 @@ func TestFollowerCorruptStream(t *testing.T) {
 func TestFollowerPruneRebootstrap(t *testing.T) {
 	g := testGraph(t)
 	lead := startLeader(t, t.TempDir())
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	batches := mutationStream(t, g, 12, 59)
@@ -509,7 +508,7 @@ func TestFollowerPruneRebootstrap(t *testing.T) {
 func TestFollowerServesReadsRejectsWrites(t *testing.T) {
 	g := testGraph(t)
 	lead := startLeader(t, t.TempDir())
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -586,7 +585,7 @@ func TestFollowerServesReadsRejectsWrites(t *testing.T) {
 func TestLeaderTailEndpoint(t *testing.T) {
 	g := testGraph(t)
 	lead := startLeader(t, t.TempDir())
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	get := func(path string) *http.Response {

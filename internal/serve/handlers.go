@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -99,15 +100,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Parse AND validate the engine options before touching the body: a
 	// request with ?damping=1.5 or ?iterations=-5 must get its 400 without
 	// the server reading (and the client sending) a multi-gigabyte upload.
-	ov, err := overridesFromQuery(q)
+	ov, replace, err := overridesFromQuery(q)
 	if err == nil {
-		err = ov.Validate()
+		err = ov.Validate(s.cfg.Defaults)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	replace := q.Get("replace") == "true"
 
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	g, err := pcpm.LoadGraph(body)
@@ -130,7 +130,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("parsing graph: %v", err))
 		return
 	}
-	info, err := s.IngestGraph(name, g, ov, replace)
+	info, err := s.AddGraph(name, g, ov, replace)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrExists):
@@ -344,47 +344,43 @@ func (s *Server) handleRecompute(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// overridesFromQuery parses the ingest query into tri-state Overrides: an
-// absent option key (or an empty number) inherits the server default, a
-// present one overrides it either way (?redistribute=false beats a
-// server-wide default of true). Besides name and replace, which the handler
-// reads itself, the accepted keys are exactly Overrides' JSON tags; any
-// other key is an error, as an unknown field is in every JSON body — a
-// misspelt or retired option must not be dropped without a word. The caller
-// validates the result with Overrides.Validate before any body is read.
-func overridesFromQuery(q url.Values) (Overrides, error) {
-	var ov Overrides
+// overridesFromQuery parses the ingest query into tri-state Overrides and
+// the replace flag: an absent option key (or an empty value) inherits the
+// server default, a present one overrides it either way (?redistribute=false
+// beats a server-wide default of true). Besides name, which the handler
+// reads itself, and replace, the accepted keys are exactly Overrides' JSON
+// tags. Any other key is an error, as an unknown field is in every JSON
+// body, and so is a boolean strconv.ParseBool refuses — a misspelt or
+// retired option must not be dropped without a word. The caller validates
+// the result with Overrides.Validate before any body is read.
+func overridesFromQuery(q url.Values) (ov Overrides, replace bool, err error) {
 	parseFloat := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 	// Sorted, so a request with several bad keys gets a stable answer.
 	for _, key := range slices.Sorted(maps.Keys(q)) {
 		v := q.Get(key)
-		var err error
 		switch key {
-		case "name", "replace":
+		case "name":
+		case "replace":
+			replace, err = strconv.ParseBool(cmp.Or(v, "false"))
 		case "damping":
 			ov.Damping, err = parseOpt(v, parseFloat)
 		case "tolerance":
 			ov.Tolerance, err = parseOpt(v, parseFloat)
 		case "iterations":
 			ov.Iterations, err = parseOpt(v, strconv.Atoi)
-		case "partition":
-			ov.PartitionBytes, err = parseOpt(v, strconv.Atoi)
-		case "workers":
-			ov.Workers, err = parseOpt(v, strconv.Atoi)
 		case "redistribute":
-			b := v == "true"
-			ov.RedistributeDangling = &b
+			ov.RedistributeDangling, err = parseOpt(v, strconv.ParseBool)
 		default:
-			return Overrides{}, fmt.Errorf("unknown query parameter %q", key)
+			return Overrides{}, false, fmt.Errorf("unknown query parameter %q", key)
 		}
 		if err != nil {
-			return Overrides{}, fmt.Errorf("bad ?%s=%q: %v", key, v, err)
+			return Overrides{}, false, fmt.Errorf("bad ?%s=%q: %v", key, v, err)
 		}
 	}
-	return ov, nil
+	return ov, replace, nil
 }
 
-// parseOpt parses one numeric query value; empty means unset.
+// parseOpt parses one query value; empty means unset.
 func parseOpt[T any](v string, parse func(string) (T, error)) (*T, error) {
 	if v == "" {
 		return nil, nil

@@ -199,7 +199,7 @@ func (s *Server) runPersonalizedMisses(e *entry, seedSets [][]uint32, ro pcpm.PP
 	snap := e.snap.Load()
 	results := make([]*pcpm.PPRResult, len(seedSets))
 	errs := make([]error, len(seedSets))
-	par.ForDynamic(len(seedSets), min(par.Workers(snap.Options.Workers), len(seedSets)), func(i int) {
+	par.ForDynamic(len(seedSets), min(par.Workers(s.cfg.Defaults.Workers), len(seedSets)), func(i int) {
 		results[i], errs[i] = pcpm.RunPersonalized(snap.Graph, seedSets[i], ro)
 	})
 	for _, err := range errs {

@@ -159,7 +159,7 @@ func TestPPRBadRequests(t *testing.T) {
 
 func TestPPRCacheEviction(t *testing.T) {
 	s := New(Config{Defaults: testOptions, PPRCacheSize: 4})
-	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
+	if _, err := s.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -189,7 +189,7 @@ func TestPPRCacheEviction(t *testing.T) {
 
 func TestPPRBatchMatchesSingleQueries(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
-	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
+	if _, err := s.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	batch, err := s.Personalized("g", [][]uint32{{1}, {2, 4}}, 5, 1e-8)
@@ -198,7 +198,7 @@ func TestPPRBatchMatchesSingleQueries(t *testing.T) {
 	}
 	// Fresh server: recompute the same queries one at a time.
 	s2 := New(Config{Defaults: testOptions})
-	if _, err := s2.AddGraph("g", testGraph(t), testOptions, false); err != nil {
+	if _, err := s2.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	for i, seeds := range [][]uint32{{1}, {2, 4}} {
@@ -220,7 +220,7 @@ func TestPPRBatchMatchesSingleQueries(t *testing.T) {
 
 func TestPPRConcurrentQueries(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
-	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
+	if _, err := s.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 16)
@@ -296,7 +296,7 @@ func TestPPRServeLimits(t *testing.T) {
 
 func TestPPRBatchDeduplicatesIdenticalQueries(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
-	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
+	if _, err := s.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	ans, err := s.Personalized("g", [][]uint32{{5}, {5, 5}, {6}}, 3, 0)
@@ -321,7 +321,7 @@ func TestPPRBatchDeduplicatesIdenticalQueries(t *testing.T) {
 // launch their own.
 func TestPPRCoalescesConcurrentIdenticalQueries(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
-	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
+	if _, err := s.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	var calls atomic.Int32
@@ -382,7 +382,7 @@ func capPPRRounds(s *Server) {
 // above the requested epsilon) must be served honestly but never cached.
 func TestPPRTruncatedRunsAreNotCached(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
-	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
+	if _, err := s.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	capPPRRounds(s)
@@ -417,7 +417,7 @@ func TestPPRSlowDampingConvergesUnderTheCap(t *testing.T) {
 	opts := testOptions
 	opts.Damping = 0.99
 	s := New(Config{Defaults: opts})
-	if _, err := s.AddGraph("g", g, opts, false); err != nil {
+	if _, err := s.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	ans, err := s.Personalized("g", [][]uint32{{4095}}, 10, 1e-9)
@@ -437,7 +437,7 @@ func TestPPRSlowDampingConvergesUnderTheCap(t *testing.T) {
 // inflight marker registered, or every future identical query would hang.
 func TestPPRPanicReleasesInflight(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
-	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
+	if _, err := s.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	orig := s.pprRunFn
@@ -485,7 +485,7 @@ func TestPPRPoolSoakNoLeakage(t *testing.T) {
 	)
 	g := testGraph(t) // 300 nodes, deterministic
 	s := New(Config{Defaults: testOptions, PPRCacheSize: 1})
-	if _, err := s.AddGraph("g", g, testOptions, false); err != nil {
+	if _, err := s.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -708,7 +708,7 @@ func mustLimitEps(t *testing.T, eps float64) float64 {
 func TestPPRTruncatedSurfacedInJSON(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
 	ts := newTestServerFor(t, s)
-	if _, err := s.AddGraph("g", testGraph(t), testOptions, false); err != nil {
+	if _, err := s.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	run := s.pprRunFn
@@ -764,7 +764,7 @@ func BenchmarkPPRServeMiss(b *testing.B) {
 	}
 	opts := pcpm.Options{Iterations: 2}
 	s := New(Config{Defaults: opts, PPRCacheSize: 1})
-	if _, err := s.AddGraph("g", g, opts, false); err != nil {
+	if _, err := s.AddGraph("g", g, Overrides{}, false); err != nil {
 		b.Fatal(err)
 	}
 	n := uint32(g.NumNodes())

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	pcpm "repro"
 	"repro/internal/delta"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -105,7 +104,7 @@ func TestPromotionGoldenAllFamilies(t *testing.T) {
 
 			// Reference: one server, no failure, the whole stream.
 			ref := New(Config{Defaults: testOptions})
-			if _, err := ref.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+			if _, err := ref.AddGraph("g", g, Overrides{}, false); err != nil {
 				t.Fatal(err)
 			}
 			for i, d := range batches {
@@ -118,7 +117,7 @@ func TestPromotionGoldenAllFamilies(t *testing.T) {
 			// Scenario: leader takes the first half, dies; the promoted
 			// follower takes the second half.
 			lead := startLeader(t, t.TempDir())
-			if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+			if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 				t.Fatal(err)
 			}
 			for i, d := range batches[:10] {
@@ -171,7 +170,7 @@ func TestPromotionChaos(t *testing.T) {
 	g := testGraph(t)
 	dirA := t.TempDir()
 	lead := startLeader(t, dirA)
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	batches := mutationStream(t, g, 18, 163)
@@ -396,7 +395,7 @@ func TestLeaderOnlyGateFlip(t *testing.T) {
 func TestFollowerBootstrapAtomicSwap(t *testing.T) {
 	lead := startLeader(t, t.TempDir())
 	for _, name := range []string{"a", "b"} {
-		if _, err := lead.srv.AddGraph(name, testGraph(t), pcpm.Options{}, false); err != nil {
+		if _, err := lead.srv.AddGraph(name, testGraph(t), Overrides{}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,8 +414,8 @@ func TestFollowerBootstrapAtomicSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metaA, _ := json.Marshal(addMeta{Name: "a", Replace: true, Options: snapA.Options})
-	metaB, _ := json.Marshal(addMeta{Name: "b", Replace: true, Options: snapB.Options})
+	metaA, _ := json.Marshal(addMeta{Name: "a"})
+	metaB, _ := json.Marshal(addMeta{Name: "b"})
 	end, _ := json.Marshal(repl.BootstrapEnd{From: 999})
 	var stream []byte
 	stream = append(stream, wal.EncodeFrame(nil, &wal.Record{
@@ -473,7 +472,7 @@ func TestFollowerBootstrapAtomicSwap(t *testing.T) {
 // client would misread as a caught-up stream.
 func TestWALTailServerCancel(t *testing.T) {
 	lead := startLeader(t, t.TempDir())
-	if _, err := lead.srv.AddGraph("g", testGraph(t), pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	head := lead.srv.wal.Load().NextLSN()
@@ -573,7 +572,7 @@ func TestResidualShippingByteIdentical(t *testing.T) {
 	batches := mutationStream(t, g, 15, 211)
 
 	lead := startLeader(t, t.TempDir())
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	f := New(followerConfig(lead.url))
@@ -627,7 +626,7 @@ func TestResidualShippingByteIdentical(t *testing.T) {
 func TestReplStatusHammerDuringRebootstrap(t *testing.T) {
 	g := testGraph(t)
 	lead := startLeader(t, t.TempDir())
-	if _, err := lead.srv.AddGraph("g", g, pcpm.Options{}, false); err != nil {
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,7 +24,7 @@ func TestConcurrentTopKWhileRecomputing(t *testing.T) {
 	defer ts.Close()
 
 	g := testGraph(t)
-	if _, err := s.AddGraph("er", g, pcpm.Options{}, false); err != nil {
+	if _, err := s.AddGraph("er", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -171,7 +171,7 @@ func TestConcurrentTopKWhileRecomputing(t *testing.T) {
 func TestConcurrentEdgeDeltasWhileReading(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
 	g := testGraph(t)
-	if _, err := s.AddGraph("er", g, pcpm.Options{}, false); err != nil {
+	if _, err := s.AddGraph("er", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	n := uint32(g.NumNodes())

@@ -162,7 +162,7 @@ func (s *Server) handleReplBootstrap(w http.ResponseWriter, r *http.Request) {
 			s.log.Error("bootstrap snapshot encode failed", "graph", e.name, "error", err)
 			return
 		}
-		mb, err := json.Marshal(addMeta{Name: e.name, Replace: true, Options: snap.Options})
+		mb, err := json.Marshal(addMeta{Name: e.name})
 		if err != nil {
 			s.log.Error("bootstrap meta encode failed", "graph", e.name, "error", err)
 			return

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"regexp"
 	"sort"
 	"sync"
@@ -187,10 +188,12 @@ type inflightRun struct {
 
 // Config parameterizes a Server.
 type Config struct {
-	// Defaults are the pcpm options applied when an ingest or recompute
-	// request leaves a knob unset. The zero value means paper defaults. The
-	// daemon runs one solver (PCPM, branch-avoiding gather): Defaults naming
-	// another Method fail every ingest with ErrInvalidOptions.
+	// Defaults are the pcpm options an ingest starts from before its
+	// Overrides apply. The zero value means paper defaults. PartitionBytes
+	// and Workers size every engine run and personalized batch, whatever a
+	// snapshot's options say. The daemon runs one solver (PCPM,
+	// branch-avoiding gather): Defaults naming another Method fail every
+	// ingest with ErrInvalidOptions.
 	Defaults pcpm.Options
 	// Logger receives request and recompute logs; nil discards them.
 	Logger *slog.Logger
@@ -381,43 +384,23 @@ func (s *Server) info(e *entry) GraphInfo {
 }
 
 // AddGraph registers g under name, computes its ranks synchronously with
-// opts (zero fields fall back to the server defaults, booleans included),
-// and publishes the first snapshot. It fails with ErrExists unless replace
-// is set; the name is reserved before the engine runs, so a duplicate name
-// cannot burn a compute — not even a concurrent duplicate racing the
-// ingest-time computation.
+// ov overlaid on the server defaults, and publishes the first snapshot. It
+// fails with ErrExists unless replace is set; the name is reserved before
+// the engine runs, so a duplicate name cannot burn a compute — not even a
+// concurrent duplicate racing the ingest-time computation.
 //
 // Replacing continues the old entry's version sequence so clients using the
 // version as a freshness cursor never see it go backwards. Like Remove, a
 // replace orphans any in-flight recompute of the old entry: that run still
 // finishes (a waiting caller gets its result), but no query will serve it.
-//
-// Because a zero Options field means "inherit the server default", an
-// explicit false cannot be expressed here for the boolean knobs; callers
-// that need tri-state overrides (the HTTP layer does) use IngestGraph.
-func (s *Server) AddGraph(name string, g *graph.Graph, opts pcpm.Options, replace bool) (GraphInfo, error) {
-	return s.addGraph(name, g, s.fillDefaults(opts), replace)
-}
-
-// IngestGraph registers g with tri-state Overrides: nil fields inherit the
-// server defaults (boolean defaults included), non-nil fields win either
-// way — the HTTP ingest path, where ?redistribute=false must beat a
-// server-wide default of true.
-func (s *Server) IngestGraph(name string, g *graph.Graph, ov Overrides, replace bool) (GraphInfo, error) {
-	if err := ov.Validate(); err != nil {
-		return GraphInfo{}, err
-	}
-	return s.addGraph(name, g, ov.apply(s.fillDefaults(pcpm.Options{})), replace)
-}
-
-// addGraph is the shared ingest path; opts must already be fully resolved.
-func (s *Server) addGraph(name string, g *graph.Graph, opts pcpm.Options, replace bool) (GraphInfo, error) {
+func (s *Server) AddGraph(name string, g *graph.Graph, ov Overrides, replace bool) (GraphInfo, error) {
 	if !ValidName(name) {
 		return GraphInfo{}, fmt.Errorf("serve: invalid graph name %q", name)
 	}
-	if err := errors.Join(checkOneSolver(s.cfg.Defaults), checkOneSolver(opts)); err != nil {
+	if err := errors.Join(checkOneSolver(s.cfg.Defaults), ov.Validate(s.cfg.Defaults)); err != nil {
 		return GraphInfo{}, err
 	}
+	opts := ov.apply(s.cfg.Defaults)
 	// Reserve the name before computing. A plain duplicate fails here
 	// without spending an engine run; a replace queues behind the in-flight
 	// ingest and then proceeds (replace semantics are last-writer-wins, so
@@ -460,7 +443,7 @@ func (s *Server) addGraph(name string, g *graph.Graph, opts pcpm.Options, replac
 	// Write-ahead: the ingest must be durable before any reader can see
 	// it. A failed append rejects the ingest rather than serving state a
 	// restart would silently lose.
-	lsn, err := s.walAppendAdd(name, snap, replace)
+	lsn, err := s.walAppendAdd(name, snap)
 	if err != nil {
 		return GraphInfo{}, err
 	}
@@ -600,35 +583,36 @@ type RecomputeStatus struct {
 // snapshot, so a recompute never silently reverts configuration the graph
 // was ingested with. The JSON tags are the option keys of both HTTP
 // surfaces: the recompute body decodes into this struct and the ingest
-// query parser fills it.
+// query parser fills it. These are the options that change the answer;
+// partition size and worker count are the server's (Config.Defaults) and
+// set on every run by compute.
 type Overrides struct {
 	Damping              *float64 `json:"damping,omitempty"`
 	Iterations           *int     `json:"iterations,omitempty"`
 	Tolerance            *float64 `json:"tolerance,omitempty"`
-	PartitionBytes       *int     `json:"partition,omitempty"`
-	Workers              *int     `json:"workers,omitempty"`
 	RedistributeDangling *bool    `json:"redistribute,omitempty"`
 }
 
-// Validate rejects override values the engine would refuse, wrapping
-// ErrInvalidOptions so callers can surface them as client errors before a
-// run is scheduled.
-func (o Overrides) Validate() error {
-	if o.Damping != nil && (*o.Damping <= 0 || *o.Damping >= 1) {
+// Validate rejects override values the engine would refuse or that would
+// pin it, wrapping ErrInvalidOptions so callers can surface them as client
+// errors before a run is scheduled. base is the options o will be applied
+// to: an explicit iteration count may not exceed its MaxIterations.
+func (o Overrides) Validate(base pcpm.Options) error {
+	// Negated so that NaN, which fails every comparison, fails the checks.
+	if o.Damping != nil && !(*o.Damping > 0 && *o.Damping < 1) {
 		return fmt.Errorf("%w: damping %v outside (0,1)", ErrInvalidOptions, *o.Damping)
 	}
-	if o.Iterations != nil && *o.Iterations < 0 {
-		return fmt.Errorf("%w: negative iterations %d", ErrInvalidOptions, *o.Iterations)
+	if o.Iterations != nil {
+		maxIters := base.MaxIterations
+		if maxIters <= 0 {
+			maxIters = pcpm.DefaultMaxIterations
+		}
+		if *o.Iterations < 0 || *o.Iterations > maxIters {
+			return fmt.Errorf("%w: iterations %d outside [0,%d]", ErrInvalidOptions, *o.Iterations, maxIters)
+		}
 	}
-	if o.Tolerance != nil && *o.Tolerance < 0 {
-		return fmt.Errorf("%w: negative tolerance %v", ErrInvalidOptions, *o.Tolerance)
-	}
-	if o.PartitionBytes != nil &&
-		(*o.PartitionBytes < 4 || *o.PartitionBytes&(*o.PartitionBytes-1) != 0) {
-		return fmt.Errorf("%w: partition size %d not a power of two >= 4", ErrInvalidOptions, *o.PartitionBytes)
-	}
-	if o.Workers != nil && *o.Workers < 0 {
-		return fmt.Errorf("%w: negative workers %d", ErrInvalidOptions, *o.Workers)
+	if o.Tolerance != nil && !(*o.Tolerance >= 0 && *o.Tolerance <= math.MaxFloat64) {
+		return fmt.Errorf("%w: tolerance %v not a finite non-negative number", ErrInvalidOptions, *o.Tolerance)
 	}
 	return nil
 }
@@ -643,12 +627,6 @@ func (o Overrides) apply(base pcpm.Options) pcpm.Options {
 	}
 	if o.Tolerance != nil {
 		base.Tolerance = *o.Tolerance
-	}
-	if o.PartitionBytes != nil {
-		base.PartitionBytes = *o.PartitionBytes
-	}
-	if o.Workers != nil {
-		base.Workers = *o.Workers
 	}
 	if o.RedistributeDangling != nil {
 		base.RedistributeDangling = *o.RedistributeDangling
@@ -677,10 +655,11 @@ func (s *Server) Recompute(name string, ov Overrides, wait bool) (RecomputeStatu
 	if err != nil {
 		return RecomputeStatus{}, err
 	}
-	if err := ov.Validate(); err != nil {
+	base := e.snap.Load().Options
+	if err := ov.Validate(base); err != nil {
 		return RecomputeStatus{}, err
 	}
-	opts := ov.apply(e.snap.Load().Options)
+	opts := ov.apply(base)
 
 	e.mu.Lock()
 	run := e.inflight
@@ -743,11 +722,14 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 // for e; a re-run of the graph e already serves keeps its component memo
 // (entry.seal).
 //
-// Every run is PCPM with the branch-avoiding gather. opts inherited from a
-// snapshot an older data dir or leader shipped may name another engine; that
-// is cleared here, unconsulted, so the published options describe the run.
+// Every run is PCPM with the branch-avoiding gather, at the server's
+// partition size and worker count. opts inherited from a snapshot an older
+// data dir or leader shipped may name another engine or other sizing; those
+// are overwritten here, unconsulted, so the published options describe the
+// run.
 func (s *Server) compute(e *entry, g *graph.Graph, opts pcpm.Options) (*Snapshot, error) {
 	opts.Method = ""
+	opts.PartitionBytes, opts.Workers = s.cfg.Defaults.PartitionBytes, s.cfg.Defaults.Workers
 	start := time.Now()
 	res, err := s.computeFn(g, opts)
 	if err != nil {
@@ -764,38 +746,6 @@ func (s *Server) compute(e *entry, g *graph.Graph, opts pcpm.Options) (*Snapshot
 		ComputedAt:  time.Now(),
 		ComputeTime: time.Since(start),
 	}), nil
-}
-
-// fillDefaults overlays the server-wide default options onto opts.
-func (s *Server) fillDefaults(opts pcpm.Options) pcpm.Options {
-	d := s.cfg.Defaults
-	if opts.Damping == 0 {
-		opts.Damping = d.Damping
-	}
-	if opts.PartitionBytes == 0 {
-		opts.PartitionBytes = d.PartitionBytes
-	}
-	if opts.Workers == 0 {
-		opts.Workers = d.Workers
-	}
-	// An explicitly requested iteration count means fixed-iteration mode:
-	// only overlay the default tolerance when neither knob was set, so a
-	// server-wide -tol cannot silently override a request's ?iterations=.
-	explicitIters := opts.Iterations != 0
-	if !explicitIters {
-		opts.Iterations = d.Iterations
-	}
-	if opts.Tolerance == 0 && !explicitIters {
-		opts.Tolerance = d.Tolerance
-	}
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = d.MaxIterations
-	}
-	// Boolean knobs follow the same zero-means-default contract as every
-	// other field: false inherits the server default. (Callers needing an
-	// explicit false against a true default use IngestGraph's Overrides.)
-	opts.RedistributeDangling = opts.RedistributeDangling || d.RedistributeDangling
-	return opts
 }
 
 func (s *Server) lookup(name string) (*entry, error) {

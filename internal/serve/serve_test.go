@@ -369,8 +369,10 @@ func TestRecomputeWaitChangesRanks(t *testing.T) {
 		`{"damping":1.5}`,
 		`{"damping":0}`,
 		`{"iterations":-1}`,
-		`{"partition":1000}`,
-		`{"workers":-2}`,
+		`{"iterations":1001}`,
+		`{"tolerance":-1}`,
+		`{"partition":4}`,
+		`{"workers":64}`,
 	} {
 		if code := doJSON(t, "POST", ts.URL+"/v1/graphs/er/recompute", []byte(bad), nil); code != http.StatusBadRequest {
 			t.Fatalf("invalid options %s: status %d, want 400", bad, code)
@@ -379,28 +381,28 @@ func TestRecomputeWaitChangesRanks(t *testing.T) {
 }
 
 // TestRecomputeInheritsIngestOptions pins the override semantics: a
-// recompute that only overrides damping keeps the configuration the graph
-// was ingested with (here dangling redistribution and a custom partition
-// size), instead of reverting to server defaults.
+// recompute that only overrides the iteration count keeps the configuration
+// the graph was ingested with (here a custom damping and dangling
+// redistribution), instead of reverting to server defaults.
 func TestRecomputeInheritsIngestOptions(t *testing.T) {
 	_, ts := newTestServer(t)
 	g := testGraph(t)
 	body := edgeListBody(t, g)
 	var info GraphInfo
-	url := ts.URL + "/v1/graphs?name=er&partition=2048&redistribute=true"
+	url := ts.URL + "/v1/graphs?name=er&damping=0.7&redistribute=true"
 	if code := doJSON(t, "POST", url, body, &info); code != http.StatusCreated {
 		t.Fatalf("ingest status %d", code)
 	}
 
 	if code := doJSON(t, "POST", ts.URL+"/v1/graphs/er/recompute",
-		[]byte(`{"damping":0.6,"wait":true}`), nil); code != http.StatusOK {
+		[]byte(`{"iterations":9,"wait":true}`), nil); code != http.StatusOK {
 		t.Fatalf("recompute status %d", code)
 	}
 
 	opts := testOptions
-	opts.PartitionBytes = 2048
+	opts.Damping = 0.7
 	opts.RedistributeDangling = true
-	opts.Damping = 0.6
+	opts.Iterations = 9
 	res, err := pcpm.Run(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -508,13 +510,13 @@ func TestAddGraphConcurrentDuplicateBurnsOneCompute(t *testing.T) {
 
 	firstDone := make(chan error, 1)
 	go func() {
-		_, err := s.AddGraph("dup", g, pcpm.Options{}, false)
+		_, err := s.AddGraph("dup", g, Overrides{}, false)
 		firstDone <- err
 	}()
 	<-entered
 
 	// The duplicate must fail NOW, with the first compute still gated.
-	if _, err := s.AddGraph("dup", g, pcpm.Options{}, false); !errors.Is(err, ErrExists) {
+	if _, err := s.AddGraph("dup", g, Overrides{}, false); !errors.Is(err, ErrExists) {
 		t.Fatalf("concurrent duplicate ingest: err = %v, want ErrExists", err)
 	}
 	if n := computes.Load(); n != 1 {
@@ -529,10 +531,10 @@ func TestAddGraphConcurrentDuplicateBurnsOneCompute(t *testing.T) {
 		t.Fatalf("%d engine runs after settle, want 1", n)
 	}
 	// The name is live; a later duplicate still conflicts, a replace works.
-	if _, err := s.AddGraph("dup", g, pcpm.Options{}, false); !errors.Is(err, ErrExists) {
+	if _, err := s.AddGraph("dup", g, Overrides{}, false); !errors.Is(err, ErrExists) {
 		t.Fatalf("post-settle duplicate: err = %v, want ErrExists", err)
 	}
-	if info, err := s.AddGraph("dup", g, pcpm.Options{}, true); err != nil || info.Version != 2 {
+	if info, err := s.AddGraph("dup", g, Overrides{}, true); err != nil || info.Version != 2 {
 		t.Fatalf("replace after ingest: %+v, %v", info, err)
 	}
 }
@@ -549,7 +551,7 @@ func TestConcurrentReplacesSerialize(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.AddGraph("g", g, pcpm.Options{}, true)
+			_, errs[i] = s.AddGraph("g", g, Overrides{}, true)
 		}(i)
 	}
 	wg.Wait()
@@ -580,8 +582,15 @@ func TestIngestValidatesOptionsBeforeBody(t *testing.T) {
 		{"damping=1.5", "damping"},
 		{"damping=0", "damping"},
 		{"tolerance=-1", "tolerance"},
-		{"partition=1000", "partition"},
-		{"workers=-2", "workers"},
+		{"iterations=1001", "iterations"},
+		{"damping=NaN", "damping"},
+		{"damping=-Inf", "damping"},
+		{"tolerance=NaN", "tolerance"},
+		{"tolerance=Inf", "tolerance"},
+		{"redistribute=yes", "redistribute"},
+		{"replace=ture", "replace"},
+		{"partition=4", `"partition"`},
+		{"workers=64", `"workers"`},
 		{"method=bvgas", `"method"`},
 		{"compact=true", `"compact"`},
 		{"branching=true", `"branching"`},
@@ -608,32 +617,32 @@ func TestIngestValidatesOptionsBeforeBody(t *testing.T) {
 	}
 }
 
-// TestFillDefaultsBoolOverlay is the fillDefaults regression: programmatic
-// AddGraph callers must inherit server-configured defaults, the boolean one
-// included, while the HTTP path keeps its tri-state semantics — an explicit
-// =false beats a true default, an explicit partition a default one.
+// TestFillDefaultsBoolOverlay is the Config.Defaults overlay regression:
+// an ingest without overrides inherits the server-configured defaults, the
+// boolean one included, while explicit overrides win either way — an
+// explicit =false beats a true default, an explicit damping a default one.
 func TestFillDefaultsBoolOverlay(t *testing.T) {
 	opts := testOptions
 	opts.RedistributeDangling = true
-	opts.PartitionBytes = 4096
+	opts.Damping = 0.7
 	s := New(Config{Defaults: opts})
 	g := testGraph(t)
 
-	if _, err := s.AddGraph("plain", g, pcpm.Options{}, false); err != nil {
+	if _, err := s.AddGraph("plain", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	_, snap, err := s.TopK("plain", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Options.RedistributeDangling || snap.Options.PartitionBytes != 4096 {
-		t.Fatalf("programmatic AddGraph lost defaults: %+v", snap.Options)
+	if !snap.Options.RedistributeDangling || snap.Options.Damping != 0.7 {
+		t.Fatalf("AddGraph without overrides lost defaults: %+v", snap.Options)
 	}
 
 	// HTTP ingest with explicit values must override the defaults.
 	ts := newHTTPServer(t, s)
 	var info GraphInfo
-	url := ts + "/v1/graphs?name=explicit&redistribute=false&partition=2048"
+	url := ts + "/v1/graphs?name=explicit&redistribute=false&damping=0.6"
 	if code := doJSON(t, "POST", url, edgeListBody(t, g), &info); code != http.StatusCreated {
 		t.Fatalf("ingest status %d", code)
 	}
@@ -641,7 +650,7 @@ func TestFillDefaultsBoolOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Options.RedistributeDangling || snap.Options.PartitionBytes != 2048 {
+	if snap.Options.RedistributeDangling || snap.Options.Damping != 0.6 {
 		t.Fatalf("explicit values lost to server defaults: %+v", snap.Options)
 	}
 }
@@ -657,8 +666,7 @@ func TestOptionKeysAreOverridesTags(t *testing.T) {
 	body := edgeListBody(t, g)
 	ingest(t, ts, "er", body)
 
-	// A valid value per field type; 4 is a legal iteration count, worker
-	// count and partition size alike.
+	// A valid value per field type.
 	values := map[reflect.Kind]string{reflect.Float64: "0.5", reflect.Int: "4", reflect.Bool: "true"}
 	rt := reflect.TypeOf(Overrides{})
 	for i := 0; i < rt.NumField(); i++ {
@@ -678,7 +686,7 @@ func TestOptionKeysAreOverridesTags(t *testing.T) {
 		}
 	}
 	// The Go field names are not keys, nor is a key of the other surface.
-	for _, key := range []string{"PartitionBytes", "Damping", "nope"} {
+	for _, key := range []string{"RedistributeDangling", "Damping", "nope"} {
 		url := fmt.Sprintf("%s/v1/graphs?name=bad&%s=4", ts.URL, key)
 		if code := doJSON(t, "POST", url, body, nil); code != http.StatusBadRequest {
 			t.Errorf("ingest ?%s=4: status %d, want 400", key, code)
@@ -696,14 +704,8 @@ func TestOptionKeysAreOverridesTags(t *testing.T) {
 		{Method: pcpm.MethodPCPMCSR},
 	} {
 		s := New(Config{Defaults: d})
-		if _, err := s.AddGraph("g", g, pcpm.Options{}, false); !errors.Is(err, ErrInvalidOptions) {
+		if _, err := s.AddGraph("g", g, Overrides{}, false); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("Defaults %+v: AddGraph err = %v, want ErrInvalidOptions", d, err)
-		}
-		if _, err := s.IngestGraph("g", g, Overrides{}, false); !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("Defaults %+v: IngestGraph err = %v, want ErrInvalidOptions", d, err)
-		}
-		if _, err := New(Config{}).AddGraph("g", g, d, false); !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("AddGraph(%+v) err = %v, want ErrInvalidOptions", d, err)
 		}
 	}
 }
@@ -711,7 +713,7 @@ func TestOptionKeysAreOverridesTags(t *testing.T) {
 func TestSnapshotTopKCacheConsistency(t *testing.T) {
 	s := New(Config{Defaults: testOptions})
 	g := testGraph(t)
-	if _, err := s.AddGraph("er", g, pcpm.Options{}, false); err != nil {
+	if _, err := s.AddGraph("er", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
 	cached, _, err := s.TopK("er", 50)

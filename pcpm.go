@@ -50,6 +50,10 @@ func Methods() []Method {
 	return []Method{MethodPDPR, MethodBVGAS, MethodPCPMCSR, MethodPCPM}
 }
 
+// DefaultMaxIterations is the convergence-mode cap when
+// Options.MaxIterations is unset.
+const DefaultMaxIterations = 1000
+
 // Options configure a Run. Zero values select the paper's defaults:
 // PCPM engine, damping 0.85, 256 KB partitions, GOMAXPROCS workers,
 // 20 iterations, dangling mass leaking as in the paper's formulation.
@@ -69,7 +73,7 @@ type Options struct {
 	// Tolerance, if positive, runs until the L1 rank change drops below it
 	// (capped at MaxIterations).
 	Tolerance float64
-	// MaxIterations caps convergence mode (default 1000).
+	// MaxIterations caps convergence mode (default DefaultMaxIterations).
 	MaxIterations int
 	// RedistributeDangling spreads dangling-node mass uniformly each
 	// iteration so ranks sum to 1; the default (false) reproduces the
@@ -142,7 +146,7 @@ func Run(g *graph.Graph, o Options) (*Result, error) {
 	if o.Tolerance > 0 {
 		maxIters := o.MaxIterations
 		if maxIters <= 0 {
-			maxIters = 1000
+			maxIters = DefaultMaxIterations
 		}
 		res.Iterations, res.Delta = core.RunToConvergence(e, o.Tolerance, maxIters)
 	} else {
@@ -208,7 +212,8 @@ type EdgeDelta = delta.EdgeDelta
 
 // DeltaOptions configure ApplyEdgeDelta: the damping the input ranks were
 // computed with, the repair's epsilon (its own L1 error bound), the
-// fallback threshold on dirtied residual mass, and an engine to reuse.
+// fallback threshold on dirtied residual mass, the push-round cap, and the
+// dangling policy.
 type DeltaOptions = delta.Options
 
 // DeltaResult reports one applied edge delta: the rebuilt graph, the
