@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -201,14 +202,14 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	g := &Graph{n: int(n), m: int64(m)}
 	var err error
-	if g.outOff, err = readI64Grow(br, int64(n)+1); err != nil {
+	if g.outOff, err = readChunked(br, int64(n)+1, decodeI64); err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	if g.outAdj, err = readU32Grow(br, int64(m)); err != nil {
+	if g.outAdj, err = readChunked(br, int64(m), decodeU32); err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %w", err)
 	}
 	if flags&1 != 0 {
-		if g.outW, err = readF32Grow(br, int64(m)); err != nil {
+		if g.outW, err = readChunked(br, int64(m), decodeF32); err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
 	}
@@ -240,57 +241,43 @@ func writeU32Slice(w io.Writer, s []uint32) error {
 	return nil
 }
 
-// The chunked readers below decode `count` little-endian values while
-// allocating in proportion to bytes actually read, never to the count a
-// header merely claims.
-
-func readI64Grow(r io.Reader, count int64) ([]int64, error) {
+// readChunked decodes count little-endian values, one 64Ki-value chunk per
+// decode call, while allocating in proportion to bytes actually read,
+// never to the count a header merely claims.
+func readChunked[T any](r io.Reader, count int64, decode func(dst []T, src []byte)) ([]T, error) {
 	const chunk = 1 << 16
-	out := make([]int64, 0, min(count, chunk))
-	buf := make([]byte, 8*chunk)
-	for remaining := count; remaining > 0; {
-		c := min(remaining, chunk)
-		if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
+	var zero T
+	width := binary.Size(zero)
+	out := make([]T, 0, min(count, chunk))
+	buf := make([]byte, width*chunk)
+	for int64(len(out)) < count {
+		c := int(min(count-int64(len(out)), chunk))
+		if _, err := io.ReadFull(r, buf[:width*c]); err != nil {
 			return nil, err
 		}
-		for i := int64(0); i < c; i++ {
-			out = append(out, int64(binary.LittleEndian.Uint64(buf[8*i:])))
-		}
-		remaining -= c
+		n := len(out)
+		out = slices.Grow(out, c)[:n+c]
+		decode(out[n:], buf)
 	}
 	return out, nil
 }
 
-func readU32Grow(r io.Reader, count int64) ([]uint32, error) {
-	const chunk = 1 << 16
-	out := make([]uint32, 0, min(count, chunk))
-	buf := make([]byte, 4*chunk)
-	for remaining := count; remaining > 0; {
-		c := min(remaining, chunk)
-		if _, err := io.ReadFull(r, buf[:4*c]); err != nil {
-			return nil, err
-		}
-		for i := int64(0); i < c; i++ {
-			out = append(out, binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-		remaining -= c
+func decodeI64(dst []int64, src []byte) {
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	return out, nil
 }
 
-func readF32Grow(r io.Reader, count int64) ([]float32, error) {
-	const chunk = 1 << 16
-	out := make([]float32, 0, min(count, chunk))
-	buf := make([]byte, 4*chunk)
-	for remaining := count; remaining > 0; {
-		c := min(remaining, chunk)
-		if _, err := io.ReadFull(r, buf[:4*c]); err != nil {
-			return nil, err
-		}
-		for i := int64(0); i < c; i++ {
-			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
-		remaining -= c
+func decodeU32(dst []uint32, src []byte) {
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(src[4*i:])
 	}
-	return out, nil
 }
+
+func decodeF32(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+func decodeBytes(dst, src []byte) { copy(dst, src) }

@@ -164,11 +164,11 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("graph: snapshot rank count %d exceeds 2^31", ranksN)
 	}
 
-	meta, err := readBytesGrow(hr, int64(metaLen))
+	meta, err := readChunked(hr, int64(metaLen), decodeBytes)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading snapshot metadata: %w", err)
 	}
-	ranks, err := readF32Grow(hr, int64(ranksN))
+	ranks, err := readChunked(hr, int64(ranksN), decodeF32)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading snapshot ranks: %w", err)
 	}
@@ -199,21 +199,4 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("graph: snapshot checksum mismatch: file %08x, computed %08x", want, sum)
 	}
 	return &Snapshot{Graph: g, Ranks: ranks, Meta: meta}, nil
-}
-
-// readBytesGrow reads count bytes while allocating in proportion to bytes
-// actually read, like the other chunked readers.
-func readBytesGrow(r io.Reader, count int64) ([]byte, error) {
-	const chunk = 1 << 16
-	out := make([]byte, 0, min(count, chunk))
-	buf := make([]byte, chunk)
-	for remaining := count; remaining > 0; {
-		c := min(remaining, chunk)
-		if _, err := io.ReadFull(r, buf[:c]); err != nil {
-			return nil, err
-		}
-		out = append(out, buf[:c]...)
-		remaining -= c
-	}
-	return out, nil
 }

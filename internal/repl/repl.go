@@ -13,18 +13,17 @@
 //     snapshot's covered position) terminated by a RecCheckpoint frame
 //     whose metadata carries the tail cursor to resume from.
 //
-// The decoder applies the WAL's crash discipline to the wire: a stream
-// that ends mid-frame is torn (ErrTorn — the transport died; resume from
-// the cursor), while a frame that fails its checksum, carries an insane
-// length, or breaks LSN continuity is corruption (*wal.CorruptionError —
-// fail closed and re-bootstrap, never apply a suspect record).
+// Frames are read by wal.Decoder, the same reader the log uses, under the
+// stream policy: a body that ends mid-frame is torn (ErrTorn — the
+// transport died; resume from the cursor), while a frame that fails its
+// checksum, carries an insane length, or breaks LSN continuity is
+// corruption (*wal.CorruptionError — fail closed and re-bootstrap, never
+// apply a suspect record). The disk's torn-tail rule does not apply: a
+// header that arrived whole cannot be torn.
 package repl
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 
 	"repro/internal/wal"
@@ -33,7 +32,7 @@ import (
 // ErrTorn reports a stream that ended partway through a frame: the
 // transport (or the leader) went away mid-record. Records decoded before
 // the tear are intact; the follower resumes tailing from its cursor.
-var ErrTorn = errors.New("repl: stream torn mid-frame")
+var ErrTorn = wal.ErrTorn
 
 // ErrPruned reports a tail cursor that predates the leader's oldest
 // retained record; the follower must re-bootstrap from snapshots.
@@ -51,64 +50,8 @@ type BootstrapEnd struct {
 }
 
 // Decoder reads WAL frames from a replication stream.
-type Decoder struct {
-	r    *bufio.Reader
-	want uint64 // next expected LSN; 0 disables the continuity check
-	off  int64
-}
+type Decoder = wal.Decoder
 
-// NewDecoder wraps r. A non-zero from arms the LSN continuity check: the
-// first record must carry exactly that sequence number and successors must
-// increment by one (tail streams). Bootstrap streams pass 0 — their frames
-// carry unrelated per-graph positions.
-func NewDecoder(r io.Reader, from uint64) *Decoder {
-	return &Decoder{r: bufio.NewReaderSize(r, 1<<16), want: from}
-}
-
-// Offset returns the number of stream bytes consumed by complete frames.
-func (d *Decoder) Offset() int64 { return d.off }
-
-// Next decodes one frame. It returns io.EOF at a clean end-of-stream
-// (between frames), ErrTorn when the stream dies mid-frame, and a
-// *wal.CorruptionError for a frame that must not be trusted.
-func (d *Decoder) Next() (*wal.Record, error) {
-	var hdr [wal.FrameHeaderLen]byte
-	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w (header at offset %d)", ErrTorn, d.off)
-	}
-	plen := int64(binary.LittleEndian.Uint32(hdr[0:]))
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if plen < wal.MinPayloadLen || plen > wal.MaxRecordBytes {
-		// On disk an insane length at EOF can be a torn tail; on the wire
-		// the header arrived whole, so a lying length is always corruption.
-		return nil, &wal.CorruptionError{Offset: d.off,
-			Reason: fmt.Sprintf("payload length %d outside [%d, %d]", plen, wal.MinPayloadLen, wal.MaxRecordBytes)}
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(d.r, payload); err != nil {
-		return nil, fmt.Errorf("%w (payload at offset %d)", ErrTorn, d.off)
-	}
-	rec, err := wal.DecodePayload(payload, wantCRC)
-	if err != nil {
-		var cerr *wal.CorruptionError
-		if errors.As(err, &cerr) {
-			cerr.Offset = d.off
-		}
-		return nil, err
-	}
-	if d.want != 0 {
-		if rec.LSN != d.want {
-			// A stale or repeated LSN is replay/reordering on the wire;
-			// applying it would fork the follower, so it is corruption.
-			return nil, &wal.CorruptionError{Offset: d.off,
-				Reason: fmt.Sprintf("LSN %d, want %d", rec.LSN, d.want)}
-		}
-		d.want = rec.LSN + 1
-	}
-	rec.Offset = d.off
-	d.off += int64(wal.FrameHeaderLen) + plen
-	return rec, nil
-}
+// NewDecoder wraps r; see wal.NewDecoder. Tail streams pass their cursor,
+// which arms the LSN continuity check; bootstrap streams pass 0.
+func NewDecoder(r io.Reader, from uint64) *Decoder { return wal.NewDecoder(r, from) }

@@ -1,11 +1,9 @@
 package repl
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -29,115 +27,6 @@ func rec(lsn uint64) *wal.Record {
 		Meta: []byte(fmt.Sprintf(`{"name":"g","lsn":%d}`, lsn)),
 		Blob: []byte("blob"),
 	}
-}
-
-func TestDecoderCleanStream(t *testing.T) {
-	d := NewDecoder(bytes.NewReader(stream(rec(5), rec(6), rec(7))), 5)
-	for want := uint64(5); want <= 7; want++ {
-		r, err := d.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", want, err)
-		}
-		if r.LSN != want || r.Type != wal.RecEdgeDelta {
-			t.Fatalf("decoded LSN %d type %d, want %d/%d", r.LSN, r.Type, want, wal.RecEdgeDelta)
-		}
-	}
-	if _, err := d.Next(); err != io.EOF {
-		t.Fatalf("after the last frame: %v, want io.EOF", err)
-	}
-}
-
-func TestDecoderTornStream(t *testing.T) {
-	whole := stream(rec(1), rec(2))
-	// Every cut inside the second frame must decode the first record and
-	// then report a tear — never corruption, never a partial second record.
-	first := stream(rec(1))
-	for cut := len(first) + 1; cut < len(whole); cut++ {
-		d := NewDecoder(bytes.NewReader(whole[:cut]), 1)
-		r, err := d.Next()
-		if err != nil || r.LSN != 1 {
-			t.Fatalf("cut %d: first record got (%v, %v)", cut, r, err)
-		}
-		if _, err := d.Next(); !errors.Is(err, ErrTorn) {
-			t.Fatalf("cut %d: torn tail classified as %v, want ErrTorn", cut, err)
-		}
-	}
-}
-
-func TestDecoderBitflipIsCorruption(t *testing.T) {
-	whole := stream(rec(1), rec(2))
-	firstLen := len(stream(rec(1)))
-	// Flip one bit inside the second frame's payload (past its header).
-	pos := firstLen + wal.FrameHeaderLen + 3
-	for _, flip := range []byte{0x01, 0x80} {
-		damaged := append([]byte(nil), whole...)
-		damaged[pos] ^= flip
-		d := NewDecoder(bytes.NewReader(damaged), 1)
-		if _, err := d.Next(); err != nil {
-			t.Fatalf("record before the flip: %v", err)
-		}
-		_, err := d.Next()
-		var cerr *wal.CorruptionError
-		if !errors.As(err, &cerr) {
-			t.Fatalf("bitflip classified as %v, want CorruptionError", err)
-		}
-		if errors.Is(err, ErrTorn) {
-			t.Fatal("bitflip classified as torn")
-		}
-	}
-}
-
-func TestDecoderLyingLengthIsCorruption(t *testing.T) {
-	// A whole header claiming an insane payload: on the wire this is always
-	// corruption (the disk scanner may call it torn at EOF; the stream has
-	// no EOF ambiguity once the header arrived).
-	hdr := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
-	d := NewDecoder(bytes.NewReader(hdr), 1)
-	_, err := d.Next()
-	var cerr *wal.CorruptionError
-	if !errors.As(err, &cerr) {
-		t.Fatalf("lying length classified as %v, want CorruptionError", err)
-	}
-}
-
-func TestDecoderStaleLSNIsCorruption(t *testing.T) {
-	cases := map[string][]byte{
-		"replayed": stream(rec(4), rec(4)),
-		"gap":      stream(rec(4), rec(9)),
-		"backward": stream(rec(4), rec(3)),
-	}
-	for name, wire := range cases {
-		d := NewDecoder(bytes.NewReader(wire), 4)
-		if _, err := d.Next(); err != nil {
-			t.Fatalf("%s: first record: %v", name, err)
-		}
-		_, err := d.Next()
-		var cerr *wal.CorruptionError
-		if !errors.As(err, &cerr) {
-			t.Fatalf("%s: discontinuity classified as %v, want CorruptionError", name, err)
-		}
-	}
-	// A first record below the requested cursor is equally a stale replay.
-	d := NewDecoder(bytes.NewReader(stream(rec(3))), 4)
-	if _, err := d.Next(); !isCorruptionErr(err) {
-		t.Fatalf("stale first record: %v, want CorruptionError", err)
-	}
-}
-
-func TestDecoderBootstrapModeSkipsContinuity(t *testing.T) {
-	// Bootstrap frames carry unrelated per-graph positions; from=0 must
-	// accept any ordering.
-	d := NewDecoder(bytes.NewReader(stream(rec(9), rec(2), rec(2))), 0)
-	for i := 0; i < 3; i++ {
-		if _, err := d.Next(); err != nil {
-			t.Fatalf("bootstrap record %d: %v", i, err)
-		}
-	}
-}
-
-func isCorruptionErr(err error) bool {
-	var cerr *wal.CorruptionError
-	return errors.As(err, &cerr)
 }
 
 // fakeLeader serves canned tail/bootstrap responses.

@@ -132,12 +132,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.AddGraph(name, g, ov, replace)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrExists):
-			writeError(w, http.StatusConflict, err.Error())
-		default:
-			writeError(w, http.StatusBadRequest, err.Error())
-		}
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -146,7 +141,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	info, err := s.Info(r.PathValue("name"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -154,13 +149,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if err := s.Remove(r.PathValue("name")); err != nil {
-		switch {
-		case errors.Is(err, ErrNotFound):
-			writeError(w, http.StatusNotFound, err.Error())
-		default:
-			// A failed write-ahead append: the graph is still registered.
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
+		writeErr(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -193,7 +182,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	entries, snap, err := s.TopK(name, k)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -214,12 +203,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	rank, snap, err := s.Rank(name, uint32(vertex))
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrNotFound):
-			writeError(w, http.StatusNotFound, err.Error())
-		default:
-			writeError(w, http.StatusBadRequest, err.Error())
-		}
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -274,14 +258,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	}
 	answers, err := s.Personalized(name, queries, req.K, req.Epsilon)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrNotFound):
-			writeError(w, http.StatusNotFound, err.Error())
-		case errors.Is(err, ErrBadSeeds), errors.Is(err, ErrInvalidOptions):
-			writeError(w, http.StatusBadRequest, err.Error())
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
+		writeErr(w, err)
 		return
 	}
 	if single {
@@ -305,6 +282,13 @@ func (s *Server) handleRecompute(w http.ResponseWriter, r *http.Request) {
 		Overrides
 		Wait bool `json:"wait"`
 	}
+	// ?wait= is parsed as strictly as the ingest booleans, before the body.
+	waitQ := r.URL.Query().Get("wait")
+	wait, err := strconv.ParseBool(cmp.Or(waitQ, "false"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad ?wait=%q: %v", waitQ, err))
+		return
+	}
 	if r.ContentLength != 0 {
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 		dec.DisallowUnknownFields()
@@ -313,19 +297,9 @@ func (s *Server) handleRecompute(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if r.URL.Query().Get("wait") == "true" {
-		req.Wait = true
-	}
-	st, err := s.Recompute(name, req.Overrides, req.Wait)
+	st, err := s.Recompute(name, req.Overrides, req.Wait || wait)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrNotFound):
-			writeError(w, http.StatusNotFound, err.Error())
-		case errors.Is(err, ErrInvalidOptions):
-			writeError(w, http.StatusBadRequest, err.Error())
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
+		writeErr(w, err)
 		return
 	}
 	resp := map[string]any{
@@ -436,16 +410,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.ApplyEdgeDelta(name, d)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrNotFound):
-			writeError(w, http.StatusNotFound, err.Error())
-		case errors.Is(err, ErrDeltaTooLarge):
-			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
-		case errors.Is(err, ErrBadDelta):
-			writeError(w, http.StatusBadRequest, err.Error())
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
+		writeErr(w, err)
 		return
 	}
 	// DeltaStatus carries its own JSON tags; serializing it directly keeps
@@ -485,4 +450,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]any{"error": msg})
+}
+
+// writeErr answers with an error from the Server API. The sentinel it wraps
+// picks the status; an error a request causes always wraps one, so anything
+// else — a failed engine run or write-ahead append — is the server's, 500.
+func writeErr(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, ErrNotFound):
+		status = http.StatusNotFound
+	case errors.Is(err, ErrExists), errors.Is(err, ErrNotPromotable):
+		status = http.StatusConflict
+	case errors.Is(err, ErrInvalidOptions), errors.Is(err, ErrBadSeeds), errors.Is(err, ErrBadDelta):
+		status = http.StatusBadRequest
+	case errors.Is(err, ErrDeltaTooLarge):
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err.Error())
 }

@@ -135,7 +135,7 @@ func (s *Server) Reaim(leader string) error {
 	}
 	u, err := url.Parse(leader)
 	if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
-		return fmt.Errorf("serve: bad leader address %q: want an http(s) base URL", leader)
+		return fmt.Errorf("%w: bad leader address %q: want an http(s) base URL", ErrInvalidOptions, leader)
 	}
 	s.follower.setLeader(leader)
 	s.log.Info("follower re-aimed", "leader", leader)
@@ -146,11 +146,7 @@ func (s *Server) Reaim(leader string) error {
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.Promote()
 	if err != nil {
-		if errors.Is(err, ErrNotPromotable) {
-			writeError(w, http.StatusConflict, err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error())
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
@@ -168,11 +164,7 @@ func (s *Server) handleReaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.Reaim(req.Leader); err != nil {
-		if errors.Is(err, ErrNotPromotable) {
-			writeError(w, http.StatusConflict, err.Error())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"leader": req.Leader})

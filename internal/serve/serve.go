@@ -31,7 +31,9 @@ import (
 )
 
 // Errors returned by registry operations; the HTTP layer maps them to
-// status codes (404, 409).
+// status codes (404, 409, 400; see writeErr). ErrInvalidOptions marks any
+// request parameter the server refuses: an option, a name, a vertex, a
+// leader address.
 var (
 	ErrNotFound       = errors.New("serve: graph not found")
 	ErrExists         = errors.New("serve: graph already exists")
@@ -395,7 +397,7 @@ func (s *Server) info(e *entry) GraphInfo {
 // finishes (a waiting caller gets its result), but no query will serve it.
 func (s *Server) AddGraph(name string, g *graph.Graph, ov Overrides, replace bool) (GraphInfo, error) {
 	if !ValidName(name) {
-		return GraphInfo{}, fmt.Errorf("serve: invalid graph name %q", name)
+		return GraphInfo{}, fmt.Errorf("%w: invalid graph name %q", ErrInvalidOptions, name)
 	}
 	if err := errors.Join(checkOneSolver(s.cfg.Defaults), ov.Validate(s.cfg.Defaults)); err != nil {
 		return GraphInfo{}, err
@@ -564,7 +566,7 @@ func (s *Server) Rank(name string, vertex uint32) (float32, *Snapshot, error) {
 	}
 	snap := e.snap.Load()
 	if int64(vertex) >= int64(len(snap.Ranks)) {
-		return 0, nil, fmt.Errorf("serve: vertex %d out of range [0,%d)", vertex, len(snap.Ranks))
+		return 0, nil, fmt.Errorf("%w: vertex %d out of range [0,%d)", ErrInvalidOptions, vertex, len(snap.Ranks))
 	}
 	return snap.Ranks[vertex], snap, nil
 }

@@ -266,22 +266,35 @@ func TestListInfoAndDelete(t *testing.T) {
 	}
 }
 
-// TestDeleteWALFailureIs500 pins that a removal whose write-ahead append
-// fails answers 500, not 404: the graph is still registered and served.
+// TestDeleteWALFailureIs500 pins that a write whose write-ahead append
+// fails answers 500, on every route that appends: the failure is the
+// server's, not the request's, and nothing it would have changed is served.
 func TestDeleteWALFailureIs500(t *testing.T) {
-	s, _ := newDurableServer(t, durableConfig(t.TempDir()))
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	ingest(t, ts, "web", edgeListBody(t, testGraph(t)))
+	for _, row := range []struct{ method, path string }{
+		{"DELETE", "/v1/graphs/web"},
+		{"POST", "/v1/graphs?name=other"},
+	} {
+		t.Run(row.method, func(t *testing.T) {
+			s, _ := newDurableServer(t, durableConfig(t.TempDir()))
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(ts.Close)
+			body := edgeListBody(t, testGraph(t))
+			ingest(t, ts, "web", body)
 
-	if err := s.wal.Load().Close(); err != nil {
-		t.Fatal(err)
-	}
-	if code := doJSON(t, "DELETE", ts.URL+"/v1/graphs/web", nil, nil); code != http.StatusInternalServerError {
-		t.Fatalf("delete with a closed store: status %d, want 500", code)
-	}
-	if code := doJSON(t, "GET", ts.URL+"/v1/graphs/web", nil, nil); code != http.StatusOK {
-		t.Fatalf("graph after a failed delete: status %d, want 200", code)
+			if err := s.wal.Load().Close(); err != nil {
+				t.Fatal(err)
+			}
+			if code := doJSON(t, row.method, ts.URL+row.path, body, nil); code != http.StatusInternalServerError {
+				t.Fatalf("%s %s with a closed store: status %d, want 500", row.method, row.path, code)
+			}
+			var list struct {
+				Graphs []GraphInfo `json:"graphs"`
+			}
+			if code := doJSON(t, "GET", ts.URL+"/v1/graphs", nil, &list); code != http.StatusOK ||
+				len(list.Graphs) != 1 || list.Graphs[0].Name != "web" {
+				t.Fatalf("graphs after a failed %s: status %d, %+v; want only web", row.method, code, list.Graphs)
+			}
+		})
 	}
 }
 
@@ -362,21 +375,28 @@ func TestRecomputeWaitChangesRanks(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/v1/graphs/er/recompute", []byte(`{"nope":1}`), nil); code != http.StatusBadRequest {
 		t.Fatalf("unknown JSON field: status %d, want 400", code)
 	}
-	for _, bad := range []string{
-		`{"method":"bvgas"}`,
-		`{"compact":true}`,
-		`{"branching":true}`,
-		`{"damping":1.5}`,
-		`{"damping":0}`,
-		`{"iterations":-1}`,
-		`{"iterations":1001}`,
-		`{"tolerance":-1}`,
-		`{"partition":4}`,
-		`{"workers":64}`,
+	for _, bad := range []struct{ query, body string }{
+		{"", `{"method":"bvgas"}`},
+		{"", `{"compact":true}`},
+		{"", `{"branching":true}`},
+		{"", `{"damping":1.5}`},
+		{"", `{"damping":0}`},
+		{"", `{"iterations":-1}`},
+		{"", `{"iterations":1001}`},
+		{"", `{"tolerance":-1}`},
+		{"", `{"partition":4}`},
+		{"", `{"workers":64}`},
+		{"?wait=yes", ""},
 	} {
-		if code := doJSON(t, "POST", ts.URL+"/v1/graphs/er/recompute", []byte(bad), nil); code != http.StatusBadRequest {
-			t.Fatalf("invalid options %s: status %d, want 400", bad, code)
+		url := ts.URL + "/v1/graphs/er/recompute" + bad.query
+		if code := doJSON(t, "POST", url, []byte(bad.body), nil); code != http.StatusBadRequest {
+			t.Fatalf("invalid options %s %s: status %d, want 400", bad.query, bad.body, code)
 		}
+	}
+	// None of them scheduled a run.
+	var info GraphInfo
+	if doJSON(t, "GET", ts.URL+"/v1/graphs/er", nil, &info); info.Version != 2 || info.Recomputing {
+		t.Fatalf("after rejected recomputes: version %d, recomputing %v; want 2, idle", info.Version, info.Recomputing)
 	}
 }
 

@@ -137,7 +137,11 @@ func Open(dir string, opts Options) (*Store, error) {
 			if err != nil {
 				return nil, fmt.Errorf("wal: segment %s: malformed name", name)
 			}
-			s.segs = append(s.segs, segmentInfo{path: filepath.Join(dir, name), first: first})
+			fi, err := e.Info()
+			if err != nil {
+				return nil, fmt.Errorf("wal: %w", err)
+			}
+			s.segs = append(s.segs, segmentInfo{path: filepath.Join(dir, name), first: first, size: fi.Size()})
 		case strings.HasSuffix(name, ".snap"):
 			snapFiles = append(snapFiles, name)
 		}
@@ -155,7 +159,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, &CorruptionError{Path: seg.path,
 				Reason: fmt.Sprintf("segment starts at LSN %d, want %d (gap in the log)", seg.first, want)}
 		}
-		res, err := scanFile(seg.path, seg.first, nil)
+		res, err := scanSegment(*seg, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -204,23 +208,45 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func scanFile(path string, firstLSN uint64, fn func(*Record) error) (ScanResult, error) {
-	f, err := os.Open(path)
+// scanSegment runs Scan over the first seg.size bytes of one segment file,
+// naming the file in a corruption error. A segment that no longer exists
+// was pruned by a checkpoint after the caller listed it.
+func scanSegment(seg segmentInfo, fn func(*Record) error) (ScanResult, error) {
+	f, err := os.Open(seg.path)
 	if err != nil {
+		if os.IsNotExist(err) {
+			return ScanResult{}, fmt.Errorf("%w (segment %s pruned mid-read)", ErrPruned, filepath.Base(seg.path))
+		}
 		return ScanResult{}, fmt.Errorf("wal: %w", err)
 	}
 	//lint:ignore closecheck read-only descriptor; the scan already consumed the bytes, close has nothing to flush
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return ScanResult{}, fmt.Errorf("wal: %w", err)
-	}
-	res, err := Scan(bufio.NewReaderSize(f, 1<<20), st.Size(), firstLSN, fn)
+	res, err := Scan(f, seg.size, seg.first, fn)
 	var cerr *CorruptionError
 	if errors.As(err, &cerr) && cerr.Path == "" {
-		cerr.Path = path
+		cerr.Path = seg.path
 	}
 	return res, err
+}
+
+// walk streams the records of segs in order through fn; fn returning
+// ErrStop ends the walk without error.
+func walk(segs []segmentInfo, fn func(*Record) error) error {
+	stopped := false
+	for _, seg := range segs {
+		if seg.size == 0 {
+			continue
+		}
+		_, err := scanSegment(seg, func(rec *Record) error {
+			err := fn(rec)
+			stopped = errors.Is(err, ErrStop)
+			return err
+		})
+		if err != nil || stopped {
+			return err
+		}
+	}
+	return nil
 }
 
 func readSnapshotFile(path string) (*graph.Snapshot, error) {
@@ -238,31 +264,10 @@ func readSnapshotFile(path string) (*graph.Snapshot, error) {
 func (s *Store) Snapshots() []GraphSnapshot { return s.snaps }
 
 // Replay streams every record that was durable at Open time, in LSN order.
-// A non-nil error from fn aborts the replay with that error. Records
-// appended after Open are not replayed — they are this process's own
-// writes, already applied.
-func (s *Store) Replay(fn func(*Record) error) error {
-	for _, seg := range s.replaySegs {
-		if seg.size == 0 {
-			continue
-		}
-		f, err := os.Open(seg.path)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		_, err = Scan(bufio.NewReaderSize(f, 1<<20), seg.size, seg.first, fn)
-		//lint:ignore closecheck read-only descriptor; the scan already consumed the bytes, close has nothing to flush
-		f.Close()
-		if err != nil {
-			var cerr *CorruptionError
-			if errors.As(err, &cerr) && cerr.Path == "" {
-				cerr.Path = seg.path
-			}
-			return err
-		}
-	}
-	return nil
-}
+// A non-nil error from fn aborts the replay with that error (ErrStop ends
+// it without one). Records appended after Open are not replayed — they are
+// this process's own writes, already applied.
+func (s *Store) Replay(fn func(*Record) error) error { return walk(s.replaySegs, fn) }
 
 // NextLSN returns the sequence number the next appended record will carry.
 func (s *Store) NextLSN() uint64 {
@@ -410,42 +415,12 @@ func (s *Store) ReadFrom(from uint64, fn func(*Record) error) error {
 	for start+1 < len(segs) && segs[start+1].first <= from {
 		start++
 	}
-	stopped := false
-	for _, seg := range segs[start:] {
-		if seg.size == 0 || stopped {
-			continue
-		}
-		f, err := os.Open(seg.path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				// Pruned between the snapshot above and the open.
-				return fmt.Errorf("%w (segment %s pruned mid-read)", ErrPruned, filepath.Base(seg.path))
-			}
-			return fmt.Errorf("wal: %w", err)
-		}
-		_, err = Scan(bufio.NewReaderSize(f, 1<<20), seg.size, seg.first, func(rec *Record) error {
-			if rec.LSN < from {
-				return nil
-			}
-			if cbErr := fn(rec); cbErr != nil {
-				if errors.Is(cbErr, ErrStop) {
-					stopped = true
-				}
-				return cbErr
-			}
+	return walk(segs[start:], func(rec *Record) error {
+		if rec.LSN < from {
 			return nil
-		})
-		//lint:ignore closecheck read-only descriptor; the scan already consumed the bytes, close has nothing to flush
-		f.Close()
-		if err != nil {
-			var cerr *CorruptionError
-			if errors.As(err, &cerr) && cerr.Path == "" {
-				cerr.Path = seg.path
-			}
-			return err
 		}
-	}
-	return nil
+		return fn(rec)
+	})
 }
 
 func (s *Store) ensureSegmentLocked() error {

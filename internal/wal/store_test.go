@@ -453,15 +453,3 @@ func TestScanStopsEarlyWithoutCorruption(t *testing.T) {
 		t.Fatalf("early stop: err=%v n=%d res=%+v", err, n, res)
 	}
 }
-
-func TestScanBoundsAllocationOnLyingLength(t *testing.T) {
-	// A 4 GiB-claiming length prefix on a 16-byte stream must be treated
-	// as a torn tail, not an allocation.
-	var frames []byte
-	frames = appendFrame(frames, 1, RecEdgeDelta, []byte("ok"), nil)
-	lying := append(frames, 0xff, 0xff, 0xff, 0x3f, 0, 0, 0, 0)
-	res, err := Scan(bytes.NewReader(lying), int64(len(lying)), 1, nil)
-	if err != nil || !res.Torn || res.Records != 1 || res.ValidBytes != int64(len(frames)) {
-		t.Fatalf("lying length: err=%v res=%+v", err, res)
-	}
-}

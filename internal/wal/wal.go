@@ -33,9 +33,22 @@
 // one unacknowledged record is lost. Any invalid frame that is followed by
 // more bytes cannot be a torn tail; recovery then fails closed with the
 // exact file and offset rather than silently dropping acknowledged records.
+//
+// # One decoder, two policies
+//
+// Decoder is the only frame reader, for segment files and for the
+// replication wire (internal/repl streams these exact frames over HTTP).
+// On a stream it reports io.EOF between frames, ErrTorn when bytes run out
+// mid-frame, and *CorruptionError for anything else, including a length or
+// checksum failure: a header that arrived whole cannot be torn. Scan puts
+// the disk's one extra rule on top — a frame failing its length or
+// checksum check whose claimed end reaches end of file is a torn tail —
+// because on disk a crash can leave exactly that. A bad LSN, record type or
+// metadata length is corruption everywhere.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -85,8 +98,9 @@ type Record struct {
 	// Blob is the bulk payload (a binary graph for RecAddGraph), nil
 	// otherwise.
 	Blob []byte
-	// Offset is the frame's start offset within its segment file; the
-	// crash-point tests sweep truncations against these boundaries.
+	// Offset is the frame's start offset within its segment file (or
+	// stream); the crash-point tests sweep truncations against these
+	// boundaries.
 	Offset int64
 }
 
@@ -97,12 +111,6 @@ const (
 	// whole upload, so the cap matches the daemon's largest default upload
 	// (1 GiB) with framing headroom.
 	MaxRecordBytes = 1<<30 + 1<<20
-
-	// FrameHeaderLen and MinPayloadLen expose the frame geometry for
-	// consumers that decode frames outside a segment file — the replication
-	// wire protocol streams the exact on-disk framing over HTTP.
-	FrameHeaderLen = frameHeader
-	MinPayloadLen  = payloadMin
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -137,25 +145,10 @@ func EncodeFrame(dst []byte, rec *Record) []byte {
 	return appendFrame(dst, rec.LSN, rec.Type, rec.Meta, rec.Blob)
 }
 
-// DecodePayload validates one frame payload (the bytes after the
-// length+crc header) against wantCRC and decodes it into a Record. The
-// returned record aliases payload. It cannot distinguish a torn tail from
-// corruption — stream decoders that need that distinction (the wire
-// decoder in internal/repl) make the call from framing context.
-func DecodePayload(payload []byte, wantCRC uint32) (*Record, error) {
-	if crc32.Checksum(payload, crcTable) != wantCRC {
-		return nil, &CorruptionError{Reason: "checksum mismatch"}
-	}
-	return parsePayload(payload)
-}
-
-// parsePayload decodes an already-checksummed frame payload. Every error it
-// returns is a *CorruptionError without Path or Offset: only the caller
-// knows where the frame sits.
+// parsePayload decodes an already-checksummed frame payload of at least
+// payloadMin bytes. Every error it returns is a *CorruptionError without
+// Path or Offset: only the caller knows where the frame sits.
 func parsePayload(payload []byte) (*Record, error) {
-	if len(payload) < payloadMin {
-		return nil, &CorruptionError{Reason: fmt.Sprintf("payload of %d bytes, want at least %d", len(payload), payloadMin)}
-	}
 	rec := &Record{
 		LSN:  binary.LittleEndian.Uint64(payload[0:]),
 		Type: RecordType(payload[8]),
@@ -174,13 +167,17 @@ func parsePayload(payload []byte) (*Record, error) {
 	return rec, nil
 }
 
-// CorruptionError reports an invalid record that cannot be a torn tail:
-// more bytes follow it, so a crash mid-append cannot explain the damage.
-// Recovery fails closed on it rather than dropping acknowledged records.
+// CorruptionError reports an invalid frame that cannot be explained by
+// bytes that never arrived. Recovery fails closed on it rather than dropping
+// acknowledged records; a follower re-bootstraps.
 type CorruptionError struct {
 	Path   string // segment file, when known
 	Offset int64  // byte offset of the bad frame
 	Reason string
+	// end is where a frame that failed its length or checksum check claimed
+	// to end, 0 for any other damage. Scan calls such a frame reaching end
+	// of file a torn tail.
+	end int64
 }
 
 func (e *CorruptionError) Error() string {
@@ -188,6 +185,93 @@ func (e *CorruptionError) Error() string {
 		return fmt.Sprintf("wal: corrupt record at offset %d: %s", e.Offset, e.Reason)
 	}
 	return fmt.Sprintf("wal: corrupt record in %s at offset %d: %s", e.Path, e.Offset, e.Reason)
+}
+
+// ErrTorn reports a stream that ended (or failed) partway through a frame:
+// a crash mid-append on disk, a transport that died mid-record on the wire.
+// Records decoded before the tear are intact.
+var ErrTorn = errors.New("wal: stream torn mid-frame")
+
+// Decoder reads frames from a stream: a segment file or a replication
+// response body. It is the one frame reader; Scan adds the disk's rule.
+type Decoder struct {
+	r    *bufio.Reader
+	want uint64 // next expected LSN; 0 disables the continuity check
+	off  int64
+	hdr  [frameHeader]byte // a local array would escape through io.ReadFull, one allocation per frame
+}
+
+// NewDecoder wraps r. A non-zero from arms the LSN continuity check: the
+// first record must carry exactly that sequence number and successors must
+// increment by one (tail streams). Zero accepts any order — bootstrap
+// streams carry unrelated per-graph positions.
+func NewDecoder(r io.Reader, from uint64) *Decoder {
+	return &Decoder{r: bufio.NewReaderSize(r, 1<<16), want: from}
+}
+
+// Offset returns the number of stream bytes consumed by complete frames.
+func (d *Decoder) Offset() int64 { return d.off }
+
+// Next decodes one frame. It returns io.EOF at a clean end of stream
+// (between frames), an error wrapping ErrTorn and its cause when the stream
+// ends or fails mid-frame, and a *CorruptionError for a frame that must not
+// be trusted: an insane length, a checksum mismatch, a bad type or metadata
+// length, or a broken LSN sequence. A header arrived whole cannot be torn,
+// so on a stream a lying length is corruption.
+func (d *Decoder) Next() (*Record, error) {
+	hdr := d.hdr[:]
+	if _, err := io.ReadFull(d.r, hdr); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("%w (header at offset %d): %w", ErrTorn, d.off, err)
+	}
+	plen := int64(binary.LittleEndian.Uint32(hdr[0:]))
+	end := d.off + frameHeader + plen
+	if plen < payloadMin || plen > MaxRecordBytes {
+		return nil, &CorruptionError{Offset: d.off, end: end,
+			Reason: fmt.Sprintf("payload length %d outside [%d, %d]", plen, payloadMin, MaxRecordBytes)}
+	}
+	payload, err := readPayload(d.r, plen)
+	if err != nil {
+		return nil, fmt.Errorf("%w (payload at offset %d): %w", ErrTorn, d.off, err)
+	}
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
+		return nil, &CorruptionError{Offset: d.off, end: end, Reason: "checksum mismatch"}
+	}
+	rec, err := parsePayload(payload)
+	if err != nil {
+		err.(*CorruptionError).Offset = d.off
+		return nil, err
+	}
+	if d.want != 0 {
+		if rec.LSN != d.want {
+			// A stale, repeated or skipped LSN would fork whoever applies it.
+			return nil, &CorruptionError{Offset: d.off, Reason: fmt.Sprintf("LSN %d, want %d", rec.LSN, d.want)}
+		}
+		d.want++
+	}
+	rec.Offset = d.off
+	d.off = end
+	return rec, nil
+}
+
+// readPayload reads n bytes, allocating as they arrive: a payload of up to
+// 1 MiB gets one allocation of its size, a longer one starts at 1 MiB and
+// doubles, so a lying length costs at most twice the bytes present.
+func readPayload(r io.Reader, n int64) ([]byte, error) {
+	buf := make([]byte, min(n, 1<<20))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+			return nil, err
+		}
+		if int64(len(buf)) == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*int64(len(buf))))
+		off = copy(grown, buf)
+		buf = grown
+	}
 }
 
 // ScanResult summarizes one segment scan.
@@ -207,84 +291,45 @@ type ScanResult struct {
 // ErrStop lets fn terminate a Scan or ReadFrom early without error.
 var ErrStop = errors.New("wal: scan stopped")
 
-// Scan decodes records from one segment stream of the given size, calling
-// fn for each. firstLSN is the LSN the segment's first record must carry
-// (0 skips the check, for tooling over arbitrary streams); subsequent
-// records must increment by exactly 1.
+// Scan runs a Decoder over one segment stream of the given size, calling fn
+// for each record. firstLSN is the LSN the segment's first record must
+// carry (0 skips the check on that record, for tooling over arbitrary
+// streams); subsequent records must increment by exactly 1.
 //
-// A malformed frame with nothing after it is reported as a torn tail
-// (Torn=true, ValidBytes at the cut); a malformed frame with bytes
-// following it is corruption and fails with a *CorruptionError. Allocation
-// is bounded by the stream size, never by a lying length prefix.
+// The disk adds one rule to the decoder's: a frame that fails its length
+// or checksum check and claims to reach end of file is a torn tail, as is a
+// frame whose bytes run out there — the shapes a crash mid-append leaves.
+// A torn tail is reported as Torn=true with ValidBytes at the cut; any
+// other invalid frame fails with a *CorruptionError.
 func Scan(r io.Reader, size int64, firstLSN uint64, fn func(*Record) error) (ScanResult, error) {
 	res := ScanResult{NextLSN: firstLSN}
-	var off int64
-	var hdr [frameHeader]byte
-	wantLSN := firstLSN
-	for off < size {
-		torn := func(reason string) (ScanResult, error) {
-			res.Torn = true
-			res.ValidBytes = off
-			return res, nil
-		}
-		corrupt := func(reason string) (ScanResult, error) {
-			res.ValidBytes = off
-			return res, &CorruptionError{Offset: off, Reason: reason}
-		}
-		if size-off < frameHeader {
-			return torn("short frame header")
-		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return res, fmt.Errorf("wal: reading frame header at %d: %w", off, err)
-		}
-		plen := int64(binary.LittleEndian.Uint32(hdr[0:]))
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-		end := off + frameHeader + plen
+	dec := NewDecoder(io.LimitReader(r, size), firstLSN)
+	var cerr *CorruptionError
+	for {
+		rec, err := dec.Next()
 		switch {
-		case plen < payloadMin || plen > MaxRecordBytes:
-			// An insane length that still claims bytes past EOF is the torn
-			// shape; one with real bytes after it is corruption.
-			if end >= size {
-				return torn("bad payload length")
-			}
-			return corrupt(fmt.Sprintf("payload length %d outside [%d, %d]", plen, payloadMin, MaxRecordBytes))
-		case end > size:
-			return torn("payload extends past end of log")
+		case err == io.EOF:
+			return res, nil
+		case errors.As(err, &cerr) && cerr.end >= size,
+			errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
+			res.Torn = true
+			return res, nil
+		case err != nil: // corruption, or a read that failed rather than ran out
+			return res, err
 		}
-		// plen is bounded by the remaining stream, so this allocation grows
-		// with bytes actually present.
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return res, fmt.Errorf("wal: reading payload at %d: %w", off, err)
-		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			if end == size {
-				return torn("checksum mismatch at tail")
-			}
-			return corrupt("checksum mismatch")
-		}
-		rec, err := parsePayload(payload)
-		if err != nil {
-			return corrupt(err.(*CorruptionError).Reason)
-		}
-		rec.Offset = off
-		if wantLSN != 0 && rec.LSN != wantLSN {
-			return corrupt(fmt.Sprintf("LSN %d, want %d", rec.LSN, wantLSN))
+		if firstLSN == 0 && res.Records == 0 {
+			dec.want = rec.LSN + 1 // continuity from the second record on
 		}
 		if fn != nil {
-			if err := fn(rec); err != nil {
-				if errors.Is(err, ErrStop) {
-					res.ValidBytes = end
-					return res, nil
-				}
+			if err := fn(rec); errors.Is(err, ErrStop) {
+				res.ValidBytes = dec.Offset()
+				return res, nil
+			} else if err != nil {
 				return res, err
 			}
 		}
-		off = end
 		res.Records++
-		res.ValidBytes = off
-		wantLSN = rec.LSN + 1
-		res.NextLSN = wantLSN
+		res.ValidBytes = dec.Offset()
+		res.NextLSN = rec.LSN + 1
 	}
-	return res, nil
 }
