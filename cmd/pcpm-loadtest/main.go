@@ -1,8 +1,8 @@
 // Command pcpm-loadtest replays a deterministic mixed workload against a
 // running rank-serving daemon (pcpm-serve) over HTTP and emits a JSON report
-// whose "benchmarks" array holds `go test -bench`-shaped {name, iterations,
-// ns_per_op} records. Latencies and error counts are end-to-end; the target is
-// launched, and its readiness awaited on /healthz, by whoever runs the replay.
+// of per-endpoint latency percentiles and error counts. Latencies and error
+// counts are end-to-end; the target is launched, and its readiness awaited on
+// /healthz, by whoever runs the replay.
 //
 // Usage:
 //
@@ -105,13 +105,11 @@ func main() {
 	}
 
 	output := struct {
-		Kind       string                `json:"kind"`
-		Report     *loadgen.Report       `json:"report"`
-		Benchmarks []loadgen.BenchRecord `json:"benchmarks"`
+		Kind   string          `json:"kind"`
+		Report *loadgen.Report `json:"report"`
 	}{
-		Kind:       "pcpm-loadtest",
-		Report:     rep,
-		Benchmarks: rep.BenchRecords(),
+		Kind:   "pcpm-loadtest",
+		Report: rep,
 	}
 	enc, err := json.MarshalIndent(output, "", "  ")
 	if err != nil {

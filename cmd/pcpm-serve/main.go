@@ -15,11 +15,13 @@
 //	     -d '{"damping":0.9}'
 //
 // Graph uploads are capped by -max-upload (default 1 GiB); larger bodies
-// get 413 Request Entity Too Large. Personalized PageRank answers are
-// cached per graph in an LRU sized by -ppr-cache.
+// get 413 Request Entity Too Large. Personalized PageRank answers are kept
+// for the 128 most recent queries on each graph structure, until an edge
+// update or a re-upload replaces it.
 // Batched edge updates repair the published ranks incrementally (falling
 // back to a full engine run when a batch dirties too much rank mass) and
-// are capped at -max-delta-edges changes per request.
+// are capped at -max-delta-edges changes per request, their body at 64
+// bytes per allowed change.
 //
 // With -follow the daemon runs as a read-only replica: it bootstraps from
 // the leader's snapshots, tails its WAL stream, serves every read endpoint
@@ -65,7 +67,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "worker count of every engine run and personalized batch (0 = GOMAXPROCS)")
 		maxUpload = flag.Int64("max-upload", 1<<30,
 			"largest accepted graph upload in bytes; POST /v1/graphs bodies past this are rejected with 413 Request Entity Too Large")
-		pprCache = flag.Int("ppr-cache", 128, "personalized-PageRank answers cached per graph (LRU)")
 		maxDelta = flag.Int("max-delta-edges", 100000,
 			"largest edge-update batch (insertions+deletions) accepted by POST /v1/graphs/{name}/edges; bigger batches get 413 (negative removes the limit)")
 		dataDir = flag.String("data-dir", "",
@@ -125,7 +126,6 @@ func main() {
 		},
 		Logger:         logger,
 		MaxUploadBytes: *maxUpload,
-		PPRCacheSize:   *pprCache,
 		MaxDeltaEdges:  *maxDelta,
 		DataDir:        *dataDir,
 		FsyncEvery:     fsyncEvery,

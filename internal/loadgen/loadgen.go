@@ -15,8 +15,8 @@
 // is what a load test wants.
 //
 // The Zipf skew mirrors real personalized-query traffic: a few hub users
-// dominate, which is exactly the regime the serving layer's answer LRU and
-// ppr's scratch pool are built for (cache hits for the head, misses on
+// dominate, which is exactly the regime the serving layer's stored answers
+// and ppr's scratch pool are built for (cache hits for the head, misses on
 // recycled scratch for the tail).
 package loadgen
 
@@ -351,41 +351,6 @@ type Report struct {
 	DurationMS  float64         `json:"duration_ms"`
 	OpsPerSec   float64         `json:"ops_per_sec"`
 	Endpoints   []EndpointStats `json:"endpoints"`
-}
-
-// BenchRecord is one endpoint's result in the shape of a `go test -bench`
-// line ({name, iterations, ns_per_op}).
-type BenchRecord struct {
-	Name      string  `json:"name"`
-	Iters     int     `json:"iterations"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	ErrorRate float64 `json:"error_rate,omitempty"`
-}
-
-// BenchRecords flattens the report into trajectory records: one p50 and
-// one p99 latency record per endpoint, named LoadTest/<endpoint>/<stat>.
-func (r *Report) BenchRecords() []BenchRecord {
-	var recs []BenchRecord
-	for _, ep := range r.Endpoints {
-		if ep.Count == 0 {
-			continue
-		}
-		errRate := float64(ep.Errors) / float64(ep.Count)
-		recs = append(recs,
-			BenchRecord{
-				Name:      "LoadTest/" + ep.Endpoint + "/p50",
-				Iters:     ep.Count,
-				NsPerOp:   ep.P50MS * 1e6,
-				ErrorRate: errRate,
-			},
-			BenchRecord{
-				Name:    "LoadTest/" + ep.Endpoint + "/p99",
-				Iters:   ep.Count,
-				NsPerOp: ep.P99MS * 1e6,
-			},
-		)
-	}
-	return recs
 }
 
 // Run replays cfg's schedule and aggregates the outcome.

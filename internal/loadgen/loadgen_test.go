@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 
 	pcpm "repro"
@@ -268,33 +267,5 @@ func TestReplayCountsErrors(t *testing.T) {
 	}
 	if rep.Errors != rep.Ops {
 		t.Fatalf("%d/%d ops failed, want all (unknown graph)", rep.Errors, rep.Ops)
-	}
-}
-
-// TestBenchRecordsTrajectoryShape pins the JSON contract that keeps
-// loadtest output appendable to the BENCH_*.json trajectory.
-func TestBenchRecordsTrajectoryShape(t *testing.T) {
-	rep := &Report{Endpoints: []EndpointStats{
-		{Endpoint: "topk", Count: 10, P50MS: 1.5, P99MS: 4.0},
-		{Endpoint: "ppr", Count: 5, Errors: 1, P50MS: 3.0, P99MS: 9.0},
-	}}
-	recs := rep.BenchRecords()
-	if len(recs) != 4 {
-		t.Fatalf("got %d records, want 4", len(recs))
-	}
-	b, err := json.Marshal(recs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"name"`, `"iterations"`, `"ns_per_op"`} {
-		if !strings.Contains(string(b), key) {
-			t.Fatalf("record %s missing trajectory key %s", b, key)
-		}
-	}
-	if recs[0].Name != "LoadTest/topk/p50" || recs[0].NsPerOp != 1.5e6 {
-		t.Fatalf("record 0 = %+v", recs[0])
-	}
-	if recs[2].ErrorRate != 0.2 {
-		t.Fatalf("ppr p50 error rate = %v, want 0.2", recs[2].ErrorRate)
 	}
 }

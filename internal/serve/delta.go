@@ -89,9 +89,9 @@ func (s *Server) maxDeltaEdges() int {
 // Mutations serialize per graph through the entry's inflight slot: a delta
 // arriving while a recompute (or another delta) runs waits for it, and
 // recompute requests arriving while a delta runs coalesce onto it — they
-// wanted fresh ranks, and the delta publishes exactly that. Applying a
-// delta empties the graph's personalized-answer cache, which describes the
-// pre-delta structure.
+// wanted fresh ranks, and the delta publishes exactly that. The new
+// structure starts with no personalized answers: those computed on the old
+// one stay with it (structMemo).
 //
 // Like a recompute, a delta racing a replace re-upload (or Remove) of the
 // same name may publish into the orphaned entry: the acknowledged change
@@ -142,7 +142,6 @@ func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (DeltaStatus, er
 		e.lastErr = err.Error()
 	default:
 		e.lastErr = ""
-		e.retireLocked()
 	}
 	e.mu.Unlock()
 	run.err = err

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -196,6 +198,132 @@ func TestEdgesBatchLimit(t *testing.T) {
 	body := edgesBody([][2]uint32{{0, 1}, {1, 2}, {2, 3}}, nil)
 	if code := doJSON(t, "POST", ts+"/v1/graphs/er/edges", body, &e); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch: status %d, want 413", code)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestEdgesBodyCappedByEdgeLimit: an edges body far past what the batch
+// limit allows gets its 413 once the body cap is read — deltaPairBytes per
+// allowed change, plus one pair's budget — not after the whole body is
+// decoded and its pairs counted.
+func TestEdgesBodyCappedByEdgeLimit(t *testing.T) {
+	const limit = 1000
+	s := New(Config{Defaults: testOptions, MaxDeltaEdges: limit})
+	if _, err := s.AddGraph("er", testGraph(t), Overrides{}, false); err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([][2]uint32, 100*limit)
+	for i := range pairs {
+		pairs[i] = [2]uint32{0, 1}
+	}
+	body := &countingReader{r: bytes.NewReader(edgesBody(pairs, nil))}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/graphs/er/edges", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413 (%s)", rec.Code, rec.Body)
+	}
+	// The cap's reader asks for at most one byte past the cap.
+	if bodyCap := int64(limit+1) * deltaPairBytes; body.n > bodyCap+1 {
+		t.Fatalf("read %d body bytes before answering, cap is %d", body.n, bodyCap)
+	}
+}
+
+// TestPublishesKeepOrStrandPPRAnswers pins which publishes keep a graph's
+// personalized answers: those over the same structure (a recompute, live or
+// applied by a follower) keep them, and those that change it (an edge delta,
+// incremental or fallback, live or applied, and a replace) strand them, so
+// the repeat query computes afresh.
+func TestPublishesKeepOrStrandPPRAnswers(t *testing.T) {
+	edit := func(mode string, budget float64) func(*testing.T, *Server) {
+		return func(t *testing.T, lead *Server) {
+			lead.repairDrift = budget
+			st, err := lead.ApplyEdgeDelta("g", delta.EdgeDelta{Insert: []graph.Edge{{Src: 0, Dst: 9}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Mode != mode {
+				t.Fatalf("delta took the %s path, want %s", st.Mode, mode)
+			}
+		}
+	}
+	incremental, fallback := edit("incremental", maxRepairDrift), edit("recompute", 0)
+	recompute := func(t *testing.T, lead *Server) {
+		if _, err := lead.Recompute("g", Overrides{}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replace := func(t *testing.T, lead *Server) {
+		if _, err := lead.AddGraph("g", testGraph(t), Overrides{}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		follower bool // query a follower that applies the leader's publish
+		publish  func(*testing.T, *Server)
+		kept     bool
+	}{
+		{"incremental delta", false, incremental, false},
+		{"fallback delta", false, fallback, false},
+		{"recompute", false, recompute, true},
+		{"replace", false, replace, false},
+		{"applied incremental delta", true, incremental, false},
+		{"applied fallback delta", true, fallback, false},
+		{"applied recompute", true, recompute, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lead := New(Config{Defaults: testOptions})
+			q := lead
+			if tc.follower {
+				lh := startLeader(t, t.TempDir())
+				lead, q = lh.srv, New(followerConfig(lh.url))
+				startFollower(t, q)
+			}
+			caughtUp := func() {
+				if tc.follower {
+					waitCaughtUp(t, lead, q)
+				}
+			}
+			query := func() PPRAnswer {
+				t.Helper()
+				ans, err := q.Personalized("g", [][]uint32{{5}}, 5, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ans[0]
+			}
+			if _, err := lead.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
+				t.Fatal(err)
+			}
+			caughtUp()
+			query()
+			tc.publish(t, lead)
+			caughtUp()
+			want := 0
+			if tc.kept {
+				want = 1
+			}
+			if n, _ := q.PPRCacheLen("g"); n != want {
+				t.Errorf("after the publish the graph holds %d answers, want %d", n, want)
+			}
+			if cached := query().Cached; cached != tc.kept {
+				t.Errorf("repeat query cached = %v, want %v", cached, tc.kept)
+			}
+			if n, _ := q.PPRCacheLen("g"); n != 1 {
+				t.Errorf("after the repeat the graph holds %d answers, want 1", n)
+			}
+		})
 	}
 }
 

@@ -250,7 +250,7 @@ func (s *Server) walAppendAdd(name string, snap *Snapshot) (uint64, error) {
 }
 
 // stageSnapshot turns a decoded snapshot blob into everything short of its
-// publication: the full in-memory Snapshot (O(n) stats, an empty component
+// publication: the full in-memory Snapshot (O(n) stats, an empty structure
 // memo, top-k cache) at log position lsn, and a fresh unregistered entry to
 // publish it in. The LSN comes from the caller (the record or snapshot
 // position being installed), not from m — the blob was written before its
@@ -261,7 +261,7 @@ func (s *Server) walAppendAdd(name string, snap *Snapshot) (uint64, error) {
 // registry's only writer, so that entry is still the registered one when
 // the staged entry replaces it.
 func (s *Server) stageSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn uint64) (*entry, *Snapshot) {
-	e := s.newEntry(name)
+	e := &entry{name: name}
 	snap := e.seal(&Snapshot{
 		Graph:       gs.Graph,
 		Ranks:       gs.Ranks,
@@ -558,9 +558,6 @@ func (s *Server) republishDelta(e *entry, m deltaMeta, blob []byte, lsn uint64) 
 	})
 	//lint:ignore walorder apply path: this republishes a record already in the log (lsn), nothing new to append
 	e.snap.Store(snap)
-	e.mu.Lock()
-	e.retireLocked()
-	e.mu.Unlock()
 	return nil
 }
 

@@ -389,12 +389,34 @@ func pairsToEdges(kind string, pairs [][]uint32) ([]graph.Edge, error) {
 	return out, nil
 }
 
+// deltaPairBytes is the body budget per edge change on the edges endpoint:
+// the widest compact pair, "[4294967295,4294967295],", is 24 bytes, and the
+// rest is room for whitespace. Decoding costs tens of bytes of allocation
+// per body byte, so the body is capped before it is decoded, not after.
+const deltaPairBytes = 64
+
+// edgesBodyLimit caps an edges body at deltaPairBytes per change the batch
+// limit allows, plus one pair's budget for the object around the lists;
+// with the limit off, only MaxUploadBytes applies.
+func (s *Server) edgesBodyLimit() int64 {
+	if s.cfg.MaxDeltaEdges < 0 {
+		return s.cfg.MaxUploadBytes
+	}
+	return min(s.cfg.MaxUploadBytes, int64(s.maxDeltaEdges()+1)*deltaPairBytes)
+}
+
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req edgesRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.edgesBodyLimit()))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("edges body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON body: %v", err))
 		return
 	}

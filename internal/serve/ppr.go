@@ -4,11 +4,13 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	pcpm "repro"
+	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/ppr"
 )
@@ -18,9 +20,9 @@ import (
 // 400 before any compute is spent.
 var ErrBadSeeds = errors.New("serve: invalid seed set")
 
-// defaultPPRCacheSize is the per-graph LRU capacity for personalized
-// answers when Config.PPRCacheSize is unset.
-const defaultPPRCacheSize = 128
+// pprCacheSize is how many personalized queries each graph structure keeps
+// flights for (structMemo).
+const pprCacheSize = 128
 
 // defaultPPRTopK is the top-K payload size when a query leaves k unset.
 const defaultPPRTopK = 10
@@ -53,7 +55,7 @@ type PPRScore struct {
 }
 
 // PPRAnswer is one served personalized PageRank query. Answers are immutable
-// once built — the LRU hands the same value to every repeat query.
+// once built — a flight hands the same value to every repeat query.
 type PPRAnswer struct {
 	// Seeds is the canonicalized (sorted, deduplicated) seed set.
 	Seeds []uint32 `json:"seeds"`
@@ -74,77 +76,51 @@ type PPRAnswer struct {
 	Truncated bool `json:"truncated,omitempty"`
 	// ComputeMS is the engine wall-clock of the original computation.
 	ComputeMS float64 `json:"compute_ms"`
-	// Cached is true when this answer was served from the per-graph LRU.
+	// Cached is true when another request computed this answer.
 	Cached bool `json:"cached"`
 }
 
-// pprInflight is one personalized computation in progress; identical
-// queries arriving from other requests attach to it instead of launching a
-// duplicate engine run.
-type pprInflight struct {
-	done chan struct{} // closed when the run finishes
+// pprFlight is one personalized query on one graph structure, running or
+// landed. The request that files it computes it; every other request that
+// finds it waits on done and serves its answer.
+type pprFlight struct {
+	key  string
+	done chan struct{} // closed when the run lands
 	ans  PPRAnswer     // valid after done closes, when err is nil
 	err  error         // valid after done closes
 }
 
-// pprCache is a small mutex-guarded LRU of personalized answers, one per
-// registered graph. Keys canonicalize the whole query (damping, epsilon, k,
-// sorted seed set), and only answers that converged to their keyed epsilon
-// are inserted, so a hit always satisfies the precision it claims. Edge
-// deltas do change a graph's structure: each one replaces the cache
-// (retireLocked), and the structVersion check in Personalized keeps a run
-// that raced a delta from inserting an answer for the graph that is gone.
-// A damping change via recompute simply keys new entries.
-type pprCache struct {
-	cap   int
-	order *list.List // front = most recent; values are *pprCacheEntry
-	items map[string]*list.Element
+// flightLocked returns key's flight, promoting it to most recent, or files
+// a new one (filed), evicting the least recent past pprCacheSize. Keys
+// canonicalize the whole query (damping, epsilon, k, sorted seed set); the
+// structure is the memo's own.
+func (m *structMemo) flightLocked(key string) (fl *pprFlight, filed bool) {
+	if el, ok := m.flights[key]; ok {
+		m.lru.MoveToFront(el)
+		return el.Value.(*pprFlight), false
+	}
+	if m.flights == nil {
+		m.flights = make(map[string]*list.Element)
+	}
+	fl = &pprFlight{key: key, done: make(chan struct{})}
+	m.flights[key] = m.lru.PushFront(fl)
+	if m.lru.Len() > pprCacheSize {
+		delete(m.flights, m.lru.Remove(m.lru.Back()).(*pprFlight).key)
+	}
+	return fl, true
 }
 
-type pprCacheEntry struct {
-	key string
-	ans PPRAnswer
+// landLocked hands fl's outcome to its waiters. A flight without an answer
+// converged to its keyed epsilon — failed, or truncated by the round cap —
+// leaves the table, so a later request computes it afresh.
+func (m *structMemo) landLocked(fl *pprFlight, ans PPRAnswer, err error) {
+	fl.ans, fl.err = ans, err
+	if el, ok := m.flights[fl.key]; ok && el.Value == fl && (err != nil || ans.Truncated) {
+		m.lru.Remove(el)
+		delete(m.flights, fl.key)
+	}
+	close(fl.done)
 }
-
-func newPPRCache(capacity int) *pprCache {
-	if capacity <= 0 {
-		capacity = defaultPPRCacheSize
-	}
-	return &pprCache{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
-}
-
-// get returns the cached answer for key, promoting it to most-recent.
-// Callers must hold the owning entry's mu.
-func (c *pprCache) get(key string) (PPRAnswer, bool) {
-	el, ok := c.items[key]
-	if !ok {
-		return PPRAnswer{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*pprCacheEntry).ans, true
-}
-
-// put inserts an answer, evicting the least-recently-used entry past
-// capacity. Callers must hold the owning entry's mu.
-func (c *pprCache) put(key string, ans PPRAnswer) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*pprCacheEntry).ans = ans
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&pprCacheEntry{key: key, ans: ans})
-	for c.order.Len() > c.cap {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.items, back.Value.(*pprCacheEntry).key)
-	}
-}
-
-func (c *pprCache) len() int { return c.order.Len() }
 
 // pprKey canonicalizes one query into a cache key. Seeds must already be
 // sorted and deduplicated.
@@ -193,14 +169,13 @@ func normalizePPRLimits(k int, epsilon float64) (int, float64, error) {
 	return k, epsilon, nil
 }
 
-// runPersonalizedMisses is the default pprRunFn: it answers the distinct
-// cache-missed queries of one request, scheduled dynamically across workers.
-func (s *Server) runPersonalizedMisses(e *entry, seedSets [][]uint32, ro pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error) {
-	snap := e.snap.Load()
+// runPersonalizedMisses is the default pprRunFn: it answers the queries one
+// request computes on g, scheduled dynamically across workers.
+func (s *Server) runPersonalizedMisses(g *graph.Graph, seedSets [][]uint32, ro pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error) {
 	results := make([]*pcpm.PPRResult, len(seedSets))
 	errs := make([]error, len(seedSets))
 	par.ForDynamic(len(seedSets), min(par.Workers(s.cfg.Defaults.Workers), len(seedSets)), func(i int) {
-		results[i], errs[i] = pcpm.RunPersonalized(snap.Graph, seedSets[i], ro)
+		results[i], errs[i] = pcpm.RunPersonalized(g, seedSets[i], ro)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -217,10 +192,13 @@ func (s *Server) runPersonalizedMisses(e *entry, seedSets [][]uint32, ro pcpm.PP
 // is clamped to minPPREpsilon). The damping factor is inherited from the options that
 // produced the graph's current snapshot, so personalized and global ranks
 // stay comparable, and so is the worker count a batch of misses is spread
-// over. Repeat queries hit the per-graph LRU; identical queries already
-// being computed by another request are coalesced onto that run (like
-// recomputes); remaining misses are computed together, each query
-// sequential.
+// over.
+//
+// Answers live on the structure they were computed on (structMemo): a
+// query whose flight that structure holds, running or landed, waits on it
+// (like a coalesced recompute); the rest are filed and computed together,
+// each query sequential. A publish that changes the structure starts a new
+// memo, so no answer outlives the graph it describes.
 func (s *Server) Personalized(name string, seedSets [][]uint32, k int, epsilon float64) ([]PPRAnswer, error) {
 	e, err := s.lookup(name)
 	if err != nil {
@@ -243,10 +221,8 @@ func (s *Server) Personalized(name string, seedSets [][]uint32, k int, epsilon f
 		damping = ppr.DefaultDamping
 	}
 
-	answers := make([]PPRAnswer, len(seedSets))
 	canon := make([][]uint32, len(seedSets))
 	keys := make([]string, len(seedSets))
-	var missIdx []int
 	for i, seeds := range seedSets {
 		if len(seeds) > maxPPRSeedsPerQuery {
 			return nil, fmt.Errorf("%w: query %d has %d seeds, limit %d",
@@ -259,118 +235,66 @@ func (s *Server) Personalized(name string, seedSets [][]uint32, k int, epsilon f
 		canon[i], keys[i] = cs, pprKey(damping, epsilon, k, cs)
 	}
 
-	// Partition misses by cache key: the first request to want a key owns
-	// its computation (registering an inflight marker other requests attach
-	// to), duplicates within this batch reuse the owner's slot, and keys
-	// another request is already computing become followers that wait on
-	// that run instead of duplicating it — thundering-herd shedding, same
-	// idea as recompute coalescing.
-	missPos := make(map[string]int) // key -> index into missSets (keys we own)
-	var missSets [][]uint32         // one entry per distinct owned key
-	var ownedKeys []string          // aligned with missSets
-	var owned []*pprInflight        // aligned with missSets
-	followers := make(map[int]*pprInflight)
-	e.mu.Lock()
-	// An edge delta bumping structVersion between here and the insert below
-	// means any answer this request computes describes a graph that no
-	// longer exists; it is still served (the read raced the write) but must
-	// not be cached.
-	structV := e.structVersion
+	// A key named twice in the batch finds the flight its first occurrence
+	// filed, and is answered by the same run.
+	m := snap.memo
+	flights := make([]*pprFlight, len(seedSets))
+	var owned []*pprFlight // filed by this request, aligned with missSets
+	var missSets [][]uint32
+	m.mu.Lock()
 	for i := range seedSets {
-		if ans, ok := e.ppr.get(keys[i]); ok {
-			ans.Cached = true
-			answers[i] = ans
-			continue
+		fl, filed := m.flightLocked(keys[i])
+		flights[i] = fl
+		if filed {
+			owned = append(owned, fl)
+			missSets = append(missSets, canon[i])
 		}
-		if _, ok := missPos[keys[i]]; ok { // duplicate within this batch
-			missIdx = append(missIdx, i)
-			continue
-		}
-		if fl, ok := e.pprWait[keys[i]]; ok { // another request is computing it
-			followers[i] = fl
-			continue
-		}
-		fl := &pprInflight{done: make(chan struct{})}
-		e.pprWait[keys[i]] = fl
-		missPos[keys[i]] = len(missSets)
-		missSets = append(missSets, canon[i])
-		ownedKeys = append(ownedKeys, keys[i])
-		owned = append(owned, fl)
-		missIdx = append(missIdx, i)
 	}
-	e.mu.Unlock()
+	m.mu.Unlock()
 
-	// If the compute below panics (or this function unwinds any other way
-	// before settling), the registered inflight markers must still be
-	// released — otherwise every future identical query would block forever
-	// on a done channel nobody will close.
-	settled := len(missSets) == 0
-	defer func() {
-		if settled {
-			return
-		}
-		e.mu.Lock()
-		for j, fl := range owned {
-			fl.err = fmt.Errorf("serve: personalized computation aborted")
-			delete(e.pprWait, ownedKeys[j])
-			close(fl.done)
-		}
-		e.mu.Unlock()
-	}()
-
-	if len(missSets) > 0 {
-		runOpts := pcpm.PPRRunOptions{
+	if len(owned) > 0 {
+		// If the run panics, the filed flights must still land, or every
+		// later identical query would wait forever.
+		landed := false
+		defer func() {
+			if !landed {
+				m.mu.Lock()
+				for _, fl := range owned {
+					m.landLocked(fl, PPRAnswer{}, errors.New("serve: personalized computation aborted"))
+				}
+				m.mu.Unlock()
+			}
+		}()
+		results, err := s.pprRunFn(snap.Graph, missSets, pcpm.PPRRunOptions{
 			Damping:   damping,
 			Epsilon:   epsilon,
 			TopK:      k,
 			TopOnly:   true, // answers serve only the top-K; skip O(n) copies
 			MaxRounds: maxPPRRounds,
-		}
-		results, err := s.pprRunFn(e, missSets, runOpts)
-		e.mu.Lock()
-		settled = true
-		if err != nil {
-			for j, fl := range owned {
-				fl.err = err
-				delete(e.pprWait, ownedKeys[j])
-				close(fl.done)
-			}
-			e.mu.Unlock()
-			return nil, err
-		}
+		})
+		m.mu.Lock()
+		landed = true
 		for j, fl := range owned {
-			fl.ans = toPPRAnswer(missSets[j], k, results[j])
-			// Only converged answers computed against the still-current
-			// structure enter the cache: a run truncated by the round cap is
-			// served once, honestly labeled, and a run that raced an edge
-			// delta answered a graph that no longer exists — neither may be
-			// pinned for repeat queries.
-			if !results[j].Truncated && e.structVersion == structV {
-				e.ppr.put(ownedKeys[j], fl.ans)
+			var ans PPRAnswer
+			if err == nil {
+				ans = toPPRAnswer(missSets[j], k, results[j])
 			}
-			delete(e.pprWait, ownedKeys[j])
-			close(fl.done)
+			m.landLocked(fl, ans, err)
 		}
-		for _, i := range missIdx {
-			answers[i] = owned[missPos[keys[i]]].ans
-			answers[i].Seeds = canon[i]
-		}
-		e.mu.Unlock()
+		m.mu.Unlock()
 		s.log.Debug("ppr computed", "graph", name,
-			"queries", len(seedSets), "misses", len(missSets))
+			"queries", len(seedSets), "misses", len(owned))
 	}
 
-	// Wait for runs owned by other requests; their answers count as cached
-	// from this request's perspective (no compute was spent here).
-	for i, fl := range followers {
+	answers := make([]PPRAnswer, len(seedSets))
+	for i, fl := range flights {
 		<-fl.done
 		if fl.err != nil {
 			return nil, fl.err
 		}
-		ans := fl.ans
-		ans.Seeds = canon[i]
-		ans.Cached = true
-		answers[i] = ans
+		answers[i] = fl.ans
+		answers[i].Seeds = canon[i]
+		answers[i].Cached = !slices.Contains(owned, fl)
 	}
 	return answers, nil
 }
@@ -392,14 +316,15 @@ func toPPRAnswer(seeds []uint32, k int, res *pcpm.PPRResult) PPRAnswer {
 	}
 }
 
-// PPRCacheLen reports how many personalized answers name's LRU holds
-// (testing and observability).
+// PPRCacheLen reports how many personalized queries the structure name
+// serves holds flights for (testing and observability).
 func (s *Server) PPRCacheLen(name string) (int, error) {
 	e, err := s.lookup(name)
 	if err != nil {
 		return 0, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ppr.len(), nil
+	m := e.snap.Load().memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lru.Len(), nil
 }

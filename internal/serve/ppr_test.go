@@ -158,20 +158,20 @@ func TestPPRBadRequests(t *testing.T) {
 }
 
 func TestPPRCacheEviction(t *testing.T) {
-	s := New(Config{Defaults: testOptions, PPRCacheSize: 4})
+	s := New(Config{Defaults: testOptions})
 	if _, err := s.AddGraph("g", testGraph(t), Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < pprCacheSize+6; i++ {
 		if _, err := s.Personalized("g", [][]uint32{{uint32(i)}}, 3, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n, _ := s.PPRCacheLen("g"); n != 4 {
-		t.Fatalf("cache len = %d, want capacity 4", n)
+	if n, _ := s.PPRCacheLen("g"); n != pprCacheSize {
+		t.Fatalf("cache len = %d, want capacity %d", n, pprCacheSize)
 	}
-	// Least-recent (seed 0..5) evicted, most-recent (seed 9) still hot.
-	ans, err := s.Personalized("g", [][]uint32{{9}}, 3, 0)
+	// Least-recent (seed 0..5) evicted, most-recent still hot.
+	ans, err := s.Personalized("g", [][]uint32{{pprCacheSize + 5}}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,10 +327,10 @@ func TestPPRCoalescesConcurrentIdenticalQueries(t *testing.T) {
 	var calls atomic.Int32
 	release := make(chan struct{})
 	orig := s.pprRunFn
-	s.pprRunFn = func(e *entry, sets [][]uint32, ro pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error) {
+	s.pprRunFn = func(g *graph.Graph, sets [][]uint32, ro pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error) {
 		calls.Add(1)
 		<-release
-		return orig(e, sets, ro)
+		return orig(g, sets, ro)
 	}
 
 	const clients = 8
@@ -372,9 +372,9 @@ func TestPPRCoalescesConcurrentIdenticalQueries(t *testing.T) {
 // damping.
 func capPPRRounds(s *Server) {
 	run := s.pprRunFn
-	s.pprRunFn = func(e *entry, sets [][]uint32, ro pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error) {
+	s.pprRunFn = func(g *graph.Graph, sets [][]uint32, ro pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error) {
 		ro.MaxRounds = 1
-		return run(e, sets, ro)
+		return run(g, sets, ro)
 	}
 }
 
@@ -441,7 +441,7 @@ func TestPPRPanicReleasesInflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := s.pprRunFn
-	s.pprRunFn = func(e *entry, sets [][]uint32, ro pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error) {
+	s.pprRunFn = func(g *graph.Graph, sets [][]uint32, ro pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error) {
 		panic("engine bug")
 	}
 	func() {
@@ -471,8 +471,8 @@ func TestPPRPanicReleasesInflight(t *testing.T) {
 }
 
 // TestPPRPoolSoakNoLeakage is the reset-correctness soak: goroutines with
-// disjoint seed ranges hammer one graph through the miss path (cache
-// capacity 1, so nearly every query takes scratch some other goroutine just
+// disjoint seed ranges hammer one graph through the miss path (every seed
+// is queried once, so every query takes scratch some other goroutine just
 // used from internal/ppr's pool), and every answer must equal a sequential
 // reference computed first. Any score or residual state leaking across
 // queries shows up as a score mismatch. Run with -race (CI does) to also
@@ -484,7 +484,7 @@ func TestPPRPoolSoakNoLeakage(t *testing.T) {
 		k          = 3
 	)
 	g := testGraph(t) // 300 nodes, deterministic
-	s := New(Config{Defaults: testOptions, PPRCacheSize: 1})
+	s := New(Config{Defaults: testOptions})
 	if _, err := s.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -763,12 +763,12 @@ func BenchmarkPPRServeMiss(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := pcpm.Options{Iterations: 2}
-	s := New(Config{Defaults: opts, PPRCacheSize: 1})
+	s := New(Config{Defaults: opts})
 	if _, err := s.AddGraph("g", g, Overrides{}, false); err != nil {
 		b.Fatal(err)
 	}
 	n := uint32(g.NumNodes())
-	// Warm the scratch pool (and one cache slot) outside the timer.
+	// Warm the scratch pool outside the timer.
 	if _, err := s.Personalized("g", [][]uint32{{0}}, 10, 0); err != nil {
 		b.Fatal(err)
 	}

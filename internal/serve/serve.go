@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -89,24 +90,33 @@ type Snapshot struct {
 	// graph up to and including L, and recovery replay skips those.
 	WalLSN uint64
 
-	topk  []pcpm.RankEntry // first topKCacheSize entries, precomputed
-	comps *compMemo        // Graph's structure summary, shared with every snapshot of Graph
+	topk []pcpm.RankEntry // first topKCacheSize entries, precomputed
+	memo *structMemo      // what Graph derives, shared with every snapshot of Graph
 }
 
-// compMemo is the part of one graph structure's summary that costs a pass
-// over it — the component count and largest component (one sequential
-// Tarjan pass) and the dangling count — filled at most once, and only when a
-// reader asks (Server.info), so no publish pays for it. Every snapshot of
-// the same *graph.Graph points at the same memo (a recompute changes ranks,
-// not structure), and it is collected with the last of them.
-type compMemo struct {
+// structMemo holds what one graph structure derives beyond its layout
+// (g.Derived). Every snapshot of the same *graph.Graph points at the same
+// memo (a recompute changes ranks, not structure), and it is collected with
+// the last of them; a publish that changes the structure starts a new one,
+// so nothing derived from the old structure is served again. It holds:
+//   - the part of the structure's summary that costs a pass over it — the
+//     component count and largest component (one sequential Tarjan pass)
+//     and the dangling count — filled at most once, and only when a reader
+//     asks (Server.info), so no publish pays for it;
+//   - the personalized queries computed on it, as an LRU of flights
+//     (ppr.go).
+type structMemo struct {
 	once                          sync.Once
 	components, largest, dangling int
+
+	mu      sync.Mutex
+	lru     list.List                // guarded by mu; front = most recent, values are *pprFlight
+	flights map[string]*list.Element // guarded by mu; by pprKey
 }
 
-// fill sets the memo on its first call, taking the component counts from
+// fill sets the summary on its first call, taking the component counts from
 // components; later calls wait for the first and return.
-func (c *compMemo) fill(g *graph.Graph, components func() (count, largest int)) {
+func (c *structMemo) fill(g *graph.Graph, components func() (count, largest int)) {
 	c.once.Do(func() {
 		c.components, c.largest = components()
 		c.dangling = g.DanglingCount()
@@ -128,8 +138,9 @@ func (s *Snapshot) TopK(k int) []pcpm.RankEntry {
 }
 
 // entry is one registered graph plus its serving state. The graph structure
-// itself lives in the snapshot (it changes under edge deltas); the entry
-// holds only the registry identity and the mutable serving machinery.
+// itself lives in the snapshot (it changes under edge deltas), and so does
+// what is derived from it (structMemo); the entry holds only the registry
+// identity and the mutation slot.
 type entry struct {
 	name string
 
@@ -139,23 +150,6 @@ type entry struct {
 	mu       sync.Mutex
 	inflight *inflightRun // guarded by mu
 	lastErr  string       // guarded by mu
-	ppr      *pprCache    // guarded by mu; LRU of personalized answers keyed by query hash
-	// pprWait holds personalized computations in flight, keyed like ppr;
-	// identical concurrent queries attach instead of recomputing.
-	pprWait map[string]*pprInflight // guarded by mu
-	// structVersion counts structural mutations (edge deltas). A
-	// personalized answer computed against an older structure must not
-	// enter the cache after a mutation landed.
-	structVersion uint64 // guarded by mu
-}
-
-// newEntry returns an unpublished, unregistered entry for name.
-func (s *Server) newEntry(name string) *entry {
-	return &entry{
-		name:    name,
-		ppr:     newPPRCache(s.cfg.PPRCacheSize),
-		pprWait: make(map[string]*pprInflight),
-	}
 }
 
 // seal fills in what an unpublished snapshot of e derives from its Graph and
@@ -163,22 +157,12 @@ func (s *Server) newEntry(name string) *entry {
 // when it serves the same graph (a rank-only publish), else a new, empty one.
 func (e *entry) seal(snap *Snapshot) *Snapshot {
 	if cur := e.snap.Load(); cur != nil && cur.Graph == snap.Graph {
-		snap.comps = cur.comps
+		snap.memo = cur.memo
 	} else {
-		snap.comps = new(compMemo)
+		snap.memo = new(structMemo)
 	}
 	snap.topk = pcpm.TopK(snap.Ranks, min(topKCacheSize, len(snap.Ranks)))
 	return snap
-}
-
-// retireLocked drops the serving state shaped on the structure a publish
-// just replaced, after the caller has stored the new snapshot: the cached
-// personalized answers and (via structVersion) those still being computed
-// are stranded. A rank-only publish (recompute) strands nothing and does not
-// call it. The caller holds e.mu.
-func (e *entry) retireLocked() {
-	e.structVersion++
-	e.ppr = newPPRCache(e.ppr.cap)
 }
 
 // inflightRun is a recompute or edge-delta mutation in progress; coalesced
@@ -202,9 +186,6 @@ type Config struct {
 	// MaxUploadBytes caps POST /v1/graphs request bodies (default 1 GiB).
 	// Uploads past the cap are rejected with 413.
 	MaxUploadBytes int64
-	// PPRCacheSize caps each graph's LRU of personalized PageRank answers
-	// (default 128 queries per graph).
-	PPRCacheSize int
 	// MaxDeltaEdges caps the edge changes (insertions plus deletions) one
 	// POST /v1/graphs/{name}/edges batch may carry (default 100000;
 	// negative removes the limit). Oversized batches are rejected before
@@ -253,10 +234,9 @@ type Server struct {
 	// computeFn runs one PageRank computation; tests substitute it to make
 	// in-flight recomputes observable and deterministic.
 	computeFn func(*graph.Graph, pcpm.Options) (*pcpm.Result, error)
-	// pprRunFn computes the personalized answers for a set of cache-missed
-	// queries against one entry's graph; tests
-	// substitute it to observe coalescing.
-	pprRunFn func(*entry, [][]uint32, pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error)
+	// pprRunFn computes the personalized answers for the queries one
+	// request files on a graph; tests substitute it to observe coalescing.
+	pprRunFn func(*graph.Graph, [][]uint32, pcpm.PPRRunOptions) ([]*pcpm.PPRResult, error)
 
 	// wal is the durable store, set by Recover when Config.DataDir is
 	// given (or by Promote when a follower adopts its dormant data dir);
@@ -284,7 +264,7 @@ type Server struct {
 	// (defaultFollowBackoff); tests shrink them after New.
 	repairDrift   float64
 	followBackoff time.Duration
-	// sccFills counts compMemo fills: the decompositions this server ran.
+	// sccFills counts structMemo fills: the decompositions this server ran.
 	sccFills atomic.Int64
 }
 
@@ -352,12 +332,12 @@ type GraphInfo struct {
 }
 
 // info summarizes e's current snapshot. The first info of a structure fills
-// its component memo: a count-only decomposition (sequential Tarjan) on the
+// its structure memo: a count-only decomposition (sequential Tarjan) on the
 // reader's goroutine, holding neither e.mu nor the inflight slot. Concurrent
 // readers wait for it.
 func (s *Server) info(e *entry) GraphInfo {
 	snap := e.snap.Load()
-	snap.comps.fill(snap.Graph, func() (int, int) {
+	snap.memo.fill(snap.Graph, func() (int, int) {
 		st := scc.ComputeStats(snap.Graph)
 		s.sccFills.Add(1)
 		return st.Components, st.LargestComponent
@@ -371,9 +351,9 @@ func (s *Server) info(e *entry) GraphInfo {
 		Nodes:       snap.Graph.NumNodes(),
 		Edges:       snap.Graph.NumEdges(),
 		AvgDegree:   snap.Graph.AvgDegree(),
-		Dangling:    snap.comps.dangling,
-		Components:  snap.comps.components,
-		LargestComp: snap.comps.largest,
+		Dangling:    snap.memo.dangling,
+		Components:  snap.memo.components,
+		LargestComp: snap.memo.largest,
 		Method:      snap.Method,
 		Iterations:  snap.Iterations,
 		Delta:       snap.Delta,
@@ -437,7 +417,7 @@ func (s *Server) AddGraph(name string, g *graph.Graph, ov Overrides, replace boo
 		close(ch)
 	}()
 
-	e := s.newEntry(name)
+	e := &entry{name: name}
 	snap, err := s.compute(e, g, opts)
 	if err != nil {
 		return GraphInfo{}, err
@@ -721,7 +701,7 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 }
 
 // compute runs the engine and wraps the result in an unpublished Snapshot of g
-// for e; a re-run of the graph e already serves keeps its component memo
+// for e; a re-run of the graph e already serves keeps its structure memo
 // (entry.seal).
 //
 // Every run is PCPM with the branch-avoiding gather, at the server's
