@@ -27,14 +27,14 @@
 // the leader's snapshots, tails its WAL stream, serves every read endpoint
 // from its own copies, and answers writes with 503 + the leader's address.
 // Giving a follower -data-dir keeps the directory dormant until promotion:
-// POST /v1/repl/promote (or SIGUSR1, or `pcpm-serve -promote <url>` from
-// another shell) stops the tail loop, adopts the dir as a fresh WAL seeded
-// with the follower's current state, and starts accepting writes in place:
+// POST /v1/repl/promote, the one promotion trigger, stops the tail loop,
+// adopts the dir as a fresh WAL seeded with the follower's current state,
+// and starts accepting writes in place:
 //
 //	pcpm-serve -addr :8081 -follow http://leader:8080 -data-dir /var/f1
 //	curl 'localhost:8081/v1/repl/status'
 //	# leader died:
-//	pcpm-serve -promote http://localhost:8081
+//	curl -XPOST 'localhost:8081/v1/repl/promote'
 //	# re-aim the other follower:
 //	curl -XPOST 'localhost:8082/v1/repl/reaim' -d '{"leader":"http://localhost:8081"}'
 package main
@@ -44,7 +44,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -79,8 +78,6 @@ func main() {
 			"run as a read-only follower of the leader at this base URL (e.g. http://leader:8080); incompatible with -graph. With -data-dir the directory lies dormant as the promotion target")
 		followPoll = flag.Duration("follow-poll", 25*time.Second,
 			"long-poll window per WAL tail request in follower mode")
-		promoteURL = flag.String("promote", "",
-			"client mode: ask the follower at this base URL to promote itself to leader, print the report, and exit")
 		verbose = flag.Bool("v", false, "debug logging")
 	)
 	var preload []string
@@ -98,10 +95,6 @@ func main() {
 		level = slog.LevelDebug
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-
-	if *promoteURL != "" {
-		os.Exit(runPromote(*promoteURL))
-	}
 
 	fsyncEvery, err := parseFsync(*fsync)
 	if err != nil {
@@ -195,22 +188,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// SIGUSR1 promotes a follower in place (same path as the HTTP endpoint;
-	// harmless on a server that is already a leader).
-	usr1 := make(chan os.Signal, 1)
-	signal.Notify(usr1, syscall.SIGUSR1)
-	go func() {
-		for range usr1 {
-			rep, err := srv.Promote()
-			if err != nil {
-				logger.Error("promotion failed", "error", err)
-				continue
-			}
-			logger.Info("promotion signal handled", "promoted", rep.Promoted,
-				"cut_lsn", rep.CutLSN, "next_lsn", rep.NextLSN, "graphs", rep.Graphs)
-		}
-	}()
-
 	followDone := make(chan struct{})
 	if *follow != "" {
 		go func() {
@@ -256,24 +233,6 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("bye")
-}
-
-// runPromote is the -promote client mode: one POST to the target's promote
-// endpoint, report to stdout, exit code by HTTP status.
-func runPromote(base string) int {
-	resp, err := http.Post(strings.TrimRight(base, "/")+"/v1/repl/promote", "application/json", nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "promote:", err)
-		return 1
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	os.Stdout.Write(body)
-	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "promote: %s answered %s\n", base, resp.Status)
-		return 1
-	}
-	return 0
 }
 
 // parseFsync maps the -fsync flag to serve.Config.FsyncEvery: "always" →

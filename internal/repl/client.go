@@ -117,8 +117,8 @@ func (c *Client) Tail(ctx context.Context, from uint64, fn func(*wal.Record) err
 // Bootstrap is a follower's from-nothing starting state.
 type Bootstrap struct {
 	// Records holds one RecAddGraph per registered graph; the blob is the
-	// graph's published snapshot serialization and the LSN its covered
-	// position.
+	// graph's published snapshot serialization, and the LSN is the position
+	// that snapshot was published at.
 	Records []*wal.Record
 	// From is the tail cursor to resume from (see BootstrapEnd).
 	From uint64

@@ -44,8 +44,7 @@ type BootstrapEnd struct {
 	// From is the tail cursor the follower resumes from: the leader's
 	// oldest retained LSN at the moment the bootstrap cut was taken. Any
 	// record at or past it that is already reflected in a shipped snapshot
-	// is skipped by the follower's covered-LSN check, exactly as in warm
-	// recovery.
+	// is skipped by the follower, exactly as in warm recovery.
 	From uint64 `json:"from"`
 }
 

@@ -201,7 +201,7 @@ func TestPublishPathsDoNotDecompose(t *testing.T) {
 	fills("follower after a second read", f, 1)
 
 	// A recompute republishes ranks over the same structure — live through
-	// runRecompute, on the follower through republishRanks — and shares the memo.
+	// runRecompute, on the follower through republish — and shares the memo.
 	damping := 0.8
 	if _, err := lead.srv.Recompute("g", Overrides{Damping: &damping}, true); err != nil {
 		t.Fatal(err)

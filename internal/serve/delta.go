@@ -212,7 +212,6 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 			Iterations:  res.Rounds,
 			Delta:       res.ResidualL1,
 			RepairDrift: drift,
-			Version:     e.version.Add(1),
 			ComputedAt:  time.Now(),
 			ComputeTime: res.RebuildTime + res.RepairTime,
 		})

@@ -30,11 +30,13 @@ import (
 // repair drift is the logged drift. A record without shipped state fails
 // closed.
 //
-// Per record: covered (LSN at or below the graph's snapshot position →
-// skip), orphaned (the record's parent snapshot was superseded by a racing
-// replace → skip, matching the live daemon where that publish was
-// invisible), or applied. Torn final records were already truncated by
-// wal.Open; any other damage failed the open before replay started.
+// Per record: covered (an add or remove at or below the LSN of the graph's
+// current snapshot → skip), orphaned (a rank-shipping record whose parent is
+// not the current snapshot — superseded by a racing replace, or already
+// covered, since a parent precedes its record → skip, matching the live
+// daemon where that publish was invisible), or applied. The registry is the
+// only record of what is covered. Torn final records were already truncated
+// by wal.Open; any other damage failed the open before replay started.
 
 // addMeta is the RecAddGraph payload; the blob carries the published
 // snapshot (graph + ranks + snapMeta, options included), which appliers
@@ -250,16 +252,16 @@ func (s *Server) walAppendAdd(name string, snap *Snapshot) (uint64, error) {
 }
 
 // stageSnapshot turns a decoded snapshot blob into everything short of its
-// publication: the full in-memory Snapshot (O(n) stats, an empty structure
-// memo, top-k cache) at log position lsn, and a fresh unregistered entry to
-// publish it in. The LSN comes from the caller (the record or snapshot
-// position being installed), not from m — the blob was written before its
-// append was assigned one. Versions never go backwards: over an entry already
-// registered under name, re-installing the log position it serves (a
-// follower re-bootstrapping into what it has) keeps its version, anything
-// else is a newer publish and takes the next one. The caller is the
-// registry's only writer, so that entry is still the registered one when
-// the staged entry replaces it.
+// publication: the full in-memory Snapshot (an empty structure memo, top-k
+// cache) at log position lsn, and a fresh unregistered entry to publish it
+// in. The LSN comes from the caller (the record or snapshot position being
+// installed), not from m — the blob was written before its append was
+// assigned one. The snapshot keeps m's version unless that would go
+// backwards: over an entry already registered under name, re-installing the
+// log position it serves (a follower re-bootstrapping into what it has)
+// keeps that entry's version, anything else is a newer publish and takes the
+// next one. The caller is the registry's only writer, so that entry is still
+// the registered one when the staged entry replaces it.
 func (s *Server) stageSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn uint64) (*entry, *Snapshot) {
 	e := &entry{name: name}
 	snap := e.seal(&Snapshot{
@@ -275,15 +277,13 @@ func (s *Server) stageSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn 
 		ComputedAt:  m.ComputedAt,
 	})
 	if old, err := s.lookup(name); err == nil {
-		if v := old.version.Load(); snap.Version <= v {
-			if old.snap.Load().WalLSN == lsn {
-				snap.Version = v
-			} else {
-				snap.Version = v + 1
+		if cur := old.snap.Load(); snap.Version <= cur.Version {
+			snap.Version = cur.Version
+			if cur.WalLSN != lsn {
+				snap.Version++
 			}
 		}
 	}
-	e.version.Store(snap.Version)
 	return e, snap
 }
 
@@ -308,7 +308,9 @@ type RecoveryReport struct {
 	// Snapshots loaded from the store.
 	Snapshots int `json:"snapshots"`
 	// Replayed and Skipped count log-tail records applied vs. passed over
-	// (snapshot-covered, orphaned-parent, or checkpoint markers).
+	// (an add or remove the graph's snapshot covers, a rank-shipping record
+	// whose parent is not the graph's current snapshot, or a checkpoint
+	// marker).
 	Replayed int `json:"replayed"`
 	Skipped  int `json:"skipped"`
 	// DriftRecomputes counts applied deltas whose record logs that the
@@ -344,7 +346,6 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	}
 
 	// Phase 1: seed the registry from the persisted snapshots.
-	covered := make(map[string]uint64)
 	var maxLSN uint64
 	for _, gs := range st.Snapshots() {
 		m, err := decodeSnapMeta(gs.Snap.Meta, gs.Name)
@@ -352,7 +353,6 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 			return nil, errors.Join(fmt.Errorf("serve: snapshot file for %q: %w", gs.Name, err), st.Close())
 		}
 		s.installSnapshot(gs.Name, gs.Snap, m, m.LSN)
-		covered[gs.Name] = m.LSN
 		maxLSN = max(maxLSN, m.LSN)
 		rep.Snapshots++
 	}
@@ -362,7 +362,7 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 
 	// Phase 2: apply the log tail.
 	err = st.Replay(func(rec *wal.Record) error {
-		applied, aerr := s.applyRecord(rec, covered)
+		applied, aerr := s.applyRecord(rec)
 		switch {
 		case aerr != nil:
 			return aerr
@@ -393,11 +393,14 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 
 // applyRecord applies one log record — replayed from the local WAL by
 // Recover or tailed from the leader by Follow — to the registry, and reports
-// whether it changed anything (false: a checkpoint marker, covered by the
-// graph's snapshot, or orphaned by a racing replace). It only ever installs
-// state the record ships; a record without any fails closed. The calling
-// goroutine is the registry's only writer, though readers may be live.
-func (s *Server) applyRecord(rec *wal.Record, covered map[string]uint64) (applied bool, err error) {
+// whether it changed anything (false: a checkpoint marker, an add or remove
+// at or below the LSN the graph's current snapshot was published at, or a
+// rank-shipping record whose parent is not that snapshot). A covered rank
+// record fails the parent check too: its parent precedes it. It only ever
+// installs state the record ships; a record without any fails closed. The
+// calling goroutine is the registry's only writer, though readers may be
+// live.
+func (s *Server) applyRecord(rec *wal.Record) (applied bool, err error) {
 	fail := func(err error) (bool, error) {
 		return false, fmt.Errorf("serve: applying record %d (type %d): %w", rec.LSN, rec.Type, err)
 	}
@@ -410,8 +413,8 @@ func (s *Server) applyRecord(rec *wal.Record, covered map[string]uint64) (applie
 		if err := json.Unmarshal(rec.Meta, &m); err != nil {
 			return fail(err)
 		}
-		if rec.LSN <= covered[m.Name] {
-			return false, nil
+		if e, err := s.lookup(m.Name); err == nil && rec.LSN <= e.snap.Load().WalLSN {
+			return false, nil // covered by the graph's snapshot
 		}
 		// Replace unconditionally: whatever state the name is in, the live
 		// daemon acknowledged this ingest, so it must win here too.
@@ -426,9 +429,6 @@ func (s *Server) applyRecord(rec *wal.Record, covered map[string]uint64) (applie
 		if err := json.Unmarshal(rec.Meta, &m); err != nil {
 			return fail(err)
 		}
-		if rec.LSN <= covered[m.Name] {
-			return false, nil
-		}
 		e, err := s.lookup(m.Name)
 		if err != nil || e.snap.Load().WalLSN != m.Parent {
 			return false, nil // published into an entry a replace/remove orphaned
@@ -442,7 +442,20 @@ func (s *Server) applyRecord(rec *wal.Record, covered map[string]uint64) (applie
 			}
 			s.installSnapshot(m.Name, gs, sm, rec.LSN)
 		case m.RanksEnc != "":
-			if err := s.republishDelta(e, m, rec.Blob, rec.LSN); err != nil {
+			// The structural change is rebuilt locally from the edge lists
+			// (deterministic, cheap); the repaired ranks and their drift
+			// accounting come from the record, so the repair ran once, on the
+			// leader, and both sides publish bit-identical state.
+			old := e.snap.Load()
+			ng, _, err := delta.Rebuild(old.Graph, delta.EdgeDelta{Insert: m.Insert, Delete: m.Delete})
+			if err != nil {
+				return fail(err)
+			}
+			if err := s.republish(e, ng, m.RanksEnc, rec.Blob, rec.LSN, &Snapshot{
+				Options: old.Options, Method: old.Method,
+				// Iterations/Delta mirror the leader's published repair shape.
+				Iterations: m.Rounds, Delta: m.Residual, RepairDrift: m.Drift,
+			}); err != nil {
 				return fail(err)
 			}
 		default:
@@ -454,9 +467,6 @@ func (s *Server) applyRecord(rec *wal.Record, covered map[string]uint64) (applie
 		if err := json.Unmarshal(rec.Meta, &m); err != nil {
 			return fail(err)
 		}
-		if rec.LSN <= covered[m.Name] {
-			return false, nil
-		}
 		e, err := s.lookup(m.Name)
 		if err != nil || e.snap.Load().WalLSN != m.Parent {
 			return false, nil
@@ -465,7 +475,9 @@ func (s *Server) applyRecord(rec *wal.Record, covered map[string]uint64) (applie
 		if rec.Type == wal.RecRankResidual {
 			enc = ranksEncResidual
 		}
-		if err := s.republishRanks(e, m, enc, rec.Blob, rec.LSN); err != nil {
+		if err := s.republish(e, e.snap.Load().Graph, enc, rec.Blob, rec.LSN, &Snapshot{
+			Options: m.Options, Method: m.Method, Iterations: m.Iterations, Delta: m.Delta,
+		}); err != nil {
 			return fail(err)
 		}
 
@@ -474,8 +486,8 @@ func (s *Server) applyRecord(rec *wal.Record, covered map[string]uint64) (applie
 		if err := json.Unmarshal(rec.Meta, &m); err != nil {
 			return fail(err)
 		}
-		if rec.LSN <= covered[m.Name] {
-			return false, nil
+		if e, err := s.lookup(m.Name); err == nil && rec.LSN <= e.snap.Load().WalLSN {
+			return false, nil // covered by the graph's snapshot
 		}
 		s.dropGraph(m.Name) // absent is fine: racing removals both log
 
@@ -503,61 +515,19 @@ func shippedRanks(enc string, prev []float32, blob []byte, n int) (ranks []float
 	return ranks, err
 }
 
-// republishRanks installs a shipped recompute result: same graph, the
-// leader's rank vector (full under RecRecompute, residual under
-// RecRankResidual).
-func (s *Server) republishRanks(e *entry, m recomputeMeta, enc string, blob []byte, lsn uint64) error {
-	old := e.snap.Load()
-	ranks, err := shippedRanks(enc, old.Ranks, blob, len(old.Ranks))
+// republish publishes e's next snapshot from a record that ships its rank
+// vector: the ranks in blob under encoding enc (a residual applies against
+// e's current vector) on g — e's graph for a recompute, the rebuilt one for
+// an edge delta — at log position lsn, with header's options and result
+// shape.
+func (s *Server) republish(e *entry, g *graph.Graph, enc string, blob []byte, lsn uint64, header *Snapshot) error {
+	ranks, err := shippedRanks(enc, e.snap.Load().Ranks, blob, g.NumNodes())
 	if err != nil {
 		return err
 	}
-	snap := e.seal(&Snapshot{
-		Graph:      old.Graph,
-		Ranks:      ranks,
-		Options:    m.Options,
-		Method:     m.Method,
-		Iterations: m.Iterations,
-		Delta:      m.Delta,
-		Version:    e.version.Add(1),
-		WalLSN:     lsn,
-		ComputedAt: time.Now(),
-	})
+	header.Graph, header.Ranks, header.WalLSN, header.ComputedAt = g, ranks, lsn, time.Now()
 	//lint:ignore walorder apply path: this republishes a record already in the log (lsn), nothing new to append
-	e.snap.Store(snap)
-	return nil
-}
-
-// republishDelta applies a rank-shipping edge delta: the structural change
-// is rebuilt locally from the record's edge lists (deterministic, cheap),
-// while the repaired rank vector and its drift accounting come from the
-// record — the repair drain ran once, on the leader, and both sides
-// publish bit-identical state.
-func (s *Server) republishDelta(e *entry, m deltaMeta, blob []byte, lsn uint64) error {
-	old := e.snap.Load()
-	ng, _, err := delta.Rebuild(old.Graph, delta.EdgeDelta{Insert: m.Insert, Delete: m.Delete})
-	if err != nil {
-		return err
-	}
-	ranks, err := shippedRanks(m.RanksEnc, old.Ranks, blob, ng.NumNodes())
-	if err != nil {
-		return err
-	}
-	snap := e.seal(&Snapshot{
-		Graph:   ng,
-		Ranks:   ranks,
-		Options: old.Options,
-		Method:  old.Method,
-		// Iterations/Delta mirror the leader's published repair shape.
-		Iterations:  m.Rounds,
-		Delta:       m.Residual,
-		RepairDrift: m.Drift,
-		Version:     e.version.Add(1),
-		WalLSN:      lsn,
-		ComputedAt:  time.Now(),
-	})
-	//lint:ignore walorder apply path: this republishes a record already in the log (lsn), nothing new to append
-	e.snap.Store(snap)
+	e.snap.Store(e.seal(header))
 	return nil
 }
 

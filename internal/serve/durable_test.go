@@ -500,3 +500,116 @@ func TestRecoverReplaysRemoveAndReplace(t *testing.T) {
 		t.Error("nothing replayed")
 	}
 }
+
+// TestRecoverSkipsCoveredRemove: a remove and a re-add of g that g's
+// checkpointed snapshot covers stay in the retained log while an older
+// graph's snapshot holds the prune back. Recovery must pass over both, as
+// over every record below a snapshot's position, and land on the live
+// registry.
+func TestRecoverSkipsCoveredRemove(t *testing.T) {
+	dir := t.TempDir()
+	g1 := testGraph(t)
+	g2, err := gen.ErdosRenyi(200, 1600, 3, graph.BuildOptions{Dedup: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a, _ := newDurableServer(t, durableConfig(dir))
+	for i, step := range []func() error{
+		func() error { _, err := a.AddGraph("hold", g1, Overrides{}, false); return err },
+		func() error { _, err := a.AddGraph("g", g1, Overrides{}, false); return err },
+		func() error { return a.Remove("g") },
+		func() error { _, err := a.AddGraph("g", g2, Overrides{}, false); return err },
+		a.Checkpoint,
+	} {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	crashStop(t, a)
+
+	b, rep := newDurableServer(t, durableConfig(dir))
+	// Skipped: both adds of g, the remove, hold's add and the marker.
+	if rep.Snapshots != 2 || rep.Replayed != 0 || rep.Skipped != 5 {
+		t.Errorf("recovery loaded %d snapshots, replayed %d, skipped %d; want 2, 0, 5",
+			rep.Snapshots, rep.Replayed, rep.Skipped)
+	}
+	if got, want := strings.Join(b.Names(), ","), strings.Join(a.Names(), ","); got != want {
+		t.Fatalf("recovered graphs %q, live %q", got, want)
+	}
+	for _, name := range a.Names() {
+		want, got := publishedSnap(t, a, name), publishedSnap(t, b, name)
+		if !ranksBitEqual(want.Ranks, got.Ranks) || got.Version != want.Version || got.WalLSN != want.WalLSN {
+			t.Errorf("%s: recovered version %d at LSN %d, live version %d at LSN %d (ranks equal: %v)",
+				name, got.Version, got.WalLSN, want.Version, want.WalLSN, ranksBitEqual(want.Ranks, got.Ranks))
+		}
+	}
+}
+
+// TestFailedAppendConsumesNoVersion: a run whose log append fails is never
+// published, so it must not consume a version either. Otherwise the live
+// daemon runs ahead of every copy rebuilt from its log, and a client's
+// freshness cursor goes backwards across a restart or a failover.
+func TestFailedAppendConsumesNoVersion(t *testing.T) {
+	g := testGraph(t)
+	d := mutationStream(t, g, 1, 41)[0]
+	for _, row := range []struct {
+		name string
+		op   func(t *testing.T, s *Server) error
+	}{
+		{"recompute", func(t *testing.T, s *Server) error {
+			_, err := s.Recompute("g", Overrides{}, true)
+			return err
+		}},
+		{"incremental delta", func(t *testing.T, s *Server) error {
+			st, err := s.ApplyEdgeDelta("g", d)
+			if err == nil && st.Mode != "incremental" {
+				t.Fatalf("delta took the %s path, want incremental", st.Mode)
+			}
+			return err
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			lead := startLeader(t, dir)
+			f := New(followerConfig(lead.url))
+			startFollower(t, f)
+			if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lead.srv.Recompute("g", Overrides{}, true); err != nil {
+				t.Fatal(err)
+			}
+			// Close the store under the server so the next append fails, then
+			// reopen the directory and run the operation again.
+			if err := lead.srv.wal.Load().Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := row.op(t, lead.srv); err == nil {
+				t.Fatal("operation succeeded with a closed store")
+			}
+			st, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lead.srv.wal.Store(st)
+			if err := row.op(t, lead.srv); err != nil {
+				t.Fatal(err)
+			}
+
+			waitCaughtUp(t, lead.srv, f)
+			versions := make([]uint64, 0, 3)
+			for _, s := range []*Server{lead.srv, recoverCopy(t, dir), f} {
+				info, err := s.Info("g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				versions = append(versions, info.Version)
+			}
+			if versions[0] != 3 || versions[1] != 3 || versions[2] != 3 {
+				t.Errorf("versions live %d, recovered %d, follower %d; want 3 everywhere",
+					versions[0], versions[1], versions[2])
+			}
+		})
+	}
+}

@@ -16,12 +16,12 @@ import (
 // A follower is continuous recovery: it bootstraps from the leader's
 // published snapshots exactly as Recover seeds itself from persisted ones,
 // then tails the leader's WAL stream and pushes every record through the
-// same applyRecord — covered-LSN skips, parent-LSN orphan checks, shipped
-// state installed under the leader's LSN. The wire decoder keeps the WAL's
-// crash discipline: a torn stream resumes from the cursor, while corruption
-// (or a pruned cursor) throws the registry away and re-bootstraps — a
-// follower never serves from a state it cannot prove it reached record by
-// record.
+// same applyRecord — skips of what the registry's snapshots cover, parent-LSN
+// orphan checks, shipped state installed under the leader's LSN. The wire
+// decoder keeps the WAL's crash discipline: a torn stream resumes from the
+// cursor, while corruption (or a pruned cursor) throws the registry away and
+// re-bootstraps — a follower never serves from a state it cannot prove it
+// reached record by record.
 //
 // Follower lifecycle: bootstrapping → catchup → steady. Steady is entered
 // the first time a tail round ends with the cursor at the leader's head;
@@ -190,7 +190,7 @@ func (s *Server) Follow(ctx context.Context) error {
 
 	for ctx.Err() == nil {
 		fs.state.Store(FollowStateBootstrapping)
-		covered, cursor, err := s.followBootstrap(ctx)
+		cursor, err := s.followBootstrap(ctx)
 		if err != nil {
 			fs.setErr(err)
 			s.log.Warn("follower bootstrap failed", "leader", fs.leaderAddr(), "error", err)
@@ -218,7 +218,7 @@ func (s *Server) Follow(ctx context.Context) error {
 						return fmt.Errorf("%w: %v", errApplyFailed, herr)
 					}
 				}
-				applied, aerr := s.applyRecord(rec, covered)
+				applied, aerr := s.applyRecord(rec)
 				if aerr != nil {
 					return fmt.Errorf("%w: %v", errApplyFailed, aerr)
 				}
@@ -290,40 +290,38 @@ func (s *Server) Follow(ctx context.Context) error {
 // decoded and staged into a fresh map first; only after the terminator
 // frame validates does one registry swap publish it. Readers therefore see
 // the complete old registry or the complete new one, never a mix, and a
-// bootstrap that fails mid-stream leaves the old state fully intact. It
-// returns the covered-LSN map (for applyRecord's skip check) and the tail
-// cursor.
-func (s *Server) followBootstrap(ctx context.Context) (map[string]uint64, uint64, error) {
+// bootstrap that fails mid-stream leaves the old state fully intact. Each
+// staged snapshot carries its frame's LSN, which is what applyRecord's skip
+// check reads. It returns the tail cursor.
+func (s *Server) followBootstrap(ctx context.Context) (uint64, error) {
 	client := s.follower.client()
 	b, err := client.FetchBootstrap(ctx)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if b.From == 0 {
-		return nil, 0, errors.New("serve: bootstrap stream carries no tail cursor")
+		return 0, errors.New("serve: bootstrap stream carries no tail cursor")
 	}
-	covered := make(map[string]uint64, len(b.Records))
 	staged := make(map[string]*entry, len(b.Records))
 	for _, rec := range b.Records {
 		var m addMeta
 		if err := json.Unmarshal(rec.Meta, &m); err != nil {
-			return nil, 0, fmt.Errorf("serve: bootstrap record %d metadata: %w", rec.LSN, err)
+			return 0, fmt.Errorf("serve: bootstrap record %d metadata: %w", rec.LSN, err)
 		}
 		gs, sm, err := decodeSnapshotBlob(rec.Blob, m.Name)
 		if err != nil {
-			return nil, 0, fmt.Errorf("serve: bootstrap snapshot %q: %w", m.Name, err)
+			return 0, fmt.Errorf("serve: bootstrap snapshot %q: %w", m.Name, err)
 		}
 		e, snap := s.stageSnapshot(m.Name, gs, sm, rec.LSN)
 		//lint:ignore walorder follower bootstrap: the record came from the leader's log, durability lives there until promotion copies it
 		e.snap.Store(snap)
 		staged[m.Name] = e
-		covered[m.Name] = rec.LSN
 	}
 
 	s.mu.Lock()
 	s.graphs = staged
 	s.mu.Unlock()
-	return covered, b.From, nil
+	return b.From, nil
 }
 
 func isCorruption(err error) bool {
@@ -363,7 +361,8 @@ type ReplStatus struct {
 	// NextLSN and OldestLSN describe a leader's log window: followers
 	// tailing inside [OldestLSN, NextLSN) stream records, below it they
 	// must re-bootstrap. Promoted marks a leader that came to the role by
-	// promotion rather than construction.
+	// promotion rather than construction: a server built to follow whose
+	// write gate Promote opened.
 	NextLSN   uint64 `json:"next_lsn,omitempty"`
 	OldestLSN uint64 `json:"oldest_lsn,omitempty"`
 	Promoted  bool   `json:"promoted,omitempty"`
@@ -402,17 +401,8 @@ func (s *Server) ReplStatus() ReplStatus {
 			Role:      "leader",
 			NextLSN:   w.NextLSN(),
 			OldestLSN: w.OldestLSN(),
-			Promoted:  s.promoted.Load(),
+			Promoted:  s.follower != nil,
 		}
 	}
 	return ReplStatus{Role: "standalone"}
-}
-
-// leaderAddr is the address mutating requests are redirected to while the
-// server is a follower.
-func (s *Server) leaderAddr() string {
-	if fs := s.follower; fs != nil {
-		return fs.leaderAddr()
-	}
-	return s.cfg.FollowAddr
 }

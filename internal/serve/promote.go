@@ -111,7 +111,6 @@ func (s *Server) Promote() (PromoteReport, error) {
 		return PromoteReport{}, errors.Join(fmt.Errorf("serve: checkpointing adopted state: %w", err), st.Close())
 	}
 	s.gateFollower.Store(false)
-	s.promoted.Store(true)
 	s.log.Info("promoted to leader", "cut_lsn", cut, "graphs", s.NumGraphs(),
 		"old_leader", fs.leaderAddr(), "data_dir", s.cfg.DataDir)
 	return PromoteReport{

@@ -401,7 +401,7 @@ func TestFollowerBootstrapAtomicSwap(t *testing.T) {
 	}
 
 	f := New(followerConfig(lead.url))
-	if _, _, err := f.followBootstrap(context.Background()); err != nil {
+	if _, err := f.followBootstrap(context.Background()); err != nil {
 		t.Fatalf("clean bootstrap: %v", err)
 	}
 	snapA := publishedSnap(t, f, "a")
@@ -446,7 +446,7 @@ func TestFollowerBootstrapAtomicSwap(t *testing.T) {
 	}{{"undecodable-record", false}, {"stream-dies-pre-terminator", true}} {
 		truncate.Store(variant.truncate)
 		f.follower.setLeader(poison.URL)
-		if _, _, err := f.followBootstrap(context.Background()); err == nil {
+		if _, err := f.followBootstrap(context.Background()); err == nil {
 			t.Fatalf("%s: poisoned bootstrap did not fail", variant.name)
 		}
 		// The registry must be byte-for-byte the pre-failure one: same
@@ -461,7 +461,7 @@ func TestFollowerBootstrapAtomicSwap(t *testing.T) {
 
 	// And the real leader still bootstraps fine afterwards.
 	f.follower.setLeader(lead.url)
-	if _, _, err := f.followBootstrap(context.Background()); err != nil {
+	if _, err := f.followBootstrap(context.Background()); err != nil {
 		t.Fatalf("re-bootstrap after poisoning: %v", err)
 	}
 }

@@ -195,7 +195,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) leaderOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.gateFollower.Load() {
-			leader := s.leaderAddr()
+			leader := s.follower.leaderAddr()
 			w.Header().Set("X-Repl-Leader", leader)
 			writeError(w, http.StatusServiceUnavailable,
 				"read-only follower: send writes to the leader at "+leader)

@@ -71,7 +71,8 @@ type Snapshot struct {
 	Iterations int
 	Delta      float64
 	// Version increments with every published snapshot of a graph, starting
-	// at 1 for the ingest-time computation.
+	// at 1 for the ingest-time computation (entry.seal). It is the graph's
+	// only version counter: nothing unpublished consumes one.
 	Version uint64
 	// RepairDrift accumulates the residual error bounds of every
 	// incremental repair since the last full engine run. Each repair adds
@@ -144,8 +145,7 @@ func (s *Snapshot) TopK(k int) []pcpm.RankEntry {
 type entry struct {
 	name string
 
-	snap    atomic.Pointer[Snapshot]
-	version atomic.Uint64
+	snap atomic.Pointer[Snapshot]
 
 	mu       sync.Mutex
 	inflight *inflightRun // guarded by mu
@@ -153,10 +153,18 @@ type entry struct {
 }
 
 // seal fills in what an unpublished snapshot of e derives from its Graph and
-// Ranks: the top-k prefix, and the structure memo — the current snapshot's
-// when it serves the same graph (a rank-only publish), else a new, empty one.
+// Ranks and from e's current snapshot, if any: the version, one past the
+// current one (a fresh entry's first snapshot keeps the version it was built
+// or logged with); the top-k prefix; and the structure memo, the current
+// snapshot's when it serves the same graph (a rank-only publish), else a new,
+// empty one. The caller is e's only writer, so a sealed snapshot that is never
+// published consumes no version.
 func (e *entry) seal(snap *Snapshot) *Snapshot {
-	if cur := e.snap.Load(); cur != nil && cur.Graph == snap.Graph {
+	cur := e.snap.Load()
+	if cur != nil {
+		snap.Version = cur.Version + 1
+	}
+	if cur != nil && cur.Graph == snap.Graph {
 		snap.memo = cur.memo
 	} else {
 		snap.memo = new(structMemo)
@@ -248,10 +256,9 @@ type Server struct {
 	// gateFollower is the server's current write-gating role, read per
 	// request by leaderOnly: true rejects mutations with 503 plus a leader
 	// hint. Set at construction from Config.FollowAddr, flipped false by
-	// Promote — the one runtime role transition. promoted records that the
-	// flip happened (for status), and promoteMu single-flights Promote.
+	// Promote — the one runtime role transition, so a server with a follower
+	// and an open gate is a promoted leader. promoteMu single-flights Promote.
 	gateFollower atomic.Bool
-	promoted     atomic.Bool
 	promoteMu    sync.Mutex
 
 	// follower holds the replication-follower machinery when
@@ -300,7 +307,7 @@ func New(cfg Config) *Server {
 // recovered its WAL. The health endpoint turns false into a 503 so
 // coordinators and CI wait loops can poll without sleep heuristics.
 func (s *Server) Ready() (bool, string) {
-	if s.follower != nil && !s.promoted.Load() {
+	if s.gateFollower.Load() {
 		if s.follower.bootstraps.Load() == 0 {
 			return false, "follower has not bootstrapped from its leader yet"
 		}
@@ -435,8 +442,7 @@ func (s *Server) AddGraph(name string, g *graph.Graph, ov Overrides, replace boo
 	if old, ok := s.graphs[name]; ok {
 		// Only a replace can reach here: creations hold the reservation.
 		// snap is not yet published, so adjusting its version is safe.
-		snap.Version = old.version.Load() + 1
-		e.version.Store(snap.Version)
+		snap.Version = old.snap.Load().Version + 1
 	}
 	e.snap.Store(snap)
 	s.graphs[name] = e
@@ -701,8 +707,8 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 }
 
 // compute runs the engine and wraps the result in an unpublished Snapshot of g
-// for e; a re-run of the graph e already serves keeps its structure memo
-// (entry.seal).
+// for e, sealed with e's next version (1 on a fresh entry) and, on a re-run of
+// the graph e already serves, its structure memo (entry.seal).
 //
 // Every run is PCPM with the branch-avoiding gather, at the server's
 // partition size and worker count. opts inherited from a snapshot an older
@@ -724,7 +730,7 @@ func (s *Server) compute(e *entry, g *graph.Graph, opts pcpm.Options) (*Snapshot
 		Method:      res.Method,
 		Iterations:  res.Iterations,
 		Delta:       res.Delta,
-		Version:     e.version.Add(1),
+		Version:     1,
 		ComputedAt:  time.Now(),
 		ComputeTime: time.Since(start),
 	}), nil
