@@ -95,8 +95,8 @@ func main() {
 		fail(err)
 	}
 
-	fmt.Printf("method: %s, iterations: %d, final L1 delta: %.3g\n",
-		res.Method, res.Iterations, res.Delta)
+	fmt.Printf("method: %s, iterations: %d (extrapolated %d), final L1 delta: %.3g\n",
+		res.Method, res.Iterations, res.Extrapolations, res.Delta)
 	if res.CompressionRatio > 0 {
 		fmt.Printf("compression ratio r = %.2f, preprocessing %v\n",
 			res.CompressionRatio, res.PreprocessTime.Round(1e3))

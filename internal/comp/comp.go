@@ -34,6 +34,6 @@ func Run(g *graph.Graph, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	iters, delta := core.RunToConvergence(e, o.Tolerance, maxIterations)
+	iters, delta, _ := core.RunToConvergence(e, o.Tolerance, maxIterations)
 	return &Result{Ranks: e.Ranks(), Iterations: iters, Delta: delta}, nil
 }

@@ -76,7 +76,7 @@ func NewBVGAS(g *graph.Graph, cfg Config) (*BVGAS, error) {
 		writeOff[t] = make([]int32, b)
 	}
 	e := &BVGAS{
-		state:    newRankState(g, cfg.Damping, cfg.Dangling),
+		state:    newRankState(g, cfg.Damping, cfg.Dangling, b),
 		cfg:      cfg,
 		layout:   layout,
 		bounds:   bounds,
@@ -161,7 +161,7 @@ func (e *BVGAS) Step() float64 {
 		for j, id := range ids {
 			sums[id-lo] += ups[j]
 		}
-		d, dang := st.applyRange(int(lo), int(hi), sums, base, dterm)
+		d, dang := st.applyRange(b, int(lo), int(hi), sums, base, dterm)
 		deltas[w] += d
 		danglings[w] += dang
 	})
@@ -179,6 +179,8 @@ func (e *BVGAS) Step() float64 {
 	e.stats.Iterations++
 	return delta
 }
+
+func (e *BVGAS) vertexState() *rankState { return e.state }
 
 // Ranks implements Engine.
 func (e *BVGAS) Ranks() []float32 { return e.state.ranksCopy() }

@@ -168,17 +168,73 @@ func RunIterations(e Engine, iters int) PhaseStats {
 }
 
 // RunToConvergence steps the engine until the L1 change drops below tol or
-// maxIters is reached, returning the iteration count and final delta.
-func RunToConvergence(e Engine, tol float64, maxIters int) (int, float64) {
-	delta := math.Inf(1)
-	for i := 1; i <= maxIters; i++ {
-		delta = e.Step()
-		if delta < tol {
-			return i, delta
-		}
+// maxIters is reached, returning the iteration count, the final delta and
+// the number of extrapolated iterations.
+//
+// The loop runs eq. 1's Jacobi recurrence x ← T(x), T a d-contraction in L1,
+// and, for the paper's engines (PDPR, BVGAS and both PCPMs), takes an Aitken step
+// whenever the error settles into one mode. After each plain iteration it
+// fits the last two rank changes r_k ≈ ρ·r_{k-1} by least squares on every
+// sampleStride-th vertex; when the fit leaves at most maxMisfit of r_k and
+// 0 < ρ ≤ d, the next iteration's apply writes T(x) + ρ/(1−ρ)·(T(x) − x),
+// the limit of the remaining geometric series, in place of T(x). A stepped
+// iteration is never the last: the loop ends only on a plain iteration, and
+// never steps at maxIters. So the returned delta is always |T(y) − y| for
+// the vector y it started from, and the returned ranks x = T(y) are within
+// d/(1−d)·delta of the fixed point, exactly the plain loop's certificate.
+// The sample's partial sums are reduced in range order, so for PCPM and
+// BVGAS, whose ranges are partitions, the decision (and the ranks) do not
+// depend on the worker count. Where no fit is ever good enough the ranks
+// and iterations are bit-identical to the plain loop's.
+func RunToConvergence(e Engine, tol float64, maxIters int) (iters int, delta float64, steps int) {
+	var st *rankState
+	if x, ok := e.(extrapolator); ok {
+		st = x.vertexState()
+		st.beginFit()
+		defer st.endFit()
 	}
-	return maxIters, delta
+	delta = math.Inf(1)
+	fitted := false // the sample holds the previous plain iteration's changes
+	for i := 1; i <= maxIters; i++ {
+		stepped := st != nil && st.step != 0
+		delta = e.Step()
+		if stepped {
+			st.step = 0
+			steps++
+			fitted = false
+			continue
+		}
+		if delta < tol {
+			return i, delta, steps
+		}
+		if st == nil {
+			continue
+		}
+		if rho, ok := st.fit(); ok && fitted && i+1 < maxIters {
+			st.step = float32(rho / (1 - rho))
+		}
+		fitted = true
+	}
+	return maxIters, delta, steps
 }
+
+// extrapolator is implemented by the engines whose apply can take the step.
+type extrapolator interface {
+	vertexState() *rankState
+}
+
+const (
+	// sampleStride spaces the vertices on which tolerance mode fits its
+	// geometric ratio: the sample is n/64 floats.
+	sampleStride = 64
+	// maxMisfit is the largest relative L2 residual of r_k − ρ·r_{k-1} on
+	// the sample at which the next iteration extrapolates.
+	maxMisfit = 0.01
+)
+
+// fitSums are one range's sums over its sampled vertices of r², r·p and p²,
+// r this iteration's rank change and p the previous one.
+type fitSums struct{ rr, rp, pp float64 }
 
 // rankState is the shared vertex-value state every engine maintains: the
 // unscaled ranks, the scaled ranks (SPR(v) = PR(v)/|No(v)|, eq. 2), and the
@@ -191,9 +247,15 @@ type rankState struct {
 	spr      []float32
 	deg      []float32 // SPR divisor per vertex: its out-degree, 0 marks dangling
 	dangling float64   // Σ PR over dangling nodes, for the next iteration
+
+	// Tolerance mode only (RunToConvergence); nil and 0 otherwise.
+	sample []float32 // last plain rank change of every sampleStride-th vertex
+	fits   []fitSums // this iteration's sample sums, one per apply range
+	ranges int       // apply ranges per iteration: the length of fits
+	step   float32   // ρ/(1−ρ) for the next apply, 0 for a plain one
 }
 
-func newRankState(g *graph.Graph, damping float64, policy DanglingPolicy) *rankState {
+func newRankState(g *graph.Graph, damping float64, policy DanglingPolicy, ranges int) *rankState {
 	n := g.NumNodes()
 	s := &rankState{
 		g:       g,
@@ -202,6 +264,7 @@ func newRankState(g *graph.Graph, damping float64, policy DanglingPolicy) *rankS
 		pr:      make([]float32, n),
 		spr:     make([]float32, n),
 		deg:     make([]float32, n),
+		ranges:  ranges,
 	}
 	off := g.OutOffsets()
 	for v := range s.deg {
@@ -212,6 +275,7 @@ func newRankState(g *graph.Graph, damping float64, policy DanglingPolicy) *rankS
 }
 
 func (s *rankState) reset() {
+	s.endFit()
 	n := s.g.NumNodes()
 	if n == 0 {
 		return
@@ -230,6 +294,37 @@ func (s *rankState) reset() {
 	s.dangling = dangling
 }
 
+// beginFit turns on the sampled fit of the following applies.
+func (s *rankState) beginFit() {
+	s.sample = make([]float32, (s.g.NumNodes()+sampleStride-1)/sampleStride)
+	s.fits = make([]fitSums, s.ranges)
+	s.step = 0
+}
+
+// endFit drops the sample and any pending step: every apply is plain again.
+func (s *rankState) endFit() {
+	s.sample, s.fits, s.step = nil, nil, 0
+}
+
+// fit reduces the last apply's sample sums in range order and returns the
+// least-squares ratio ρ of the two latest rank changes, and whether it may
+// be extrapolated: 0 < ρ ≤ d with a residual of at most maxMisfit.
+func (s *rankState) fit() (rho float64, ok bool) {
+	var t fitSums
+	for _, f := range s.fits {
+		t.rr += f.rr
+		t.rp += f.rp
+		t.pp += f.pp
+	}
+	if t.rr == 0 || t.pp == 0 {
+		return 0, false
+	}
+	rho = t.rp / t.pp
+	// ‖r − ρp‖² = rr − ρ·rp at the least-squares ρ.
+	misfit := (t.rr - rho*t.rp) / t.rr
+	return rho, rho > 0 && rho <= s.damping && misfit <= maxMisfit*maxMisfit
+}
+
 // danglingTerm returns the per-node correction added inside the damping
 // factor for the current iteration.
 func (s *rankState) danglingTerm() float32 {
@@ -239,16 +334,68 @@ func (s *rankState) danglingTerm() float32 {
 	return float32(s.dangling / float64(s.g.NumNodes()))
 }
 
-// applyRange finalizes ranks for nodes [lo, hi) given their accumulated
-// in-sums, returning the partial L1 delta and partial dangling mass. sums
-// is indexed from lo (sums[0] is node lo's value). The per-vertex work is a
-// multiply-add, an absolute difference and one division by the degree table.
-func (s *rankState) applyRange(lo, hi int, sums []float32, base, dterm float32) (delta, dangling float64) {
+// applyRange finalizes ranks for nodes [lo, hi), the part-th of the
+// iteration's apply ranges, given their accumulated in-sums, returning the
+// partial L1 delta and partial dangling mass. sums is indexed from lo
+// (sums[0] is node lo's value). The per-vertex work is a multiply-add, an
+// absolute difference and one division by the degree table. In tolerance
+// mode a plain apply first records the range's sampled rank changes, and a
+// stepped one extrapolates.
+func (s *rankState) applyRange(part, lo, hi int, sums []float32, base, dterm float32) (delta, dangling float64) {
+	if s.step != 0 {
+		return s.applyStepped(lo, hi, sums, base, dterm)
+	}
+	if s.sample != nil {
+		s.fits[part] = s.fitRange(lo, hi, sums, base, dterm)
+	}
+	return s.applyPlain(lo, hi, sums, base, dterm)
+}
+
+// applyPlain is eq. 1's apply: it writes T(x).
+func (s *rankState) applyPlain(lo, hi int, sums []float32, base, dterm float32) (delta, dangling float64) {
 	d := float32(s.damping)
 	pr, spr, deg := s.pr[lo:hi], s.spr[lo:hi], s.deg[lo:hi]
 	sums = sums[:len(pr)]
 	for i, old := range pr {
 		nv := base + d*(sums[i]+dterm)
+		pr[i] = nv
+		delta += math.Abs(float64(nv - old))
+		if dg := deg[i]; dg > 0 {
+			spr[i] = nv / dg
+		} else {
+			dangling += float64(nv)
+		}
+	}
+	return delta, dangling
+}
+
+// fitRange computes the rank change of the range's sampled vertices, which
+// the apply has not yet written, and returns their fit sums against the
+// previous change, which it then replaces in the sample.
+func (s *rankState) fitRange(lo, hi int, sums []float32, base, dterm float32) (f fitSums) {
+	d := float32(s.damping)
+	for v := (lo + sampleStride - 1) / sampleStride * sampleStride; v < hi; v += sampleStride {
+		nv := base + d*(sums[v-lo]+dterm)
+		r := nv - s.pr[v]
+		j := v / sampleStride
+		rf, pf := float64(r), float64(s.sample[j])
+		s.sample[j] = r
+		f.rr += rf * rf
+		f.rp += rf * pf
+		f.pp += pf * pf
+	}
+	return f
+}
+
+// applyStepped is applyRange's extrapolating iteration: it writes
+// T(x) + c·(T(x) − x), c = ρ/(1−ρ), in place of T(x).
+func (s *rankState) applyStepped(lo, hi int, sums []float32, base, dterm float32) (delta, dangling float64) {
+	d, c := float32(s.damping), s.step
+	pr, spr, deg := s.pr[lo:hi], s.spr[lo:hi], s.deg[lo:hi]
+	sums = sums[:len(pr)]
+	for i, old := range pr {
+		t := base + d*(sums[i]+dterm)
+		nv := t + c*(t-old)
 		pr[i] = nv
 		delta += math.Abs(float64(nv - old))
 		if dg := deg[i]; dg > 0 {

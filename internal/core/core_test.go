@@ -228,7 +228,7 @@ func TestConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iters, delta := RunToConvergence(e, 1e-7, 200)
+	iters, delta, _ := RunToConvergence(e, 1e-7, 200)
 	if iters >= 200 {
 		t.Fatalf("did not converge: delta = %g after %d iterations", delta, iters)
 	}

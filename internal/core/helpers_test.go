@@ -35,7 +35,7 @@ func TestRunToConvergenceHitsCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iters, delta := RunToConvergence(e, 0, 7) // tol 0: can never converge
+	iters, delta, _ := RunToConvergence(e, 0, 7) // tol 0: can never converge
 	if iters != 7 {
 		t.Fatalf("iterations = %d, want cap 7", iters)
 	}

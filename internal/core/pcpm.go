@@ -73,7 +73,7 @@ func newPCPM(g *graph.Graph, cfg Config, csrScatter bool) (*PCPM, error) {
 	pn := v.(*png.PNG)
 	kern := png.NewKernel(pn, cfg.Workers)
 	e := &PCPM{
-		state:      newRankState(g, cfg.Damping, cfg.Dangling),
+		state:      newRankState(g, cfg.Damping, cfg.Dangling, pn.KRows),
 		kern:       kern,
 		csrScatter: csrScatter,
 		branching:  cfg.Gather == GatherBranching,
@@ -169,12 +169,15 @@ func (e *PCPM) gather() float64 {
 	st := e.state
 	base := st.baseTerm()
 	dterm := st.danglingTerm()
+	shift := e.kern.PNG.RowLayout.Shift()
 	delta, dangling := e.kern.Gather(e.branching, func(lo, hi graph.NodeID, sums []float32) (float64, float64) {
-		return st.applyRange(int(lo), int(hi), sums, base, dterm)
+		return st.applyRange(int(lo>>shift), int(lo), int(hi), sums, base, dterm)
 	})
 	st.dangling = dangling
 	return delta
 }
+
+func (e *PCPM) vertexState() *rankState { return e.state }
 
 // Ranks implements Engine.
 func (e *PCPM) Ranks() []float32 { return e.state.ranksCopy() }

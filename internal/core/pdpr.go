@@ -42,7 +42,7 @@ func NewPDPR(g *graph.Graph, cfg Config) (*PDPR, error) {
 		scratch[w] = make([]float32, bounds[w+1]-bounds[w])
 	}
 	return &PDPR{
-		state:   newRankState(g, cfg.Damping, cfg.Dangling),
+		state:   newRankState(g, cfg.Damping, cfg.Dangling, workers),
 		cfg:     cfg,
 		bounds:  bounds,
 		scratch: scratch,
@@ -88,7 +88,7 @@ func (e *PDPR) Step() float64 {
 	// Ranks are finalized only after every worker finished pulling, so no
 	// pull observes an iteration-(i+1) value.
 	par.ForRanges(e.bounds, func(w, lo, hi int) {
-		d, dang := st.applyRange(lo, hi, e.scratch[w][:hi-lo], base, dterm)
+		d, dang := st.applyRange(w, lo, hi, e.scratch[w][:hi-lo], base, dterm)
 		deltas[w] = d
 		danglings[w] = dang
 	})
@@ -102,6 +102,8 @@ func (e *PDPR) Step() float64 {
 	e.stats.Iterations++
 	return delta
 }
+
+func (e *PDPR) vertexState() *rankState { return e.state }
 
 // Ranks implements Engine.
 func (e *PDPR) Ranks() []float32 { return e.state.ranksCopy() }

@@ -70,8 +70,13 @@ type Options struct {
 	// Iterations runs a fixed number of iterations (default 20) unless
 	// Tolerance is set.
 	Iterations int
-	// Tolerance, if positive, runs until the L1 rank change drops below it
-	// (capped at MaxIterations).
+	// Tolerance, if positive, runs until the L1 rank change of a plain
+	// Jacobi iteration drops below it (capped at MaxIterations). Where the
+	// rank changes settle into one geometric ratio ρ, an iteration
+	// extrapolates the remaining tail, T(x) + ρ/(1−ρ)·(T(x) − x); the loop
+	// never stops on such an iteration, so the returned ranks keep the plain
+	// loop's certificate: within d/(1−d)·Delta in L1 of the fixed point.
+	// See core.RunToConvergence.
 	Tolerance float64
 	// MaxIterations caps convergence mode (default DefaultMaxIterations).
 	MaxIterations int
@@ -89,6 +94,9 @@ type Result struct {
 	Iterations int
 	// Delta is the L1 change of the final iteration.
 	Delta float64
+	// Extrapolations counts the iterations that took a geometric-tail step
+	// (Options.Tolerance); always 0 in fixed-iteration mode.
+	Extrapolations int
 	// Stats carries cumulative per-phase wall-clock times.
 	Stats core.PhaseStats
 	// PreprocessTime is the engine's setup cost: bin sizing for BVGAS, zero
@@ -148,7 +156,7 @@ func Run(g *graph.Graph, o Options) (*Result, error) {
 		if maxIters <= 0 {
 			maxIters = DefaultMaxIterations
 		}
-		res.Iterations, res.Delta = core.RunToConvergence(e, o.Tolerance, maxIters)
+		res.Iterations, res.Delta, res.Extrapolations = core.RunToConvergence(e, o.Tolerance, maxIters)
 	} else {
 		iters := o.Iterations
 		if iters <= 0 {

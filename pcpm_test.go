@@ -83,6 +83,29 @@ func TestRunConvergenceMode(t *testing.T) {
 	}
 }
 
+// TestRunReportsExtrapolations: a tolerance run on the serving family counts
+// its geometric steps among its iterations; a fixed-iteration run takes none.
+func TestRunReportsExtrapolations(t *testing.T) {
+	g, err := gen.PreferentialAttachmentMix(1<<12, 8, 0.2, 42, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(g, Options{Tolerance: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Extrapolations == 0 || res.Extrapolations >= res.Iterations || res.Delta >= 1e-6 {
+		t.Fatalf("tolerance run: %d extrapolations in %d iterations, delta %g", res.Extrapolations, res.Iterations, res.Delta)
+	}
+	fixed, err := Run(g, Options{Iterations: res.Iterations})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixed.Extrapolations != 0 {
+		t.Fatalf("fixed-iteration run reports %d extrapolations", fixed.Extrapolations)
+	}
+}
+
 func TestRunRedistributeSumsToOne(t *testing.T) {
 	g := facadeGraph(t)
 	res, err := Run(g, Options{Iterations: 40, RedistributeDangling: true, PartitionBytes: 1024})
