@@ -61,11 +61,9 @@ func NewBVGAS(g *graph.Graph, cfg Config) (*BVGAS, error) {
 	cnt := make([][]int32, workers)
 	par.ForRanges(bounds, func(t, lo, hi int) {
 		c := make([]int32, b)
-		outOff := g.OutOffsets()
-		outAdj := g.OutAdjacency()
 		shift := layout.Shift()
-		for v := lo; v < hi; v++ {
-			for _, u := range outAdj[outOff[v]:outOff[v+1]] {
+		for _, s := range graph.Spans(g.Chunks(), lo, hi) {
+			for _, u := range s.Adj[s.Off[0]:s.Off[len(s.Off)-1]] {
 				c[u>>shift]++
 			}
 		}
@@ -118,8 +116,6 @@ func (e *BVGAS) Step() float64 {
 	st := e.state
 	g := st.g
 	shift := e.layout.Shift()
-	outOff := g.OutOffsets()
-	outAdj := g.OutAdjacency()
 	spr := st.spr
 	nbins := e.layout.K()
 
@@ -128,15 +124,17 @@ func (e *BVGAS) Step() float64 {
 	par.ForRanges(e.bounds, func(t, lo, hi int) {
 		cur := make([]int32, nbins)
 		off := e.writeOff[t]
-		for v := lo; v < hi; v++ {
-			sv := spr[v]
-			for _, u := range outAdj[outOff[v]:outOff[v+1]] {
-				b := int(u >> shift)
-				pos := off[b] + cur[b]
-				cur[b]++
-				e.updates[b][pos] = sv
-				if firstIter {
-					e.destIDs[b][pos] = u
+		for first, s := range graph.Spans(g.Chunks(), lo, hi) {
+			for i := range len(s.Off) - 1 {
+				sv := spr[first+i]
+				for _, u := range s.Adj[s.Off[i]:s.Off[i+1]] {
+					b := int(u >> shift)
+					pos := off[b] + cur[b]
+					cur[b]++
+					e.updates[b][pos] = sv
+					if firstIter {
+						e.destIDs[b][pos] = u
+					}
 				}
 			}
 		}

@@ -266,9 +266,11 @@ func newRankState(g *graph.Graph, damping float64, policy DanglingPolicy, ranges
 		deg:     make([]float32, n),
 		ranges:  ranges,
 	}
-	off := g.OutOffsets()
-	for v := range s.deg {
-		s.deg[v] = float32(off[v+1] - off[v])
+	for c, ch := range g.Chunks() {
+		deg := s.deg[c<<graph.ChunkShift:]
+		for i := range len(ch.Off) - 1 {
+			deg[i] = float32(ch.Off[i+1] - ch.Off[i])
+		}
 	}
 	s.reset()
 	return s

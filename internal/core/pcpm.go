@@ -139,8 +139,6 @@ func (e *PCPM) scatterCSR() {
 	spr := e.state.spr
 	k := pn.K
 	shift := pn.Layout.Shift()
-	outOff := g.OutOffsets()
-	outAdj := g.OutAdjacency()
 	e.kern.Schedule(k, func(w, p int) {
 		cur := e.workerCur[w]
 		for q := range cur {
@@ -148,15 +146,17 @@ func (e *PCPM) scatterCSR() {
 		}
 		row := p * k
 		lo, hi := pn.Layout.Bounds(p)
-		for v := lo; v < hi; v++ {
-			sv := spr[v]
-			prev := -1
-			for _, u := range outAdj[outOff[v]:outOff[v+1]] {
-				q := int(u >> shift)
-				if q != prev {
-					e.updates[q][pn.UpdateWriteOff[row+q]+cur[q]] = sv
-					cur[q]++
-					prev = q
+		for first, s := range graph.Spans(g.Chunks(), int(lo), int(hi)) {
+			for i := range len(s.Off) - 1 {
+				sv := spr[first+i]
+				prev := -1
+				for _, u := range s.Adj[s.Off[i]:s.Off[i+1]] {
+					q := int(u >> shift)
+					if q != prev {
+						e.updates[q][pn.UpdateWriteOff[row+q]+cur[q]] = sv
+						cur[q]++
+						prev = q
+					}
 				}
 			}
 		}

@@ -68,8 +68,7 @@ func (e *PDPR) Step() float64 {
 	g := st.g
 	base := st.baseTerm()
 	dterm := st.danglingTerm()
-	inOff := g.InOffsets()
-	inAdj := g.InAdjacency()
+	in := g.InChunks()
 	spr := st.spr
 
 	workers := len(e.bounds) - 1
@@ -77,12 +76,14 @@ func (e *PDPR) Step() float64 {
 	danglings := make([]float64, workers)
 	par.ForRanges(e.bounds, func(w, lo, hi int) {
 		sums := e.scratch[w][:hi-lo]
-		for v := lo; v < hi; v++ {
-			var acc float32
-			for _, u := range inAdj[inOff[v]:inOff[v+1]] {
-				acc += spr[u]
+		for first, s := range graph.Spans(in, lo, hi) {
+			for i := range len(s.Off) - 1 {
+				var acc float32
+				for _, u := range s.Adj[s.Off[i]:s.Off[i+1]] {
+					acc += spr[u]
+				}
+				sums[first+i-lo] = acc
 			}
-			sums[v-lo] = acc
 		}
 	})
 	// Ranks are finalized only after every worker finished pulling, so no

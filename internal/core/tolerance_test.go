@@ -66,12 +66,11 @@ func oraclePageRank(g *graph.Graph, damping float64, policy DanglingPolicy) []fl
 	for v := range pr {
 		pr[v] = 1 / float64(n)
 	}
-	inOff, inAdj, outOff := g.InOffsets(), g.InAdjacency(), g.OutOffsets()
 	for delta := math.Inf(1); delta >= 1e-13; {
 		var dang float64
 		if policy == DanglingRedistribute {
 			for v := 0; v < n; v++ {
-				if outOff[v+1] == outOff[v] {
+				if g.OutDegree(graph.NodeID(v)) == 0 {
 					dang += pr[v]
 				}
 			}
@@ -79,8 +78,8 @@ func oraclePageRank(g *graph.Graph, damping float64, policy DanglingPolicy) []fl
 		delta = 0
 		for v := 0; v < n; v++ {
 			var sum float64
-			for _, u := range inAdj[inOff[v]:inOff[v+1]] {
-				sum += pr[u] / float64(outOff[u+1]-outOff[u])
+			for _, u := range g.InNeighbors(graph.NodeID(v)) {
+				sum += pr[u] / float64(g.OutDegree(u))
 			}
 			next[v] = (1-damping)/float64(n) + damping*(sum+dang/float64(n))
 			delta += math.Abs(next[v] - pr[v])

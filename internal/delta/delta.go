@@ -261,15 +261,6 @@ func Apply(g *graph.Graph, ranks []float32, d EdgeDelta, o Options) (*Result, er
 		res.Reason = fmt.Sprintf("repair truncated after %d rounds with residual %.3g", rr.Rounds, rr.ResidualL1)
 		return res, nil
 	}
-	out := make([]float32, len(rr.Scores))
-	for i, s := range rr.Scores {
-		if s < 0 {
-			// Signed pushes can leave float dust below zero on vertices whose
-			// rank shrank; true ranks are strictly positive, so clamp.
-			s = 0
-		}
-		out[i] = float32(s)
-	}
-	res.Ranks = out
+	res.Ranks = rr.Ranks // clamped at 0 and narrowed by Repair
 	return res, nil
 }

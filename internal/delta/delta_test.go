@@ -3,10 +3,13 @@ package delta
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/ppr"
 )
 
 // globalPR is the float64 reference: the paper's eq. 1 fixed point (dangling
@@ -21,11 +24,9 @@ func globalPR(g *graph.Graph, damping, tol float64, maxIters int) []float64 {
 		p[i] = 1 / float64(n)
 	}
 	base := (1 - damping) / float64(n)
-	inOff, inAdj := g.InOffsets(), g.InAdjacency()
-	outOff := g.OutOffsets()
 	for it := 0; it < maxIters; it++ {
 		for v := 0; v < n; v++ {
-			if deg := outOff[v+1] - outOff[v]; deg > 0 {
+			if deg := g.OutDegree(graph.NodeID(v)); deg > 0 {
 				scaled[v] = p[v] / float64(deg)
 			} else {
 				scaled[v] = 0
@@ -34,7 +35,7 @@ func globalPR(g *graph.Graph, damping, tol float64, maxIters int) []float64 {
 		var delta float64
 		for v := 0; v < n; v++ {
 			var sum float64
-			for _, u := range inAdj[inOff[v]:inOff[v+1]] {
+			for _, u := range g.InNeighbors(graph.NodeID(v)) {
 				sum += scaled[u]
 			}
 			nv := base + damping*sum
@@ -503,4 +504,72 @@ func ExampleApply() {
 	}, Options{FallbackL1: 10})
 	fmt.Println(res.FellBack, res.Graph.NumEdges())
 	// Output: false 5
+}
+
+// TestOldVersionReadsWhilePatched runs personalized queries on one graph
+// version while a writer derives new versions from it with Apply, each
+// chained on the last; every version shares the chunks its batch leaves
+// alone with the one it came from. The readers' answers must be bit-identical
+// to runs made before any patch. Under -race (CI runs the short suite with
+// it) this is also the check that nothing writes into a shared chunk.
+func TestOldVersionReadsWhilePatched(t *testing.T) {
+	n := 3*graph.ChunkSize + 5 // four chunks, the last partial
+	g, err := gen.PreferentialAttachmentMix(n, 8, 0.3, 21, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := ppr.New(g, ppr.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedSets := [][]graph.NodeID{{0}, {graph.ChunkSize - 1, graph.ChunkSize}, {graph.NodeID(n - 1)}}
+	want := make([][]float64, len(seedSets))
+	for i, seeds := range seedSets {
+		res, err := eng.Run(seeds, ppr.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Scores
+	}
+	ranks := make([]float32, n)
+	for i := range ranks {
+		ranks[i] = 1 / float32(n)
+	}
+
+	versions, rounds := 6, 3
+	if testing.Short() {
+		versions, rounds = 3, 1
+	}
+	var wg sync.WaitGroup
+	for r := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range rounds * len(seedSets) {
+				i := (r + k) % len(seedSets)
+				res, err := eng.Run(seedSets[i], ppr.RunOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(res.Scores, want[i]) {
+					t.Errorf("reader %d: seeds %v answered differently while the graph was patched", r, seedSets[i])
+					return
+				}
+			}
+		}()
+	}
+	cur, curRanks := g, ranks
+	for v := range versions {
+		d := randomDelta(cur, 2, uint64(v))
+		// One edge out of a chunk-seam source, so the batch lands on both
+		// sides of a seam over the versions.
+		d.Insert = append(d.Insert, graph.Edge{Src: graph.NodeID(graph.ChunkSize - 1 + v%2), Dst: graph.NodeID(v), W: 1})
+		res, err := Apply(cur, curRanks, d, Options{FallbackL1: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, curRanks = res.Graph, res.Ranks
+	}
+	wg.Wait()
 }

@@ -30,6 +30,19 @@ const residualEntryBytes = 12 // node uint32 + delta float64
 // ResidualSize returns the encoded byte count for n changed entries.
 func ResidualSize(n int) int { return 4 + n*residualEntryBytes }
 
+// Changed returns the number of entries whose float32 bits differ between
+// two vectors of one length: the entries EncodeResidual encodes, so a caller
+// can size a residual before it builds one.
+func Changed(prev, next []float32) int {
+	changed := 0
+	for i := range next {
+		if math.Float32bits(next[i]) != math.Float32bits(prev[i]) {
+			changed++
+		}
+	}
+	return changed
+}
+
 // EncodeResidual encodes next as a signed residual delta against prev.
 // It returns ok=false when the vectors differ in length or some entry
 // cannot be reconstructed exactly by the decoder — callers then fall back
@@ -38,12 +51,7 @@ func EncodeResidual(prev, next []float32) ([]byte, bool) {
 	if len(prev) != len(next) {
 		return nil, false
 	}
-	changed := 0
-	for i := range next {
-		if math.Float32bits(next[i]) != math.Float32bits(prev[i]) {
-			changed++
-		}
-	}
+	changed := Changed(prev, next)
 	out := make([]byte, 0, ResidualSize(changed))
 	out = binary.LittleEndian.AppendUint32(out, uint32(changed))
 	for i := range next {

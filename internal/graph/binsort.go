@@ -7,25 +7,20 @@ import (
 	"repro/internal/par"
 )
 
-// blockShift sets the key-block width of binSort: keys k with equal
-// k>>blockShift share a block. 4096 keys keep a block's write cursors
-// (32 KB) in cache while it is placed, and a key's offset inside its block
-// fits in 16 bits.
-const blockShift = 12
-
-const blockMask = 1<<blockShift - 1
-
 // binSort is the package's counting sort. It groups items with keys in
-// [0, n) into CSR form — off (len n+1) and val, plus w when weighted —
-// keeping each key's items in input order, optionally sorting and
+// [0, n) into chunked CSR form — one Chunk per ChunkSize keys, with W when
+// weighted — keeping each key's items in input order, optionally sorting and
 // deduplicating every list. The builder keys edges by source; the transpose
 // keys them by destination.
 //
 // It is the binned scatter of §3.1, as png.BuildCSR uses it: the input comes
-// in chunks, the keys in blocks, and per-(chunk, block) counts whose prefix
-// sums give every chunk a disjoint, order-preserving range in every block.
-// Memory beyond the output is a 2-byte block-local key per item, one count
-// per (chunk, block) cell, and per worker one block's worth of scratch.
+// in parts, the keys in blocks of ChunkSize, and per-(part, block) counts
+// whose prefix sums give every part a disjoint, order-preserving range in
+// every block. A block, once placed, is a chunk: its offsets count from its
+// own start and its lists are its range of one values array, which every
+// chunk of the output slices. Memory beyond the output is a 2-byte
+// block-local key per item, one count per (part, block) cell, and per worker
+// one block's worth of scratch.
 type binSort struct {
 	n         int
 	weighted  bool
@@ -33,7 +28,7 @@ type binSort struct {
 	dedup     bool // then collapse equal values, summing weights in input order
 }
 
-// binScan is one chunk's handle on a binSort in progress. The chunk's scan
+// binScan is one part's handle on a binSort in progress. The part's scan
 // calls add once per item it keeps, in input order: the first pass counts
 // the item into its block, the second writes it into the block's range.
 type binScan struct {
@@ -44,101 +39,116 @@ type binScan struct {
 }
 
 func (s *binScan) add(key, val NodeID, w float32) {
-	b := key >> blockShift
+	b := key >> ChunkShift
 	if s.key == nil {
 		s.cell[b]++
 		return
 	}
 	p := s.cell[b]
 	s.cell[b] = p + 1
-	s.key[p] = uint16(key & blockMask)
+	s.key[p] = uint16(key & chunkMask)
 	s.val[p] = val
 	if s.w != nil {
 		s.w[p] = w
 	}
 }
 
-// run sorts the items that scan(s, c) feeds for chunks c in [0, chunks).
-// scan is called twice per chunk, concurrently across chunks, and must feed
+// run sorts the items that scan(s, p) feeds for parts p in [0, parts).
+// scan is called twice per part, concurrently across parts, and must feed
 // the same items in the same order both times. An error from the first call
-// aborts the sort; with several, the lowest chunk's is returned. The output
-// does not depend on chunks or on the worker count.
-func (bs binSort) run(chunks int, scan func(s *binScan, c int) error) (off []int64, val []NodeID, w []float32, err error) {
-	blocks := (bs.n + blockMask) >> blockShift
-	cell := make([]int64, chunks*blocks) // cell[c*blocks+b]
-	scans := make([]binScan, chunks)
-	for c := range scans {
-		scans[c].cell = cell[c*blocks : (c+1)*blocks]
+// aborts the sort; with several, the lowest part's is returned. The output
+// does not depend on parts or on the worker count.
+func (bs binSort) run(parts int, scan func(s *binScan, p int) error) ([]Chunk, error) {
+	blocks := numChunks(bs.n)
+	cell := make([]int64, parts*blocks) // cell[p*blocks+b]
+	scans := make([]binScan, parts)
+	for p := range scans {
+		scans[p].cell = cell[p*blocks : (p+1)*blocks]
 	}
 
-	// Pass 1 (parallel over chunks): count.
-	errs := make([]error, chunks)
-	par.ForDynamic(chunks, chunks, func(c int) { errs[c] = scan(&scans[c], c) })
+	// Pass 1 (parallel over parts): count.
+	errs := make([]error, parts)
+	par.ForDynamic(parts, parts, func(p int) { errs[p] = scan(&scans[p], p) })
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
 
-	// Prefix sums over (block, chunk): block b's items occupy
-	// [start[b], start[b+1]), chunk 0's first.
+	// Prefix sums over (block, part): block b's items occupy
+	// [start[b], start[b+1]), part 0's first.
 	start := make([]int64, blocks+1)
 	var m int64
 	for b := 0; b < blocks; b++ {
 		start[b] = m
-		for c := 0; c < chunks; c++ {
-			m, cell[c*blocks+b] = m+cell[c*blocks+b], m
+		for p := 0; p < parts; p++ {
+			m, cell[p*blocks+b] = m+cell[p*blocks+b], m
 		}
 	}
 	start[blocks] = m
 
-	// Pass 2 (parallel over chunks): scatter. A block's range of val and w
+	// Pass 2 (parallel over parts): scatter. A block's range of val and w
 	// is already its final range, so only the keys need a temporary.
 	key := make([]uint16, m)
-	val = make([]NodeID, m)
+	val := make([]NodeID, m)
+	var w []float32
 	if bs.weighted {
 		w = make([]float32, m)
 	}
-	for c := range scans {
-		scans[c].key, scans[c].val, scans[c].w = key, val, w
+	for p := range scans {
+		scans[p].key, scans[p].val, scans[p].w = key, val, w
 	}
-	par.ForDynamic(chunks, chunks, func(c int) { _ = scan(&scans[c], c) }) // pass 1 accepted every item
+	par.ForDynamic(parts, parts, func(p int) { _ = scan(&scans[p], p) }) // pass 1 accepted every item
 
-	// Pass 3 (parallel over blocks): place each block's items at their keys.
-	off = make([]int64, bs.n+1)
+	// Pass 3 (parallel over blocks): place each block's items at their keys,
+	// writing its chunk offsets. Chunk b's offsets start at b<<ChunkShift + b
+	// of one array.
+	offs := make([]int64, bs.n+blocks)
+	chunks := make([]Chunk, blocks)
+	for b := range chunks {
+		lo := b << ChunkShift
+		hi := lo + chunkLen(bs.n, b)
+		chunks[b].Off = offs[lo+b : hi+b+1 : hi+b+1]
+	}
 	kept := make([]int64, blocks) // items per block after dedup
 	workers := par.Workers(0)
 	scratch := make([]placeScratch, workers)
 	par.ForDynamicWorker(blocks, workers, func(wk, b int) {
-		kept[b] = bs.place(&scratch[wk], b, start[b], start[b+1], off, key, val, w)
+		kept[b] = bs.place(&scratch[wk], start[b], start[b+1], chunks[b].Off, key, val, w)
 	})
-	if !bs.dedup {
-		return off, val, w, nil
-	}
 
-	// Compaction (sequential, ascending, so no block overwrites one that is
-	// still to move): close the gaps dedup left at the end of each block.
-	var at int64
-	for b := 0; b < blocks; b++ {
-		s, k := start[b], kept[b]
-		if at != s {
-			copy(val[at:at+k], val[s:s+k])
+	// Compaction under dedup (sequential, ascending, so no block overwrites
+	// one that is still to move): close the gaps dedup left at the end of
+	// each block. Offsets count from the block's start, so they stay.
+	if bs.dedup {
+		var at int64
+		for b := 0; b < blocks; b++ {
+			s, k := start[b], kept[b]
+			if at != s {
+				copy(val[at:at+k], val[s:s+k])
+				if w != nil {
+					copy(w[at:at+k], w[s:s+k])
+				}
+			}
+			start[b] = at
+			at += k
+		}
+		start[blocks] = at
+		if at < m {
+			val = slices.Clone(val[:at])
 			if w != nil {
-				copy(w[at:at+k], w[s:s+k])
-			}
-			for v := b<<blockShift + 1; v <= min((b+1)<<blockShift, bs.n); v++ {
-				off[v] -= s - at
+				w = slices.Clone(w[:at])
 			}
 		}
-		at += k
 	}
-	if at < m {
-		val = slices.Clone(val[:at])
+	for b := range chunks {
+		s, e := start[b], start[b+1]
+		chunks[b].Adj = val[s:e:e]
 		if w != nil {
-			w = slices.Clone(w[:at])
+			chunks[b].W = w[s:e:e]
 		}
 	}
-	return off, val, w, nil
+	return chunks, nil
 }
 
 // placeScratch is one pass-3 worker's reusable memory.
@@ -149,17 +159,16 @@ type placeScratch struct {
 	pairs []adjWeight
 }
 
-// place runs pass 3 on block b, whose items sit in [s, e) in scatter order:
-// it writes off for the block's keys and moves the items to their slots,
-// stable, through a copy of the block, then finishes each list. It returns
-// the number of items the block keeps, packed from s.
-func (bs binSort) place(ps *placeScratch, b int, s, e int64, off []int64, key []uint16, val []NodeID, w []float32) int64 {
-	lo := b << blockShift
-	hi := min(lo+1<<blockShift, bs.n)
+// place runs pass 3 on one block, whose items sit in [s, e) in scatter
+// order: it writes the block's chunk offsets off (off[0] stays 0) and moves
+// the items to their slots, stable, through a copy of the block, then
+// finishes each list. It returns the number of items the block keeps, packed
+// from s.
+func (bs binSort) place(ps *placeScratch, s, e int64, off []int64, key []uint16, val []NodeID, w []float32) int64 {
 	if ps.cur == nil {
-		ps.cur = make([]int64, 1<<blockShift)
+		ps.cur = make([]int64, ChunkSize)
 	}
-	cur := ps.cur[:hi-lo]
+	cur := ps.cur[:len(off)-1]
 	clear(cur)
 	keys := key[s:e]
 	for _, k := range keys {
@@ -169,7 +178,7 @@ func (bs binSort) place(ps *placeScratch, b int, s, e int64, off []int64, key []
 	for k, d := range cur {
 		cur[k] = at
 		at += d
-		off[lo+k+1] = at
+		off[k+1] = at - s
 	}
 	ps.val = append(ps.val[:0], val[s:e]...)
 	if w != nil {
@@ -188,8 +197,8 @@ func (bs binSort) place(ps *placeScratch, b int, s, e int64, off []int64, key []
 	}
 	from, to := s, s // the list being finished
 	at = s           // under dedup, where the next kept entry goes
-	for v := lo; v < hi; v++ {
-		from, to = to, off[v+1]
+	for i := range len(off) - 1 {
+		from, to = to, s+off[i+1]
 		var ws []float32
 		if w != nil {
 			ws = w[from:to]
@@ -197,7 +206,7 @@ func (bs binSort) place(ps *placeScratch, b int, s, e int64, off []int64, key []
 		sortAdjRange(val[from:to], ws, &ps.pairs)
 		if bs.dedup {
 			at = collapse(val, w, from, to, at)
-			off[v+1] = at
+			off[i+1] = at - s
 		}
 	}
 	if bs.dedup {
@@ -254,15 +263,18 @@ func collapse(val []NodeID, w []float32, from, to, at int64) int64 {
 	return at
 }
 
-// edgeSplit returns chunks+1 vertex bounds cutting off's edges into chunks
-// ranges of about equal edge count.
-func edgeSplit(off []int64, chunks int) []int {
-	n := len(off) - 1
-	m := off[n]
-	bounds := make([]int, chunks+1)
-	for c := 1; c < chunks; c++ {
-		bounds[c], _ = slices.BinarySearch(off, int64(c)*m/int64(chunks))
+// chunkSplit returns parts+1 chunk bounds cutting chunks into parts ranges
+// of about equal edge count.
+func chunkSplit(chunks []Chunk, parts int) []int {
+	at := make([]int64, len(chunks)+1) // edges before chunk c
+	for c := range chunks {
+		at[c+1] = at[c] + int64(len(chunks[c].Adj))
 	}
-	bounds[chunks] = n
+	m := at[len(chunks)]
+	bounds := make([]int, parts+1)
+	for p := 1; p < parts; p++ {
+		bounds[p], _ = slices.BinarySearch(at[:len(chunks)], int64(p)*m/int64(parts))
+	}
+	bounds[parts] = len(chunks)
 	return bounds
 }

@@ -57,7 +57,7 @@ func BenchmarkTranspose(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		h.InOffsets()
+		h.InChunks()
 	}
 	b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }

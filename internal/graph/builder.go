@@ -62,18 +62,19 @@ func (b *Builder) Build(opts BuildOptions) (*Graph, error) {
 // options applied. The input slice is read, never written, and not
 // retained.
 //
-// The CSR comes from one binSort keyed by source, cut into one chunk of the
+// The CSR comes from one binSort keyed by source, cut into one part of the
 // input per worker: each edge is range-checked (the first bad one in input
 // order is reported) and, under DropSelfLoops, skipped if it is a loop;
-// every out-list is sorted, and collapsed under Dedup.
+// every out-list is sorted, and collapsed under Dedup. Its chunks slice one
+// adjacency array (and one weight array).
 func FromEdges(n int, edges []Edge, weighted bool, opts BuildOptions) (*Graph, error) {
 	if n < 0 || int64(n) > MaxNodes {
 		return nil, fmt.Errorf("graph: node count %d out of range [0, %d]", n, int64(MaxNodes))
 	}
-	chunks := par.Workers(0)
+	parts := par.Workers(0)
 	bs := binSort{n: n, weighted: weighted, sortLists: true, dedup: opts.Dedup}
-	off, adj, w, err := bs.run(chunks, func(s *binScan, c int) error {
-		for _, e := range edges[c*len(edges)/chunks : (c+1)*len(edges)/chunks] {
+	chunks, err := bs.run(parts, func(s *binScan, p int) error {
+		for _, e := range edges[p*len(edges)/parts : (p+1)*len(edges)/parts] {
 			if int(e.Src) >= n || int(e.Dst) >= n {
 				return fmt.Errorf("graph: edge (%d,%d) out of range for %d nodes", e.Src, e.Dst, n)
 			}
@@ -87,5 +88,14 @@ func FromEdges(n int, edges []Edge, weighted bool, opts BuildOptions) (*Graph, e
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{n: n, m: int64(len(adj)), outOff: off, outAdj: adj, outW: w}, nil
+	return fromChunks(n, weighted, chunks), nil
+}
+
+// fromChunks wraps chunks in a Graph, counting its edges.
+func fromChunks(n int, weighted bool, chunks []Chunk) *Graph {
+	g := &Graph{n: n, weighted: weighted, out: chunks}
+	for _, ch := range chunks {
+		g.m += int64(len(ch.Adj))
+	}
+	return g
 }

@@ -3,7 +3,10 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand/v2"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // FuzzReadEdgeList hammers the text edge-list reader, the other format a
@@ -199,6 +202,125 @@ func FuzzSniffBinary(f *testing.F) {
 		}
 		if _, err := ReadBinary(bytes.NewReader(data)); err == nil && !sniffed {
 			t.Fatal("ReadBinary accepted a stream SniffBinary rejects — the upload dispatcher would parse it as an edge list")
+		}
+	})
+}
+
+// FuzzPatch drives Patch across chunk seams. The graph has a node count
+// that is not a multiple of ChunkSize, so its last chunk is partial, and the
+// batch's sources lean on the seams: ChunkSize−1 and ChunkSize, the first
+// and last vertices of the last chunk, vertex 0. ops is read three bytes at
+// a time (kind and source, then two bytes picking a destination or the
+// instance to delete). The patched graph must equal FromEdges over the
+// edited edge list, bit for bit; every chunk the batch leaves alone must be
+// the parent's own, and the parent must read back unchanged.
+func FuzzPatch(f *testing.F) {
+	f.Add(false, uint16(0), uint64(1), []byte{0, 0, 1, 2, 0, 0})
+	f.Add(true, uint16(7), uint64(2), []byte{1, 3, 0, 3, 0, 0, 4, 9, 9, 6, 1, 1})
+	f.Add(true, uint16(4095), uint64(3), []byte{2, 0, 0, 5, 0, 0, 7, 1, 0, 8, 2, 0})
+	f.Add(false, uint16(1), uint64(4), []byte{9, 0, 0, 11, 0, 0, 13, 0, 0})
+
+	f.Fuzz(func(t *testing.T, weighted bool, extra uint16, seed uint64, ops []byte) {
+		n := 2*ChunkSize + 1 + int(extra)%(2*ChunkSize)
+		if n%ChunkSize == 0 {
+			n++
+		}
+		// A weight is a function of the pair, so parallel instances are
+		// interchangeable and only the multiset of edges decides the graph.
+		edge := func(src, dst int) Edge {
+			e := Edge{Src: NodeID(src), Dst: NodeID(dst), W: 1}
+			if weighted {
+				e.W = float32(1+(src*31+dst)%7) / 4
+			}
+			return e
+		}
+		last := n &^ chunkMask // the last chunk's first vertex
+		seams := []int{ChunkSize - 1, ChunkSize, last, n - 1, 0}
+		r := rand.New(rand.NewPCG(seed, uint64(n)))
+		var edges []Edge
+		for range 3 * n {
+			src := r.IntN(n)
+			if r.IntN(4) == 0 {
+				src = seams[r.IntN(len(seams))]
+			}
+			edges = append(edges, edge(src, r.IntN(n)))
+		}
+		g, err := FromEdges(n, edges, weighted, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := g.Edges()
+		parent := slices.Clone(g.out)
+
+		// Deletions name instances the parent holds, each at most once.
+		left := map[int][]NodeID{}
+		var ins, del []Edge
+		for i := 0; i+2 < len(ops) && i < 3*64; i += 3 {
+			src := int(ops[i]>>1) % (len(seams) + 1)
+			if src < len(seams) {
+				src = seams[src]
+			} else {
+				src = int(ops[i+1]) << 8 % n
+			}
+			pick := int(ops[i+1])<<8 | int(ops[i+2])
+			if ops[i]&1 == 0 {
+				ins = append(ins, edge(src, pick%n))
+				continue
+			}
+			if _, ok := left[src]; !ok {
+				left[src] = slices.Clone(g.OutNeighbors(NodeID(src)))
+			}
+			if l := left[src]; len(l) > 0 {
+				j := pick % len(l)
+				del = append(del, edge(src, int(l[j])))
+				left[src] = slices.Delete(l, j, j+1)
+			}
+		}
+		if len(ins)+len(del) == 0 {
+			return
+		}
+		got, err := Patch(g, ins, del)
+		if err != nil {
+			t.Fatalf("Patch: %v", err)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("patched graph invalid: %v", err)
+		}
+
+		remove := map[Edge]int{}
+		for _, e := range del {
+			remove[e]++
+		}
+		var kept []Edge
+		for _, e := range before {
+			if remove[e] > 0 {
+				remove[e]--
+				continue
+			}
+			kept = append(kept, e)
+		}
+		want, err := FromEdges(n, append(kept, ins...), weighted, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || !slices.Equal(got.Edges(), want.Edges()) {
+			t.Fatal("Patch differs from FromEdges over the edited edge list")
+		}
+
+		touched := map[int]bool{}
+		for _, e := range append(ins, del...) {
+			touched[int(e.Src)>>ChunkShift] = true
+		}
+		for c := range got.out {
+			shared := unsafe.SliceData(got.out[c].Off) == unsafe.SliceData(g.out[c].Off)
+			if shared == touched[c] {
+				t.Fatalf("chunk %d: shared with the parent %v, touched by the batch %v", c, shared, touched[c])
+			}
+		}
+		if !slices.EqualFunc(g.out, parent, func(a, b Chunk) bool {
+			return unsafe.SliceData(a.Off) == unsafe.SliceData(b.Off) && unsafe.SliceData(a.Adj) == unsafe.SliceData(b.Adj)
+		}) || !slices.Equal(g.Edges(), before) || g.Validate() != nil {
+			t.Fatal("Patch changed its parent")
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Package graph provides the in-memory directed-graph substrate used by the
-// PCPM PageRank reproduction: Compressed Sparse Row (out-edge) adjacency,
-// 32-bit node identifiers, optional edge weights, builders, and edge-list
-// I/O. The partition-centric engine builds its whole layout from out-edges;
+// PCPM PageRank reproduction: Compressed Sparse Row (out-edge) adjacency in
+// chunks of 4096 sources that graph versions share, 32-bit node identifiers,
+// optional edge weights, builders, and edge-list I/O. The partition-centric engine builds its whole layout from out-edges;
 // the in-adjacency (the transpose) is derived on first use, for the code
 // that pulls — the PDPR baseline and a few offline tools.
 //
@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/par"
@@ -40,55 +41,61 @@ type Edge struct {
 	W   float32
 }
 
-// Graph is an immutable directed graph stored in CSR (out-edge) form.
-// Adjacency lists are sorted by neighbor ID; the PNG construction
-// (internal/png) relies on that ordering to find partition runs without
-// extra sorting. The in-adjacency is not stored: InNeighbors and the other
-// In* accessors build the unweighted transpose once, on first use, and every
-// constructor returns a graph without it.
+// Graph is an immutable directed graph stored in CSR (out-edge) form, cut
+// into chunks of ChunkSize consecutive sources (see Chunk). Adjacency lists
+// are sorted by neighbor ID; the PNG construction (internal/png) relies on
+// that ordering to find partition runs without extra sorting. The
+// in-adjacency is not stored: InNeighbors and the other In* accessors build
+// the unweighted transpose once, on first use, and every constructor returns
+// a graph without it.
+//
+// The chunks are the only representation; no flat copy exists beside them.
+// Patch shares every chunk the edit does not touch with its parent. So a
+// version keeps alive its own chunks plus the backing arrays its shared
+// chunks point into. FromEdges and ReadBinary cut all of a graph's chunks
+// from one adjacency array (and one weight and one offset array), and
+// such an array stays whole while any version still shares one of its
+// chunks; Patch and RowBlock allocate each chunk they build on its own.
 //
 // Offsets use int64 so the implementation is safe for any edge count the ID
 // space allows; the analytical and simulated communication models still
 // account offsets at the paper's 4 bytes per index.
 type Graph struct {
-	n int   // number of nodes
-	m int64 // number of edges
+	n        int   // number of nodes
+	m        int64 // number of edges
+	weighted bool  // every chunk carries W
 
-	outOff []int64   // len n+1
-	outAdj []NodeID  // len m, sorted per source
-	outW   []float32 // optional weights parallel to outAdj
+	out []Chunk // chunk c holds sources [c<<ChunkShift, ...)
 
 	inOnce  sync.Once
-	in      transpose   // built by inOnce; see transposed
+	in      []Chunk     // the transpose, built by inOnce; see transposed
 	derived derivedSlot // see Derived
 }
 
-// transpose is the in-adjacency: off has length n+1 and adj[off[v]:off[v+1]]
-// lists the sources of v's in-edges, ascending, parallel edges kept.
-type transpose struct {
-	off []int64
-	adj []NodeID
-}
-
-// transposed returns the in-adjacency, building it on the first call with
-// the builder's binSort keyed by destination. The edges are fed in source
-// order, so every in-list arrives sorted without a sort. Concurrent first
-// callers wait for one build and share it.
-func (g *Graph) transposed() *transpose {
+// transposed returns the in-adjacency in chunks (unweighted; chunk c lists
+// the in-edges of destinations [c<<ChunkShift, ...), sources ascending,
+// parallel edges kept), building it on the first call with the builder's
+// binSort keyed by destination. The edges are fed in source order, so every
+// in-list arrives sorted without a sort. Concurrent first callers wait for
+// one build and share it.
+func (g *Graph) transposed() []Chunk {
 	g.inOnce.Do(func() {
-		chunks := par.Workers(0)
-		bounds := edgeSplit(g.outOff, chunks)
-		off, adj, _, _ := binSort{n: g.n}.run(chunks, func(s *binScan, c int) error {
-			for v := bounds[c]; v < bounds[c+1]; v++ {
-				for _, u := range g.outAdj[g.outOff[v]:g.outOff[v+1]] {
-					s.add(u, NodeID(v), 0)
+		parts := par.Workers(0)
+		bounds := chunkSplit(g.out, parts)
+		g.in, _ = binSort{n: g.n}.run(parts, func(s *binScan, p int) error {
+			for c := bounds[p]; c < bounds[p+1]; c++ {
+				ch := &g.out[c]
+				for i := range len(ch.Off) - 1 {
+					v := NodeID(c<<ChunkShift + i)
+					for _, u := range ch.Adj[ch.Off[i]:ch.Off[i+1]] {
+						s.add(u, v, 0)
+					}
 				}
 			}
 			return nil
 		})
-		g.in = transpose{off: off, adj: adj}
 	})
-	return &g.in
+	return g.in
 }
 
 // derivedSlot holds at most one structure derived from the graph.
@@ -131,69 +138,72 @@ func (g *Graph) NumNodes() int { return g.n }
 func (g *Graph) NumEdges() int64 { return g.m }
 
 // Weighted reports whether the graph carries edge weights.
-func (g *Graph) Weighted() bool { return g.outW != nil }
+func (g *Graph) Weighted() bool { return g.weighted }
+
+// Chunks returns the out-edge CSR, one Chunk per ChunkSize sources: chunk c
+// holds sources [c<<ChunkShift, ...). Read-only. Code that walks many
+// vertices walks it chunk by chunk (or with Spans) instead of looking a
+// chunk up per vertex.
+func (g *Graph) Chunks() []Chunk { return g.out }
+
+// InChunks returns the transpose in the same form as Chunks (W always nil),
+// building it on the first call. Read-only.
+func (g *Graph) InChunks() []Chunk { return g.transposed() }
+
+// listOf returns v's list in chunks.
+func listOf(chunks []Chunk, v NodeID) []NodeID {
+	c := &chunks[v>>ChunkShift]
+	i := v & chunkMask
+	return c.Adj[c.Off[i]:c.Off[i+1]]
+}
 
 // OutDegree returns |No(v)|, the number of out-neighbors of v.
-func (g *Graph) OutDegree(v NodeID) int64 { return g.outOff[v+1] - g.outOff[v] }
+func (g *Graph) OutDegree(v NodeID) int64 { return int64(len(listOf(g.out, v))) }
 
 // InDegree returns |Ni(v)|, the number of in-neighbors of v. The first
 // In* call on a graph builds its transpose.
-func (g *Graph) InDegree(v NodeID) int64 {
-	t := g.transposed()
-	return t.off[v+1] - t.off[v]
-}
+func (g *Graph) InDegree(v NodeID) int64 { return int64(len(listOf(g.transposed(), v))) }
 
 // OutNeighbors returns the sorted out-adjacency list of v. The returned
 // slice aliases internal storage and must not be modified.
-func (g *Graph) OutNeighbors(v NodeID) []NodeID {
-	return g.outAdj[g.outOff[v]:g.outOff[v+1]]
-}
+func (g *Graph) OutNeighbors(v NodeID) []NodeID { return listOf(g.out, v) }
 
 // InNeighbors returns the sorted in-adjacency list of v, parallel edges
 // kept. The returned slice aliases internal storage and must not be modified.
-func (g *Graph) InNeighbors(v NodeID) []NodeID {
-	t := g.transposed()
-	return t.adj[t.off[v]:t.off[v+1]]
-}
+func (g *Graph) InNeighbors(v NodeID) []NodeID { return listOf(g.transposed(), v) }
 
 // OutWeights returns the weights parallel to OutNeighbors(v), or nil for an
 // unweighted graph.
 func (g *Graph) OutWeights(v NodeID) []float32 {
-	if g.outW == nil {
+	if !g.weighted {
 		return nil
 	}
-	return g.outW[g.outOff[v]:g.outOff[v+1]]
+	c := &g.out[v>>ChunkShift]
+	i := v & chunkMask
+	return c.W[c.Off[i]:c.Off[i+1]]
 }
 
-// OutOffsets exposes the raw CSR offset array (len NumNodes+1). Read-only.
-func (g *Graph) OutOffsets() []int64 { return g.outOff }
-
-// OutAdjacency exposes the raw CSR edge array (len NumEdges). Read-only.
-func (g *Graph) OutAdjacency() []NodeID { return g.outAdj }
-
-// InOffsets exposes the transpose's offset array (len NumNodes+1). Read-only.
-func (g *Graph) InOffsets() []int64 { return g.transposed().off }
-
-// InAdjacency exposes the transpose's edge array (len NumEdges). Read-only.
-func (g *Graph) InAdjacency() []NodeID { return g.transposed().adj }
-
 // Edges materializes the edge list in source-major, then destination, order.
-// It fills its output by offset, in parallel over edge-balanced vertex
-// ranges: relabelling tools (reorder, the harness, the benchmark's scattered
-// family) call it on whole graphs before rebuilding them.
+// It fills its output by offset, in parallel over chunks: relabelling tools
+// (reorder, the harness, the benchmark's scattered family) call it on whole
+// graphs before rebuilding them.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, g.m)
-	chunks := par.Workers(0)
-	bounds := edgeSplit(g.outOff, chunks)
-	par.ForDynamic(chunks, chunks, func(c int) {
-		for v := bounds[c]; v < bounds[c+1]; v++ {
-			lo := g.outOff[v]
-			for i, u := range g.outAdj[lo:g.outOff[v+1]] {
-				e := Edge{Src: NodeID(v), Dst: u, W: 1}
-				if g.outW != nil {
-					e.W = g.outW[lo+int64(i)]
+	at := make([]int64, len(g.out)) // chunk c's first edge in out
+	for c := 1; c < len(g.out); c++ {
+		at[c] = at[c-1] + int64(len(g.out[c-1].Adj))
+	}
+	par.ForDynamic(len(g.out), par.Workers(0), func(c int) {
+		ch := &g.out[c]
+		dst := out[at[c] : at[c]+int64(len(ch.Adj))]
+		for i := range len(ch.Off) - 1 {
+			src := NodeID(c<<ChunkShift + i)
+			for j := ch.Off[i]; j < ch.Off[i+1]; j++ {
+				e := Edge{Src: src, Dst: ch.Adj[j], W: 1}
+				if ch.W != nil {
+					e.W = ch.W[j]
 				}
-				out[lo+int64(i)] = e
+				dst[j] = e
 			}
 		}
 	})
@@ -205,9 +215,11 @@ func (g *Graph) Edges() []Edge {
 // formulation).
 func (g *Graph) DanglingCount() int {
 	c := 0
-	for v := 0; v < g.n; v++ {
-		if g.outOff[v+1] == g.outOff[v] {
-			c++
+	for _, ch := range g.out {
+		for i := range len(ch.Off) - 1 {
+			if ch.Off[i+1] == ch.Off[i] {
+				c++
+			}
 		}
 	}
 	return c
@@ -216,9 +228,9 @@ func (g *Graph) DanglingCount() int {
 // MaxOutDegree returns the largest out-degree in the graph.
 func (g *Graph) MaxOutDegree() int64 {
 	var mx int64
-	for v := 0; v < g.n; v++ {
-		if d := g.outOff[v+1] - g.outOff[v]; d > mx {
-			mx = d
+	for _, ch := range g.out {
+		for i := range len(ch.Off) - 1 {
+			mx = max(mx, ch.Off[i+1]-ch.Off[i])
 		}
 	}
 	return mx
@@ -229,9 +241,11 @@ func (g *Graph) MaxOutDegree() int64 {
 func (g *Graph) MaxInDegree() int64 {
 	deg := make([]int64, g.n)
 	var mx int64
-	for _, u := range g.outAdj {
-		deg[u]++
-		mx = max(mx, deg[u])
+	for _, ch := range g.out {
+		for _, u := range ch.Adj {
+			deg[u]++
+			mx = max(mx, deg[u])
+		}
 	}
 	return mx
 }
@@ -244,58 +258,65 @@ func (g *Graph) AvgDegree() float64 {
 	return float64(g.m) / float64(g.n)
 }
 
-// Validate checks the structural invariants of the graph: the offset array
-// is monotone and bounded, adjacency entries are valid node IDs with the MSB
-// clear, per-node adjacency lists are sorted, and weights (if any) cover
-// every edge. It returns nil when the graph is well-formed.
+// Validate checks the structural invariants of the graph: one chunk per
+// ChunkSize sources, each chunk's offsets monotone from 0 and bounded by its
+// adjacency, adjacency entries valid node IDs with the MSB clear, per-node
+// adjacency lists sorted, and weights (if any) covering every edge. It
+// returns nil when the graph is well-formed.
 func (g *Graph) Validate() error {
 	if g.n < 0 || int64(g.n) > MaxNodes {
 		return fmt.Errorf("graph: node count %d out of range", g.n)
 	}
-	if len(g.outOff) != g.n+1 {
-		return errors.New("graph: offset array has wrong length")
+	if len(g.out) != numChunks(g.n) {
+		return fmt.Errorf("graph: %d chunks for %d nodes", len(g.out), g.n)
 	}
-	if g.outW != nil && int64(len(g.outW)) != g.m {
-		return errors.New("graph: weight array has wrong length")
+	var m int64
+	for c, ch := range g.out {
+		if len(ch.Off) != chunkLen(g.n, c)+1 {
+			return fmt.Errorf("graph: chunk %d has %d offsets, want %d", c, len(ch.Off), chunkLen(g.n, c)+1)
+		}
+		if g.weighted && len(ch.W) != len(ch.Adj) || !g.weighted && ch.W != nil {
+			return errors.New("graph: weight array has wrong length")
+		}
+		if ch.Off[0] != 0 {
+			return fmt.Errorf("graph: offsets of chunk %d do not start at 0", c)
+		}
+		if k := len(ch.Off) - 1; ch.Off[k] != int64(len(ch.Adj)) {
+			return fmt.Errorf("graph: offsets of chunk %d end at %d, want %d", c, ch.Off[k], len(ch.Adj))
+		}
+		for i := range len(ch.Off) - 1 {
+			if ch.Off[i+1] < ch.Off[i] {
+				return fmt.Errorf("graph: offsets not monotone at node %d", c<<ChunkShift+i)
+			}
+		}
+		m += int64(len(ch.Adj))
 	}
-	return g.validateCSR()
+	if m != g.m {
+		return fmt.Errorf("graph: chunks hold %d edges, want %d", m, g.m)
+	}
+	return g.validateLists()
 }
 
-// validateCSR checks outOff and outAdj; Validate adds the length checks a
-// graph built by this package passes by construction.
-func (g *Graph) validateCSR() error {
-	off, adj, n, m := g.outOff, g.outAdj, g.n, g.m
-	if off[0] != 0 {
-		return errors.New("graph: offsets do not start at 0")
-	}
-	if off[n] != m {
-		return fmt.Errorf("graph: offsets end at %d, want %d", off[n], m)
-	}
-	if int64(len(adj)) != m {
-		return fmt.Errorf("graph: adjacency length %d, want %d", len(adj), m)
-	}
-	for v := 0; v < n; v++ {
-		if off[v+1] < off[v] {
-			return fmt.Errorf("graph: offsets not monotone at node %d", v)
-		}
-		// Bound before slicing: monotonicity of the prefix alone does not
-		// keep off[v+1] within adj when later offsets are garbage (the
-		// offsets may be untrusted upload bytes).
-		if off[v+1] > m {
-			return fmt.Errorf("graph: offset of node %d exceeds edge count %d", v+1, m)
-		}
-		prev := int64(-1)
-		for _, u := range adj[off[v]:off[v+1]] {
-			if u&MSBMask != 0 {
-				return fmt.Errorf("graph: adjacency of %d has MSB set: %#x", v, u)
+// validateLists checks the adjacency entries of well-formed chunks: valid
+// IDs, MSB clear, every list sorted. Validate adds the shape checks a graph
+// built by this package passes by construction.
+func (g *Graph) validateLists() error {
+	for c, ch := range g.out {
+		for i := range len(ch.Off) - 1 {
+			prev := int64(-1)
+			for _, u := range ch.Adj[ch.Off[i]:ch.Off[i+1]] {
+				v := c<<ChunkShift + i
+				if u&MSBMask != 0 {
+					return fmt.Errorf("graph: adjacency of %d has MSB set: %#x", v, u)
+				}
+				if int(u) >= g.n {
+					return fmt.Errorf("graph: adjacency of %d out of range: %d", v, u)
+				}
+				if int64(u) < prev {
+					return fmt.Errorf("graph: adjacency of %d not sorted", v)
+				}
+				prev = int64(u)
 			}
-			if int(u) >= n {
-				return fmt.Errorf("graph: adjacency of %d out of range: %d", v, u)
-			}
-			if int64(u) < prev {
-				return fmt.Errorf("graph: adjacency of %d not sorted", v)
-			}
-			prev = int64(u)
 		}
 	}
 	return nil
@@ -303,20 +324,20 @@ func (g *Graph) validateCSR() error {
 
 // Equal reports whether two graphs have identical structure and weights.
 func (g *Graph) Equal(h *Graph) bool {
-	if g.n != h.n || g.m != h.m || (g.outW == nil) != (h.outW == nil) {
+	if g.n != h.n || g.m != h.m || g.weighted != h.weighted {
 		return false
 	}
-	for v := 0; v <= g.n; v++ {
-		if g.outOff[v] != h.outOff[v] {
+	for c := range g.out {
+		a, b := &g.out[c], &h.out[c]
+		// Offsets count from the chunk's start, so equal structure means
+		// equal arrays, however the chunks were built or shared.
+		if !slices.Equal(a.Off, b.Off) || !slices.Equal(a.Adj, b.Adj) {
 			return false
 		}
-	}
-	for i := int64(0); i < g.m; i++ {
-		if g.outAdj[i] != h.outAdj[i] {
-			return false
-		}
-		if g.outW != nil && (math.Abs(float64(g.outW[i]-h.outW[i])) > 1e-6) {
-			return false
+		for i := range a.W {
+			if math.Abs(float64(a.W[i]-b.W[i])) > 1e-6 {
+				return false
+			}
 		}
 	}
 	return true

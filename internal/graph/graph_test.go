@@ -373,13 +373,14 @@ func TestComputeStats(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := paperExample(t)
-	g.outAdj[0] |= MSBMask
+	g.out[0].Adj[0] |= MSBMask
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate accepted MSB-set adjacency")
 	}
-	g.outAdj[0] &= IDMask
+	g.out[0].Adj[0] &= IDMask
 
-	g.outOff[3], g.outOff[4] = g.outOff[4], g.outOff[3]
+	off := g.out[0].Off
+	off[3], off[4] = off[4], off[3]
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate accepted non-monotone offsets")
 	}

@@ -155,17 +155,35 @@ func WriteBinary(w io.Writer, g *Graph) error {
 			return err
 		}
 	}
-	for _, o := range g.outOff {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(o)); err != nil {
+	// The flat form's offsets are the chunks' plus the edges before them.
+	var b [8]byte
+	putOff := func(o int64) error {
+		binary.LittleEndian.PutUint64(b[:], uint64(o))
+		_, err := bw.Write(b[:])
+		return err
+	}
+	var base int64
+	for _, ch := range g.out {
+		for _, o := range ch.Off[:len(ch.Off)-1] {
+			if err := putOff(base + o); err != nil {
+				return err
+			}
+		}
+		base += int64(len(ch.Adj))
+	}
+	if err := putOff(base); err != nil {
+		return err
+	}
+	for _, ch := range g.out {
+		if err := writeU32Slice(bw, ch.Adj); err != nil {
 			return err
 		}
 	}
-	if err := writeU32Slice(bw, g.outAdj); err != nil {
-		return err
-	}
-	if g.Weighted() {
-		if err := binary.Write(bw, binary.LittleEndian, g.outW); err != nil {
-			return err
+	if g.weighted {
+		for _, ch := range g.out {
+			if err := binary.Write(bw, binary.LittleEndian, ch.W); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -200,23 +218,29 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if m > uint64(1)<<62 {
 		return nil, fmt.Errorf("graph: edge count %d overflows", m)
 	}
-	g := &Graph{n: int(n), m: int64(m)}
-	var err error
-	if g.outOff, err = readChunked(br, int64(n)+1, decodeI64); err != nil {
+	off, err := readChunked(br, int64(n)+1, decodeI64)
+	if err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	if g.outAdj, err = readChunked(br, int64(m), decodeU32); err != nil {
+	adj, err := readChunked(br, int64(m), decodeU32)
+	if err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %w", err)
 	}
+	var w []float32
 	if flags&1 != 0 {
-		if g.outW, err = readChunked(br, int64(m), decodeF32); err != nil {
+		if w, err = readChunked(br, int64(m), decodeF32); err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
 	}
 	// The arrays are untrusted input (uploads reach this reader), and every
 	// consumer indexes by them: a crafted offset or adjacency entry must be
 	// a 400 here, not a panic later.
-	if err := g.validateCSR(); err != nil {
+	chunks, err := Chunked(off, adj, w)
+	if err != nil {
+		return nil, fmt.Errorf("graph: loaded graph invalid: %w", err)
+	}
+	g := fromChunks(int(n), flags&1 != 0, chunks)
+	if err := g.validateLists(); err != nil {
 		return nil, fmt.Errorf("graph: loaded graph invalid: %w", err)
 	}
 	return g, nil

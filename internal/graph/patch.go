@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -10,6 +11,10 @@ import (
 // round-tripping through an edge list and re-sorting every list — the
 // structural half of the dynamic-graph subsystem (internal/delta), where a
 // small batch must not pay an O(m log m) rebuild.
+//
+// Only the chunks that hold a changed source are rebuilt; the new graph
+// shares every other chunk with g, so a batch costs the touched chunks plus
+// the chunk table, not the graph. g is not modified.
 //
 // Deletions are matched by (Src, Dst) and remove one parallel instance
 // each; deleting a pair the graph does not hold is an error. On weighted
@@ -31,82 +36,113 @@ func Patch(g *Graph, insert, del []Edge) (*Graph, error) {
 			return nil, fmt.Errorf("graph: patch delete (%d,%d) out of range for %d nodes", e.Src, e.Dst, n)
 		}
 	}
-	weighted := g.outW != nil
-
-	// Rebuild the out-list of every vertex the batch touches.
-	type list struct {
-		adj []NodeID
-		w   []float32
-	}
-	ins, dels := make(map[NodeID][]Edge), make(map[NodeID][]Edge)
-	patched := make(map[NodeID]list, len(insert)+len(del))
-	for _, e := range insert {
-		if weighted && e.W == 0 {
-			e.W = 1
-		}
-		ins[e.Src], patched[e.Src] = append(ins[e.Src], e), list{}
-	}
-	for _, e := range del {
-		dels[e.Src], patched[e.Src] = append(dels[e.Src], e), list{}
-	}
-	changed := make([]NodeID, 0, len(patched))
-	for v := range patched {
-		changed = append(changed, v)
-		lo, hi := g.outOff[v], g.outOff[v+1]
-		adj := append([]NodeID(nil), g.outAdj[lo:hi]...)
-		var w []float32
-		if weighted {
-			w = append([]float32(nil), g.outW[lo:hi]...)
-		}
-		for _, e := range dels[v] {
-			i, found := slices.BinarySearch(adj, e.Dst) // the first instance
-			if !found {
-				return nil, fmt.Errorf("graph: patch delete of absent edge (%d,%d)", e.Src, e.Dst)
-			}
-			adj = slices.Delete(adj, i, i+1)
-			if weighted {
-				w = slices.Delete(w, i, i+1)
+	// By source, each source's edges in input order: a list takes its
+	// deletions, then its insertions, in the order the batch names them.
+	bySrc := func(a, b Edge) int { return cmp.Compare(a.Src, b.Src) }
+	ins := slices.Clone(insert)
+	slices.SortStableFunc(ins, bySrc)
+	dels := slices.Clone(del)
+	slices.SortStableFunc(dels, bySrc)
+	if g.weighted {
+		for i := range ins {
+			if ins[i].W == 0 {
+				ins[i].W = 1
 			}
 		}
-		for _, e := range ins[v] {
-			i, _ := slices.BinarySearch(adj, e.Dst)
-			adj = slices.Insert(adj, i, e.Dst)
-			if weighted {
-				w = slices.Insert(w, i, e.W)
-			}
-		}
-		patched[v] = list{adj: adj, w: w}
 	}
 
-	// Splice the rebuilt lists between the untouched spans of the old
-	// arrays: one bulk copy per run of unchanged vertices, whose offsets are
-	// the old ones plus the length change accumulated so far.
-	slices.Sort(changed)
-	m2 := g.m + int64(len(insert)) - int64(len(del))
-	ng := &Graph{n: n, m: m2, outOff: make([]int64, n+1), outAdj: make([]NodeID, 0, m2)}
-	if weighted {
-		ng.outW = make([]float32, 0, m2)
-	}
-	var shift int64
-	span := func(from, to int) { // unchanged vertices [from, to), and offset to
-		ng.outAdj = append(ng.outAdj, g.outAdj[g.outOff[from]:g.outOff[to]]...)
-		if weighted {
-			ng.outW = append(ng.outW, g.outW[g.outOff[from]:g.outOff[to]]...)
+	ng := &Graph{n: n, m: g.m + int64(len(insert)) - int64(len(del)), weighted: g.weighted, out: slices.Clone(g.out)}
+	for len(ins)+len(dels) > 0 {
+		c := int(minSrc(ins, dels) >> ChunkShift)
+		end := NodeID(c<<ChunkShift + chunkLen(n, c)) // one past the chunk's last source
+		ci := cutBefore(ins, end)
+		cd := cutBefore(dels, end)
+		ch, err := patchChunk(&g.out[c], NodeID(c<<ChunkShift), ins[:ci], dels[:cd])
+		if err != nil {
+			return nil, err
 		}
-		for v := from; v <= to; v++ {
-			ng.outOff[v] = g.outOff[v] + shift
-		}
+		ng.out[c] = ch
+		ins, dels = ins[ci:], dels[cd:]
 	}
-	next := 0
-	for _, v := range changed {
-		span(next, int(v))
-		ng.outAdj = append(ng.outAdj, patched[v].adj...)
-		if weighted {
-			ng.outW = append(ng.outW, patched[v].w...)
-		}
-		shift += int64(len(patched[v].adj)) - (g.outOff[v+1] - g.outOff[v])
-		next = int(v) + 1
-	}
-	span(next, n)
 	return ng, nil
+}
+
+// minSrc returns the smallest source of two source-sorted batches, not both
+// empty.
+func minSrc(a, b []Edge) NodeID {
+	switch {
+	case len(a) == 0:
+		return b[0].Src
+	case len(b) == 0:
+		return a[0].Src
+	}
+	return min(a[0].Src, b[0].Src)
+}
+
+// cutBefore returns the number of edges of the source-sorted batch es whose
+// source is below end.
+func cutBefore(es []Edge, end NodeID) int {
+	i, _ := slices.BinarySearchFunc(es, end, func(e Edge, t NodeID) int { return cmp.Compare(e.Src, t) })
+	return i
+}
+
+// patchChunk rebuilds chunk old, whose first source is base, with the
+// batch's edges of its sources (sorted by source): one bulk copy per run of
+// unchanged lists, whose offsets are the old ones plus the length change
+// accumulated so far, and every changed list spliced in place at the end of
+// the new arrays.
+func patchChunk(old *Chunk, base NodeID, ins, dels []Edge) (Chunk, error) {
+	k := len(old.Off) - 1
+	m := len(old.Adj) + len(ins) - len(dels)
+	ch := Chunk{Off: make([]int64, k+1), Adj: make([]NodeID, 0, m)}
+	if old.W != nil {
+		ch.W = make([]float32, 0, m)
+	}
+	next := 0 // the first list not yet copied
+	// span copies the unchanged lists [next, to) and writes their offsets,
+	// up to to's.
+	span := func(to int) {
+		shift := int64(len(ch.Adj)) - old.Off[next]
+		ch.Adj = append(ch.Adj, old.Adj[old.Off[next]:old.Off[to]]...)
+		if old.W != nil {
+			ch.W = append(ch.W, old.W[old.Off[next]:old.Off[to]]...)
+		}
+		for i := next + 1; i <= to; i++ {
+			ch.Off[i] = old.Off[i] + shift
+		}
+	}
+	for len(ins)+len(dels) > 0 {
+		v := minSrc(ins, dels)
+		i := int(v - base)
+		span(i)
+		// v's list, copied to the end of the new arrays and edited there.
+		at := len(ch.Adj)
+		ch.Adj = append(ch.Adj, old.Adj[old.Off[i]:old.Off[i+1]]...)
+		if old.W != nil {
+			ch.W = append(ch.W, old.W[old.Off[i]:old.Off[i+1]]...)
+		}
+		for ; len(dels) > 0 && dels[0].Src == v; dels = dels[1:] {
+			e := dels[0]
+			j, found := slices.BinarySearch(ch.Adj[at:], e.Dst) // the first instance
+			if !found {
+				return Chunk{}, fmt.Errorf("graph: patch delete of absent edge (%d,%d)", e.Src, e.Dst)
+			}
+			ch.Adj = slices.Delete(ch.Adj, at+j, at+j+1)
+			if old.W != nil {
+				ch.W = slices.Delete(ch.W, at+j, at+j+1)
+			}
+		}
+		for ; len(ins) > 0 && ins[0].Src == v; ins = ins[1:] {
+			e := ins[0]
+			j, _ := slices.BinarySearch(ch.Adj[at:], e.Dst)
+			ch.Adj = slices.Insert(ch.Adj, at+j, e.Dst)
+			if old.W != nil {
+				ch.W = slices.Insert(ch.W, at+j, e.W)
+			}
+		}
+		ch.Off[i+1] = int64(len(ch.Adj))
+		next = i + 1
+	}
+	span(k)
+	return ch, nil
 }

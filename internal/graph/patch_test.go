@@ -2,7 +2,10 @@ package graph
 
 import (
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // randomGraphForPatch builds a small random multigraph (parallel edges and
@@ -245,6 +248,74 @@ func TestPatchSpans(t *testing.T) {
 				ins = append(ins, edge(trial%n, (trial+1)%n))
 			}
 			cur = checkPatchAgainstRebuild(t, cur, weighted, ins, del)
+		}
+	}
+}
+
+// TestPatchSharesUntouchedChunks is the sharing itself. After a one-edge
+// Patch on a graph of nine chunks, every chunk but the one holding the
+// edge's source is the parent's own (same offset, adjacency and weight
+// arrays), the parent is unchanged, and the bytes Patch allocates are those
+// of the rebuilt chunk and the chunk table, plus a little per batch.
+func TestPatchSharesUntouchedChunks(t *testing.T) {
+	const n = 8*ChunkSize + 100
+	for _, weighted := range []bool{false, true} {
+		r := rand.New(rand.NewPCG(5, 8))
+		edges := make([]Edge, 6*n)
+		for i := range edges {
+			edges[i] = Edge{Src: NodeID(r.IntN(n)), Dst: NodeID(r.IntN(n)), W: float32(1 + r.IntN(4))}
+		}
+		g, err := FromEdges(n, edges, weighted, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := g.Edges()
+		const src = 3*ChunkSize + 17
+		ins := []Edge{{Src: src, Dst: 5, W: 2}}
+		ng, err := Patch(g, ins, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ng.out) != 9 {
+			t.Fatalf("%d chunks, want 9", len(ng.out))
+		}
+		for c := range ng.out {
+			a, b := &ng.out[c], &g.out[c]
+			shared := unsafe.SliceData(a.Off) == unsafe.SliceData(b.Off) &&
+				unsafe.SliceData(a.Adj) == unsafe.SliceData(b.Adj) &&
+				unsafe.SliceData(a.W) == unsafe.SliceData(b.W)
+			if shared != (c != src>>ChunkShift) {
+				t.Fatalf("weighted %v: chunk %d shared %v", weighted, c, shared)
+			}
+		}
+		if !slices.Equal(g.Edges(), before) || g.NumEdges() != int64(len(before)) {
+			t.Fatalf("weighted %v: Patch changed its parent", weighted)
+		}
+		if ng.NumEdges() != g.NumEdges()+1 || !slices.Contains(ng.OutNeighbors(src), 5) {
+			t.Fatalf("weighted %v: the edge did not land", weighted)
+		}
+
+		// The rebuilt chunk, each array rounded up to the 8 KiB pages the
+		// runtime allocates a large object in.
+		page := func(b int) int { return (b + 8191) &^ 8191 }
+		touched := &g.out[src>>ChunkShift]
+		bound := page(8*len(touched.Off)) + page(4*(len(touched.Adj)+1))
+		if weighted {
+			bound += page(4 * (len(touched.Adj) + 1))
+		}
+		bound += int(unsafe.Sizeof(Chunk{})) * len(g.out) // the chunk table
+		bound += 1024                                     // the Graph and the batch's copies
+		const runs = 20
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range runs {
+			if _, err := Patch(g, ins, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		if per := int(m1.TotalAlloc-m0.TotalAlloc) / runs; per > bound {
+			t.Fatalf("weighted %v: Patch allocated %d bytes, bound %d", weighted, per, bound)
 		}
 	}
 }

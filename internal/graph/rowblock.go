@@ -19,28 +19,29 @@ func (g *Graph) RowBlock(lo, hi NodeID) (*Graph, error) {
 	if lo > hi || int64(hi) > int64(g.n) {
 		return nil, fmt.Errorf("graph: row block [%d, %d) out of range for n=%d", lo, hi, g.n)
 	}
-	sub := &Graph{n: g.n}
-	sub.outOff = make([]int64, g.n+1)
-	// First pass: locate each source's [lo, hi) run and accumulate counts.
-	starts := make([]int64, g.n)
-	for v := 0; v < g.n; v++ {
-		adj := g.outAdj[g.outOff[v]:g.outOff[v+1]]
-		a := int64(sort.Search(len(adj), func(i int) bool { return adj[i] >= lo }))
-		b := int64(sort.Search(len(adj), func(i int) bool { return adj[i] >= hi }))
-		starts[v] = g.outOff[v] + a
-		sub.outOff[v+1] = sub.outOff[v] + (b - a)
-	}
-	sub.m = sub.outOff[g.n]
-	sub.outAdj = make([]NodeID, sub.m)
-	if g.outW != nil {
-		sub.outW = make([]float32, sub.m)
-	}
-	for v := 0; v < g.n; v++ {
-		cnt := sub.outOff[v+1] - sub.outOff[v]
-		copy(sub.outAdj[sub.outOff[v]:sub.outOff[v+1]], g.outAdj[starts[v]:starts[v]+cnt])
-		if sub.outW != nil {
-			copy(sub.outW[sub.outOff[v]:sub.outOff[v+1]], g.outW[starts[v]:starts[v]+cnt])
+	chunks := make([]Chunk, len(g.out))
+	starts := make([]int64, ChunkSize)
+	for c, ch := range g.out {
+		// First pass: locate each source's [lo, hi) run and accumulate counts.
+		off := make([]int64, len(ch.Off))
+		for i := range len(ch.Off) - 1 {
+			adj := ch.Adj[ch.Off[i]:ch.Off[i+1]]
+			a := int64(sort.Search(len(adj), func(i int) bool { return adj[i] >= lo }))
+			b := int64(sort.Search(len(adj), func(i int) bool { return adj[i] >= hi }))
+			starts[i] = ch.Off[i] + a
+			off[i+1] = off[i] + (b - a)
 		}
+		sub := Chunk{Off: off, Adj: make([]NodeID, off[len(off)-1])}
+		if g.weighted {
+			sub.W = make([]float32, len(sub.Adj))
+		}
+		for i := range len(off) - 1 {
+			copy(sub.Adj[off[i]:off[i+1]], ch.Adj[starts[i]:])
+			if sub.W != nil {
+				copy(sub.W[off[i]:off[i+1]], ch.W[starts[i]:])
+			}
+		}
+		chunks[c] = sub
 	}
-	return sub, nil
+	return fromChunks(g.n, g.weighted, chunks), nil
 }

@@ -18,9 +18,13 @@ func checkTranspose(t *testing.T, name string, g *graph.Graph) {
 	for _, e := range g.Edges() {
 		want[e.Dst] = append(want[e.Dst], e.Src)
 	}
-	off, adj := g.InOffsets(), g.InAdjacency()
-	if len(off) != n+1 || int64(len(adj)) != g.NumEdges() {
-		t.Fatalf("%s: transpose arrays have lengths %d, %d; want %d, %d", name, len(off), len(adj), n+1, g.NumEdges())
+	in := g.InChunks()
+	var m int64
+	for _, ch := range in {
+		m += int64(len(ch.Adj))
+	}
+	if len(in) != (n+graph.ChunkSize-1)/graph.ChunkSize || m != g.NumEdges() {
+		t.Fatalf("%s: transpose has %d chunks, %d edges; want %d, %d", name, len(in), m, (n+graph.ChunkSize-1)/graph.ChunkSize, g.NumEdges())
 	}
 	for v := range n {
 		slices.Sort(want[v])
@@ -28,8 +32,9 @@ func checkTranspose(t *testing.T, name string, g *graph.Graph) {
 		if !slices.Equal(got, want[v]) || g.InDegree(graph.NodeID(v)) != int64(len(want[v])) {
 			t.Fatalf("%s: in-neighbors of %d = %v, want %v", name, v, got, want[v])
 		}
-		if !slices.Equal(adj[off[v]:off[v+1]], got) {
-			t.Fatalf("%s: raw transpose arrays disagree with InNeighbors at %d", name, v)
+		ch, i := in[v/graph.ChunkSize], v%graph.ChunkSize
+		if !slices.Equal(ch.Adj[ch.Off[i]:ch.Off[i+1]], got) {
+			t.Fatalf("%s: transpose chunks disagree with InNeighbors at %d", name, v)
 		}
 	}
 	var mx int64

@@ -44,12 +44,12 @@ func TestConstructorsLeaveTransposeUnbuilt(t *testing.T) {
 		"FromEdges": built, "ReadBinary": read, "ReadSnapshot": snap.Graph,
 		"Patch": patched, "RowBlock": block, "stats of a built graph": g,
 	} {
-		if h.in.off != nil || h.in.adj != nil {
+		if h.in != nil {
 			t.Errorf("%s: transpose built without an In* call", name)
 		}
 	}
 	g.InDegree(0)
-	if g.in.off == nil {
+	if g.in == nil {
 		t.Fatal("InDegree did not build the transpose")
 	}
 }
@@ -60,8 +60,7 @@ func TestConstructorsLeaveTransposeUnbuilt(t *testing.T) {
 func TestTransposeConcurrentFirstReaders(t *testing.T) {
 	g := randomGraph(11, 500, 4000)
 	const readers = 8
-	offs := make([]*int64, readers)
-	adjs := make([]*NodeID, readers)
+	ins := make([]*Chunk, readers)
 	var wg sync.WaitGroup
 	for i := range readers {
 		wg.Add(1)
@@ -70,13 +69,12 @@ func TestTransposeConcurrentFirstReaders(t *testing.T) {
 			if i%2 == 0 {
 				g.InNeighbors(NodeID(i))
 			}
-			offs[i] = unsafe.SliceData(g.InOffsets())
-			adjs[i] = unsafe.SliceData(g.InAdjacency())
+			ins[i] = unsafe.SliceData(g.InChunks())
 		}()
 	}
 	wg.Wait()
 	for i := 1; i < readers; i++ {
-		if offs[i] != offs[0] || adjs[i] != adjs[0] {
+		if ins[i] != ins[0] {
 			t.Fatalf("reader %d saw a different transpose than reader 0", i)
 		}
 	}

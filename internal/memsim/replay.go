@@ -67,17 +67,19 @@ func (r *PDPRReplay) Name() string { return "pdpr" }
 // Iterate implements Replay.
 func (r *PDPRReplay) Iterate() {
 	g, sim := r.g, r.sim
-	inOff := g.InOffsets()
-	inAdj := g.InAdjacency()
-	n := g.NumNodes()
-	for v := 0; v < n; v++ {
-		sim.Read(r.off+uint64(v)*elem, elem, StreamOffsets)
-		for i := inOff[v]; i < inOff[v+1]; i++ {
-			sim.Read(r.adj+uint64(i)*elem, elem, StreamEdges)
-			// The random vertex-value read — the traffic Fig. 1 charts.
-			sim.Read(r.val+uint64(inAdj[i])*elem, elem, StreamValues)
+	var e uint64 // the edge's index in the flat in-adjacency the model lays out
+	for c, ch := range g.InChunks() {
+		for i := range len(ch.Off) - 1 {
+			v := uint64(c<<graph.ChunkShift + i)
+			sim.Read(r.off+v*elem, elem, StreamOffsets)
+			for _, u := range ch.Adj[ch.Off[i]:ch.Off[i+1]] {
+				sim.Read(r.adj+e*elem, elem, StreamEdges)
+				e++
+				// The random vertex-value read — the traffic Fig. 1 charts.
+				sim.Read(r.val+uint64(u)*elem, elem, StreamValues)
+			}
+			sim.Write(r.out+v*elem, elem, StreamValues)
 		}
-		sim.Write(r.out+uint64(v)*elem, elem, StreamValues)
 	}
 	// Double-buffer swap: next iteration reads what this one wrote.
 	r.val, r.out = r.out, r.val
@@ -122,18 +124,18 @@ func NewBVGASReplay(g *graph.Graph, layout partition.Layout, sim *Sim) *BVGASRep
 		line:   uint64(sim.Config().LineBytes),
 	}
 	cnt := make([]int64, b)
-	for _, u := range g.OutAdjacency() {
-		cnt[layout.PartitionOf(u)]++
+	for _, ch := range g.Chunks() {
+		for _, u := range ch.Adj {
+			cnt[layout.PartitionOf(u)]++
+		}
 	}
 	for i := 0; i < b; i++ {
 		r.upd[i] = as.Alloc(cnt[i] * elem)
 		r.did[i] = as.Alloc(cnt[i] * elem)
 		r.bins[i] = make([]uint32, 0, cnt[i])
 	}
-	outOff := g.OutOffsets()
-	outAdj := g.OutAdjacency()
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, u := range outAdj[outOff[v]:outOff[v+1]] {
+	for _, ch := range g.Chunks() {
+		for _, u := range ch.Adj { // source order: the chunks in order
 			p := layout.PartitionOf(u)
 			r.bins[p] = append(r.bins[p], u)
 		}
@@ -147,24 +149,26 @@ func (r *BVGASReplay) Name() string { return "bvgas" }
 // Iterate implements Replay.
 func (r *BVGASReplay) Iterate() {
 	g, sim := r.g, r.sim
-	outOff := g.OutOffsets()
-	outAdj := g.OutAdjacency()
-	n := g.NumNodes()
 	nbins := r.layout.K()
 
 	// Scatter: sequential graph scan; every out-edge emits one update into
 	// its destination bin through a write-combining streaming store.
 	cursor := make([]uint64, nbins)
-	for v := 0; v < n; v++ {
-		sim.Read(r.off+uint64(v)*elem, elem, StreamOffsets)
-		sim.Read(r.val+uint64(v)*elem, elem, StreamValues)
-		for i := outOff[v]; i < outOff[v+1]; i++ {
-			sim.Read(r.adj+uint64(i)*elem, elem, StreamEdges)
-			b := r.layout.PartitionOf(outAdj[i])
-			if cursor[b]%r.line == 0 {
-				sim.WriteLineNT(r.upd[b]+cursor[b], StreamUpdates)
+	var e uint64 // the edge's index in the flat adjacency the model lays out
+	for c, ch := range g.Chunks() {
+		for i := range len(ch.Off) - 1 {
+			v := uint64(c<<graph.ChunkShift + i)
+			sim.Read(r.off+v*elem, elem, StreamOffsets)
+			sim.Read(r.val+v*elem, elem, StreamValues)
+			for _, u := range ch.Adj[ch.Off[i]:ch.Off[i+1]] {
+				sim.Read(r.adj+e*elem, elem, StreamEdges)
+				e++
+				b := r.layout.PartitionOf(u)
+				if cursor[b]%r.line == 0 {
+					sim.WriteLineNT(r.upd[b]+cursor[b], StreamUpdates)
+				}
+				cursor[b] += elem
 			}
-			cursor[b] += elem
 		}
 	}
 
@@ -181,7 +185,7 @@ func (r *BVGASReplay) Iterate() {
 		}
 	}
 	// Apply: one sequential read-modify-write sweep of the rank vector.
-	for v := 0; v < n; v++ {
+	for v := 0; v < g.NumNodes(); v++ {
 		a := r.val + uint64(v)*elem
 		sim.Read(a, elem, StreamValues)
 		sim.Write(a, elem, StreamValues)

@@ -18,7 +18,7 @@ import (
 // logicalBin is bin q of Algorithm 3's output written down from the input:
 // sources in partition order then node order, each one's neighbors inside row
 // partition q in adjacency order, the first MSB-tagged.
-func logicalBin(in CSR, rows partition.Layout, q int) (ids []uint32, srcs []graph.NodeID, ws []float32) {
+func logicalBin(in flatCSR, rows partition.Layout, q int) (ids []uint32, srcs []graph.NodeID, ws []float32) {
 	for v := 0; v < len(in.Off)-1; v++ {
 		first := true
 		for e := in.Off[v]; e < in.Off[v+1]; e++ {
@@ -40,14 +40,39 @@ func logicalBin(in CSR, rows partition.Layout, q int) (ids []uint32, srcs []grap
 	return ids, srcs, ws
 }
 
-func graphCSR(g *graph.Graph) CSR { return CSR{Off: g.OutOffsets(), Adj: g.OutAdjacency()} }
+// flatCSR is a builder input in flat arrays, as the tests assemble it.
+type flatCSR struct {
+	Off []int64
+	Adj []graph.NodeID
+	W   []float32
+}
+
+// csr cuts f into the chunks BuildCSR takes.
+func (f flatCSR) csr(t *testing.T) CSR {
+	t.Helper()
+	chunks, err := graph.Chunked(f.Off, f.Adj, f.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return CSR{Chunks: chunks, Weighted: f.W != nil}
+}
+
+// graphCSR flattens g's out-lists, unweighted.
+func graphCSR(g *graph.Graph) flatCSR {
+	f := flatCSR{Off: []int64{0}}
+	for v := range g.NumNodes() {
+		f.Adj = append(f.Adj, g.OutNeighbors(graph.NodeID(v))...)
+		f.Off = append(f.Off, int64(len(f.Adj)))
+	}
+	return f
+}
 
 // checkLayout builds in under cols × rows, validates it, and checks every
 // bin's decoded stream, the scattered updates and both gathers against the
 // logical stream. It returns the layout for width assertions.
-func checkLayout(t *testing.T, in CSR, cols, rows partition.Layout, workers int) *PNG {
+func checkLayout(t *testing.T, in flatCSR, cols, rows partition.Layout, workers int) *PNG {
 	t.Helper()
-	p, err := BuildCSR(in, cols, rows, workers)
+	p, err := BuildCSR(in.csr(t), cols, rows, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +255,7 @@ func TestNarrowBinLengths(t *testing.T) {
 					}
 					nSrc = max(nSrc, s)
 				}
-				in := CSR{Off: []int64{0}}
+				in := flatCSR{Off: []int64{0}}
 				for s := 0; s < nSrc; s++ {
 					adj := perSrc[s]
 					slices.Sort(adj)

@@ -90,14 +90,23 @@ type PNG struct {
 	EdgesCompressed int64
 }
 
-// CSR is the builder's input: a sparse structure stored by source (column).
-// Off has one entry per source plus one; Adj[Off[c]:Off[c+1]] lists source
-// c's destination (row) IDs in ascending order; W is nil or holds one weight
-// per Adj entry.
+// CSR is the builder's input: a sparse structure stored by source (column)
+// in graph.Chunk form, chunk c holding sources c<<graph.ChunkShift onward,
+// each source's destination (row) IDs in ascending order. Weighted selects
+// the weighted form, whose every chunk carries W (graph.Chunked cuts flat
+// arrays this way).
 type CSR struct {
-	Off []int64
-	Adj []graph.NodeID
-	W   []float32
+	Chunks   []graph.Chunk
+	Weighted bool
+}
+
+// sources returns the number of sources (columns) the chunks hold.
+func (in CSR) sources() int {
+	k := len(in.Chunks)
+	if k == 0 {
+		return 0
+	}
+	return (k-1)<<graph.ChunkShift + len(in.Chunks[k-1].Off) - 1
 }
 
 // Build constructs the PNG for g under the given layout: the square,
@@ -106,7 +115,7 @@ type CSR struct {
 // silently, so callers loading untrusted graphs should Validate the graph
 // first.
 func Build(g *graph.Graph, layout partition.Layout, workers int) (*PNG, error) {
-	return BuildCSR(CSR{Off: g.OutOffsets(), Adj: g.OutAdjacency()}, layout, layout, workers)
+	return BuildCSR(CSR{Chunks: g.Chunks()}, layout, layout, workers)
 }
 
 // BuildCSR constructs the PNG of in with sources partitioned by cols and
@@ -114,8 +123,8 @@ func Build(g *graph.Graph, layout partition.Layout, workers int) (*PNG, error) {
 // two scans as in §3.3. It is parallel over source partitions. Each stream is
 // written directly in the width its layout allows; no wider copy is made.
 func BuildCSR(in CSR, cols, rows partition.Layout, workers int) (*PNG, error) {
-	if cols.NumNodes() != len(in.Off)-1 {
-		return nil, fmt.Errorf("png: layout covers %d nodes, input has %d", cols.NumNodes(), len(in.Off)-1)
+	if cols.NumNodes() != in.sources() {
+		return nil, fmt.Errorf("png: layout covers %d nodes, input has %d", cols.NumNodes(), in.sources())
 	}
 	k, kr := cols.K(), rows.K()
 	if int64(k)*int64(kr) > (1 << 26) {
@@ -142,7 +151,7 @@ func BuildCSR(in CSR, cols, rows partition.Layout, workers int) (*PNG, error) {
 	} else {
 		p.DestIDs = make([][]uint32, kr)
 	}
-	if in.W != nil {
+	if in.Weighted {
 		p.DestWs = make([][]float32, kr)
 	}
 	shift := rows.Shift()
@@ -155,15 +164,17 @@ func BuildCSR(in CSR, cols, rows partition.Layout, workers int) (*PNG, error) {
 	par.ForDynamic(k, workers, func(pi int) {
 		lo, hi := cols.Bounds(pi)
 		row := pi * kr
-		for v := lo; v < hi; v++ {
-			prev := -1
-			for _, u := range in.Adj[in.Off[v]:in.Off[v+1]] {
-				q := int(u >> shift)
-				if q != prev {
-					updCnt[row+q]++
-					prev = q
+		for _, s := range graph.Spans(in.Chunks, int(lo), int(hi)) {
+			for i := range len(s.Off) - 1 {
+				prev := -1
+				for _, u := range s.Adj[s.Off[i]:s.Off[i+1]] {
+					q := int(u >> shift)
+					if q != prev {
+						updCnt[row+q]++
+						prev = q
+					}
+					dstCnt[row+q]++
 				}
-				dstCnt[row+q]++
 			}
 		}
 	})
@@ -187,7 +198,7 @@ func BuildCSR(in CSR, cols, rows partition.Layout, workers int) (*PNG, error) {
 		} else {
 			p.DestIDs[q] = make([]uint32, dstAcc)
 		}
-		if in.W != nil {
+		if in.Weighted {
 			p.DestWs[q] = make([]float32, dstAcc)
 		}
 		p.EdgesCompressed += int64(updAcc)
@@ -216,36 +227,39 @@ func BuildCSR(in CSR, cols, rows partition.Layout, workers int) (*PNG, error) {
 		updCur := make([]int32, kr)
 		dstCur := make([]int32, kr)
 		lo, hi := cols.Bounds(pi)
-		for v := lo; v < hi; v++ {
-			adj := in.Adj[in.Off[v]:in.Off[v+1]]
-			i := 0
-			for i < len(adj) {
-				q := int(adj[i] >> shift)
-				// One compressed edge for the (v, q) run.
-				if narrowSrc {
-					src16[off[q]+updCur[q]] = uint16(v - lo)
-				} else {
-					src[off[q]+updCur[q]] = v
-				}
-				updCur[q]++
-				runAt, start := dstWriteOff[row+q]+dstCur[q], i
-				if narrowDst {
-					atomic.OrUint64(&p.DestFlags[q][runAt>>6], 1<<(uint(runAt)&63))
-					run := p.DestOff[q][runAt:]
-					for i < len(adj) && int(adj[i]>>shift) == q {
-						run[i-start] = uint16(adj[i] & local)
-						i++
+		for first, s := range graph.Spans(in.Chunks, int(lo), int(hi)) {
+			for iv := range len(s.Off) - 1 {
+				v := graph.NodeID(first + iv)
+				adj := s.Adj[s.Off[iv]:s.Off[iv+1]]
+				i := 0
+				for i < len(adj) {
+					q := int(adj[i] >> shift)
+					// One compressed edge for the (v, q) run.
+					if narrowSrc {
+						src16[off[q]+updCur[q]] = uint16(v - lo)
+					} else {
+						src[off[q]+updCur[q]] = v
 					}
-				} else {
-					run := p.DestIDs[q][runAt:]
-					run[0] = adj[i] | graph.MSBMask
-					for i++; i < len(adj) && int(adj[i]>>shift) == q; i++ {
-						run[i-start] = adj[i]
+					updCur[q]++
+					runAt, start := dstWriteOff[row+q]+dstCur[q], i
+					if narrowDst {
+						atomic.OrUint64(&p.DestFlags[q][runAt>>6], 1<<(uint(runAt)&63))
+						run := p.DestOff[q][runAt:]
+						for i < len(adj) && int(adj[i]>>shift) == q {
+							run[i-start] = uint16(adj[i] & local)
+							i++
+						}
+					} else {
+						run := p.DestIDs[q][runAt:]
+						run[0] = adj[i] | graph.MSBMask
+						for i++; i < len(adj) && int(adj[i]>>shift) == q; i++ {
+							run[i-start] = adj[i]
+						}
 					}
-				}
-				dstCur[q] += int32(i - start)
-				if in.W != nil { // the run's weights, beside its IDs
-					copy(p.DestWs[q][runAt:], in.W[in.Off[v]:][start:i])
+					dstCur[q] += int32(i - start)
+					if in.Weighted { // the run's weights, beside its IDs
+						copy(p.DestWs[q][runAt:], s.W[s.Off[iv]:][start:i])
+					}
 				}
 			}
 		}

@@ -327,7 +327,7 @@ func TestCompressionImprovesWithPartitionSize(t *testing.T) {
 func TestBuildCSRRectangularWeighted(t *testing.T) {
 	// 5 sources × 11 rows; weights encode (source, row) so pairing is checkable.
 	adj := [][]graph.NodeID{{0, 1, 9}, {}, {4, 5, 6, 10}, {3}, {2, 8}}
-	in := CSR{Off: []int64{0}}
+	in := flatCSR{Off: []int64{0}}
 	for c, rows := range adj {
 		for _, r := range rows {
 			in.Adj = append(in.Adj, r)
@@ -343,7 +343,7 @@ func TestBuildCSRRectangularWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildCSR(in, cols, rows, 2)
+	p, err := BuildCSR(in.csr(t), cols, rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,22 +35,24 @@ func PowerIteration(g *graph.Graph, seeds []graph.NodeID, damping, tol float64, 
 	for _, s := range seedSet {
 		p[s] = seedW
 	}
-	outOff, outAdj := g.OutOffsets(), g.OutAdjacency()
 
 	for it := 0; it < maxIters; it++ {
 		// Push over CSR. Sources are visited in ascending order, so each
 		// next[v] sums its in-neighbors' shares in the order a pull would.
 		clear(next)
 		var dmass float64
-		for u := 0; u < n; u++ {
-			deg := outOff[u+1] - outOff[u]
-			if deg == 0 {
-				dmass += p[u]
-				continue
-			}
-			share := p[u] / float64(deg)
-			for _, v := range outAdj[outOff[u]:outOff[u+1]] {
-				next[v] += share
+		for c, ch := range g.Chunks() {
+			for i := range len(ch.Off) - 1 {
+				u := c<<graph.ChunkShift + i
+				deg := ch.Off[i+1] - ch.Off[i]
+				if deg == 0 {
+					dmass += p[u]
+					continue
+				}
+				share := p[u] / float64(deg)
+				for _, v := range ch.Adj[ch.Off[i]:ch.Off[i+1]] {
+					next[v] += share
+				}
 			}
 		}
 		for v := 0; v < n; v++ {

@@ -47,6 +47,7 @@ package ppr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -86,8 +87,9 @@ type RunOptions struct {
 	// TopK, when positive, fills Result.Top with the K highest-scoring
 	// vertices.
 	TopK int
-	// TopOnly skips materializing Result.Scores (an O(n) copy per query),
-	// for callers that consume only Result.Top — the serving layer does.
+	// TopOnly skips materializing Result.Scores or Result.Ranks (an O(n)
+	// copy per query), for callers that consume only Result.Top — the
+	// serving layer does.
 	// Requires TopK > 0.
 	TopOnly bool
 	// MaxRounds caps the push passes of one query (default 10000);
@@ -135,10 +137,14 @@ type Entry struct {
 
 // Result is one completed personalized PageRank query.
 type Result struct {
-	// Scores is the full rank vector, indexed by node: for Run the
-	// personalized vector, which sums to 1 up to rounding; for Repair the
-	// repaired estimate. Nil when RunOptions.TopOnly was set.
+	// Scores is Run's personalized vector, indexed by node, which sums to 1
+	// up to rounding. Nil for Repair and when RunOptions.TopOnly was set.
 	Scores []float64
+	// Ranks is Repair's repaired estimate, indexed by node, in float32 with
+	// every entry clamped at 0: signed pushes can leave float dust below
+	// zero on a vertex whose rank shrank, and true ranks are positive. Nil
+	// for Run and when RunOptions.TopOnly was set.
+	Ranks []float32
 	// Top holds the RunOptions.TopK highest-scoring vertices in descending
 	// order (ties broken by node ID); nil when TopK was 0.
 	Top []Entry
@@ -245,7 +251,12 @@ func (e *Engine) Run(seeds []graph.NodeID, ro RunOptions) (*Result, error) {
 	for _, s := range seedSet {
 		q.r[s] = 1 / float64(len(seedSet))
 	}
-	return q.drain(ro, start), nil
+	res := q.drain(ro)
+	if !ro.TopOnly {
+		res.Scores = slices.Clone(q.p)
+	}
+	res.Duration = time.Since(start)
+	return res, nil
 }
 
 // ResidualSeed is one signed residual contribution for Repair: positive mass
@@ -265,10 +276,33 @@ type ResidualSeed struct {
 // is not normalised.
 //
 // estimate must have exactly one entry per node; it is widened to float64
-// internally and Result.Scores carries the repaired vector (unless TopOnly).
+// internally, and Result.Ranks carries the repaired vector narrowed back to
+// float32 in the same pass that copies it out (unless TopOnly).
 func (e *Engine) Repair(estimate []float32, seeds []ResidualSeed, ro RunOptions) (*Result, error) {
 	start := time.Now()
 	ro = ro.withDefaults()
+	q, err := e.repairQuery(estimate, seeds, ro)
+	if err != nil {
+		return nil, err
+	}
+	defer scratchPool.Put(q.scratch)
+	res := q.drain(ro)
+	if !ro.TopOnly {
+		res.Ranks = make([]float32, len(q.p))
+		for i, s := range q.p {
+			if s < 0 {
+				s = 0
+			}
+			res.Ranks[i] = float32(s)
+		}
+	}
+	res.Duration = time.Since(start)
+	return res, nil
+}
+
+// repairQuery validates a repair and seeds its query: p holds the estimate
+// and r the signed residual. The caller returns q.scratch to the pool.
+func (e *Engine) repairQuery(estimate []float32, seeds []ResidualSeed, ro RunOptions) (*query, error) {
 	if err := ro.validate(); err != nil {
 		return nil, err
 	}
@@ -282,14 +316,13 @@ func (e *Engine) Repair(estimate []float32, seeds []ResidualSeed, ro RunOptions)
 		}
 	}
 	q := &query{g: e.g, scratch: getScratch(n), alpha: 1 - ro.Damping}
-	defer scratchPool.Put(q.scratch)
 	for i, v := range estimate {
 		q.p[i] = float64(v)
 	}
 	for _, s := range seeds {
 		q.r[s.Node] += s.Mass
 	}
-	return q.drain(ro, start), nil
+	return q, nil
 }
 
 // aitkenMisfit is the largest misfit ‖u_k − ρ·u_{k−1}‖₁ / ‖u_k‖₁ between two
@@ -313,13 +346,14 @@ type query struct {
 
 // drain is the pass loop shared by Run and Repair: it runs passes until the
 // error bound is at most Epsilon, a sweep pushes nothing or MaxRounds is
-// hit, and it materializes the Result. After every pass it re-sums the
-// residual exactly (certify). A sweep whose amounts fit ρ times the previous
+// hit, and it fills the Result but for its vector and Duration: the caller
+// copies the vector out of q.p in the form it answers with. After every
+// pass it re-sums the residual exactly (certify). A sweep whose amounts fit ρ times the previous
 // sweep's, within aitkenMisfit, is followed by one Aitken step pushing
 // ρ/(1−ρ) times them, where ρ is the newest residual ratio; the misfit itself
 // is measured against the previous ratio, because the sweep only learns its
 // own once it has ended.
-func (q *query) drain(ro RunOptions, start time.Time) *Result {
+func (q *query) drain(ro RunOptions) *Result {
 	res := &Result{}
 	resid, bound, bar := q.certify(ro.Epsilon)
 	var rho float64 // the last sweep's residual ratio; 0 after an Aitken step
@@ -351,14 +385,9 @@ func (q *query) drain(ro RunOptions, start time.Time) *Result {
 			q.p[v] /= q.sum
 		}
 	}
-	if !ro.TopOnly {
-		res.Scores = make([]float64, len(q.p))
-		copy(res.Scores, q.p)
-	}
 	if ro.TopK > 0 {
 		res.Top = TopK(q.p, ro.TopK)
 	}
-	res.Duration = time.Since(start)
 	return res
 }
 
@@ -408,38 +437,43 @@ func (q *query) certify(eps float64) (resid, bound, bar float64) {
 // residual, which may turn residuals negative but keeps the invariant exact.
 // It returns the number of pushes.
 func (q *query) pass(c, bar, rho float64) (pushed int, misfit float64) {
-	outOff, outAdj := q.g.OutOffsets(), q.g.OutAdjacency()
 	alpha := q.alpha
-	p, r, u := q.p, q.r, q.u
+	r := q.r
 	var dev, norm float64
-	for v := range r {
-		a := r[v]
-		switch {
-		case c != 0:
-			if a = c * float64(u[v]); a == 0 {
+	for ci, ch := range q.g.Chunks() {
+		base := ci << graph.ChunkShift
+		off, adj := ch.Off, ch.Adj
+		rc := r[base : base+len(off)-1]
+		pc, uc := q.p[base:][:len(rc)], q.u[base:][:len(rc)]
+		for i := range rc {
+			a := rc[i]
+			switch {
+			case c != 0:
+				if a = c * float64(uc[i]); a == 0 {
+					continue
+				}
+			case math.Abs(a) <= bar:
+				uc[i] = 0
+				continue
+			default:
+				// dev counts rho·|old| for every vertex at first, through
+				// q.unorm, and corrects it here for the vertices that push.
+				old := float64(uc[i])
+				dev += math.Abs(a-rho*old) - rho*math.Abs(old)
+				norm += math.Abs(a)
+				uc[i] = float32(a)
+			}
+			rc[i] -= a
+			pc[i] += alpha * a
+			pushed++
+			lo, hi := off[i], off[i+1]
+			if lo == hi {
 				continue
 			}
-		case math.Abs(a) <= bar:
-			u[v] = 0
-			continue
-		default:
-			// dev counts rho·|old| for every vertex at first, through
-			// q.unorm, and corrects it here for the vertices that push.
-			old := float64(u[v])
-			dev += math.Abs(a-rho*old) - rho*math.Abs(old)
-			norm += math.Abs(a)
-			u[v] = float32(a)
-		}
-		r[v] -= a
-		p[v] += alpha * a
-		pushed++
-		lo, hi := outOff[v], outOff[v+1]
-		if lo == hi {
-			continue
-		}
-		share := (1 - alpha) * a / float64(hi-lo)
-		for _, w := range outAdj[lo:hi] {
-			r[w] += share
+			share := (1 - alpha) * a / float64(hi-lo)
+			for _, w := range adj[lo:hi] {
+				r[w] += share
+			}
 		}
 	}
 	dev += rho * q.unorm

@@ -96,18 +96,15 @@ func TestGoldenPushMatchesPowerIteration(t *testing.T) {
 			if res.ResidualL1 > 1e-6 {
 				t.Fatalf("%s: residual %g exceeds 1e-6", name, res.ResidualL1)
 			}
-			rep, err := e.Repair(make([]float32, g.NumNodes()), repairSeeds, ro)
-			if err != nil {
-				t.Fatalf("%s: repair: %v", name, err)
-			}
+			_, rep := repair64(t, e, make([]float32, g.NumNodes()), repairSeeds, ro)
 			var sum float64
-			for _, v := range rep.Scores {
+			for _, v := range rep {
 				sum += v
 			}
-			for i := range rep.Scores {
-				rep.Scores[i] /= sum
+			for i := range rep {
+				rep[i] /= sum
 			}
-			if d := l1(rep.Scores, want); d > 1e-6 {
+			if d := l1(rep, want); d > 1e-6 {
 				t.Fatalf("%s seeds %v: normalised repair vs power L1 = %g, want <= 1e-6", name, seeds, d)
 			}
 		}
@@ -275,7 +272,8 @@ func TestConcurrentScratchAcrossSizes(t *testing.T) {
 					return
 				}
 				if got.Rounds != want[i].Rounds || got.Pushes != want[i].Pushes ||
-					got.ResidualL1 != want[i].ResidualL1 || !slices.Equal(got.Scores, want[i].Scores) {
+					got.ResidualL1 != want[i].ResidualL1 || !slices.Equal(got.Scores, want[i].Scores) ||
+					!slices.Equal(got.Ranks, want[i].Ranks) {
 					t.Errorf("call %d answered differently under concurrency (rounds %d vs %d, residual %g vs %g)",
 						i, got.Rounds, want[i].Rounds, got.ResidualL1, want[i].ResidualL1)
 					return

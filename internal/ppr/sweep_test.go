@@ -3,6 +3,7 @@ package ppr
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -165,10 +166,7 @@ func TestRepairCancellingSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Repair(estimate, seeds, RunOptions{Epsilon: 1e-9})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, p := repair64(t, e, estimate, seeds, RunOptions{Epsilon: 1e-9})
 		if res.Truncated || res.ResidualL1 > 1e-9 {
 			t.Fatalf("%s: truncated %v, residual %g", name, res.Truncated, res.ResidualL1)
 		}
@@ -176,11 +174,44 @@ func TestRepairCancellingSeeds(t *testing.T) {
 		for i := range want {
 			want[i] += float64(estimate[i])
 		}
-		if d := l1(res.Scores, want); d > res.ResidualL1+1e-12 {
+		if d := l1(p, want); d > res.ResidualL1+1e-12 {
 			t.Fatalf("%s: repair vs from-scratch L1 = %g, above its residual %g", name, d, res.ResidualL1)
 		}
 		if res.Rounds > sweepRounds[name] {
 			t.Fatalf("%s: %d rounds, the sweep engine took %d", name, res.Rounds, sweepRounds[name])
 		}
 	}
+}
+
+// repair64 runs a repair as Repair does, without the float32 narrowing: it
+// returns the drain's Result and its float64 estimate, for tests that hold
+// the drain to bounds tighter than float32 rounding. It also checks that
+// Repair's own answer is that estimate, clamped at 0 and narrowed.
+func repair64(t *testing.T, e *Engine, estimate []float32, seeds []ResidualSeed, ro RunOptions) (*Result, []float64) {
+	t.Helper()
+	ro = ro.withDefaults()
+	q, err := e.repairQuery(estimate, seeds, ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scratchPool.Put(q.scratch)
+	res := q.drain(ro)
+	p := slices.Clone(q.p)
+	rep, err := e.Repair(estimate, seeds, ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Scores != nil || len(rep.Ranks) != len(p) || rep.Rounds != res.Rounds || rep.ResidualL1 != res.ResidualL1 {
+		t.Fatalf("Repair answered differently from its drain: %d ranks, %d vs %d rounds", len(rep.Ranks), rep.Rounds, res.Rounds)
+	}
+	for i, s := range p {
+		want := float32(s)
+		if s < 0 {
+			want = 0
+		}
+		if math.Float32bits(rep.Ranks[i]) != math.Float32bits(want) {
+			t.Fatalf("Ranks[%d] = %v, want %v narrowed from %v", i, rep.Ranks[i], want, s)
+		}
+	}
+	return res, p
 }

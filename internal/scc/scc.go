@@ -68,19 +68,18 @@ func Decompose(g *graph.Graph, _ int) *Result {
 	for v := range index {
 		index[v] = undef
 	}
-	off, adj := g.OutOffsets(), g.OutAdjacency()
 	var next, numComps int32
 	var stack []graph.NodeID
 	type frame struct {
-		v graph.NodeID
-		e int64 // v's next out-edge, an index into adj
+		v    graph.NodeID
+		rest []graph.NodeID // v's out-edges not yet followed
 	}
 	var call []frame
 	push := func(v graph.NodeID) {
 		index[v], low[v] = next, next
 		next++
 		stack = append(stack, v)
-		call = append(call, frame{v: v, e: off[v]})
+		call = append(call, frame{v: v, rest: g.OutNeighbors(v)})
 	}
 	for root := 0; root < n; root++ {
 		if index[root] != undef {
@@ -89,13 +88,14 @@ func Decompose(g *graph.Graph, _ int) *Result {
 		push(graph.NodeID(root))
 		for len(call) > 0 {
 			f := &call[len(call)-1]
-			v, e, end := f.v, f.e, off[f.v+1]
-			for ; e < end && index[adj[e]] != undef; e++ {
-				low[v] = min(low[v], index[adj[e]])
+			v, rest := f.v, f.rest
+			for len(rest) > 0 && index[rest[0]] != undef {
+				low[v] = min(low[v], index[rest[0]])
+				rest = rest[1:]
 			}
-			if e < end {
-				f.e = e + 1
-				push(adj[e])
+			if len(rest) > 0 {
+				f.rest = rest[1:]
+				push(rest[0])
 				continue
 			}
 			call = call[:len(call)-1]

@@ -179,13 +179,15 @@ func encodeRanks(ranks []float32) []byte {
 // shipRanks picks the wire encoding for a published rank vector: the
 // sparse signed residual against the parent vector when it is strictly
 // smaller than the full float32 form (and exactly reconstructible), the
-// full vector otherwise.
+// full vector otherwise. The sizes follow from the changed count, so only
+// the encoding shipped is built.
 func shipRanks(prev, next []float32) (enc string, blob []byte) {
-	full := encodeRanks(next)
-	if resid, ok := delta.EncodeResidual(prev, next); ok && len(resid) < len(full) {
-		return ranksEncResidual, resid
+	if len(prev) == len(next) && delta.ResidualSize(delta.Changed(prev, next)) < 4*len(next) {
+		if resid, ok := delta.EncodeResidual(prev, next); ok {
+			return ranksEncResidual, resid
+		}
 	}
-	return ranksEncFull, full
+	return ranksEncFull, encodeRanks(next)
 }
 
 func decodeRanks(blob []byte) ([]float32, error) {

@@ -613,3 +613,51 @@ func TestFailedAppendConsumesNoVersion(t *testing.T) {
 		})
 	}
 }
+
+// TestShipRanksCrossover holds shipRanks, which sizes the residual from the
+// changed count before it builds one, to the rule it ships by: the residual
+// exactly when it is strictly smaller than the full vector and
+// reconstructible, the full vector otherwise, byte for byte. At n = 1000
+// the residual (4 + 12·k bytes) is smaller below k = 333 changed entries.
+func TestShipRanksCrossover(t *testing.T) {
+	const n = 1000
+	prev := make([]float32, n)
+	for i := range prev {
+		prev[i] = float32(i+1) / n
+	}
+	edit := func(k int) []float32 {
+		next := append([]float32(nil), prev...)
+		for i := 0; i < k; i++ {
+			next[i*n/max(k, 1)] *= 1.5
+		}
+		return next
+	}
+	negZero := append([]float32(nil), prev...)
+	negZero[7] = float32(math.Copysign(0, -1)) // no float addition reaches −0
+	cases := map[string]struct {
+		next []float32
+		enc  string
+	}{
+		"unchanged":       {edit(0), ranksEncResidual},
+		"one":             {edit(1), ranksEncResidual},
+		"just below":      {edit(332), ranksEncResidual},
+		"at the crossing": {edit(333), ranksEncFull},
+		"just above":      {edit(334), ranksEncFull},
+		"all":             {edit(n), ranksEncFull},
+		"unencodable":     {negZero, ranksEncFull},
+	}
+	for name, c := range cases {
+		enc, blob := shipRanks(prev, c.next)
+		if enc != c.enc {
+			t.Errorf("%s: shipped %s, want %s", name, enc, c.enc)
+			continue
+		}
+		want := encodeRanks(c.next)
+		if enc == ranksEncResidual {
+			want, _ = delta.EncodeResidual(prev, c.next)
+		}
+		if !bytes.Equal(blob, want) {
+			t.Errorf("%s: %s record differs from its encoder's bytes", name, enc)
+		}
+	}
+}

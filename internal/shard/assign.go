@@ -159,8 +159,10 @@ func nearestClean(dirty []bool, cut, lo, hiBound, window int) (int, bool) {
 func costPrefix(g *graph.Graph) []int64 {
 	n := g.NumNodes()
 	prefix := make([]int64, n+1)
-	for _, u := range g.OutAdjacency() { // in-degrees, without the transpose
-		prefix[u+1]++
+	for _, ch := range g.Chunks() { // in-degrees, without the transpose
+		for _, u := range ch.Adj {
+			prefix[u+1]++
+		}
 	}
 	for v := 0; v < n; v++ {
 		prefix[v+1] += prefix[v] + 1

@@ -70,9 +70,11 @@ func FuzzReadPayload(f *testing.F) {
 			return
 		}
 		own := p.Meta.Ranges[p.Meta.Shard]
-		for _, u := range p.Sub.OutAdjacency() {
-			if u < own.Lo || u >= own.Hi {
-				t.Fatalf("accepted an edge into %d outside the owned block [%d, %d)", u, own.Lo, own.Hi)
+		for _, ch := range p.Sub.Chunks() {
+			for _, u := range ch.Adj {
+				if u < own.Lo || u >= own.Hi {
+					t.Fatalf("accepted an edge into %d outside the owned block [%d, %d)", u, own.Lo, own.Hi)
+				}
 			}
 		}
 		if len(p.Degs) != p.Meta.N {

@@ -149,9 +149,11 @@ func ReadPayload(r io.Reader) (*Payload, error) {
 		return nil, fmt.Errorf("shard: %d peers for %d ranges", len(meta.Peers), len(meta.Ranges))
 	}
 	own := meta.Ranges[meta.Shard]
-	for _, u := range sub.OutAdjacency() {
-		if u < own.Lo || u >= own.Hi {
-			return nil, fmt.Errorf("shard: sub-graph has in-edges at node %d outside owned block [%d, %d)", u, own.Lo, own.Hi)
+	for _, ch := range sub.Chunks() {
+		for _, u := range ch.Adj {
+			if u < own.Lo || u >= own.Hi {
+				return nil, fmt.Errorf("shard: sub-graph has in-edges at node %d outside owned block [%d, %d)", u, own.Lo, own.Hi)
+			}
 		}
 	}
 	degs, err := readU32Count(br, int64(meta.N))

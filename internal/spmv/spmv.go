@@ -201,7 +201,11 @@ func NewPCPMEngine(m *Matrix, partBytes, workers int) (*PCPMEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	pn, err := png.BuildCSR(png.CSR{Off: m.colOff, Adj: m.rowIdx, W: m.vals}, colLayout, rowLayout, workers)
+	cols, err := graph.Chunked(m.colOff, m.rowIdx, m.vals)
+	if err != nil {
+		return nil, err
+	}
+	pn, err := png.BuildCSR(png.CSR{Chunks: cols, Weighted: true}, colLayout, rowLayout, workers)
 	if err != nil {
 		return nil, err
 	}
