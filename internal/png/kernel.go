@@ -9,6 +9,14 @@ import (
 // and the per-worker partial-sum scratch; what a gathered sum means (a
 // PageRank update, a row of y = A·x, a shard's block slice) is the caller's
 // Apply function, called once per destination partition.
+//
+// A 16-bit layout's scratch is 65,536 floats per worker whatever the
+// partition size, so the narrow gathers index it through a *[1<<16]float32
+// view that no uint16 offset can leave: their per-edge loop carries no
+// bounds check on the sum. Each gather zeroes only the partition's own
+// [0, hi−lo) and hands Apply only that much; an offset at or past hi−lo would
+// add into the unused tail instead of panicking, and none exists because
+// BuildCSR never writes one and ValidateEdges rejects a stream that holds one.
 type Kernel struct {
 	PNG *PNG
 	// Updates[q] is destination bin q's update array (len UpdateCount[q]),
@@ -45,8 +53,12 @@ func (k *Kernel) Schedule(n int, fn func(worker, i int)) { par.ForDynamicWorker(
 // GOMAXPROCS), growing the per-worker scratch as needed.
 func (k *Kernel) SetWorkers(workers int) {
 	k.workers = par.Workers(workers)
+	size := k.PNG.RowLayout.Size()
+	if k.PNG.DestOff != nil {
+		size = narrowMaxNodes
+	}
 	for len(k.sums) < k.workers {
-		k.sums = append(k.sums, make([]float32, k.PNG.RowLayout.Size()))
+		k.sums = append(k.sums, make([]float32, size))
 	}
 }
 
@@ -102,22 +114,29 @@ func (k *Kernel) Gather(branching bool, apply Apply) (a, b float64) {
 			sums[i] = 0
 		}
 		ups := k.Updates[q]
-		switch {
-		case pn.DestOff != nil && pn.DestWs != nil:
-			gatherNarrowWeighted(pn.DestOff[q], pn.DestFlags[q], pn.DestWs[q], ups, sums)
-		case pn.DestOff != nil && branching:
-			flags := pn.DestFlags[q]
-			uptr := 0
-			var cur float32
-			for j, id := range pn.DestOff[q] {
-				if runFlag(flags, j) != 0 {
-					cur = ups[uptr]
-					uptr++
+		if pn.DestOff != nil {
+			// sums is the start of a 65,536-entry scratch (SetWorkers).
+			part := (*[narrowMaxNodes]float32)(sums[:narrowMaxNodes])
+			ids, flags := pn.DestOff[q], pn.DestFlags[q]
+			switch {
+			case pn.DestWs != nil:
+				gatherNarrowWeighted(ids, flags, pn.DestWs[q], ups, part)
+			case branching:
+				uptr := 0
+				var cur float32
+				for j, id := range ids {
+					if runFlag(flags, j) != 0 {
+						cur = ups[uptr]
+						uptr++
+					}
+					part[id] += cur
 				}
-				sums[id] += cur
+			default:
+				gatherNarrow(ids, flags, ups, part)
 			}
-		case pn.DestOff != nil:
-			gatherNarrow(pn.DestOff[q], pn.DestFlags[q], ups, sums)
+			return
+		}
+		switch {
 		case pn.DestWs != nil:
 			ws := pn.DestWs[q]
 			uptr := -1
@@ -148,22 +167,24 @@ func (k *Kernel) Gather(branching bool, apply Apply) (a, b float64) {
 // gatherNarrow is the branch-avoiding walk of a 16-bit stream: one flag word
 // is loaded per 64 IDs and shifted out a bit per ID into the update pointer.
 // Entries are accumulated strictly in stream order, so the sums are those of
-// the 32-bit walk over the same logical stream.
-func gatherNarrow(ids []uint16, flags []uint64, ups, sums []float32) {
+// the 32-bit walk over the same logical stream. Each 64-ID block is read as a
+// *[64]uint16 and every offset indexes the *[1<<16] view of the partition's
+// sums, so the loop's only bounds checks are on flags and ups; it takes both
+// views to drop the checks and the register spills they cause.
+func gatherNarrow(ids []uint16, flags []uint64, ups []float32, sums *[narrowMaxNodes]float32) {
 	uptr := -1
 	for len(ids) >= 64 {
 		w := flags[0]
-		blk := ids[:64]
+		blk := (*[64]uint16)(ids)
 		for j := 0; j < 64; j += 4 {
-			e := blk[j : j+4 : j+4]
 			uptr += int(w & 1)
-			sums[e[0]] += ups[uptr]
+			sums[blk[j]] += ups[uptr]
 			uptr += int(w >> 1 & 1)
-			sums[e[1]] += ups[uptr]
+			sums[blk[j+1]] += ups[uptr]
 			uptr += int(w >> 2 & 1)
-			sums[e[2]] += ups[uptr]
+			sums[blk[j+2]] += ups[uptr]
 			uptr += int(w >> 3 & 1)
-			sums[e[3]] += ups[uptr]
+			sums[blk[j+3]] += ups[uptr]
 			w >>= 4
 		}
 		ids, flags = ids[64:], flags[1:]
@@ -179,24 +200,23 @@ func gatherNarrow(ids []uint16, flags []uint64, ups, sums []float32) {
 }
 
 // gatherNarrowWeighted is gatherNarrow with every update multiplied by the
-// weight beside its destination ID. It is unrolled the same way: the plain
-// one-entry-per-turn loop measured a third slower than the 32-bit weighted
-// walk it replaces.
-func gatherNarrowWeighted(ids []uint16, flags []uint64, ws, ups, sums []float32) {
+// weight beside its destination ID, through the same fixed-size views. It is
+// unrolled the same way: the plain one-entry-per-turn loop measured a third
+// slower than the 32-bit weighted walk it replaces.
+func gatherNarrowWeighted(ids []uint16, flags []uint64, ws, ups []float32, sums *[narrowMaxNodes]float32) {
 	uptr := -1
 	for len(ids) >= 64 {
 		w := flags[0]
-		blk, wts := ids[:64], ws[:64]
+		blk, wts := (*[64]uint16)(ids), (*[64]float32)(ws)
 		for j := 0; j < 64; j += 4 {
-			e, f := blk[j:j+4:j+4], wts[j:j+4:j+4]
 			uptr += int(w & 1)
-			sums[e[0]] += f[0] * ups[uptr]
+			sums[blk[j]] += wts[j] * ups[uptr]
 			uptr += int(w >> 1 & 1)
-			sums[e[1]] += f[1] * ups[uptr]
+			sums[blk[j+1]] += wts[j+1] * ups[uptr]
 			uptr += int(w >> 2 & 1)
-			sums[e[2]] += f[2] * ups[uptr]
+			sums[blk[j+2]] += wts[j+2] * ups[uptr]
 			uptr += int(w >> 3 & 1)
-			sums[e[3]] += f[3] * ups[uptr]
+			sums[blk[j+3]] += wts[j+3] * ups[uptr]
 			w >>= 4
 		}
 		ids, ws, flags = ids[64:], ws[64:], flags[1:]

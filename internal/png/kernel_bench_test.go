@@ -35,7 +35,8 @@ func benchFixtures(b *testing.B) map[string]*graph.Graph {
 }
 
 // benchKernels runs fn on a scattered kernel for every fixture at the
-// 256 KB default (16-bit streams) and at 512 KB (32-bit streams).
+// 256 KB default (16-bit streams) and at 512 KB (32-bit streams), and reports
+// the time per pass over the graph's edges (uncompressed) as ns/edge.
 func benchKernels(b *testing.B, fn func(b *testing.B, k *Kernel, x []float32)) {
 	for name, g := range benchFixtures(b) {
 		for _, partBytes := range []int{256 << 10, 512 << 10} {
@@ -60,6 +61,7 @@ func benchKernels(b *testing.B, fn func(b *testing.B, k *Kernel, x []float32)) {
 			b.Run(fmt.Sprintf("%s/%dbit", name, bits), func(b *testing.B) {
 				b.SetBytes(g.NumEdges()) // MB/s reads as millions of edges per second
 				fn(b, k, x)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
 			})
 		}
 	}

@@ -2,6 +2,8 @@ package png
 
 import (
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -114,6 +116,16 @@ func checkLayout(t *testing.T, in flatCSR, cols, rows partition.Layout, workers 
 		}
 	}
 	for _, branching := range []bool{false, true} {
+		// Poison every worker's whole scratch: a sum that read past its
+		// partition's zeroed prefix would come out NaN.
+		for _, scratch := range k.sums {
+			if p.DestOff != nil && len(scratch) != narrowMaxNodes {
+				t.Fatalf("16-bit layout: worker scratch holds %d floats, want %d", len(scratch), narrowMaxNodes)
+			}
+			for i := range scratch {
+				scratch[i] = float32(math.NaN())
+			}
+		}
 		got := make([]float32, rows.NumNodes())
 		k.Gather(branching, func(lo, hi graph.NodeID, sums []float32) (float64, float64) {
 			copy(got[lo:hi], sums)
@@ -227,6 +239,62 @@ func TestWidePartitionsKeep32BitStream(t *testing.T) {
 	}
 	if p := checkLayout(t, graphCSR(g), layout, layout, 2); !isWide(p) || p.K != 2 {
 		t.Fatalf("131072-node partitions: K=%d, wide=%v", p.K, isWide(p))
+	}
+}
+
+// TestNarrowScratchTail: a 16-bit layout's per-worker scratch is 65,536
+// floats whatever the partition size, and checkLayout fills all of it with NaN
+// before each gather. Small partitions, a short last 256 KB partition and a
+// rectangular weighted layout must still gather the logical stream's sums bit
+// for bit at every worker count.
+func TestNarrowScratchTail(t *testing.T) {
+	g, err := gen.ErdosRenyi(3000, 24_000, 17, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := gen.ErdosRenyi(narrowMaxNodes+777, 60_000, 18, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Weighted, 2000 sources in 32-node partitions, 5000 rows in 256-node ones.
+	r := rand.New(rand.NewPCG(19, 19))
+	weighted := flatCSR{Off: []int64{0}}
+	for range 2000 {
+		adj := make([]graph.NodeID, r.IntN(12))
+		for i := range adj {
+			adj[i] = graph.NodeID(r.IntN(5000))
+		}
+		slices.Sort(adj)
+		for _, u := range slices.Compact(adj) {
+			weighted.Adj = append(weighted.Adj, u)
+			weighted.W = append(weighted.W, float32(r.IntN(13)+1)/8)
+		}
+		weighted.Off = append(weighted.Off, int64(len(weighted.Adj)))
+	}
+	layout := func(n, size int) partition.Layout {
+		l, err := partition.NewLayout(n, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	cases := []struct {
+		name       string
+		in         flatCSR
+		cols, rows partition.Layout
+	}{
+		{"1KB", graphCSR(g), layout(3000, 256), layout(3000, 256)},
+		{"short-last-256KB", graphCSR(short), layout(narrowMaxNodes+777, narrowMaxNodes), layout(narrowMaxNodes+777, narrowMaxNodes)},
+		{"rectangular-weighted", weighted, layout(2000, 32), layout(5000, 256)},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				if p := checkLayout(t, c.in, c.cols, c.rows, workers); p.DestOff == nil {
+					t.Fatal("layout was not stored in 16 bits")
+				}
+			})
+		}
 	}
 }
 
