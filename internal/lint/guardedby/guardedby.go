@@ -4,8 +4,8 @@
 // only be accessed while that mutex is held on every path reaching the
 // access. Reads are satisfied by either Lock or RLock; assignments and
 // ++/-- require the exclusive lock. This machine-checks the locking
-// contracts the serve registry (graphs/pending maps, per-entry inflight
-// slot, per-structure PPR flight table) and the WAL store state rely on.
+// contracts the serve registry (graphs/writers maps, per-entry last error,
+// per-structure PPR flight table) and the WAL store state rely on.
 //
 // The analysis interprets each function body over structured control flow
 // (lint.FlowInterp): lock state forks at branches and a fact survives a

@@ -278,3 +278,31 @@ func TestApplyRecordRejectsMisnamedSnapshot(t *testing.T) {
 		assertConverged(t, lead.srv, f, "a")
 	})
 }
+
+// TestApplyOlderReplaceRecordContinuesVersion: before replaces were sealed
+// against the snapshot they supersede, a replace's add record carried the
+// advisory version 1 and the live daemon published the next one. Recovery
+// must still land such a record one past the graph's current version.
+func TestApplyOlderReplaceRecordContinuesVersion(t *testing.T) {
+	g := testGraph(t)
+	a, _ := newDurableServer(t, durableConfig(t.TempDir()))
+	if _, err := a.AddGraph("g", g, Overrides{}, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Recompute("g", Overrides{}, true); err != nil {
+		t.Fatal(err)
+	}
+	older := *publishedSnap(t, a, "g")
+	older.Version = 1
+	blob, err := snapshotBlob("g", &older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err, lsn := recoverRaw(t, a, rawRecord{wal.RecAddGraph, addMeta{Name: "g"}, blob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := publishedSnap(t, b, "g"); got.Version != 3 || got.WalLSN != lsn {
+		t.Errorf("older replace record recovered at version %d, LSN %d; want 3 at %d", got.Version, got.WalLSN, lsn)
+	}
+}

@@ -86,26 +86,20 @@ func (s *Server) maxDeltaEdges() int {
 // truncated drain). The call is synchronous: when it returns, readers see
 // the new structure and ranks.
 //
-// Mutations serialize per graph through the entry's inflight slot: a delta
-// arriving while a recompute (or another delta) runs waits for it, and
+// A delta holds the graph's writer slot from before its WAL append until its
+// publish: a delta arriving while any other write to the name runs waits
+// for it (and fails with ErrNotFound if that write removed the graph), and
 // recompute requests arriving while a delta runs coalesce onto it — they
 // wanted fresh ranks, and the delta publishes exactly that. The new
 // structure starts with no personalized answers: those computed on the old
 // one stay with it (structMemo).
 //
-// Like a recompute, a delta racing a replace re-upload (or Remove) of the
-// same name may publish into the orphaned entry: the acknowledged change
-// is then superseded by the replace — the same end state as the legal
-// serialization "delta, then replace", in which the re-uploaded structure
-// also overwrites the delta's effect.
-//
 // Each incremental repair adds at most its epsilon of L1 error; the
 // cumulative bound rides along in Snapshot.RepairDrift and, once it
 // crosses maxRepairDrift, the next delta takes the full-recompute path —
 // so arbitrarily long mutation streams stay anchored to the fixed point.
-func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (DeltaStatus, error) {
-	e, err := s.lookup(name)
-	if err != nil {
+func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (st DeltaStatus, err error) {
+	if _, err := s.lookup(name); err != nil {
 		return DeltaStatus{}, err
 	}
 	if d.Size() == 0 {
@@ -116,24 +110,14 @@ func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (DeltaStatus, er
 			ErrDeltaTooLarge, d.Size(), limit)
 	}
 
-	// Take exclusive ownership of the entry's mutation slot.
-	run := &inflightRun{done: make(chan struct{})}
-	for {
-		e.mu.Lock()
-		if e.inflight == nil {
-			e.inflight = run
-			e.mu.Unlock()
-			break
-		}
-		cur := e.inflight
-		e.mu.Unlock()
-		<-cur.done
+	run, e, _ := s.claim(name, true)
+	defer func() { s.release(name, run, err) }()
+	if e == nil {
+		return DeltaStatus{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-
 	start := time.Now()
-	st, err := s.applyDelta(e, d)
+	st, err = s.applyDelta(e, d)
 	e.mu.Lock()
-	e.inflight = nil
 	switch {
 	case errors.Is(err, ErrBadDelta):
 		// A malformed request is the client's error, not the graph's state:
@@ -144,8 +128,6 @@ func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (DeltaStatus, er
 		e.lastErr = ""
 	}
 	e.mu.Unlock()
-	run.err = err
-	close(run.done)
 	if err != nil {
 		return DeltaStatus{}, err
 	}
@@ -158,7 +140,7 @@ func (s *Server) ApplyEdgeDelta(name string, d delta.EdgeDelta) (DeltaStatus, er
 }
 
 // applyDelta does the rebuild + repair (or fallback rerun) and publishes
-// the snapshot. The caller holds the entry's inflight slot, making this the
+// the snapshot. The caller holds the graph's writer slot, making this the
 // only writer of e.snap.
 func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 	snap := e.snap.Load()
@@ -194,7 +176,7 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 	if fellBack {
 		st.Mode = "recompute"
 		st.Reason = reason
-		ns, err = s.compute(e, res.Graph, opts)
+		ns, err = s.compute(snap, res.Graph, opts)
 		if err != nil {
 			return DeltaStatus{}, err
 		}
@@ -202,7 +184,7 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 		st.Mode = "incremental"
 		st.ResidualL1 = res.ResidualL1
 		st.Rounds = res.Rounds
-		ns = e.seal(&Snapshot{
+		ns = seal(snap, &Snapshot{
 			Graph:   res.Graph,
 			Ranks:   res.Ranks,
 			Options: opts,
@@ -217,8 +199,7 @@ func (s *Server) applyDelta(e *entry, d delta.EdgeDelta) (DeltaStatus, error) {
 		})
 	}
 	// Write-ahead: the batch becomes durable before its snapshot becomes
-	// visible. Parent links the record to the snapshot it mutated so an
-	// applier can skip a delta that published into an orphaned entry. A
+	// visible. Parent links the record to the snapshot it mutated. A
 	// fallback ran the engine, so its whole snapshot ships in the blob; an
 	// incremental repair ships its repaired vector as a signed residual
 	// delta (or the full vector when the residual is not smaller) plus the

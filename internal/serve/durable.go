@@ -32,11 +32,13 @@ import (
 //
 // Per record: covered (an add or remove at or below the LSN of the graph's
 // current snapshot → skip), orphaned (a rank-shipping record whose parent is
-// not the current snapshot — superseded by a racing replace, or already
-// covered, since a parent precedes its record → skip, matching the live
-// daemon where that publish was invisible), or applied. The registry is the
-// only record of what is covered. Torn final records were already truncated
-// by wal.Open; any other damage failed the open before replay started.
+// not the current snapshot → skip), or applied. Besides covered rank records
+// (a parent precedes its record), only logs written before each name had one
+// writer hold orphaned records: a recompute or delta that published, unseen,
+// into an entry a racing replace or remove had superseded. The registry is
+// the only record of what is covered. Torn final records were already
+// truncated by wal.Open; any other damage failed the open before replay
+// started.
 
 // addMeta is the RecAddGraph payload; the blob carries the published
 // snapshot (graph + ranks + snapMeta, options included), which appliers
@@ -50,9 +52,10 @@ type addMeta struct {
 type deltaMeta struct {
 	Name string `json:"name"`
 	// Parent is the WalLSN of the snapshot the delta was applied to. A
-	// mismatch during replay means the delta published into an entry a
-	// concurrent replace had already orphaned — its effect was never
-	// visible, so replay skips it too.
+	// mismatch during replay means the record is covered, or it comes from a
+	// log written before each name had one writer, where a delta could
+	// publish into an entry a racing replace had already superseded; its
+	// effect was never visible, so replay skips it too.
 	Parent uint64       `json:"parent"`
 	Insert []graph.Edge `json:"insert,omitempty"`
 	Delete []graph.Edge `json:"delete,omitempty"`
@@ -238,10 +241,9 @@ func (s *Server) walAppendRecompute(name string, old, snap *Snapshot) (uint64, e
 	return s.walAppend(typ, m, blob)
 }
 
-// walAppendAdd logs one ingest; the blob is the just-computed snapshot.
-// The snapshot's final Version (a replace continues the old sequence) is
-// only known at publish time, after this append; installers re-derive it,
-// so the version inside the blob is advisory.
+// walAppendAdd logs one ingest; the blob is the just-computed snapshot,
+// sealed with the version it publishes (a replace continues the old
+// sequence).
 func (s *Server) walAppendAdd(name string, snap *Snapshot) (uint64, error) {
 	if s.wal.Load() == nil {
 		return 0, nil
@@ -258,15 +260,11 @@ func (s *Server) walAppendAdd(name string, snap *Snapshot) (uint64, error) {
 // cache) at log position lsn, and a fresh unregistered entry to publish it
 // in. The LSN comes from the caller (the record or snapshot position being
 // installed), not from m — the blob was written before its append was
-// assigned one. The snapshot keeps m's version unless that would go
-// backwards: over an entry already registered under name, re-installing the
-// log position it serves (a follower re-bootstrapping into what it has)
-// keeps that entry's version, anything else is a newer publish and takes the
-// next one. The caller is the registry's only writer, so that entry is still
-// the registered one when the staged entry replaces it.
-func (s *Server) stageSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn uint64) (*entry, *Snapshot) {
+// assigned one. The snapshot keeps m's version, the one it was published at
+// (applyRecord corrects an older log's replace record, whose blob says 1).
+func stageSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn uint64) (*entry, *Snapshot) {
 	e := &entry{name: name}
-	snap := e.seal(&Snapshot{
+	snap := seal(nil, &Snapshot{
 		Graph:       gs.Graph,
 		Ranks:       gs.Ranks,
 		Options:     m.Options,
@@ -278,14 +276,6 @@ func (s *Server) stageSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn 
 		WalLSN:      lsn,
 		ComputedAt:  m.ComputedAt,
 	})
-	if old, err := s.lookup(name); err == nil {
-		if cur := old.snap.Load(); snap.Version <= cur.Version {
-			snap.Version = cur.Version
-			if cur.WalLSN != lsn {
-				snap.Version++
-			}
-		}
-	}
 	return e, snap
 }
 
@@ -295,7 +285,7 @@ func (s *Server) stageSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn 
 // structure survives; readers may be live, so the entry gets its snapshot
 // before it is visible in the map.
 func (s *Server) installSnapshot(name string, gs *graph.Snapshot, m snapMeta, lsn uint64) {
-	e, snap := s.stageSnapshot(name, gs, m, lsn)
+	e, snap := stageSnapshot(name, gs, m, lsn)
 	//lint:ignore walorder apply path: the snapshot came out of the log or the snapshot store, so its state is already durable at lsn
 	e.snap.Store(snap)
 	s.mu.Lock()
@@ -415,14 +405,22 @@ func (s *Server) applyRecord(rec *wal.Record) (applied bool, err error) {
 		if err := json.Unmarshal(rec.Meta, &m); err != nil {
 			return fail(err)
 		}
-		if e, err := s.lookup(m.Name); err == nil && rec.LSN <= e.snap.Load().WalLSN {
-			return false, nil // covered by the graph's snapshot
+		var cur *Snapshot
+		if e, err := s.lookup(m.Name); err == nil {
+			if cur = e.snap.Load(); rec.LSN <= cur.WalLSN {
+				return false, nil // covered by the graph's snapshot
+			}
 		}
 		// Replace unconditionally: whatever state the name is in, the live
 		// daemon acknowledged this ingest, so it must win here too.
 		gs, sm, err := decodeSnapshotBlob(rec.Blob, m.Name)
 		if err != nil {
 			return fail(err)
+		}
+		if cur != nil && sm.Version <= cur.Version {
+			// An older binary logged a replace with the advisory version 1;
+			// it published the next one.
+			sm.Version = cur.Version + 1
 		}
 		s.installSnapshot(m.Name, gs, sm, rec.LSN)
 
@@ -433,7 +431,7 @@ func (s *Server) applyRecord(rec *wal.Record) (applied bool, err error) {
 		}
 		e, err := s.lookup(m.Name)
 		if err != nil || e.snap.Load().WalLSN != m.Parent {
-			return false, nil // published into an entry a replace/remove orphaned
+			return false, nil // covered, or orphaned in a log an older binary wrote
 		}
 		switch {
 		case m.FellBack && len(rec.Blob) > 0:
@@ -491,7 +489,7 @@ func (s *Server) applyRecord(rec *wal.Record) (applied bool, err error) {
 		if e, err := s.lookup(m.Name); err == nil && rec.LSN <= e.snap.Load().WalLSN {
 			return false, nil // covered by the graph's snapshot
 		}
-		s.dropGraph(m.Name) // absent is fine: racing removals both log
+		s.dropGraph(m.Name) // absent is fine: older logs hold racing removals' duplicates
 
 	default:
 		return fail(errors.New("unknown record type"))
@@ -529,7 +527,7 @@ func (s *Server) republish(e *entry, g *graph.Graph, enc string, blob []byte, ls
 	}
 	header.Graph, header.Ranks, header.WalLSN, header.ComputedAt = g, ranks, lsn, time.Now()
 	//lint:ignore walorder apply path: this republishes a record already in the log (lsn), nothing new to append
-	e.snap.Store(e.seal(header))
+	e.snap.Store(seal(e.snap.Load(), header))
 	return nil
 }
 

@@ -312,7 +312,7 @@ func (s *Server) followBootstrap(ctx context.Context) (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("serve: bootstrap snapshot %q: %w", m.Name, err)
 		}
-		e, snap := s.stageSnapshot(m.Name, gs, sm, rec.LSN)
+		e, snap := stageSnapshot(m.Name, gs, sm, rec.LSN)
 		//lint:ignore walorder follower bootstrap: the record came from the leader's log, durability lives there until promotion copies it
 		e.snap.Store(snap)
 		staged[m.Name] = e

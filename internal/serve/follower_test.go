@@ -502,6 +502,51 @@ func TestFollowerPruneRebootstrap(t *testing.T) {
 	}
 }
 
+// TestFollowerRebootstrapTakesLeaderVersion parks a caught-up follower while
+// the leader removes a graph, ingests it again (version 1) and checkpoints
+// past the follower's cursor. The follower's second bootstrap must install
+// the leader's version, not one past the version it held before.
+func TestFollowerRebootstrapTakesLeaderVersion(t *testing.T) {
+	g := testGraph(t)
+	lead := startLeader(t, t.TempDir())
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lead.srv.Recompute("g", Overrides{}, true); err != nil {
+		t.Fatal(err)
+	}
+	f := New(followerConfig(lead.url))
+	gate, parked := make(chan struct{}), make(chan struct{})
+	var gated atomic.Bool
+	var parkedOnce sync.Once
+	f.follower.pollGate = func() {
+		if gated.Load() {
+			parkedOnce.Do(func() { close(parked) })
+			<-gate
+		}
+	}
+	startFollower(t, f)
+	waitCaughtUp(t, lead.srv, f)
+	gated.Store(true)
+	<-parked
+	if err := lead.srv.Remove("g"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := lead.srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	gated.Store(false)
+	close(gate)
+	waitCaughtUp(t, lead.srv, f)
+	assertConverged(t, lead.srv, f, "g")
+	if st := f.ReplStatus(); st.Bootstraps != 2 {
+		t.Errorf("follower took %d bootstraps, want 2", st.Bootstraps)
+	}
+}
+
 // TestFollowerServesReadsRejectsWrites drives the follower's HTTP surface:
 // every read endpoint answers from the replicated snapshots, every mutating
 // endpoint answers 503 with the leader's address.

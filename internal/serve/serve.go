@@ -6,11 +6,12 @@
 // The serving contract is read-mostly: each graph's latest completed
 // computation lives in an immutable Snapshot behind an atomic pointer, so
 // top-k and single-vertex reads are a pointer load — no lock is held while a
-// recompute runs in the background. Recomputes for the same graph are
-// coalesced: while one is in flight, further recompute requests attach to it
-// instead of queueing duplicate engine runs. The snapshot pointer only ever
-// swaps from one complete rank vector to another, so concurrent readers see
-// either the old ranks or the new ranks, never a mix.
+// recompute runs in the background. Each graph name has one writer at a
+// time (Server.writers), and recomputes are coalesced: while any write to
+// the graph is in flight, further recompute requests attach to it instead of
+// queueing duplicate engine runs. The snapshot pointer only ever swaps from
+// one complete rank vector to another, so concurrent readers see either the
+// old ranks or the new ranks, never a mix.
 package serve
 
 import (
@@ -71,7 +72,7 @@ type Snapshot struct {
 	Iterations int
 	Delta      float64
 	// Version increments with every published snapshot of a graph, starting
-	// at 1 for the ingest-time computation (entry.seal). It is the graph's
+	// at 1 for the ingest-time computation (seal). It is the graph's
 	// only version counter: nothing unpublished consumes one.
 	Version uint64
 	// RepairDrift accumulates the residual error bounds of every
@@ -141,26 +142,24 @@ func (s *Snapshot) TopK(k int) []pcpm.RankEntry {
 // entry is one registered graph plus its serving state. The graph structure
 // itself lives in the snapshot (it changes under edge deltas), and so does
 // what is derived from it (structMemo); the entry holds only the registry
-// identity and the mutation slot.
+// identity and the last write error.
 type entry struct {
 	name string
 
 	snap atomic.Pointer[Snapshot]
 
-	mu       sync.Mutex
-	inflight *inflightRun // guarded by mu
-	lastErr  string       // guarded by mu
+	mu      sync.Mutex
+	lastErr string // guarded by mu
 }
 
-// seal fills in what an unpublished snapshot of e derives from its Graph and
-// Ranks and from e's current snapshot, if any: the version, one past the
-// current one (a fresh entry's first snapshot keeps the version it was built
-// or logged with); the top-k prefix; and the structure memo, the current
-// snapshot's when it serves the same graph (a rank-only publish), else a new,
-// empty one. The caller is e's only writer, so a sealed snapshot that is never
+// seal fills in what an unpublished snapshot derives from its Graph and Ranks
+// and from cur, the name's current snapshot (nil when the name has none): the
+// version, one past cur's (a first snapshot keeps the version it was built or
+// logged with); the top-k prefix; and the structure memo, cur's when it
+// serves the same graph (a rank-only publish), else a new, empty one. The
+// caller is the name's only writer, so a sealed snapshot that is never
 // published consumes no version.
-func (e *entry) seal(snap *Snapshot) *Snapshot {
-	cur := e.snap.Load()
+func seal(cur, snap *Snapshot) *Snapshot {
 	if cur != nil {
 		snap.Version = cur.Version + 1
 	}
@@ -173,10 +172,10 @@ func (e *entry) seal(snap *Snapshot) *Snapshot {
 	return snap
 }
 
-// inflightRun is a recompute or edge-delta mutation in progress; coalesced
-// recompute requests share it, and further mutations queue behind it.
+// inflightRun is one write to a name in progress, holding its writer slot
+// (Server.writers). Recomputes coalesce onto it; other writes queue behind it.
 type inflightRun struct {
-	done chan struct{} // closed when the run finishes
+	done chan struct{} // closed when the write finishes
 	err  error         // valid after done is closed
 }
 
@@ -233,11 +232,10 @@ type Server struct {
 	mu sync.RWMutex // protects the registry maps, not entry contents
 	// graphs is the serving registry.
 	graphs map[string]*entry // guarded by mu
-	// pending reserves names whose ingest-time computation is still
-	// running: a duplicate ingest fails (or, with replace, waits) on the
-	// reservation instead of burning a second engine run. Each channel is
-	// closed when its ingest settles.
-	pending map[string]chan struct{} // guarded by mu
+	// writers holds the writer slot of each name being written (claim): an
+	// ingest, replace, remove, recompute or edge delta holds it from before
+	// its WAL append until its publish, so each name has one writer.
+	writers map[string]*inflightRun // guarded by mu
 
 	// computeFn runs one PageRank computation; tests substitute it to make
 	// in-flight recomputes observable and deterministic.
@@ -289,7 +287,7 @@ func New(cfg Config) *Server {
 		log:           log,
 		started:       time.Now(),
 		graphs:        make(map[string]*entry),
-		pending:       make(map[string]chan struct{}),
+		writers:       make(map[string]*inflightRun),
 		computeFn:     pcpm.Run,
 		repairDrift:   maxRepairDrift,
 		followBackoff: defaultFollowBackoff,
@@ -334,14 +332,16 @@ type GraphInfo struct {
 	Version     uint64      `json:"version"`
 	ComputedAt  time.Time   `json:"computed_at"`
 	ComputeMS   float64     `json:"compute_ms"`
-	Recomputing bool        `json:"recomputing"`
-	LastError   string      `json:"last_error,omitempty"`
+	// Recomputing is true while any write to the graph (an ingest, replace,
+	// remove, recompute or edge delta) holds its writer slot.
+	Recomputing bool   `json:"recomputing"`
+	LastError   string `json:"last_error,omitempty"`
 }
 
 // info summarizes e's current snapshot. The first info of a structure fills
 // its structure memo: a count-only decomposition (sequential Tarjan) on the
-// reader's goroutine, holding neither e.mu nor the inflight slot. Concurrent
-// readers wait for it.
+// reader's goroutine, holding no lock and no writer slot. Concurrent readers
+// wait for it.
 func (s *Server) info(e *entry) GraphInfo {
 	snap := e.snap.Load()
 	snap.memo.fill(snap.Graph, func() (int, int) {
@@ -349,8 +349,10 @@ func (s *Server) info(e *entry) GraphInfo {
 		s.sccFills.Add(1)
 		return st.Components, st.LargestComponent
 	})
+	s.mu.RLock()
+	recomputing := s.writers[e.name] != nil
+	s.mu.RUnlock()
 	e.mu.Lock()
-	recomputing := e.inflight != nil
 	lastErr := e.lastErr
 	e.mu.Unlock()
 	return GraphInfo{
@@ -374,14 +376,10 @@ func (s *Server) info(e *entry) GraphInfo {
 
 // AddGraph registers g under name, computes its ranks synchronously with
 // ov overlaid on the server defaults, and publishes the first snapshot. It
-// fails with ErrExists unless replace is set; the name is reserved before
-// the engine runs, so a duplicate name cannot burn a compute — not even a
-// concurrent duplicate racing the ingest-time computation.
-//
-// Replacing continues the old entry's version sequence so clients using the
-// version as a freshness cursor never see it go backwards. Like Remove, a
-// replace orphans any in-flight recompute of the old entry: that run still
-// finishes (a waiting caller gets its result), but no query will serve it.
+// fails with ErrExists unless replace is set, and it fails at once, without
+// an engine run, while any other write to the name is in progress. A replace
+// waits its turn instead and continues the old version sequence, so clients
+// using the version as a freshness cursor never see it go backwards.
 func (s *Server) AddGraph(name string, g *graph.Graph, ov Overrides, replace bool) (GraphInfo, error) {
 	if !ValidName(name) {
 		return GraphInfo{}, fmt.Errorf("%w: invalid graph name %q", ErrInvalidOptions, name)
@@ -389,96 +387,112 @@ func (s *Server) AddGraph(name string, g *graph.Graph, ov Overrides, replace boo
 	if err := errors.Join(checkOneSolver(s.cfg.Defaults), ov.Validate(s.cfg.Defaults)); err != nil {
 		return GraphInfo{}, err
 	}
-	opts := ov.apply(s.cfg.Defaults)
-	// Reserve the name before computing. A plain duplicate fails here
-	// without spending an engine run; a replace queues behind the in-flight
-	// ingest and then proceeds (replace semantics are last-writer-wins, so
-	// serializing them is the least surprising order).
-	var ch chan struct{}
-	for {
-		s.mu.Lock()
-		cur, busy := s.pending[name]
-		if !busy {
-			if _, exists := s.graphs[name]; exists && !replace {
-				s.mu.Unlock()
-				return GraphInfo{}, fmt.Errorf("%w: %q", ErrExists, name)
-			}
-			ch = make(chan struct{})
-			s.pending[name] = ch
-			s.mu.Unlock()
-			break
-		}
-		s.mu.Unlock()
-		if !replace {
-			return GraphInfo{}, fmt.Errorf("%w: %q (ingest in progress)", ErrExists, name)
-		}
-		<-cur
-	}
-	// Deferred so a panicking computeFn cannot leak the reservation and
-	// wedge the name forever (the HTTP recoverer turns the panic into a
-	// 500; the name must stay ingestable afterwards).
-	defer func() {
-		s.mu.Lock()
-		delete(s.pending, name)
-		s.mu.Unlock()
-		close(ch)
-	}()
-
-	e := &entry{name: name}
-	snap, err := s.compute(e, g, opts)
+	e, err := s.ingest(name, g, ov.apply(s.cfg.Defaults), replace)
 	if err != nil {
 		return GraphInfo{}, err
+	}
+	snap := e.snap.Load()
+	s.log.Info("graph loaded", "graph", name, "nodes", snap.Graph.NumNodes(),
+		"edges", snap.Graph.NumEdges(), "method", snap.Method, "compute", snap.ComputeTime)
+	return s.info(e), nil
+}
+
+// ingest is AddGraph's write: it takes name's writer slot, computes g's
+// ranks, logs them and publishes them in a fresh entry. A replace is sealed
+// against the snapshot it supersedes, so the logged blob carries the version
+// it publishes.
+func (s *Server) ingest(name string, g *graph.Graph, opts pcpm.Options, replace bool) (e *entry, err error) {
+	run, old, mine := s.claim(name, replace)
+	if !mine || (old != nil && !replace) {
+		if mine {
+			s.release(name, run, nil)
+		}
+		return nil, fmt.Errorf("%w: %q", ErrExists, name)
+	}
+	// Deferred so a panicking computeFn cannot leak the slot and wedge the
+	// name forever (the HTTP recoverer turns the panic into a 500; the name
+	// must stay writable afterwards).
+	defer func() { s.release(name, run, err) }()
+	var cur *Snapshot
+	if old != nil {
+		cur = old.snap.Load()
+	}
+	snap, err := s.compute(cur, g, opts)
+	if err != nil {
+		return nil, err
 	}
 	// Write-ahead: the ingest must be durable before any reader can see
 	// it. A failed append rejects the ingest rather than serving state a
 	// restart would silently lose.
 	lsn, err := s.walAppendAdd(name, snap)
 	if err != nil {
-		return GraphInfo{}, err
+		return nil, err
 	}
 	snap.WalLSN = lsn
-
-	s.mu.Lock()
-	if old, ok := s.graphs[name]; ok {
-		// Only a replace can reach here: creations hold the reservation.
-		// snap is not yet published, so adjusting its version is safe.
-		snap.Version = old.snap.Load().Version + 1
-	}
+	e = &entry{name: name}
 	e.snap.Store(snap)
+	s.mu.Lock()
 	s.graphs[name] = e
 	s.mu.Unlock()
-
-	s.log.Info("graph loaded", "graph", name, "nodes", snap.Graph.NumNodes(),
-		"edges", snap.Graph.NumEdges(), "method", snap.Method, "compute", snap.ComputeTime)
-	return s.info(e), nil
+	return e, nil
 }
 
-// Remove drops name from the registry. An in-flight recompute for it may
-// still finish, but its result becomes unreachable.
-func (s *Server) Remove(name string) error {
-	if _, err := s.lookup(name); err != nil {
-		return err
+// Remove drops name from the registry, after any write to it in progress.
+// Of two racing removals one succeeds and logs the removal; the other finds
+// the name gone.
+func (s *Server) Remove(name string) (err error) {
+	run, e, _ := s.claim(name, true)
+	defer func() { s.release(name, run, err) }()
+	if e == nil {
+		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	// Write-ahead, without holding the registry lock across an fsync. Two
-	// racing removals may both log a record; appliers tolerate the
-	// duplicate.
+	// Write-ahead, without holding the registry lock across an fsync.
 	if _, err := s.walAppend(wal.RecRemoveGraph, removeMeta{Name: name}, nil); err != nil {
 		return err
 	}
-	if !s.dropGraph(name) {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
+	s.dropGraph(name)
 	return nil
 }
 
-// dropGraph deletes name from the registry and reports whether it was
-// there: the registry half of Remove, and all an applied removal does.
-func (s *Server) dropGraph(name string) bool {
+// dropGraph deletes name from the registry: the registry half of Remove, and
+// all an applied removal does.
+func (s *Server) dropGraph(name string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.graphs[name]
 	delete(s.graphs, name)
-	return ok
+	s.mu.Unlock()
+}
+
+// claim takes name's writer slot. A busy slot is waited out when wait is
+// set; otherwise its holder is returned instead, with mine false. e is the
+// entry registered under name when the slot was taken, nil if none; no other
+// write can change that until release.
+func (s *Server) claim(name string, wait bool) (run *inflightRun, e *entry, mine bool) {
+	for {
+		s.mu.Lock()
+		cur := s.writers[name]
+		if cur == nil {
+			run = &inflightRun{done: make(chan struct{})}
+			s.writers[name] = run
+			e = s.graphs[name]
+			s.mu.Unlock()
+			return run, e, true
+		}
+		s.mu.Unlock()
+		if !wait {
+			return cur, nil, false
+		}
+		<-cur.done
+	}
+}
+
+// release frees name's writer slot, ending run with err for the recomputes
+// that coalesced onto it.
+func (s *Server) release(name string, run *inflightRun, err error) {
+	s.mu.Lock()
+	delete(s.writers, name)
+	s.mu.Unlock()
+	run.err = err
+	close(run.done)
 }
 
 // sortedEntries returns every registered entry, sorted by name.
@@ -633,31 +647,29 @@ func checkOneSolver(o pcpm.Options) error {
 }
 
 // Recompute re-runs PageRank for name with the graph's current options plus
-// ov's overrides. If a recompute is already in flight the request coalesces
-// onto it (the in-flight run's options take precedence; this is deliberate —
-// coalescing exists to shed duplicate load). With wait set the call blocks
-// until the run completes and returns its error; otherwise it returns
-// immediately after scheduling.
+// ov's overrides. If any write to the graph is in flight the request
+// coalesces onto it (the in-flight write's outcome takes precedence; this is
+// deliberate — coalescing exists to shed duplicate load). With wait set the
+// call blocks until that write completes, returns its error, and then the
+// graph's current snapshot (ErrNotFound if the write removed it); otherwise
+// it returns immediately after scheduling. A run inherits the options of the
+// snapshot current when it takes the slot.
 func (s *Server) Recompute(name string, ov Overrides, wait bool) (RecomputeStatus, error) {
 	e, err := s.lookup(name)
 	if err != nil {
 		return RecomputeStatus{}, err
 	}
-	base := e.snap.Load().Options
-	if err := ov.Validate(base); err != nil {
+	if err := ov.Validate(e.snap.Load().Options); err != nil {
 		return RecomputeStatus{}, err
 	}
-	opts := ov.apply(base)
-
-	e.mu.Lock()
-	run := e.inflight
-	started := run == nil
+	run, e, started := s.claim(name, false)
 	if started {
-		run = &inflightRun{done: make(chan struct{})}
-		e.inflight = run
-		go s.runRecompute(e, run, opts)
+		if e == nil {
+			s.release(name, run, nil)
+			return RecomputeStatus{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+		}
+		go s.runRecompute(e, run, ov.apply(e.snap.Load().Options))
 	}
-	e.mu.Unlock()
 
 	st := RecomputeStatus{Started: started}
 	if !wait {
@@ -667,16 +679,18 @@ func (s *Server) Recompute(name string, ov Overrides, wait bool) (RecomputeStatu
 	if run.err != nil {
 		return st, run.err
 	}
+	if e, err = s.lookup(name); err != nil {
+		return st, err
+	}
 	st.Snapshot = e.snap.Load()
 	return st, nil
 }
 
 // runRecompute executes one coalesced engine run and publishes the result.
-// Holding the inflight slot makes it the only writer of e.snap, so loading
-// the graph here cannot race a delta mutation.
+// It holds e's writer slot, so it is the only writer of e.snap.
 func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 	old := e.snap.Load()
-	snap, err := s.compute(e, old.Graph, opts)
+	snap, err := s.compute(old, old.Graph, opts)
 	if err == nil {
 		// Logged with the resulting rank vector (full, or as a signed
 		// residual delta against the parent when that is smaller), which
@@ -695,27 +709,26 @@ func (s *Server) runRecompute(e *entry, run *inflightRun, opts pcpm.Options) {
 		s.log.Error("recompute failed", "graph", e.name, "error", err)
 	}
 	e.mu.Lock()
-	e.inflight = nil
 	if err != nil {
 		e.lastErr = err.Error()
 	} else {
 		e.lastErr = ""
 	}
 	e.mu.Unlock()
-	run.err = err
-	close(run.done)
+	s.release(e.name, run, err)
 }
 
-// compute runs the engine and wraps the result in an unpublished Snapshot of g
-// for e, sealed with e's next version (1 on a fresh entry) and, on a re-run of
-// the graph e already serves, its structure memo (entry.seal).
+// compute runs the engine and wraps the result in an unpublished Snapshot of
+// g, sealed against cur, the snapshot it will supersede (nil for a new name):
+// with the next version (1 for a new name) and, on a re-run of cur's graph,
+// its structure memo.
 //
 // Every run is PCPM with the branch-avoiding gather, at the server's
 // partition size and worker count. opts inherited from a snapshot an older
 // data dir or leader shipped may name another engine or other sizing; those
 // are overwritten here, unconsulted, so the published options describe the
 // run.
-func (s *Server) compute(e *entry, g *graph.Graph, opts pcpm.Options) (*Snapshot, error) {
+func (s *Server) compute(cur *Snapshot, g *graph.Graph, opts pcpm.Options) (*Snapshot, error) {
 	opts.Method = ""
 	opts.PartitionBytes, opts.Workers = s.cfg.Defaults.PartitionBytes, s.cfg.Defaults.Workers
 	start := time.Now()
@@ -723,7 +736,7 @@ func (s *Server) compute(e *entry, g *graph.Graph, opts pcpm.Options) (*Snapshot
 	if err != nil {
 		return nil, err
 	}
-	return e.seal(&Snapshot{
+	return seal(cur, &Snapshot{
 		Graph:       g,
 		Ranks:       res.Ranks,
 		Options:     opts,
