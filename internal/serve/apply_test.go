@@ -138,21 +138,18 @@ func TestApplyRecordRejectsStatelessRecords(t *testing.T) {
 			return rawRecord{wal.RecRecompute, recomputeMeta{Name: "z", Parent: cur.WalLSN, Options: testOptions}, nil}
 		}, false},
 	}
-	// writer returns a durable server holding "g" and the 0-node "z".
-	writer := func(t *testing.T) *leaderHarness {
-		lead := startLeader(t, t.TempDir())
-		if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lead.srv.AddGraph("z", empty, Overrides{}, false); err != nil {
-			t.Fatal(err)
-		}
-		return lead
+	// writer returns a cluster whose leader holds "g" and the 0-node "z";
+	// its follower may run no engine.
+	writer := func(t *testing.T) *cluster {
+		c := newCluster(t, testOptions)
+		forbidEngine(t, c.fs[0].srv)
+		c.run(t, add("g", g), add("z", empty))
+		return c
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name+"/recovery", func(t *testing.T) {
-			a := writer(t).srv
+			a := writer(t).lead.srv
 			pre := publishedSnap(t, a, tc.graph)
 			b, rep, err, lsn := recoverRaw(t, a, tc.build(pre))
 			// The failed apply happened inside Recover, so the pre-record
@@ -179,11 +176,8 @@ func TestApplyRecordRejectsStatelessRecords(t *testing.T) {
 		})
 
 		t.Run(tc.name+"/follower", func(t *testing.T) {
-			lead := writer(t)
-			f := New(followerConfig(lead.url))
-			forbidEngine(t, f)
-			startFollower(t, f)
-			waitCaughtUp(t, lead.srv, f)
+			c := writer(t)
+			lead, f := c.lead, c.fs[0].srv
 			pre := publishedSnap(t, f, tc.graph)
 			rec := tc.build(publishedSnap(t, lead.srv, tc.graph))
 			if tc.wantErr {
@@ -228,15 +222,10 @@ func TestApplyRecordRejectsMisnamedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writer := func(t *testing.T) *leaderHarness {
-		lead := startLeader(t, t.TempDir())
-		if _, err := lead.srv.AddGraph("a", ga, Overrides{}, false); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lead.srv.AddGraph("b", gb, Overrides{}, false); err != nil {
-			t.Fatal(err)
-		}
-		return lead
+	writer := func(t *testing.T) *cluster {
+		c := newCluster(t, testOptions)
+		c.run(t, add("a", ga), add("b", gb))
+		return c
 	}
 	misnamed := func(t *testing.T, s *Server) rawRecord {
 		blob, err := snapshotBlob("b", publishedSnap(t, s, "b"))
@@ -253,7 +242,7 @@ func TestApplyRecordRejectsMisnamedSnapshot(t *testing.T) {
 	}
 
 	t.Run("recovery", func(t *testing.T) {
-		a := writer(t).srv
+		a := writer(t).lead.srv
 		rec := misnamed(t, a)
 		b, _, err, lsn := recoverRaw(t, a, rec)
 		if err == nil {
@@ -264,10 +253,8 @@ func TestApplyRecordRejectsMisnamedSnapshot(t *testing.T) {
 	})
 
 	t.Run("follower", func(t *testing.T) {
-		lead := writer(t)
-		f := New(followerConfig(lead.url))
-		startFollower(t, f)
-		waitCaughtUp(t, lead.srv, f)
+		c := writer(t)
+		lead, f := c.lead, c.fs[0].srv
 		misnamed(t, lead.srv).appendTo(t, lead.srv.wal.Load())
 		// The record stays in the leader's log, so every re-bootstrap meets
 		// it again; what matters is that each round rejects it.

@@ -1,17 +1,15 @@
 package serve
 
 import (
-	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	pcpm "repro"
 	"repro/internal/delta"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/scc"
 )
 
 // Component stats are lazy: no publish path decomposes the graph, and the
@@ -19,60 +17,16 @@ import (
 // structure shares. These tests hold the lazy answer to a from-scratch
 // decomposition of the very graph each version serves, on every kind of
 // server that publishes (live, recovered, follower), and count the fills.
+// The scenario checks (scenario_test.go) compare the counts everywhere.
 
-// wantComponents is the from-scratch answer for the graph s serves now.
-func wantComponents(t *testing.T, s *Server, name string) (components, largest int) {
-	t.Helper()
-	g := publishedSnap(t, s, name).Graph
-	st := scc.StatsFor(g, scc.Decompose(g, 1))
-	return st.Components, st.LargestComponent
-}
-
-// assertInfoComponents checks s.Info(name) against wantComponents.
-func assertInfoComponents(t *testing.T, who string, s *Server, name string) GraphInfo {
-	t.Helper()
-	info, err := s.Info(name)
-	if err != nil {
-		t.Fatalf("%s: Info: %v", who, err)
-	}
-	if c, l := wantComponents(t, s, name); info.Components != c || info.LargestComp != l {
-		t.Errorf("%s at version %d: Info reports %d components (largest %d), a from-scratch decomposition %d (largest %d)",
-			who, info.Version, info.Components, info.LargestComp, c, l)
-	}
-	return info
-}
-
-// recoverCopy recovers a new server from a copy of the live leader's data
-// directory (every append is fsynced, so the copy is a crash image).
-func recoverCopy(t *testing.T, dir string) *Server {
-	t.Helper()
-	cp := t.TempDir()
-	if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := newDurableServer(t, durableConfig(cp))
-	return s
-}
-
-// assertComponentsEverywhere checks the live leader, a server recovered from
-// its directory and the caught-up follower, which must agree with one another.
-func assertComponentsEverywhere(t *testing.T, step string, lead *leaderHarness, dir string, f *Server) {
-	t.Helper()
-	live := assertInfoComponents(t, step+": live", lead.srv, "g")
-	rec := assertInfoComponents(t, step+": recovered", recoverCopy(t, dir), "g")
-	waitCaughtUp(t, lead.srv, f)
-	fol := assertInfoComponents(t, step+": follower", f, "g")
-	for _, o := range []GraphInfo{rec, fol} {
-		if o.Version != live.Version || o.Components != live.Components || o.LargestComp != live.LargestComp {
-			t.Errorf("%s: (version, components, largest) live %d/%d/%d, elsewhere %d/%d/%d", step,
-				live.Version, live.Components, live.LargestComp, o.Version, o.Components, o.LargestComp)
-		}
-	}
-}
-
+// TestInfoComponentsTrackStructure: two 3-cycles joined by 2→3. A back
+// edge merges them, deleting it splits them, deleting a cycle edge splits
+// one into singletons; every step checks each copy's answer against a
+// from-scratch decomposition. On every generator family an ingest and a
+// stream of edge deltas merge and split components under the same checks.
 func TestInfoComponentsTrackStructure(t *testing.T) {
+	t.Parallel()
 	t.Run("two-cycles", func(t *testing.T) {
-		// Two 3-cycles joined by 2→3.
 		g, err := graph.FromEdges(6, []graph.Edge{
 			{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0},
 			{Src: 3, Dst: 4}, {Src: 4, Dst: 5}, {Src: 5, Dst: 3},
@@ -81,81 +35,30 @@ func TestInfoComponentsTrackStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir := t.TempDir()
-		lead := startLeader(t, dir)
-		f := New(followerConfig(lead.url))
-		startFollower(t, f)
-		info, err := lead.srv.AddGraph("g", g, Overrides{}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Components != 2 || info.LargestComp != 3 {
-			t.Fatalf("ingest answered %d components (largest %d), want 2 (3)", info.Components, info.LargestComp)
-		}
 		back := []graph.Edge{{Src: 3, Dst: 2}}
-		for _, step := range []struct {
-			name                string
-			d                   delta.EdgeDelta
-			components, largest int
-		}{
-			{"insert the back edge", delta.EdgeDelta{Insert: back}, 1, 6},
-			{"delete the back edge", delta.EdgeDelta{Delete: back}, 2, 3},
-			{"delete a cycle edge", delta.EdgeDelta{Delete: []graph.Edge{{Src: 4, Dst: 5}}}, 4, 3},
-		} {
-			if _, err := lead.srv.ApplyEdgeDelta("g", step.d); err != nil {
-				t.Fatalf("%s: %v", step.name, err)
+		runScenario(t, scenario{[]step{
+			add("g", g),
+			edit("g", delta.EdgeDelta{Insert: back}, ""),
+			edit("g", delta.EdgeDelta{Delete: back}, ""),
+			edit("g", delta.EdgeDelta{Delete: []graph.Edge{{Src: 4, Dst: 5}}}, ""),
+		}, func(t *testing.T, c *cluster) {
+			if info, _ := c.lead.srv.Info("g"); info.Components != 4 || info.LargestComp != 3 {
+				t.Errorf("%d components (largest %d), want 4 (3)", info.Components, info.LargestComp)
 			}
-			assertComponentsEverywhere(t, step.name, lead, dir, f)
-			if info, _ := lead.srv.Info("g"); info.Components != step.components || info.LargestComp != step.largest {
-				t.Errorf("%s: %d components (largest %d), want %d (%d)",
-					step.name, info.Components, info.LargestComp, step.components, step.largest)
-			}
-		}
+		}})
 	})
-
-	dedup := graph.BuildOptions{Dedup: true, DropSelfLoops: true}
-	for name, build := range map[string]func() (*graph.Graph, error){
-		"erdos-renyi": func() (*graph.Graph, error) { return gen.ErdosRenyi(300, 900, 11, dedup) },
-		"rmat":        func() (*graph.Graph, error) { return gen.RMAT(gen.Graph500RMAT(8, 4, 13), dedup) },
-		"pref-attach": func() (*graph.Graph, error) { return gen.PreferentialAttachmentMix(300, 4, 0.3, 17, dedup) },
-		"copying": func() (*graph.Graph, error) {
-			return gen.Copying(gen.CopyingConfig{N: 300, OutDegree: 4, CopyProb: 0.5, Locality: 0.5, Seed: 19}, dedup)
-		},
-		"dag-communities": func() (*graph.Graph, error) {
-			return gen.DAGCommunities(gen.DAGCommunitiesConfig{
-				Clusters: 8, ClusterSize: 30, IntraDegree: 2, BridgeDegree: 3, Seed: 23,
-			}, dedup)
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			g, err := build()
-			if err != nil {
-				t.Fatalf("generating: %v", err)
-			}
-			dir := t.TempDir()
-			lead := startLeader(t, dir)
-			f := New(followerConfig(lead.url))
-			startFollower(t, f)
-			if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
-				t.Fatal(err)
-			}
-			assertComponentsEverywhere(t, "ingest", lead, dir, f)
-			for i, d := range mutationStream(t, g, 12, 97) {
-				if _, err := lead.srv.ApplyEdgeDelta("g", d); err != nil {
-					t.Fatalf("delta %d: %v", i, err)
-				}
-				assertComponentsEverywhere(t, fmt.Sprintf("delta %d", i), lead, dir, f)
-			}
-		})
-	}
+	onFamilies(t, false, []int{1}, func(t *testing.T, opts pcpm.Options, g *graph.Graph) {
+		newCluster(t, opts).run(t, add("g", g), deltas("g", 12, 97))
+	})
 }
 
+// TestPublishPathsDoNotDecompose counts the fills on a cluster's leader,
+// follower and recovered copy, so it runs no scenario check: that asks for
+// the components itself.
 func TestPublishPathsDoNotDecompose(t *testing.T) {
 	g := testGraph(t)
-	dir := t.TempDir()
-	lead := startLeader(t, dir)
-	f := New(followerConfig(lead.url))
-	startFollower(t, f)
+	c := newCluster(t, testOptions)
+	lead, f := c.lead, c.fs[0].srv
 	if _, err := lead.srv.AddGraph("g", g, Overrides{}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +85,7 @@ func TestPublishPathsDoNotDecompose(t *testing.T) {
 			}
 		}
 	}
-	rec := recoverCopy(t, dir)
+	rec, _ := c.recoverCopy(t)
 	waitCaughtUp(t, lead.srv, f)
 	fills("leader after 20 deltas and a checkpoint", lead.srv, base)
 	fills("recovered server", rec, 0)

@@ -286,9 +286,8 @@ func TestPublishesKeepOrStrandPPRAnswers(t *testing.T) {
 			lead := New(Config{Defaults: testOptions})
 			q := lead
 			if tc.follower {
-				lh := startLeader(t, t.TempDir())
-				lead, q = lh.srv, New(followerConfig(lh.url))
-				startFollower(t, q)
+				c := newCluster(t, testOptions)
+				lead, q = c.lead.srv, c.fs[0].srv
 			}
 			caughtUp := func() {
 				if tc.follower {

@@ -14,13 +14,15 @@ import (
 // leaves it untouched and Follow serves purely from memory. Promote turns
 // that follower into a durable leader in place:
 //
-//	follower ──requestStop──▶ loop drained ──adopt dir──▶ leader
+//	follower ──open empty dir──▶ requestStop ──▶ loop drained ──adopt dir──▶ leader
 //
-//  1. Stop the tail loop at a clean record boundary and wait it out; the
-//     last applied LSN is the promotion cut.
-//  2. Open a fresh WAL in the data dir and advance its sequence to the
-//     cut, so the first post-promotion append is cut+1 — the LSN chain
-//     continues exactly where the old leader's stream stopped for us.
+//  1. Open the WAL in the data dir and require it empty. A refused
+//     promotion has changed nothing: the follower goes on following.
+//  2. Stop the tail loop at a clean record boundary and wait it out; the
+//     last applied LSN is the promotion cut. Advance the new log's
+//     sequence to the cut, so the first post-promotion append is cut+1 —
+//     the LSN chain continues exactly where the old leader's stream
+//     stopped for us.
 //  3. Checkpoint the current registry into the new log. The snapshots ARE
 //     the history below the cut: OldestLSN lands at cut+1, so a surviving
 //     follower whose cursor is at or behind the cut gets 410 Gone from
@@ -79,6 +81,20 @@ func (s *Server) Promote() (PromoteReport, error) {
 			"%w: promotion needs a data dir to adopt (start the follower with one)", ErrNotPromotable)
 	}
 
+	st, err := wal.Open(s.cfg.DataDir, wal.Options{SyncEvery: s.cfg.FsyncEvery})
+	if err != nil {
+		return PromoteReport{}, fmt.Errorf("serve: opening data dir for promotion: %w", err)
+	}
+	// The dir must be virgin: adopting one that already carries history
+	// (say, the dead leader's own files restored by mistake) would graft
+	// this follower's state onto a log that contradicts it. Checked before
+	// the tail loop stops, so a refusal leaves it running.
+	if st.NextLSN() != 1 || len(st.Snapshots()) > 0 {
+		return PromoteReport{}, errors.Join(fmt.Errorf(
+			"%w: data dir %q already holds WAL state; promotion needs an empty dir",
+			ErrNotPromotable, s.cfg.DataDir), st.Close())
+	}
+
 	// Stop the tail loop at its next record boundary and wait for it to
 	// drain; after loopDone the registry has a single quiesced owner.
 	fs := s.follower
@@ -87,19 +103,6 @@ func (s *Server) Promote() (PromoteReport, error) {
 		<-fs.loopDone
 	}
 	cut := fs.applied.Load()
-
-	st, err := wal.Open(s.cfg.DataDir, wal.Options{SyncEvery: s.cfg.FsyncEvery})
-	if err != nil {
-		return PromoteReport{}, fmt.Errorf("serve: opening data dir for promotion: %w", err)
-	}
-	// The dir must be virgin: adopting one that already carries history
-	// (say, the dead leader's own files restored by mistake) would graft
-	// this follower's state onto a log that contradicts it.
-	if st.NextLSN() != 1 || len(st.Snapshots()) > 0 {
-		return PromoteReport{}, errors.Join(fmt.Errorf(
-			"%w: data dir %q already holds WAL state; promotion needs an empty dir",
-			ErrNotPromotable, s.cfg.DataDir), st.Close())
-	}
 	if err := st.Advance(cut); err != nil {
 		return PromoteReport{}, errors.Join(err, st.Close())
 	}
