@@ -27,9 +27,10 @@
 // the leader's snapshots, tails its WAL stream, serves every read endpoint
 // from its own copies, and answers writes with 503 + the leader's address.
 // Giving a follower -data-dir keeps the directory dormant until promotion:
-// POST /v1/repl/promote, the one promotion trigger, stops the tail loop,
-// adopts the dir as a fresh WAL seeded with the follower's current state,
-// and starts accepting writes in place:
+// POST /v1/repl/promote, the one promotion trigger, adopts the dir as a
+// fresh WAL seeded with the follower's state between two applied records,
+// then starts accepting writes in place and ends the tail loop (a failed
+// promotion leaves the dir empty and the follower following):
 //
 //	pcpm-serve -addr :8081 -follow http://leader:8080 -data-dir /var/f1
 //	curl 'localhost:8081/v1/repl/status'

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Edge-list text format: one "src dst [weight]" triple per line, whitespace
@@ -141,94 +141,153 @@ func SniffBinary(head []byte) bool {
 
 // WriteBinary serializes the graph in the repo's binary format.
 func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
+	bw := newBlockWriter(w, g)
+	bw.binary(g)
+	return bw.flush()
+}
+
+// ReadBinary deserializes a graph written by WriteBinary, reading exactly
+// its bytes from r. The header's claimed node and edge counts are not
+// trusted for allocation: arrays grow only as the corresponding bytes
+// actually arrive, so a crafted header on a short stream cannot force a
+// huge upfront allocation (the input may be an untrusted HTTP upload).
+func ReadBinary(r io.Reader) (*Graph, error) { return (&blockReader{r: r}).binary() }
+
+// blockValues is the most values one block of a binary stream carries:
+// writes and reads move whole blocks through one scratch buffer.
+const blockValues = 1 << 16
+
+// blockWriter encodes little-endian values into one scratch buffer and
+// writes the buffer out whenever it fills, so an encode costs one buffer
+// and a few large writes. The first write error sticks.
+type blockWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// newBlockWriter sizes the scratch for g's longest array, up to
+// blockValues 8-byte values.
+func newBlockWriter(w io.Writer, g *Graph) *blockWriter {
+	return &blockWriter{w: w, buf: make([]byte, 0, 8*min(max(int64(g.n)+1, g.m), blockValues))}
+}
+
+func (b *blockWriter) flush() error {
+	if b.err == nil && len(b.buf) > 0 {
+		_, b.err = b.w.Write(b.buf)
 	}
+	b.buf = b.buf[:0]
+	return b.err
+}
+
+// bytes writes p, through the scratch when it fits there.
+func (b *blockWriter) bytes(p []byte) {
+	if len(p) > cap(b.buf)-len(b.buf) {
+		b.flush()
+	}
+	if len(p) > cap(b.buf) {
+		if b.err == nil {
+			_, b.err = b.w.Write(p)
+		}
+		return
+	}
+	b.buf = append(b.buf, p...)
+}
+
+func (b *blockWriter) u64(v uint64) {
+	if cap(b.buf)-len(b.buf) < 8 {
+		b.flush()
+	}
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, v)
+}
+
+func (b *blockWriter) u32s(s []uint32) {
+	for len(s) > 0 {
+		if cap(b.buf)-len(b.buf) < 4 {
+			b.flush()
+		}
+		n := len(b.buf)
+		c := min(len(s), (cap(b.buf)-n)/4)
+		b.buf = b.buf[:n+4*c]
+		for i, v := range s[:c] {
+			binary.LittleEndian.PutUint32(b.buf[n+4*i:], v)
+		}
+		s = s[c:]
+	}
+}
+
+// f32s writes the bits of s, as math.Float32bits gives them.
+func (b *blockWriter) f32s(s []float32) {
+	b.u32s(unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(s))), len(s)))
+}
+
+// binary writes g in the binary format.
+func (b *blockWriter) binary(g *Graph) {
 	var flags uint64
-	if g.Weighted() {
+	if g.weighted {
 		flags |= 1
 	}
-	hdr := []uint64{uint64(g.n), uint64(g.m), flags}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
+	b.bytes(binaryMagic[:])
+	b.u64(uint64(g.n))
+	b.u64(uint64(g.m))
+	b.u64(flags)
 	// The flat form's offsets are the chunks' plus the edges before them.
-	var b [8]byte
-	putOff := func(o int64) error {
-		binary.LittleEndian.PutUint64(b[:], uint64(o))
-		_, err := bw.Write(b[:])
-		return err
-	}
 	var base int64
 	for _, ch := range g.out {
 		for _, o := range ch.Off[:len(ch.Off)-1] {
-			if err := putOff(base + o); err != nil {
-				return err
-			}
+			b.u64(uint64(base + o))
 		}
 		base += int64(len(ch.Adj))
 	}
-	if err := putOff(base); err != nil {
-		return err
-	}
+	b.u64(uint64(base))
 	for _, ch := range g.out {
-		if err := writeU32Slice(bw, ch.Adj); err != nil {
-			return err
-		}
+		b.u32s(ch.Adj)
 	}
 	if g.weighted {
 		for _, ch := range g.out {
-			if err := binary.Write(bw, binary.LittleEndian, ch.W); err != nil {
-				return err
-			}
+			b.f32s(ch.W)
 		}
 	}
-	return bw.Flush()
 }
 
-// ReadBinary deserializes a graph written by WriteBinary. The header's
-// claimed node and edge counts are not trusted for allocation: arrays grow
-// only as the corresponding bytes actually arrive, so a crafted header on a
-// short stream cannot force a huge upfront allocation (the input may be an
-// untrusted HTTP upload).
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<20)
-	}
+// blockReader decodes little-endian arrays from r through one scratch
+// buffer of at most blockValues values.
+type blockReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// binary reads a graph in the binary format.
+func (b *blockReader) binary() (*Graph, error) {
 	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if _, err := io.ReadFull(b.r, magic[:]); err != nil {
 		return nil, fmt.Errorf("graph: reading magic: %w", err)
 	}
 	if magic != binaryMagic {
 		return nil, fmt.Errorf("graph: bad magic %q", magic[:])
 	}
-	var n, m, flags uint64
-	for _, p := range []*uint64{&n, &m, &flags} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: reading header: %w", err)
-		}
+	var hdr [24]byte
+	if _, err := io.ReadFull(b.r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("graph: reading header: %w", err)
 	}
+	n, m, flags := binary.LittleEndian.Uint64(hdr[0:]), binary.LittleEndian.Uint64(hdr[8:]), binary.LittleEndian.Uint64(hdr[16:])
 	if n > MaxNodes {
 		return nil, fmt.Errorf("graph: node count %d exceeds 2^31", n)
 	}
 	if m > uint64(1)<<62 {
 		return nil, fmt.Errorf("graph: edge count %d overflows", m)
 	}
-	off, err := readChunked(br, int64(n)+1, decodeI64)
+	off, err := readBlocks(b, int64(n)+1, decodeI64)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	adj, err := readChunked(br, int64(m), decodeU32)
+	adj, err := readBlocks(b, int64(m), decodeU32)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %w", err)
 	}
 	var w []float32
 	if flags&1 != 0 {
-		if w, err = readChunked(br, int64(m), decodeF32); err != nil {
+		if w, err = readBlocks(b, int64(m), decodeF32); err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
 	}
@@ -246,42 +305,31 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-func writeU32Slice(w io.Writer, s []uint32) error {
-	const chunk = 1 << 16
-	buf := make([]byte, 4*chunk)
-	for len(s) > 0 {
-		c := len(s)
-		if c > chunk {
-			c = chunk
-		}
-		for i := 0; i < c; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], s[i])
-		}
-		if _, err := w.Write(buf[:4*c]); err != nil {
-			return err
-		}
-		s = s[c:]
-	}
-	return nil
-}
-
-// readChunked decodes count little-endian values, one 64Ki-value chunk per
-// decode call, while allocating in proportion to bytes actually read,
-// never to the count a header merely claims.
-func readChunked[T any](r io.Reader, count int64, decode func(dst []T, src []byte)) ([]T, error) {
-	const chunk = 1 << 16
+// readBlocks decodes count little-endian values, one block per decode
+// call, while allocating in proportion to bytes actually read, never to
+// the count a header merely claims: the result grows block by block, and
+// the scratch holds at most one block.
+func readBlocks[T any](b *blockReader, count int64, decode func(dst []T, src []byte)) ([]T, error) {
 	var zero T
 	width := binary.Size(zero)
-	out := make([]T, 0, min(count, chunk))
-	buf := make([]byte, width*chunk)
+	if need := width * int(min(count, blockValues)); cap(b.buf) < need {
+		b.buf = make([]byte, need)
+	}
+	out := make([]T, 0, min(count, blockValues))
 	for int64(len(out)) < count {
-		c := int(min(count-int64(len(out)), chunk))
-		if _, err := io.ReadFull(r, buf[:width*c]); err != nil {
+		c := int(min(count-int64(len(out)), blockValues))
+		src := b.buf[:width*c]
+		if _, err := io.ReadFull(b.r, src); err != nil {
 			return nil, err
 		}
 		n := len(out)
-		out = slices.Grow(out, c)[:n+c]
-		decode(out[n:], buf)
+		if cap(out)-n < c {
+			// Double, but not past the count: a true header costs an
+			// exact final array, a lying one no more than the bytes read.
+			out = append(make([]T, 0, min(int64(max(2*n, n+c)), count)), out...)
+		}
+		out = out[:n+c]
+		decode(out[n:], src)
 	}
 	return out, nil
 }

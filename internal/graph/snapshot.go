@@ -1,13 +1,12 @@
 package graph
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 )
 
 // Versioned snapshot framing (little endian): a durable container for one
@@ -73,44 +72,39 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 		return fmt.Errorf("graph: snapshot ranks length %d != %d nodes",
 			len(s.Ranks), s.Graph.NumNodes())
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
+	if _, err := w.Write(snapshotMagic[:]); err != nil {
 		return err
 	}
 	h := crc32.New(castagnoli)
-	tee := io.MultiWriter(bw, h)
-
+	bw := newBlockWriter(io.MultiWriter(w, h), s.Graph)
 	var hdr [24]byte
 	binary.LittleEndian.PutUint32(hdr[0:], snapshotVersion)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(s.Meta)))
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(s.Ranks)))
 	binary.LittleEndian.PutUint64(hdr[16:], binaryLen(s.Graph))
-	if _, err := tee.Write(hdr[:]); err != nil {
+	bw.bytes(hdr[:])
+	bw.bytes(s.Meta)
+	bw.f32s(s.Ranks)
+	bw.binary(s.Graph)
+	if err := bw.flush(); err != nil {
 		return err
 	}
-	if _, err := tee.Write(s.Meta); err != nil {
-		return err
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, h.Sum32()))
+	return err
+}
+
+// EncodeSnapshot returns WriteSnapshot's bytes for s, in one buffer of
+// their exact length.
+func EncodeSnapshot(s *Snapshot) ([]byte, error) {
+	var size uint64
+	if s.Graph != nil {
+		size = 8 + 24 + uint64(len(s.Meta)) + 4*uint64(len(s.Ranks)) + binaryLen(s.Graph) + 4
 	}
-	rbuf := make([]byte, 4*(1<<16))
-	for off := 0; off < len(s.Ranks); {
-		c := min(len(s.Ranks)-off, 1<<16)
-		for i := 0; i < c; i++ {
-			binary.LittleEndian.PutUint32(rbuf[4*i:], math.Float32bits(s.Ranks[off+i]))
-		}
-		if _, err := tee.Write(rbuf[:4*c]); err != nil {
-			return err
-		}
-		off += c
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if err := WriteSnapshot(buf, s); err != nil {
+		return nil, err
 	}
-	if err := WriteBinary(tee, s.Graph); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], h.Sum32())
-	if _, err := bw.Write(crc[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return buf.Bytes(), nil
 }
 
 // hashReader tees everything read through a CRC state.
@@ -131,20 +125,17 @@ func (hr *hashReader) Read(p []byte) (int, error) {
 // the framing version, the embedded graph's structural validity, and the
 // trailing checksum. Untrusted or torn files are rejected with an error —
 // never a panic — and allocation grows with bytes actually read, so a
-// crafted header cannot OOM the recovering daemon.
+// crafted header cannot OOM the recovering daemon. It reads through one
+// scratch buffer, so r needs no buffering of its own.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<20)
-	}
 	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("graph: reading snapshot magic: %w", err)
 	}
 	if magic != snapshotMagic {
 		return nil, fmt.Errorf("graph: bad snapshot magic %q", magic[:])
 	}
-	hr := &hashReader{r: br, h: crc32.New(castagnoli)}
+	hr := &hashReader{r: r, h: crc32.New(castagnoli)}
 
 	var hdr [24]byte
 	if _, err := io.ReadFull(hr, hdr[:]); err != nil {
@@ -164,20 +155,22 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("graph: snapshot rank count %d exceeds 2^31", ranksN)
 	}
 
-	meta, err := readChunked(hr, int64(metaLen), decodeBytes)
+	br := &blockReader{r: hr}
+	meta, err := readBlocks(br, int64(metaLen), decodeBytes)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading snapshot metadata: %w", err)
 	}
-	ranks, err := readChunked(hr, int64(ranksN), decodeF32)
+	ranks, err := readBlocks(br, int64(ranksN), decodeF32)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading snapshot ranks: %w", err)
 	}
 
 	// The graph section is byte-bounded by the header so the checksum can
-	// cover it exactly; ReadBinary consumes precisely its own framing, and
-	// the declared length must agree with the graph actually parsed.
+	// cover it exactly; the binary reader consumes precisely its own
+	// framing, and the declared length must agree with the graph parsed.
 	lr := io.LimitReader(hr, int64(graphLen))
-	g, err := ReadBinary(bufio.NewReaderSize(lr, 1<<20))
+	br.r = lr
+	g, err := br.binary()
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading snapshot graph: %w", err)
 	}
@@ -192,7 +185,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 
 	sum := hr.h.Sum32()
 	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
+	if _, err := io.ReadFull(r, crc[:]); err != nil {
 		return nil, fmt.Errorf("graph: reading snapshot checksum: %w", err)
 	}
 	if want := binary.LittleEndian.Uint32(crc[:]); want != sum {

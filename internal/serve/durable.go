@@ -138,11 +138,11 @@ func snapshotBlob(name string, snap *Snapshot) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: snapshot meta: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := graph.WriteSnapshot(&buf, &graph.Snapshot{Graph: snap.Graph, Ranks: snap.Ranks, Meta: mb}); err != nil {
+	blob, err := graph.EncodeSnapshot(&graph.Snapshot{Graph: snap.Graph, Ranks: snap.Ranks, Meta: mb})
+	if err != nil {
 		return nil, fmt.Errorf("serve: snapshot blob: %w", err)
 	}
-	return buf.Bytes(), nil
+	return blob, nil
 }
 
 // decodeSnapMeta parses a persisted snapshot's metadata document and checks

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/delta"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/wal"
 )
@@ -345,5 +347,48 @@ func TestShipRanksCrossover(t *testing.T) {
 		if !bytes.Equal(blob, want) {
 			t.Errorf("%s: %s record differs from its encoder's bytes", name, enc)
 		}
+	}
+}
+
+// BenchmarkSnapshotBlob encodes and decodes the snapshot blob a logged
+// ingest and a bootstrap frame carry, for the 300-node test graph and a
+// 2^17-node preferential-attachment graph; allocation should follow the
+// blob's size.
+func BenchmarkSnapshotBlob(b *testing.B) {
+	small, err := gen.ErdosRenyi(300, 2400, 7, graph.BuildOptions{Dedup: true}) // testGraph
+	if err != nil {
+		b.Fatal(err)
+	}
+	big, err := gen.PreferentialAttachment(1<<17, 8, 42, graph.BuildOptions{Dedup: true, DropSelfLoops: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{small, big} {
+		snap := &Snapshot{Graph: g, Ranks: make([]float32, g.NumNodes()), Options: testOptions, Version: 3, WalLSN: 7}
+		for i := range snap.Ranks {
+			snap.Ranks[i] = float32(i+1) / float32(g.NumNodes())
+		}
+		blob, err := snapshotBlob("g", snap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("encode/n=%d", g.NumNodes()), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(blob)))
+			for b.Loop() {
+				if _, err := snapshotBlob("g", snap); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("decode/n=%d", g.NumNodes()), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(blob)))
+			for b.Loop() {
+				if _, _, err := decodeSnapshotBlob(blob, "g"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

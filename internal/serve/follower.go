@@ -31,9 +31,10 @@ import (
 // Two runtime transitions exist on top of the loop: Reaim atomically
 // swaps the leader address (the next bootstrap/tail round follows it, and
 // a cursor predating the new leader's log re-bootstraps via the ordinary
-// ErrPruned path), and Promote asks the loop to stop at a clean record
-// boundary so the server can adopt its dormant data dir and become the
-// leader itself (see promote.go).
+// ErrPruned path), and Promote makes the server a leader between two
+// applied records (see promote.go): each record's apply, each bootstrap's
+// install and a whole promotion hold the follower's mutex, so a promotion
+// cuts at a record boundary, and one that fails leaves the loop running.
 
 // Follower states reported by ReplStatus.
 const (
@@ -53,6 +54,10 @@ const (
 // the follower re-bootstraps instead of spinning.
 var errApplyFailed = errors.New("serve: applying replicated record failed")
 
+// errPromoted ends a tail round or bootstrap that finds the server
+// promoted: nothing more is applied once the write gate is open.
+var errPromoted = errors.New("serve: promoted to leader")
+
 // followerState is the mutable side of a follower Server. The apply
 // goroutine (Follow) owns the registry; status fields are atomics so the
 // HTTP status endpoint and tests can observe progress without locks.
@@ -63,15 +68,13 @@ type followerState struct {
 	leader   atomic.Value
 	pollWait time.Duration
 
-	// stopCh is closed by requestStop (promotion): the loop's derived
-	// context is canceled, in-flight polls abort at a record boundary, and
-	// the loop exits instead of retrying. loopDone is closed when Follow
-	// returns; loopRunning guards against concurrent Follow calls and
-	// tells Promote whether there is a loop to wait out.
-	stopCh      chan struct{}
-	stopOnce    sync.Once
-	loopDone    chan struct{}
-	loopRunning atomic.Bool
+	// mu is held around each applied record with its applied LSN, around
+	// each bootstrap's registry swap with its cursor, and through a whole
+	// Promote: a promotion sees the registry between two records, and
+	// the loop applies nothing once the write gate is open.
+	mu sync.Mutex
+	// cancel ends the running Follow's context; nil when none runs.
+	cancel context.CancelFunc // guarded by mu
 
 	state      atomic.Value // string: one of the FollowState constants
 	applied    atomic.Uint64
@@ -93,11 +96,7 @@ type followerState struct {
 }
 
 func newFollowerState(cfg Config) *followerState {
-	fs := &followerState{
-		pollWait: cfg.FollowPollWait,
-		stopCh:   make(chan struct{}),
-		loopDone: make(chan struct{}),
-	}
+	fs := &followerState{pollWait: cfg.FollowPollWait}
 	if fs.pollWait <= 0 {
 		fs.pollWait = defaultFollowPollWait
 	}
@@ -120,21 +119,6 @@ func (fs *followerState) client() repl.Client {
 	return repl.Client{Base: fs.leaderAddr(), PollWait: fs.pollWait}
 }
 
-// requestStop asks the follower loop to exit at the next record boundary.
-// Idempotent; used by Promote.
-func (fs *followerState) requestStop() {
-	fs.stopOnce.Do(func() { close(fs.stopCh) })
-}
-
-func (fs *followerState) stopRequested() bool {
-	select {
-	case <-fs.stopCh:
-		return true
-	default:
-		return false
-	}
-}
-
 func (fs *followerState) setErr(err error) {
 	if err != nil {
 		fs.lastErr.Store(err.Error())
@@ -143,34 +127,28 @@ func (fs *followerState) setErr(err error) {
 
 // Follow runs the follower loop — bootstrap, catch up, steady tail,
 // re-bootstrap on prune or corruption — until ctx is canceled or a
-// promotion stops it. It must be the only mutator of the server: the HTTP
-// layer already rejects writes while the server's role is follower, and
-// direct API mutations on a follower are a caller bug.
+// promotion ends it (then it returns nil). It must be the only mutator of
+// the server: the HTTP layer already rejects writes while the server's
+// role is follower, and direct API mutations on a follower are a caller
+// bug. One Follow runs at a time, and none on a promoted server.
 func (s *Server) Follow(ctx context.Context) error {
 	if s.cfg.FollowAddr == "" {
 		return errors.New("serve: Follow requires Config.FollowAddr")
 	}
-	if s.wal.Load() != nil {
-		return errors.New("serve: a follower cannot be durable itself (the data dir is adopted on promotion)")
-	}
 	fs := s.follower
-	if !fs.loopRunning.CompareAndSwap(false, true) {
-		return errors.New("serve: Follow already running")
-	}
-	defer close(fs.loopDone)
-
-	// A promotion request cancels the derived context so in-flight polls
-	// abort; records already delivered were applied whole, so the cursor
-	// is a clean record boundary.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	go func() {
-		select {
-		case <-fs.stopCh:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
+	fs.mu.Lock()
+	switch {
+	case !s.gateFollower.Load():
+		fs.mu.Unlock()
+		return errors.New("serve: promoted to leader, nothing to follow")
+	case fs.cancel != nil:
+		fs.mu.Unlock()
+		return errors.New("serve: Follow already running")
+	}
+	fs.cancel = cancel
+	fs.mu.Unlock()
 
 	backoff := s.followBackoff
 	delay := backoff
@@ -200,7 +178,6 @@ func (s *Server) Follow(ctx context.Context) error {
 			continue
 		}
 		fs.bootstraps.Add(1)
-		fs.applied.Store(cursor - 1)
 		fs.state.Store(FollowStateCatchup)
 		delay = backoff
 		s.log.Info("follower bootstrapped", "leader", fs.leaderAddr(),
@@ -217,6 +194,11 @@ func (s *Server) Follow(ctx context.Context) error {
 					if herr := fs.applyHook(rec); herr != nil {
 						return fmt.Errorf("%w: %v", errApplyFailed, herr)
 					}
+				}
+				fs.mu.Lock()
+				defer fs.mu.Unlock()
+				if !s.gateFollower.Load() {
+					return errPromoted
 				}
 				applied, aerr := s.applyRecord(rec)
 				if aerr != nil {
@@ -257,19 +239,16 @@ func (s *Server) Follow(ctx context.Context) error {
 				s.log.Warn("follower stream corrupt; re-bootstrapping", "cursor", cursor, "error", err)
 				sleep() // pace re-bootstraps; a canceled ctx exits the outer loop
 				break tail
-			case errors.Is(err, repl.ErrTorn):
-				// The transport died mid-frame; everything before the tear
-				// was applied, so resume from the advanced cursor.
-				fs.tornResume.Add(1)
-				fs.setErr(err)
-				if !sleep() {
-					break tail
-				}
 			default:
-				// Transport-level failure (leader down, connection refused).
-				// LSNs survive a leader restart, so keep the cursor and
-				// retry rather than re-bootstrapping.
-				fs.reconnects.Add(1)
+				// A tear (the transport died mid-frame, after every record
+				// before it was applied) or a transport failure (leader
+				// down, connection refused): LSNs survive a leader restart,
+				// so keep the advanced cursor and retry.
+				if errors.Is(err, repl.ErrTorn) {
+					fs.tornResume.Add(1)
+				} else {
+					fs.reconnects.Add(1)
+				}
 				fs.setErr(err)
 				if !sleep() {
 					break tail
@@ -277,9 +256,10 @@ func (s *Server) Follow(ctx context.Context) error {
 			}
 		}
 	}
-	if fs.stopRequested() {
-		// Promotion stopped the loop; the server is about to become a
-		// leader, not shut down.
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.cancel = nil
+	if !s.gateFollower.Load() {
 		return nil
 	}
 	return ctx.Err()
@@ -318,9 +298,16 @@ func (s *Server) followBootstrap(ctx context.Context) (uint64, error) {
 		staged[m.Name] = e
 	}
 
+	fs := s.follower
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if !s.gateFollower.Load() {
+		return 0, errPromoted
+	}
 	s.mu.Lock()
 	s.graphs = staged
 	s.mu.Unlock()
+	fs.applied.Store(b.From - 1)
 	return b.From, nil
 }
 

@@ -6,30 +6,39 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"os"
+	"path/filepath"
 
 	"repro/internal/wal"
 )
 
 // Follower promotion. A follower runs with a dormant data dir: Recover
 // leaves it untouched and Follow serves purely from memory. Promote turns
-// that follower into a durable leader in place:
+// that follower into a durable leader in place, between two records the
+// tail loop applies (it holds the follower's mutex throughout):
 //
-//	follower ──open empty dir──▶ requestStop ──▶ loop drained ──adopt dir──▶ leader
+//	follower ──open empty dir──▶ advance to cut ──checkpoint──▶ open gate, cancel loop ──▶ leader
+//	    ▲                                              │
+//	    └───── failure: written files removed ─────────┘
 //
 //  1. Open the WAL in the data dir and require it empty. A refused
 //     promotion has changed nothing: the follower goes on following.
-//  2. Stop the tail loop at a clean record boundary and wait it out; the
-//     last applied LSN is the promotion cut. Advance the new log's
-//     sequence to the cut, so the first post-promotion append is cut+1 —
-//     the LSN chain continues exactly where the old leader's stream
-//     stopped for us.
+//  2. The last applied LSN is the promotion cut: no record is half
+//     applied while the mutex is held. Advance the new log's sequence to
+//     the cut, so the first post-promotion append is cut+1 — the LSN
+//     chain continues exactly where the old leader's stream stopped for
+//     us.
 //  3. Checkpoint the current registry into the new log. The snapshots ARE
 //     the history below the cut: OldestLSN lands at cut+1, so a surviving
 //     follower whose cursor is at or behind the cut gets 410 Gone from
 //     GET /v1/wal and re-bootstraps, exactly as after a deep checkpoint.
-//  4. Flip the write gate. From this point leaderOnly admits mutations,
-//     ReplStatus reports a (promoted) leader, and the WAL/bootstrap
-//     endpoints serve because s.wal is non-nil.
+//     If this fails, the files it wrote are removed (the dir held none
+//     before), so the follower keeps following and a later retry starts
+//     from the same empty dir.
+//  4. Flip the write gate and cancel the tail loop's in-flight poll; the
+//     loop applies nothing once the gate is open. From this point
+//     leaderOnly admits mutations, ReplStatus reports a (promoted) leader,
+//     and the WAL/bootstrap endpoints serve because s.wal is non-nil.
 //
 // Promotion is operator-driven and carries no fencing: the caller of
 // POST /v1/repl/promote asserts the old leader is dead. If it is not,
@@ -48,8 +57,8 @@ type PromoteReport struct {
 	// re-promote, e.g. a retried request after a dropped response).
 	Promoted bool `json:"promoted"`
 	// CutLSN is the last replicated record folded into the adopted log;
-	// NextLSN (= CutLSN+1 on a fresh promotion) is where the new leader's
-	// own history begins.
+	// NextLSN is where the new leader's own history begins (CutLSN+2 on a
+	// fresh promotion: the adoption's checkpoint marker is CutLSN+1).
 	CutLSN  uint64 `json:"cut_lsn"`
 	NextLSN uint64 `json:"next_lsn"`
 	Graphs  int    `json:"graphs"`
@@ -57,24 +66,17 @@ type PromoteReport struct {
 
 // Promote turns a follower into a durable leader (see the package comment
 // above for the state machine). It is idempotent on an already-promoted
-// server and single-flighted: concurrent calls serialize, the first does
-// the work, the rest observe a leader.
+// server and single-flighted: concurrent calls serialize on the
+// follower's mutex, the first does the work, the rest observe a leader.
 func (s *Server) Promote() (PromoteReport, error) {
-	s.promoteMu.Lock()
-	defer s.promoteMu.Unlock()
-
+	fs := s.follower
+	if fs == nil {
+		return s.leaderReport()
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	if !s.gateFollower.Load() {
-		if st := s.wal.Load(); st != nil {
-			return PromoteReport{
-				Role:     "leader",
-				CutLSN:   st.NextLSN() - 1,
-				NextLSN:  st.NextLSN(),
-				Graphs:   s.NumGraphs(),
-				Promoted: false,
-			}, nil
-		}
-		return PromoteReport{}, fmt.Errorf(
-			"%w: standalone server is not replicating from anyone", ErrNotPromotable)
+		return s.leaderReport()
 	}
 	if s.cfg.DataDir == "" {
 		return PromoteReport{}, fmt.Errorf(
@@ -87,42 +89,57 @@ func (s *Server) Promote() (PromoteReport, error) {
 	}
 	// The dir must be virgin: adopting one that already carries history
 	// (say, the dead leader's own files restored by mistake) would graft
-	// this follower's state onto a log that contradicts it. Checked before
-	// the tail loop stops, so a refusal leaves it running.
+	// this follower's state onto a log that contradicts it.
 	if st.NextLSN() != 1 || len(st.Snapshots()) > 0 {
 		return PromoteReport{}, errors.Join(fmt.Errorf(
 			"%w: data dir %q already holds WAL state; promotion needs an empty dir",
 			ErrNotPromotable, s.cfg.DataDir), st.Close())
 	}
 
-	// Stop the tail loop at its next record boundary and wait for it to
-	// drain; after loopDone the registry has a single quiesced owner.
-	fs := s.follower
-	fs.requestStop()
-	if fs.loopRunning.Load() {
-		<-fs.loopDone
-	}
 	cut := fs.applied.Load()
-	if err := st.Advance(cut); err != nil {
-		return PromoteReport{}, errors.Join(err, st.Close())
+	err = st.Advance(cut)
+	if err == nil {
+		s.wal.Store(st)
+		err = s.Checkpoint()
 	}
-	s.wal.Store(st)
-	if err := s.Checkpoint(); err != nil {
+	if err != nil {
 		// Roll the adoption back: a leader that cannot persist its opening
 		// state must not accept writes.
 		s.wal.Store(nil)
-		return PromoteReport{}, errors.Join(fmt.Errorf("serve: checkpointing adopted state: %w", err), st.Close())
+		return PromoteReport{}, errors.Join(fmt.Errorf("serve: adopting data dir: %w", err),
+			st.Close(), removeWALFiles(s.cfg.DataDir))
 	}
 	s.gateFollower.Store(false)
+	if fs.cancel != nil {
+		fs.cancel()
+	}
 	s.log.Info("promoted to leader", "cut_lsn", cut, "graphs", s.NumGraphs(),
 		"old_leader", fs.leaderAddr(), "data_dir", s.cfg.DataDir)
-	return PromoteReport{
-		Role:     "leader",
-		Promoted: true,
-		CutLSN:   cut,
-		NextLSN:  st.NextLSN(),
-		Graphs:   s.NumGraphs(),
-	}, nil
+	rep, err := s.leaderReport()
+	rep.Promoted, rep.CutLSN = true, cut
+	return rep, err
+}
+
+// leaderReport answers a promotion request on a server that already leads;
+// a standalone server leads nothing.
+func (s *Server) leaderReport() (PromoteReport, error) {
+	st := s.wal.Load()
+	if st == nil {
+		return PromoteReport{}, fmt.Errorf(
+			"%w: standalone server is not replicating from anyone", ErrNotPromotable)
+	}
+	return PromoteReport{Role: "leader", CutLSN: st.NextLSN() - 1, NextLSN: st.NextLSN(), Graphs: s.NumGraphs()}, nil
+}
+
+// removeWALFiles deletes the snapshots and log segments in dir: what a
+// failed promotion wrote into a dir it proved held none.
+func removeWALFiles(dir string) (err error) {
+	snaps, _ := filepath.Glob(filepath.Join(dir, "*.snap")) // a well-formed pattern cannot fail
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
+	for _, f := range append(snaps, segs...) {
+		err = errors.Join(err, os.Remove(f))
+	}
+	return err
 }
 
 // Reaim points a running follower at a new leader address. The change

@@ -51,6 +51,23 @@ func TestRefusedPromotionKeepsFollowing(t *testing.T) {
 	}, nil})
 }
 
+// TestFailedPromotionKeepsFollowing: a promotion whose checkpoint fails
+// must leave the follower applying the leader's writes, and its data dir
+// empty, so that a retry once the fault clears succeeds. With two graphs
+// the first snapshot is on disk when the second fails.
+func TestFailedPromotionKeepsFollowing(t *testing.T) {
+	t.Run("one graph", func(t *testing.T) {
+		runScenario(t, scenario{[]step{
+			add("g", testGraph(t)), failPromotion("g"), deltas("g", 3, 181), promote(),
+		}, nil})
+	})
+	t.Run("second graph blocked", func(t *testing.T) {
+		runScenario(t, scenario{[]step{
+			add("a", testGraph(t)), add("b", smallGraph(t)), failPromotion("b"), promote(),
+		}, nil})
+	})
+}
+
 // TestResidualShippingByteIdentical runs one write stream the size rule
 // splits across both rank encodings: small edge batches and recomputes on
 // converged ranks touch few entries and ship residuals; a recompute at a new
@@ -94,6 +111,15 @@ func TestPromoteGuards(t *testing.T) {
 	}
 	if err := c.fs[0].srv.Reaim("not a url"); err == nil {
 		t.Error("re-aim accepted a garbage leader address")
+	}
+	// One tail loop per follower: once the cluster's has bootstrapped, a
+	// second is refused.
+	f := c.fs[0].srv
+	waitReplStatus(t, f, "bootstrapped", func(st ReplStatus) bool { return st.Bootstraps > 0 })
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := f.Follow(ctx); err == nil || ctx.Err() != nil {
+		t.Errorf("a second Follow beside the running one returned %v", err)
 	}
 	// Promoting twice is the promote step's (scenario_test.go).
 }
@@ -278,6 +304,29 @@ func TestWALTailServerCancel(t *testing.T) {
 	}
 	if !res.CaughtUp || res.Next != head || res.LeaderNext != head || res.Records != 0 {
 		t.Errorf("canceled poll result %+v, want caught-up at cursor %d", res, head)
+	}
+}
+
+// TestWALTailAnswersOnStoreClose: a poll parked at the head answers as soon
+// as the leader's log closes, not when its window ends.
+func TestWALTailAnswersOnStoreClose(t *testing.T) {
+	s, _ := newDurableServer(t, durableConfig(t.TempDir()))
+	lead := listen(t, s)
+	answered := make(chan time.Time, 1)
+	go func() {
+		resp, err := http.Get(lead.url + "/v1/wal?from=1&wait=3s")
+		if err != nil {
+			t.Error(err)
+		} else {
+			resp.Body.Close()
+		}
+		answered <- time.Now()
+	}()
+	time.Sleep(100 * time.Millisecond) // the poll parks
+	closed := time.Now()
+	crashStop(t, s)
+	if d := (<-answered).Sub(closed); d > 250*time.Millisecond {
+		t.Errorf("parked poll answered %v after its log closed, want within 250ms", d)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -64,50 +65,31 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 		maxBytes = min(n, maxTailMaxBytes)
 	}
 
-	// Long-poll: wait for the log to grow past the cursor, waking on every
-	// append. Each round re-checks the prune floor — a checkpoint can
-	// outrun a parked cursor.
-	deadline := time.Now().Add(wait)
-	var next uint64
-	for {
-		if oldest := st.OldestLSN(); from < oldest {
-			w.Header().Set("X-Repl-Next-LSN", strconv.FormatUint(st.NextLSN(), 10))
-			writeJSON(w, http.StatusGone, map[string]any{
-				"error":      "cursor pruned by checkpoint; re-bootstrap from snapshots",
-				"oldest_lsn": oldest,
-			})
-			return
-		}
-		next = st.NextLSN()
-		if from < next {
-			break
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			w.Header().Set("X-Repl-Next-LSN", strconv.FormatUint(next, 10))
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		notify := st.Notify()
-		t := time.NewTimer(remaining)
-		select {
-		case <-notify:
-			t.Stop()
-		case <-t.C:
-		case <-r.Context().Done():
-			// Answer exactly like the timeout path. Returning with no
-			// status would make net/http emit a bare 200 with an empty
-			// body — indistinguishable on the wire from a caught-up empty
-			// stream, which a healthy client (the cancel may be server-
-			// side: shutdown, promotion) must not mistake for progress.
-			t.Stop()
-			w.Header().Set("X-Repl-Next-LSN", strconv.FormatUint(next, 10))
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
+	// Long-poll: one store call waits for a record at or past the cursor.
+	// A poll that ends empty (its window, or a server-side cancel such as
+	// shutdown) answers 204 like a caught-up round: with no status,
+	// net/http would send a bare 200 with an empty body, which a client
+	// must not mistake for progress. A checkpoint may have pruned past the
+	// cursor while it waited.
+	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	defer cancel()
+	next, err := st.Wait(ctx, from)
+	w.Header().Set("X-Repl-Next-LSN", strconv.FormatUint(next, 10))
+	switch oldest := st.OldestLSN(); {
+	case err != nil && ctx.Err() == nil:
+		writeError(w, http.StatusServiceUnavailable, "write-ahead log unavailable: "+err.Error())
+		return
+	case err != nil:
+		w.WriteHeader(http.StatusNoContent)
+		return
+	case from < oldest:
+		writeJSON(w, http.StatusGone, map[string]any{
+			"error":      "cursor pruned by checkpoint; re-bootstrap from snapshots",
+			"oldest_lsn": oldest,
+		})
+		return
 	}
 
-	w.Header().Set("X-Repl-Next-LSN", strconv.FormatUint(next, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	var buf []byte

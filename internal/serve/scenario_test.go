@@ -2,10 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -454,14 +456,17 @@ func promote() step {
 		lead := listen(t, p.srv)
 		var rep PromoteReport
 		if code := doJSON(t, "POST", lead.url+"/v1/repl/promote", nil, &rep); code != http.StatusOK ||
-			!rep.Promoted || rep.Role != "leader" {
-			t.Fatalf("promote: status %d, report %+v; want 200 and a fresh leader", code, rep)
+			!rep.Promoted || rep.Role != "leader" || rep.NextLSN != rep.CutLSN+2 {
+			t.Fatalf("promote: status %d, report %+v; want 200 and a fresh leader whose checkpoint marker follows the cut", code, rep)
 		}
 		if again, err := p.srv.Promote(); err != nil || again.Promoted || again.Role != "leader" {
 			t.Fatalf("second promote: %+v, %v; want an idempotent already-leader answer", again, err)
 		}
 		if st := p.srv.ReplStatus(); st.Role != "leader" || !st.Promoted {
 			t.Fatalf("promoted server reports %+v", st)
+		}
+		if err := p.srv.Follow(context.Background()); err == nil {
+			t.Fatal("Follow ran on a promoted server")
 		}
 		// The mux that answered writes with 503 takes one now.
 		if names := p.srv.Names(); len(names) > 0 {
@@ -502,6 +507,32 @@ func refusePromotion() step {
 		var e struct{ Error string }
 		if code := doJSON(t, "POST", newHTTPServer(t, f.srv)+"/v1/repl/promote", nil, &e); code != http.StatusConflict {
 			t.Fatalf("promotion into a data dir with history: status %d (%s), want 409", code, e.Error)
+		}
+	}}
+}
+
+// failPromotion asks the first follower to promote while a directory sits
+// where the checkpoint writes name's snapshot: the promotion must fail and
+// leave the follower following, with its data dir as empty as it found it.
+// The blocker goes at the end of the step.
+func failPromotion(name string) step {
+	return step{name: "failed promotion", do: func(t *testing.T, c *cluster) {
+		f := c.fs[0]
+		blocker := filepath.Join(f.dir, hex.EncodeToString([]byte(name))+".snap.tmp")
+		if err := os.Mkdir(blocker, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := f.srv.Promote(); err == nil {
+			t.Fatalf("promotion with %s's snapshot blocked: %+v, want an error", name, rep)
+		}
+		if st := f.srv.ReplStatus(); st.Role != "follower" {
+			t.Fatalf("failed promotion left a %s", st.Role)
+		}
+		if err := os.Remove(blocker); err != nil {
+			t.Fatal(err)
+		}
+		if left, err := os.ReadDir(f.dir); err != nil || len(left) > 0 {
+			t.Fatalf("failed promotion left %v in the data dir (%v)", left, err)
 		}
 	}}
 }

@@ -255,9 +255,9 @@ type Server struct {
 	// request by leaderOnly: true rejects mutations with 503 plus a leader
 	// hint. Set at construction from Config.FollowAddr, flipped false by
 	// Promote — the one runtime role transition, so a server with a follower
-	// and an open gate is a promoted leader. promoteMu single-flights Promote.
+	// and an open gate is a promoted leader. Promote flips it holding the
+	// follower's mutex.
 	gateFollower atomic.Bool
-	promoteMu    sync.Mutex
 
 	// follower holds the replication-follower machinery when
 	// Config.FollowAddr is set; see follower.go. The follower's apply

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -150,7 +151,7 @@ func TestConcurrentAppendCheckpointRead(t *testing.T) {
 		}
 	}()
 
-	// A long-poll waiter churns Notify alongside the appends.
+	// A long-poll waiter churns Wait at the head alongside the appends.
 	auxWg.Add(1)
 	go func() {
 		defer auxWg.Done()
@@ -158,8 +159,15 @@ func TestConcurrentAppendCheckpointRead(t *testing.T) {
 			select {
 			case <-stopAux:
 				return
-			case <-s.Notify():
-			case <-time.After(time.Millisecond):
+			default:
+			}
+			from := s.NextLSN()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+			next, err := s.Wait(ctx, from)
+			cancel()
+			if err == nil && next <= from {
+				t.Errorf("Wait(%d) returned with next LSN %d", from, next)
+				return
 			}
 		}
 	}()

@@ -1,7 +1,7 @@
 package wal
 
 import (
-	"bufio"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -97,7 +97,7 @@ type Store struct {
 	replaySegs []segmentInfo // segment sizes as of Open, for Replay
 	snaps      []GraphSnapshot
 
-	notify chan struct{} // closed-and-replaced on append, for long-poll tails
+	notify chan struct{} // guarded by mu; closed on append and on Close, to wake Wait
 
 	stopSync chan struct{}
 	syncDone chan struct{}
@@ -256,7 +256,7 @@ func readSnapshotFile(path string) (*graph.Snapshot, error) {
 	}
 	//lint:ignore closecheck read-only descriptor; ReadSnapshot validated the payload, close has nothing to flush
 	defer f.Close()
-	return graph.ReadSnapshot(bufio.NewReaderSize(f, 1<<20))
+	return graph.ReadSnapshot(f)
 }
 
 // Snapshots returns the graph snapshots loaded during Open, in stable
@@ -355,17 +355,29 @@ func (s *Store) Append(typ RecordType, meta, blob []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// Notify returns a channel that is closed when a record is appended after
-// the call. Long-poll readers grab the channel, re-check NextLSN, and then
-// block on it; each append invalidates the channel, so callers must fetch a
-// fresh one per wait round.
-func (s *Store) Notify() <-chan struct{} {
+// Wait blocks until the log holds a record at or past from and returns
+// the next LSN then: at once if one exists, else on the append that adds
+// one, with ctx's error when ctx ends, or with the sticky error (ErrClosed
+// after Close) once the store can no longer append.
+func (s *Store) Wait(ctx context.Context, from uint64) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.notify == nil {
-		s.notify = make(chan struct{})
+	for s.err == nil && from >= s.nextLSN {
+		if err := ctx.Err(); err != nil {
+			return s.nextLSN, err
+		}
+		if s.notify == nil {
+			s.notify = make(chan struct{})
+		}
+		appended := s.notify
+		s.mu.Unlock()
+		select {
+		case <-appended:
+		case <-ctx.Done():
+		}
+		s.mu.Lock()
 	}
-	return s.notify
+	return s.nextLSN, s.err
 }
 
 // OldestLSN returns the sequence number of the oldest record still retained
@@ -633,8 +645,7 @@ func (s *Store) Close() error {
 		s.file = nil
 	}
 	if s.notify != nil {
-		// Wake long-poll waiters so they observe the closed store instead of
-		// blocking out their full deadline.
+		// Wake waiters so they return ErrClosed instead of waiting out ctx.
 		close(s.notify)
 		s.notify = nil
 	}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -371,6 +372,62 @@ func TestClosedStoreFailsOperations(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close = %v, want nil", err)
+	}
+}
+
+// TestWait pins the long-poll call: it returns at once when a record at or
+// past the cursor exists, and otherwise on an append from another
+// goroutine, on ctx's end, or with ErrClosed when the store closes.
+func TestWait(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{})
+	mustAppend(t, s, RecAddGraph, nil, nil)
+	if next, err := s.Wait(context.Background(), 1); err != nil || next != 2 {
+		t.Fatalf("Wait(1) with record 1 logged: %d, %v; want 2 at once", next, err)
+	}
+
+	// park runs Wait(ctx, from) in another goroutine, requires it still
+	// waiting 20 ms later, then does act and returns what Wait returned.
+	park := func(ctx context.Context, from uint64, act func()) (uint64, error) {
+		t.Helper()
+		type result struct {
+			next uint64
+			err  error
+		}
+		done := make(chan result, 1)
+		go func() {
+			next, err := s.Wait(ctx, from)
+			done <- result{next, err}
+		}()
+		select {
+		case r := <-done:
+			t.Fatalf("Wait(%d) returned %d, %v before anything happened", from, r.next, r.err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		act()
+		select {
+		case r := <-done:
+			return r.next, r.err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Wait(%d) still waiting 5 s later", from)
+			return 0, nil
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	if next, err := park(ctx, 2, cancel); !errors.Is(err, context.Canceled) || next != 2 {
+		t.Errorf("Wait(2), canceled: %d, %v; want 2, context.Canceled", next, err)
+	}
+	appendOne := func() { mustAppend(t, s, RecAddGraph, nil, nil) }
+	if next, err := park(context.Background(), 2, appendOne); err != nil || next != 3 {
+		t.Errorf("Wait(2), record 2 appended: %d, %v; want 3, nil", next, err)
+	}
+	closeStore := func() {
+		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+	}
+	if next, err := park(context.Background(), 3, closeStore); !errors.Is(err, ErrClosed) || next != 3 {
+		t.Errorf("Wait(3), store closed: %d, %v; want 3, ErrClosed", next, err)
 	}
 }
 

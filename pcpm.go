@@ -273,7 +273,7 @@ func LoadEdgeList(r io.Reader) (*graph.Graph, error) {
 // empty stream is an error (a likely client mistake), not an empty graph.
 func LoadGraph(r io.Reader) (*graph.Graph, error) {
 	// A small buffer suffices for the 8-byte sniff; the format readers do
-	// their own bulk buffering (ReadBinary reuses this *bufio.Reader).
+	// their own bulk reads (ReadBinary reads whole blocks through it).
 	br := bufio.NewReaderSize(r, 4096)
 	head, err := br.Peek(8)
 	if err != nil && err != io.EOF {
