@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -158,8 +159,16 @@ func FuzzSnapshotLoad(f *testing.F) {
 			return
 		}
 		s, err := ReadSnapshot(bytes.NewReader(data))
+		// A reader that hides its length takes the growing path.
+		grown, gerr := ReadSnapshot(struct{ io.Reader }{bytes.NewReader(data)})
+		if (err == nil) != (gerr == nil) {
+			t.Fatalf("sized ReadSnapshot: %v, unsized: %v", err, gerr)
+		}
 		if err != nil {
 			return // rejected is fine; panicking or ballooning is the bug class
+		}
+		if !s.Graph.Equal(grown.Graph) || !bytes.Equal(s.Meta, grown.Meta) || !slices.Equal(s.Ranks, grown.Ranks) {
+			t.Fatal("sized and unsized ReadSnapshot read different snapshots")
 		}
 		if verr := s.Graph.Validate(); verr != nil {
 			t.Fatalf("ReadSnapshot accepted an invalid graph: %v", verr)
@@ -212,8 +221,10 @@ func FuzzSniffBinary(f *testing.F) {
 // and last vertices of the last chunk, vertex 0. ops is read three bytes at
 // a time (kind and source, then two bytes picking a destination or the
 // instance to delete). The patched graph must equal FromEdges over the
-// edited edge list, bit for bit; every chunk the batch leaves alone must be
-// the parent's own, and the parent must read back unchanged.
+// edited edge list, bit for bit, and its Orientation, derived from the
+// parent's, must equal the rebuilt graph's fresh count; every chunk the
+// batch leaves alone must be the parent's own, and the parent must read
+// back unchanged.
 func FuzzPatch(f *testing.F) {
 	f.Add(false, uint16(0), uint64(1), []byte{0, 0, 1, 2, 0, 0})
 	f.Add(true, uint16(7), uint64(2), []byte{1, 3, 0, 3, 0, 0, 4, 9, 9, 6, 1, 1})
@@ -279,6 +290,7 @@ func FuzzPatch(f *testing.F) {
 		if len(ins)+len(del) == 0 {
 			return
 		}
+		g.Orientation() // so that Patch derives the child's
 		got, err := Patch(g, ins, del)
 		if err != nil {
 			t.Fatalf("Patch: %v", err)
@@ -305,6 +317,9 @@ func FuzzPatch(f *testing.F) {
 		}
 		if !got.Equal(want) || !slices.Equal(got.Edges(), want.Edges()) {
 			t.Fatal("Patch differs from FromEdges over the edited edge list")
+		}
+		if d, u := got.Orientation(); pairOf(d, u) != pairOf(want.Orientation()) {
+			t.Fatalf("derived orientation down %d up %d, a fresh count %v", d, u, pairOf(want.Orientation()))
 		}
 
 		touched := map[int]bool{}

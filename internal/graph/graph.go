@@ -16,6 +16,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/par"
 )
@@ -70,6 +71,51 @@ type Graph struct {
 	inOnce  sync.Once
 	in      []Chunk     // the transpose, built by inOnce; see transposed
 	derived derivedSlot // see Derived
+
+	orientOnce sync.Once
+	orient     atomic.Pointer[orientation] // counted by orientOnce or set by Patch; see Orientation
+}
+
+// orientation counts a graph's edges by the way they point: to an ID below
+// their source's (down) or above it (up).
+type orientation struct{ down, up int64 }
+
+// Orientation returns the number of edges that point to a lower ID (down)
+// and to a higher ID (up); self-loops count for neither. The first call
+// counts them from the out-chunks, scanning each sorted list up to its
+// source; concurrent first callers wait for one count and share it. A graph made by
+// Patch from a parent that has counted them derives its own from the
+// parent's, so a lineage of patched versions counts once.
+//
+// An in-place sweep over the vertices carries mass along an edge within one
+// pass only if it reaches the edge's source first, so the push kernel
+// (internal/ppr) walks the vertices in descending ID order when down > up.
+func (g *Graph) Orientation() (down, up int64) {
+	g.orientOnce.Do(func() {
+		if g.orient.Load() != nil {
+			return
+		}
+		var o orientation
+		for c, ch := range g.out {
+			for i := range len(ch.Off) - 1 {
+				v := NodeID(c<<ChunkShift + i)
+				list := ch.Adj[ch.Off[i]:ch.Off[i+1]]
+				lo := 0 // the list is sorted: [0, lo) point down
+				for lo < len(list) && list[lo] < v {
+					lo++
+				}
+				hi := lo // [lo, hi) are self-loops
+				for hi < len(list) && list[hi] == v {
+					hi++
+				}
+				o.down += int64(lo)
+				o.up += int64(len(list) - hi)
+			}
+		}
+		g.orient.Store(&o)
+	})
+	o := g.orient.Load()
+	return o.down, o.up
 }
 
 // transposed returns the in-adjacency in chunks (unweighted; chunk c lists

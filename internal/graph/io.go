@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"strconv"
 	"strings"
@@ -148,13 +149,31 @@ func WriteBinary(w io.Writer, g *Graph) error {
 
 // ReadBinary deserializes a graph written by WriteBinary, reading exactly
 // its bytes from r. The header's claimed node and edge counts are not
-// trusted for allocation: arrays grow only as the corresponding bytes
-// actually arrive, so a crafted header on a short stream cannot force a
-// huge upfront allocation (the input may be an untrusted HTTP upload).
-func ReadBinary(r io.Reader) (*Graph, error) { return (&blockReader{r: r}).binary() }
+// trusted for allocation: an array is allocated once, for no more values
+// than the bytes r holds (inputSize), or grows as its bytes arrive when r
+// cannot tell, so a crafted header on a short stream cannot force a huge
+// upfront allocation (the input may be an untrusted HTTP upload).
+func ReadBinary(r io.Reader) (*Graph, error) {
+	return (&blockReader{r: r, left: inputSize(r)}).binary()
+}
 
-// blockValues is the most values one block of a binary stream carries:
-// writes and reads move whole blocks through one scratch buffer.
+// inputSize bounds the bytes r holds: an in-memory reader's Len, a regular
+// file's size, or -1 when r cannot tell.
+func inputSize(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size()
+		}
+	}
+	return -1
+}
+
+// blockValues bounds one block of a binary stream: a write moves up to
+// blockValues values through its scratch buffer, a read up to blockValues
+// bytes.
 const blockValues = 1 << 16
 
 // blockWriter encodes little-endian values into one scratch buffer and
@@ -251,10 +270,13 @@ func (b *blockWriter) binary(g *Graph) {
 }
 
 // blockReader decodes little-endian arrays from r through one scratch
-// buffer of at most blockValues values.
+// buffer of at most blockValues bytes.
 type blockReader struct {
 	r   io.Reader
 	buf []byte
+	// left bounds the bytes r still holds, or is -1 when the input's size
+	// is unknown.
+	left int64
 }
 
 // binary reads a graph in the binary format.
@@ -306,21 +328,30 @@ func (b *blockReader) binary() (*Graph, error) {
 }
 
 // readBlocks decodes count little-endian values, one block per decode
-// call, while allocating in proportion to bytes actually read, never to
-// the count a header merely claims: the result grows block by block, and
-// the scratch holds at most one block.
+// call, while allocating in proportion to bytes actually present, never to
+// the count a header merely claims. When the input's size is known the
+// result is allocated once, for as many values as the bytes left can hold;
+// otherwise it grows block by block. The scratch holds at most one block.
 func readBlocks[T any](b *blockReader, count int64, decode func(dst []T, src []byte)) ([]T, error) {
 	var zero T
 	width := binary.Size(zero)
-	if need := width * int(min(count, blockValues)); cap(b.buf) < need {
+	per := int64(blockValues / width) // values per block
+	if need := width * int(min(count, per)); cap(b.buf) < need {
 		b.buf = make([]byte, need)
 	}
-	out := make([]T, 0, min(count, blockValues))
+	size := min(count, per)
+	if b.left >= 0 {
+		size = min(count, b.left/int64(width))
+	}
+	out := make([]T, 0, size)
 	for int64(len(out)) < count {
-		c := int(min(count-int64(len(out)), blockValues))
+		c := int(min(count-int64(len(out)), per))
 		src := b.buf[:width*c]
 		if _, err := io.ReadFull(b.r, src); err != nil {
 			return nil, err
+		}
+		if b.left >= 0 {
+			b.left = max(b.left-int64(len(src)), 0)
 		}
 		n := len(out)
 		if cap(out)-n < c {

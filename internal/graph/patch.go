@@ -14,7 +14,8 @@ import (
 //
 // Only the chunks that hold a changed source are rebuilt; the new graph
 // shares every other chunk with g, so a batch costs the touched chunks plus
-// the chunk table, not the graph. g is not modified.
+// the chunk table, not the graph. g is not modified. If g has counted its
+// Orientation, the new graph's is g's plus the batch's.
 //
 // Deletions are matched by (Src, Dst) and remove one parallel instance
 // each; deleting a pair the graph does not hold is an error. On weighted
@@ -64,7 +65,25 @@ func Patch(g *Graph, insert, del []Edge) (*Graph, error) {
 		ng.out[c] = ch
 		ins, dels = ins[ci:], dels[cd:]
 	}
+	if o := g.orient.Load(); o != nil {
+		no := *o
+		no.add(insert, 1)
+		no.add(del, -1)
+		ng.orient.Store(&no)
+	}
 	return ng, nil
+}
+
+// add counts each of es by the way it points, times sign.
+func (o *orientation) add(es []Edge, sign int64) {
+	for _, e := range es {
+		switch {
+		case e.Dst < e.Src:
+			o.down += sign
+		case e.Dst > e.Src:
+			o.up += sign
+		}
+	}
 }
 
 // minSrc returns the smallest source of two source-sorted batches, not both

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -317,5 +318,159 @@ func TestPatchSharesUntouchedChunks(t *testing.T) {
 		if per := int(m1.TotalAlloc-m0.TotalAlloc) / runs; per > bound {
 			t.Fatalf("weighted %v: Patch allocated %d bytes, bound %d", weighted, per, bound)
 		}
+	}
+}
+
+// orientationOf counts g's edges by the way they point, one edge at a time.
+func orientationOf(g *Graph) (down, up int64) {
+	for _, e := range g.Edges() {
+		switch {
+		case e.Dst < e.Src:
+			down++
+		case e.Dst > e.Src:
+			up++
+		}
+	}
+	return down, up
+}
+
+// TestPatchOrientation: a chain of patches from a counted graph derives
+// every version's Orientation from its parent's, and each equals a fresh
+// count. The graph spans three chunks, the last partial; it holds
+// self-loops and parallel edges, and every batch deletes some of both,
+// inserts self-loops and leans on the chunk seams. A patch of a graph that
+// has not counted leaves its child to count on first use.
+func TestPatchOrientation(t *testing.T) {
+	const n = 2*ChunkSize + 37
+	r := rand.New(rand.NewPCG(17, 3))
+	seams := []int{0, ChunkSize - 1, ChunkSize, 2 * ChunkSize, n - 1}
+	vertex := func() NodeID {
+		if r.IntN(3) == 0 {
+			return NodeID(seams[r.IntN(len(seams))])
+		}
+		return NodeID(r.IntN(n))
+	}
+	var edges []Edge
+	for range 4 * n {
+		e := Edge{Src: vertex(), Dst: vertex()}
+		switch r.IntN(10) {
+		case 0:
+			e.Dst = e.Src
+		case 1:
+			edges = append(edges, e) // a parallel instance
+		}
+		edges = append(edges, e)
+	}
+	g, err := FromEdges(n, edges, false, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, u := g.Orientation(); [2]int64{d, u} != pairOf(orientationOf(g)) {
+		t.Fatalf("fresh graph counts down %d up %d, want %v", d, u, pairOf(orientationOf(g)))
+	}
+	for step := range 12 {
+		var ins, del []Edge
+		for range 1 + r.IntN(8) {
+			e := Edge{Src: vertex(), Dst: vertex()}
+			if r.IntN(4) == 0 {
+				e.Dst = e.Src
+			}
+			ins = append(ins, e)
+		}
+		taken := map[Edge]int{}
+		for range 1 + r.IntN(8) {
+			src := vertex()
+			list := g.OutNeighbors(src)
+			if j := r.IntN(len(list) + 1); j < len(list) {
+				e := Edge{Src: src, Dst: list[j]}
+				if taken[e] < countOf(list, list[j]) {
+					taken[e]++
+					del = append(del, e)
+				}
+			}
+		}
+		ng, err := Patch(g, ins, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ng.orient.Load() == nil {
+			t.Fatalf("step %d: the patch of a counted graph did not derive its counts", step)
+		}
+		if d, u := ng.Orientation(); [2]int64{d, u} != pairOf(orientationOf(ng)) {
+			t.Fatalf("step %d: derived down %d up %d, a fresh count %v", step, d, u, pairOf(orientationOf(ng)))
+		}
+		g = ng
+	}
+
+	uncounted, err := FromEdges(n, g.Edges(), false, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := Patch(uncounted, []Edge{{Src: 5, Dst: 1}, {Src: 9, Dst: 9}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if child.orient.Load() != nil || uncounted.orient.Load() != nil {
+		t.Fatal("Patch counted an orientation nobody asked for")
+	}
+	if d, u := child.Orientation(); [2]int64{d, u} != pairOf(orientationOf(child)) {
+		t.Fatalf("lazily counted down %d up %d, want %v", d, u, pairOf(orientationOf(child)))
+	}
+}
+
+func pairOf(down, up int64) [2]int64 { return [2]int64{down, up} }
+
+func countOf(list []NodeID, v NodeID) (c int) {
+	for _, u := range list {
+		if u == v {
+			c++
+		}
+	}
+	return c
+}
+
+// TestOrientationConcurrentFirstUse: goroutines that ask a fresh graph for
+// its Orientation at once, while others patch it, all read one count, and
+// every child reads its own exact count whether it derived it from the
+// parent or counted it itself. Once counted, asking again allocates nothing.
+// Run under -race.
+func TestOrientationConcurrentFirstUse(t *testing.T) {
+	g, _ := randomGraphForPatch(t, 3*ChunkSize+5, 12*ChunkSize, 23)
+	want := pairOf(orientationOf(g))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	got := make([][2]int64, 8)
+	children := make([]*Graph, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if i%2 == 0 {
+				got[i] = pairOf(g.Orientation())
+				return
+			}
+			child, err := Patch(g, []Edge{{Src: NodeID(i), Dst: 0}, {Src: 0, Dst: NodeID(i)}}, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			children[i] = child
+			got[i] = pairOf(child.Orientation())
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, c := range got {
+		w := want
+		if children[i] != nil {
+			w = pairOf(orientationOf(children[i]))
+		}
+		if c != w {
+			t.Errorf("goroutine %d read %v, want %v", i, c, w)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { g.Orientation() }); allocs != 0 {
+		t.Errorf("a counted graph allocates %v per Orientation", allocs)
 	}
 }

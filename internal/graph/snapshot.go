@@ -124,9 +124,12 @@ func (hr *hashReader) Read(p []byte) (int, error) {
 // ReadSnapshot deserializes a snapshot written by WriteSnapshot, verifying
 // the framing version, the embedded graph's structural validity, and the
 // trailing checksum. Untrusted or torn files are rejected with an error —
-// never a panic — and allocation grows with bytes actually read, so a
-// crafted header cannot OOM the recovering daemon. It reads through one
-// scratch buffer, so r needs no buffering of its own.
+// never a panic — and allocation is bounded by the bytes the input holds,
+// so a crafted header cannot OOM the recovering daemon. It reads through one
+// scratch buffer, so r needs no buffering of its own. When r can tell how
+// many bytes it holds (see inputSize), every array is allocated once, for
+// the fewer of the values its header claims and the values those bytes can
+// hold; otherwise each array grows as its bytes arrive.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -155,7 +158,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("graph: snapshot rank count %d exceeds 2^31", ranksN)
 	}
 
-	br := &blockReader{r: hr}
+	br := &blockReader{r: hr, left: inputSize(r)}
 	meta, err := readBlocks(br, int64(metaLen), decodeBytes)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading snapshot metadata: %w", err)

@@ -41,3 +41,39 @@ func TestSnapshotCodecAllocatesWithSize(t *testing.T) {
 			len(blob), encode, decode)
 	}
 }
+
+// TestSnapshotDecodeAllocatesOnce: from a reader that knows its length,
+// decoding a snapshot allocates each array once, so the whole decode costs
+// at most 1.3× the blob (the offsets are held twice: as read, and cut into
+// chunks). A truncated blob whose header claims the whole graph costs no
+// more than the bytes it holds.
+func TestSnapshotDecodeAllocatesOnce(t *testing.T) {
+	g, err := gen.PreferentialAttachment(1<<15, 8, 42, graph.BuildOptions{Dedup: true, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := make([]float32, g.NumNodes())
+	for i := range ranks {
+		ranks[i] = float32(i+1) / float32(len(ranks))
+	}
+	blob, err := graph.EncodeSnapshot(&graph.Snapshot{Graph: g, Ranks: ranks, Meta: []byte(`{"name":"g","lsn":7}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		name  string
+		bytes []byte
+		ok    bool
+	}{{"whole", blob, true}, {"truncated", blob[:len(blob)/3], false}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := graph.ReadSnapshot(bytes.NewReader(in.bytes))
+		runtime.ReadMemStats(&after)
+		if (err == nil) != in.ok {
+			t.Fatalf("%s: decode error %v", in.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.3*float64(len(in.bytes)) {
+			t.Errorf("%s: decoding %d bytes allocates %d, want at most 1.3×", in.name, len(in.bytes), got)
+		}
+	}
+}

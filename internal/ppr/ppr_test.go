@@ -148,12 +148,16 @@ func TestGoldenRunWithinItsCertificate(t *testing.T) {
 }
 
 // TestRunPassCounts pins Run's passes at the default options on every
-// family, so that losing the Aitken step fails here: the counts are the
-// accelerated drain's own. Plain sweeps of the same leaky system take 54, 49
-// and 68 passes on er, rmat and copying; pa drains its seeds' acyclic
-// ancestry in 5 either way, and dag-communities never settles into one mode.
+// family, so that losing the Aitken step or the sweep direction fails here:
+// the counts are the accelerated drain's own. Plain ascending sweeps of the
+// same leaky system take 54, 49 and 68 passes on er, rmat and copying. Every
+// pa edge and 63 % of copying's point to a lower ID, so their passes run
+// descending: pa drains its seeds' acyclic ancestry in one pass (5
+// ascending), copying takes 29 (35). er, rmat and dag-communities run
+// ascending; dag-communities never settles into one mode, and would take
+// 70 passes descending.
 func TestRunPassCounts(t *testing.T) {
-	passes := map[string]int{"er": 16, "rmat": 21, "pa": 5, "copying": 35, "dag-communities": 42}
+	passes := map[string]int{"er": 16, "rmat": 21, "pa": 1, "copying": 29, "dag-communities": 42}
 	for name, g := range testGraphs(t) {
 		res, err := Run(g, []graph.NodeID{3, 17, 42}, RunOptions{})
 		if err != nil {
@@ -401,11 +405,12 @@ func TestTruncatedFlag(t *testing.T) {
 }
 
 // BenchmarkPushSingleSeed runs default-epsilon single-seed queries on the
-// serving family at its benchmark size (bench's serve_read graph), where a
-// query is a few dozen sweeps: rounds/op and ns/edge are the kernel's
-// numbers. Edges traversed are taken as pushes × mean out-degree, which is
-// exact to a few percent because almost all pushes happen in sweeps that
-// push almost every vertex.
+// serving family at its benchmark size (bench's serve_read graph), where
+// two thirds of the edges point to a lower ID, so every pass runs
+// descending and a query is about 14 passes (20 ascending): rounds/op and
+// ns/edge are the kernel's numbers. Edges traversed are taken as pushes ×
+// mean out-degree, which is exact to a few percent because almost all
+// pushes happen in sweeps that push almost every vertex.
 func BenchmarkPushSingleSeed(b *testing.B) {
 	g, err := gen.PreferentialAttachmentMix(1<<17, 8, 0.2, 11, graph.BuildOptions{})
 	if err != nil {

@@ -75,6 +75,9 @@ type followerState struct {
 	mu sync.Mutex
 	// cancel ends the running Follow's context; nil when none runs.
 	cancel context.CancelFunc // guarded by mu
+	// cut is the last record a successful Promote folded in, which every
+	// later Promote of this process answers.
+	cut uint64 // guarded by mu
 
 	state      atomic.Value // string: one of the FollowState constants
 	applied    atomic.Uint64

@@ -56,9 +56,12 @@ type PromoteReport struct {
 	// Promoted is false when the server already was a leader (an idempotent
 	// re-promote, e.g. a retried request after a dropped response).
 	Promoted bool `json:"promoted"`
-	// CutLSN is the last replicated record folded into the adopted log;
-	// NextLSN is where the new leader's own history begins (CutLSN+2 on a
-	// fresh promotion: the adoption's checkpoint marker is CutLSN+1).
+	// CutLSN is the last replicated record folded into the adopted log,
+	// the same on every answer of the promoted process, retries included.
+	// The cut is kept in memory only: a leader that never followed, or has
+	// restarted since its promotion, answers 0. NextLSN is
+	// where the server's next record goes (CutLSN+2 on a fresh promotion:
+	// the adoption's checkpoint marker is CutLSN+1).
 	CutLSN  uint64 `json:"cut_lsn"`
 	NextLSN uint64 `json:"next_lsn"`
 	Graphs  int    `json:"graphs"`
@@ -71,12 +74,12 @@ type PromoteReport struct {
 func (s *Server) Promote() (PromoteReport, error) {
 	fs := s.follower
 	if fs == nil {
-		return s.leaderReport()
+		return s.leaderReport(0)
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if !s.gateFollower.Load() {
-		return s.leaderReport()
+		return s.leaderReport(fs.cut)
 	}
 	if s.cfg.DataDir == "" {
 		return PromoteReport{}, fmt.Errorf(
@@ -110,25 +113,27 @@ func (s *Server) Promote() (PromoteReport, error) {
 			st.Close(), removeWALFiles(s.cfg.DataDir))
 	}
 	s.gateFollower.Store(false)
+	fs.cut = cut
 	if fs.cancel != nil {
 		fs.cancel()
 	}
 	s.log.Info("promoted to leader", "cut_lsn", cut, "graphs", s.NumGraphs(),
 		"old_leader", fs.leaderAddr(), "data_dir", s.cfg.DataDir)
-	rep, err := s.leaderReport()
-	rep.Promoted, rep.CutLSN = true, cut
+	rep, err := s.leaderReport(cut)
+	rep.Promoted = true
 	return rep, err
 }
 
-// leaderReport answers a promotion request on a server that already leads;
-// a standalone server leads nothing.
-func (s *Server) leaderReport() (PromoteReport, error) {
+// leaderReport answers a promotion request on a server that leads, whose
+// promotion folded in the records up to cut; a standalone server leads
+// nothing.
+func (s *Server) leaderReport(cut uint64) (PromoteReport, error) {
 	st := s.wal.Load()
 	if st == nil {
 		return PromoteReport{}, fmt.Errorf(
 			"%w: standalone server is not replicating from anyone", ErrNotPromotable)
 	}
-	return PromoteReport{Role: "leader", CutLSN: st.NextLSN() - 1, NextLSN: st.NextLSN(), Graphs: s.NumGraphs()}, nil
+	return PromoteReport{Role: "leader", CutLSN: cut, NextLSN: st.NextLSN(), Graphs: s.NumGraphs()}, nil
 }
 
 // removeWALFiles deletes the snapshots and log segments in dir: what a

@@ -40,6 +40,17 @@ func TestPromotionChaos(t *testing.T) {
 	})})
 }
 
+// TestRetriedPromotionReportsItsCut: a promotion retried after the promoted
+// leader took writes answers the cut it folded in, not its newest record;
+// after a restart the cut is gone and the answer is 0. The retry used to
+// answer next_lsn − 1 as the cut.
+func TestRetriedPromotionReportsItsCut(t *testing.T) {
+	runScenario(t, scenario{[]step{
+		add("g", testGraph(t)), deltas("g", 2, 191), promote(), deltas("g", 2, 193), retryPromotion(),
+		restart(true), retryPromotion(),
+	}, nil})
+}
+
 // TestRefusedPromotionKeepsFollowing: the dead leader's host rejoins with
 // its old data dir, so promoting it is refused, and it must go on applying
 // the new leader's writes. Promote used to stop the tail loop before it

@@ -61,6 +61,9 @@ type cluster struct {
 	// recovered is the recovery report of the last check's copy.
 	recovered *RecoveryReport
 	at        string // the step running, for failure reports
+	// promoted is the answer of the last fresh promotion, cleared when the
+	// leader restarts.
+	promoted PromoteReport
 }
 
 // follower is a cluster's follower; while hold is non-nil its tail loop
@@ -433,7 +436,7 @@ func restart(graceful bool) step {
 		// it drains in-flight handlers before the log goes away.
 		reborn, _ := newDurableServer(t, c.config(c.dir))
 		t.Cleanup(c.lead.hs.Close)
-		c.lead.srv = reborn
+		c.lead.srv, c.promoted = reborn, PromoteReport{} // a new process knows no cut
 		c.lead.swap(reborn.Handler())
 		for i, f := range fs {
 			waitCaughtUp(t, reborn, f.srv)
@@ -459,8 +462,8 @@ func promote() step {
 			!rep.Promoted || rep.Role != "leader" || rep.NextLSN != rep.CutLSN+2 {
 			t.Fatalf("promote: status %d, report %+v; want 200 and a fresh leader whose checkpoint marker follows the cut", code, rep)
 		}
-		if again, err := p.srv.Promote(); err != nil || again.Promoted || again.Role != "leader" {
-			t.Fatalf("second promote: %+v, %v; want an idempotent already-leader answer", again, err)
+		if again, err := p.srv.Promote(); err != nil || again.Promoted || again.Role != "leader" || again.CutLSN != rep.CutLSN {
+			t.Fatalf("second promote: %+v, %v; want an idempotent already-leader answer with cut %d", again, err, rep.CutLSN)
 		}
 		if st := p.srv.ReplStatus(); st.Role != "leader" || !st.Promoted {
 			t.Fatalf("promoted server reports %+v", st)
@@ -488,7 +491,7 @@ func promote() step {
 			}
 		}
 		old := c.dir
-		c.lead, c.dir, c.fs = lead, p.dir, c.fs[1:]
+		c.lead, c.dir, c.fs, c.promoted = lead, p.dir, c.fs[1:], rep
 		for _, f := range c.fs {
 			body := fmt.Sprintf(`{"leader":%q}`, lead.url)
 			if code := doJSON(t, "POST", newHTTPServer(t, f.srv)+"/v1/repl/reaim", []byte(body), nil); code != http.StatusOK {
@@ -496,6 +499,21 @@ func promote() step {
 			}
 		}
 		c.addFollower(t, old)
+	}}
+}
+
+// retryPromotion asks the leader a promote step made to promote again, as
+// a client does after a dropped response: the answer must be the fresh
+// promotion's cut, whatever the leader has written since, or 0 once the
+// leader has restarted.
+func retryPromotion() step {
+	return step{name: "retried promotion", do: func(t *testing.T, c *cluster) {
+		var rep PromoteReport
+		if code := doJSON(t, "POST", c.lead.url+"/v1/repl/promote", nil, &rep); code != http.StatusOK ||
+			rep.Promoted || rep.Role != "leader" || rep.CutLSN != c.promoted.CutLSN {
+			t.Fatalf("retried promote: status %d, report %+v; want 200, an already-leader answer and cut %d",
+				code, rep, c.promoted.CutLSN)
+		}
 	}}
 }
 
